@@ -17,6 +17,7 @@ import (
 	"nda/internal/attack"
 	"nda/internal/checkpoint"
 	"nda/internal/core"
+	"nda/internal/diffuzz"
 	"nda/internal/emu"
 	"nda/internal/harness"
 	"nda/internal/inorder"
@@ -279,6 +280,27 @@ func BenchmarkStoreWarmRestart(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(cells, "cells-replayed")
+}
+
+// --- differential soundness checker ---
+
+// BenchmarkDiffuzz runs the differential checker over a fixed 100-seed
+// range: per program, generation, static analysis, two reference-emulator
+// runs and 18 sanitized timing runs on one reset core. Its allocs/op rides
+// the BENCH_*.json trajectory, so building a core per timing run again —
+// about 1.2 MB each — fails the bench-trajectory gate.
+func BenchmarkDiffuzz(b *testing.B) {
+	b.ReportAllocs()
+	seeds := diffuzz.Seeds(1, 100)
+	var programs float64
+	for i := 0; i < b.N; i++ {
+		s := diffuzz.Fuzz(seeds, 1)
+		if s.Failed != 0 {
+			b.Fatalf("%d/%d programs failed:\n%s", s.Failed, s.Programs, s)
+		}
+		programs = float64(s.Programs)
+	}
+	b.ReportMetric(programs*float64(b.N)/b.Elapsed().Seconds(), "programs/s")
 }
 
 // --- substrate micro-benchmarks ---

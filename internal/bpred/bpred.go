@@ -29,10 +29,20 @@ type Gshare struct {
 // not-taken (01).
 func NewGshare(bits uint) *Gshare {
 	g := &Gshare{pht: make([]uint8, 1<<bits), mask: (1 << bits) - 1, bits: bits}
-	for i := range g.pht {
-		g.pht[i] = 1
-	}
+	g.Reset()
 	return g
+}
+
+// Reset returns the predictor to the state NewGshare builds: every counter
+// weakly not-taken, empty history, zeroed stats.
+func (g *Gshare) Reset() {
+	// Fill by doubling copies: memmove speed rather than a byte loop.
+	g.pht[0] = 1
+	for n := 1; n < len(g.pht); n *= 2 {
+		copy(g.pht[n:], g.pht[:n])
+	}
+	g.history = 0
+	g.Lookups, g.Mispredict = 0, 0
 }
 
 func (g *Gshare) index(pc uint64) uint64 {
@@ -94,20 +104,21 @@ func b2u(b bool) uint64 {
 // wrong paths — and never reverted, which is what makes it usable as a
 // covert channel (paper §3).
 type BTB struct {
-	sets  [][]btbEntry
-	ways  int
-	mask  uint64
-	clock uint64
+	entries []btbEntry // set s occupies entries[s*ways : (s+1)*ways]
+	ways    int
+	mask    uint64
+	gen     uint64 // an entry is valid iff its gen equals this; 0 never does
+	clock   uint64
 	// Stats
 	Lookups uint64
 	Hits    uint64
 }
 
 type btbEntry struct {
-	valid  bool
 	tag    uint64
 	target uint64
 	stamp  uint64
+	gen    uint64
 }
 
 // NewBTB builds a BTB with the given total entry count and associativity.
@@ -117,27 +128,32 @@ func NewBTB(entries, ways int) *BTB {
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
 		panic("bpred: BTB set count must be a positive power of two")
 	}
-	sets := make([][]btbEntry, numSets)
-	backing := make([]btbEntry, numSets*ways)
-	for i := range sets {
-		sets[i], backing = backing[:ways], backing[ways:]
-	}
-	return &BTB{sets: sets, ways: ways, mask: uint64(numSets - 1)}
+	return &BTB{entries: make([]btbEntry, numSets*ways), ways: ways, mask: uint64(numSets - 1), gen: 1}
 }
 
-func (b *BTB) index(pc uint64) (int, uint64) {
+// Reset returns the BTB to the state NewBTB builds, in O(1): a generation
+// bump invalidates every entry at once.
+func (b *BTB) Reset() {
+	b.gen++
+	b.clock = 0
+	b.Lookups, b.Hits = 0, 0
+}
+
+// set returns pc's set and tag.
+func (b *BTB) set(pc uint64) ([]btbEntry, uint64) {
 	line := pc >> 2
-	return int(line & b.mask), line >> 1 // tag keeps the set bits' upper part plus more
+	s := int(line&b.mask) * b.ways
+	return b.entries[s : s+b.ways], line >> 1 // tag keeps the set bits' upper part plus more
 }
 
 // Lookup returns the predicted target for the branch at pc.
 func (b *BTB) Lookup(pc uint64) (target uint64, ok bool) {
 	b.Lookups++
-	set, tag := b.index(pc)
+	set, tag := b.set(pc)
 	b.clock++
-	for i := range b.sets[set] {
-		e := &b.sets[set][i]
-		if e.valid && e.tag == tag {
+	for i := range set {
+		e := &set[i]
+		if e.gen == b.gen && e.tag == tag {
 			e.stamp = b.clock
 			b.Hits++
 			return e.target, true
@@ -148,32 +164,32 @@ func (b *BTB) Lookup(pc uint64) (target uint64, ok bool) {
 
 // Update installs or refreshes the mapping pc -> target, evicting LRU.
 func (b *BTB) Update(pc, target uint64) {
-	set, tag := b.index(pc)
+	set, tag := b.set(pc)
 	b.clock++
 	victim := 0
 	var oldest uint64 = ^uint64(0)
-	for i := range b.sets[set] {
-		e := &b.sets[set][i]
-		if e.valid && e.tag == tag {
+	for i := range set {
+		e := &set[i]
+		valid := e.gen == b.gen
+		if valid && e.tag == tag {
 			e.target = target
 			e.stamp = b.clock
 			return
 		}
-		if !e.valid {
+		if !valid {
 			victim, oldest = i, 0
 		} else if e.stamp < oldest {
 			victim, oldest = i, e.stamp
 		}
 	}
-	b.sets[set][victim] = btbEntry{valid: true, tag: tag, target: target, stamp: b.clock}
+	set[victim] = btbEntry{tag: tag, target: target, stamp: b.clock, gen: b.gen}
 }
 
 // Peek returns the target for pc without touching LRU state or stats.
 func (b *BTB) Peek(pc uint64) (uint64, bool) {
-	set, tag := b.index(pc)
-	for i := range b.sets[set] {
-		e := &b.sets[set][i]
-		if e.valid && e.tag == tag {
+	set, tag := b.set(pc)
+	for i := range set {
+		if e := &set[i]; e.gen == b.gen && e.tag == tag {
 			return e.target, true
 		}
 	}
@@ -194,6 +210,12 @@ func NewRAS(entries int) *RAS {
 		panic("bpred: RAS must have at least one entry")
 	}
 	return &RAS{entries: make([]uint64, entries), top: -1}
+}
+
+// Reset empties the stack, returning it to the state NewRAS builds.
+func (r *RAS) Reset() {
+	clear(r.entries)
+	r.top, r.depth = -1, 0
 }
 
 // Push records a return address at a call.

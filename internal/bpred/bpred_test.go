@@ -1,6 +1,7 @@
 package bpred
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -211,5 +212,88 @@ func TestNewValidation(t *testing.T) {
 			f()
 			t.Error("constructor must panic on invalid sizing")
 		}()
+	}
+}
+
+// exercise drives every predictor structure through a seeded random mix of
+// operations and returns every answer they gave, so two sets of structures
+// can be compared for identical behaviour.
+func exercise(g *Gshare, b *BTB, r *RAS, seed int64) []uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	var out []uint64
+	for i := 0; i < 5000; i++ {
+		pc := uint64(rng.Intn(1<<12)) &^ 3
+		switch rng.Intn(5) {
+		case 0:
+			taken, ck := g.Predict(pc)
+			out = append(out, b2u(taken), ck)
+			g.Update(pc, rng.Intn(2) == 0, ck)
+		case 1:
+			tgt, ok := b.Lookup(pc)
+			out = append(out, tgt, b2u(ok))
+		case 2:
+			b.Update(pc, pc^0xABC0)
+		case 3:
+			r.Push(pc)
+		case 4:
+			a, ok := r.Pop()
+			out = append(out, a, b2u(ok))
+		}
+	}
+	return append(out, g.History(), g.Lookups, b.Lookups, b.Hits, uint64(r.Depth()))
+}
+
+// Reset returns each structure to exactly its constructor's state: after
+// dirtying and Reset, the same operations give the same answers and
+// counters as on fresh structures.
+func TestResetMatchesFresh(t *testing.T) {
+	g, b, r := NewGshare(8), NewBTB(64, 4), NewRAS(4)
+	exercise(g, b, r, 1)
+	g.Reset()
+	b.Reset()
+	r.Reset()
+	if g.Lookups != 0 || g.History() != 0 || b.Lookups != 0 || b.Hits != 0 || r.Depth() != 0 {
+		t.Fatal("Reset left counters, history or depth behind")
+	}
+	if _, ok := b.Peek(0); ok {
+		t.Fatal("BTB entry survived Reset")
+	}
+	got := exercise(g, b, r, 2)
+	want := exercise(NewGshare(8), NewBTB(64, 4), NewRAS(4), 2)
+	if len(got) != len(want) {
+		t.Fatalf("%d answers vs %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("answer %d: reset %#x, fresh %#x", i, got[i], want[i])
+		}
+	}
+	// The snapshot of a reset RAS equals a fresh one's, contents included.
+	r.Reset()
+	s, f := r.Snapshot(), NewRAS(4).Snapshot()
+	if s.top != f.top || s.depth != f.depth || len(s.entries) != len(f.entries) {
+		t.Fatalf("snapshot %+v vs fresh %+v", s, f)
+	}
+	for i := range s.entries {
+		if s.entries[i] != f.entries[i] {
+			t.Fatalf("reset RAS entry %d = %#x, want 0", i, s.entries[i])
+		}
+	}
+}
+
+// Gshare.Reset refills every counter weakly not-taken, for table sizes that
+// are and are not reached by a single doubling step.
+func TestGshareResetCounters(t *testing.T) {
+	for _, bits := range []uint{0, 1, 5, 14} {
+		g := NewGshare(bits)
+		for i := range g.pht {
+			g.pht[i] = 3
+		}
+		g.Reset()
+		for i, v := range g.pht {
+			if v != 1 {
+				t.Fatalf("bits=%d: counter %d = %d after Reset, want 1", bits, i, v)
+			}
+		}
 	}
 }

@@ -59,20 +59,25 @@ func (s Stats) MissRate() float64 {
 	return 0
 }
 
+// way is one cache line slot. A way is valid iff its generation stamp
+// equals its cache's current generation, so emptying the whole cache is a
+// generation bump rather than a pass over every way.
 type way struct {
-	valid bool
 	tag   uint64
 	stamp uint64 // LRU timestamp; larger = more recently used
+	gen   uint64 // valid iff == Cache.gen; 0 never is
 }
 
 // Cache is a single set-associative cache with true-LRU replacement.
 type Cache struct {
-	p       Params
-	sets    [][]way
-	numSets int
-	shift   uint // log2(LineBytes)
-	clock   uint64
-	stats   Stats
+	p        Params
+	ways     []way // set s occupies ways[s*Ways : (s+1)*Ways]
+	numSets  int
+	shift    uint // log2(LineBytes)
+	tagShift uint // log2(numSets)
+	gen      uint64
+	clock    uint64
+	stats    Stats
 }
 
 // New builds a cache from params. SizeBytes must be divisible by
@@ -88,19 +93,18 @@ func New(p Params) *Cache {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", p.Name, numSets))
 	}
-	shift := uint(0)
-	for 1<<shift < p.LineBytes {
-		shift++
-	}
+	shift := uint(log2(p.LineBytes))
 	if 1<<shift != p.LineBytes {
 		panic(fmt.Sprintf("cache %s: line size %d not a power of two", p.Name, p.LineBytes))
 	}
-	sets := make([][]way, numSets)
-	backing := make([]way, numSets*p.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:p.Ways], backing[p.Ways:]
+	return &Cache{
+		p:        p,
+		ways:     make([]way, numSets*p.Ways),
+		numSets:  numSets,
+		shift:    shift,
+		tagShift: uint(log2(numSets)),
+		gen:      1,
 	}
-	return &Cache{p: p, sets: sets, numSets: numSets, shift: shift}
 }
 
 // Params returns the cache's configuration.
@@ -112,9 +116,19 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the hit/miss counters without touching contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
+// Reset returns the cache to the state New builds: empty, LRU clock and
+// counters zeroed. It costs O(1): the generation bump invalidates every way.
+func (c *Cache) Reset() {
+	c.InvalidateAll()
+	c.clock = 0
+	c.stats = Stats{}
+}
+
+// set returns addr's set and tag.
+func (c *Cache) set(addr uint64) ([]way, uint64) {
 	line := addr >> c.shift
-	return int(line & uint64(c.numSets-1)), line >> uint(log2(c.numSets))
+	s := int(line&uint64(c.numSets-1)) * c.p.Ways
+	return c.ways[s : s+c.p.Ways], line >> c.tagShift
 }
 
 func log2(n int) int {
@@ -128,11 +142,11 @@ func log2(n int) int {
 // Lookup probes the cache for addr. On a hit the line's LRU stamp is
 // refreshed. The hit/miss counters are updated.
 func (c *Cache) Lookup(addr uint64) bool {
-	set, tag := c.index(addr)
+	set, tag := c.set(addr)
 	c.clock++
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
+	for i := range set {
+		w := &set[i]
+		if w.gen == c.gen && w.tag == tag {
 			w.stamp = c.clock
 			c.stats.Hits++
 			return true
@@ -145,10 +159,9 @@ func (c *Cache) Lookup(addr uint64) bool {
 // Present reports whether addr's line is cached, without touching LRU state
 // or counters. Used by validation logic and by tests.
 func (c *Cache) Present(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
+	set, tag := c.set(addr)
+	for i := range set {
+		if w := &set[i]; w.gen == c.gen && w.tag == tag {
 			return true
 		}
 	}
@@ -157,54 +170,52 @@ func (c *Cache) Present(addr uint64) bool {
 
 // Install brings addr's line into the cache, evicting the LRU way if the
 // set is full. It reports whether an eviction occurred. Installing a line
-// that is already present only refreshes its stamp.
+// that is already present only refreshes its stamp. An invalid way is
+// always filled before any valid one is evicted, the first invalid way
+// first.
 func (c *Cache) Install(addr uint64) (evicted bool) {
-	set, tag := c.index(addr)
+	set, tag := c.set(addr)
 	c.clock++
 	victim := -1
 	var oldest uint64 = ^uint64(0)
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
-			w.stamp = c.clock
-			return false
-		}
-		if !w.valid {
-			if victim == -1 || c.sets[set][victim].valid {
+	for i := range set {
+		w := &set[i]
+		if w.gen != c.gen {
+			if victim == -1 || set[victim].gen == c.gen {
 				victim = i
 			}
 			oldest = 0
-		} else if w.stamp < oldest {
+			continue
+		}
+		if w.tag == tag {
+			w.stamp = c.clock
+			return false
+		}
+		if w.stamp < oldest {
 			victim, oldest = i, w.stamp
 		}
 	}
-	w := &c.sets[set][victim]
-	evicted = w.valid
-	*w = way{valid: true, tag: tag, stamp: c.clock}
+	w := &set[victim]
+	evicted = w.gen == c.gen
+	*w = way{tag: tag, stamp: c.clock, gen: c.gen}
 	return evicted
 }
 
 // Flush removes addr's line if present and reports whether it was.
 func (c *Cache) Flush(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
-			w.valid = false
+	set, tag := c.set(addr)
+	for i := range set {
+		if w := &set[i]; w.gen == c.gen && w.tag == tag {
+			w.gen = 0
 			return true
 		}
 	}
 	return false
 }
 
-// InvalidateAll empties the cache (contents only; stats are kept).
-func (c *Cache) InvalidateAll() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i] = way{}
-		}
-	}
-}
+// InvalidateAll empties the cache (contents only; stats are kept). It costs
+// O(1): every way's generation stamp goes stale at once.
+func (c *Cache) InvalidateAll() { c.gen++ }
 
 // LineBytes returns the cache's line size.
 func (c *Cache) LineBytes() int { return c.p.LineBytes }

@@ -231,3 +231,212 @@ func TestLevelString(t *testing.T) {
 		t.Error("unknown level name")
 	}
 }
+
+// refCache is the valid-bit, slice-per-set cache the generation-stamped
+// one replaced, kept as the oracle for victim order.
+type refCache struct {
+	sets  [][]refWay
+	shift uint
+	clock uint64
+}
+
+type refWay struct {
+	valid bool
+	tag   uint64
+	stamp uint64
+}
+
+func newRef(p Params) *refCache {
+	n := p.SizeBytes / (p.LineBytes * p.Ways)
+	r := &refCache{sets: make([][]refWay, n), shift: uint(log2(p.LineBytes))}
+	for i := range r.sets {
+		r.sets[i] = make([]refWay, p.Ways)
+	}
+	return r
+}
+
+func (r *refCache) index(addr uint64) ([]refWay, uint64) {
+	line := addr >> r.shift
+	n := uint64(len(r.sets))
+	return r.sets[line&(n-1)], line >> uint(log2(len(r.sets)))
+}
+
+func (r *refCache) lookup(addr uint64) bool {
+	set, tag := r.index(addr)
+	r.clock++
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			set[i].stamp = r.clock
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refCache) install(addr uint64) bool {
+	set, tag := r.index(addr)
+	r.clock++
+	victim := -1
+	var oldest uint64 = ^uint64(0)
+	for i := range set {
+		w := &set[i]
+		if w.valid && w.tag == tag {
+			w.stamp = r.clock
+			return false
+		}
+		if !w.valid {
+			if victim == -1 || set[victim].valid {
+				victim = i
+			}
+			oldest = 0
+		} else if w.stamp < oldest {
+			victim, oldest = i, w.stamp
+		}
+	}
+	ev := set[victim].valid
+	set[victim] = refWay{valid: true, tag: tag, stamp: r.clock}
+	return ev
+}
+
+func (r *refCache) flush(addr uint64) bool {
+	set, tag := r.index(addr)
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			set[i].valid = false
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refCache) invalidateAll() {
+	for _, set := range r.sets {
+		clear(set)
+	}
+}
+
+// TestMatchesValidBitReference drives the cache and the reference through
+// the same random mix of lookups, installs, flushes, invalidations and
+// resets over a small address range (so sets conflict constantly): every
+// hit, eviction, flush result and presence answer must agree, which pins
+// LRU victim order — invalid ways first, then least recently used.
+func TestMatchesValidBitReference(t *testing.T) {
+	p := Params{Name: "test", SizeBytes: 1024, LineBytes: 64, Ways: 4, HitLatency: 4}
+	c, ref := New(p), newRef(p)
+	r := rand.New(rand.NewSource(1))
+	for op := 0; op < 200_000; op++ {
+		addr := uint64(r.Intn(1<<12)) &^ 7
+		switch k := r.Intn(100); {
+		case k < 40:
+			if got, want := c.Lookup(addr), ref.lookup(addr); got != want {
+				t.Fatalf("op %d: Lookup(%#x) = %v, reference %v", op, addr, got, want)
+			}
+		case k < 85:
+			if got, want := c.Install(addr), ref.install(addr); got != want {
+				t.Fatalf("op %d: Install(%#x) evicted = %v, reference %v", op, addr, got, want)
+			}
+		case k < 98:
+			if got, want := c.Flush(addr), ref.flush(addr); got != want {
+				t.Fatalf("op %d: Flush(%#x) = %v, reference %v", op, addr, got, want)
+			}
+		case k < 99:
+			c.InvalidateAll()
+			ref.invalidateAll()
+		default:
+			// Reset also rewinds the LRU clock; the reference's clock runs
+			// on, which only shifts every stamp equally.
+			c.Reset()
+			ref.invalidateAll()
+		}
+		for a := uint64(0); a < 1<<12; a += 64 {
+			if c.Present(a) != ref.lookupQuiet(a) {
+				t.Fatalf("op %d: Present(%#x) = %v, reference disagrees", op, a, c.Present(a))
+			}
+		}
+	}
+}
+
+func (r *refCache) lookupQuiet(addr uint64) bool {
+	set, tag := r.index(addr)
+	for _, w := range set {
+		if w.valid && w.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+// A flushed way is invalid, so the next install into its set refills it
+// instead of evicting the LRU line.
+func TestFlushedWayRefilledFirst(t *testing.T) {
+	c := smallCache()
+	a, b, d := uint64(0x0000), uint64(0x0100), uint64(0x0200)
+	c.Install(a)
+	c.Install(b)
+	c.Flush(b) // a is LRU, but b's way is now free
+	if ev := c.Install(d); ev {
+		t.Error("install into a set with a flushed way must not evict")
+	}
+	if !c.Present(a) || !c.Present(d) || c.Present(b) {
+		t.Error("install must take the flushed way and keep the LRU line")
+	}
+}
+
+// InvalidateAll keeps the counters; Reset zeroes them; after either the
+// cache behaves like a fresh one, including its victim order.
+func TestInvalidateAllAndReset(t *testing.T) {
+	for _, name := range []string{"InvalidateAll", "Reset"} {
+		c := smallCache()
+		for a := uint64(0); a < 4096; a += 64 {
+			c.Install(a)
+			c.Lookup(a)
+		}
+		before := c.Stats()
+		if name == "Reset" {
+			c.Reset()
+			if c.Stats() != (Stats{}) {
+				t.Errorf("Reset kept stats %+v", c.Stats())
+			}
+		} else {
+			c.InvalidateAll()
+			if c.Stats() != before {
+				t.Errorf("InvalidateAll changed stats %+v -> %+v", before, c.Stats())
+			}
+		}
+		for a := uint64(0); a < 4096; a += 64 {
+			if c.Present(a) {
+				t.Fatalf("%s: line %#x survived", name, a)
+			}
+		}
+		// Same LRU behaviour as a fresh cache.
+		fresh := smallCache()
+		for _, a := range []uint64{0x000, 0x100, 0x000, 0x200, 0x300, 0x100, 0x400} {
+			if got, want := c.Install(a), fresh.Install(a); got != want {
+				t.Errorf("%s: Install(%#x) evicted = %v, fresh %v", name, a, got, want)
+			}
+		}
+		for a := uint64(0); a < 0x500; a += 0x100 {
+			if c.Present(a) != fresh.Present(a) {
+				t.Errorf("%s: Present(%#x) = %v, fresh %v", name, a, c.Present(a), fresh.Present(a))
+			}
+		}
+	}
+}
+
+func TestHierarchyReset(t *testing.T) {
+	h := NewHierarchy(DefaultHierarchyParams())
+	h.Data(0x1000)
+	h.Inst(0x2000)
+	h.Reset()
+	if h.DataPresent(0x1000) || h.L1I.Present(0x2000) || h.L2.Present(0x2000) {
+		t.Error("Reset must empty every level")
+	}
+	for _, c := range []*Cache{h.L1I, h.L1D, h.L2} {
+		if c.Stats() != (Stats{}) {
+			t.Errorf("%s: Reset kept stats %+v", c.Params().Name, c.Stats())
+		}
+	}
+	if r := h.Data(0x1000); r.Level != LevelDRAM {
+		t.Errorf("access after Reset = %+v, want a DRAM miss", r)
+	}
+}

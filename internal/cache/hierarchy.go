@@ -122,3 +122,10 @@ func (h *Hierarchy) ResetStats() {
 	h.L1D.ResetStats()
 	h.L2.ResetStats()
 }
+
+// Reset returns every level to the state NewHierarchy builds, in O(1).
+func (h *Hierarchy) Reset() {
+	h.L1I.Reset()
+	h.L1D.Reset()
+	h.L2.Reset()
+}

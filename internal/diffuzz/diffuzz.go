@@ -83,8 +83,20 @@ type Result struct {
 	Failure string
 }
 
-// RunSeed generates and differentially tests one seed.
+// RunSeed generates and differentially tests one seed. Its 18 timing runs
+// share one core, reset between runs.
 func RunSeed(seed int64) *Result {
+	return runSeed(seed, new(timingCore).run)
+}
+
+// timingFunc performs one timing run of p under pol with the given secrets,
+// appending the channel trace to evs, an empty buffer passed in for its
+// capacity. It returns the trace, the sanitizer's violation count, and the
+// run's error (with a nil trace).
+type timingFunc func(p *progen.Program, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error)
+
+// runSeed is RunSeed with the timing runs delegated to run.
+func runSeed(seed int64, run timingFunc) *Result {
 	r := &Result{Seed: seed, PerPolicy: map[string]PolicyResult{}}
 	p, err := progen.Gen(seed)
 	if err != nil {
@@ -111,9 +123,12 @@ func RunSeed(seed int64) *Result {
 		return r
 	}
 
+	var trA, trB []ooo.ChannelEvent
 	for _, pol := range core.All() {
-		trA, sanA, errA := runTiming(p, pol, secretA, msrSecretA)
-		trB, sanB, errB := runTiming(p, pol, secretB, msrSecretB)
+		var sanA, sanB uint64
+		var errA, errB error
+		trA, sanA, errA = run(p, pol, secretA, msrSecretA, trA[:0])
+		trB, sanB, errB = run(p, pol, secretB, msrSecretB, trB[:0])
 		r.SanViolations += sanA + sanB
 		if errA != nil || errB != nil {
 			r.Failure = fmt.Sprintf("%s under %s: timing run failed: %v / %v", p.Name, pol.Name, errA, errB)
@@ -186,10 +201,34 @@ func runArch(p *progen.Program, secret byte, msrSecret uint64) (*archRun, error)
 	return r, nil
 }
 
-func runTiming(p *progen.Program, pol core.Policy, secret byte, msrSecret uint64) ([]ooo.ChannelEvent, uint64, error) {
+// timingCore runs a program's timing runs on one core, built on the first
+// run and reset for every later one.
+type timingCore struct {
+	c *ooo.Core
+}
+
+func (t *timingCore) run(p *progen.Program, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
+	m := mem.New()
+	emu.Load(m, p.Prog)
+	if t.c == nil {
+		t.c = ooo.New(p.Prog, m, pol, timingParams())
+	} else {
+		t.c.Reset(p.Prog, m, pol)
+	}
+	return runTiming(t.c, secret, msrSecret, evs)
+}
+
+// timingParams is the core configuration of every timing run: the paper's
+// machine with the propagation sanitizer on.
+func timingParams() ooo.Params {
 	params := ooo.DefaultParams()
 	params.Sanitize = true
-	c := ooo.NewFromProgram(p.Prog, pol, params)
+	return params
+}
+
+// runTiming plants the secrets in a core that is ready to run (fresh or
+// just reset), runs it, and returns its channel trace appended to evs.
+func runTiming(c *ooo.Core, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
 	plant(c.Memory(), secret)
 	c.SetMSR(isa.MSRSecretKey, msrSecret)
 	// Warm the secret lines so wrong-path dependence chains outrun their
@@ -198,7 +237,6 @@ func runTiming(p *progen.Program, pol core.Policy, secret byte, msrSecret uint64
 	c.Hierarchy().Data(progen.SecretBase)
 	c.Hierarchy().Data(progen.StaleBase)
 	c.Hierarchy().Data(progen.KSecretBase)
-	var evs []ooo.ChannelEvent
 	c.TraceChannel = func(ev ooo.ChannelEvent) { evs = append(evs, ev) }
 	if err := c.Run(cycleCap); err != nil {
 		return nil, c.SanitizerViolations(), err

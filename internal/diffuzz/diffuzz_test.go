@@ -1,9 +1,12 @@
 package diffuzz
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"nda/internal/core"
+	"nda/internal/ooo"
 	"nda/internal/progen"
 )
 
@@ -113,4 +116,48 @@ func TestFuzzWorkerCountInvariant(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("summaries differ across worker counts:\n1: %s\n4: %s", a, b)
 	}
+}
+
+// freshTiming is the timing path before cores were reused: a new core for
+// every run.
+func freshTiming(p *progen.Program, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
+	return runTiming(ooo.NewFromProgram(p.Prog, pol, timingParams()), secret, msrSecret, evs)
+}
+
+// The reused-core path must be indistinguishable from a fresh core per run:
+// every timing run's channel trace, sanitizer count and error, and the
+// folded Summary.
+func TestReusedCoreMatchesFresh(t *testing.T) {
+	seeds := Seeds(500, 60)
+	if testing.Short() {
+		seeds = seeds[:15]
+	}
+	reused := make([]*Result, len(seeds))
+	fresh := make([]*Result, len(seeds))
+	runs := 0
+	for i, seed := range seeds {
+		tm := new(timingCore)
+		check := func(p *progen.Program, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
+			got, gotSan, gotErr := tm.run(p, pol, secret, msrSecret, evs)
+			want, wantSan, wantErr := freshTiming(p, pol, secret, msrSecret, nil)
+			runs++
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || gotSan != wantSan || !tracesEqual(got, want) {
+				t.Errorf("seed %d under %s, secret %#x: reused core gave %d events, %d violations, err %v; fresh gave %d, %d, %v (%s)",
+					seed, pol.Name, secret, len(got), gotSan, gotErr, len(want), wantSan, wantErr, traceDiff(got, want))
+			}
+			return got, gotSan, gotErr
+		}
+		reused[i] = runSeed(seed, check)
+		fresh[i] = runSeed(seed, freshTiming)
+		if !reflect.DeepEqual(reused[i], fresh[i]) {
+			t.Errorf("seed %d: result %+v, fresh cores %+v", seed, reused[i], fresh[i])
+		}
+	}
+	if runs == 0 {
+		t.Fatal("no timing runs compared")
+	}
+	if a, b := Summarize(reused), Summarize(fresh); !reflect.DeepEqual(a, b) {
+		t.Fatalf("summaries differ:\nreused: %s\nfresh:  %s", a, b)
+	}
+	t.Logf("%d timing runs over %d seeds matched", runs, len(seeds))
 }

@@ -155,10 +155,12 @@ func (m *Memory) Write(addr uint64, size int, v uint64) {
 	}
 }
 
-// StoreBytes copies b into memory starting at addr.
+// StoreBytes copies b into memory starting at addr, a page at a time.
 func (m *Memory) StoreBytes(addr uint64, b []byte) {
-	for i, v := range b {
-		m.StoreByte(addr+uint64(i), v)
+	for len(b) > 0 {
+		n := copy(m.page(addr, true)[addr&(PageSize-1):], b)
+		addr += uint64(n)
+		b = b[n:]
 	}
 }
 

@@ -133,6 +133,37 @@ func TestBytesHelpers(t *testing.T) {
 	}
 }
 
+// StoreBytes copies a page at a time; a span crossing several page
+// boundaries, starting and ending mid-page, must land byte for byte and
+// map exactly the pages it touches.
+func TestStoreBytesAcrossPages(t *testing.T) {
+	m := New()
+	b := make([]byte, 2*PageSize+100)
+	for i := range b {
+		b[i] = byte(i*7 + 1)
+	}
+	addr := uint64(5*PageSize - 50)
+	m.StoreBytes(addr, b)
+	for i, want := range b {
+		if got := m.LoadByte(addr + uint64(i)); got != want {
+			t.Fatalf("byte %d = %d, want %d", i, got, want)
+		}
+	}
+	if got := m.LoadByte(addr - 1); got != 0 {
+		t.Errorf("byte before the span = %d, want 0", got)
+	}
+	if got := m.LoadByte(addr + uint64(len(b))); got != 0 {
+		t.Errorf("byte after the span = %d, want 0", got)
+	}
+	if n := m.MappedPages(); n != 4 {
+		t.Errorf("mapped pages = %d, want 4", n)
+	}
+	m.StoreBytes(0x9000, nil)
+	if n := m.MappedPages(); n != 4 {
+		t.Errorf("an empty store mapped a page: %d pages", n)
+	}
+}
+
 func TestInvalidSizePanics(t *testing.T) {
 	m := New()
 	defer func() {

@@ -140,31 +140,26 @@ type Core struct {
 
 // New builds a core executing prog on the given memory image (which must
 // already contain the program's data; see emu.Load) under the given policy.
+// It allocates every buffer the core will ever use, then Resets into them,
+// so a fresh core and a reset one are the same by construction.
 func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 	c := &Core{
-		p:      p,
-		policy: pol,
-		prog:   prog,
-		mem:    m,
-		hier:   cache.NewHierarchy(cache.DefaultHierarchyParams()),
-		gsh:    bpred.NewGshare(p.GshareBits),
-		btb:    bpred.NewBTB(p.BTBEntries, p.BTBWays),
-		ras:    bpred.NewRAS(p.RASEntries),
+		p:    p,
+		hier: cache.NewHierarchy(cache.DefaultHierarchyParams()),
+		gsh:  bpred.NewGshare(p.GshareBits),
+		btb:  bpred.NewBTB(p.BTBEntries, p.BTBWays),
+		ras:  bpred.NewRAS(p.RASEntries),
 
-		regVal:        make([]uint64, p.PhysRegs),
-		regReady:      make([]bool, p.PhysRegs),
-		freeList:      make([]int, 0, p.PhysRegs),
-		rob:           make([]Entry, p.ROBSize),
-		iq:            make([]int32, 0, p.IQSize),
-		lq:            make([]int32, 0, p.LQSize),
-		sq:            make([]int32, 0, p.SQSize),
-		fetchQ:        make([]fetchSlot, p.FetchQSize),
-		fetchPC:       prog.Entry,
-		lastFetchLine: ^uint64(0),
-		userMode:      true,
-		nextSeq:       1,
-		nodeBuf:       make([]*core.Node, 0, p.ROBSize),
-		doneBuf:       make([]*Entry, 0, p.ROBSize),
+		regVal:   make([]uint64, p.PhysRegs),
+		regReady: make([]bool, p.PhysRegs),
+		freeList: make([]int, 0, p.PhysRegs),
+		rob:      make([]Entry, p.ROBSize),
+		iq:       make([]int32, 0, p.IQSize),
+		lq:       make([]int32, 0, p.LQSize),
+		sq:       make([]int32, 0, p.SQSize),
+		fetchQ:   make([]fetchSlot, p.FetchQSize),
+		nodeBuf:  make([]*core.Node, 0, p.ROBSize),
+		doneBuf:  make([]*Entry, 0, p.ROBSize),
 	}
 	for i := range c.rob {
 		e := &c.rob[i]
@@ -179,16 +174,79 @@ func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 	for i := range c.fetchQ {
 		c.ras.SnapshotInto(&c.fetchQ[i].rasBefore)
 	}
+	c.Reset(prog, m, pol)
+	return c
+}
+
+// Reset puts the core back into exactly the state New builds for prog, m
+// and pol, keeping every backing array: ROB ring, scheduler queues,
+// physical registers, fetch queue, RAS snapshots, predictors and cache
+// hierarchy. Params are kept. The Cancel and Trace* hooks are cleared, as
+// are the statistics and the sanitizer's count, log and writer marks.
+// The caches and the BTB empty in O(1), by generation bump; beyond them it
+// touches the last run's in-flight entries, the fetch queue, the register
+// file and the gshare table, not the ~1.2 MB a fresh core allocates.
+func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
+	// In-flight entries go back to their reset state; every other ring
+	// slot already is in it (retire and squash reset the entries they
+	// free). Fetch-queue slots are zeroed whole, keeping their snapshot
+	// arrays.
+	for i := 0; i < c.robLen; i++ {
+		c.robAt(i).reset()
+	}
+	for i := range c.fetchQ {
+		c.fetchQ[i] = fetchSlot{rasBefore: c.fetchQ[i].rasBefore}
+	}
+	c.hier.Reset()
+	c.gsh.Reset()
+	c.btb.Reset()
+	c.ras.Reset()
+	clear(c.regVal)
+	clear(c.regReady)
+	// Stale writer marks would match the new run's cycle numbers, which
+	// restart from zero.
+	clear(c.sanWriterMark)
+	clear(c.sanWriterSeq)
+	clear(c.sanWriterBcast)
+
+	*c = Core{
+		p:      c.p,
+		policy: pol,
+		prog:   prog,
+		mem:    m,
+		hier:   c.hier,
+		gsh:    c.gsh,
+		btb:    c.btb,
+		ras:    c.ras,
+
+		regVal:        c.regVal,
+		regReady:      c.regReady,
+		freeList:      c.freeList[:0],
+		rob:           c.rob,
+		iq:            c.iq[:0],
+		lq:            c.lq[:0],
+		sq:            c.sq[:0],
+		fetchQ:        c.fetchQ,
+		fetchPC:       prog.Entry,
+		lastFetchLine: ^uint64(0),
+		userMode:      true,
+		nextSeq:       1,
+		nodeBuf:       c.nodeBuf[:0],
+		doneBuf:       c.doneBuf[:0],
+
+		sanWriterMark:  c.sanWriterMark,
+		sanWriterSeq:   c.sanWriterSeq,
+		sanWriterBcast: c.sanWriterBcast,
+	}
 	// Map arch registers to the first NumGPR physical registers; the rest
 	// form the free list.
 	for i := 0; i < isa.NumGPR; i++ {
 		c.rat[i] = i
 		c.regReady[i] = true
 	}
-	for i := isa.NumGPR; i < p.PhysRegs; i++ {
+	for i := isa.NumGPR; i < c.p.PhysRegs; i++ {
 		c.freeList = append(c.freeList, i)
 	}
-	return c
 }
 
 // NewFromProgram builds a core with a fresh memory initialized from the
@@ -199,9 +257,20 @@ func NewFromProgram(prog *isa.Program, pol core.Policy, p Params) *Core {
 	return New(prog, m, pol, p)
 }
 
+// ringIndex maps position i (0 <= i < n) past head (0 <= head < n) onto
+// a ring of n slots. A conditional subtract, not a modulo: ROBSize is not a
+// power of two, and a divide on every ring access is measurable.
+func ringIndex(head, i, n int) int {
+	j := head + i
+	if j >= n {
+		j -= n
+	}
+	return j
+}
+
 // robAt returns the i-th oldest in-flight entry (0 = head).
 func (c *Core) robAt(i int) *Entry {
-	return &c.rob[(c.robHead+i)%len(c.rob)]
+	return &c.rob[ringIndex(c.robHead, i, len(c.rob))]
 }
 
 // entryAt returns the entry in the given ROB ring slot.
@@ -218,13 +287,13 @@ func (c *Core) robAlloc() *Entry {
 
 // fqAt returns the i-th oldest fetch-queue slot (0 = head).
 func (c *Core) fqAt(i int) *fetchSlot {
-	return &c.fetchQ[(c.fqHead+i)%len(c.fetchQ)]
+	return &c.fetchQ[ringIndex(c.fqHead, i, len(c.fetchQ))]
 }
 
 // fqPush appends a fresh slot at the fetch queue's tail, preserving the
 // slot's RAS-snapshot backing array across reuse.
 func (c *Core) fqPush() *fetchSlot {
-	s := &c.fetchQ[(c.fqHead+c.fqLen)%len(c.fetchQ)]
+	s := c.fqAt(c.fqLen)
 	c.fqLen++
 	ras := s.rasBefore
 	*s = fetchSlot{rasBefore: ras}
@@ -233,7 +302,7 @@ func (c *Core) fqPush() *fetchSlot {
 
 // fqPop drops the fetch queue's head slot.
 func (c *Core) fqPop() {
-	c.fqHead = (c.fqHead + 1) % len(c.fetchQ)
+	c.fqHead = ringIndex(c.fqHead, 1, len(c.fetchQ))
 	c.fqLen--
 }
 

@@ -488,7 +488,7 @@ func (c *Core) retire(e *Entry) error {
 	}
 	c.retired++
 	e.reset()
-	c.robHead = (c.robHead + 1) % len(c.rob)
+	c.robHead = ringIndex(c.robHead, 1, len(c.rob))
 	c.robLen--
 	return nil
 }

@@ -5,6 +5,8 @@ import (
 
 	"nda/internal/asm"
 	"nda/internal/core"
+	"nda/internal/emu"
+	"nda/internal/mem"
 	"nda/internal/workload"
 )
 
@@ -79,4 +81,74 @@ main:   li   t0, 1
 		}
 	}
 	t.Fatal("never observed an in-flight producer awaiting broadcast")
+}
+
+// TestResetClearsSanitizerMarks is the regression test for stale writer
+// marks. Cycle numbers restart at zero after Reset, so a mark a previous run
+// left on physical register p at cycle k would, at cycle k of the next run,
+// make a consumer of p look like it read an in-flight, unbroadcast producer.
+// The test finds a consumer issuing at cycle k from a register no
+// instruction has written yet (so nothing in the new run overwrites the
+// mark first), plants that mark on a dirtied core, and requires the reset
+// run to stay clean.
+func TestResetClearsSanitizerMarks(t *testing.T) {
+	params := DefaultParams()
+	params.Sanitize = true
+	prog, err := asm.Assemble(`
+main:   li   t1, 7
+        mul  t2, t1, t1
+        add  t3, t2, t0
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var k uint64
+	p := noPReg
+	written := make([]bool, params.PhysRegs)
+	ref := NewFromProgram(prog, core.FullProtection(), params)
+	for !ref.halted && p == noPReg {
+		if err := ref.Step(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < ref.robLen; i++ {
+			e := ref.robAt(i)
+			if e.Issued && e.IssuedAt == ref.cycle {
+				for _, src := range []int{e.Src1P, e.Src2P} {
+					if src != noPReg && !written[src] && p == noPReg {
+						k, p = ref.cycle, src
+					}
+				}
+			}
+			if e.DestP != noPReg {
+				written[e.DestP] = true
+			}
+		}
+	}
+	if p == noPReg {
+		t.Fatal("no consumer of an unwritten register found")
+	}
+
+	s, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewFromProgram(s.Build(2), core.Strict(), params)
+	if err := c.Run(maxCycles); err != nil {
+		t.Fatal(err)
+	}
+	c.sanWriterMark[p], c.sanWriterSeq[p], c.sanWriterBcast[p] = k, 0, false
+	m := mem.New()
+	emu.Load(m, prog)
+	c.Reset(prog, m, core.FullProtection())
+	if err := c.Run(maxCycles); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.SanitizerViolations(); n != 0 {
+		t.Errorf("%d violations after Reset from a stale mark on p%d at cycle %d", n, p, k)
+		for _, v := range c.SanitizerLog() {
+			t.Log(v)
+		}
+	}
 }

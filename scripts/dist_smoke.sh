@@ -43,8 +43,9 @@ wait_up() {
 go build -o "$TMP/ndaserve" ./cmd/ndaserve
 
 # All 23 workloads under OoO plus the in-order bound: 46 cells, enough to
-# guarantee the kill below lands with cells still outstanding.
-REQ='{"policies":["OoO"],"sampling":{"quick":true,"warm_insts":2000,"measure_insts":2000,"skip_insts":1000,"intervals":3}}'
+# guarantee the kill below lands with cells still outstanding. The sampling
+# windows are sized so the sweep takes seconds, not one 0.1 s progress poll.
+REQ='{"policies":["OoO"],"sampling":{"quick":true,"warm_insts":20000,"measure_insts":20000,"skip_insts":10000,"intervals":3}}'
 
 # Golden: the same sweep on a plain single-process server.
 "$TMP/ndaserve" -addr "$LOCAL" -drain-timeout 30s >"$TMP/local.log" 2>&1 &
