@@ -32,7 +32,7 @@ bench-smoke:
 	[ "$$elapsed" -le "$(BENCH_SMOKE_BUDGET)" ] || { \
 		echo "bench-smoke: exceeded $(BENCH_SMOKE_BUDGET)s budget" >&2; exit 1; }
 
-## bench-json: run the benchmarks once and emit a BENCH_<n>.json trajectory
+## bench-json: run the benchmarks three times each and emit a BENCH_<n>.json trajectory
 ## point (next free index; see cmd/benchjson for the format)
 bench-json:
 	sh scripts/bench_json.sh

@@ -2,8 +2,16 @@
 // machine-readable BENCH_<n>.json trajectory format, and compares two such
 // files for allocation regressions.
 //
-//	go test -bench=. -benchmem . | benchjson -index 2 > BENCH_2.json
+//	go test -bench=. -benchmem -count=3 . | benchjson -index 2 > BENCH_2.json
 //	benchjson -compare BENCH_1.json candidate.json
+//
+// A benchmark that appears on several lines (-count=N) is folded into one
+// record: allocs/op and B/op are the maximum over the runs, ns/op and the
+// custom metrics the median. Taking the maximum makes the gated numbers
+// stable. Allocation counts move by a few between runs of the same code,
+// with however many garbage collections land in a run and empty the
+// sync.Pools, and a single low reading recorded as the baseline would
+// fail the next honest run.
 //
 // The trajectory convention: BENCH_0.json is the pre-event-loop baseline,
 // every later index is one PR's measured state. The bench-trajectory CI
@@ -19,7 +27,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,13 +37,14 @@ import (
 
 // Benchmark is one benchmark's measured numbers.
 type Benchmark struct {
-	Name        string  `json:"name"`          // without the -GOMAXPROCS suffix
-	Iterations  int64   `json:"iterations"`    // b.N
-	NsPerOp     float64 `json:"ns_per_op"`     // wall time per iteration
-	BytesPerOp  float64 `json:"bytes_per_op"`  // -benchmem
-	AllocsPerOp float64 `json:"allocs_per_op"` // -benchmem; the CI gate
+	Name        string  `json:"name"`           // without the -GOMAXPROCS suffix
+	Runs        int     `json:"runs,omitempty"` // result lines folded in (-count)
+	Iterations  int64   `json:"iterations"`     // b.N, the most over the runs
+	NsPerOp     float64 `json:"ns_per_op"`      // wall time per iteration, median over the runs
+	BytesPerOp  float64 `json:"bytes_per_op"`   // -benchmem, maximum over the runs
+	AllocsPerOp float64 `json:"allocs_per_op"`  // -benchmem, maximum over the runs; the CI gate
 	// Metrics holds every custom b.ReportMetric unit (sim-inst/s,
-	// sim-cycles/s, leak-margin-cycles, ...).
+	// sim-cycles/s, leak-margin-cycles, ...), median over the runs.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -82,8 +93,11 @@ func main() {
 //	BenchmarkName-8   100   12345 ns/op   67 custom-unit   8 B/op   2 allocs/op
 //
 // i.e. the benchmark name, the iteration count, then (value, unit) pairs.
-func parse(r *os.File, index int, note string) (*File, error) {
+// Lines of the same benchmark are folded into one record (see fold).
+func parse(r io.Reader, index int, note string) (*File, error) {
 	f := &File{Index: index, Note: note}
+	runs := map[string][]Benchmark{}
+	var order []string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -122,16 +136,65 @@ func parse(r *os.File, index int, note string) (*File, error) {
 				b.Metrics[unit] = val
 			}
 		}
-		if len(b.Metrics) == 0 {
-			b.Metrics = nil
+		if _, ok := runs[name]; !ok {
+			order = append(order, name)
 		}
-		f.Benchmarks = append(f.Benchmarks, b)
+		runs[name] = append(runs[name], b)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	for _, name := range order {
+		f.Benchmarks = append(f.Benchmarks, fold(runs[name]))
+	}
 	sort.Slice(f.Benchmarks, func(i, j int) bool { return f.Benchmarks[i].Name < f.Benchmarks[j].Name })
 	return f, nil
+}
+
+// fold merges the runs of one benchmark: the maximum of allocs/op, B/op
+// and the iteration count, the median of ns/op and of every custom metric.
+func fold(runs []Benchmark) Benchmark {
+	b := Benchmark{Name: runs[0].Name, Runs: len(runs)}
+	var ns []float64
+	var units []string
+	for _, r := range runs {
+		b.Iterations = max(b.Iterations, r.Iterations)
+		b.AllocsPerOp = max(b.AllocsPerOp, r.AllocsPerOp)
+		b.BytesPerOp = max(b.BytesPerOp, r.BytesPerOp)
+		ns = append(ns, r.NsPerOp)
+		for unit := range r.Metrics {
+			if !slices.Contains(units, unit) {
+				units = append(units, unit)
+			}
+		}
+	}
+	sort.Strings(units)
+	b.NsPerOp = median(ns)
+	for _, unit := range units {
+		var vs []float64
+		for _, r := range runs {
+			if v, ok := r.Metrics[unit]; ok {
+				vs = append(vs, v)
+			}
+		}
+		if b.Metrics == nil {
+			b.Metrics = map[string]float64{}
+		}
+		b.Metrics[unit] = median(vs)
+	}
+	return b
+}
+
+// median returns the middle value of vs, or the mean of the two middle
+// values when there is an even number of them.
+func median(vs []float64) float64 {
+	s := append([]float64(nil), vs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 func load(path string) (*File, error) {

@@ -194,8 +194,9 @@ type Node struct {
 	GuardResolved bool
 
 	// UnderGuard is the paper's "unsafe" bit for steering policies: the
-	// instruction follows a still-unresolved guard. Maintained by
-	// Policy.RecomputeGuards.
+	// instruction follows a still-unresolved guard. Policy.RecomputeGuards
+	// defines it; the OoO pipeline keeps it equal to that walk
+	// incrementally.
 	UnderGuard bool
 
 	// BypassGuards counts older stores with unresolved addresses that this
@@ -220,6 +221,10 @@ type Node struct {
 // The walk also serves policies that only *track* speculation depth without
 // restricting propagation (InvisiSpec), which use UnderGuard to decide when
 // a speculative load's fill may become visible.
+//
+// The OoO pipeline does not call it every cycle. It clears only the bits
+// between the old and the new eldest unresolved branch, and its tests
+// compare the result with this walk after every cycle.
 func (p Policy) RecomputeGuards(nodes []*Node) {
 	if !p.GuardBranches {
 		return

@@ -40,9 +40,26 @@ type Core struct {
 
 	// Schedulers, in age order: ROB ring slots (Entry.Slot). Capacity is
 	// fixed at construction, so dispatch and squash never allocate.
-	iq []int32
-	lq []int32
-	sq []int32
+	iq slotQueue
+	lq slotQueue
+	sq slotQueue
+
+	// Side lists of the entries each per-cycle stage acts on, so no stage
+	// walks the whole ROB (see README "Performance"):
+	//   - execq: issued, not yet completed (issue order). completeExecution
+	//     and nextEventCycle read it.
+	//   - brq: unresolved ClassBranch entries (age order). Its head is the
+	//     eldest unresolved branch, the guard horizon of the resolve-walk.
+	//   - bcq: completed register writers awaiting their tag broadcast (age
+	//     order), the deferred-broadcast candidates.
+	//   - doneq: scratch for the entries completing this cycle (age order).
+	execq slotQueue
+	brq   slotQueue
+	bcq   slotQueue
+	doneq slotQueue
+	// guardSeq is the guard horizon the last resolve-walk left: the Seq of
+	// the eldest unresolved branch then, or noGuard if there was none.
+	guardSeq uint64
 
 	// Front end. fetchQ is a fixed ring of FetchQSize slots.
 	fetchQ      []fetchSlot
@@ -58,10 +75,6 @@ type Core struct {
 	// lastFetchLine caches the line address most recently charged to L1I,
 	// so sequential fetch within a line pays the I-cache once.
 	lastFetchLine uint64
-	// unresolvedBranches counts in-flight ClassBranch entries that have not
-	// resolved; used to initialize UnderGuard at dispatch and to decide
-	// InvisiSpec speculative-load visibility.
-	unresolvedBranches int
 
 	msr      [isa.NumMSR]uint64
 	userMode bool
@@ -103,26 +116,12 @@ type Core struct {
 	// time-gated events, so Run/RunInsts jump c.cycle to the next event
 	// horizon (nextEventCycle) instead of stepping through dead cycles.
 	progress bool
-	// execOutstanding counts issued-but-incomplete entries and
-	// nextCompleteAt their earliest CompleteAt (may be stale-low after a
-	// squash, never stale-high), so completeExecution can skip its ROB scan
-	// on cycles with nothing due.
-	execOutstanding int
-	nextCompleteAt  uint64
-	// pendingBcast counts completed register-writing entries awaiting their
-	// tag broadcast; broadcastStage skips its deferred scan when zero.
-	pendingBcast int
 	// fencesInFlight counts un-completed FENCEs in the ROB, the early-out
 	// for olderFencePending's per-issue-candidate scan.
 	fencesInFlight int
 	// lastCancelPoll is the cycle of the most recent Cancel-channel poll;
 	// polls trigger on elapsed distance so event jumps cannot starve them.
 	lastCancelPoll uint64
-
-	// Reusable scratch buffers (capacity fixed at construction) so the
-	// per-cycle stages allocate nothing.
-	nodeBuf []*core.Node
-	doneBuf []*Entry
 
 	// commitValidate models InvisiSpec validation: commit is blocked until
 	// this cycle while an exposed load validates.
@@ -154,12 +153,14 @@ func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 		regReady: make([]bool, p.PhysRegs),
 		freeList: make([]int, 0, p.PhysRegs),
 		rob:      make([]Entry, p.ROBSize),
-		iq:       make([]int32, 0, p.IQSize),
-		lq:       make([]int32, 0, p.LQSize),
-		sq:       make([]int32, 0, p.SQSize),
+		iq:       newSlotQueue(p.IQSize),
+		lq:       newSlotQueue(p.LQSize),
+		sq:       newSlotQueue(p.SQSize),
+		execq:    newSlotQueue(p.ROBSize),
+		brq:      newSlotQueue(p.ROBSize),
+		bcq:      newSlotQueue(p.ROBSize),
+		doneq:    newSlotQueue(p.ROBSize),
 		fetchQ:   make([]fetchSlot, p.FetchQSize),
-		nodeBuf:  make([]*core.Node, 0, p.ROBSize),
-		doneBuf:  make([]*Entry, 0, p.ROBSize),
 	}
 	for i := range c.rob {
 		e := &c.rob[i]
@@ -223,16 +224,19 @@ func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 		regReady:      c.regReady,
 		freeList:      c.freeList[:0],
 		rob:           c.rob,
-		iq:            c.iq[:0],
-		lq:            c.lq[:0],
-		sq:            c.sq[:0],
+		iq:            c.iq.emptied(),
+		lq:            c.lq.emptied(),
+		sq:            c.sq.emptied(),
+		execq:         c.execq.emptied(),
+		brq:           c.brq.emptied(),
+		bcq:           c.bcq.emptied(),
+		doneq:         c.doneq.emptied(),
+		guardSeq:      noGuard,
 		fetchQ:        c.fetchQ,
 		fetchPC:       prog.Entry,
 		lastFetchLine: ^uint64(0),
 		userMode:      true,
 		nextSeq:       1,
-		nodeBuf:       c.nodeBuf[:0],
-		doneBuf:       c.doneBuf[:0],
 
 		sanWriterMark:  c.sanWriterMark,
 		sanWriterSeq:   c.sanWriterSeq,
@@ -276,6 +280,16 @@ func (c *Core) robAt(i int) *Entry {
 // entryAt returns the entry in the given ROB ring slot.
 func (c *Core) entryAt(slot int32) *Entry {
 	return &c.rob[slot]
+}
+
+// robPos returns the age position (0 = head) of the in-flight entry in the
+// given ring slot: robAt's inverse.
+func (c *Core) robPos(slot int32) int {
+	i := int(slot) - c.robHead
+	if i < 0 {
+		i += len(c.rob)
+	}
+	return i
 }
 
 // robAlloc appends a new entry at the tail and returns it.
@@ -503,14 +517,14 @@ func (c *Core) skipTo(h uint64) {
 func (c *Core) nextEventCycle() uint64 {
 	const never = ^uint64(0)
 	h := never
-	for i := 0; i < c.robLen; i++ {
-		e := c.robAt(i)
-		if e.Issued && !e.Node.Completed {
-			h = earlierEvent(h, c.cycle, e.CompleteAt)
-		} else if e.InIQ && e.RetryAt > c.cycle {
-			h = earlierEvent(h, c.cycle, e.RetryAt)
-		}
-		if e.Node.Completed && !e.Node.Broadcast && e.DestP != noPReg && e.HasSafeSince {
+	for _, s := range c.execq.slots() {
+		h = earlierEvent(h, c.cycle, c.rob[s].CompleteAt)
+	}
+	for _, s := range c.iq.slots() {
+		h = earlierEvent(h, c.cycle, c.rob[s].RetryAt)
+	}
+	for _, s := range c.bcq.slots() {
+		if e := &c.rob[s]; e.HasSafeSince {
 			h = earlierEvent(h, c.cycle, e.SafeSince+uint64(c.policy.ExtraBroadcastDelay))
 		}
 	}
@@ -553,7 +567,7 @@ func (c *Core) DebugState() string {
 		fq = fmt.Sprintf("fq[%d]{pc=%#x %v valid=%v ready@%d}", c.fqLen, s.pc, s.inst, s.valid, s.readyAt)
 	}
 	return fmt.Sprintf("cyc=%d rob=%d iq=%d lq=%d sq=%d fetchPC=%#x wait=%v dead=%v stall>%d validate>%d %s %s",
-		c.cycle, c.robLen, len(c.iq), len(c.lq), len(c.sq), c.fetchPC, c.fetchWait, c.fetchDead, c.fetchStall, c.commitValidate, head, fq)
+		c.cycle, c.robLen, c.iq.n, c.lq.n, c.sq.n, c.fetchPC, c.fetchWait, c.fetchDead, c.fetchStall, c.commitValidate, head, fq)
 }
 
 // DebugROB lists the in-flight entries (diagnostics).

@@ -10,10 +10,10 @@ import (
 const noPReg = -1
 
 // Entry is one reorder-buffer entry: a dispatched micro-op and all of its
-// in-flight state. Entries live in a fixed ring; the issue queue and the
-// load/store queues refer to them by ring slot (Entry.Slot), which is stable
-// for an entry's whole lifetime, so the schedulers are plain index slices
-// with no per-dispatch allocation.
+// in-flight state. Entries live in a fixed ring; the schedulers and the
+// per-stage side lists refer to them by ring slot (Entry.Slot), which is
+// stable for an entry's whole lifetime, so every queue is a fixed-capacity
+// slotQueue with no per-dispatch allocation.
 type Entry struct {
 	Seq  uint64 // global age; assigned at fetch, monotonically increasing
 	PC   uint64
@@ -29,8 +29,8 @@ type Entry struct {
 	Src1P int // physical sources, or noPReg
 	Src2P int
 
-	// Scheduling state.
-	InIQ       bool
+	// Scheduling state. An entry waits in the issue queue from dispatch
+	// until it issues.
 	Issued     bool
 	RetryAt    uint64 // earliest re-issue cycle after a forwarding replay
 	CompleteAt uint64 // cycle execution finishes; valid when Issued

@@ -20,7 +20,9 @@ import (
 //     over random programs under every policy.
 
 // quiesce builds a core whose pipeline is empty and whose front end is
-// parked, so nextEventCycle sees only the events a test plants.
+// parked, so nextEventCycle sees only the events a test plants. A test
+// plants an entry's event by allocating it and listing its slot where the
+// pipeline would: execq, iq or bcq.
 func quiesce(t *testing.T) *Core {
 	t.Helper()
 	p, err := asm.Assemble("main: halt\n")
@@ -40,6 +42,7 @@ func TestNextEventCompletionIsMinimum(t *testing.T) {
 		e.Seq = uint64(i + 1)
 		e.Issued = true
 		e.CompleteAt = at
+		c.execq.push(e.Slot)
 	}
 	if h := c.nextEventCycle(); h != 350 {
 		t.Errorf("horizon = %d, want 350 (earliest CompleteAt)", h)
@@ -50,8 +53,8 @@ func TestNextEventReplayRetry(t *testing.T) {
 	c := quiesce(t)
 	e := c.robAlloc()
 	e.Seq = 1
-	e.InIQ = true
 	e.RetryAt = 102
+	c.iq.push(e.Slot)
 	if h := c.nextEventCycle(); h != 102 {
 		t.Errorf("horizon = %d, want 102 (RetryAt)", h)
 	}
@@ -68,6 +71,7 @@ func TestNextEventDeferredBroadcastDelay(t *testing.T) {
 	e.DestP = 10
 	e.HasSafeSince = true
 	e.SafeSince = 98
+	c.bcq.push(e.Slot)
 	if h := c.nextEventCycle(); h != 105 {
 		t.Errorf("horizon = %d, want 105 (SafeSince 98 + delay 7)", h)
 	}
@@ -113,6 +117,7 @@ func TestNextEventMinAcrossSources(t *testing.T) {
 	e.Seq = 1
 	e.Issued = true
 	e.CompleteAt = 410
+	c.execq.push(e.Slot)
 	s := c.fqPush()
 	s.seq = 2
 	s.readyAt = 430

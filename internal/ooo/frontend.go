@@ -20,9 +20,9 @@ func (c *Core) dispatchStage() {
 			return // phantom: stalls until the wrong path squashes
 		}
 		inst := s.inst
-		if c.robLen == len(c.rob) || len(c.iq) >= c.p.IQSize ||
-			(inst.IsLoad() && len(c.lq) >= c.p.LQSize) ||
-			(inst.IsStore() && len(c.sq) >= c.p.SQSize) ||
+		if c.robLen == len(c.rob) || c.iq.n >= c.p.IQSize ||
+			(inst.IsLoad() && c.lq.n >= c.p.LQSize) ||
+			(inst.IsStore() && c.sq.n >= c.p.SQSize) ||
 			len(c.freeList) == 0 {
 			return
 		}
@@ -64,22 +64,20 @@ func (c *Core) dispatchStage() {
 			c.regReady[p] = false
 		}
 
+		// Every in-flight entry is older than e, so e is under a guard iff
+		// any unresolved branch is in flight.
 		e.Node.Class = isa.ClassOf(inst)
-		e.Node.UnderGuard = c.unresolvedBranches > 0
+		e.Node.UnderGuard = c.brq.n > 0
 		if e.Node.Class == isa.ClassBranch {
-			c.unresolvedBranches++
+			c.brq.push(e.Slot)
 		}
 
-		e.InIQ = true
-		//ndavet:allow alloclint:op queue append; backing arrays reach steady capacity during warm-up (bench-gated 0 B/op)
-		c.iq = append(c.iq, e.Slot)
+		c.iq.push(e.Slot)
 		if inst.IsLoad() {
-			//ndavet:allow alloclint:op queue append; backing arrays reach steady capacity during warm-up
-			c.lq = append(c.lq, e.Slot)
+			c.lq.push(e.Slot)
 		}
 		if inst.IsStore() {
-			//ndavet:allow alloclint:op queue append; backing arrays reach steady capacity during warm-up
-			c.sq = append(c.sq, e.Slot)
+			c.sq.push(e.Slot)
 		}
 		if inst.Op == isa.OpFence {
 			c.fencesInFlight++

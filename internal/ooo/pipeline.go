@@ -19,9 +19,9 @@ func (c *Core) Step() error {
 	c.cycle++
 	c.progress = false
 
-	completed := c.completeExecution()
+	c.completeExecution()
 	c.recomputeSafety()
-	c.broadcastStage(completed)
+	c.broadcastStage()
 	if err := c.commitStage(); err != nil {
 		return err
 	}
@@ -74,33 +74,43 @@ func (c *Core) pReady(p int) bool {
 // elapsed this cycle: results are written to the physical register file
 // (without marking it ready — that is the broadcast's job), branches
 // resolve (possibly squashing), and store addresses resolve (possibly
-// detecting memory-order violations). Returns the completed entries in age
-// order for broadcast arbitration.
-func (c *Core) completeExecution() []*Entry {
-	// Nothing in execution, or nothing due yet: skip the ROB scan.
-	// nextCompleteAt may be stale-low after a squash (costing one wasted
-	// scan), never stale-high.
-	if c.execOutstanding == 0 || c.nextCompleteAt > c.cycle {
-		return nil
+// detecting memory-order violations). It scans only execq, and leaves the
+// entries it completed in doneq, in age order, for the safety pass and
+// broadcast arbitration.
+func (c *Core) completeExecution() {
+	c.doneq.n = 0
+	if c.execq.n == 0 {
+		return
 	}
-	done := c.doneBuf[:0]
-	nextDue := ^uint64(0)
-	for i := 0; i < c.robLen; i++ {
-		e := c.robAt(i)
-		if !e.Issued || e.Node.Completed {
-			continue
+	// Move the entries due this cycle from execq into doneq, sorting that
+	// handful by age.
+	k := 0
+	for _, s := range c.execq.slots() {
+		if c.rob[s].CompleteAt <= c.cycle {
+			c.doneq.insert(c.rob, s)
+		} else {
+			c.execq.s[k] = s
+			k++
 		}
-		if e.CompleteAt > c.cycle {
-			if e.CompleteAt < nextDue {
-				nextDue = e.CompleteAt
-			}
-			continue
+	}
+	c.execq.n = k
+	if c.doneq.n == 0 {
+		return
+	}
+
+	// Process them eldest first, as an age-ordered ROB walk would. A
+	// branch that squashes resets every younger entry, including younger
+	// ones due this cycle: those are skipped, and dropped from doneq.
+	k = 0
+	for _, s := range c.doneq.slots() {
+		e := c.entryAt(s)
+		if !e.Issued {
+			continue // squashed by an older entry earlier in this loop
 		}
 		e.Node.Completed = true
-		c.execOutstanding--
 		if e.DestP != noPReg {
 			c.regVal[e.DestP] = e.Result
-			c.pendingBcast++
+			c.bcq.insert(c.rob, s)
 		} else {
 			// Nothing to propagate: destination-less micro-ops are
 			// trivially "broadcast".
@@ -119,24 +129,17 @@ func (c *Core) completeExecution() []*Entry {
 		switch {
 		case e.Inst.IsCondBranch() || e.Inst.Op == isa.OpJalr:
 			c.resolveBranch(e)
-			// A squash inside resolveBranch may have removed younger
-			// completed-this-cycle entries; the robLen bound shrinks and
-			// iteration remains valid because only younger entries die.
 		case e.Inst.Op == isa.OpJal:
 			// Direct jump: fetch already followed it; nothing to resolve.
 			e.Node.GuardResolved = true
 		case e.Inst.IsStore():
 			c.resolveStore(e)
 		}
-
-		//ndavet:allow alloclint:op appends into doneBuf, preallocated to ROBSize at reset; never grows
-		done = append(done, e)
+		c.doneq.s[k] = s
+		k++
 	}
-	c.nextCompleteAt = nextDue
-	if len(done) > 0 {
-		c.progress = true
-	}
-	return done
+	c.doneq.n = k
+	c.progress = true
 }
 
 // resolveBranch trains the predictors with the branch's actual outcome,
@@ -145,11 +148,7 @@ func (c *Core) completeExecution() []*Entry {
 // are never rolled back: the paper's §3 covert channel.
 func (c *Core) resolveBranch(e *Entry) {
 	e.Node.GuardResolved = true
-	if e.Node.Class == isa.ClassBranch {
-		if c.unresolvedBranches > 0 {
-			c.unresolvedBranches--
-		}
-	}
+	c.brq.remove(e.Slot)
 	c.stats.BranchesResolved++
 
 	if e.Inst.IsCondBranch() && e.HasGshCkpt {
@@ -202,7 +201,7 @@ func (c *Core) resolveStore(e *Entry) {
 	// from anywhere older than this store observed a stale value.
 	var victim *Entry
 	size := e.Inst.MemBytes()
-	for _, li := range c.lq {
+	for _, li := range c.lq.slots() {
 		ld := c.entryAt(li)
 		if ld.Seq <= e.Seq || !ld.Issued || !ld.AddrKnown {
 			continue
@@ -220,7 +219,7 @@ func (c *Core) resolveStore(e *Entry) {
 	// Clear the bypass guards this store held on surviving loads. This must
 	// happen even on the violation path: the store resolves exactly once,
 	// and loads older than the squash point live on.
-	for _, li := range c.lq {
+	for _, li := range c.lq.slots() {
 		ld := c.entryAt(li)
 		for i, s := range ld.bypassed {
 			if s == e.Slot {
@@ -235,46 +234,94 @@ func (c *Core) resolveStore(e *Entry) {
 
 // ---- safety & broadcast ----
 
-// recomputeSafety runs the NDA resolve-walk over the ROB and applies
-// InvisiSpec-Spectre exposures for loads that left the speculative shadow.
+// noGuard is guardSeq when no branch is unresolved: above every Seq.
+const noGuard = ^uint64(0)
+
+// recomputeSafety runs the NDA resolve-walk of §5.1 — mark instructions
+// safe up to the eldest unresolved branch — and applies InvisiSpec-Spectre
+// exposures for loads that left the speculative shadow.
+//
+// The walk is incremental. brq's head is the guard horizon: an entry is
+// under a guard iff it is younger than the head. Dispatch sets the bit
+// right for new entries, and a squash removes only entries younger than
+// every survivor, so bits go stale only when the head resolves. The walk
+// then clears the bits between the old horizon (guardSeq) and the new
+// one, and touches nothing else. When the old horizon is noGuard, every
+// older entry was dispatched clear of guards, so there is nothing to
+// clear: a branch dispatched into an empty brq is recorded as the horizon
+// by the next walk, which runs before that branch can issue, let alone
+// resolve.
 func (c *Core) recomputeSafety() {
 	if !c.policy.GuardBranches {
 		return
 	}
-	nodes := c.nodeBuf[:0]
-	for i := 0; i < c.robLen; i++ {
-		//ndavet:allow alloclint:op appends into nodeBuf, preallocated to ROBSize at reset; never grows
-		nodes = append(nodes, &c.robAt(i).Node)
+	prev := c.guardSeq
+	horizon := noGuard
+	if c.brq.n > 0 {
+		horizon = c.rob[c.brq.head()].Seq
 	}
-	c.policy.RecomputeGuards(nodes)
-
-	if c.policy.LoadVisibility == core.InvisibleUntilResolved {
-		for i := 0; i < c.robLen; i++ {
-			e := c.robAt(i)
-			if e.Invisible && !e.Exposed && e.Node.Completed && !e.Node.UnderGuard {
-				c.hier.InstallData(e.Addr)
-				c.traceChannel(ChanDCacheExpose, e.Addr, 0)
-				e.Exposed = true
-				c.stats.Exposures++
-				c.progress = true
-			}
+	// [lo, hi) are the ROB positions this walk clears.
+	lo, hi := 0, 0
+	if horizon != prev {
+		hi = c.robLen
+		if horizon != noGuard {
+			hi = c.robPos(c.brq.head()) + 1
 		}
+		lo = hi
+		for lo > 0 && c.robAt(lo-1).Seq > prev {
+			lo--
+			c.robAt(lo).Node.UnderGuard = false
+		}
+		c.guardSeq = horizon
+	}
+
+	if c.policy.LoadVisibility != core.InvisibleUntilResolved {
+		return
+	}
+	// A load becomes exposable when it completes clear of guards, or when
+	// the walk clears its guard after completion; earlier passes exposed
+	// every other candidate. Both sets, merged in age order: the entries
+	// completed this cycle at or below the old horizon, then the cleared
+	// range (which holds the rest of this cycle's unguarded completions).
+	for _, s := range c.doneq.slots() {
+		e := c.entryAt(s)
+		if e.Seq > prev {
+			break
+		}
+		c.exposeIfSafe(e)
+	}
+	for i := lo; i < hi; i++ {
+		c.exposeIfSafe(c.robAt(i))
+	}
+}
+
+// exposeIfSafe installs the hidden fill of a completed InvisiSpec load that
+// no longer follows an unresolved branch.
+func (c *Core) exposeIfSafe(e *Entry) {
+	if e.Invisible && !e.Exposed && e.Node.Completed && !e.Node.UnderGuard {
+		c.hier.InstallData(e.Addr)
+		c.traceChannel(ChanDCacheExpose, e.Addr, 0)
+		e.Exposed = true
+		c.stats.Exposures++
+		c.progress = true
 	}
 }
 
 // broadcastStage arbitrates the tag broadcast ports: instructions completing
 // this cycle have priority; deferred (completed earlier, newly safe)
-// instructions compete for the remaining ports in age order (§5.1).
-func (c *Core) broadcastStage(completedNow []*Entry) {
-	if c.pendingBcast == 0 {
+// instructions compete for the remaining ports in age order (§5.1). The
+// deferred candidates are exactly bcq, already in age order.
+func (c *Core) broadcastStage() {
+	if c.bcq.n == 0 {
 		return
 	}
 	ports := c.p.BroadcastPorts
 
-	for _, e := range completedNow {
+	for _, s := range c.doneq.slots() {
 		if ports == 0 {
 			break
 		}
+		e := c.entryAt(s)
 		if e.DestP == noPReg || e.Node.Broadcast {
 			continue
 		}
@@ -283,15 +330,10 @@ func (c *Core) broadcastStage(completedNow []*Entry) {
 			ports--
 		}
 	}
-	if ports == 0 || c.pendingBcast == 0 {
-		return
-	}
-	for i := 0; i < c.robLen && ports > 0; i++ {
-		e := c.robAt(i)
-		if e.DestP == noPReg || !e.Node.Completed || e.Node.Broadcast {
-			continue
-		}
+	for i := 0; i < c.bcq.n && ports > 0; {
+		e := c.entryAt(c.bcq.s[i])
 		if !c.policy.MayBroadcast(&e.Node, c.atHead(e)) {
+			i++
 			continue
 		}
 		if !e.HasSafeSince {
@@ -300,9 +342,10 @@ func (c *Core) broadcastStage(completedNow []*Entry) {
 			c.progress = true
 		}
 		if c.cycle < e.SafeSince+uint64(c.policy.ExtraBroadcastDelay) {
+			i++
 			continue
 		}
-		c.doBroadcast(e)
+		c.doBroadcast(e) // removes bcq[i]
 		ports--
 	}
 }
@@ -311,7 +354,7 @@ func (c *Core) doBroadcast(e *Entry) {
 	c.regReady[e.DestP] = true
 	e.Node.Broadcast = true
 	e.BcastCycle = c.cycle
-	c.pendingBcast--
+	c.bcq.remove(e.Slot)
 	c.progress = true
 	if c.cycle > e.CompleteAt {
 		c.stats.DeferredBroadcasts++
@@ -446,12 +489,12 @@ func (c *Core) retire(e *Entry) error {
 		c.mem.Write(e.Addr, inst.MemBytes(), c.readP(e.Src2P))
 		c.hier.Data(e.Addr) // timing side effect of the store's fill
 		c.traceChannel(ChanDCacheFill, e.Addr, 0)
-		if len(c.sq) > 0 && c.sq[0] == e.Slot {
-			c.sq = popFront(c.sq)
+		if c.sq.n > 0 && c.sq.head() == e.Slot {
+			c.sq.removeAt(0)
 		}
 	case inst.IsLoad():
-		if len(c.lq) > 0 && c.lq[0] == e.Slot {
-			c.lq = popFront(c.lq)
+		if c.lq.n > 0 && c.lq.head() == e.Slot {
+			c.lq.removeAt(0)
 		}
 	case inst.Op == isa.OpWrmsr:
 		c.msr[uint16(inst.Imm)] = c.readP(e.Src1P)
@@ -510,15 +553,6 @@ func (c *Core) deliverFault(e *Entry) error {
 	return nil
 }
 
-// popFront drops q's head in place, keeping the slice anchored to the start
-// of its backing array so the queue's fixed capacity is never lost to
-// re-slicing (the queues are at most 32 entries; the copy is cheaper than a
-// ring's index arithmetic on every scan).
-func popFront(q []int32) []int32 {
-	copy(q, q[1:])
-	return q[:len(q)-1]
-}
-
 // ---- squash ----
 
 // squashFrom removes every instruction with sequence number >= seq from the
@@ -549,8 +583,8 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 		c.fqLen--
 	}
 
-	// Drop squashed entries from the schedulers before the ROB walk resets
-	// them (reset zeroes Seq, which the queue filter keys on).
+	// Drop squashed entries from the schedulers and side lists before the
+	// ROB walk resets them (reset zeroes Seq, which the filter keys on).
 	c.filterQueues(seq)
 
 	for c.robLen > 0 {
@@ -563,12 +597,6 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 			c.rat[rd] = e.PrevP
 			//ndavet:allow alloclint:op free-list append; the list never exceeds PhysRegs, whose backing array is allocated at reset
 			c.freeList = append(c.freeList, e.DestP)
-			if e.Node.Completed && !e.Node.Broadcast {
-				c.pendingBcast--
-			}
-		}
-		if e.Issued && !e.Node.Completed {
-			c.execOutstanding--
 		}
 		if e.Inst.Op == isa.OpFence && !e.Node.Completed {
 			c.fencesInFlight--
@@ -578,9 +606,6 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 		}
 		if e.HasRASCkpt {
 			c.ras.Restore(e.RASBefore)
-		}
-		if e.Node.Class == isa.ClassBranch && !e.Node.GuardResolved && c.unresolvedBranches > 0 {
-			c.unresolvedBranches--
 		}
 		if e.Inflight && e.OffChip {
 			c.offChipLoads--
@@ -601,71 +626,47 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 	c.lastFetchLine = ^uint64(0)
 }
 
+// filterQueues drops the squashed slots from every scheduler and side list
+// but doneq. A squash during completion happens while completeExecution
+// iterates doneq, and it skips the squashed entries itself; a squash at
+// commit comes after the last stage that reads doneq this cycle.
 func (c *Core) filterQueues(seq uint64) {
-	c.iq = c.filterQueue(c.iq, seq)
-	c.lq = c.filterQueue(c.lq, seq)
-	c.sq = c.filterQueue(c.sq, seq)
-}
-
-// filterQueue drops the slots at or above the squash point. A method
-// rather than a closure inside filterQueues so the squash path stays
-// visible to the static hot-path walk.
-func (c *Core) filterQueue(q []int32, seq uint64) []int32 {
-	kept := q[:0]
-	for _, si := range q {
-		if c.rob[si].Seq < seq {
-			//ndavet:allow alloclint:op compaction into q[:0] appends at most len(q) elements, so it can never grow the backing array
-			kept = append(kept, si)
-		}
-	}
-	return kept
+	c.iq.filter(c.rob, seq)
+	c.lq.filter(c.rob, seq)
+	c.sq.filter(c.rob, seq)
+	c.execq.filter(c.rob, seq)
+	c.brq.filter(c.rob, seq)
+	c.bcq.filter(c.rob, seq)
 }
 
 // ---- issue & execute ----
 
+// issueStage issues up to IssueWidth ready entries from the issue queue in
+// age order, compacting the issued ones out of it in the same pass.
 func (c *Core) issueStage() {
 	budget := c.p.IssueWidth
 	issued := 0
-	anyRemoved := false
-	for i := 0; i < len(c.iq) && budget > 0; i++ {
-		e := c.entryAt(c.iq[i])
-		if e.RetryAt > c.cycle {
-			continue
-		}
-		if !c.operandsReady(e) {
-			continue
-		}
-		if c.serializeBlocked(e) {
-			continue
-		}
-		if !c.execute(e) {
+	k, i := 0, 0
+	for ; i < c.iq.n && budget > 0; i++ {
+		s := c.iq.s[i]
+		e := c.entryAt(s)
+		if e.RetryAt <= c.cycle && c.operandsReady(e) && !c.serializeBlocked(e) {
+			if c.execute(e) {
+				e.Issued = true
+				e.IssuedAt = c.cycle
+				c.execq.push(s)
+				budget--
+				issued++
+				continue
+			}
 			// Replay scheduled: RetryAt moved, so the cycle is not dead
 			// even though nothing issued.
 			c.progress = true
-			continue
 		}
-		e.Issued = true
-		e.IssuedAt = c.cycle
-		e.InIQ = false
-		c.execOutstanding++
-		if e.CompleteAt < c.nextCompleteAt || c.execOutstanding == 1 {
-			c.nextCompleteAt = e.CompleteAt
-		}
-		c.iq[i] = -1
-		anyRemoved = true
-		budget--
-		issued++
+		c.iq.s[k] = s
+		k++
 	}
-	if anyRemoved {
-		kept := c.iq[:0]
-		for _, si := range c.iq {
-			if si >= 0 {
-				//ndavet:allow alloclint:op compaction into iq[:0] appends at most len(iq) elements, so it can never grow the backing array
-				kept = append(kept, si)
-			}
-		}
-		c.iq = kept
-	}
+	c.iq.n = k + copy(c.iq.s[k:], c.iq.s[i:c.iq.n])
 	if issued > 0 {
 		c.stats.ILPSum += uint64(issued)
 		c.stats.ILPCycles++
@@ -842,8 +843,8 @@ func (c *Core) executeLoad(e *Entry) bool {
 	// speculatively bypassed and recorded.
 	var fwd *Entry
 	e.bypassed = e.bypassed[:0]
-	for i := len(c.sq) - 1; i >= 0; i-- {
-		s := c.entryAt(c.sq[i])
+	for i := c.sq.n - 1; i >= 0; i-- {
+		s := c.entryAt(c.sq.s[i])
 		if s.Seq > e.Seq {
 			continue
 		}
@@ -919,21 +920,10 @@ func (c *Core) executeLoad(e *Entry) bool {
 }
 
 // olderUnresolvedBranch reports whether a branch older than e has not yet
-// resolved its direction and target.
+// resolved its direction and target: whether brq's head, the eldest
+// unresolved branch, is older than e.
 func (c *Core) olderUnresolvedBranch(e *Entry) bool {
-	if c.unresolvedBranches == 0 {
-		return false
-	}
-	for i := 0; i < c.robLen; i++ {
-		o := c.robAt(i)
-		if o.Seq >= e.Seq {
-			return false
-		}
-		if o.Node.Class == isa.ClassBranch && !o.Node.GuardResolved {
-			return true
-		}
-	}
-	return false
+	return c.brq.n > 0 && c.rob[c.brq.head()].Seq < e.Seq
 }
 
 func truncate(v uint64, size int) uint64 {

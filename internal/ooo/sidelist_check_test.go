@@ -1,0 +1,94 @@
+package ooo
+
+import (
+	"fmt"
+	"slices"
+
+	"nda/internal/core"
+	"nda/internal/isa"
+)
+
+// CheckSideLists is the reference for the per-cycle side lists: it
+// recomputes every list and the guard bits from a walk over the whole ROB,
+// the way the pipeline found them before it kept the lists, and reports the
+// first disagreement. Called after Step, when every stage has run:
+//
+//   - iq, lq and sq hold the entries waiting to issue, the loads and the
+//     stores, in age order;
+//   - execq holds the issued, not yet completed entries, in any order;
+//   - bcq holds the completed register writers not yet broadcast, in age
+//     order;
+//   - brq holds the unresolved ClassBranch entries, in age order;
+//   - under a policy with GuardBranches, every UnderGuard bit equals a
+//     fresh Policy.RecomputeGuards walk;
+//   - under InvisiSpec-Spectre, no completed hidden load is left
+//     unexposed once it is clear of guards.
+//
+// It lives in a test file so only tests can call it; the external tests
+// drive it over programs whose packages import this one.
+func (c *Core) CheckSideLists() error {
+	var iq, lq, sq, exec, bc, br []int32
+	for i := 0; i < c.robLen; i++ {
+		e := c.robAt(i)
+		if !e.Issued {
+			iq = append(iq, e.Slot)
+		}
+		if e.Inst.IsLoad() {
+			lq = append(lq, e.Slot)
+		}
+		if e.Inst.IsStore() {
+			sq = append(sq, e.Slot)
+		}
+		if e.Issued && !e.Node.Completed {
+			exec = append(exec, e.Slot)
+		}
+		if e.Node.Completed && e.DestP != noPReg && !e.Node.Broadcast {
+			bc = append(bc, e.Slot)
+		}
+		if e.Node.Class == isa.ClassBranch && !e.Node.GuardResolved {
+			br = append(br, e.Slot)
+		}
+	}
+	execq := slices.Clone(c.execq.slots())
+	slices.Sort(execq)
+	slices.Sort(exec)
+	for _, l := range []struct {
+		name      string
+		got, want []int32
+	}{
+		{"iq", c.iq.slots(), iq},
+		{"lq", c.lq.slots(), lq},
+		{"sq", c.sq.slots(), sq},
+		{"execq (as a set)", execq, exec},
+		{"bcq", c.bcq.slots(), bc},
+		{"brq", c.brq.slots(), br},
+	} {
+		if !slices.Equal(l.got, l.want) {
+			return fmt.Errorf("cycle %d: %s = %v, a ROB walk gives %v", c.cycle, l.name, l.got, l.want)
+		}
+	}
+
+	if c.policy.GuardBranches {
+		nodes := make([]*core.Node, c.robLen)
+		for i := range nodes {
+			n := c.robAt(i).Node
+			nodes[i] = &n
+		}
+		c.policy.RecomputeGuards(nodes)
+		for i, n := range nodes {
+			if e := c.robAt(i); e.Node.UnderGuard != n.UnderGuard {
+				return fmt.Errorf("cycle %d: seq %d (%v) has UnderGuard=%v, a fresh resolve-walk gives %v",
+					c.cycle, e.Seq, e.Inst, e.Node.UnderGuard, n.UnderGuard)
+			}
+		}
+	}
+	if c.policy.LoadVisibility == core.InvisibleUntilResolved {
+		for i := 0; i < c.robLen; i++ {
+			if e := c.robAt(i); e.Invisible && !e.Exposed && e.Node.Completed && !e.Node.UnderGuard {
+				return fmt.Errorf("cycle %d: seq %d (%v) completed clear of guards but its fill is still hidden",
+					c.cycle, e.Seq, e.Inst)
+			}
+		}
+	}
+	return nil
+}
