@@ -27,11 +27,22 @@ type Core struct {
 	cycle   uint64
 	nextSeq uint64
 
-	// Physical register file.
+	// Physical register file. freeList[:freeN] is the free list, a stack
+	// over a backing array of PhysRegs entries.
 	regVal   []uint64
 	regReady []bool
 	freeList []int
+	freeN    int
 	rat      [isa.NumGPR]int
+
+	// Wake-up state: waiters holds, for every physical register, a bitmask
+	// over ROB ring slots of the unissued entries waiting on its tag
+	// broadcast (waitWords words per register). Each such entry's
+	// Entry.waiting counts the sets it is in. Dispatch enters an entry in
+	// the set of each unready source, doBroadcast wakes and empties the
+	// register's set, and a squash takes the squashed entries out.
+	waiters   []uint64
+	waitWords int
 
 	// Reorder buffer: fixed ring.
 	rob     []Entry
@@ -39,10 +50,14 @@ type Core struct {
 	robLen  int
 
 	// Schedulers, in age order: ROB ring slots (Entry.Slot). Capacity is
-	// fixed at construction, so dispatch and squash never allocate.
-	iq slotQueue
-	lq slotQueue
-	sq slotQueue
+	// fixed at construction, so dispatch and squash never allocate. The
+	// issue queue itself is only an occupancy count (iqLen, the unissued
+	// entries, bounded by IQSize); select reads rdyq, the unissued entries
+	// whose source operands have all broadcast.
+	iqLen int
+	rdyq  slotQueue
+	lq    slotQueue
+	sq    slotQueue
 
 	// Side lists of the entries each per-cycle stage acts on, so no stage
 	// walks the whole ROB (see README "Performance"):
@@ -142,6 +157,7 @@ type Core struct {
 // It allocates every buffer the core will ever use, then Resets into them,
 // so a fresh core and a reset one are the same by construction.
 func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
+	waitWords := (p.ROBSize + 63) / 64
 	c := &Core{
 		p:    p,
 		hier: cache.NewHierarchy(cache.DefaultHierarchyParams()),
@@ -149,18 +165,20 @@ func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 		btb:  bpred.NewBTB(p.BTBEntries, p.BTBWays),
 		ras:  bpred.NewRAS(p.RASEntries),
 
-		regVal:   make([]uint64, p.PhysRegs),
-		regReady: make([]bool, p.PhysRegs),
-		freeList: make([]int, 0, p.PhysRegs),
-		rob:      make([]Entry, p.ROBSize),
-		iq:       newSlotQueue(p.IQSize),
-		lq:       newSlotQueue(p.LQSize),
-		sq:       newSlotQueue(p.SQSize),
-		execq:    newSlotQueue(p.ROBSize),
-		brq:      newSlotQueue(p.ROBSize),
-		bcq:      newSlotQueue(p.ROBSize),
-		doneq:    newSlotQueue(p.ROBSize),
-		fetchQ:   make([]fetchSlot, p.FetchQSize),
+		regVal:    make([]uint64, p.PhysRegs),
+		regReady:  make([]bool, p.PhysRegs),
+		freeList:  make([]int, p.PhysRegs),
+		waiters:   make([]uint64, p.PhysRegs*waitWords),
+		waitWords: waitWords,
+		rob:       make([]Entry, p.ROBSize),
+		rdyq:      newSlotQueue(p.IQSize),
+		lq:        newSlotQueue(p.LQSize),
+		sq:        newSlotQueue(p.SQSize),
+		execq:     newSlotQueue(p.ROBSize),
+		brq:       newSlotQueue(p.ROBSize),
+		bcq:       newSlotQueue(p.ROBSize),
+		doneq:     newSlotQueue(p.ROBSize),
+		fetchQ:    make([]fetchSlot, p.FetchQSize),
 	}
 	for i := range c.rob {
 		e := &c.rob[i]
@@ -168,12 +186,17 @@ func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 		// Pre-size the per-entry backing stores so the hot path never
 		// allocates: a load can bypass at most SQSize stores, and the RAS
 		// snapshot array matches the stack's entry count.
-		e.bypassed = make([]int32, 0, p.SQSize)
+		e.bypassed = newSlotQueue(p.SQSize)
 		c.ras.SnapshotInto(&e.RASBefore)
 		e.reset()
 	}
 	for i := range c.fetchQ {
 		c.ras.SnapshotInto(&c.fetchQ[i].rasBefore)
+	}
+	if p.Sanitize {
+		c.sanWriterMark = make([]uint64, p.PhysRegs)
+		c.sanWriterSeq = make([]uint64, p.PhysRegs)
+		c.sanWriterBcast = make([]bool, p.PhysRegs)
 	}
 	c.Reset(prog, m, pol)
 	return c
@@ -186,7 +209,8 @@ func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 // are the statistics and the sanitizer's count, log and writer marks.
 // The caches and the BTB empty in O(1), by generation bump; beyond them it
 // touches the last run's in-flight entries, the fetch queue, the register
-// file and the gshare table, not the ~1.2 MB a fresh core allocates.
+// file with its waiter sets and the gshare table, not the ~1.2 MB a fresh
+// core allocates.
 func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 	// In-flight entries go back to their reset state; every other ring
 	// slot already is in it (retire and squash reset the entries they
@@ -204,6 +228,7 @@ func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 	c.ras.Reset()
 	clear(c.regVal)
 	clear(c.regReady)
+	clear(c.waiters)
 	// Stale writer marks would match the new run's cycle numbers, which
 	// restart from zero.
 	clear(c.sanWriterMark)
@@ -222,9 +247,11 @@ func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 
 		regVal:        c.regVal,
 		regReady:      c.regReady,
-		freeList:      c.freeList[:0],
+		freeList:      c.freeList,
+		waiters:       c.waiters,
+		waitWords:     c.waitWords,
 		rob:           c.rob,
-		iq:            c.iq.emptied(),
+		rdyq:          c.rdyq.emptied(),
 		lq:            c.lq.emptied(),
 		sq:            c.sq.emptied(),
 		execq:         c.execq.emptied(),
@@ -249,7 +276,8 @@ func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 		c.regReady[i] = true
 	}
 	for i := isa.NumGPR; i < c.p.PhysRegs; i++ {
-		c.freeList = append(c.freeList, i)
+		c.freeList[c.freeN] = i
+		c.freeN++
 	}
 }
 
@@ -512,15 +540,18 @@ func (c *Core) skipTo(h uint64) {
 // ending, the fetch queue's head reaching dispatch depth, or a fetch stall
 // elapsing. Waits with no intrinsic timer (operand readiness, guard
 // resolution, resource exhaustion) are all unblocked by one of these, so
-// they need no terms of their own. Returns c.cycle+1 if no timed event is
-// pending (the deadlock bound in skipAhead still guarantees termination).
+// they need no terms of their own. Replays are read from rdyq alone: only
+// an entry with ready operands executes and so can replay, and its
+// operands stay ready until it issues. Returns c.cycle+1 if no timed event
+// is pending (the deadlock bound in skipAhead still guarantees
+// termination).
 func (c *Core) nextEventCycle() uint64 {
 	const never = ^uint64(0)
 	h := never
 	for _, s := range c.execq.slots() {
 		h = earlierEvent(h, c.cycle, c.rob[s].CompleteAt)
 	}
-	for _, s := range c.iq.slots() {
+	for _, s := range c.rdyq.slots() {
 		h = earlierEvent(h, c.cycle, c.rob[s].RetryAt)
 	}
 	for _, s := range c.bcq.slots() {
@@ -567,7 +598,7 @@ func (c *Core) DebugState() string {
 		fq = fmt.Sprintf("fq[%d]{pc=%#x %v valid=%v ready@%d}", c.fqLen, s.pc, s.inst, s.valid, s.readyAt)
 	}
 	return fmt.Sprintf("cyc=%d rob=%d iq=%d lq=%d sq=%d fetchPC=%#x wait=%v dead=%v stall>%d validate>%d %s %s",
-		c.cycle, c.robLen, c.iq.n, c.lq.n, c.sq.n, c.fetchPC, c.fetchWait, c.fetchDead, c.fetchStall, c.commitValidate, head, fq)
+		c.cycle, c.robLen, c.iqLen, c.lq.n, c.sq.n, c.fetchPC, c.fetchWait, c.fetchDead, c.fetchStall, c.commitValidate, head, fq)
 }
 
 // DebugROB lists the in-flight entries (diagnostics).

@@ -30,7 +30,10 @@ type Entry struct {
 	Src2P int
 
 	// Scheduling state. An entry waits in the issue queue from dispatch
-	// until it issues.
+	// until it issues; waiting counts its distinct source registers (a
+	// store's address base only) whose tags have not broadcast yet, and it
+	// joins the core's ready list (rdyq) when that count reaches zero.
+	waiting    int8
 	Issued     bool
 	RetryAt    uint64 // earliest re-issue cycle after a forwarding replay
 	CompleteAt uint64 // cycle execution finishes; valid when Issued
@@ -55,8 +58,9 @@ type Entry struct {
 	// bypassed holds the ROB slots of older stores whose addresses were
 	// unknown when this load executed; used for Bypass Restriction and
 	// violation tracking. A bypassed store is always older than the load,
-	// so a squash that frees the store's slot frees the load's too.
-	bypassed []int32
+	// so a squash that frees the store's slot frees the load's too. Its
+	// backing array holds SQSize slots, the most a load can bypass.
+	bypassed slotQueue
 	OffChip  bool // load serviced by DRAM (counts toward MLP while in flight)
 	Inflight bool // load access outstanding (between issue and completion)
 
@@ -98,10 +102,10 @@ type TraceEvent struct {
 }
 
 // reset clears an entry for reuse, preserving its backing storage: the
-// bypassed slice, the RAS snapshot's array (its contents are stale but
+// bypassed list, the RAS snapshot's array (its contents are stale but
 // HasRASCkpt is cleared), and the fixed ring slot.
 func (e *Entry) reset() {
-	bypassed := e.bypassed[:0]
+	bypassed := e.bypassed.emptied()
 	ras := e.RASBefore
 	slot := e.Slot
 	*e = Entry{bypassed: bypassed, RASBefore: ras, Slot: slot, DestP: noPReg, PrevP: noPReg, Src1P: noPReg, Src2P: noPReg}

@@ -22,7 +22,7 @@ import (
 // quiesce builds a core whose pipeline is empty and whose front end is
 // parked, so nextEventCycle sees only the events a test plants. A test
 // plants an entry's event by allocating it and listing its slot where the
-// pipeline would: execq, iq or bcq.
+// pipeline would: execq, rdyq or bcq.
 func quiesce(t *testing.T) *Core {
 	t.Helper()
 	p, err := asm.Assemble("main: halt\n")
@@ -54,7 +54,7 @@ func TestNextEventReplayRetry(t *testing.T) {
 	e := c.robAlloc()
 	e.Seq = 1
 	e.RetryAt = 102
-	c.iq.push(e.Slot)
+	c.rdyq.push(e.Slot)
 	if h := c.nextEventCycle(); h != 102 {
 		t.Errorf("horizon = %d, want 102 (RetryAt)", h)
 	}

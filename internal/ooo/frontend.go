@@ -20,10 +20,10 @@ func (c *Core) dispatchStage() {
 			return // phantom: stalls until the wrong path squashes
 		}
 		inst := s.inst
-		if c.robLen == len(c.rob) || c.iq.n >= c.p.IQSize ||
+		if c.robLen == len(c.rob) || c.iqLen >= c.p.IQSize ||
 			(inst.IsLoad() && c.lq.n >= c.p.LQSize) ||
 			(inst.IsStore() && c.sq.n >= c.p.SQSize) ||
-			len(c.freeList) == 0 {
+			c.freeN == 0 {
 			return
 		}
 
@@ -56,8 +56,8 @@ func (c *Core) dispatchStage() {
 			e.Src2P = c.rat[srcs[1]]
 		}
 		if rd, ok := inst.WritesReg(); ok {
-			p := c.freeList[len(c.freeList)-1]
-			c.freeList = c.freeList[:len(c.freeList)-1]
+			c.freeN--
+			p := c.freeList[c.freeN]
 			e.PrevP = c.rat[rd]
 			c.rat[rd] = p
 			e.DestP = p
@@ -72,7 +72,15 @@ func (c *Core) dispatchStage() {
 			c.brq.push(e.Slot)
 		}
 
-		c.iq.push(e.Slot)
+		// Enter the issue queue: wait on each source not yet broadcast, or
+		// join the ready list (e is the youngest entry, so at its tail).
+		c.iqLen++
+		a, b := e.wakeSrcs()
+		c.waitOn(e, a)
+		c.waitOn(e, b)
+		if e.waiting == 0 {
+			c.rdyq.push(e.Slot)
+		}
 		if inst.IsLoad() {
 			c.lq.push(e.Slot)
 		}

@@ -2,6 +2,7 @@ package ooo
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nda/internal/cache"
 	"nda/internal/core"
@@ -220,14 +221,8 @@ func (c *Core) resolveStore(e *Entry) {
 	// happen even on the violation path: the store resolves exactly once,
 	// and loads older than the squash point live on.
 	for _, li := range c.lq.slots() {
-		ld := c.entryAt(li)
-		for i, s := range ld.bypassed {
-			if s == e.Slot {
-				//ndavet:allow alloclint:op removal via append to a prefix reslice; the result is shorter than the original, so no growth
-				ld.bypassed = append(ld.bypassed[:i], ld.bypassed[i+1:]...)
-				ld.Node.BypassGuards--
-				break
-			}
+		if ld := c.entryAt(li); ld.bypassed.remove(e.Slot) {
+			ld.Node.BypassGuards--
 		}
 	}
 }
@@ -352,6 +347,7 @@ func (c *Core) broadcastStage() {
 
 func (c *Core) doBroadcast(e *Entry) {
 	c.regReady[e.DestP] = true
+	c.wake(e.DestP)
 	e.Node.Broadcast = true
 	e.BcastCycle = c.cycle
 	c.bcq.remove(e.Slot)
@@ -359,6 +355,55 @@ func (c *Core) doBroadcast(e *Entry) {
 	if c.cycle > e.CompleteAt {
 		c.stats.DeferredBroadcasts++
 		c.stats.DeferralCycles += c.cycle - e.CompleteAt
+	}
+}
+
+// ---- wake-up ----
+
+// wakeSrcs returns the source registers e must see broadcast before it may
+// issue, noPReg for an absent one: both sources, except that a store waits
+// only for its address base (its data register is read at forwarding time
+// and at commit), and a register named twice is returned once.
+func (e *Entry) wakeSrcs() (int, int) {
+	if e.Inst.IsStore() || e.Src2P == e.Src1P {
+		return e.Src1P, noPReg
+	}
+	return e.Src1P, e.Src2P
+}
+
+// waitOn enters the unissued entry e in p's waiter set if p has not
+// broadcast yet.
+func (c *Core) waitOn(e *Entry, p int) {
+	if p == noPReg || c.regReady[p] {
+		return
+	}
+	c.waiters[p*c.waitWords+int(e.Slot>>6)] |= 1 << (e.Slot & 63)
+	e.waiting++
+}
+
+// unwait takes e out of p's waiter set (a no-op if it is not in it).
+func (c *Core) unwait(e *Entry, p int) {
+	if p != noPReg {
+		c.waiters[p*c.waitWords+int(e.Slot>>6)] &^= 1 << (e.Slot & 63)
+	}
+}
+
+// wake delivers p's tag broadcast to the entries waiting on it: each one's
+// count drops, an entry left with nothing to wait for joins rdyq in age
+// order, and the set empties.
+func (c *Core) wake(p int) {
+	w := c.waiters[p*c.waitWords : (p+1)*c.waitWords]
+	for i, word := range w {
+		for word != 0 {
+			slot := int32(i<<6 + bits.TrailingZeros64(word))
+			word &= word - 1
+			e := &c.rob[slot]
+			e.waiting--
+			if e.waiting == 0 {
+				c.rdyq.insert(c.rob, slot)
+			}
+		}
+		w[i] = 0
 	}
 }
 
@@ -522,8 +567,7 @@ func (c *Core) retire(e *Entry) error {
 	}
 
 	if e.DestP != noPReg && e.PrevP != noPReg {
-		//ndavet:allow alloclint:op free-list append; the list never exceeds PhysRegs, whose backing array is allocated at reset
-		c.freeList = append(c.freeList, e.PrevP)
+		c.freeReg(e.PrevP)
 	}
 	if e.Issued {
 		c.stats.DispatchToIssueSum += e.IssuedAt - e.DispatchedAt
@@ -551,6 +595,13 @@ func (c *Core) deliverFault(e *Entry) error {
 	}
 	c.squashFrom(e.Seq, handler)
 	return nil
+}
+
+// freeReg returns p to the free list. The list never holds more than
+// PhysRegs registers, the size of its backing array.
+func (c *Core) freeReg(p int) {
+	c.freeList[c.freeN] = p
+	c.freeN++
 }
 
 // ---- squash ----
@@ -595,8 +646,17 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 		if e.DestP != noPReg {
 			rd, _ := e.Inst.WritesReg()
 			c.rat[rd] = e.PrevP
-			//ndavet:allow alloclint:op free-list append; the list never exceeds PhysRegs, whose backing array is allocated at reset
-			c.freeList = append(c.freeList, e.DestP)
+			c.freeReg(e.DestP)
+		}
+		if !e.Issued {
+			c.iqLen--
+			if e.waiting > 0 {
+				// A surviving producer must not wake this slot's next
+				// occupant.
+				a, b := e.wakeSrcs()
+				c.unwait(e, a)
+				c.unwait(e, b)
+			}
 		}
 		if e.Inst.Op == isa.OpFence && !e.Node.Completed {
 			c.fencesInFlight--
@@ -631,7 +691,7 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 // iterates doneq, and it skips the squashed entries itself; a squash at
 // commit comes after the last stage that reads doneq this cycle.
 func (c *Core) filterQueues(seq uint64) {
-	c.iq.filter(c.rob, seq)
+	c.rdyq.filter(c.rob, seq)
 	c.lq.filter(c.rob, seq)
 	c.sq.filter(c.rob, seq)
 	c.execq.filter(c.rob, seq)
@@ -641,20 +701,24 @@ func (c *Core) filterQueues(seq uint64) {
 
 // ---- issue & execute ----
 
-// issueStage issues up to IssueWidth ready entries from the issue queue in
-// age order, compacting the issued ones out of it in the same pass.
+// issueStage issues up to IssueWidth entries in age order. It selects from
+// rdyq, the unissued entries whose operands have all broadcast, rather than
+// the whole issue queue: an entry not on it could not issue anyway, so the
+// selected set is the one an age-ordered walk of the issue queue picks. It
+// compacts the issued entries out of rdyq in the same pass.
 func (c *Core) issueStage() {
 	budget := c.p.IssueWidth
 	issued := 0
 	k, i := 0, 0
-	for ; i < c.iq.n && budget > 0; i++ {
-		s := c.iq.s[i]
+	for ; i < c.rdyq.n && budget > 0; i++ {
+		s := c.rdyq.s[i]
 		e := c.entryAt(s)
-		if e.RetryAt <= c.cycle && c.operandsReady(e) && !c.serializeBlocked(e) {
+		if e.RetryAt <= c.cycle && !c.serializeBlocked(e) {
 			if c.execute(e) {
 				e.Issued = true
 				e.IssuedAt = c.cycle
 				c.execq.push(s)
+				c.iqLen--
 				budget--
 				issued++
 				continue
@@ -663,25 +727,15 @@ func (c *Core) issueStage() {
 			// even though nothing issued.
 			c.progress = true
 		}
-		c.iq.s[k] = s
+		c.rdyq.s[k] = s
 		k++
 	}
-	c.iq.n = k + copy(c.iq.s[k:], c.iq.s[i:c.iq.n])
+	c.rdyq.n = k + copy(c.rdyq.s[k:], c.rdyq.s[i:c.rdyq.n])
 	if issued > 0 {
 		c.stats.ILPSum += uint64(issued)
 		c.stats.ILPCycles++
 		c.progress = true
 	}
-}
-
-// operandsReady checks source readiness. Stores only need their address
-// base to issue address generation; the data register is read at forwarding
-// time and at commit.
-func (c *Core) operandsReady(e *Entry) bool {
-	if e.Inst.IsStore() {
-		return c.pReady(e.Src1P)
-	}
-	return c.pReady(e.Src1P) && c.pReady(e.Src2P)
 }
 
 // serializeBlocked enforces FENCE (no younger instruction may issue until
@@ -842,15 +896,14 @@ func (c *Core) executeLoad(e *Entry) bool {
 	// replays until the store drains. Address-unknown older stores are
 	// speculatively bypassed and recorded.
 	var fwd *Entry
-	e.bypassed = e.bypassed[:0]
+	e.bypassed.n = 0
 	for i := c.sq.n - 1; i >= 0; i-- {
 		s := c.entryAt(c.sq.s[i])
 		if s.Seq > e.Seq {
 			continue
 		}
 		if !s.Issued || !s.AddrKnown {
-			//ndavet:allow alloclint:op the bypass set is bounded by store-queue length; backing arrays reach steady capacity at warm-up
-			e.bypassed = append(e.bypassed, s.Slot)
+			e.bypassed.push(s.Slot)
 			continue
 		}
 		ssize := s.Inst.MemBytes()
@@ -861,7 +914,7 @@ func (c *Core) executeLoad(e *Entry) bool {
 			fwd = s
 		} else {
 			// Partial overlap or data not yet propagatable: replay.
-			e.bypassed = e.bypassed[:0]
+			e.bypassed.n = 0
 			e.RetryAt = c.cycle + 2
 			c.stats.LoadReplays++
 			return false
@@ -869,8 +922,8 @@ func (c *Core) executeLoad(e *Entry) bool {
 		break
 	}
 
-	e.Node.BypassGuards = len(e.bypassed)
-	if len(e.bypassed) > 0 {
+	e.Node.BypassGuards = e.bypassed.n
+	if e.bypassed.n > 0 {
 		c.stats.BypassedLoads++
 	}
 

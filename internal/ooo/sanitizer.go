@@ -8,7 +8,9 @@ import "fmt"
 // the instruction becomes safe and its tag is broadcast. The checks run over
 // architecturally visible simulator state only — they recompute nothing from
 // the policy's internals beyond core.Policy.Unsafe — so a bug in either the
-// pipeline's broadcast plumbing or the policy bookkeeping trips them.
+// pipeline's broadcast plumbing or the policy bookkeeping trips them. They
+// read regReady and Node.Broadcast, never the wake-up state (waiter sets,
+// rdyq), so a consumer woken too early shows as issued-before-broadcast.
 //
 // Enabled by Params.Sanitize; off by default because the checks cost a ROB
 // scan per cycle. cmd/ndalint's cross-validation tests and the workload
@@ -76,14 +78,6 @@ func (c *Core) sanViolate(check string, pc, seq uint64, format string, args ...a
 func (c *Core) checkInvariants() {
 	if !c.p.Sanitize {
 		return
-	}
-	if c.sanWriterMark == nil {
-		//ndavet:allow alloclint:op one-time sanitizer scratch allocation, and only with Params.Sanitize set
-		c.sanWriterMark = make([]uint64, c.p.PhysRegs)
-		//ndavet:allow alloclint:op one-time sanitizer scratch allocation, and only with Params.Sanitize set
-		c.sanWriterSeq = make([]uint64, c.p.PhysRegs)
-		//ndavet:allow alloclint:op one-time sanitizer scratch allocation, and only with Params.Sanitize set
-		c.sanWriterBcast = make([]bool, c.p.PhysRegs)
 	}
 
 	// Pass 1: per-producer checks, and index the in-flight writer of every

@@ -13,8 +13,13 @@ import (
 // the way the pipeline found them before it kept the lists, and reports the
 // first disagreement. Called after Step, when every stage has run:
 //
-//   - iq, lq and sq hold the entries waiting to issue, the loads and the
-//     stores, in age order;
+//   - rdyq holds the entries waiting to issue whose operands are ready
+//     (operandsReady), in age order, and iqLen counts every entry waiting
+//     to issue;
+//   - every entry waiting to issue has waiting equal to its number of
+//     distinct unready sources, and the waiter sets hold exactly the
+//     (waiting entry, unready source) pairs;
+//   - lq and sq hold the loads and the stores, in age order;
 //   - execq holds the issued, not yet completed entries, in any order;
 //   - bcq holds the completed register writers not yet broadcast, in age
 //     order;
@@ -27,11 +32,31 @@ import (
 // It lives in a test file so only tests can call it; the external tests
 // drive it over programs whose packages import this one.
 func (c *Core) CheckSideLists() error {
-	var iq, lq, sq, exec, bc, br []int32
+	var rdy, lq, sq, exec, bc, br []int32
+	unissued := 0
+	waiters := make([]uint64, len(c.waiters))
 	for i := 0; i < c.robLen; i++ {
 		e := c.robAt(i)
 		if !e.Issued {
-			iq = append(iq, e.Slot)
+			unissued++
+			if c.operandsReady(e) {
+				rdy = append(rdy, e.Slot)
+			}
+			srcs := []int{e.Src1P}
+			if !e.Inst.IsStore() && e.Src2P != e.Src1P {
+				srcs = append(srcs, e.Src2P)
+			}
+			unready := 0
+			for _, p := range srcs {
+				if !c.pReady(p) {
+					unready++
+					waiters[p*c.waitWords+int(e.Slot)/64] |= 1 << (e.Slot % 64)
+				}
+			}
+			if int(e.waiting) != unready {
+				return fmt.Errorf("cycle %d: seq %d (%v) has waiting=%d, its sources have %d unready",
+					c.cycle, e.Seq, e.Inst, e.waiting, unready)
+			}
 		}
 		if e.Inst.IsLoad() {
 			lq = append(lq, e.Slot)
@@ -56,7 +81,7 @@ func (c *Core) CheckSideLists() error {
 		name      string
 		got, want []int32
 	}{
-		{"iq", c.iq.slots(), iq},
+		{"rdyq", c.rdyq.slots(), rdy},
 		{"lq", c.lq.slots(), lq},
 		{"sq", c.sq.slots(), sq},
 		{"execq (as a set)", execq, exec},
@@ -65,6 +90,15 @@ func (c *Core) CheckSideLists() error {
 	} {
 		if !slices.Equal(l.got, l.want) {
 			return fmt.Errorf("cycle %d: %s = %v, a ROB walk gives %v", c.cycle, l.name, l.got, l.want)
+		}
+	}
+	if c.iqLen != unissued {
+		return fmt.Errorf("cycle %d: iqLen = %d, the ROB holds %d unissued entries", c.cycle, c.iqLen, unissued)
+	}
+	for i, w := range waiters {
+		if c.waiters[i] != w {
+			return fmt.Errorf("cycle %d: p%d's waiter word %d = %#x, a ROB walk gives %#x",
+				c.cycle, i/c.waitWords, i%c.waitWords, c.waiters[i], w)
 		}
 	}
 
@@ -91,4 +125,14 @@ func (c *Core) CheckSideLists() error {
 		}
 	}
 	return nil
+}
+
+// operandsReady is select's readiness test as it was before the pipeline
+// kept wake-up lists: a store needs its address base, anything else both
+// sources. The check above holds rdyq to it.
+func (c *Core) operandsReady(e *Entry) bool {
+	if e.Inst.IsStore() {
+		return c.pReady(e.Src1P)
+	}
+	return c.pReady(e.Src1P) && c.pReady(e.Src2P)
 }

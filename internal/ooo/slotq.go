@@ -47,14 +47,15 @@ func (q *slotQueue) removeAt(i int) {
 	q.n--
 }
 
-// remove drops slot if the queue holds it.
-func (q *slotQueue) remove(slot int32) {
+// remove drops slot if the queue holds it, and reports whether it did.
+func (q *slotQueue) remove(slot int32) bool {
 	for i := 0; i < q.n; i++ {
 		if q.s[i] == slot {
 			q.removeAt(i)
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // filter drops every slot whose entry has Seq >= seq: the squash of
