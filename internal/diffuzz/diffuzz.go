@@ -86,17 +86,20 @@ type Result struct {
 // RunSeed generates and differentially tests one seed. Its 18 timing runs
 // share one core, reset between runs.
 func RunSeed(seed int64) *Result {
-	return runSeed(seed, new(timingCore).run)
+	t := new(timingCore)
+	return t.runSeed(seed, t.run)
 }
 
-// timingFunc performs one timing run of p under pol with the given secrets,
-// appending the channel trace to evs, an empty buffer passed in for its
-// capacity. It returns the trace, the sanitizer's violation count, and the
-// run's error (with a nil trace).
-type timingFunc func(p *progen.Program, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error)
+// timingFunc performs one timing run of p, whose loaded data image is base,
+// under pol with the given secrets, appending the channel trace to evs, an
+// empty buffer passed in for its capacity. It returns the trace, the
+// sanitizer's violation count, and the run's error (with a nil trace).
+type timingFunc func(p *progen.Program, base *mem.Memory, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error)
 
-// runSeed is RunSeed with the timing runs delegated to run.
-func runSeed(seed int64, run timingFunc) *Result {
+// runSeed is RunSeed on t's run image, with the timing runs delegated to
+// run. The program's data is loaded once, into a base image every run
+// restores from.
+func (t *timingCore) runSeed(seed int64, run timingFunc) *Result {
 	r := &Result{Seed: seed, PerPolicy: map[string]PolicyResult{}}
 	p, err := progen.Gen(seed)
 	if err != nil {
@@ -104,6 +107,8 @@ func runSeed(seed int64, run timingFunc) *Result {
 		return r
 	}
 	r.Frags = p.Frags
+	base := mem.New()
+	emu.Load(base, p.Prog)
 
 	an := gadget.Analyze(p.Prog, gadget.Config{})
 
@@ -111,8 +116,8 @@ func runSeed(seed int64, run timingFunc) *Result {
 	// identical instruction/address stream and reach the same final state
 	// under both secret vectors. This validates the generator discipline
 	// the soundness argument rests on.
-	archA, errA := runArch(p, secretA, msrSecretA)
-	archB, errB := runArch(p, secretB, msrSecretB)
+	archA, errA := runArch(p, t.restore(base), secretA, msrSecretA)
+	archB, errB := runArch(p, t.restore(base), secretB, msrSecretB)
 	if errA != nil || errB != nil {
 		r.Failure = fmt.Sprintf("%s: architectural run failed: %v / %v", p.Name, errA, errB)
 		return r
@@ -127,8 +132,8 @@ func runSeed(seed int64, run timingFunc) *Result {
 	for _, pol := range core.All() {
 		var sanA, sanB uint64
 		var errA, errB error
-		trA, sanA, errA = run(p, pol, secretA, msrSecretA, trA[:0])
-		trB, sanB, errB = run(p, pol, secretB, msrSecretB, trB[:0])
+		trA, sanA, errA = run(p, base, pol, secretA, msrSecretA, trA[:0])
+		trB, sanB, errB = run(p, base, pol, secretB, msrSecretB, trB[:0])
 		r.SanViolations += sanA + sanB
 		if errA != nil || errB != nil {
 			r.Failure = fmt.Sprintf("%s under %s: timing run failed: %v / %v", p.Name, pol.Name, errA, errB)
@@ -177,8 +182,10 @@ func (a *archRun) diff(b *archRun) string {
 	return ""
 }
 
-func runArch(p *progen.Program, secret byte, msrSecret uint64) (*archRun, error) {
-	m := emu.New(p.Prog)
+// runArch runs p on the reference emulator over img, which holds p's
+// loaded data image.
+func runArch(p *progen.Program, img *mem.Memory, secret byte, msrSecret uint64) (*archRun, error) {
+	m := emu.NewWithMemory(p.Prog, img)
 	plant(m.Mem, secret)
 	m.MSR[isa.MSRSecretKey] = msrSecret
 	r := &archRun{}
@@ -201,15 +208,26 @@ func runArch(p *progen.Program, secret byte, msrSecret uint64) (*archRun, error)
 	return r, nil
 }
 
-// timingCore runs a program's timing runs on one core, built on the first
-// run and reset for every later one.
+// timingCore is one fuzz worker's simulation state, kept across programs:
+// a core, built on the first timing run and reset for every later one, and
+// a memory image every run (timing or architectural) restores from the
+// program's base image.
 type timingCore struct {
 	c *ooo.Core
+	m *mem.Memory
 }
 
-func (t *timingCore) run(p *progen.Program, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
-	m := mem.New()
-	emu.Load(m, p.Prog)
+// restore returns t's run image holding exactly base's contents.
+func (t *timingCore) restore(base *mem.Memory) *mem.Memory {
+	if t.m == nil {
+		t.m = mem.New()
+	}
+	t.m.CopyFrom(base)
+	return t.m
+}
+
+func (t *timingCore) run(p *progen.Program, base *mem.Memory, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
+	m := t.restore(base)
 	if t.c == nil {
 		t.c = ooo.New(p.Prog, m, pol, timingParams())
 	} else {
@@ -248,13 +266,13 @@ func runTiming(c *ooo.Core, secret byte, msrSecret uint64, evs []ooo.ChannelEven
 // region holds the same vector: its read byte is architecturally
 // overwritten before use, so only a bypassing load can observe it.
 func plant(m *mem.Memory, secret byte) {
-	fill := make([]byte, progen.SecretBytes)
+	var fill [progen.SecretBytes]byte
 	for i := range fill {
 		fill[i] = secret
 	}
-	m.StoreBytes(progen.SecretBase, fill)
-	m.StoreBytes(progen.StaleBase, fill)
-	m.StoreBytes(progen.KSecretBase, fill)
+	m.StoreBytes(progen.SecretBase, fill[:])
+	m.StoreBytes(progen.StaleBase, fill[:])
+	m.StoreBytes(progen.KSecretBase, fill[:])
 }
 
 func tracesEqual(a, b []ooo.ChannelEvent) bool {
@@ -319,12 +337,24 @@ func Seeds(base int64, n int) []int64 {
 // Fuzz runs the differential harness over the given seeds on the given
 // worker count (par.Workers semantics). Results aggregate identically for
 // any worker count.
+//
+// Each worker keeps one timingCore across all the programs it runs: a job
+// takes one from the idle channel and hands it back when done, so at most
+// one job uses a core at a time and the pool builds one core per worker,
+// not one per program.
 func Fuzz(seeds []int64, workers int) *Summary {
 	results := make([]*Result, len(seeds))
+	n := par.Workers(workers)
+	idle := make(chan *timingCore, n)
+	for i := 0; i < n; i++ {
+		idle <- new(timingCore)
+	}
 	// Job errors are recorded per-slot, never returned: one bad seed must
 	// not mask the rest of the sweep.
-	_ = par.Run(len(seeds), par.Workers(workers), func(i int) error {
-		results[i] = RunSeed(seeds[i])
+	_ = par.Run(len(seeds), n, func(i int) error {
+		t := <-idle
+		results[i] = t.runSeed(seeds[i], t.run)
+		idle <- t
 		return nil
 	})
 	return Summarize(results)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nda/internal/core"
+	"nda/internal/mem"
 	"nda/internal/ooo"
 	"nda/internal/progen"
 )
@@ -118,15 +119,17 @@ func TestFuzzWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// freshTiming is the timing path before cores were reused: a new core for
-// every run.
-func freshTiming(p *progen.Program, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
+// freshTiming is the timing path before cores and memory images were
+// reused: a new core, with p's data loaded into a new memory, for every run.
+func freshTiming(p *progen.Program, _ *mem.Memory, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
 	return runTiming(ooo.NewFromProgram(p.Prog, pol, timingParams()), secret, msrSecret, evs)
 }
 
-// The reused-core path must be indistinguishable from a fresh core per run:
-// every timing run's channel trace, sanitizer count and error, and the
-// folded Summary.
+// The reused path must be indistinguishable from a fresh core and a fresh
+// memory per run: every timing run's channel trace, sanitizer count and
+// error, each seed's Result, and the folded Summary. Like one Fuzz worker,
+// the reused side carries a single timingCore, its core and its run image,
+// across every seed; the fresh side starts each seed from a new one.
 func TestReusedCoreMatchesFresh(t *testing.T) {
 	seeds := Seeds(500, 60)
 	if testing.Short() {
@@ -135,11 +138,11 @@ func TestReusedCoreMatchesFresh(t *testing.T) {
 	reused := make([]*Result, len(seeds))
 	fresh := make([]*Result, len(seeds))
 	runs := 0
+	tm := new(timingCore)
 	for i, seed := range seeds {
-		tm := new(timingCore)
-		check := func(p *progen.Program, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
-			got, gotSan, gotErr := tm.run(p, pol, secret, msrSecret, evs)
-			want, wantSan, wantErr := freshTiming(p, pol, secret, msrSecret, nil)
+		check := func(p *progen.Program, base *mem.Memory, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
+			got, gotSan, gotErr := tm.run(p, base, pol, secret, msrSecret, evs)
+			want, wantSan, wantErr := freshTiming(p, base, pol, secret, msrSecret, nil)
 			runs++
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || gotSan != wantSan || !tracesEqual(got, want) {
 				t.Errorf("seed %d under %s, secret %#x: reused core gave %d events, %d violations, err %v; fresh gave %d, %d, %v (%s)",
@@ -147,8 +150,8 @@ func TestReusedCoreMatchesFresh(t *testing.T) {
 			}
 			return got, gotSan, gotErr
 		}
-		reused[i] = runSeed(seed, check)
-		fresh[i] = runSeed(seed, freshTiming)
+		reused[i] = tm.runSeed(seed, check)
+		fresh[i] = new(timingCore).runSeed(seed, freshTiming)
 		if !reflect.DeepEqual(reused[i], fresh[i]) {
 			t.Errorf("seed %d: result %+v, fresh cores %+v", seed, reused[i], fresh[i])
 		}

@@ -28,6 +28,9 @@ const PageSize = 1 << PageBits
 type Memory struct {
 	pages  map[uint64]*[PageSize]byte
 	kernel map[uint64]bool // page number -> kernel-only
+	// dropped holds, by page number, the zeroed buffers of pages CopyFrom
+	// unmapped, for the next first touch of the same page to reuse.
+	dropped map[uint64]*[PageSize]byte
 }
 
 // New returns an empty memory with every page user-accessible and zero.
@@ -43,14 +46,34 @@ func New() *Memory {
 // attack sweeps).
 func (m *Memory) Clone() *Memory {
 	c := New()
-	for pn, pg := range m.pages {
-		cp := *pg
-		c.pages[pn] = &cp
-	}
-	for pn, k := range m.kernel {
-		c.kernel[pn] = k
-	}
+	c.CopyFrom(m)
 	return c
+}
+
+// CopyFrom makes m an exact copy of base: every page base maps is copied
+// into m's existing buffer for that page, every page base lacks is dropped,
+// so it reads zero and is unmapped again, and the kernel bits become base's.
+// Dropped buffers are kept for m's later first touches, so restoring one
+// loaded image before each of many runs allocates nothing once m has seen
+// the pages the runs touch.
+func (m *Memory) CopyFrom(base *Memory) {
+	for pn, pg := range m.pages {
+		if base.pages[pn] == nil {
+			if m.dropped == nil {
+				m.dropped = make(map[uint64]*[PageSize]byte)
+			}
+			*pg = [PageSize]byte{}
+			m.dropped[pn] = pg
+			delete(m.pages, pn)
+		}
+	}
+	for pn, pg := range base.pages {
+		*m.page(pn<<PageBits, true) = *pg
+	}
+	clear(m.kernel)
+	for pn, k := range base.kernel {
+		m.kernel[pn] = k
+	}
 }
 
 func pageNum(addr uint64) uint64 { return addr >> PageBits }
@@ -96,8 +119,12 @@ func (m *Memory) page(addr uint64, alloc bool) *[PageSize]byte {
 	pn := pageNum(addr)
 	pg := m.pages[pn]
 	if pg == nil && alloc {
-		//ndavet:allow alloclint:op first touch of a page allocates its backing; steady-state stores hit mapped pages
-		pg = new([PageSize]byte)
+		if pg = m.dropped[pn]; pg != nil {
+			delete(m.dropped, pn)
+		} else {
+			//ndavet:allow alloclint:op first touch of a page allocates its backing; steady-state stores hit mapped pages
+			pg = new([PageSize]byte)
+		}
 		//ndavet:allow alloclint:op page-table insert happens once per touched page, not per store
 		m.pages[pn] = pg
 	}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -119,6 +120,65 @@ func TestClone(t *testing.T) {
 	m.Write(0x200, 8, 9)
 	if c.Read(0x200, 8) != 0 {
 		t.Error("original writes must not appear in the clone")
+	}
+}
+
+// TestCopyFrom restores a dirtied image from a base: a page written after
+// the copy reads back as the base's bytes, a page the base lacks reads zero
+// again, the kernel bits are the base's, and restoring an unchanged base a
+// second time allocates nothing, nor does re-mapping a dropped page.
+func TestCopyFrom(t *testing.T) {
+	base := New()
+	base.Write(0x1000, 8, 0x1122334455667788)
+	base.Write(0x3000, 8, 42)
+	base.SetKernel(0x3000, 8)
+
+	m := New()
+	m.Write(0x1000, 8, 5) // overwritten by the copy
+	m.Write(0x7000, 8, 9) // a page the base lacks
+	m.SetKernel(0x8000, 8)
+	m.CopyFrom(base)
+
+	m.Write(0x1000, 8, 0xFFFF)     // written after the copy
+	m.Write(0x5000, 8, 0xDEADBEEF) // mapped after the copy, absent in base
+	m.SetKernel(0x9000, 8)
+	m.SetUser(0x3000, 8)
+	m.CopyFrom(base)
+
+	if got := m.Read(0x1000, 8); got != 0x1122334455667788 {
+		t.Errorf("page written after the copy reads %#x, want the base's bytes", got)
+	}
+	if got := m.Read(0x3000, 8); got != 42 {
+		t.Errorf("base page reads %#x, want 42", got)
+	}
+	for _, addr := range []uint64{0x5000, 0x7000} {
+		if got := m.Read(addr, 8); got != 0 {
+			t.Errorf("page %#x the base lacks reads %#x, want 0", addr, got)
+		}
+	}
+	if m.MappedPages() != base.MappedPages() {
+		t.Errorf("%d mapped pages, base has %d", m.MappedPages(), base.MappedPages())
+	}
+	if got, want := fmt.Sprint(m.KernelPages()), fmt.Sprint(base.KernelPages()); got != want {
+		t.Errorf("kernel pages %s, want the base's %s", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.CopyFrom(base) }); allocs != 0 {
+		t.Errorf("restoring an unchanged base allocates %.0f times, want 0", allocs)
+	}
+	// A run that maps a page the base lacks reuses the buffer the previous
+	// restore dropped.
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.CopyFrom(base)
+		if m.Read(0x5000, 8) != 0 {
+			t.Fatal("a reused page buffer must read zero")
+		}
+		m.Write(0x5000, 8, 0xDEADBEEF)
+	}); allocs != 0 {
+		t.Errorf("restore plus a first touch outside the base allocates %.0f times, want 0", allocs)
+	}
+	base.Write(0x1000, 8, 7)
+	if m.Read(0x1000, 8) == 7 {
+		t.Error("the copy must not share page buffers with the base")
 	}
 }
 

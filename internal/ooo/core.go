@@ -436,16 +436,16 @@ func (c *Core) cancelled() bool {
 // Run simulates until HALT commits or maxCycles elapse, whichever is first.
 // Exceeding maxCycles or deadlocking returns an error.
 //
-// Run is event-driven: after a cycle in which no stage changed any state, it
-// jumps c.cycle to the next event horizon (earliest pending completion,
-// replay, deferred broadcast, validation end, fetch-queue readiness, or
-// fetch-stall expiry) instead of stepping through the dead cycles one by
-// one. Statistics, timing, and outputs are byte-identical to per-cycle
+// Run is event-driven: after a cycle in which no stage changed any state
+// and the sanitizer, if on, found nothing (deadStep), it jumps c.cycle to
+// the next event horizon (earliest pending completion, replay, deferred
+// broadcast, validation end, fetch-queue readiness, or fetch-stall expiry)
+// instead of stepping through the dead cycles one by one. Statistics,
+// timing, sanitizer findings, and outputs are byte-identical to per-cycle
 // stepping; only wall-clock time changes.
 //
 //ndavet:hotpath
 func (c *Core) Run(maxCycles uint64) error {
-	jump := !c.p.Sanitize
 	for !c.halted {
 		if c.cycle >= maxCycles {
 			return fmt.Errorf("ooo: exceeded %d cycles without halting (pc=%#x, rob=%d)", maxCycles, c.fetchPC, c.robLen)
@@ -453,10 +453,11 @@ func (c *Core) Run(maxCycles uint64) error {
 		if c.cancelled() {
 			return ErrCancelled
 		}
+		san := c.sanCount
 		if err := c.Step(); err != nil {
 			return err
 		}
-		if jump && !c.progress && !c.halted {
+		if c.deadStep(san) {
 			c.skipAhead(maxCycles)
 		}
 	}
@@ -469,7 +470,6 @@ func (c *Core) Run(maxCycles uint64) error {
 //
 //ndavet:hotpath
 func (c *Core) RunInsts(n, maxCycles uint64) error {
-	jump := !c.p.Sanitize
 	target := c.retired + n
 	for !c.halted && c.retired < target {
 		if c.cycle >= maxCycles {
@@ -478,14 +478,28 @@ func (c *Core) RunInsts(n, maxCycles uint64) error {
 		if c.cancelled() {
 			return ErrCancelled
 		}
+		san := c.sanCount
 		if err := c.Step(); err != nil {
 			return err
 		}
-		if jump && !c.progress && !c.halted {
+		if c.deadStep(san) {
 			c.skipAhead(maxCycles)
 		}
 	}
 	return nil
+}
+
+// deadStep reports whether the Step just taken lets the run loop jump: no
+// stage changed any state, the core has not halted, and the sanitizer's
+// count still reads san, its value before the Step. A dead Step issues and
+// broadcasts nothing, so the skipped cycles repeat its end state: checks
+// 2–4 (which fire only on this cycle's broadcasts and issues) cannot fire
+// in them, and check 1 would repeat this cycle's result. A clean result
+// repeats as clean; a cycle that logged a finding is instead followed by
+// per-cycle steps, so violation counts and the log stay exactly those of
+// per-cycle stepping.
+func (c *Core) deadStep(san uint64) bool {
+	return !c.progress && !c.halted && c.sanCount == san
 }
 
 // skipAhead advances a quiescent core to just before the next cycle at

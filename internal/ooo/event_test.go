@@ -1,10 +1,14 @@
 package ooo
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"nda/internal/asm"
 	"nda/internal/core"
+	"nda/internal/isa"
+	"nda/internal/progen"
 	"nda/internal/workload"
 )
 
@@ -16,8 +20,10 @@ import (
 //     fetch-stall expiry) — unit-tested on hand-built pipeline states;
 //  2. jumping over quiescent cycles is invisible: Run/RunInsts produce
 //     byte-identical statistics, cycle counts, and architectural state to
-//     stepping the very same program one cycle at a time — property-tested
-//     over random programs under every policy.
+//     stepping the very same program one cycle at a time, and the same
+//     channel trace and sanitizer findings — property-tested over random
+//     and generated gadget programs under every policy, with the
+//     propagation sanitizer off and on.
 
 // quiesce builds a core whose pipeline is empty and whose front end is
 // parked, so nextEventCycle sees only the events a test plants. A test
@@ -178,35 +184,44 @@ func stepReference(t *testing.T, c *Core, maxCycles uint64) {
 	}
 }
 
-// TestRunMatchesPerCycleStepping is the property test: for random programs
-// under every policy, the jumping Run and the per-cycle reference must agree
-// on every statistic, the final cycle count, and the architectural state.
+// TestRunMatchesPerCycleStepping is the property test: under every policy,
+// with the propagation sanitizer off and on, over random programs and over
+// gadget-bearing generated programs with their secrets planted, the jumping
+// Run and the per-cycle reference must agree on every statistic, the final
+// cycle count, the architectural state, the channel trace the differential
+// fuzzer compares, and every sanitizer finding.
 func TestRunMatchesPerCycleStepping(t *testing.T) {
-	params := DefaultParams()
-	for _, pol := range core.All() {
-		for seed := int64(0); seed < 3; seed++ {
-			prog := workload.Random(4200+seed, 400)
-			jumped := NewFromProgram(prog, pol, params)
-			if err := jumped.Run(maxCycles); err != nil {
-				t.Fatalf("%s seed %d: %v", pol.Name, seed, err)
-			}
-			stepped := NewFromProgram(prog, pol, params)
-			stepReference(t, stepped, maxCycles)
-
-			if jumped.Cycles() != stepped.Cycles() {
-				t.Errorf("%s seed %d: cycles %d (jumped) != %d (stepped)",
-					pol.Name, seed, jumped.Cycles(), stepped.Cycles())
-			}
-			if jumped.Retired() != stepped.Retired() {
-				t.Errorf("%s seed %d: retired %d != %d",
-					pol.Name, seed, jumped.Retired(), stepped.Retired())
-			}
-			if *jumped.Stats() != *stepped.Stats() {
-				t.Errorf("%s seed %d: stats diverge:\n jumped:  %+v\n stepped: %+v",
-					pol.Name, seed, *jumped.Stats(), *stepped.Stats())
-			}
-			if jumped.Regs() != stepped.Regs() {
-				t.Errorf("%s seed %d: architectural registers diverge", pol.Name, seed)
+	var progs []*isa.Program
+	for seed := int64(0); seed < 3; seed++ {
+		progs = append(progs, workload.Random(4200+seed, 400))
+	}
+	nGadget := 50
+	if testing.Short() {
+		nGadget = 10
+	}
+	for _, p := range gadgetPrograms(t, nGadget) {
+		progs = append(progs, p.Prog)
+	}
+	for _, sanitize := range []bool{false, true} {
+		params := DefaultParams()
+		params.Sanitize = sanitize
+		for _, pol := range core.All() {
+			for i, prog := range progs {
+				name := fmt.Sprintf("%s program %d (sanitize=%v)", pol.Name, i, sanitize)
+				run := func(step bool) *runRecord {
+					r := &runRecord{}
+					c := NewFromProgram(prog, pol, params)
+					plantSecrets(c)
+					c.TraceChannel = func(ev ChannelEvent) { r.events = append(r.events, ev) }
+					if step {
+						stepReference(t, c, maxCycles)
+					} else if err := c.Run(maxCycles); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					r.capture(c)
+					return r
+				}
+				compareRuns(t, name, run(false), run(true))
 			}
 		}
 	}
@@ -249,4 +264,126 @@ func TestRunInstsMatchesPerCycleStepping(t *testing.T) {
 				pol.Name, *jumped.Stats(), *stepped.Stats())
 		}
 	}
+}
+
+// runRecord is everything a run exposes: timing, architectural state, the
+// attacker-observable channel trace and the sanitizer's findings.
+type runRecord struct {
+	cycles, retired uint64
+	stats           Stats
+	regs            [isa.NumGPR]uint64
+	events          []ChannelEvent
+	violations      uint64
+	log             []Violation
+}
+
+// capture records c's end state into r.
+func (r *runRecord) capture(c *Core) {
+	r.cycles, r.retired, r.stats, r.regs = c.Cycles(), c.Retired(), *c.Stats(), c.Regs()
+	r.violations, r.log = c.SanitizerViolations(), c.SanitizerLog()
+}
+
+// compareRuns fails the test on any difference between a jumped and a
+// per-cycle stepped run.
+func compareRuns(t *testing.T, name string, jumped, stepped *runRecord) {
+	t.Helper()
+	if jumped.cycles != stepped.cycles || jumped.retired != stepped.retired {
+		t.Errorf("%s: cycles/retired %d/%d (jumped) != %d/%d (stepped)",
+			name, jumped.cycles, jumped.retired, stepped.cycles, stepped.retired)
+	}
+	if jumped.stats != stepped.stats {
+		t.Errorf("%s: stats diverge:\n jumped:  %+v\n stepped: %+v", name, jumped.stats, stepped.stats)
+	}
+	if jumped.regs != stepped.regs {
+		t.Errorf("%s: architectural registers diverge", name)
+	}
+	if !reflect.DeepEqual(jumped.events, stepped.events) {
+		t.Errorf("%s: channel traces diverge: %d events (jumped) vs %d (stepped)",
+			name, len(jumped.events), len(stepped.events))
+	}
+	if jumped.violations != stepped.violations || !reflect.DeepEqual(jumped.log, stepped.log) {
+		t.Errorf("%s: sanitizer diverges: %d violations %v (jumped) vs %d %v (stepped)",
+			name, jumped.violations, jumped.log, stepped.violations, stepped.log)
+	}
+}
+
+// plantSecrets prepares c the way the differential fuzzer does: secret
+// bytes in every planted region, the privileged MSR set, and the secret
+// lines warmed so wrong-path chains outrun their guard's miss.
+func plantSecrets(c *Core) {
+	var fill [progen.SecretBytes]byte
+	for i := range fill {
+		fill[i] = 0xA5
+	}
+	for _, base := range []uint64{progen.SecretBase, progen.StaleBase, progen.KSecretBase} {
+		c.Memory().StoreBytes(base, fill[:])
+		c.Hierarchy().Data(base)
+	}
+	c.SetMSR(isa.MSRSecretKey, 0x200100)
+}
+
+// gadgetPrograms returns the first n generated programs that carry at least
+// one real transient-leak fragment.
+func gadgetPrograms(t *testing.T, n int) []*progen.Program {
+	t.Helper()
+	gadget := map[string]bool{}
+	for _, k := range progen.GadgetKinds {
+		gadget[k] = true
+	}
+	var out []*progen.Program
+	for seed := int64(1); len(out) < n; seed++ {
+		p, err := progen.Gen(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range p.Frags {
+			if gadget[k] {
+				out = append(out, p)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TestSanitizerFindingsStopJumps forces a persistent ready-without-broadcast
+// on a load waiting for its DRAM fill, a stalled stretch the run loop would
+// otherwise jump over in one go. Check 1 fires on every cycle of that
+// stretch under per-cycle stepping, so the jumping Run must step it too and
+// end with the identical violation count and log.
+func TestSanitizerFindingsStopJumps(t *testing.T) {
+	prog, err := asm.Assemble(`
+main:   li   t0, 4096
+        ld   t1, 0(t0)
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := DefaultParams()
+	params.Sanitize = true
+	force := func() *Core {
+		c := NewFromProgram(prog, core.Baseline(), params)
+		stepUntil(t, c, func() bool {
+			e := c.inFlight(isa.OpLd)
+			return e != nil && e.Issued && !e.Node.Completed
+		})
+		c.regReady[c.inFlight(isa.OpLd).DestP] = true // the injected plumbing bug
+		return c
+	}
+	jc, sc := force(), force()
+	var jumped, stepped runRecord
+	if err := jc.Run(maxCycles); err != nil {
+		t.Fatal(err)
+	}
+	jumped.capture(jc)
+	stepReference(t, sc, maxCycles)
+	stepped.capture(sc)
+	if stepped.violations <= maxSanitizerLog {
+		t.Fatalf("forced stretch logged %d violations, want more than the %d-entry log holds", stepped.violations, maxSanitizerLog)
+	}
+	if stepped.log[0].Check != "ready-without-broadcast" {
+		t.Fatalf("first finding %v, want ready-without-broadcast", stepped.log[0])
+	}
+	compareRuns(t, "forced leak", &jumped, &stepped)
 }

@@ -75,10 +75,11 @@ type Params struct {
 	// this many consecutive cycles (a simulator bug guard).
 	DeadlockCycles uint64
 
-	// Sanitize enables the per-cycle propagation sanitizer (sanitizer.go):
-	// an oracle asserting that no consumer issues on a value whose producer
-	// was unsafe at broadcast-defer time. Costs a ROB scan per cycle; used
-	// by the static/dynamic cross-validation tests.
+	// Sanitize enables the propagation sanitizer (sanitizer.go): an oracle
+	// asserting that no consumer issues on a value whose producer was
+	// unsafe at broadcast-defer time. Costs a ROB scan per stepped cycle;
+	// runs still jump over dead cycles. Used by the differential checker
+	// and the static/dynamic cross-validation tests.
 	Sanitize bool
 }
 

@@ -13,10 +13,14 @@ import "fmt"
 // rdyq), so a consumer woken too early shows as issued-before-broadcast.
 //
 // Enabled by Params.Sanitize; off by default because the checks cost a ROB
-// scan per cycle. cmd/ndalint's cross-validation tests and the workload
-// sanity tests run with it on.
+// scan per stepped cycle. The differential checker (internal/diffuzz),
+// cmd/ndalint's cross-validation tests and the workload sanity tests run
+// with it on. It does not force per-cycle stepping: Run and RunInsts still
+// jump over dead cycles, where none of the checks below could find anything
+// new (see Core.deadStep), and step every cycle after one that logged a
+// finding, so counts and log match per-cycle stepping exactly.
 //
-// Checks, at the end of every cycle:
+// Checks, at the end of every stepped cycle:
 //
 //  1. ready-without-broadcast: no in-flight producer's destination physical
 //     register is marked ready before the producer's tag broadcast. The
