@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench-smoke bench-json bench-trajectory golden-identity serve-smoke dist-smoke store-smoke load-smoke fuzz-smoke vet ndavet contract-check lint fmt fmt-check ci
+.PHONY: build test race bench-check bench-smoke bench-json bench-trajectory golden-identity serve-smoke dist-smoke store-smoke load-smoke fuzz-smoke vet ndavet contract-check lint fmt fmt-check ci
 
 ## build: compile every package and command
 build:
@@ -17,6 +17,12 @@ test:
 ## sweep engine and attack matrix are race-clean)
 race:
 	$(GO) test -race ./...
+
+## bench-check: vet and test the repository benchmark in bench/. It is its
+## own module (nda/bench, replacing nda with ../), so `go build ./...` at
+## the root never compiles it, yet it calls the harness and serve APIs.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test .
 
 ## bench-smoke: run every benchmark exactly once under a coarse wall-clock
 ## budget — exercises each experiment driver per PR. All benchmarks live in
@@ -112,4 +118,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 ## ci: everything the CI pipeline runs, in one local command
-ci: build test lint fmt-check race bench-smoke bench-trajectory golden-identity serve-smoke dist-smoke store-smoke load-smoke fuzz-smoke
+ci: build test bench-check lint fmt-check race bench-smoke bench-trajectory golden-identity serve-smoke dist-smoke store-smoke load-smoke fuzz-smoke

@@ -14,7 +14,7 @@
 //
 // With -workers the process becomes a fleet coordinator instead of a
 // simulator: jobs are decomposed into cells exactly as before, but cells
-// that miss the local result cache are dispatched to the listed ndaserve
+// that miss every cache tier are dispatched to the listed ndaserve
 // workers over POST /v1/cell, with bounded per-worker in-flight windows,
 // per-cell retry with backoff, health-based eviction/re-admission, and
 // hedged dispatch for stragglers. The merged result is byte-identical to
@@ -28,7 +28,9 @@
 // byte-identically and without re-simulation. -store-max-bytes bounds the
 // directory; least-recently-used cells are evicted beyond it. A
 // coordinator can additionally share a store across replicas with
-// -shared-store-dir: cells found there are never dispatched to a worker.
+// -shared-store-dir: its tier chain consults that store after RAM and the
+// local disk store, so cells found there are never dispatched to a worker,
+// and it writes every dispatched cell back into it.
 // -warm-from submits a precompute job at boot ("standard" or a JSON file),
 // which replays straight from the store after a restart.
 //
@@ -67,7 +69,7 @@ func main() {
 		// Persistent store tiers.
 		storeDir      = flag.String("store-dir", "", "directory for the persistent result store (disk tier under the RAM cache); empty disables persistence")
 		storeMaxBytes = flag.Int64("store-max-bytes", store.DefaultMaxBytes, "byte budget for the persistent store; least-recently-used entries beyond it are evicted")
-		sharedDir     = flag.String("shared-store-dir", "", "coordinator mode: directory of the fleet-shared result store (reuses -store-dir's store when equal)")
+		sharedDir     = flag.String("shared-store-dir", "", "coordinator mode: directory of the fleet-shared result store, consulted after RAM and -store-dir before any dispatch (reuses -store-dir's store when equal)")
 		warmFrom      = flag.String("warm-from", "", `submit a cache-warming job at boot: "standard" for the paper's figure set, or a path to a WarmRequest JSON file`)
 
 		// Coordinator mode.
@@ -146,18 +148,12 @@ func main() {
 		if *hedgeAfter < 0 {
 			fatal(fmt.Errorf("-hedge-after %v invalid: want 0 (disabled) or a positive duration", *hedgeAfter))
 		}
-		opts := dist.Options{
+		fleet, err = dist.New(urls, dist.Options{
 			Window:      *workerWindow,
 			CellTimeout: *cellTimeout,
 			Retries:     *cellRetries,
 			HedgeAfter:  *hedgeAfter,
-		}
-		// Assign only a live store: boxing a nil *store.Store into the
-		// interface field would defeat the coordinator's nil check.
-		if sharedStore != nil {
-			opts.SharedStore = sharedStore
-		}
-		fleet, err = dist.New(urls, opts)
+		})
 		fatal(err)
 		defer fleet.Close()
 		fmt.Fprintf(os.Stderr, "ndaserve: coordinating %d workers (window %d/worker)\n", len(urls), *workerWindow)
@@ -170,6 +166,7 @@ func main() {
 		CacheMaxEntries: *cacheMax,
 		Fleet:           fleet,
 		Store:           diskStore,
+		SharedStore:     sharedStore,
 		Tenants:         tenants,
 	})
 	srv := &http.Server{Addr: *addr, Handler: serve.NewHandler(mgr)}

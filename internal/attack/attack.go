@@ -69,6 +69,19 @@ func All() []Kind {
 	return []Kind{SpectreV1Cache, SpectreV1BTB, SpectreV2, Ret2spec, Meltdown, SSB, LazyFP, GPRSteering, GPRSteeringSpecOff}
 }
 
+// ByName resolves an attack's name (its Kind string).
+func ByName(name string) (Kind, error) {
+	for _, k := range All() {
+		if string(k) == name {
+			return k, nil
+		}
+	}
+	return "", fmt.Errorf("attack: unknown attack %q", name)
+}
+
+// inOrderName labels the in-order core's outcomes and matrix cells.
+const inOrderName = "In-Order"
+
 // Class returns the attack's taxonomy class (Table 1).
 func (k Kind) Class() string {
 	switch k {
@@ -237,7 +250,7 @@ func RunInOrderCtx(ctx context.Context, kind Kind) (*Outcome, error) {
 		}
 		return nil, fmt.Errorf("attack %s in-order: %w", kind, err)
 	}
-	out := analyze(kind, "In-Order", s, func(addr uint64) uint64 { return m.Emu().Mem.Read(addr, 8) })
+	out := analyze(kind, inOrderName, s, func(addr uint64) uint64 { return m.Emu().Mem.Read(addr, 8) })
 	out.Cycles = m.Cycles()
 	return out, nil
 }

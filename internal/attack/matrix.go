@@ -85,10 +85,43 @@ type Cell struct {
 	Policy   string
 	Outcome  *Outcome
 	Expected bool
+
+	// Pol and InOrder say what Run simulates: the attack under Pol on the
+	// OoO core, or on the in-order core. They stay out of the JSON, which
+	// Policy already labels.
+	Pol     core.Policy `json:"-"`
+	InOrder bool        `json:"-"`
 }
 
 // Matches reports whether the measured verdict equals the paper's.
 func (c Cell) Matches() bool { return c.Outcome.Leaked == c.Expected }
+
+// Run simulates the cell; params configure the OoO core and are unused on
+// the in-order core.
+func (c Cell) Run(ctx context.Context, params ooo.Params) (*Outcome, error) {
+	if c.InOrder {
+		return RunInOrderCtx(ctx, c.Attack)
+	}
+	return RunCtx(ctx, c.Attack, c.Pol, params)
+}
+
+// Grid lays out the security matrix: for each attack, every policy in
+// order, then the in-order core when inOrder is set. Each cell carries the
+// paper's expected verdict; Run fills in the outcome. MatrixCtx and the
+// serving layer both evaluate this layout, so their grids agree cell for
+// cell.
+func Grid(kinds []Kind, pols []core.Policy, inOrder bool) []Cell {
+	cells := make([]Cell, 0, len(kinds)*(len(pols)+1))
+	for _, kind := range kinds {
+		for _, pol := range pols {
+			cells = append(cells, Cell{Attack: kind, Policy: pol.Name, Expected: Expected[kind][pol.Name], Pol: pol})
+		}
+		if inOrder {
+			cells = append(cells, Cell{Attack: kind, Policy: inOrderName, InOrder: true})
+		}
+	}
+	return cells
+}
 
 // Matrix runs every attack under every policy (plus the in-order core) and
 // returns the full grid — the dynamic reproduction of Table 2's security
@@ -111,38 +144,16 @@ func MatrixParallel(params ooo.Params, workers int) ([]Cell, error) {
 // queued (attack, policy) cell starts and in-flight PoCs stop
 // mid-simulation; the ctx error is returned unless a cell failed first.
 func MatrixCtx(ctx context.Context, params ooo.Params, workers int) ([]Cell, error) {
-	kinds := All()
-	pols := core.All()
-	perKind := len(pols) + 1 // every policy, then the in-order core
-	cells := make([]Cell, len(kinds)*perKind)
+	cells := Grid(All(), core.All(), true)
 	err := par.RunCtx(ctx, len(cells), workers, func(i int) error {
-		kind := kinds[i/perKind]
-		pi := i % perKind
-		if pi == len(pols) {
-			out, err := RunInOrderCtx(ctx, kind)
-			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-				return fmt.Errorf("matrix: %w", err)
-			}
-			cells[i] = Cell{Attack: kind, Policy: "In-Order", Outcome: out, Expected: false}
-			return nil
-		}
-		pol := pols[pi]
-		out, err := RunCtx(ctx, kind, pol, params)
+		out, err := cells[i].Run(ctx, params)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
 			return fmt.Errorf("matrix: %w", err)
 		}
-		cells[i] = Cell{
-			Attack:   kind,
-			Policy:   pol.Name,
-			Outcome:  out,
-			Expected: Expected[kind][pol.Name],
-		}
+		cells[i].Outcome = out
 		return nil
 	})
 	if err != nil {

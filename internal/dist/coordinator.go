@@ -23,11 +23,6 @@ type Coordinator struct {
 	workers []*worker
 	rr      atomic.Int64 // round-robin cursor for tie-breaking picks
 
-	// Fleet-shared tier counters (Options.SharedStore).
-	sharedHits   atomic.Int64 // keyed cells served from the shared store, no dispatch
-	sharedMisses atomic.Int64 // keyed cells the shared store did not hold
-	sharedPuts   atomic.Int64 // completed cells written back to the shared store
-
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -67,15 +62,6 @@ func (c *Coordinator) Close() {
 	c.wg.Wait()
 }
 
-// Workers lists the fleet's base URLs in registration order.
-func (c *Coordinator) Workers() []string {
-	out := make([]string, len(c.workers))
-	for i, w := range c.workers {
-		out[i] = w.url
-	}
-	return out
-}
-
 // Capacity is the fleet-wide in-flight window: workers x per-worker
 // window. Callers size their dispatch pools to it so the fleet saturates.
 func (c *Coordinator) Capacity() int {
@@ -91,33 +77,18 @@ type Attempt struct {
 }
 
 // Stat summarizes how one cell was served: every attempt in completion
-// order, and the worker whose response won. SharedHit marks a cell the
-// fleet-shared store answered — no attempt was made and no worker touched.
+// order, and the worker whose response won.
 type Stat struct {
-	Worker    string
-	SharedHit bool
-	Attempts  []Attempt
+	Worker   string
+	Attempts []Attempt
 }
 
 // Do resolves one cell — an HTTP POST of body to path on some worker —
-// and returns the winning response body. key is the cell's content
-// address: when a shared store is configured and key is non-empty, the
-// store is consulted first (a hit skips the fleet entirely) and a
-// successfully dispatched cell's response is written back under key. An
-// empty key bypasses the shared tier. Dispatch retries with exponential
+// and returns the winning response body. Dispatch retries with exponential
 // backoff and jitter across workers, hedges stragglers, and fails only
 // after Options.Retries re-dispatches have been exhausted or ctx ends.
-func (c *Coordinator) Do(ctx context.Context, path, key string, body []byte) ([]byte, Stat, error) {
+func (c *Coordinator) Do(ctx context.Context, path string, body []byte) ([]byte, Stat, error) {
 	var stat Stat
-	shared := c.opts.SharedStore
-	if shared != nil && key != "" {
-		if b, ok := shared.Get(key); ok {
-			c.sharedHits.Add(1)
-			stat.SharedHit = true
-			return b, stat, nil
-		}
-		c.sharedMisses.Add(1)
-	}
 	backoff := c.opts.BaseBackoff
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
@@ -142,10 +113,6 @@ func (c *Coordinator) Do(ctx context.Context, path, key string, body []byte) ([]
 				if a.OK {
 					stat.Worker = a.Worker
 				}
-			}
-			if shared != nil && key != "" {
-				shared.Put(key, res)
-				c.sharedPuts.Add(1)
 			}
 			return res, stat, nil
 		}

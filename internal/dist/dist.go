@@ -26,6 +26,11 @@
 // A worker killed mid-sweep therefore costs wall-clock, never bytes: its
 // in-flight cells fail, retry on surviving workers, and land in the same
 // index-addressed slots.
+//
+// The coordinator only dispatches. It knows no cache keys and no stores:
+// the caller (internal/serve's tier chain) has already missed its RAM
+// cache, its disk store and the fleet-shared store before a cell reaches
+// Do, and writes the result back into each of them afterwards.
 package dist
 
 import (
@@ -51,26 +56,18 @@ const (
 	DefaultEvictAfter  = 3
 )
 
-// SharedStore is a fleet-wide result tier the coordinator consults before
-// dispatching a cell and writes back after one completes — in practice the
-// persistent store (internal/store) on storage every coordinator replica
-// can reach. Both methods are best-effort: a miss or a failed write only
-// costs a dispatch, never correctness, because values are content-addressed
-// by the same keys the result cache uses.
-type SharedStore interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, val []byte)
-}
-
-// Options tunes the coordinator. The zero value of each field selects the
-// matching Default constant; HedgeAfter <= 0 disables hedging.
+// Options tunes the coordinator. A zero or negative Window, CellTimeout,
+// BaseBackoff, MaxBackoff, HealthEvery or EvictAfter selects the matching
+// Default constant. Retries differs: 0 means no re-dispatch, and only a
+// negative value selects DefaultRetries. HedgeAfter <= 0 disables hedging.
 type Options struct {
 	// Window caps in-flight cells per worker.
 	Window int
 	// CellTimeout bounds one dispatch attempt of one cell.
 	CellTimeout time.Duration
 	// Retries is how many times a failed cell is re-dispatched after its
-	// first attempt before the job fails.
+	// first attempt before the job fails; 0 disables re-dispatch and a
+	// negative value selects DefaultRetries.
 	Retries int
 	// BaseBackoff and MaxBackoff shape the exponential backoff (with
 	// jitter) between a cell's attempts.
@@ -87,11 +84,6 @@ type Options struct {
 	// Client is the HTTP client used for dispatch and probing; nil means
 	// a dedicated client with sane connection reuse.
 	Client *http.Client
-	// SharedStore, when non-nil, is the fleet-shared result tier: Do
-	// serves keyed cells straight from it when they are present (no worker
-	// is touched) and persists completed cells back into it. nil disables
-	// the tier.
-	SharedStore SharedStore
 }
 
 func (o Options) withDefaults() Options {

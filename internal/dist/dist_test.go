@@ -72,18 +72,27 @@ func shutdown(t *testing.T, m *serve.Manager) {
 // URLs and returns its HTTP base URL plus the fleet for stats assertions.
 func startCoordinator(t *testing.T, opts dist.Options, urls ...string) (string, *dist.Coordinator) {
 	t.Helper()
+	url, fleet, _ := startCoordinatorWith(t, serve.Config{}, opts, urls...)
+	return url, fleet
+}
+
+// startCoordinatorWith is startCoordinator over a base manager config (its
+// tiers, say); it also returns the manager.
+func startCoordinatorWith(t *testing.T, cfg serve.Config, opts dist.Options, urls ...string) (string, *dist.Coordinator, *serve.Manager) {
+	t.Helper()
 	fleet, err := dist.New(urls, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := serve.NewManager(serve.Config{JobWorkers: 2, Fleet: fleet})
+	cfg.JobWorkers, cfg.Fleet = 2, fleet
+	m := serve.NewManager(cfg)
 	srv := httptest.NewServer(serve.NewHandler(m))
 	t.Cleanup(func() {
 		srv.Close()
 		shutdown(t, m)
 		fleet.Close()
 	})
-	return srv.URL, fleet
+	return srv.URL, fleet, m
 }
 
 // post submits a request body and returns status and response bytes.
@@ -374,7 +383,7 @@ func TestFleetHedging(t *testing.T) {
 	req, _ := json.Marshal(serve.CellRequest{
 		Kind: "sweep", Workload: "exchange2", InOrder: true, Sampling: tinySampling(),
 	})
-	raw, stat, err := fleet.Do(context.Background(), "/v1/cell", "", req)
+	raw, stat, err := fleet.Do(context.Background(), "/v1/cell", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +446,7 @@ func TestEvictionAndReadmission(t *testing.T) {
 
 	// The readmitted worker serves again.
 	req, _ := json.Marshal(serve.CellRequest{Kind: "gadget", Program: "meltdown"})
-	if _, _, err := fleet.Do(context.Background(), "/v1/cell", "", req); err != nil {
+	if _, _, err := fleet.Do(context.Background(), "/v1/cell", req); err != nil {
 		t.Fatalf("cell after readmission: %v", err)
 	}
 }

@@ -37,31 +37,12 @@ func (c *Coordinator) Stats() []WorkerStats {
 	return out
 }
 
-// SharedStats snapshots the fleet-shared tier's counters: cells served
-// without a dispatch, cells the store lacked, and cells written back.
-func (c *Coordinator) SharedStats() (hits, misses, puts int64) {
-	return c.sharedHits.Load(), c.sharedMisses.Load(), c.sharedPuts.Load()
-}
-
 // RenderMetrics emits the fleet counters in the Prometheus text exposition
 // format, one labelled series per worker; ndaserve appends it to the
 // service's own /metrics block when running as a coordinator.
 func (c *Coordinator) RenderMetrics() string {
 	stats := c.Stats()
 	var b strings.Builder
-	if c.opts.SharedStore != nil {
-		hits, misses, puts := c.SharedStats()
-		for _, s := range []struct {
-			name, help string
-			v          int64
-		}{
-			{"nda_dist_shared_hits_total", "cells served from the fleet-shared store without dispatching", hits},
-			{"nda_dist_shared_misses_total", "cells the fleet-shared store did not hold", misses},
-			{"nda_dist_shared_puts_total", "completed cells written back to the fleet-shared store", puts},
-		} {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", s.name, s.help, s.name, s.name, s.v)
-		}
-	}
 	series := func(name, help, typ string, value func(WorkerStats) string) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 		for _, s := range stats {

@@ -26,9 +26,7 @@ func TestFleetSharedStoreTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts1 := fleetOpts()
-	opts1.SharedStore = shared1
-	coord1, fleet1 := startCoordinator(t, opts1, startWorker(t), startWorker(t))
+	coord1, _, mgr1 := startCoordinatorWith(t, serve.Config{SharedStore: shared1}, fleetOpts(), startWorker(t), startWorker(t))
 
 	code, body := post(t, coord1+"/v1/sweep", sweep92())
 	if code != http.StatusAccepted {
@@ -42,7 +40,7 @@ func TestFleetSharedStoreTier(t *testing.T) {
 	if st.Tiers.Computed != 92 || st.Tiers.FleetShared != 0 {
 		t.Fatalf("cold fleet pass tiers = %+v, want 92 computed", st.Tiers)
 	}
-	if hits, _, puts := fleet1.SharedStats(); hits != 0 || puts != 92 {
+	if hits, puts := mgr1.Metrics().SharedHits.Load(), mgr1.Metrics().SharedPuts.Load(); hits != 0 || puts != 92 {
 		t.Fatalf("cold pass shared stats: hits=%d puts=%d, want 0/92", hits, puts)
 	}
 	code, got := get(t, coord1+"/v1/jobs/"+st.ID+"/result")
@@ -56,9 +54,7 @@ func TestFleetSharedStoreTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts2 := fleetOpts()
-	opts2.SharedStore = shared2
-	coord2, fleet2 := startCoordinator(t, opts2, startWorker(t))
+	coord2, fleet2, mgr2 := startCoordinatorWith(t, serve.Config{SharedStore: shared2}, fleetOpts(), startWorker(t))
 
 	code, body = post(t, coord2+"/v1/sweep", sweep92())
 	if code != http.StatusAccepted {
@@ -77,7 +73,7 @@ func TestFleetSharedStoreTier(t *testing.T) {
 			t.Errorf("fleet-shared hit dispatched to %s anyway (%d attempts)", ws.Worker, ws.Dispatched)
 		}
 	}
-	if hits, misses, _ := fleet2.SharedStats(); hits != 92 || misses != 0 {
+	if hits, misses := mgr2.Metrics().SharedHits.Load(), mgr2.Metrics().SharedMisses.Load(); hits != 92 || misses != 0 {
 		t.Errorf("replica shared stats: hits=%d misses=%d, want 92/0", hits, misses)
 	}
 	code, got = get(t, coord2+"/v1/jobs/"+st.ID+"/result")

@@ -315,13 +315,63 @@ func (s *Sweep) Overhead(config string) float64 {
 	return (s.MeanNormalizedCPI(config) - 1) * 100
 }
 
-// cellJob is one (configuration, workload) cell of the sweep matrix.
-type cellJob struct {
-	config  string
-	pol     core.Policy // unused when inOrder is set
-	inOrder bool
-	spec    workload.Spec
-	specIdx int
+// Cell is one (workload, configuration) cell of the sweep grid: the
+// workload under one policy on the OoO core, or on the in-order core.
+type Cell struct {
+	Spec    workload.Spec
+	Policy  core.Policy // zero for the in-order core
+	InOrder bool
+}
+
+// Config is the cell's column label in a Sweep: the policy's name, or
+// InOrderName.
+func (c Cell) Config() string {
+	if c.InOrder {
+		return InOrderName
+	}
+	return c.Policy.Name
+}
+
+// Measure runs the cell under cfg. In checkpoint mode (cfg.UseCheckpoints)
+// it samples from ss, the workload's series from TakeSamples; otherwise ss
+// is unused and the cell simulates continuously.
+func (c Cell) Measure(ctx context.Context, cfg Config, ss *SampleSeries) (*Measurement, error) {
+	switch {
+	case cfg.UseCheckpoints && c.InOrder:
+		return MeasureInOrderSamples(ctx, c.Spec, cfg, ss)
+	case cfg.UseCheckpoints:
+		return MeasureOoOSamples(ctx, c.Spec, c.Policy, cfg, ss)
+	case c.InOrder:
+		return MeasureInOrderCtx(ctx, c.Spec, cfg)
+	default:
+		return MeasureOoOCtx(ctx, c.Spec, c.Policy, cfg)
+	}
+}
+
+// Grid lays out a sweep: its cells workload-major (for each workload, every
+// policy in order, then the in-order core when inOrder is set) and the
+// empty Sweep whose axes they fill. RunSweepCtx and the serving layer both
+// build their tables from it, so a served sweep has exactly the shape of a
+// local one.
+func Grid(specs []workload.Spec, policies []core.Policy, inOrder bool) ([]Cell, *Sweep) {
+	var workloads, configs []string
+	for _, pol := range policies {
+		configs = append(configs, pol.Name)
+	}
+	if inOrder {
+		configs = append(configs, InOrderName)
+	}
+	cells := make([]Cell, 0, len(specs)*len(configs))
+	for _, spec := range specs {
+		workloads = append(workloads, spec.Name)
+		for _, pol := range policies {
+			cells = append(cells, Cell{Spec: spec, Policy: pol})
+		}
+		if inOrder {
+			cells = append(cells, Cell{Spec: spec, InOrder: true})
+		}
+	}
+	return cells, NewSweep(workloads, configs)
 }
 
 // RunSweep measures every benchmark under every policy (and, when
@@ -343,17 +393,15 @@ func RunSweep(specs []workload.Spec, policies []core.Policy, includeInOrder bool
 // ctx.Done()), no further progress lines are emitted, and the ctx error is
 // returned. Job errors from cells that ran take precedence.
 func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Policy, includeInOrder bool, cfg Config, progress func(string)) (*Sweep, error) {
-	var workloads, configs []string
-	for _, spec := range specs {
-		workloads = append(workloads, spec.Name)
-	}
-	for _, pol := range policies {
-		configs = append(configs, pol.Name)
-	}
+	// Grid's cells are workload-major, so a workload's cells are
+	// contiguous: they are handed out in order, cluster in time, and the
+	// workload's checkpoint series can be released as soon as the last one
+	// finishes.
+	cells, sw := Grid(specs, policies, includeInOrder)
+	perWorkload := len(policies)
 	if includeInOrder {
-		configs = append(configs, InOrderName)
+		perWorkload++
 	}
-	sw := NewSweep(workloads, configs)
 
 	// In checkpoint mode the sampling points depend only on the workload,
 	// so each workload's series is captured once (in parallel) and shared
@@ -364,12 +412,8 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 	if cfg.UseCheckpoints {
 		series = make([]*SampleSeries, len(specs))
 		seriesLeft = make([]atomic.Int64, len(specs))
-		perWorkload := int64(len(policies))
-		if includeInOrder {
-			perWorkload++
-		}
 		for i := range seriesLeft {
-			seriesLeft[i].Store(perWorkload)
+			seriesLeft[i].Store(int64(perWorkload))
 		}
 		if err := par.RunCtx(ctx, len(specs), cfg.workerCount(), func(i int) error {
 			ss, err := TakeSamples(specs[i], cfg)
@@ -383,25 +427,12 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 		}
 	}
 
-	// One job per cell, ordered workload-major: indices are handed out in
-	// order, so a workload's cells cluster in time and its checkpoint
-	// series can be released as soon as the last one finishes.
-	var jobs []cellJob
-	for si, spec := range specs {
-		for _, pol := range policies {
-			jobs = append(jobs, cellJob{config: pol.Name, pol: pol, spec: spec, specIdx: si})
-		}
-		if includeInOrder {
-			jobs = append(jobs, cellJob{config: InOrderName, inOrder: true, spec: spec, specIdx: si})
-		}
-	}
-
 	// Cells saturate the pool on their own; the per-sample fan-out inside
 	// the checkpointed measurements stays serial to avoid nested pools.
 	cellCfg := cfg
 	cellCfg.Workers = 1
 
-	results := make([]*Measurement, len(jobs))
+	results := make([]*Measurement, len(cells))
 	var (
 		progressMu sync.Mutex
 		done       int
@@ -421,29 +452,22 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 			return
 		}
 		done++
-		progress(fmt.Sprintf("[%3d/%3d] %-18s %-14s CPI %s", done, len(jobs), m.Config, m.Workload, m.CPI))
+		progress(fmt.Sprintf("[%3d/%3d] %-18s %-14s CPI %s", done, len(cells), m.Config, m.Workload, m.CPI))
 	}
-	err := par.RunCtx(ctx, len(jobs), cfg.workerCount(), func(i int) error {
-		j := jobs[i]
-		var m *Measurement
-		var err error
-		switch {
-		case cfg.UseCheckpoints && j.inOrder:
-			m, err = MeasureInOrderSamples(ctx, j.spec, cellCfg, series[j.specIdx])
-		case cfg.UseCheckpoints:
-			m, err = MeasureOoOSamples(ctx, j.spec, j.pol, cellCfg, series[j.specIdx])
-		case j.inOrder:
-			m, err = MeasureInOrderCtx(ctx, j.spec, cellCfg)
-		default:
-			m, err = MeasureOoOCtx(ctx, j.spec, j.pol, cellCfg)
+	err := par.RunCtx(ctx, len(cells), cfg.workerCount(), func(i int) error {
+		w := i / perWorkload
+		var ss *SampleSeries
+		if cfg.UseCheckpoints {
+			ss = series[w]
 		}
+		m, err := cells[i].Measure(ctx, cellCfg, ss)
 		if err != nil {
 			return err
 		}
-		if cfg.UseCheckpoints && seriesLeft[j.specIdx].Add(-1) == 0 {
+		if cfg.UseCheckpoints && seriesLeft[w].Add(-1) == 0 {
 			// Last cell of this workload: drop the series so its cloned
 			// memory pages can be reclaimed while the sweep continues.
-			series[j.specIdx] = nil
+			series[w] = nil
 		}
 		results[i] = m
 		note(m)
@@ -453,8 +477,8 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 		return nil, err
 	}
 
-	for i, j := range jobs {
-		sw.Set(j.config, j.spec.Name, results[i])
+	for i, c := range cells {
+		sw.Set(c.Config(), c.Spec.Name, results[i])
 	}
 	return sw, nil
 }

@@ -7,14 +7,17 @@ import (
 	"sync"
 )
 
-// Tier is a second cache level consulted under the in-RAM LRU: the disk
-// store (internal/store) in this process, or any other persistent
-// key/value layer keyed by the same Key(...) hashes. Both methods are
-// best-effort — a tier that misses or fails simply pushes the request to
-// the next level (compute).
+// Tier is one persistent cache level under the in-RAM LRU: the local disk
+// store (internal/store), the fleet-shared store, or any other key/value
+// layer keyed by the same Key(...) hashes. Every method is best-effort — a
+// tier that misses or fails simply pushes the request to the next level,
+// and finally to compute.
 type Tier interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, val []byte)
+	// Has reports presence without reading the value (the admission
+	// probe).
+	Has(key string) bool
 }
 
 // HitTier reports which level served a cache lookup.
@@ -27,9 +30,11 @@ const (
 	// HitRAM: served from the in-process LRU, including joins on another
 	// caller's in-flight computation (the work ran once, not per caller).
 	HitRAM
-	// HitDisk: missed RAM, served from the persistent tier, and installed
-	// back into RAM for the next caller.
+	// HitDisk: missed RAM, served from the local disk store.
 	HitDisk
+	// HitShared: missed RAM and disk, served from the fleet-shared store
+	// without dispatching to any worker.
+	HitShared
 )
 
 // Cache is the content-addressed result store with singleflight
@@ -126,17 +131,17 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error))
 	return v, tier == HitRAM, err
 }
 
-// DoTiered is Do with a persistent second level underneath the RAM tier.
-// On a RAM miss it consults tier2 (when non-nil): a stored value is
-// decoded with decode, installed into RAM, and served as HitDisk. When
-// every tier misses, compute runs; its result is canonically JSON-encoded
-// once — for the RAM tier's byte accounting and, when tier2 is present,
-// persisted so the next process start finds it. decode must be the
-// inverse of that encoding for the value's concrete type; a decode
-// failure (a corrupt or alien stored value) falls through to compute and
-// the recomputed value overwrites nothing (keys are content-addressed, so
-// the bytes would be identical anyway).
-func (c *Cache) DoTiered(ctx context.Context, key string, tier2 Tier, decode func([]byte) (any, error), compute func() (any, error)) (v any, tier HitTier, err error) {
+// DoTiered is Do over an ordered chain of persistent levels under the RAM
+// tier. On a RAM miss it walks tiers in order, skipping nil levels: the
+// first stored value that decode accepts is installed into RAM, written
+// back into every level before the one that held it, and reported as
+// HitDisk+i for tiers[i] (the manager passes [disk, fleet-shared]). An
+// entry decode rejects — corrupt or alien bytes — counts as a miss and the
+// walk moves on. When every level misses, compute runs and its result is
+// canonically JSON-encoded once: the same bytes go into every level, and
+// their length into the RAM tier's byte accounting. A nil or empty chain
+// skips the encoding.
+func (c *Cache) DoTiered(ctx context.Context, key string, tiers []Tier, decode func([]byte) (any, error), compute func() (any, error)) (v any, tier HitTier, err error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.m[key]; ok {
@@ -162,21 +167,36 @@ func (c *Cache) DoTiered(ctx context.Context, key string, tier2 Tier, decode fun
 		c.mu.Unlock()
 
 		tier = Computed
-		if tier2 != nil && decode != nil {
-			if b, ok := tier2.Get(key); ok {
-				if dv, derr := decode(b); derr == nil {
-					e.val, e.size, tier = dv, len(b), HitDisk
+		for i, t := range tiers {
+			if t == nil {
+				continue
+			}
+			b, ok := t.Get(key)
+			if !ok {
+				continue
+			}
+			dv, derr := decode(b)
+			if derr != nil {
+				continue
+			}
+			e.val, e.size, tier = dv, len(b), HitDisk+HitTier(i)
+			for _, up := range tiers[:i] {
+				if up != nil {
+					up.Put(key, b)
 				}
 			}
+			break
 		}
 		if tier == Computed {
 			e.val, e.err = compute()
-			if e.err == nil && tier2 != nil {
-				// One canonical encoding serves both needs: the disk
-				// tier's value bytes and the RAM tier's size accounting.
+			if e.err == nil && len(tiers) > 0 {
 				if b, merr := json.Marshal(e.val); merr == nil {
 					e.size = len(b)
-					tier2.Put(key, b)
+					for _, t := range tiers {
+						if t != nil {
+							t.Put(key, b)
+						}
+					}
 				}
 			}
 		}

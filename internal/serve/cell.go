@@ -4,13 +4,22 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"nda/internal/attack"
 	"nda/internal/core"
 	"nda/internal/gadget"
 	"nda/internal/harness"
+	"nda/internal/ooo"
 	"nda/internal/workload"
 )
+
+// This file defines the cell, the one unit of work every path resolves: a
+// job's plan (run.go), a warm run, and a worker's POST /v1/cell all build
+// their cells with the constructors below and hand them to the same
+// resolver. A cell carries its content key, the CellRequest a fleet worker
+// recomputes it from, and its kind's table entry (local compute and result
+// codec), so a result kind is one constructor plus one cellKind.
 
 // CellRequest is the fleet's unit of work: exactly one simulation cell,
 // shipped by a coordinator to a worker as POST /v1/cell and answered with
@@ -42,110 +51,226 @@ type CellRequest struct {
 	Program string `json:"program,omitempty"`
 }
 
-// cellTask is the validated, name-resolved form of a CellRequest.
-type cellTask struct {
-	kind string
-
-	spec workload.Spec
-	pol  core.Policy
-	in   bool
-	cfg  harness.Config
-	spl  SamplingSpec
-
-	attack attack.Kind
-	gadget gadget.Input
+// cellKind is one result kind's table entry: how its value is computed in
+// this process and decoded from a tier's or a worker's bytes.
+type cellKind struct {
+	compute func(m *Manager, ctx context.Context, c *cell) (any, error)
+	decode  func(b []byte) (any, error)
 }
 
-func (r CellRequest) task() (*cellTask, error) {
-	t := &cellTask{kind: r.Kind}
+var (
+	sweepKind  = &cellKind{compute: (*Manager).measure, decode: decodeJSON[harness.Measurement]}
+	attackKind = &cellKind{compute: (*Manager).runAttack, decode: decodeJSON[attack.Outcome]}
+	gadgetKind = &cellKind{compute: (*Manager).census, decode: decodeJSON[gadget.ProgramReport]}
+)
+
+// cell is one resolvable unit of work. Only the inputs of its own kind are
+// set.
+type cell struct {
+	kind *cellKind
+	key  string      // content address in every tier
+	req  CellRequest // what a fleet worker is sent on a miss
+
+	sweep  harness.Cell
+	cfg    *harness.Config // shared by a sweep's cells
+	attack attack.Cell
+	prog   gadget.Input
+}
+
+// decodeJSON is the codec of every kind: values are stored and shipped as
+// their canonical JSON.
+func decodeJSON[T any](b []byte) (any, error) {
+	v := new(T)
+	if err := json.Unmarshal(b, v); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// sweepCellKey describes everything a sweep cell's result depends on. The
+// embedded harness.Config carries the full sampling spec and ooo.Params;
+// Workers is zeroed before hashing because parallelism must never change
+// identity.
+type sweepCellKey struct {
+	Workload string         `json:"workload"`
+	InOrder  bool           `json:"in_order"`
+	Policy   core.Policy    `json:"policy"`
+	Config   harness.Config `json:"config"`
+}
+
+// seriesKey identifies a workload's checkpoint series: the sampling spec
+// determines where the sampling points fall, nothing else does.
+type seriesKey struct {
+	Workload string         `json:"workload"`
+	Config   harness.Config `json:"config"`
+}
+
+// attackCellKey describes one (attack, policy) security-matrix cell.
+type attackCellKey struct {
+	Attack  attack.Kind `json:"attack"`
+	InOrder bool        `json:"in_order"`
+	Policy  core.Policy `json:"policy"`
+	Params  ooo.Params  `json:"params"`
+}
+
+// gadgetKey identifies one program's static census entry.
+type gadgetKey struct {
+	Program string `json:"program"`
+	Window  int    `json:"window"`
+}
+
+// sweepCell builds a sweep cell. The fleet request carries the sampling
+// spec as written; the worker resolves it to the identical config.
+func sweepCell(hc harness.Cell, cfg *harness.Config, sampling SamplingSpec) cell {
+	keyCfg := *cfg
+	keyCfg.Workers = 0
+	c := cell{
+		kind:  sweepKind,
+		key:   Key("sweep-cell", sweepCellKey{Workload: hc.Spec.Name, InOrder: hc.InOrder, Policy: hc.Policy, Config: keyCfg}),
+		req:   CellRequest{Kind: "sweep", Workload: hc.Spec.Name, InOrder: hc.InOrder, Sampling: sampling},
+		sweep: hc,
+		cfg:   cfg,
+	}
+	if !hc.InOrder {
+		c.req.Policy = hc.Policy.Name
+	}
+	return c
+}
+
+// seriesID is the cache key of a workload's checkpoint series.
+func seriesID(spec workload.Spec, cfg harness.Config) string {
+	cfg.Workers = 0
+	return Key("series", seriesKey{Workload: spec.Name, Config: cfg})
+}
+
+// attackCell builds an attack-matrix cell simulated under params.
+func attackCell(ac attack.Cell, params ooo.Params) cell {
+	c := cell{
+		kind:   attackKind,
+		key:    Key("attack-cell", attackCellKey{Attack: ac.Attack, InOrder: ac.InOrder, Policy: ac.Pol, Params: params}),
+		req:    CellRequest{Kind: "attack", Attack: string(ac.Attack), InOrder: ac.InOrder},
+		attack: ac,
+	}
+	if !ac.InOrder {
+		c.req.Policy = ac.Pol.Name
+	}
+	return c
+}
+
+// gadgetCell builds a program's census cell.
+func gadgetCell(in gadget.Input) cell {
+	return cell{
+		kind: gadgetKind,
+		key:  Key("gadget", gadgetKey{Program: in.Name, Window: gadget.DefaultWindow}),
+		req:  CellRequest{Kind: "gadget", Program: in.Name},
+		prog: in,
+	}
+}
+
+// cell validates the request and builds its cell with the constructor a
+// job would use, so a worker resolves it under the coordinator's key.
+func (r CellRequest) cell(params ooo.Params) (cell, error) {
 	switch r.Kind {
 	case "sweep":
-		s, err := workload.ByName(r.Workload)
+		spec, err := workload.ByName(r.Workload)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
-		t.spec, t.in, t.spl = s, r.InOrder, r.Sampling
-		t.cfg = r.Sampling.resolve()
-		if r.InOrder {
-			if r.Policy != "" {
-				return nil, fmt.Errorf("serve: in-order cell must not name a policy (got %q)", r.Policy)
-			}
-		} else {
-			if t.pol, err = core.ByName(r.Policy); err != nil {
-				return nil, err
+		hc := harness.Cell{Spec: spec, InOrder: r.InOrder}
+		switch {
+		case r.InOrder && r.Policy != "":
+			return cell{}, fmt.Errorf("serve: in-order cell must not name a policy (got %q)", r.Policy)
+		case !r.InOrder:
+			if hc.Policy, err = core.ByName(r.Policy); err != nil {
+				return cell{}, err
 			}
 		}
+		cfg := r.Sampling.resolve()
+		return sweepCell(hc, &cfg, r.Sampling), nil
 	case "attack":
-		known := false
-		for _, k := range attack.All() {
-			known = known || k == attack.Kind(r.Attack)
+		kind, err := attack.ByName(r.Attack)
+		if err != nil {
+			return cell{}, err
 		}
-		if !known {
-			return nil, fmt.Errorf("serve: unknown attack %q", r.Attack)
-		}
-		t.attack, t.in = attack.Kind(r.Attack), r.InOrder
+		ac := attack.Cell{Attack: kind, InOrder: r.InOrder}
 		if !r.InOrder {
-			var err error
-			if t.pol, err = core.ByName(r.Policy); err != nil {
-				return nil, err
+			if ac.Pol, err = core.ByName(r.Policy); err != nil {
+				return cell{}, err
 			}
 		}
+		return attackCell(ac, params), nil
 	case "gadget":
-		builtins, err := cachedBuiltins()
+		in, err := builtin(r.Program)
+		if err != nil {
+			return cell{}, err
+		}
+		return gadgetCell(in), nil
+	}
+	return cell{}, fmt.Errorf("serve: unknown cell kind %q (want sweep, attack, or gadget)", r.Kind)
+}
+
+// cachedBuiltins memoizes gadget.Builtins for the life of the process:
+// assembling every builtin attack and workload program costs far more than
+// serving a cache-resolved census cell, and the set is immutable (census
+// goroutines already share Input values read-only, see gadget.BuildReport).
+var cachedBuiltins = sync.OnceValues(gadget.Builtins)
+
+// builtin looks up one census program by name.
+func builtin(name string) (gadget.Input, error) {
+	ins, err := cachedBuiltins()
+	if err != nil {
+		return gadget.Input{}, err
+	}
+	for _, in := range ins {
+		if in.Name == name {
+			return in, nil
+		}
+	}
+	return gadget.Input{}, fmt.Errorf("serve: unknown program %q", name)
+}
+
+// measure computes a sweep cell. In checkpoint mode the workload's sample
+// series is itself cache-resolved first, so the functional fast-forward
+// and checkpoint capture happen once per (workload, sampling spec) per
+// process.
+func (m *Manager) measure(ctx context.Context, c *cell) (any, error) {
+	var ss *harness.SampleSeries
+	if c.cfg.UseCheckpoints {
+		v, _, err := m.cache.Do(ctx, seriesID(c.sweep.Spec, *c.cfg), func() (any, error) {
+			return harness.TakeSamples(c.sweep.Spec, *c.cfg)
+		})
 		if err != nil {
 			return nil, err
 		}
-		found := false
-		for _, in := range builtins {
-			if in.Name == r.Program {
-				t.gadget, found = in, true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("serve: unknown program %q", r.Program)
-		}
-	default:
-		return nil, fmt.Errorf("serve: unknown cell kind %q (want sweep, attack, or gadget)", r.Kind)
+		ss = v.(*harness.SampleSeries)
 	}
-	return t, nil
+	mres, err := c.sweep.Measure(ctx, *c.cfg, ss)
+	if err != nil {
+		return nil, err
+	}
+	m.simulated(mres.Cycles)
+	return mres, nil
 }
 
-// RunCell evaluates one validated cell synchronously (no job queue: cells
-// are the fleet's smallest work unit, bounded by the coordinator's
-// per-worker windows, not by this worker's job queue). The result is
-// resolved through this worker's cache like any local cell, so a fleet in
-// front of warmed workers costs one HTTP round-trip per cell and nothing
-// else.
-func (m *Manager) runCell(ctx context.Context, t *cellTask) (any, error) {
-	switch t.kind {
-	case "sweep":
-		return m.measureCell(ctx, nil, t.spec, t.pol, t.in, t.cfg, t.spl)
-	case "attack":
-		return m.attackCell(ctx, nil, t.attack, t.pol, t.in)
-	default:
-		return m.gadgetCell(ctx, nil, t.gadget)
+// runAttack computes an attack-matrix cell.
+func (m *Manager) runAttack(ctx context.Context, c *cell) (any, error) {
+	out, err := c.attack.Run(ctx, m.cfg.Params)
+	if err != nil {
+		return nil, err
 	}
+	m.simulated(out.Cycles)
+	return out, nil
 }
 
-// remoteCell resolves one cell through the fleet and decodes the winning
-// response into out. The coordinator consults its fleet-shared store under
-// the cell's cache key first — sharedHit reports that the result came from
-// there and no worker was touched. On a real dispatch, the job's
-// per-worker progress counters absorb the dispatch record (retries,
-// hedges, the worker that served it).
-func (m *Manager) remoteCell(ctx context.Context, j *Job, key string, req CellRequest, out any) (sharedHit bool, err error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return false, err
-	}
-	raw, stat, err := m.cfg.Fleet.Do(ctx, "/v1/cell", key, body)
-	j.noteDispatch(stat)
-	if err != nil {
-		return false, err
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return false, fmt.Errorf("serve: undecodable cell response from %s: %w", stat.Worker, err)
-	}
-	return stat.SharedHit, nil
+// census computes a program's static census entry.
+func (m *Manager) census(_ context.Context, c *cell) (any, error) {
+	in := c.prog
+	pr := gadget.NewProgramReport(in.Name, in.Group, gadget.Analyze(in.Prog, in.Cfg), in.Group == "attack")
+	return &pr, nil
+}
+
+// simulated counts one detailed simulation of the given length.
+func (m *Manager) simulated(cycles uint64) {
+	m.metrics.Simulations.Add(1)
+	m.metrics.CyclesSimulated.Add(int64(cycles))
 }

@@ -63,12 +63,12 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 			return
 		}
-		t, err := req.task()
+		c, err := req.cell(m.cfg.Params)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		v, err := m.runCell(r.Context(), t)
+		v, err := m.resolve(r.Context(), nil, &c)
 		switch {
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			// The coordinator hung up (hedge lost, retry timeout): the

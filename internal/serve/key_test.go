@@ -1,6 +1,10 @@
 package serve
 
-import "testing"
+import (
+	"testing"
+
+	"nda/internal/ooo"
+)
 
 // TestKeyGolden pins the exact key strings produced for fixed payloads.
 // The key preimage folds in store.FormatVersion, so these literals break —
@@ -51,5 +55,60 @@ func TestKeyDistinguishes(t *testing.T) {
 		if other == base {
 			t.Fatalf("changing %s did not change the key", name)
 		}
+	}
+}
+
+// TestCellKeyGolden pins the keys the production cell constructors derive:
+// the addresses of every persisted store entry. A drift in a key payload
+// (sweepCellKey, seriesKey, attackCellKey, gadgetKey) or in what the
+// constructors put into one would orphan every stored result while every
+// byte-identity test still passed. Each cell is built twice — from a job's
+// plan and from the CellRequest a coordinator would send for it — and both
+// must land on the pinned key.
+func TestCellKeyGolden(t *testing.T) {
+	params := ooo.DefaultParams()
+	planned := func(p *plan, err error) []cell {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.cells
+	}
+	sweep := planned(SweepRequest{Workloads: []string{"gcc"}, Policies: []string{"OoO", "Strict+BR"}}.plan())
+	ckpt := SamplingSpec{Quick: true, Checkpoints: true}
+	quick := planned(SweepRequest{Workloads: []string{"mcf"}, Policies: []string{"Permissive+BR"}, NoInOrder: true, Sampling: ckpt}.plan())
+	atk := planned(AttackRequest{Attacks: []string{"meltdown", "ssb"}, Policies: []string{"Permissive"}}.plan(params))
+	gad := planned(GadgetsRequest{Programs: []string{"meltdown", "mcf"}}.plan())
+
+	cases := []struct {
+		name string
+		c    cell
+		want string
+	}{
+		{"sweep gcc/OoO", sweep[0], "sweep-cell:5d7909a4f47f73b2255a8dc5bb943de9"},
+		{"sweep gcc/Strict+BR", sweep[1], "sweep-cell:2d71e6d36518855bd2d7a60ebd3a0f29"},
+		{"sweep gcc/In-Order", sweep[2], "sweep-cell:b388c06449d73a3005aed387ddcbcb1a"},
+		{"checkpointed quick sweep mcf/Permissive+BR", quick[0], "sweep-cell:dab72f67bc5181066110009ffed3213b"},
+		{"attack meltdown/Permissive", atk[0], "attack-cell:314416ca3817793b6779a132ad867013"},
+		{"attack ssb/In-Order", atk[3], "attack-cell:afeabca4b51acd652244abdae3f03e4b"},
+		{"gadget meltdown", gad[0], "gadget:6c5f0ac8dc24149ec89ce6e3ae1b82d5"},
+		{"gadget mcf", gad[1], "gadget:ed30f5ce1ea5c246b56d05e4a2741cd8"},
+	}
+	for _, tc := range cases {
+		if tc.c.key != tc.want {
+			t.Errorf("%s: planned key\n  got  %s\n  want %s", tc.name, tc.c.key, tc.want)
+		}
+		remote, err := tc.c.req.cell(params)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if remote.key != tc.want {
+			t.Errorf("%s: CellRequest key\n  got  %s\n  want %s", tc.name, remote.key, tc.want)
+		}
+	}
+
+	// The checkpoint series a quick checkpointed cell samples from.
+	if got, want := seriesID(quick[0].sweep.Spec, *quick[0].cfg), "series:c71d5f149805c92dc51090e9a8edb662"; got != want {
+		t.Errorf("series mcf key\n  got  %s\n  want %s", got, want)
 	}
 }

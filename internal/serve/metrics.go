@@ -33,6 +33,10 @@ type Metrics struct {
 	CacheEvictions    atomic.Int64 // ready entries dropped by the LRU cap
 	CacheEvictedBytes atomic.Int64 // approximate encoded bytes those evictions released
 
+	// The fleet-shared tier's traffic (Config.SharedStore): lookups it
+	// served, lookups it did not hold, and computed cells written to it.
+	SharedHits, SharedMisses, SharedPuts atomic.Int64
+
 	CellsServed atomic.Int64 // worker-side /v1/cell requests completed
 
 	Simulations     atomic.Int64 // detailed simulations actually run
@@ -56,43 +60,38 @@ func (m *Metrics) CyclesPerSecond() float64 {
 	return float64(m.CyclesSimulated.Load()) / secs
 }
 
-// Render emits the Prometheus text exposition format.
-func (m *Metrics) Render() string {
-	var b strings.Builder
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("nda_jobs_queued_total", "jobs accepted into the queue", m.JobsQueued.Load())
-	counter("nda_jobs_rejected_total", "submissions rejected because the queue was full", m.JobsRejected.Load())
-	counter("nda_jobs_quota_rejected_total", "submissions rejected by a tenant rate quota", m.QuotaRejected.Load())
-	counter("nda_admission_store_served_total", "jobs admitted past a saturated queue because the store held every cell", m.AdmissionStoreServed.Load())
-	counter("nda_jobs_done_total", "jobs finished successfully", m.JobsDone.Load())
-	counter("nda_jobs_failed_total", "jobs finished with an error", m.JobsFailed.Load())
-	counter("nda_jobs_cancelled_total", "jobs ended by cancellation or timeout", m.JobsCancelled.Load())
-	counter("nda_cache_hits_total", "simulation cells served from the result cache", m.CacheHits.Load())
-	counter("nda_cache_misses_total", "simulation cells that had to simulate", m.CacheMisses.Load())
-	counter("nda_cache_disk_hits_total", "result-cache hits served by the persistent store tier", m.CacheDiskHits.Load())
-	counter("nda_cache_evictions_total", "result-cache entries evicted by the LRU cap", m.CacheEvictions.Load())
-	counter("nda_cache_evicted_bytes_total", "approximate encoded bytes released by those evictions", m.CacheEvictedBytes.Load())
-	counter("nda_cells_served_total", "worker-side /v1/cell requests completed", m.CellsServed.Load())
-	counter("nda_simulations_total", "detailed simulations run", m.Simulations.Load())
-	counter("nda_cycles_simulated_total", "measured cycles across all simulations", m.CyclesSimulated.Load())
-	fmt.Fprintf(&b, "# HELP nda_jobs_running jobs currently executing\n# TYPE nda_jobs_running gauge\nnda_jobs_running %d\n", m.JobsRunning.Load())
-	fmt.Fprintf(&b, "# HELP nda_cycles_per_second lifetime average simulated cycles per second\n# TYPE nda_cycles_per_second gauge\nnda_cycles_per_second %.1f\n", m.CyclesPerSecond())
-	//ndavet:allow detlint uptime gauge on /metrics; observability only, not in any result
-	fmt.Fprintf(&b, "# HELP nda_uptime_seconds seconds since the service started\n# TYPE nda_uptime_seconds gauge\nnda_uptime_seconds %.1f\n", time.Since(m.start).Seconds())
-	return b.String()
-}
-
-// RenderMetrics composes the full /metrics payload: the counter block,
-// live RAM-tier gauges, the persistent store's counters when one is
-// configured, and the fleet block when running as a coordinator.
+// RenderMetrics composes the full /metrics payload in the Prometheus text
+// exposition format: the counter block, live RAM-tier gauges, the
+// persistent and fleet-shared stores' counters when they are configured,
+// and the fleet block when running as a coordinator.
 func (m *Manager) RenderMetrics() string {
 	var b strings.Builder
-	b.WriteString(m.metrics.Render())
 	gauge := func(name, help string, v int64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
+	counter := func(name, help string, v int64) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	}
+	mt := m.metrics
+	counter("nda_jobs_queued_total", "jobs accepted into the queue", mt.JobsQueued.Load())
+	counter("nda_jobs_rejected_total", "submissions rejected because the queue was full", mt.JobsRejected.Load())
+	counter("nda_jobs_quota_rejected_total", "submissions rejected by a tenant rate quota", mt.QuotaRejected.Load())
+	counter("nda_admission_store_served_total", "jobs admitted past a saturated queue because the store held every cell", mt.AdmissionStoreServed.Load())
+	counter("nda_jobs_done_total", "jobs finished successfully", mt.JobsDone.Load())
+	counter("nda_jobs_failed_total", "jobs finished with an error", mt.JobsFailed.Load())
+	counter("nda_jobs_cancelled_total", "jobs ended by cancellation or timeout", mt.JobsCancelled.Load())
+	counter("nda_cache_hits_total", "simulation cells served from the result cache", mt.CacheHits.Load())
+	counter("nda_cache_misses_total", "simulation cells that had to simulate", mt.CacheMisses.Load())
+	counter("nda_cache_disk_hits_total", "result-cache hits served by the persistent store tier", mt.CacheDiskHits.Load())
+	counter("nda_cache_evictions_total", "result-cache entries evicted by the LRU cap", mt.CacheEvictions.Load())
+	counter("nda_cache_evicted_bytes_total", "approximate encoded bytes released by those evictions", mt.CacheEvictedBytes.Load())
+	counter("nda_cells_served_total", "worker-side /v1/cell requests completed", mt.CellsServed.Load())
+	counter("nda_simulations_total", "detailed simulations run", mt.Simulations.Load())
+	counter("nda_cycles_simulated_total", "measured cycles across all simulations", mt.CyclesSimulated.Load())
+	gauge("nda_jobs_running", "jobs currently executing", mt.JobsRunning.Load())
+	fmt.Fprintf(&b, "# HELP nda_cycles_per_second lifetime average simulated cycles per second\n# TYPE nda_cycles_per_second gauge\nnda_cycles_per_second %.1f\n", mt.CyclesPerSecond())
+	//ndavet:allow detlint uptime gauge on /metrics; observability only, not in any result
+	fmt.Fprintf(&b, "# HELP nda_uptime_seconds seconds since the service started\n# TYPE nda_uptime_seconds gauge\nnda_uptime_seconds %.1f\n", time.Since(mt.start).Seconds())
 	gauge("nda_cache_entries", "result-cache entries resident in RAM (ready or in flight)", int64(m.cache.Len()))
 	gauge("nda_cache_bytes", "approximate encoded bytes of ready RAM-tier entries", m.cache.Bytes())
 	if s := m.cfg.Store; s != nil {
@@ -100,9 +99,6 @@ func (m *Manager) RenderMetrics() string {
 		gauge("nda_store_entries", "entries resident in the persistent store", int64(c.Entries))
 		gauge("nda_store_bytes", "bytes held by the persistent store (headers and keys included)", c.Bytes)
 		gauge("nda_store_max_bytes", "the persistent store's byte budget", c.MaxBytes)
-		counter := func(name, help string, v int64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-		}
 		counter("nda_store_hits_total", "lookups the persistent store served", c.Hits)
 		counter("nda_store_misses_total", "lookups the persistent store did not hold", c.Misses)
 		counter("nda_store_puts_total", "entries written to the persistent store", c.Puts)
@@ -110,6 +106,11 @@ func (m *Manager) RenderMetrics() string {
 		counter("nda_store_evictions_total", "entries evicted by the store's byte budget", c.Evictions)
 		counter("nda_store_evicted_bytes_total", "bytes released by those evictions", c.EvictedBytes)
 		counter("nda_store_dropped_on_open_total", "invalid entries dropped during open-time recovery", c.DroppedOnOpen)
+	}
+	if m.cfg.SharedStore != nil {
+		counter("nda_dist_shared_hits_total", "cells served from the fleet-shared store without dispatching", mt.SharedHits.Load())
+		counter("nda_dist_shared_misses_total", "cells the fleet-shared store did not hold", mt.SharedMisses.Load())
+		counter("nda_dist_shared_puts_total", "completed cells written back to the fleet-shared store", mt.SharedPuts.Load())
 	}
 	if f := m.cfg.Fleet; f != nil {
 		b.WriteString(f.RenderMetrics())

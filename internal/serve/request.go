@@ -5,7 +5,9 @@ import (
 
 	"nda/internal/attack"
 	"nda/internal/core"
+	"nda/internal/gadget"
 	"nda/internal/harness"
+	"nda/internal/ooo"
 	"nda/internal/workload"
 )
 
@@ -27,13 +29,16 @@ type SamplingSpec struct {
 	MaxCycles        uint64 `json:"max_cycles,omitempty"`
 }
 
-// resolve maps the spec onto a concrete harness.Config. Workers stays 0 —
-// parallelism is the manager's concern and must never reach a cache key.
+// resolve maps the spec onto a concrete harness.Config. Workers is 1: the
+// cells fill the pool on their own, so a checkpointed cell's samples run
+// serially, exactly as in harness.RunSweep. Cache keys zero it, because
+// parallelism must never change identity.
 func (s SamplingSpec) resolve() harness.Config {
 	cfg := harness.DefaultConfig()
 	if s.Quick {
 		cfg = harness.Quick()
 	}
+	cfg.Workers = 1
 	cfg.UseCheckpoints = s.Checkpoints
 	if s.CheckpointStride > 0 {
 		cfg.CheckpointStride = s.CheckpointStride
@@ -66,46 +71,63 @@ type SweepRequest struct {
 	Sampling  SamplingSpec `json:"sampling,omitempty"`
 }
 
-// sweepTask is the validated, name-resolved form of a SweepRequest. It
-// keeps the sampling spec as written alongside the resolved config: cache
-// keys hash the resolved config, while fleet dispatch forwards the spec so
-// workers resolve it to the identical config themselves.
-type sweepTask struct {
-	specs    []workload.Spec
-	pols     []core.Policy
-	inOrder  bool
-	cfg      harness.Config
-	sampling SamplingSpec
-}
-
-func (r SweepRequest) task() (*sweepTask, error) {
-	t := &sweepTask{inOrder: !r.NoInOrder, cfg: r.Sampling.resolve(), sampling: r.Sampling}
+// plan validates the request and lays its cells out with harness.Grid.
+func (r SweepRequest) plan() (*plan, error) {
+	var specs []workload.Spec
 	if len(r.Workloads) == 0 {
-		t.specs = workload.SPEC()
-	} else {
-		for _, name := range r.Workloads {
-			s, err := workload.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			t.specs = append(t.specs, s)
-		}
+		specs = workload.SPEC()
 	}
-	if len(r.Policies) == 0 {
-		t.pols = core.All()
-	} else {
-		for _, name := range r.Policies {
-			p, err := core.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			t.pols = append(t.pols, p)
+	for _, name := range r.Workloads {
+		s, err := workload.ByName(name)
+		if err != nil {
+			return nil, err
 		}
+		specs = append(specs, s)
 	}
-	if len(t.specs) == 0 || (len(t.pols) == 0 && !t.inOrder) {
+	pols, err := policies(r.Policies)
+	if err != nil {
+		return nil, err
+	}
+	if len(specs) == 0 || (len(pols) == 0 && r.NoInOrder) {
 		return nil, fmt.Errorf("serve: empty sweep (no workloads or no configurations)")
 	}
-	return t, nil
+	cfg := r.Sampling.resolve()
+	hcells, sw := harness.Grid(specs, pols, !r.NoInOrder)
+	cells := make([]cell, len(hcells))
+	for i, hc := range hcells {
+		cells[i] = sweepCell(hc, &cfg, r.Sampling)
+	}
+	return &plan{cells: cells, assemble: func(vals []any) any {
+		for i, hc := range hcells {
+			sw.Set(hc.Config(), hc.Spec.Name, vals[i].(*harness.Measurement))
+		}
+		resp := &SweepResponse{Sweep: sw}
+		if sw.Baseline(sw.Workloads[0]) != nil {
+			resp.Overheads = make(map[string]float64, len(sw.Configs))
+			for _, name := range sw.Configs {
+				if name != core.Baseline().Name {
+					resp.Overheads[name] = sw.Overhead(name)
+				}
+			}
+		}
+		return resp
+	}}, nil
+}
+
+// policies resolves policy names; none means every configuration.
+func policies(names []string) ([]core.Policy, error) {
+	if len(names) == 0 {
+		return core.All(), nil
+	}
+	pols := make([]core.Policy, len(names))
+	for i, name := range names {
+		p, err := core.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		pols[i] = p
+	}
+	return pols, nil
 }
 
 // SweepResponse is the sweep result: the full measurement grid plus the
@@ -125,44 +147,42 @@ type AttackRequest struct {
 	NoInOrder bool     `json:"no_in_order,omitempty"`
 }
 
-type attackTask struct {
-	kinds   []attack.Kind
-	pols    []core.Policy
-	inOrder bool
-}
-
-func (r AttackRequest) task() (*attackTask, error) {
-	t := &attackTask{inOrder: !r.NoInOrder}
-	if len(r.Attacks) == 0 {
-		t.kinds = attack.All()
-	} else {
-		known := map[attack.Kind]bool{}
-		for _, k := range attack.All() {
-			known[k] = true
-		}
-		for _, name := range r.Attacks {
-			k := attack.Kind(name)
-			if !known[k] {
-				return nil, fmt.Errorf("serve: unknown attack %q", name)
-			}
-			t.kinds = append(t.kinds, k)
-		}
+// plan validates the request and lays its cells out with attack.Grid,
+// simulated under params.
+func (r AttackRequest) plan(params ooo.Params) (*plan, error) {
+	kinds := attack.All()
+	if len(r.Attacks) > 0 {
+		kinds = make([]attack.Kind, len(r.Attacks))
 	}
-	if len(r.Policies) == 0 {
-		t.pols = core.All()
-	} else {
-		for _, name := range r.Policies {
-			p, err := core.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			t.pols = append(t.pols, p)
+	for i, name := range r.Attacks {
+		k, err := attack.ByName(name)
+		if err != nil {
+			return nil, err
 		}
+		kinds[i] = k
 	}
-	if len(t.pols) == 0 && !t.inOrder {
+	pols, err := policies(r.Policies)
+	if err != nil {
+		return nil, err
+	}
+	if len(pols) == 0 && r.NoInOrder {
 		return nil, fmt.Errorf("serve: empty attack matrix (no configurations)")
 	}
-	return t, nil
+	acells := attack.Grid(kinds, pols, !r.NoInOrder)
+	cells := make([]cell, len(acells))
+	for i, ac := range acells {
+		cells[i] = attackCell(ac, params)
+	}
+	return &plan{cells: cells, assemble: func(vals []any) any {
+		resp := &AttackResponse{Cells: acells}
+		for i := range acells {
+			acells[i].Outcome = vals[i].(*attack.Outcome)
+			if !acells[i].Matches() {
+				resp.Mismatches++
+			}
+		}
+		return resp
+	}}, nil
 }
 
 // AttackResponse is the evaluated (attack, policy) grid plus the count of
@@ -178,45 +198,32 @@ type GadgetsRequest struct {
 	Programs []string `json:"programs,omitempty"`
 }
 
-type gadgetsTask struct {
-	ins []gadgetInput
-}
-
-// gadgetInput pairs one census input with its position in the request.
-type gadgetInput struct {
-	name string
-}
-
-func (r GadgetsRequest) task() (*gadgetsTask, error) {
-	t := &gadgetsTask{}
+// plan validates the request: one census cell per program, in request
+// order (all builtins, attacks then workloads, when none are named).
+func (r GadgetsRequest) plan() (*plan, error) {
+	var ins []gadget.Input
 	if len(r.Programs) == 0 {
-		for _, name := range builtinNames() {
-			t.ins = append(t.ins, gadgetInput{name: name})
+		var err error
+		if ins, err = cachedBuiltins(); err != nil {
+			return nil, err
 		}
-		return t, nil
-	}
-	known := map[string]bool{}
-	for _, name := range builtinNames() {
-		known[name] = true
 	}
 	for _, name := range r.Programs {
-		if !known[name] {
-			return nil, fmt.Errorf("serve: unknown program %q", name)
+		in, err := builtin(name)
+		if err != nil {
+			return nil, err
 		}
-		t.ins = append(t.ins, gadgetInput{name: name})
+		ins = append(ins, in)
 	}
-	return t, nil
-}
-
-// builtinNames lists the census programs in their fixed order: attacks in
-// Table 1 order, then workloads in Fig. 7 order.
-func builtinNames() []string {
-	var names []string
-	for _, k := range attack.All() {
-		names = append(names, string(k))
+	cells := make([]cell, len(ins))
+	for i, in := range ins {
+		cells[i] = gadgetCell(in)
 	}
-	for _, s := range workload.All() {
-		names = append(names, s.Name)
-	}
-	return names
+	return &plan{cells: cells, assemble: func(vals []any) any {
+		report := &gadget.Report{Window: gadget.DefaultWindow, Programs: make([]gadget.ProgramReport, len(vals))}
+		for i, v := range vals {
+			report.Programs[i] = *v.(*gadget.ProgramReport)
+		}
+		return report
+	}}, nil
 }

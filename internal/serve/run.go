@@ -4,161 +4,45 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 
-	"nda/internal/attack"
-	"nda/internal/core"
-	"nda/internal/gadget"
-	"nda/internal/harness"
-	"nda/internal/ooo"
 	"nda/internal/par"
-	"nda/internal/workload"
 )
 
-// cachedBuiltins memoizes gadget.Builtins for the life of the process:
-// assembling every builtin attack and workload program costs far more than
-// serving a cache-resolved census cell, and the set is immutable (census
-// goroutines already share Input values read-only, see gadget.BuildReport).
-var cachedBuiltins = sync.OnceValues(gadget.Builtins)
-
-// This file is where jobs meet the cache: every runner decomposes its
-// request into independent cells, fans the cells out over the par pool,
-// and resolves each cell through Cache.Do under a content-addressed key.
-// A repeated request — or a different request that shares cells with an
-// earlier one (a sweep over a workload subset, say, after a full sweep) —
-// is assembled from memory without re-simulation.
+// This file is where jobs meet the cache. Every request becomes a plan:
+// its cells in result order (laid out by harness.Grid, attack.Grid, or the
+// census program list) plus a function that assembles their values into
+// the response. run fans the cells out over the par pool and resolves each
+// one through a single tier chain — RAM, the disk store, the fleet-shared
+// store, then compute — under its content-addressed key. A repeated
+// request, or a different request that shares cells with an earlier one (a
+// sweep over a workload subset, say, after a full sweep), is assembled
+// without re-simulation.
 //
-// With a fleet configured (Config.Fleet), the cache-miss path dispatches
-// the cell to a remote worker instead of simulating here; everything else
-// — decomposition, keys, merge order, error semantics — is shared with the
-// local path, which is why a fleet-merged result is byte-identical to a
-// single-process run.
+// Compute is local, or with a fleet configured (Config.Fleet) a dispatch
+// of the cell's CellRequest to a remote worker. Everything else — layout,
+// keys, merge order, error semantics — is shared between the two, which
+// is why a fleet-merged result is byte-identical to a single-process run.
 
-// sweepCellKey describes everything a sweep cell's result depends on. The
-// embedded harness.Config carries the full sampling spec and ooo.Params;
-// Workers is zeroed before hashing because parallelism must never change
-// identity.
-type sweepCellKey struct {
-	Workload string         `json:"workload"`
-	InOrder  bool           `json:"in_order"`
-	Policy   core.Policy    `json:"policy"`
-	Config   harness.Config `json:"config"`
+// plan is a request decomposed for run: the cells to resolve, in result
+// order, and how their resolved values assemble into the response.
+type plan struct {
+	cells    []cell
+	assemble func(vals []any) any
 }
 
-// seriesKey identifies a workload's checkpoint series: the sampling spec
-// determines where the sampling points fall, nothing else does.
-type seriesKey struct {
-	Workload string         `json:"workload"`
-	Config   harness.Config `json:"config"`
-}
-
-// attackCellKey describes one (attack, policy) security-matrix cell.
-type attackCellKey struct {
-	Attack  attack.Kind `json:"attack"`
-	InOrder bool        `json:"in_order"`
-	Policy  core.Policy `json:"policy"`
-	Params  ooo.Params  `json:"params"`
-}
-
-// gadgetKey identifies one program's static census entry.
-type gadgetKey struct {
-	Program string `json:"program"`
-	Window  int    `json:"window"`
-}
-
-// sweepCellID builds a sweep cell's cache key. Workers is zeroed before
-// hashing because parallelism must never change identity. Shared by the
-// measure path and the admission probe so the two can never drift.
-func sweepCellID(wl string, pol core.Policy, inOrder bool, cfg harness.Config) string {
-	cfg.Workers = 0
-	return Key("sweep-cell", sweepCellKey{Workload: wl, InOrder: inOrder, Policy: pol, Config: cfg})
-}
-
-// attackCellID builds an attack-matrix cell's cache key.
-func attackCellID(kind attack.Kind, pol core.Policy, inOrder bool, params ooo.Params) string {
-	return Key("attack-cell", attackCellKey{Attack: kind, InOrder: inOrder, Policy: pol, Params: params})
-}
-
-// gadgetCellID builds a gadget-census entry's cache key.
-func gadgetCellID(program string) string {
-	return Key("gadget", gadgetKey{Program: program, Window: gadget.DefaultWindow})
-}
-
-// cellKeys enumerates every cache key the sweep will resolve — the
-// store-aware admission probe: if all of them are already resident, the
-// job needs no simulation.
-func (t *sweepTask) cellKeys() []string {
-	keys := make([]string, 0, len(t.specs)*(len(t.pols)+1))
-	for _, spec := range t.specs {
-		for _, pol := range t.pols {
-			keys = append(keys, sweepCellID(spec.Name, pol, false, t.cfg))
-		}
-		if t.inOrder {
-			keys = append(keys, sweepCellID(spec.Name, core.Policy{}, true, t.cfg))
-		}
-	}
-	return keys
-}
-
-// cellKeys enumerates the attack matrix's cache keys.
-func (t *attackTask) cellKeys(params ooo.Params) []string {
-	keys := make([]string, 0, len(t.kinds)*(len(t.pols)+1))
-	for _, kind := range t.kinds {
-		for _, pol := range t.pols {
-			keys = append(keys, attackCellID(kind, pol, false, params))
-		}
-		if t.inOrder {
-			keys = append(keys, attackCellID(kind, core.Policy{}, true, params))
-		}
-	}
-	return keys
-}
-
-// cellKeys enumerates the census's cache keys.
-func (t *gadgetsTask) cellKeys() []string {
-	keys := make([]string, 0, len(t.ins))
-	for _, in := range t.ins {
-		keys = append(keys, gadgetCellID(in.name))
-	}
-	return keys
-}
-
-// runSweep evaluates the request's (workload, config) grid cell by cell
-// through the cache and assembles the same Sweep table harness.RunSweep
-// builds, so served results are interchangeable with CLI results.
-func (m *Manager) runSweep(ctx context.Context, j *Job, t *sweepTask) (any, error) {
-	type cellSpec struct {
-		spec    workload.Spec
-		pol     core.Policy
-		inOrder bool
-	}
-	var cells []cellSpec
-	for _, spec := range t.specs {
-		for _, pol := range t.pols {
-			cells = append(cells, cellSpec{spec: spec, pol: pol})
-		}
-		if t.inOrder {
-			cells = append(cells, cellSpec{spec: spec, inOrder: true})
-		}
-	}
-	// Add, not Store: a warm job runs several sub-requests through this
-	// runner and accumulates one combined progress total.
-	j.total.Add(int64(len(cells)))
+// run resolves every cell of p and assembles the response.
+func (m *Manager) run(ctx context.Context, j *Job, p *plan) (any, error) {
+	// Add, not Store: a warm job runs several plans and accumulates one
+	// combined progress total.
+	j.total.Add(int64(len(p.cells)))
 	j.bump()
-
-	// Cells saturate the pool on their own; per-sample fan-out inside a
-	// checkpointed cell stays serial, exactly as in harness.RunSweep.
-	cellCfg := t.cfg
-	cellCfg.Workers = 1
-
-	results := make([]*harness.Measurement, len(cells))
-	err := par.RunCtx(ctx, len(cells), m.simWorkers(), func(i int) error {
-		c := cells[i]
-		mres, err := m.measureCell(ctx, j, c.spec, c.pol, c.inOrder, cellCfg, t.sampling)
+	vals := make([]any, len(p.cells))
+	err := par.RunCtx(ctx, len(p.cells), m.simWorkers(), func(i int) error {
+		v, err := m.resolve(ctx, j, &p.cells[i])
 		if err != nil {
 			return err
 		}
-		results[i] = mres
+		vals[i] = v
 		j.done.Add(1)
 		j.bump()
 		return nil
@@ -166,303 +50,53 @@ func (m *Manager) runSweep(ctx context.Context, j *Job, t *sweepTask) (any, erro
 	if err != nil {
 		return nil, err
 	}
-
-	var workloads, configs []string
-	for _, spec := range t.specs {
-		workloads = append(workloads, spec.Name)
-	}
-	for _, pol := range t.pols {
-		configs = append(configs, pol.Name)
-	}
-	if t.inOrder {
-		configs = append(configs, harness.InOrderName)
-	}
-	sw := harness.NewSweep(workloads, configs)
-	for i, c := range cells {
-		name := harness.InOrderName
-		if !c.inOrder {
-			name = c.pol.Name
-		}
-		sw.Set(name, c.spec.Name, results[i])
-	}
-
-	resp := &SweepResponse{Sweep: sw}
-	if sw.Baseline(sw.Workloads[0]) != nil {
-		resp.Overheads = make(map[string]float64, len(sw.Configs))
-		for _, cfgName := range sw.Configs {
-			if cfgName == core.Baseline().Name {
-				continue
-			}
-			resp.Overheads[cfgName] = sw.Overhead(cfgName)
-		}
-	}
-	return resp, nil
+	return p.assemble(vals), nil
 }
 
-// measureCell resolves one sweep cell through the cache, simulating on a
-// miss — or, with a fleet configured, dispatching the miss to a remote
-// worker carrying the original sampling spec (the worker resolves it to
-// the identical harness.Config). In local checkpoint mode the workload's
-// sample series is itself cache-resolved first, so the functional
-// fast-forward and checkpoint capture also happen once per (workload,
-// sampling spec) per process; in fleet mode the series lives and is
-// reused on whichever workers simulate that workload's cells.
-func (m *Manager) measureCell(ctx context.Context, j *Job, spec workload.Spec, pol core.Policy, inOrder bool, cfg harness.Config, sampling SamplingSpec) (*harness.Measurement, error) {
-	key := sweepCellID(spec.Name, pol, inOrder, cfg)
-	shared := false
-	decode := func(b []byte) (any, error) {
-		var mres harness.Measurement
-		if err := json.Unmarshal(b, &mres); err != nil {
-			return nil, err
+// resolve serves one cell from the first tier that holds it, or computes
+// it — locally, or by dispatching it to the fleet — and writes it back
+// into every tier. j may be nil: the worker-side /v1/cell path serves
+// cells with no job behind them.
+func (m *Manager) resolve(ctx context.Context, j *Job, c *cell) (any, error) {
+	v, tier, err := m.cache.DoTiered(ctx, c.key, m.tiers, c.kind.decode, func() (any, error) {
+		if m.cfg.Fleet == nil {
+			return c.kind.compute(m, ctx, c)
 		}
-		return &mres, nil
-	}
-	v, tier, err := m.cache.DoTiered(ctx, key, m.tier2(), decode, func() (any, error) {
-		if m.cfg.Fleet != nil {
-			req := CellRequest{Kind: "sweep", Workload: spec.Name, InOrder: inOrder, Sampling: sampling}
-			if !inOrder {
-				req.Policy = pol.Name
-			}
-			var mres harness.Measurement
-			var err error
-			if shared, err = m.remoteCell(ctx, j, key, req, &mres); err != nil {
-				return nil, err
-			}
-			return &mres, nil
-		}
-		var mres *harness.Measurement
-		var err error
-		switch {
-		case cfg.UseCheckpoints:
-			ss, serr := m.samples(ctx, spec, cfg)
-			if serr != nil {
-				return nil, serr
-			}
-			if inOrder {
-				mres, err = harness.MeasureInOrderSamples(ctx, spec, cfg, ss)
-			} else {
-				mres, err = harness.MeasureOoOSamples(ctx, spec, pol, cfg, ss)
-			}
-		case inOrder:
-			mres, err = harness.MeasureInOrderCtx(ctx, spec, cfg)
-		default:
-			mres, err = harness.MeasureOoOCtx(ctx, spec, pol, cfg)
-		}
+		body, err := json.Marshal(c.req)
 		if err != nil {
 			return nil, err
 		}
-		m.metrics.Simulations.Add(1)
-		m.metrics.CyclesSimulated.Add(int64(mres.Cycles))
-		return mres, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.noteTier(j, tier, shared)
-	return v.(*harness.Measurement), nil
-}
-
-// samples cache-resolves a workload's checkpoint series. Series reuse is
-// not counted in the cell hit/miss metrics: the series is an intermediate,
-// not a client-visible result.
-func (m *Manager) samples(ctx context.Context, spec workload.Spec, cfg harness.Config) (*harness.SampleSeries, error) {
-	keyCfg := cfg
-	keyCfg.Workers = 0
-	key := Key("series", seriesKey{Workload: spec.Name, Config: keyCfg})
-	v, _, err := m.cache.Do(ctx, key, func() (any, error) {
-		return harness.TakeSamples(spec, cfg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*harness.SampleSeries), nil
-}
-
-// runAttack evaluates the request's (attack, config) grid cell by cell
-// through the cache, mirroring attack.MatrixCtx's layout: for each attack,
-// every policy in order, then the in-order core.
-func (m *Manager) runAttack(ctx context.Context, j *Job, t *attackTask) (any, error) {
-	perKind := len(t.pols)
-	if t.inOrder {
-		perKind++
-	}
-	cells := make([]attack.Cell, len(t.kinds)*perKind)
-	j.total.Add(int64(len(cells)))
-	j.bump()
-
-	err := par.RunCtx(ctx, len(cells), m.simWorkers(), func(i int) error {
-		kind := t.kinds[i/perKind]
-		pi := i % perKind
-		inOrder := t.inOrder && pi == len(t.pols)
-		var pol core.Policy
-		if !inOrder {
-			pol = t.pols[pi]
-		}
-		out, err := m.attackCell(ctx, j, kind, pol, inOrder)
-		if err != nil {
-			return err
-		}
-		cell := attack.Cell{Attack: kind, Policy: out.Policy, Outcome: out}
-		if !inOrder {
-			cell.Expected = attack.Expected[kind][pol.Name]
-		}
-		cells[i] = cell
-		j.done.Add(1)
-		j.bump()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	resp := &AttackResponse{Cells: cells}
-	for _, c := range cells {
-		if !c.Matches() {
-			resp.Mismatches++
-		}
-	}
-	return resp, nil
-}
-
-// attackCell resolves one (attack, policy) outcome through the cache,
-// simulating locally or dispatching to the fleet on a miss.
-func (m *Manager) attackCell(ctx context.Context, j *Job, kind attack.Kind, pol core.Policy, inOrder bool) (*attack.Outcome, error) {
-	key := attackCellID(kind, pol, inOrder, m.cfg.Params)
-	shared := false
-	decode := func(b []byte) (any, error) {
-		var out attack.Outcome
-		if err := json.Unmarshal(b, &out); err != nil {
-			return nil, err
-		}
-		return &out, nil
-	}
-	v, tier, err := m.cache.DoTiered(ctx, key, m.tier2(), decode, func() (any, error) {
-		if m.cfg.Fleet != nil {
-			req := CellRequest{Kind: "attack", Attack: string(kind), InOrder: inOrder}
-			if !inOrder {
-				req.Policy = pol.Name
-			}
-			var out attack.Outcome
-			var err error
-			if shared, err = m.remoteCell(ctx, j, key, req, &out); err != nil {
-				return nil, err
-			}
-			return &out, nil
-		}
-		var out *attack.Outcome
-		var err error
-		if inOrder {
-			out, err = attack.RunInOrderCtx(ctx, kind)
-		} else {
-			out, err = attack.RunCtx(ctx, kind, pol, m.cfg.Params)
-		}
+		raw, stat, err := m.cfg.Fleet.Do(ctx, "/v1/cell", body)
+		j.noteDispatch(stat)
 		if err != nil {
 			return nil, err
 		}
-		m.metrics.Simulations.Add(1)
-		m.metrics.CyclesSimulated.Add(int64(out.Cycles))
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.noteTier(j, tier, shared)
-	return v.(*attack.Outcome), nil
-}
-
-// runGadgets builds the static census for the requested programs, one
-// cache-resolved ProgramReport per program.
-func (m *Manager) runGadgets(ctx context.Context, j *Job, t *gadgetsTask) (any, error) {
-	builtins, err := cachedBuiltins()
-	if err != nil {
-		return nil, err
-	}
-	byName := make(map[string]gadget.Input, len(builtins))
-	for _, in := range builtins {
-		byName[in.Name] = in
-	}
-	j.total.Add(int64(len(t.ins)))
-	j.bump()
-
-	report := &gadget.Report{Window: gadget.DefaultWindow, Programs: make([]gadget.ProgramReport, len(t.ins))}
-	err = par.RunCtx(ctx, len(t.ins), m.simWorkers(), func(i int) error {
-		in, ok := byName[t.ins[i].name]
-		if !ok {
-			return fmt.Errorf("serve: unknown program %q", t.ins[i].name)
-		}
-		pr, err := m.gadgetCell(ctx, j, in)
+		v, err := c.kind.decode(raw)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("serve: undecodable cell response from %s: %w", stat.Worker, err)
 		}
-		report.Programs[i] = pr
-		j.done.Add(1)
-		j.bump()
-		return nil
+		return v, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return report, nil
-}
-
-// gadgetCell resolves one program's census entry through the cache,
-// analyzing locally or dispatching to the fleet on a miss.
-func (m *Manager) gadgetCell(ctx context.Context, j *Job, in gadget.Input) (gadget.ProgramReport, error) {
-	key := gadgetCellID(in.Name)
-	shared := false
-	decode := func(b []byte) (any, error) {
-		var pr gadget.ProgramReport
-		if err := json.Unmarshal(b, &pr); err != nil {
-			return nil, err
-		}
-		return pr, nil
-	}
-	v, tier, err := m.cache.DoTiered(ctx, key, m.tier2(), decode, func() (any, error) {
-		if m.cfg.Fleet != nil {
-			var pr gadget.ProgramReport
-			var err error
-			if shared, err = m.remoteCell(ctx, j, key, CellRequest{Kind: "gadget", Program: in.Name}, &pr); err != nil {
-				return nil, err
-			}
-			return pr, nil
-		}
-		an := gadget.Analyze(in.Prog, in.Cfg)
-		return gadget.NewProgramReport(in.Name, in.Group, an, in.Group == "attack"), nil
-	})
-	if err != nil {
-		return gadget.ProgramReport{}, err
-	}
-	m.noteTier(j, tier, shared)
-	return v.(gadget.ProgramReport), nil
+	m.noteTier(j, tier)
+	return v, nil
 }
 
 // noteTier folds one cell's resolution tier into the job's and the
-// service's counters. shared marks a compute that the fleet-shared store
-// absorbed before any worker was dispatched (only the coordinator's
-// remoteCell path sets it). j may be nil: the worker-side /v1/cell path
-// serves cells with no job behind them.
-func (m *Manager) noteTier(j *Job, tier HitTier, shared bool) {
-	switch {
-	case tier == HitRAM:
-		if j != nil {
-			j.tierRAM.Add(1)
-		}
+// service's counters. j may be nil (the /v1/cell path).
+func (m *Manager) noteTier(j *Job, tier HitTier) {
+	if j != nil {
+		j.tiers[tier].Add(1)
+	}
+	switch tier {
+	case HitRAM, HitDisk:
 		m.metrics.CacheHits.Add(1)
-	case tier == HitDisk:
-		if j != nil {
-			j.tierDisk.Add(1)
-		}
-		m.metrics.CacheHits.Add(1)
-		m.metrics.CacheDiskHits.Add(1)
-	case shared:
-		if j != nil {
-			j.tierShared.Add(1)
-		}
-		m.metrics.CacheMisses.Add(1)
 	default:
-		if j != nil {
-			j.tierComputed.Add(1)
-		}
 		m.metrics.CacheMisses.Add(1)
+	}
+	if tier == HitDisk {
+		m.metrics.CacheDiskHits.Add(1)
 	}
 }

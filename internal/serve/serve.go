@@ -63,10 +63,11 @@ type Job struct {
 	class  tenant.Class // scheduling class the job was submitted under
 
 	// Progress counters, written by cell simulations as they finish. The
-	// tier counters split every resolved cell by the level that served it;
-	// the legacy hits/misses pair in Status is derived from them.
-	total, done                                 atomic.Int64
-	tierRAM, tierDisk, tierShared, tierComputed atomic.Int64
+	// tier counters split every resolved cell by the level that served it,
+	// indexed by HitTier; the legacy hits/misses pair in Status is derived
+	// from them.
+	total, done atomic.Int64
+	tiers       [HitShared + 1]atomic.Int64
 
 	// version increments on every observable status change (cell done,
 	// state transition, worker attempt). It invalidates the cached status
@@ -249,10 +250,10 @@ func (j *Job) Version() int64 { return j.version.Load() }
 // statusLocked builds the snapshot. Called with j.mu held.
 func (j *Job) statusLocked() Status {
 	tiers := TierCounts{
-		RAM:         j.tierRAM.Load(),
-		Disk:        j.tierDisk.Load(),
-		FleetShared: j.tierShared.Load(),
-		Computed:    j.tierComputed.Load(),
+		RAM:         j.tiers[HitRAM].Load(),
+		Disk:        j.tiers[HitDisk].Load(),
+		FleetShared: j.tiers[HitShared].Load(),
+		Computed:    j.tiers[Computed].Load(),
 	}
 	st := Status{
 		ID:          j.id,
@@ -320,11 +321,16 @@ type Config struct {
 	// a single simulation. Checkpoint series are deliberately not
 	// persisted — only client-visible cell results are.
 	Store *store.Store
+	// SharedStore, when non-nil, is the fleet-shared tier under the disk
+	// tier: a store every coordinator replica can reach. Cells found there
+	// are served without dispatching to any worker, and computed cells are
+	// written back. It may be the same store as Store.
+	SharedStore *store.Store
 	// Fleet, when non-nil, turns the manager into a coordinator: cells
-	// that miss the result cache are dispatched to the fleet's workers
-	// over /v1/cell instead of simulating in this process. The cache
-	// stays in front, so repeated and overlapping requests are still
-	// served locally without touching the fleet.
+	// that miss every cache tier are dispatched to the fleet's workers
+	// over /v1/cell instead of simulating in this process. The tiers
+	// stay in front, so repeated and overlapping requests are still
+	// served without touching the fleet.
 	Fleet *dist.Coordinator
 	// Tenants declares the service's API-key tenants. Empty means
 	// single-tenant: every submission runs as the implicit local tenant
@@ -346,6 +352,7 @@ type Config struct {
 type Manager struct {
 	cfg     Config
 	cache   *Cache
+	tiers   []Tier // the persistent levels under the cache: [disk, fleet-shared], nil when neither is set
 	metrics *Metrics
 
 	baseCtx    context.Context
@@ -390,6 +397,17 @@ func NewManager(cfg Config) *Manager {
 		sched:      tenant.NewScheduler(cfg.Tenants, cfg.QueueDepth),
 	}
 	m.cond = sync.NewCond(&m.mu)
+	// Box only live stores: a nil *store.Store in a Tier would pass the
+	// tier walk's nil check.
+	if cfg.Store != nil || cfg.SharedStore != nil {
+		m.tiers = make([]Tier, 2)
+		if cfg.Store != nil {
+			m.tiers[0] = cfg.Store
+		}
+		if cfg.SharedStore != nil {
+			m.tiers[1] = countedTier{cfg.SharedStore, m.metrics}
+		}
+	}
 	m.cache = NewCache(cfg.CacheMaxEntries, func(sizeBytes int) {
 		m.metrics.CacheEvictions.Add(1)
 		m.metrics.CacheEvictedBytes.Add(int64(sizeBytes))
@@ -404,23 +422,26 @@ func NewManager(cfg Config) *Manager {
 // Metrics exposes the counter block.
 func (m *Manager) Metrics() *Metrics { return m.metrics }
 
-// Cache exposes the result cache (tests and diagnostics).
-func (m *Manager) Cache() *Cache { return m.cache }
+// countedTier is the fleet-shared level: the store itself, with its
+// lookups and writes counted for /metrics.
+type countedTier struct {
+	*store.Store
+	metrics *Metrics
+}
 
-// Fleet exposes the distributed backend; nil when simulating locally.
-func (m *Manager) Fleet() *dist.Coordinator { return m.cfg.Fleet }
-
-// Store exposes the persistent disk tier; nil when running RAM-only.
-func (m *Manager) Store() *store.Store { return m.cfg.Store }
-
-// tier2 adapts the configured store to the cache's Tier interface. The
-// nil check must happen on the concrete pointer — a nil *store.Store boxed
-// into a Tier would pass DoTiered's interface nil check and crash.
-func (m *Manager) tier2() Tier {
-	if m.cfg.Store == nil {
-		return nil
+func (t countedTier) Get(key string) ([]byte, bool) {
+	b, ok := t.Store.Get(key)
+	if ok {
+		t.metrics.SharedHits.Add(1)
+	} else {
+		t.metrics.SharedMisses.Add(1)
 	}
-	return m.cfg.Store
+	return b, ok
+}
+
+func (t countedTier) Put(key string, val []byte) {
+	t.Store.Put(key, val)
+	t.metrics.SharedPuts.Add(1)
 }
 
 // Get returns a job by ID.
@@ -476,34 +497,30 @@ func resolveOpts(opts []SubmitOpts) SubmitOpts {
 
 // SubmitSweep validates and enqueues a sweep job.
 func (m *Manager) SubmitSweep(req SweepRequest, opts ...SubmitOpts) (*Job, error) {
-	t, err := req.task()
-	if err != nil {
-		return nil, err
-	}
-	return m.enqueueAs("sweep", resolveOpts(opts), t.cellKeys(), func(ctx context.Context, j *Job) (any, error) {
-		return m.runSweep(ctx, j, t)
-	})
+	p, err := req.plan()
+	return m.submit("sweep", opts, p, err)
 }
 
 // SubmitAttack validates and enqueues an attack-matrix job.
 func (m *Manager) SubmitAttack(req AttackRequest, opts ...SubmitOpts) (*Job, error) {
-	t, err := req.task()
-	if err != nil {
-		return nil, err
-	}
-	return m.enqueueAs("attack", resolveOpts(opts), t.cellKeys(m.cfg.Params), func(ctx context.Context, j *Job) (any, error) {
-		return m.runAttack(ctx, j, t)
-	})
+	p, err := req.plan(m.cfg.Params)
+	return m.submit("attack", opts, p, err)
 }
 
 // SubmitGadgets validates and enqueues a gadget-census job.
 func (m *Manager) SubmitGadgets(req GadgetsRequest, opts ...SubmitOpts) (*Job, error) {
-	t, err := req.task()
+	p, err := req.plan()
+	return m.submit("gadgets", opts, p, err)
+}
+
+// submit enqueues a validated plan as one job; err is the plan's
+// validation error.
+func (m *Manager) submit(kind string, opts []SubmitOpts, p *plan, err error) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.enqueueAs("gadgets", resolveOpts(opts), t.cellKeys(), func(ctx context.Context, j *Job) (any, error) {
-		return m.runGadgets(ctx, j, t)
+	return m.enqueueAs(kind, resolveOpts(opts), p.cells, func(ctx context.Context, j *Job) (any, error) {
+		return m.run(ctx, j, p)
 	})
 }
 
@@ -529,8 +546,8 @@ func (m *Manager) TenantStats() []tenant.Stats {
 	return m.sched.TenantStats()
 }
 
-// enqueue is the untenanted path: local tenant, batch class, no admission
-// keys (tests and internal submissions).
+// enqueue is the untenanted path: local tenant, batch class, no cells to
+// probe for admission (tests and internal submissions).
 func (m *Manager) enqueue(kind string, run func(context.Context, *Job) (any, error)) (*Job, error) {
 	return m.enqueueAs(kind, resolveOpts(nil), nil, run)
 }
@@ -538,11 +555,12 @@ func (m *Manager) enqueue(kind string, run func(context.Context, *Job) (any, err
 // enqueueAs admits a submission against its tenant's quota and offers it
 // to the fair-share queue without blocking: a full queue is the client's
 // backpressure signal, not a wait — unless every one of the job's cells is
-// already resolvable from the RAM or disk tier, in which case the job runs
-// outside the worker pool instead of bouncing (store-aware admission: a
-// saturated simulation queue is no reason to refuse work that needs no
-// simulation).
-func (m *Manager) enqueueAs(kind string, o SubmitOpts, keys []string, run func(context.Context, *Job) (any, error)) (*Job, error) {
+// already resolvable from RAM or a persistent tier, in which case the job
+// runs outside the worker pool instead of bouncing (store-aware admission:
+// a saturated simulation queue is no reason to refuse work that needs no
+// simulation). The bypass still spends a quota token and one of the
+// tenant's in-flight slots.
+func (m *Manager) enqueueAs(kind string, o SubmitOpts, cells []cell, run func(context.Context, *Job) (any, error)) (*Job, error) {
 	j := &Job{
 		id:     fmt.Sprintf("job-%06d", m.nextID.Add(1)),
 		kind:   kind,
@@ -559,75 +577,77 @@ func (m *Manager) enqueueAs(kind string, o SubmitOpts, keys []string, run func(c
 	if m.draining {
 		return nil, ErrDraining
 	}
-	if m.sched.Full() {
-		// Queue saturated. Before 429ing, try the bypass: quota and the
-		// tenant's in-flight cap still apply (the tenant is consuming
-		// service either way), but the job never occupies a queue slot or
-		// a sim worker.
-		if !m.storeResolvable(keys) || m.bypassing >= m.cfg.AdmissionBypass || !m.sched.HasSlot(o.Tenant) {
-			m.metrics.JobsRejected.Add(1)
-			return nil, ErrQueueFull
+	bypass := m.sched.Full()
+	var err error
+	switch {
+	case bypass && (m.bypassing >= m.cfg.AdmissionBypass || !m.storeResolvable(cells)):
+		err = tenant.ErrQueueFull
+	case bypass:
+		err = m.sched.Bypass(o.Tenant, now)
+	default:
+		if err = m.sched.Admit(o.Tenant, now); err == nil {
+			err = m.sched.Enqueue(o.Tenant, o.Class, j)
 		}
-		if err := m.sched.Admit(o.Tenant, now); err != nil {
-			m.metrics.QuotaRejected.Add(1)
-			return nil, err
-		}
-		// Cannot exceed the cap: HasSlot was true and m.mu is held
-		// throughout.
-		m.sched.Reserve(o.Tenant)
-		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
-		m.metrics.JobsQueued.Add(1)
-		m.metrics.AdmissionStoreServed.Add(1)
-		m.bypassing++
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			m.runJob(j)
-			m.mu.Lock()
-			m.bypassing--
-			m.sched.Release(o.Tenant)
-			// The freed slot may make a capped tenant's queued job
-			// eligible for a parked worker.
-			m.cond.Broadcast()
-			m.mu.Unlock()
-		}()
-		return j, nil
 	}
-	if err := m.sched.Admit(o.Tenant, now); err != nil {
-		m.metrics.QuotaRejected.Add(1)
-		return nil, err
-	}
-	// Cannot fail: Full() was false and m.mu is held throughout.
-	if err := m.sched.Enqueue(o.Tenant, o.Class, j); err != nil {
+	switch {
+	case errors.Is(err, tenant.ErrQueueFull):
 		m.metrics.JobsRejected.Add(1)
 		return nil, ErrQueueFull
+	case err != nil:
+		m.metrics.QuotaRejected.Add(1)
+		return nil, err
 	}
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	m.metrics.JobsQueued.Add(1)
-	m.cond.Signal()
+	if !bypass {
+		m.cond.Signal()
+		return j, nil
+	}
+	m.metrics.AdmissionStoreServed.Add(1)
+	m.bypassing++
+	m.wg.Add(1)
+	go func() {
+		defer m.wg.Done()
+		m.runJob(j)
+		m.mu.Lock()
+		m.bypassing--
+		m.sched.Release(o.Tenant)
+		// The freed slot may make a capped tenant's queued job eligible
+		// for a parked worker.
+		m.cond.Broadcast()
+		m.mu.Unlock()
+	}()
 	return j, nil
 }
 
-// storeResolvable reports whether every key is already a guaranteed RAM
-// hit or present in the disk store — a job over these cells completes
+// storeResolvable reports whether every cell is already a guaranteed RAM
+// hit or present in a persistent tier — a job over these cells completes
 // without simulating or dispatching. Called with m.mu held; false when
-// keys are unknown (warm jobs) or empty.
-func (m *Manager) storeResolvable(keys []string) bool {
-	if len(keys) == 0 || m.cfg.AdmissionBypass < 0 {
+// cells are unknown (warm jobs) or empty.
+func (m *Manager) storeResolvable(cells []cell) bool {
+	if len(cells) == 0 || m.cfg.AdmissionBypass < 0 {
 		return false
 	}
-	for _, k := range keys {
-		if m.cache.Contains(k) {
-			continue
+	for i := range cells {
+		if !m.resident(cells[i].key) {
+			return false
 		}
-		if m.cfg.Store != nil && m.cfg.Store.Has(k) {
-			continue
-		}
-		return false
 	}
 	return true
+}
+
+// resident reports whether key is ready in RAM or held by any tier.
+func (m *Manager) resident(key string) bool {
+	if m.cache.Contains(key) {
+		return true
+	}
+	for _, t := range m.tiers {
+		if t != nil && t.Has(key) {
+			return true
+		}
+	}
+	return false
 }
 
 // Cancel stops a job: a queued job is pulled out of the fair-share queue

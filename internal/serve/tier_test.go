@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"nda/internal/dist"
 	"nda/internal/store"
 )
 
@@ -206,4 +209,166 @@ func startServer(t *testing.T, m *Manager) *httptest.Server {
 	srv := httptest.NewServer(NewHandler(m))
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// fakeTier is an in-memory Tier that counts its writes.
+type fakeTier struct {
+	m    map[string][]byte
+	puts int
+}
+
+func newFakeTier(kv ...string) *fakeTier {
+	f := &fakeTier{m: map[string][]byte{}}
+	for i := 0; i+1 < len(kv); i += 2 {
+		f.m[kv[i]] = []byte(kv[i+1])
+	}
+	return f
+}
+
+func (f *fakeTier) Get(key string) ([]byte, bool) { b, ok := f.m[key]; return b, ok }
+func (f *fakeTier) Put(key string, val []byte)    { f.m[key] = val; f.puts++ }
+func (f *fakeTier) Has(key string) bool           { _, ok := f.m[key]; return ok }
+
+// walk resolves "k" once through a fresh cache over tiers, calling
+// compute when every level misses.
+func walk(t *testing.T, tiers []Tier, compute func() (any, error)) (int, HitTier) {
+	t.Helper()
+	v, tier, err := NewCache(0, nil).DoTiered(context.Background(), "k", tiers, decodeJSON[int], compute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch v := v.(type) {
+	case *int:
+		return *v, tier
+	case int:
+		return v, tier
+	}
+	t.Fatalf("value %T", v)
+	return 0, tier
+}
+
+func mustNotCompute(t *testing.T) func() (any, error) {
+	return func() (any, error) {
+		t.Error("compute ran although a tier held the value")
+		return 0, nil
+	}
+}
+
+// TestTierWalk: the cache walks its levels in order — a fleet-shared hit
+// reports HitShared and writes the bytes back into the disk tier, an
+// undecodable entry falls through to the next level, a compute writes
+// every level, and nil levels are skipped.
+func TestTierWalk(t *testing.T) {
+	t.Run("shared hit writes back", func(t *testing.T) {
+		disk, shared := newFakeTier(), newFakeTier("k", "7")
+		if v, tier := walk(t, []Tier{disk, shared}, mustNotCompute(t)); v != 7 || tier != HitShared {
+			t.Errorf("got %d from %v, want 7 from HitShared", v, tier)
+		}
+		if string(disk.m["k"]) != "7" || shared.puts != 0 {
+			t.Errorf("disk holds %q, shared puts %d; want the shared bytes written back to disk only", disk.m["k"], shared.puts)
+		}
+	})
+	t.Run("undecodable falls through", func(t *testing.T) {
+		disk, shared := newFakeTier("k", "not json"), newFakeTier("k", "8")
+		if v, tier := walk(t, []Tier{disk, shared}, mustNotCompute(t)); v != 8 || tier != HitShared {
+			t.Errorf("got %d from %v, want 8 from HitShared", v, tier)
+		}
+		if string(disk.m["k"]) != "8" {
+			t.Errorf("disk holds %q, want the good bytes written over the bad", disk.m["k"])
+		}
+		disk, shared = newFakeTier("k", "{"), newFakeTier("k", "[")
+		if v, tier := walk(t, []Tier{disk, shared}, func() (any, error) { return 5, nil }); v != 5 || tier != Computed {
+			t.Errorf("got %d from %v, want 5 computed when no level decodes", v, tier)
+		}
+	})
+	t.Run("compute writes every level", func(t *testing.T) {
+		disk, shared := newFakeTier(), newFakeTier()
+		if v, tier := walk(t, []Tier{disk, shared}, func() (any, error) { return 9, nil }); v != 9 || tier != Computed {
+			t.Errorf("got %d from %v, want 9 computed", v, tier)
+		}
+		if string(disk.m["k"]) != "9" || string(shared.m["k"]) != "9" {
+			t.Errorf("disk %q, shared %q; want both 9", disk.m["k"], shared.m["k"])
+		}
+	})
+	t.Run("nil levels skipped", func(t *testing.T) {
+		shared := newFakeTier("k", "3")
+		if v, tier := walk(t, []Tier{nil, shared}, mustNotCompute(t)); v != 3 || tier != HitShared {
+			t.Errorf("got %d from %v, want 3 from HitShared", v, tier)
+		}
+		disk := newFakeTier()
+		if v, tier := walk(t, []Tier{disk, nil}, func() (any, error) { return 4, nil }); v != 4 || tier != Computed {
+			t.Errorf("got %d from %v, want 4 computed", v, tier)
+		}
+		if string(disk.m["k"]) != "4" {
+			t.Errorf("disk holds %q, want 4", disk.m["k"])
+		}
+	})
+}
+
+// TestSharedStoreAdmission: a coordinator whose queue is full still admits
+// a job whose cells are all in the fleet-shared store — the admission
+// probe reads the same tier chain the resolver walks — and serves it
+// without dispatching a cell.
+func TestSharedStoreAdmission(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	req := SweepRequest{Workloads: []string{"exchange2"}, Policies: []string{"OoO"}, Sampling: tinySampling()}
+
+	// A local manager computes the cells into what becomes the shared store.
+	local := NewManager(Config{QueueDepth: 4, JobWorkers: 1, SimWorkers: 2, Store: st})
+	_, want := runSweepJob(t, local, req)
+	if err := local.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	var dispatched atomic.Int64
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/cell" {
+			dispatched.Add(1)
+			http.Error(w, "unexpected dispatch", http.StatusInternalServerError)
+		}
+	}))
+	t.Cleanup(worker.Close)
+	fleet, err := dist.New([]string{worker.URL}, dist.Options{Retries: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	m := NewManager(Config{QueueDepth: 1, JobWorkers: 1, Fleet: fleet, SharedStore: st})
+	release := make(chan struct{})
+	t.Cleanup(func() {
+		close(release)
+		_ = m.Shutdown(context.Background())
+	})
+
+	// Saturate: one job running, one filling the single queue slot.
+	waitRunning(t, blockingJob(t, m, release))
+	blockingJob(t, m, release)
+	if _, err := m.SubmitSweep(SweepRequest{Workloads: []string{"xz"}, Policies: []string{"OoO"}, Sampling: tinySampling()}); err != ErrQueueFull {
+		t.Fatalf("uncached submit on full queue = %v, want ErrQueueFull", err)
+	}
+
+	j, err := m.SubmitSweep(req)
+	if err != nil {
+		t.Fatalf("shared-store-resolvable submit on full queue = %v, want admission", err)
+	}
+	waitState(t, j, JobDone)
+	if got, _ := j.Result(); !bytes.Equal(got, want) {
+		t.Errorf("shared-store result differs from the local run:\ngot:  %s\nwant: %s", got, want)
+	}
+	if st := j.Status(); st.Tiers.FleetShared != 2 || st.Tiers.Computed != 0 {
+		t.Errorf("tiers = %+v, want 2 fleet_shared / 0 computed", st.Tiers)
+	}
+	if got := m.Metrics().AdmissionStoreServed.Load(); got != 1 {
+		t.Errorf("AdmissionStoreServed = %d, want 1", got)
+	}
+	if n := dispatched.Load(); n != 0 {
+		t.Errorf("%d cells dispatched, want 0", n)
+	}
+	if !strings.Contains(m.RenderMetrics(), "nda_admission_store_served_total 1") {
+		t.Error("/metrics missing nda_admission_store_served_total 1")
+	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // Cache warming: POST /v1/warm (or ndaserve -warm-from at boot) submits
-// one job that pushes a set of standard requests through the normal
-// runners. Every cell resolves through the usual tier stack, so warming a
+// one job that runs the plans of a set of standard requests in sequence.
+// Every cell resolves through the usual tier chain, so warming a
 // store-backed service after a restart replays the persisted results into
 // RAM without running a single simulation, and warming a cold service
 // performs the simulations once so every later request is a hit.
@@ -59,33 +59,31 @@ func (m *Manager) SubmitWarm(req WarmRequest, opts ...SubmitOpts) (*Job, error) 
 	}
 	// Validate every sub-request up front: a warm job must fail at submit
 	// time, not midway through hours of precomputation.
-	var runs []func(ctx context.Context, j *Job) (any, error)
+	var plans []*plan
+	add := func(p *plan, err error) error {
+		plans = append(plans, p)
+		return err
+	}
 	for _, r := range req.Sweeps {
-		t, err := r.task()
-		if err != nil {
+		if err := add(r.plan()); err != nil {
 			return nil, err
 		}
-		runs = append(runs, func(ctx context.Context, j *Job) (any, error) { return m.runSweep(ctx, j, t) })
 	}
 	for _, r := range req.Attacks {
-		t, err := r.task()
-		if err != nil {
+		if err := add(r.plan(m.cfg.Params)); err != nil {
 			return nil, err
 		}
-		runs = append(runs, func(ctx context.Context, j *Job) (any, error) { return m.runAttack(ctx, j, t) })
 	}
 	for _, r := range req.Gadgets {
-		t, err := r.task()
-		if err != nil {
+		if err := add(r.plan()); err != nil {
 			return nil, err
 		}
-		runs = append(runs, func(ctx context.Context, j *Job) (any, error) { return m.runGadgets(ctx, j, t) })
 	}
 	o := resolveOpts(opts)
 	o.Class = tenant.Warm
 	return m.enqueueAs("warm", o, nil, func(ctx context.Context, j *Job) (any, error) {
-		for _, run := range runs {
-			if _, err := run(ctx, j); err != nil {
+		for _, p := range plans {
+			if _, err := m.run(ctx, j, p); err != nil {
 				return nil, err
 			}
 		}

@@ -227,7 +227,7 @@ func (s *Scheduler) Next() (v any, name string, class Class, ok bool) {
 }
 
 // Release returns one of the tenant's in-flight slots after its job
-// finishes (any terminal state). Slots claimed by Next and by Reserve are
+// finishes (any terminal state). Slots claimed by Next and by Bypass are
 // released the same way.
 func (s *Scheduler) Release(name string) {
 	if st, ok := s.tenants[name]; ok && st.inFlight > 0 {
@@ -235,23 +235,26 @@ func (s *Scheduler) Release(name string) {
 	}
 }
 
-// HasSlot reports whether the tenant is known and below its in-flight
-// cap, i.e. whether a Reserve would respect MaxInFlight.
-func (s *Scheduler) HasSlot(name string) bool {
+// Bypass admits a job that runs outside the queue (the serving layer's
+// store-served bypass) in one step: it spends one of the tenant's quota
+// tokens and claims one of its in-flight slots, so the job counts toward
+// MaxInFlight and the dispatch metrics like any dispatched job. A tenant at
+// its in-flight cap gets ErrQueueFull and keeps its token; an empty bucket
+// gives a *QuotaError. The caller owes a Release when the job finishes.
+func (s *Scheduler) Bypass(name string, now time.Time) error {
 	st, ok := s.tenants[name]
-	return ok && (st.cfg.MaxInFlight <= 0 || st.inFlight < st.cfg.MaxInFlight)
-}
-
-// Reserve claims one of the tenant's in-flight slots without going
-// through the queue: store-admission bypass jobs run outside the worker
-// pool but still count toward MaxInFlight and the dispatch metrics. The
-// caller must have checked HasSlot under the same lock that serializes
-// scheduler access, and owes a Release when the job finishes.
-func (s *Scheduler) Reserve(name string) {
-	if st, ok := s.tenants[name]; ok {
-		st.inFlight++
-		st.dispatched++
+	if !ok {
+		return ErrUnknownTenant
 	}
+	if st.cfg.MaxInFlight > 0 && st.inFlight >= st.cfg.MaxInFlight {
+		return ErrQueueFull
+	}
+	if err := s.Admit(name, now); err != nil {
+		return err
+	}
+	st.inFlight++
+	st.dispatched++
+	return nil
 }
 
 // Remove deletes v from the tenant's class flow if it is still queued

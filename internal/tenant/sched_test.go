@@ -1,10 +1,12 @@
 package tenant
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 // drain dispatches until no flow is eligible, returning the tenant order.
@@ -347,19 +349,20 @@ func TestNewSchedulerPanicsOnBadConfig(t *testing.T) {
 	}
 }
 
-// TestReserveCountsTowardCap: slots claimed outside the queue (the
+// TestBypassCountsTowardCap: slots claimed outside the queue (the
 // store-admission bypass path) share the in-flight accounting with
-// dispatched jobs — a reserved slot is refused by HasSlot at the cap,
-// blocks Next for that tenant, shows up in the stats, and is freed by the
-// same Release the worker path uses.
-func TestReserveCountsTowardCap(t *testing.T) {
-	s := NewScheduler([]Tenant{{Name: "capped", Key: "kc", MaxInFlight: 1}}, 8)
-	if !s.HasSlot("capped") {
-		t.Fatal("fresh tenant reports no free slot")
+// dispatched jobs — a bypass at the cap is refused with ErrQueueFull and
+// spends no token, a bypassed job blocks Next for that tenant, shows up in
+// the stats, and is freed by the same Release the worker path uses; an
+// empty bucket refuses with a *QuotaError.
+func TestBypassCountsTowardCap(t *testing.T) {
+	s := NewScheduler([]Tenant{{Name: "capped", Key: "kc", MaxInFlight: 1, Rate: 1, Burst: 2}}, 8)
+	now := time.Unix(1000, 0)
+	if err := s.Bypass("capped", now); err != nil {
+		t.Fatalf("fresh tenant bypass: %v", err)
 	}
-	s.Reserve("capped")
-	if s.HasSlot("capped") {
-		t.Fatal("HasSlot true at the cap")
+	if err := s.Bypass("capped", now); err != ErrQueueFull {
+		t.Fatalf("bypass at the cap = %v, want ErrQueueFull", err)
 	}
 	// A queued job cannot dispatch while the bypass job holds the slot.
 	fill(t, s, "capped", Batch, 1)
@@ -367,19 +370,31 @@ func TestReserveCountsTowardCap(t *testing.T) {
 		t.Fatal("Next dispatched past the in-flight cap")
 	}
 	for _, st := range s.TenantStats() {
-		if st.Name == "capped" && (st.Running != 1 || st.Dispatched != 1) {
-			t.Fatalf("stats running=%d dispatched=%d, want 1/1", st.Running, st.Dispatched)
+		if st.Name == "capped" && (st.Running != 1 || st.Dispatched != 1 || st.Admitted != 1) {
+			t.Fatalf("stats running=%d dispatched=%d admitted=%d, want 1/1/1 (the refused bypass spent no token)",
+				st.Running, st.Dispatched, st.Admitted)
 		}
 	}
 	s.Release("capped")
 	if _, n, _, ok := s.Next(); !ok || n != "capped" {
 		t.Fatalf("after release got %q ok=%v, want capped", n, ok)
 	}
-	// Uncapped tenants always have a slot; unknown names never do.
-	if !s.HasSlot(LocalName) {
-		t.Fatal("uncapped local tenant reports no slot")
+	s.Release("capped")
+	// The bucket still holds the token the refused bypass kept...
+	if err := s.Bypass("capped", now); err != nil {
+		t.Fatalf("bypass with a token left: %v", err)
 	}
-	if s.HasSlot("ghost") {
-		t.Fatal("HasSlot true for unknown tenant")
+	s.Release("capped")
+	// ...and is now empty.
+	var qe *QuotaError
+	if err := s.Bypass("capped", now); !errors.As(err, &qe) {
+		t.Fatalf("bypass on an empty bucket = %v, want *QuotaError", err)
+	}
+	// Uncapped tenants always have a slot; unknown names never do.
+	if err := s.Bypass(LocalName, now); err != nil {
+		t.Fatalf("uncapped local tenant bypass: %v", err)
+	}
+	if err := s.Bypass("ghost", now); err == nil {
+		t.Fatal("bypass admitted an unknown tenant")
 	}
 }
