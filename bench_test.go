@@ -55,7 +55,7 @@ func benchSpecs(b *testing.B, names ...string) []workload.Spec {
 func BenchmarkFig4SpectreV1CacheBaseline(b *testing.B) {
 	var margin float64
 	for i := 0; i < b.N; i++ {
-		out, err := attack.Run(attack.SpectreV1Cache, core.Baseline(), ooo.DefaultParams())
+		out, err := attack.RunCtx(context.Background(), attack.SpectreV1Cache, core.Baseline(), ooo.DefaultParams())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func BenchmarkFig4SpectreV1CacheBaseline(b *testing.B) {
 func BenchmarkFig4SpectreV1BTBBaseline(b *testing.B) {
 	var margin float64
 	for i := 0; i < b.N; i++ {
-		out, err := attack.Run(attack.SpectreV1BTB, core.Baseline(), ooo.DefaultParams())
+		out, err := attack.RunCtx(context.Background(), attack.SpectreV1BTB, core.Baseline(), ooo.DefaultParams())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func BenchmarkFig5BTBMispredict(b *testing.B) {
 func BenchmarkFig8SpectreV1UnderNDA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, kind := range []attack.Kind{attack.SpectreV1Cache, attack.SpectreV1BTB} {
-			out, err := attack.Run(kind, core.Permissive(), ooo.DefaultParams())
+			out, err := attack.RunCtx(context.Background(), kind, core.Permissive(), ooo.DefaultParams())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func BenchmarkFig8SpectreV1UnderNDA(b *testing.B) {
 func BenchmarkTable2AttackMatrix(b *testing.B) {
 	var matched float64
 	for i := 0; i < b.N; i++ {
-		cells, err := attack.Matrix(ooo.DefaultParams())
+		cells, err := attack.MatrixCtx(context.Background(), ooo.DefaultParams(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func BenchmarkFig7CPI(b *testing.B) {
 	pols := []core.Policy{core.Baseline(), core.Permissive(), core.FullProtection()}
 	var permOverhead float64
 	for i := 0; i < b.N; i++ {
-		sw, err := harness.RunSweep(specs, pols, true, benchConfig(), nil)
+		sw, err := harness.RunSweepCtx(context.Background(), specs, pols, true, benchConfig(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func BenchmarkTable2Overheads(b *testing.B) {
 	specs := benchSpecs(b, "gcc", "mcf")
 	var fullOverhead float64
 	for i := 0; i < b.N; i++ {
-		sw, err := harness.RunSweep(specs, []core.Policy{core.Baseline(), core.FullProtection()}, false, benchConfig(), nil)
+		sw, err := harness.RunSweepCtx(context.Background(), specs, []core.Policy{core.Baseline(), core.FullProtection()}, false, benchConfig(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func BenchmarkFig9Aggregates(b *testing.B) {
 	specs := benchSpecs(b, "gcc", "bwaves")
 	var mlp float64
 	for i := 0; i < b.N; i++ {
-		sw, err := harness.RunSweep(specs, []core.Policy{core.Baseline(), core.Strict()}, false, benchConfig(), nil)
+		sw, err := harness.RunSweepCtx(context.Background(), specs, []core.Policy{core.Baseline(), core.Strict()}, false, benchConfig(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func BenchmarkFig9Aggregates(b *testing.B) {
 func BenchmarkFig9eLogicLatency(b *testing.B) {
 	var deltaPct float64
 	for i := 0; i < b.N; i++ {
-		rs, err := harness.RunFig9e("Permissive", []int{0, 1}, []string{"gcc"}, benchConfig())
+		rs, err := harness.RunFig9eCtx(context.Background(), "Permissive", []int{0, 1}, []string{"gcc"}, benchConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func BenchmarkQuickSweep92(b *testing.B) {
 	cfg := harness.Quick()
 	var cells float64
 	for i := 0; i < b.N; i++ {
-		sw, err := harness.RunSweep(specs, pols, true, cfg, nil)
+		sw, err := harness.RunSweepCtx(context.Background(), specs, pols, true, cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -461,8 +461,9 @@ func BenchmarkCheckpointedMeasurement(b *testing.B) {
 	spec, _ := workload.ByName("exchange2")
 	cfg := benchConfig()
 	cfg.UseCheckpoints = true
+	c := harness.Cell{Spec: spec, Policy: core.Baseline()}
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.MeasureOoOCheckpointed(spec, core.Baseline(), cfg); err != nil {
+		if _, err := c.Measure(context.Background(), cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

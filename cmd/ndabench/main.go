@@ -129,7 +129,7 @@ func main() {
 
 // remoteSweep fetches the sweep from a running ndaserve — a single server
 // or a fleet coordinator; the returned grid is the same one a local
-// harness.RunSweep builds, so every renderer downstream is unchanged.
+// harness.RunSweepCtx builds, so every renderer downstream is unchanged.
 // Table 3, Fig. 5, and Fig. 9e still run in-process: they are single
 // measurements, not sweeps.
 func remoteSweep(ctx context.Context, base string, specs []workload.Spec, quick, checkpoints bool) (*harness.Sweep, error) {

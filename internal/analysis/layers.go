@@ -74,10 +74,11 @@ var DefaultContract = []Rule{
 
 	// Cores.
 	{Path: "nda/internal/inorder", Class: Deterministic, Allow: []string{
-		"nda/internal/cache", "nda/internal/emu", "nda/internal/isa", "nda/internal/mem"}},
+		"nda/internal/cache", "nda/internal/emu", "nda/internal/isa", "nda/internal/mem",
+		"nda/internal/stats"}},
 	{Path: "nda/internal/ooo", Class: Deterministic, Allow: []string{
 		"nda/internal/bpred", "nda/internal/cache", "nda/internal/core", "nda/internal/emu",
-		"nda/internal/isa", "nda/internal/mem"}},
+		"nda/internal/isa", "nda/internal/mem", "nda/internal/stats"}},
 	{Path: "nda/internal/checkpoint", Class: Deterministic, Allow: []string{
 		"nda/internal/core", "nda/internal/emu", "nda/internal/inorder", "nda/internal/isa",
 		"nda/internal/mem", "nda/internal/ooo"}},

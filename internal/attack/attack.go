@@ -175,35 +175,13 @@ func build(kind Kind) (*spec, error) {
 	return nil, fmt.Errorf("attack: unknown kind %q", kind)
 }
 
-// Run executes the PoC on an OoO core under the given policy and analyzes
-// the timing series. Params usually come from ooo.DefaultParams (with
-// MeltdownVulnerable true, the paper's baseline hardware).
-func Run(kind Kind, pol core.Policy, params ooo.Params) (*Outcome, error) {
-	return RunCtx(context.Background(), kind, pol, params)
-}
-
-// RunCtx is Run with cancellation: the core polls ctx.Done() while it runs,
-// so a timeout or job cancellation stops the PoC mid-simulation.
+// RunCtx executes the PoC on an OoO core under the given policy and
+// analyzes the timing series. Params usually come from ooo.DefaultParams
+// (with MeltdownVulnerable true, the paper's baseline hardware). The core
+// polls ctx.Done() while it runs, so a timeout or job cancellation stops
+// the PoC mid-simulation.
 func RunCtx(ctx context.Context, kind Kind, pol core.Policy, params ooo.Params) (*Outcome, error) {
-	s, err := build(kind)
-	if err != nil {
-		return nil, err
-	}
-	c := ooo.NewFromProgram(s.prog, pol, params)
-	c.Cancel = ctx.Done()
-	if s.setup != nil {
-		s.setup(c)
-	}
-	if err := c.Run(30_000_000); err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, fmt.Errorf("attack %s under %s: %w", kind, pol.Name, err)
-	}
-	out := analyze(kind, pol.Name, s, func(addr uint64) uint64 { return c.Memory().Read(addr, 8) })
-	out.Cycles = c.Cycles()
-	out.SanitizerViolations = c.SanitizerViolations()
-	return out, nil
+	return Cell{Attack: kind, Pol: pol}.Run(ctx, params)
 }
 
 // Program returns the PoC program for static analysis (internal/gadget and
@@ -227,43 +205,15 @@ func SecretRegs(kind Kind) []isa.Reg {
 	return nil
 }
 
-// RunInOrder executes the PoC on the in-order baseline core, which is
-// trivially immune: there is no wrong path at all.
-func RunInOrder(kind Kind) (*Outcome, error) {
-	return RunInOrderCtx(context.Background(), kind)
-}
-
-// RunInOrderCtx is RunInOrder with cancellation (see RunCtx).
-func RunInOrderCtx(ctx context.Context, kind Kind) (*Outcome, error) {
-	s, err := build(kind)
-	if err != nil {
-		return nil, err
-	}
-	m := inorder.NewFromProgram(s.prog, inorder.DefaultParams())
-	m.Cancel = ctx.Done()
-	if s.setupInOrder != nil {
-		s.setupInOrder(m)
-	}
-	if err := m.Run(100_000_000); err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, fmt.Errorf("attack %s in-order: %w", kind, err)
-	}
-	out := analyze(kind, inOrderName, s, func(addr uint64) uint64 { return m.Emu().Mem.Read(addr, 8) })
-	out.Cycles = m.Cycles()
-	return out, nil
-}
-
 // analyze reads the per-guess timing array the PoC left in memory and
 // decides whether the secret leaked: the fastest guess must equal the
 // planted secret and beat the median by the channel threshold.
-func analyze(kind Kind, policy string, s *spec, read func(uint64) uint64) *Outcome {
+func analyze(kind Kind, policy string, s *spec, read func(addr uint64, size int) uint64) *Outcome {
 	out := &Outcome{Attack: kind, Policy: policy, Secret: SecretByte}
 	vals := make([]float64, NumGuesses)
 	best := 0
 	for g := 0; g < NumGuesses; g++ {
-		v := float64(read(s.resultsAddr + uint64(g)*8))
+		v := float64(read(s.resultsAddr+uint64(g)*8, 8))
 		out.Series[g] = v
 		vals[g] = v
 		if v < out.Series[best] {

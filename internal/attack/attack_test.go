@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"testing"
 
 	"nda/internal/core"
@@ -12,7 +13,7 @@ import (
 // security columns, encoded in Expected. This is the headline security
 // reproduction: 6 attacks x 10 configurations.
 func TestMatrixMatchesPaper(t *testing.T) {
-	cells, err := Matrix(ooo.DefaultParams())
+	cells, err := MatrixCtx(context.Background(), ooo.DefaultParams(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestMatrixMatchesPaper(t *testing.T) {
 // TestFig4CacheSeries checks the Fig. 4 cache-channel shape on the insecure
 // baseline: a ~140-cycle dip exactly at the secret byte.
 func TestFig4CacheSeries(t *testing.T) {
-	out, err := Run(SpectreV1Cache, core.Baseline(), ooo.DefaultParams())
+	out, err := RunCtx(context.Background(), SpectreV1Cache, core.Baseline(), ooo.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestFig4CacheSeries(t *testing.T) {
 // TestFig4BTBSeries checks the BTB-channel shape: a dip on the order of the
 // ~16-cycle mispredict penalty at the secret byte, and only there.
 func TestFig4BTBSeries(t *testing.T) {
-	out, err := Run(SpectreV1BTB, core.Baseline(), ooo.DefaultParams())
+	out, err := RunCtx(context.Background(), SpectreV1BTB, core.Baseline(), ooo.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestFig4BTBSeries(t *testing.T) {
 // indistinguishable from the other 255 candidates.
 func TestFig8FlatUnderNDA(t *testing.T) {
 	for _, kind := range []Kind{SpectreV1Cache, SpectreV1BTB} {
-		out, err := Run(kind, core.Permissive(), ooo.DefaultParams())
+		out, err := RunCtx(context.Background(), kind, core.Permissive(), ooo.DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func TestMeltdownNeedsTheHardwareFlaw(t *testing.T) {
 	p := ooo.DefaultParams()
 	p.MeltdownVulnerable = false
 	for _, kind := range []Kind{Meltdown, LazyFP} {
-		out, err := Run(kind, core.Baseline(), p)
+		out, err := RunCtx(context.Background(), kind, core.Baseline(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func TestMeltdownNeedsTheHardwareFlaw(t *testing.T) {
 func TestBTBChannelNeedsSpeculativeUpdates(t *testing.T) {
 	p := ooo.DefaultParams()
 	p.SpeculativeBTBUpdate = false
-	out, err := Run(SpectreV1BTB, core.Baseline(), p)
+	out, err := RunCtx(context.Background(), SpectreV1BTB, core.Baseline(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestBTBChannelNeedsSpeculativeUpdates(t *testing.T) {
 func TestSpectreStillLeaksWithoutBTBSpeculation(t *testing.T) {
 	p := ooo.DefaultParams()
 	p.SpeculativeBTBUpdate = false
-	out, err := Run(SpectreV1Cache, core.Baseline(), p)
+	out, err := RunCtx(context.Background(), SpectreV1Cache, core.Baseline(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +146,13 @@ func TestKindMetadata(t *testing.T) {
 }
 
 func TestRunUnknownKind(t *testing.T) {
-	if _, err := Run(Kind("nope"), core.Baseline(), ooo.DefaultParams()); err == nil {
+	if _, err := RunCtx(context.Background(), Kind("nope"), core.Baseline(), ooo.DefaultParams()); err == nil {
 		t.Error("unknown attack must error")
 	}
 }
 
 func TestOutcomeString(t *testing.T) {
-	out, err := Run(GPRSteering, core.Strict(), ooo.DefaultParams())
+	out, err := RunCtx(context.Background(), GPRSteering, core.Strict(), ooo.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestOutcomeString(t *testing.T) {
 // propagation (which on its own cannot protect GPR-resident secrets).
 func TestListing4SpecOffDefense(t *testing.T) {
 	for _, pol := range []core.Policy{core.Baseline(), core.Permissive()} {
-		out, err := Run(GPRSteeringSpecOff, pol, ooo.DefaultParams())
+		out, err := RunCtx(context.Background(), GPRSteeringSpecOff, pol, ooo.DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func TestListing4SpecOffDefense(t *testing.T) {
 		}
 	}
 	// Sanity: the unhardened victim does leak under permissive.
-	out, err := Run(GPRSteering, core.Permissive(), ooo.DefaultParams())
+	out, err := RunCtx(context.Background(), GPRSteering, core.Permissive(), ooo.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

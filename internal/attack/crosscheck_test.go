@@ -1,6 +1,7 @@
 package attack_test
 
 import (
+	"context"
 	"testing"
 
 	"nda/internal/attack"
@@ -25,7 +26,7 @@ import (
 func TestStaticDynamicCrossValidation(t *testing.T) {
 	params := ooo.DefaultParams()
 	params.Sanitize = true
-	cells, err := attack.MatrixParallel(params, 0)
+	cells, err := attack.MatrixCtx(context.Background(), params, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

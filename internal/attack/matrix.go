@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"nda/internal/core"
+	"nda/internal/inorder"
 	"nda/internal/ooo"
 	"nda/internal/par"
 )
@@ -96,13 +97,47 @@ type Cell struct {
 // Matches reports whether the measured verdict equals the paper's.
 func (c Cell) Matches() bool { return c.Outcome.Leaked == c.Expected }
 
-// Run simulates the cell; params configure the OoO core and are unused on
-// the in-order core.
+// Run simulates the cell and analyzes its timing series: the attack
+// under Pol on the OoO core, configured by params, or on the in-order
+// core, which is trivially immune (there is no wrong path at all). The
+// outcome is labelled Pol.Name or In-Order, not Policy, which cells built
+// from a worker request leave empty.
 func (c Cell) Run(ctx context.Context, params ooo.Params) (*Outcome, error) {
-	if c.InOrder {
-		return RunInOrderCtx(ctx, c.Attack)
+	s, err := build(c.Attack)
+	if err != nil {
+		return nil, err
 	}
-	return RunCtx(ctx, c.Attack, c.Pol, params)
+	label := c.Pol.Name
+	var (
+		read               func(addr uint64, size int) uint64
+		cycles, violations uint64
+	)
+	if c.InOrder {
+		m := inorder.NewFromProgram(s.prog, inorder.DefaultParams())
+		m.Cancel = ctx.Done()
+		if s.setupInOrder != nil {
+			s.setupInOrder(m)
+		}
+		err = m.Run(100_000_000)
+		label, read, cycles = inOrderName, m.Emu().Mem.Read, m.Cycles()
+	} else {
+		o := ooo.NewFromProgram(s.prog, c.Pol, params)
+		o.Cancel = ctx.Done()
+		if s.setup != nil {
+			s.setup(o)
+		}
+		err = o.Run(30_000_000)
+		read, cycles, violations = o.Memory().Read, o.Cycles(), o.SanitizerViolations()
+	}
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
+		return nil, fmt.Errorf("attack %s under %s: %w", c.Attack, label, err)
+	}
+	out := analyze(c.Attack, label, s, read)
+	out.Cycles, out.SanitizerViolations = cycles, violations
+	return out, nil
 }
 
 // Grid lays out the security matrix: for each attack, every policy in
@@ -123,26 +158,15 @@ func Grid(kinds []Kind, pols []core.Policy, inOrder bool) []Cell {
 	return cells
 }
 
-// Matrix runs every attack under every policy (plus the in-order core) and
-// returns the full grid — the dynamic reproduction of Table 2's security
-// columns and Table 1's "demonstrated" checkmarks — using one worker per
-// CPU.
-func Matrix(params ooo.Params) ([]Cell, error) {
-	return MatrixParallel(params, 0)
-}
-
-// MatrixParallel is Matrix with an explicit worker bound (0 = one per CPU).
-// Every (attack, policy) PoC builds its own program, memory image, and
-// core, and each verdict lands in the slot its tuple indexes, so the
-// returned grid is identical — in content and order — for any worker
-// count.
-func MatrixParallel(params ooo.Params, workers int) ([]Cell, error) {
-	return MatrixCtx(context.Background(), params, workers)
-}
-
-// MatrixCtx is MatrixParallel with cancellation: once ctx is done, no
-// queued (attack, policy) cell starts and in-flight PoCs stop
-// mid-simulation; the ctx error is returned unless a cell failed first.
+// MatrixCtx runs every attack under every policy (plus the in-order core)
+// and returns the full grid — the dynamic reproduction of Table 2's
+// security columns and Table 1's "demonstrated" checkmarks — over up to
+// workers goroutines (0 = one per CPU). Every (attack, policy) PoC builds
+// its own program, memory image, and core, and each verdict lands in the
+// slot its tuple indexes, so the returned grid is identical — in content
+// and order — for any worker count. Once ctx is done, no queued cell starts
+// and in-flight PoCs stop mid-simulation; the ctx error is returned unless
+// a cell failed first.
 func MatrixCtx(ctx context.Context, params ooo.Params, workers int) ([]Cell, error) {
 	cells := Grid(All(), core.All(), true)
 	err := par.RunCtx(ctx, len(cells), workers, func(i int) error {

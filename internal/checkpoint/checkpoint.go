@@ -11,6 +11,7 @@
 package checkpoint
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -60,9 +61,11 @@ func Take(prog *isa.Program, skipInsts uint64) (*Checkpoint, error) {
 
 // TakeSeries fast-forwards once and captures n checkpoints at the given
 // stride, amortizing the functional execution (the SMARTS sampling points).
-func TakeSeries(prog *isa.Program, first, stride uint64, n int) ([]*Checkpoint, error) {
+// The fast-forward checks ctx every ffChunk instructions, so a cancelled
+// caller stops it mid-way with ctx's error.
+func TakeSeries(ctx context.Context, prog *isa.Program, first, stride uint64, n int) ([]*Checkpoint, error) {
 	m := emu.New(prog)
-	if err := m.RunN(first); err != nil {
+	if err := fastForward(ctx, m, first); err != nil {
 		return nil, fmt.Errorf("checkpoint: fast-forward: %w", err)
 	}
 	var out []*Checkpoint
@@ -72,12 +75,29 @@ func TakeSeries(prog *isa.Program, first, stride uint64, n int) ([]*Checkpoint, 
 		}
 		out = append(out, Capture(m))
 		if i < n-1 {
-			if err := m.RunN(stride); err != nil {
+			if err := fastForward(ctx, m, stride); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return out, nil
+}
+
+// ffChunk is how many instructions the fast-forward runs between ctx checks.
+const ffChunk = 1 << 16
+
+// fastForward runs m for n more instructions (fewer if it halts) in chunks
+// of ffChunk, returning ctx's error once ctx is done.
+func fastForward(ctx context.Context, m *emu.Machine, n uint64) error {
+	for target := m.Retired + n; !m.Halted && m.Retired < target; {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := m.RunN(min(ffChunk, target-m.Retired)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Emu builds a functional machine resuming from the checkpoint. The

@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -123,7 +125,7 @@ func TestTakeRejectsHaltingPrograms(t *testing.T) {
 
 func TestTakeSeries(t *testing.T) {
 	prog := workload.Random(11, 400)
-	cps, err := TakeSeries(prog, 100, 200, 4)
+	cps, err := TakeSeries(context.Background(), prog, 100, 200, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +144,37 @@ func TestTakeSeries(t *testing.T) {
 		if got != want {
 			t.Errorf("checkpoint %d resumes to different state", i)
 		}
+	}
+}
+
+// TestTakeSeriesChunkedFastForward: fast-forwarding in ctx-checked chunks
+// lands on exactly the state one uninterrupted run reaches, and a cancelled
+// context stops the fast-forward with its own error.
+func TestTakeSeriesChunkedFastForward(t *testing.T) {
+	spec, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := spec.Build(1 << 40)
+	first, stride := uint64(2*ffChunk+5), uint64(ffChunk+3)
+	cps, err := TakeSeries(context.Background(), prog, first, stride, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cp := range cps {
+		want, err := Take(prog, first+uint64(i)*stride)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp.Retired != want.Retired || cp.PC != want.PC || cp.Regs != want.Regs {
+			t.Errorf("checkpoint %d: chunked fast-forward diverged from one run", i)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := TakeSeries(ctx, prog, first, stride, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
 

@@ -23,6 +23,7 @@
 package diffuzz
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -351,7 +352,7 @@ func Fuzz(seeds []int64, workers int) *Summary {
 	}
 	// Job errors are recorded per-slot, never returned: one bad seed must
 	// not mask the rest of the sweep.
-	_ = par.Run(len(seeds), n, func(i int) error {
+	_ = par.RunCtx(context.Background(), len(seeds), n, func(i int) error {
 		t := <-idle
 		results[i] = t.runSeed(seeds[i], t.run)
 		idle <- t

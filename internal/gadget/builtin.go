@@ -1,6 +1,7 @@
 package gadget
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -57,7 +58,7 @@ func Builtins() ([]Input, error) {
 // worker count.
 func BuildReport(ins []Input, workers int) (*Report, error) {
 	r := &Report{Window: DefaultWindow, Programs: make([]ProgramReport, len(ins))}
-	err := par.Run(len(ins), workers, func(i int) error {
+	err := par.RunCtx(context.Background(), len(ins), workers, func(i int) error {
 		in := ins[i]
 		an := Analyze(in.Prog, in.Cfg)
 		r.Programs[i] = NewProgramReport(in.Name, in.Group, an, in.Group == "attack")

@@ -6,12 +6,7 @@ import (
 	"nda/internal/asm"
 	"nda/internal/core"
 	"nda/internal/ooo"
-	"nda/internal/workload"
 )
-
-func byName(name string) (workload.Spec, error) { return workload.ByName(name) }
-
-func policyByName(name string) (core.Policy, error) { return core.ByName(name) }
 
 // Fig5Result quantifies the BTB misprediction overhead (paper Fig. 5): the
 // total time of 64 back-to-back indirect calls when the BTB predicts every

@@ -34,18 +34,19 @@ type Config struct {
 	Intervals    int
 	MaxCycles    uint64 // per full benchmark run; guards runaway configs
 
-	// UseCheckpoints switches RunSweep to checkpoint-based sampling (see
-	// MeasureOoOCheckpointed): the emulator fast-forwards between sampling
-	// points instead of the timing core simulating the gaps.
+	// UseCheckpoints switches Cell.Measure to checkpoint-based sampling
+	// (see TakeSamples): the emulator fast-forwards between sampling points
+	// instead of the timing core simulating the gaps.
 	UseCheckpoints bool
 	// CheckpointStride is the functional distance between sampling points;
 	// 0 means 10x the warm+measure window.
 	CheckpointStride uint64
 
 	// Workers bounds the goroutines the sweep engine fans (policy,
-	// workload, sample) jobs out over; 0 means one per available CPU.
-	// Every job derives its inputs from its tuple alone, so the results
-	// are bit-identical for any worker count.
+	// workload) cells out over; 0 means one per available CPU. A cell's
+	// samples run in order inside it. Every cell derives its inputs from
+	// its tuple alone, so the results are bit-identical for any worker
+	// count.
 	Workers int
 
 	Params   ooo.Params
@@ -76,9 +77,6 @@ func Quick() Config {
 	return c
 }
 
-// workerCount resolves Config.Workers (0 = one per CPU).
-func (c Config) workerCount() int { return par.Workers(c.Workers) }
-
 // Measurement aggregates one (benchmark, configuration) cell.
 type Measurement struct {
 	Workload string
@@ -105,144 +103,17 @@ type Measurement struct {
 // by instruction budget.
 const hugeIters = 1 << 40
 
-// ctxErr prefers the context's error once the context is done: the cores
-// surface cancellation as ooo.ErrCancelled, but callers want the standard
-// context.Canceled / context.DeadlineExceeded identity back.
-func ctxErr(ctx context.Context, err error) error {
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr
-	}
-	return err
-}
-
-// MeasureOoO runs one benchmark under one policy.
-func MeasureOoO(spec workload.Spec, pol core.Policy, cfg Config) (*Measurement, error) {
-	return MeasureOoOCtx(context.Background(), spec, pol, cfg)
-}
-
-// MeasureOoOCtx is MeasureOoO with cancellation: the core polls ctx.Done()
+// MeasureOoOCtx measures one benchmark under one policy with continuous
+// sampling, whatever cfg.UseCheckpoints says. The core polls ctx.Done()
 // while it runs, so a timeout or job cancellation stops the simulation
 // mid-interval rather than after the cell completes.
 func MeasureOoOCtx(ctx context.Context, spec workload.Spec, pol core.Policy, cfg Config) (*Measurement, error) {
-	prog := spec.Build(hugeIters)
-	c := ooo.NewFromProgram(prog, pol, cfg.Params)
-	c.Cancel = ctx.Done()
-	if err := c.RunInsts(cfg.WarmInsts, cfg.MaxCycles); err != nil {
-		return nil, ctxErr(ctx, fmt.Errorf("harness: %s/%s warm-up: %w", spec.Name, pol.Name, err))
-	}
-
-	m := &Measurement{Workload: spec.Name, Config: pol.Name}
-	var cpis []float64
-	var agg ooo.Stats
-	for i := 0; i < cfg.Intervals; i++ {
-		c.ResetStats()
-		if err := c.RunInsts(cfg.MeasureInsts, cfg.MaxCycles); err != nil {
-			return nil, ctxErr(ctx, fmt.Errorf("harness: %s/%s interval %d: %w", spec.Name, pol.Name, i, err))
-		}
-		s := *c.Stats()
-		cpis = append(cpis, s.CPI())
-		addStats(&agg, s)
-		if i < cfg.Intervals-1 && cfg.SkipInsts > 0 {
-			c.ResetStats()
-			if err := c.RunInsts(cfg.SkipInsts, cfg.MaxCycles); err != nil {
-				return nil, ctxErr(ctx, fmt.Errorf("harness: %s/%s skip %d: %w", spec.Name, pol.Name, i, err))
-			}
-		}
-	}
-	m.CPI = stats.Summarize(cpis)
-	fillFromStats(m, &agg)
-	return m, nil
+	return Cell{Spec: spec, Policy: pol}.measure(ctx, cfg, nil)
 }
 
-// MeasureInOrder runs one benchmark on the in-order core.
-func MeasureInOrder(spec workload.Spec, cfg Config) (*Measurement, error) {
-	return MeasureInOrderCtx(context.Background(), spec, cfg)
-}
-
-// MeasureInOrderCtx is MeasureInOrder with cancellation (see MeasureOoOCtx).
+// MeasureInOrderCtx is MeasureOoOCtx on the in-order core.
 func MeasureInOrderCtx(ctx context.Context, spec workload.Spec, cfg Config) (*Measurement, error) {
-	prog := spec.Build(hugeIters)
-	c := inorder.NewFromProgram(prog, cfg.IOParams)
-	c.Cancel = ctx.Done()
-	if err := c.RunInsts(cfg.WarmInsts); err != nil {
-		return nil, ctxErr(ctx, fmt.Errorf("harness: %s/in-order warm-up: %w", spec.Name, err))
-	}
-	m := &Measurement{Workload: spec.Name, Config: InOrderName}
-	var cpis []float64
-	var cycles, committed uint64
-	var mlpSum, mlpCyc, ilpSum, ilpCyc uint64
-	for i := 0; i < cfg.Intervals; i++ {
-		c.ResetStats()
-		if err := c.RunInsts(cfg.MeasureInsts); err != nil {
-			return nil, ctxErr(ctx, err)
-		}
-		s := c.Stats()
-		cpis = append(cpis, s.CPI())
-		cycles += s.Cycles
-		committed += s.Committed
-		mlpSum += s.MLPSum
-		mlpCyc += s.MLPCycles
-		ilpSum += s.ILPSum
-		ilpCyc += s.ILPCycles
-		if i < cfg.Intervals-1 && cfg.SkipInsts > 0 {
-			c.ResetStats()
-			if err := c.RunInsts(cfg.SkipInsts); err != nil {
-				return nil, ctxErr(ctx, err)
-			}
-		}
-	}
-	m.CPI = stats.Summarize(cpis)
-	m.Cycles, m.Committed = cycles, committed
-	if mlpCyc > 0 {
-		m.MLP = float64(mlpSum) / float64(mlpCyc)
-	}
-	if ilpCyc > 0 {
-		m.ILP = float64(ilpSum) / float64(ilpCyc)
-	}
-	// The whole cycle is "commit" from the blocking core's perspective.
-	m.CommitFrac = 1
-	return m, nil
-}
-
-// addStats folds one measurement interval into an aggregate. src is a value
-// snapshot, never a pointer into a live core: Core.Stats returns the core's
-// internal counter block, which keeps mutating as the core runs, so
-// aggregating through the alias would tie the fold to simulation timing.
-func addStats(dst *ooo.Stats, src ooo.Stats) {
-	dst.Cycles += src.Cycles
-	dst.Committed += src.Committed
-	dst.CommitCycles += src.CommitCycles
-	dst.MemStallCycles += src.MemStallCycles
-	dst.BackendStalls += src.BackendStalls
-	dst.FrontendStalls += src.FrontendStalls
-	dst.MLPSum += src.MLPSum
-	dst.MLPCycles += src.MLPCycles
-	dst.ILPSum += src.ILPSum
-	dst.ILPCycles += src.ILPCycles
-	dst.DispatchToIssueSum += src.DispatchToIssueSum
-	dst.DispatchToIssueCount += src.DispatchToIssueCount
-	dst.DeferredBroadcasts += src.DeferredBroadcasts
-	dst.DeferralCycles += src.DeferralCycles
-	dst.BranchesResolved += src.BranchesResolved
-	dst.Mispredicts += src.Mispredicts
-}
-
-func fillFromStats(m *Measurement, s *ooo.Stats) {
-	m.Cycles, m.Committed = s.Cycles, s.Committed
-	m.MLP = s.MLP()
-	m.ILP = s.ILP()
-	m.D2I = s.DispatchToIssue()
-	if s.Cycles > 0 {
-		total := float64(s.Cycles)
-		m.CommitFrac = float64(s.CommitCycles) / total
-		m.MemFrac = float64(s.MemStallCycles) / total
-		m.BackendFrac = float64(s.BackendStalls) / total
-		m.FrontendFrac = float64(s.FrontendStalls) / total
-	}
-	if s.Committed > 0 {
-		m.DeferredPerKilo = 1000 * float64(s.DeferredBroadcasts) / float64(s.Committed)
-	}
-	m.MispredictRate = s.MispredictRate()
+	return Cell{Spec: spec, InOrder: true}.measure(ctx, cfg, nil)
 }
 
 // Sweep is the full evaluation grid: every benchmark under every
@@ -332,22 +203,6 @@ func (c Cell) Config() string {
 	return c.Policy.Name
 }
 
-// Measure runs the cell under cfg. In checkpoint mode (cfg.UseCheckpoints)
-// it samples from ss, the workload's series from TakeSamples; otherwise ss
-// is unused and the cell simulates continuously.
-func (c Cell) Measure(ctx context.Context, cfg Config, ss *SampleSeries) (*Measurement, error) {
-	switch {
-	case cfg.UseCheckpoints && c.InOrder:
-		return MeasureInOrderSamples(ctx, c.Spec, cfg, ss)
-	case cfg.UseCheckpoints:
-		return MeasureOoOSamples(ctx, c.Spec, c.Policy, cfg, ss)
-	case c.InOrder:
-		return MeasureInOrderCtx(ctx, c.Spec, cfg)
-	default:
-		return MeasureOoOCtx(ctx, c.Spec, c.Policy, cfg)
-	}
-}
-
 // Grid lays out a sweep: its cells workload-major (for each workload, every
 // policy in order, then the in-order core when inOrder is set) and the
 // empty Sweep whose axes they fill. RunSweepCtx and the serving layer both
@@ -374,7 +229,7 @@ func Grid(specs []workload.Spec, policies []core.Policy, inOrder bool) ([]Cell, 
 	return cells, NewSweep(workloads, configs)
 }
 
-// RunSweep measures every benchmark under every policy (and, when
+// RunSweepCtx measures every benchmark under every policy (and, when
 // includeInOrder is set, the in-order core), fanning the cells out over
 // cfg.Workers goroutines. progress, if non-nil, receives one line per
 // completed cell; it is called from at most one goroutine at a time, in
@@ -384,14 +239,11 @@ func Grid(specs []workload.Spec, policies []core.Policy, inOrder bool) ([]Cell, 
 // (policy, workload) tuple — fresh program, memory image, core, and
 // checkpoint series — and results land in index-addressed slots, so the
 // returned Sweep is bit-identical for any worker count.
-func RunSweep(specs []workload.Spec, policies []core.Policy, includeInOrder bool, cfg Config, progress func(string)) (*Sweep, error) {
-	return RunSweepCtx(context.Background(), specs, policies, includeInOrder, cfg, progress)
-}
-
-// RunSweepCtx is RunSweep with cancellation: once ctx is done, no queued
-// cell starts, in-flight cells stop mid-simulation (the cores poll
-// ctx.Done()), no further progress lines are emitted, and the ctx error is
-// returned. Job errors from cells that ran take precedence.
+//
+// Cancellation: once ctx is done, no queued cell starts, in-flight cells
+// and checkpoint fast-forwards stop mid-simulation, no further progress
+// lines are emitted, and the ctx error is returned. Job errors from cells
+// that ran take precedence.
 func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Policy, includeInOrder bool, cfg Config, progress func(string)) (*Sweep, error) {
 	// Grid's cells are workload-major, so a workload's cells are
 	// contiguous: they are handed out in order, cluster in time, and the
@@ -407,16 +259,14 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 	// so each workload's series is captured once (in parallel) and shared
 	// read-only by all of its cells; restoring clones the memory, so the
 	// series itself is never written after this phase.
-	var series []*SampleSeries
-	var seriesLeft []atomic.Int64 // cells still to run per workload
+	series := make([]*SampleSeries, len(specs))    // nil in continuous mode
+	seriesLeft := make([]atomic.Int64, len(specs)) // cells still to run per workload
 	if cfg.UseCheckpoints {
-		series = make([]*SampleSeries, len(specs))
-		seriesLeft = make([]atomic.Int64, len(specs))
 		for i := range seriesLeft {
 			seriesLeft[i].Store(int64(perWorkload))
 		}
-		if err := par.RunCtx(ctx, len(specs), cfg.workerCount(), func(i int) error {
-			ss, err := TakeSamples(specs[i], cfg)
+		if err := par.RunCtx(ctx, len(specs), cfg.Workers, func(i int) error {
+			ss, err := TakeSamples(ctx, specs[i], cfg)
 			if err != nil {
 				return err
 			}
@@ -426,11 +276,6 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 			return nil, err
 		}
 	}
-
-	// Cells saturate the pool on their own; the per-sample fan-out inside
-	// the checkpointed measurements stays serial to avoid nested pools.
-	cellCfg := cfg
-	cellCfg.Workers = 1
 
 	results := make([]*Measurement, len(cells))
 	var (
@@ -454,13 +299,9 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 		done++
 		progress(fmt.Sprintf("[%3d/%3d] %-18s %-14s CPI %s", done, len(cells), m.Config, m.Workload, m.CPI))
 	}
-	err := par.RunCtx(ctx, len(cells), cfg.workerCount(), func(i int) error {
+	err := par.RunCtx(ctx, len(cells), cfg.Workers, func(i int) error {
 		w := i / perWorkload
-		var ss *SampleSeries
-		if cfg.UseCheckpoints {
-			ss = series[w]
-		}
-		m, err := cells[i].Measure(ctx, cellCfg, ss)
+		m, err := cells[i].Measure(ctx, cfg, series[w])
 		if err != nil {
 			return err
 		}

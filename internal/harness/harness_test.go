@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"nda/internal/core"
 	"nda/internal/ooo"
@@ -36,7 +37,7 @@ func tinySpecs(t *testing.T, names ...string) []workload.Spec {
 
 func TestMeasureOoO(t *testing.T) {
 	s, _ := workload.ByName("exchange2")
-	m, err := MeasureOoO(s, core.Baseline(), tinyConfig())
+	m, err := MeasureOoOCtx(context.Background(), s, core.Baseline(), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestMeasureOoO(t *testing.T) {
 
 func TestMeasureInOrder(t *testing.T) {
 	s, _ := workload.ByName("exchange2")
-	m, err := MeasureInOrder(s, tinyConfig())
+	m, err := MeasureInOrderCtx(context.Background(), s, tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestSweepOrderingHolds(t *testing.T) {
 	// workload pair: baseline <= permissive <= full protection << in-order.
 	specs := tinySpecs(t, "gcc", "xalancbmk")
 	pols := []core.Policy{core.Baseline(), core.Permissive(), core.FullProtection()}
-	sw, err := RunSweep(specs, pols, true, tinyConfig(), nil)
+	sw, err := RunSweepCtx(context.Background(), specs, pols, true, tinyConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestSweepOrderingHolds(t *testing.T) {
 func TestRenderers(t *testing.T) {
 	specs := tinySpecs(t, "exchange2", "xz")
 	pols := []core.Policy{core.Baseline(), core.Permissive()}
-	sw, err := RunSweep(specs, pols, true, tinyConfig(), nil)
+	sw, err := RunSweepCtx(context.Background(), specs, pols, true, tinyConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestFig5BTBPenalty(t *testing.T) {
 }
 
 func TestFig9eSensitivity(t *testing.T) {
-	rs, err := RunFig9e("Permissive", []int{0, 1, 2}, []string{"gcc"}, tinyConfig())
+	rs, err := RunFig9eCtx(context.Background(), "Permissive", []int{0, 1, 2}, []string{"gcc"}, tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,13 +178,13 @@ func TestRunSweepDeterministicAcrossWorkers(t *testing.T) {
 		cfg.UseCheckpoints = checkpoints
 
 		cfg.Workers = 1
-		serial, err := RunSweep(specs, pols, true, cfg, nil)
+		serial, err := RunSweepCtx(context.Background(), specs, pols, true, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Workers = 8
 		var lines []string
-		parallel, err := RunSweep(specs, pols, true, cfg, func(s string) { lines = append(lines, s) })
+		parallel, err := RunSweepCtx(context.Background(), specs, pols, true, cfg, func(s string) { lines = append(lines, s) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +207,7 @@ func TestRunSweepErrorCancels(t *testing.T) {
 	cfg.MaxCycles = 1 // every cell blows its cycle budget during warm-up
 	cfg.Workers = 4
 	var progressed int
-	sw, err := RunSweep(tinySpecs(t, "gcc", "xz"), []core.Policy{core.Baseline(), core.Permissive()}, false, cfg,
+	sw, err := RunSweepCtx(context.Background(), tinySpecs(t, "gcc", "xz"), []core.Policy{core.Baseline(), core.Permissive()}, false, cfg,
 		func(string) { progressed++ })
 	if err == nil {
 		t.Fatal("cycle-budget error must propagate out of the sweep")
@@ -288,13 +289,13 @@ func TestCheckpointedSamplingAgrees(t *testing.T) {
 	// under the same policy; the CPIs must land in the same ballpark.
 	s, _ := workload.ByName("exchange2")
 	cfg := tinyConfig()
-	cont, err := MeasureOoO(s, core.Baseline(), cfg)
+	cont, err := MeasureOoOCtx(context.Background(), s, core.Baseline(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.UseCheckpoints = true
 	cfg.CheckpointStride = 20_000
-	ckpt, err := MeasureOoOCheckpointed(s, core.Baseline(), cfg)
+	ckpt, err := Cell{Spec: s, Policy: core.Baseline()}.Measure(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestCheckpointedSamplingAgrees(t *testing.T) {
 		t.Errorf("checkpointed CPI %.3f vs continuous %.3f: methodologies disagree",
 			ckpt.CPI.Mean, cont.CPI.Mean)
 	}
-	io, err := MeasureInOrderCheckpointed(s, cfg)
+	io, err := Cell{Spec: s, InOrder: true}.Measure(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,11 +315,80 @@ func TestCheckpointedSamplingAgrees(t *testing.T) {
 func TestCheckpointedSweep(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.UseCheckpoints = true
-	sw, err := RunSweep(tinySpecs(t, "xz"), []core.Policy{core.Baseline(), core.FullProtection()}, true, cfg, nil)
+	sw, err := RunSweepCtx(context.Background(), tinySpecs(t, "xz"), []core.Policy{core.Baseline(), core.FullProtection()}, true, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sw.MeanNormalizedCPI("FullProtection") < 1.0 {
 		t.Errorf("full protection normalized CPI = %.2f", sw.MeanNormalizedCPI("FullProtection"))
+	}
+}
+
+// TestFig9eIgnoresCheckpoints: RunFig9eCtx samples continuously, so the
+// -checkpoints configuration gives the same points as the plain one.
+func TestFig9eIgnoresCheckpoints(t *testing.T) {
+	cfg := tinyConfig()
+	want, err := RunFig9eCtx(context.Background(), "Permissive", []int{0, 1}, []string{"gcc"}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.UseCheckpoints = true
+	got, err := RunFig9eCtx(context.Background(), "Permissive", []int{0, 1}, []string{"gcc"}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("with checkpoints %+v, without %+v", got, want)
+	}
+}
+
+// TestMeasureTakesSeriesWhenNil: in checkpoint mode a cell given no series
+// takes its own and measures exactly what it measures from TakeSamples'
+// series, on both cores.
+func TestMeasureTakesSeriesWhenNil(t *testing.T) {
+	s, _ := workload.ByName("xz")
+	cfg := tinyConfig()
+	cfg.UseCheckpoints = true
+	ss, err := TakeSamples(context.Background(), s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []Cell{{Spec: s, Policy: core.StrictBR()}, {Spec: s, InOrder: true}} {
+		want, err := c.Measure(context.Background(), cfg, ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Measure(context.Background(), cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: nil series measured %+v, TakeSamples' series %+v", c.Config(), got, want)
+		}
+		if got.CPI.N != cfg.Intervals {
+			t.Errorf("%s: %d samples, want %d", c.Config(), got.CPI.N, cfg.Intervals)
+		}
+	}
+}
+
+// TestTakeSamplesCancelled: the checkpoint fast-forward stops soon after
+// its context is cancelled, even with a warm-up it would take hours to
+// run.
+func TestTakeSamplesCancelled(t *testing.T) {
+	s, _ := workload.ByName("gcc")
+	cfg := tinyConfig()
+	cfg.UseCheckpoints = true
+	cfg.WarmInsts = 1_000_000_000_000
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stop := time.AfterFunc(50*time.Millisecond, cancel)
+	defer stop.Stop()
+	start := time.Now()
+	_, err := Cell{Spec: s, Policy: core.Baseline()}.Measure(ctx, cfg, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("cancelled fast-forward returned after %v", d)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"nda/internal/cache"
+	"nda/internal/core"
 	"nda/internal/ooo"
 	"nda/internal/par"
 	"nda/internal/stats"
@@ -182,31 +183,28 @@ type Fig9eResult struct {
 	CPI    float64
 }
 
-// RunFig9e measures CPI sensitivity to extra NDA wake-up latency (0, 1, and
-// 2 cycles of delayed broadcast for newly-safe instructions) for the given
-// base policy across the benchmark list. The (delay, benchmark) points fan
-// out over cfg.Workers goroutines; each point's CPI lands in a slot indexed
-// by its tuple, so the results are independent of scheduling.
-func RunFig9e(policyName string, delays []int, specNames []string, cfg Config) ([]Fig9eResult, error) {
-	return RunFig9eCtx(context.Background(), policyName, delays, specNames, cfg)
-}
-
-// RunFig9eCtx is RunFig9e with cancellation (see RunSweepCtx).
+// RunFig9eCtx measures CPI sensitivity to extra NDA wake-up latency (0, 1,
+// and 2 cycles of delayed broadcast for newly-safe instructions) for the
+// given base policy across the benchmark list, with continuous sampling
+// whatever cfg.UseCheckpoints says. The (delay, benchmark) points fan out
+// over cfg.Workers goroutines; each point's CPI lands in a slot indexed by
+// its tuple, so the results are independent of scheduling. Cancellation
+// works as in RunSweepCtx.
 func RunFig9eCtx(ctx context.Context, policyName string, delays []int, specNames []string, cfg Config) ([]Fig9eResult, error) {
 	specs := make([]workload.Spec, len(specNames))
 	for i, name := range specNames {
-		s, err := byName(name)
+		s, err := workload.ByName(name)
 		if err != nil {
 			return nil, err
 		}
 		specs[i] = s
 	}
-	basePol, err := policyByName(policyName)
+	basePol, err := core.ByName(policyName)
 	if err != nil {
 		return nil, err
 	}
 	cpis := make([]float64, len(delays)*len(specs))
-	err = par.RunCtx(ctx, len(cpis), cfg.workerCount(), func(i int) error {
+	err = par.RunCtx(ctx, len(cpis), cfg.Workers, func(i int) error {
 		pol := basePol
 		pol.ExtraBroadcastDelay = delays[i/len(specs)]
 		m, err := MeasureOoOCtx(ctx, specs[i%len(specs)], pol, cfg)

@@ -22,6 +22,7 @@ import (
 	"nda/internal/emu"
 	"nda/internal/isa"
 	"nda/internal/mem"
+	"nda/internal/stats"
 )
 
 // Params configures the in-order core's latencies.
@@ -44,41 +45,6 @@ func DefaultParams() Params {
 	}
 }
 
-// Stats mirrors the subset of the OoO statistics the evaluation compares.
-type Stats struct {
-	Cycles    uint64
-	Committed uint64
-
-	MLPSum    uint64
-	MLPCycles uint64
-	ILPSum    uint64
-	ILPCycles uint64
-}
-
-// CPI returns cycles per committed instruction.
-func (s *Stats) CPI() float64 {
-	if s.Committed == 0 {
-		return 0
-	}
-	return float64(s.Cycles) / float64(s.Committed)
-}
-
-// MLP is at most 1.0: blocking memory allows one outstanding miss.
-func (s *Stats) MLP() float64 {
-	if s.MLPCycles == 0 {
-		return 0
-	}
-	return float64(s.MLPSum) / float64(s.MLPCycles)
-}
-
-// ILP is at most 1.0: single issue.
-func (s *Stats) ILP() float64 {
-	if s.ILPCycles == 0 {
-		return 0
-	}
-	return float64(s.ILPSum) / float64(s.ILPCycles)
-}
-
 // Machine is one in-order core instance.
 type Machine struct {
 	emu  *emu.Machine
@@ -87,7 +53,7 @@ type Machine struct {
 
 	cycle         uint64
 	lastFetchLine uint64
-	stats         Stats
+	stats         stats.Counters
 
 	// Cancel, when non-nil, aborts Run/RunInsts with ErrCancelled shortly
 	// after the channel closes (polled every cancelStride instructions).
@@ -124,12 +90,14 @@ func (m *Machine) Retired() uint64 { return m.emu.Retired }
 // Halted reports whether HALT executed.
 func (m *Machine) Halted() bool { return m.emu.Halted }
 
-// Stats returns counters accumulated since the last reset.
-func (m *Machine) Stats() *Stats { return &m.stats }
+// Stats returns counters accumulated since the last reset: cycles, commits,
+// MLP and ILP, with every cycle a commit cycle (the blocking core never
+// stalls with nothing retiring in flight). MLP and ILP can never exceed 1.0.
+func (m *Machine) Stats() *stats.Counters { return &m.stats }
 
 // ResetStats zeroes the counters (end of warm-up).
 func (m *Machine) ResetStats() {
-	m.stats = Stats{}
+	m.stats = stats.Counters{}
 	m.hier.ResetStats()
 }
 
@@ -193,6 +161,7 @@ func (m *Machine) Step() error {
 
 	m.cycle += lat
 	m.stats.Cycles += lat
+	m.stats.CommitCycles += lat
 	m.stats.Committed++
 	// One instruction issues per issuing cycle: ILP is exactly 1.0, the
 	// in-order bound the paper cites.

@@ -163,9 +163,13 @@ func TestHaltedAndZeroStats(t *testing.T) {
 	if !m.Halted() {
 		t.Error("must be halted")
 	}
-	var s Stats
-	if s.CPI() != 0 || s.MLP() != 0 || s.ILP() != 0 {
-		t.Error("zero-value stats must report 0")
+	// The blocking core counts every cycle as a commit cycle.
+	if s := m.Stats(); s.Cycles == 0 || s.CommitCycles != s.Cycles {
+		t.Errorf("commit cycles %d of %d", s.CommitCycles, s.Cycles)
+	}
+	m.ResetStats()
+	if s := m.Stats(); s.CPI() != 0 || s.MLP() != 0 || s.ILP() != 0 {
+		t.Error("reset stats must report 0")
 	}
 }
 

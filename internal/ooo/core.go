@@ -10,6 +10,7 @@ import (
 	"nda/internal/emu"
 	"nda/internal/isa"
 	"nda/internal/mem"
+	"nda/internal/stats"
 )
 
 // Core is one out-of-order processor instance executing one program.
@@ -149,7 +150,7 @@ type Core struct {
 	sanWriterSeq   []uint64
 	sanWriterBcast []bool
 
-	stats Stats
+	stats stats.Counters
 }
 
 // New builds a core executing prog on the given memory image (which must
@@ -358,7 +359,7 @@ func (c *Core) Retired() uint64 { return c.retired }
 func (c *Core) Halted() bool { return c.halted }
 
 // Stats returns the statistics accumulated since the last reset.
-func (c *Core) Stats() *Stats { return &c.stats }
+func (c *Core) Stats() *stats.Counters { return &c.stats }
 
 // Hierarchy exposes the cache hierarchy (attack PoCs and tests inspect it).
 func (c *Core) Hierarchy() *cache.Hierarchy { return c.hier }
@@ -372,7 +373,7 @@ func (c *Core) Policy() core.Policy { return c.policy }
 // ResetStats zeroes the statistics counters (end of a warm-up window)
 // without disturbing micro-architectural state.
 func (c *Core) ResetStats() {
-	c.stats = Stats{}
+	c.stats = stats.Counters{}
 	c.hier.ResetStats()
 }
 

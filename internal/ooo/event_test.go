@@ -9,6 +9,7 @@ import (
 	"nda/internal/core"
 	"nda/internal/isa"
 	"nda/internal/progen"
+	"nda/internal/stats"
 	"nda/internal/workload"
 )
 
@@ -270,7 +271,7 @@ func TestRunInstsMatchesPerCycleStepping(t *testing.T) {
 // attacker-observable channel trace and the sanitizer's findings.
 type runRecord struct {
 	cycles, retired uint64
-	stats           Stats
+	stats           stats.Counters
 	regs            [isa.NumGPR]uint64
 	events          []ChannelEvent
 	violations      uint64

@@ -13,6 +13,7 @@ import (
 	"nda/internal/isa"
 	"nda/internal/mem"
 	"nda/internal/ooo"
+	"nda/internal/stats"
 	"nda/internal/workload"
 )
 
@@ -23,7 +24,7 @@ type runRecord struct {
 	cycles   uint64
 	retired  uint64
 	halted   bool
-	stats    ooo.Stats
+	stats    stats.Counters
 	regs     [isa.NumGPR]uint64
 	msrs     [isa.NumMSR]uint64
 	channel  []ooo.ChannelEvent
@@ -208,7 +209,7 @@ func TestResetClearsHooksKeepsParams(t *testing.T) {
 	if c.Cancel != nil || c.TraceCommit != nil || c.TraceRetire != nil || c.TraceChannel != nil {
 		t.Error("Reset left a hook armed")
 	}
-	if c.Cycles() != 0 || c.Retired() != 0 || c.Halted() || *c.Stats() != (ooo.Stats{}) {
+	if c.Cycles() != 0 || c.Retired() != 0 || c.Halted() || *c.Stats() != (stats.Counters{}) {
 		t.Error("Reset left run state behind")
 	}
 	want := record(ooo.New(prog, loaded(prog), core.Strict(), params), 0)

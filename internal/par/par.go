@@ -1,7 +1,7 @@
 // Package par provides the worker pool the evaluation drivers use to fan
-// independent simulations — the (policy, workload, sample) tuples of the
-// SMARTS sweep and the (attack, policy) cells of the security matrix —
-// out over the machine's cores.
+// independent simulations — the (policy, workload) cells of the SMARTS
+// sweep and the (attack, policy) cells of the security matrix — out over
+// the machine's cores.
 //
 // The pool is built for deterministic aggregation: jobs are identified by
 // index, derive every input from that index, and write results only into
@@ -24,18 +24,6 @@ func Workers(n int) int {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// Run executes n independent jobs, indexed 0..n-1, on up to workers
-// goroutines (workers <= 0 means Workers(0)). Indices are handed out in
-// ascending order, so with one worker the jobs run strictly sequentially.
-//
-// On failure the pool cancels the outstanding work: no queued job starts
-// after an error is recorded, in-flight jobs run to completion, and Run
-// returns the lowest-indexed error among the jobs that ran. With a single
-// worker that is exactly the first error, matching a serial loop.
-func Run(n, workers int, job func(i int) error) error {
-	return RunCtx(context.Background(), n, workers, job)
 }
 
 // Sem is a counting semaphore with context-aware acquisition. The dispatch
@@ -83,11 +71,18 @@ func (s *Sem) InUse() int { return len(s.ch) }
 // Cap reports the slot count.
 func (s *Sem) Cap() int { return cap(s.ch) }
 
-// RunCtx is Run with cancellation: once ctx is done, no queued job starts.
-// In-flight jobs run to completion unless they observe ctx themselves (the
-// simulation drivers pass ctx.Done() down to the cores, so long cells stop
-// mid-simulation too). Job errors take precedence over the context error —
-// RunCtx returns the lowest-indexed job error if any job failed, otherwise
+// RunCtx executes n independent jobs, indexed 0..n-1, on up to workers
+// goroutines (workers <= 0 means Workers(0)). Indices are handed out in
+// ascending order, so with one worker the jobs run strictly sequentially.
+//
+// On failure the pool cancels the outstanding work: no queued job starts
+// after an error is recorded, and in-flight jobs run to completion. Once
+// ctx is done, no queued job starts either; in-flight jobs run to
+// completion unless they observe ctx themselves (the simulation drivers
+// pass ctx.Done() down to the cores, so long cells stop mid-simulation
+// too). Job errors take precedence over the context error — RunCtx returns
+// the lowest-indexed job error among the jobs that ran (with a single
+// worker exactly the first error, matching a serial loop), otherwise
 // ctx.Err() if the context ended the run early, otherwise nil.
 func RunCtx(ctx context.Context, n, workers int, job func(i int) error) error {
 	if n <= 0 {

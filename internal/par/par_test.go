@@ -22,7 +22,7 @@ func TestRunAllJobs(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		n := 100
 		hits := make([]int32, n)
-		err := Run(n, workers, func(i int) error {
+		err := RunCtx(context.Background(), n, workers, func(i int) error {
 			atomic.AddInt32(&hits[i], 1)
 			return nil
 		})
@@ -38,7 +38,7 @@ func TestRunAllJobs(t *testing.T) {
 }
 
 func TestRunZeroJobs(t *testing.T) {
-	if err := Run(0, 8, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := RunCtx(context.Background(), 0, 8, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -49,7 +49,7 @@ func TestRunZeroJobs(t *testing.T) {
 func TestRunSerialErrorStopsQueue(t *testing.T) {
 	boom := errors.New("boom")
 	var ran []int
-	err := Run(10, 1, func(i int) error {
+	err := RunCtx(context.Background(), 10, 1, func(i int) error {
 		ran = append(ran, i)
 		if i == 3 {
 			return boom
@@ -70,7 +70,7 @@ func TestRunSerialErrorStopsQueue(t *testing.T) {
 // in flight may complete.
 func TestRunConcurrentErrorCancels(t *testing.T) {
 	var started atomic.Int64
-	err := Run(1000, 4, func(i int) error {
+	err := RunCtx(context.Background(), 1000, 4, func(i int) error {
 		started.Add(1)
 		if i == 0 {
 			return fmt.Errorf("job %d failed", i)
@@ -89,7 +89,7 @@ func TestRunConcurrentErrorCancels(t *testing.T) {
 // TestRunLowestError: with several failures among the jobs that ran, the
 // lowest-indexed one is returned no matter which worker saw it first.
 func TestRunLowestError(t *testing.T) {
-	err := Run(8, 8, func(i int) error {
+	err := RunCtx(context.Background(), 8, 8, func(i int) error {
 		if i >= 4 {
 			return fmt.Errorf("job %d", i)
 		}
@@ -153,8 +153,8 @@ func TestRunCtxJobErrorBeatsCancel(t *testing.T) {
 	}
 }
 
-// TestRunCtxBackgroundMatchesRun: RunCtx under a background context is
-// exactly Run.
+// TestRunCtxBackgroundMatchesRun: RunCtx under a background context runs
+// every job, as the context-free callers (gadget, diffuzz) rely on.
 func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	var hits atomic.Int64
 	if err := RunCtx(context.Background(), 50, 8, func(int) error {

@@ -237,7 +237,7 @@ func (m *Manager) measure(ctx context.Context, c *cell) (any, error) {
 	var ss *harness.SampleSeries
 	if c.cfg.UseCheckpoints {
 		v, _, err := m.cache.Do(ctx, seriesID(c.sweep.Spec, *c.cfg), func() (any, error) {
-			return harness.TakeSamples(c.sweep.Spec, *c.cfg)
+			return harness.TakeSamples(ctx, c.sweep.Spec, *c.cfg)
 		})
 		if err != nil {
 			return nil, err

@@ -276,6 +276,7 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/sweep", `{"policies":["NoSuchPolicy"]}`},
 		{"/v1/attack", `{"attacks":["no-such-attack"]}`},
 		{"/v1/gadgets", `{"programs":["no-such-program"]}`},
+		{"/v1/sweep", `{"workloads":["gcc","mcf","gcc"]}`},
 		{"/v1/sweep", `not json`},
 	}
 	for _, c := range cases {

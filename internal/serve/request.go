@@ -29,16 +29,12 @@ type SamplingSpec struct {
 	MaxCycles        uint64 `json:"max_cycles,omitempty"`
 }
 
-// resolve maps the spec onto a concrete harness.Config. Workers is 1: the
-// cells fill the pool on their own, so a checkpointed cell's samples run
-// serially, exactly as in harness.RunSweep. Cache keys zero it, because
-// parallelism must never change identity.
+// resolve maps the spec onto a concrete harness.Config.
 func (s SamplingSpec) resolve() harness.Config {
 	cfg := harness.DefaultConfig()
 	if s.Quick {
 		cfg = harness.Quick()
 	}
-	cfg.Workers = 1
 	cfg.UseCheckpoints = s.Checkpoints
 	if s.CheckpointStride > 0 {
 		cfg.CheckpointStride = s.CheckpointStride
@@ -73,6 +69,9 @@ type SweepRequest struct {
 
 // plan validates the request and lays its cells out with harness.Grid.
 func (r SweepRequest) plan() (*plan, error) {
+	if err := distinct("workload", r.Workloads); err != nil {
+		return nil, err
+	}
 	var specs []workload.Spec
 	if len(r.Workloads) == 0 {
 		specs = workload.SPEC()
@@ -119,6 +118,9 @@ func policies(names []string) ([]core.Policy, error) {
 	if len(names) == 0 {
 		return core.All(), nil
 	}
+	if err := distinct("policy", names); err != nil {
+		return nil, err
+	}
 	pols := make([]core.Policy, len(names))
 	for i, name := range names {
 		p, err := core.ByName(name)
@@ -150,6 +152,9 @@ type AttackRequest struct {
 // plan validates the request and lays its cells out with attack.Grid,
 // simulated under params.
 func (r AttackRequest) plan(params ooo.Params) (*plan, error) {
+	if err := distinct("attack", r.Attacks); err != nil {
+		return nil, err
+	}
 	kinds := attack.All()
 	if len(r.Attacks) > 0 {
 		kinds = make([]attack.Kind, len(r.Attacks))
@@ -201,6 +206,9 @@ type GadgetsRequest struct {
 // plan validates the request: one census cell per program, in request
 // order (all builtins, attacks then workloads, when none are named).
 func (r GadgetsRequest) plan() (*plan, error) {
+	if err := distinct("program", r.Programs); err != nil {
+		return nil, err
+	}
 	var ins []gadget.Input
 	if len(r.Programs) == 0 {
 		var err error
@@ -226,4 +234,18 @@ func (r GadgetsRequest) plan() (*plan, error) {
 		}
 		return report
 	}}, nil
+}
+
+// distinct rejects a name list that repeats a name. A repeat adds no
+// result, only cells, so a small body naming one workload many times could
+// otherwise ask for unbounded work before any admission check.
+func distinct(what string, names []string) error {
+	seen := make(map[string]bool, len(names))
+	for _, name := range names {
+		if seen[name] {
+			return fmt.Errorf("serve: %s %q named more than once", what, name)
+		}
+		seen[name] = true
+	}
+	return nil
 }

@@ -209,6 +209,28 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 }
 
+// TestCancelStopsCheckpointFastForward: a running sweep whose checkpoint
+// fast-forward would take hours stops when the job is cancelled, and the
+// manager can then shut down.
+func TestCancelStopsCheckpointFastForward(t *testing.T) {
+	m := NewManager(Config{QueueDepth: 1, JobWorkers: 1})
+	j, err := m.SubmitSweep(SweepRequest{Workloads: []string{"gcc"}, Policies: []string{"OoO"}, NoInOrder: true,
+		Sampling: SamplingSpec{Checkpoints: true, WarmInsts: 1_000_000_000_000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, j)
+	if !m.Cancel(j.ID()) {
+		t.Fatal("Cancel(running) = false")
+	}
+	waitState(t, j, JobCancelled)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := m.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestShutdownDrainsInFlight is the graceful-shutdown contract: draining
 // rejects new work immediately but the in-flight job runs to completion
 // and keeps its result.

@@ -1,9 +1,12 @@
-package ooo
+package stats
 
-// Stats aggregates everything the paper's evaluation reports. Counters are
-// reset by Core.ResetStats at the end of a warm-up window, so a measurement
-// covers exactly the SMARTS-style measurement interval.
-type Stats struct {
+// Counters is the counter block both timing cores keep: everything the
+// paper's evaluation reports. A core resets it at the end of a warm-up
+// window (ResetStats), so a measurement covers exactly the SMARTS-style
+// measurement interval. The in-order core fills the subset it has — cycles,
+// commits, MLP and ILP — and counts every cycle as a commit cycle; the
+// out-of-order fields stay zero there.
+type Counters struct {
 	Cycles    uint64
 	Committed uint64
 
@@ -60,7 +63,7 @@ type Stats struct {
 }
 
 // CPI returns cycles per committed instruction.
-func (s *Stats) CPI() float64 {
+func (s *Counters) CPI() float64 {
 	if s.Committed == 0 {
 		return 0
 	}
@@ -68,7 +71,7 @@ func (s *Stats) CPI() float64 {
 }
 
 // IPC returns committed instructions per cycle.
-func (s *Stats) IPC() float64 {
+func (s *Counters) IPC() float64 {
 	if s.Cycles == 0 {
 		return 0
 	}
@@ -77,7 +80,7 @@ func (s *Stats) IPC() float64 {
 
 // MLP returns the average outstanding off-chip misses over cycles with at
 // least one outstanding (1.0 lower bound when any misses occurred).
-func (s *Stats) MLP() float64 {
+func (s *Counters) MLP() float64 {
 	if s.MLPCycles == 0 {
 		return 0
 	}
@@ -85,7 +88,7 @@ func (s *Stats) MLP() float64 {
 }
 
 // ILP returns the average issue burst width over cycles that issued.
-func (s *Stats) ILP() float64 {
+func (s *Counters) ILP() float64 {
 	if s.ILPCycles == 0 {
 		return 0
 	}
@@ -93,7 +96,7 @@ func (s *Stats) ILP() float64 {
 }
 
 // DispatchToIssue returns the mean dispatch→issue latency in cycles.
-func (s *Stats) DispatchToIssue() float64 {
+func (s *Counters) DispatchToIssue() float64 {
 	if s.DispatchToIssueCount == 0 {
 		return 0
 	}
@@ -101,7 +104,7 @@ func (s *Stats) DispatchToIssue() float64 {
 }
 
 // MispredictRate returns mispredicts per resolved branch.
-func (s *Stats) MispredictRate() float64 {
+func (s *Counters) MispredictRate() float64 {
 	if s.BranchesResolved == 0 {
 		return 0
 	}

@@ -1,6 +1,7 @@
 // Package stats provides the small statistical toolkit the evaluation
 // harness uses: sample means with 95% confidence intervals (the error bars
-// of Fig. 7) and geometric means (the aggregates of Fig. 9).
+// of Fig. 7) and geometric means (the aggregates of Fig. 9). It also holds
+// Counters, the counter block both timing cores keep and the harness folds.
 package stats
 
 import (

@@ -5,6 +5,7 @@ import (
 
 	"nda/internal/core"
 	"nda/internal/ooo"
+	"nda/internal/stats"
 )
 
 // These tests validate the proxy-design claims in DESIGN.md: each kernel
@@ -15,7 +16,7 @@ import (
 
 // profile runs a workload briefly on the baseline OoO core and returns its
 // stats.
-func profile(t *testing.T, name string) *ooo.Stats {
+func profile(t *testing.T, name string) *stats.Counters {
 	t.Helper()
 	s, err := ByName(name)
 	if err != nil {

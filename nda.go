@@ -37,6 +37,7 @@
 package nda
 
 import (
+	"context"
 	"io"
 
 	"nda/internal/asm"
@@ -142,7 +143,7 @@ func Attacks() []AttackKind { return attack.All() }
 
 // RunAttack executes one attack PoC under a policy and analyzes the leak.
 func RunAttack(kind AttackKind, pol Policy, p Params) (*AttackOutcome, error) {
-	return attack.Run(kind, pol, p)
+	return attack.RunCtx(context.Background(), kind, pol, p)
 }
 
 // AttackCell is one (attack, policy) matrix entry with the paper-expected
@@ -151,7 +152,9 @@ type AttackCell = attack.Cell
 
 // AttackMatrix runs every attack under every configuration — the dynamic
 // reproduction of the paper's Table 2 security columns.
-func AttackMatrix(p Params) ([]AttackCell, error) { return attack.Matrix(p) }
+func AttackMatrix(p Params) ([]AttackCell, error) {
+	return attack.MatrixCtx(context.Background(), p, 0)
+}
 
 // ---- workloads & evaluation harness ----
 
@@ -187,18 +190,18 @@ type Sweep = harness.Sweep
 
 // Measure runs one benchmark under one policy.
 func Measure(b Benchmark, pol Policy, cfg HarnessConfig) (*Measurement, error) {
-	return harness.MeasureOoO(b, pol, cfg)
+	return harness.MeasureOoOCtx(context.Background(), b, pol, cfg)
 }
 
 // MeasureInOrder runs one benchmark on the in-order core.
 func MeasureInOrder(b Benchmark, cfg HarnessConfig) (*Measurement, error) {
-	return harness.MeasureInOrder(b, cfg)
+	return harness.MeasureInOrderCtx(context.Background(), b, cfg)
 }
 
 // RunEvaluation measures every benchmark under every policy (and the
 // in-order baseline when includeInOrder is set).
 func RunEvaluation(bs []Benchmark, pols []Policy, includeInOrder bool, cfg HarnessConfig, progress func(string)) (*Sweep, error) {
-	return harness.RunSweep(bs, pols, includeInOrder, cfg, progress)
+	return harness.RunSweepCtx(context.Background(), bs, pols, includeInOrder, cfg, progress)
 }
 
 // PipelineTrace collects per-instruction life-cycle records from a Core and
@@ -232,7 +235,7 @@ type Fig9eResult = harness.Fig9eResult
 
 // RunFig9e measures CPI sensitivity to extra NDA wake-up latency.
 func RunFig9e(policy string, delays []int, benchmarks []string, cfg HarnessConfig) ([]Fig9eResult, error) {
-	return harness.RunFig9e(policy, delays, benchmarks, cfg)
+	return harness.RunFig9eCtx(context.Background(), policy, delays, benchmarks, cfg)
 }
 
 // Renderers for the paper's tables and figures.

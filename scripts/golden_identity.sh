@@ -1,9 +1,14 @@
 #!/bin/sh
-# golden-identity: regenerate the two checked-in result goldens and fail on
-# any byte of drift.
+# golden-identity: regenerate the three checked-in result goldens and fail
+# on any byte of drift.
 #
-#   testdata/golden/sweep_quick.json    ndabench -quick -experiments fig7 -json
-#   testdata/golden/attack_matrix.json  ndattack -matrix -json
+#   testdata/golden/sweep_quick.json              ndabench -quick -experiments fig7 -json
+#   testdata/golden/sweep_quick_checkpoints.json  ndabench -quick -checkpoints -experiments fig7 -json
+#   testdata/golden/attack_matrix.json            ndattack -matrix -json
+#
+# The two sweeps pin both sampling modes: continuous simulation, and
+# checkpoint sampling (functional fast-forward, then one warm-up and one
+# measured window per checkpoint).
 #
 # Each golden is regenerated at two worker counts (1 and GOLDEN_WORKERS,
 # default 2) and cmp'd against the checked-in file, so the gate catches both
@@ -11,6 +16,7 @@
 # or matrix engines. Refresh the goldens deliberately with:
 #
 #   go run ./cmd/ndabench -quick -experiments fig7 -json testdata/golden/sweep_quick.json
+#   go run ./cmd/ndabench -quick -checkpoints -experiments fig7 -json testdata/golden/sweep_quick_checkpoints.json
 #   go run ./cmd/ndattack -matrix -json testdata/golden/attack_matrix.json
 set -eu
 
@@ -35,6 +41,11 @@ for w in 1 "$WORKERS"; do
     go run ./cmd/ndabench -quick -experiments fig7 -workers "$w" \
         -json "$TMP/sweep_$w.json" >/dev/null
     check testdata/golden/sweep_quick.json "$TMP/sweep_$w.json" "quick sweep (workers=$w)"
+
+    go run ./cmd/ndabench -quick -checkpoints -experiments fig7 -workers "$w" \
+        -json "$TMP/sweep_ckpt_$w.json" >/dev/null
+    check testdata/golden/sweep_quick_checkpoints.json "$TMP/sweep_ckpt_$w.json" \
+        "quick checkpointed sweep (workers=$w)"
 
     go run ./cmd/ndattack -matrix -workers "$w" \
         -json "$TMP/matrix_$w.json" >/dev/null
