@@ -31,6 +31,7 @@ import (
 	"nda/internal/cliutil"
 	"nda/internal/load"
 	"nda/internal/serve"
+	"nda/internal/tenant"
 )
 
 func main() {
@@ -43,7 +44,6 @@ func main() {
 		mix      = flag.String("mix", "hot", "default mix for -load entries that omit one (hot, longtail, attack, gadgets, cancel)")
 		rate     = flag.Float64("rate", 0, "override every tenant's open-loop arrival rate in requests/s (0 = keep per-entry rates)")
 		duration = flag.Duration("duration", 5*time.Second, "measured window")
-		seed     = flag.Int64("seed", 1, "request-stream seed")
 		stream   = flag.String("stream", "wait", "completion observation: wait, poll, or sse")
 		warmup   = flag.Bool("warmup", true, "replay each warmable mix once, unmeasured, before the clock starts")
 
@@ -70,7 +70,7 @@ func main() {
 		}
 	}
 
-	mode, err := cliutil.StreamMode(*stream)
+	mode, err := load.ParseAwait(*stream)
 	fatal(err)
 	rateOverride, err := cliutil.Rate(*rate)
 	fatal(err)
@@ -94,7 +94,7 @@ func main() {
 	case *inproc:
 		simN, err := cliutil.WorkerCount(*simWorkers)
 		fatal(err)
-		serverTenants, err := cliutil.Tenants(*tenants)
+		serverTenants, err := tenant.ParseList(*tenants)
 		fatal(err)
 		var shutdown func()
 		base, _, shutdown, err = load.StartLocal(serve.Config{
@@ -117,8 +117,7 @@ func main() {
 		BaseURL:  base,
 		Loads:    tls,
 		Duration: *duration,
-		Seed:     *seed,
-		Await:    load.Await(mode),
+		Await:    mode,
 		Warmup:   *warmup,
 	}
 	rep, err := load.Run(ctx, cfg)

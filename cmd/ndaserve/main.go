@@ -54,6 +54,7 @@ import (
 	"nda/internal/dist"
 	"nda/internal/serve"
 	"nda/internal/store"
+	"nda/internal/tenant"
 )
 
 func main() {
@@ -100,7 +101,7 @@ func main() {
 	}
 	urls, err := cliutil.WorkerURLs(*workers)
 	fatal(err)
-	tenants, err := cliutil.Tenants(*tenantsFlag)
+	tenants, err := tenant.ParseList(*tenantsFlag)
 	fatal(err)
 
 	// Open the persistent tiers before anything can enqueue work. The two

@@ -84,8 +84,12 @@ func main() {
 		col.Attach(c)
 	}
 	if *traceFlag {
-		c.TraceCommit = func(pc uint64, inst isa.Inst) {
-			fmt.Printf("%#08x  %v\n", pc, inst)
+		collect := c.TraceRetire
+		c.TraceRetire = func(ev ooo.TraceEvent) {
+			fmt.Printf("%#08x  %v\n", ev.PC, ev.Inst)
+			if collect != nil {
+				collect(ev)
+			}
 		}
 	}
 	if err := c.Run(*maxCycles); err != nil {

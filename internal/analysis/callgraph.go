@@ -104,17 +104,6 @@ type CallGraph struct {
 // NodeByName looks a node up by its display name.
 func (g *CallGraph) NodeByName(name string) *FuncNode { return g.byName[name] }
 
-// NodeOf returns the node for a declared function object, if any.
-func (g *CallGraph) NodeOf(obj *types.Func) *FuncNode {
-	if obj == nil {
-		return nil
-	}
-	return g.byObj[obj.Origin()]
-}
-
-// LitNode returns the node for a function literal.
-func (g *CallGraph) LitNode(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
-
 // nodeName renders the stable display name for a declared function.
 func nodeName(p *Pkg, decl *ast.FuncDecl, obj *types.Func) string {
 	if obj != nil {
@@ -629,51 +618,6 @@ func (g *CallGraph) condense() {
 // SameSCC reports whether two nodes are mutually recursive (share a
 // strongly connected component).
 func (g *CallGraph) SameSCC(a, b *FuncNode) bool { return a != nil && b != nil && a.scc == b.scc }
-
-// ReachableFrom walks the graph from root over static edges and dynamic
-// candidates, returning every reachable node with one deterministic
-// shortest call chain (names from root, exclusive) per node. Order is BFS
-// with name-sorted expansion, so chains are stable across runs.
-func (g *CallGraph) ReachableFrom(root *FuncNode) map[*FuncNode][]string {
-	return g.reachable(root, false)
-}
-
-// StaticReachableFrom is ReachableFrom restricted to static edges: the
-// walk stops at dynamic dispatch instead of fanning out over candidates.
-// alloclint uses it — the dynamic call site itself is its finding, so
-// walking past it would charge unrelated candidates to the hot path.
-func (g *CallGraph) StaticReachableFrom(root *FuncNode) map[*FuncNode][]string {
-	return g.reachable(root, true)
-}
-
-func (g *CallGraph) reachable(root *FuncNode, staticOnly bool) map[*FuncNode][]string {
-	chains := map[*FuncNode][]string{root: {}}
-	queue := []*FuncNode{root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		var nexts []*FuncNode
-		for _, cs := range n.Calls {
-			if staticOnly {
-				if cs.Static != nil {
-					nexts = append(nexts, cs.Static)
-				}
-				continue
-			}
-			nexts = append(nexts, cs.Targets()...)
-		}
-		sort.Slice(nexts, func(i, j int) bool { return nexts[i].Name < nexts[j].Name })
-		for _, w := range nexts {
-			if _, ok := chains[w]; ok {
-				continue
-			}
-			chain := append(append([]string{}, chains[n]...), w.Name)
-			chains[w] = chain
-			queue = append(queue, w)
-		}
-	}
-	return chains
-}
 
 // chainString renders a call chain for a finding message. Module paths
 // are shortened by the module-path prefix to keep messages readable.

@@ -100,12 +100,6 @@ type summary struct {
 	blockOps []opWitness
 }
 
-// Summary returns the node's dataflow summary (computed by BuildCallGraph).
-func (n *FuncNode) Summary() *summary { return n.summary }
-
-// Blocks reports whether the node may block, with its witness.
-func (n *FuncNode) Blocks() *xWitness { return n.summary.blocks }
-
 // computeSummaries scans every body, then folds summaries bottom-up in
 // SCC order, iterating mutually recursive components to a fixpoint.
 func (g *CallGraph) computeSummaries() {

@@ -120,7 +120,7 @@ var DefaultContract = []Rule{
 
 	// CLI shell.
 	{Path: "nda/internal/cliutil", Class: CLI, Allow: []string{
-		"nda/internal/dist", "nda/internal/tenant", "nda/internal/workload"}},
+		"nda/internal/dist", "nda/internal/workload"}},
 	{Path: "nda/cmd/ndasim", Class: CLI, Allow: []string{
 		"nda/internal/asm", "nda/internal/cliutil", "nda/internal/core", "nda/internal/inorder",
 		"nda/internal/isa", "nda/internal/ooo", "nda/internal/trace", "nda/internal/workload"}},

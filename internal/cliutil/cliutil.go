@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"nda/internal/dist"
-	"nda/internal/tenant"
 	"nda/internal/workload"
 )
 
@@ -111,15 +110,6 @@ func PositiveDuration(name string, d time.Duration) (time.Duration, error) {
 	return d, nil
 }
 
-// Tenants parses a -tenants flag: a comma-separated list of
-// name:key:weight[:rate[:burst[:inflight]]] entries. The empty string
-// means single-tenant mode and returns nil. Every entry is normalized and
-// validated (bounds, reserved names, duplicate names and keys) before any
-// server starts with it.
-func Tenants(csv string) ([]tenant.Tenant, error) {
-	return tenant.ParseList(csv)
-}
-
 // Rate validates a requests-per-second flag: 0 means unlimited, positive
 // finite rates pass through, everything else is an error.
 func Rate(v float64) (float64, error) {
@@ -127,18 +117,6 @@ func Rate(v float64) (float64, error) {
 		return 0, fmt.Errorf("rate %v invalid: want 0 (unlimited) or a positive requests/s", v)
 	}
 	return v, nil
-}
-
-// StreamMode validates a -stream flag: how a client observes job
-// completion. The empty string means "wait".
-func StreamMode(s string) (string, error) {
-	switch s {
-	case "", "wait":
-		return "wait", nil
-	case "poll", "sse":
-		return s, nil
-	}
-	return "", fmt.Errorf("stream mode %q invalid: want wait, poll, or sse", s)
 }
 
 // Passes parses a comma-separated -pass list against the known pass

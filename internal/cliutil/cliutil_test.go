@@ -100,47 +100,6 @@ func TestSpecs(t *testing.T) {
 	}
 }
 
-// TestTenants: the -tenants parser round-trips a full spec, defaults the
-// optional fields, means single-tenant on the empty string, and refuses
-// malformed or duplicate entries.
-func TestTenants(t *testing.T) {
-	list, err := Tenants("alice:ka:5:2:4:3, bob:kb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 2 {
-		t.Fatalf("parsed %d tenants, want 2", len(list))
-	}
-	a := list[0]
-	if a.Name != "alice" || a.Key != "ka" || a.Weight != 5 || a.Rate != 2 || a.Burst != 4 || a.MaxInFlight != 3 {
-		t.Errorf("alice = %+v", a)
-	}
-	if b := list[1]; b.Weight != 1 || b.Rate != 0 {
-		t.Errorf("bob defaults = %+v", b)
-	}
-	if list, err := Tenants(""); err != nil || list != nil {
-		t.Errorf("empty -tenants = %v, %v; want nil, nil (single-tenant)", list, err)
-	}
-	bad := []struct{ csv, wantSub string }{
-		{"alice", "want name:key"},
-		{"alice:ka,alice:kb", "duplicate tenant name"},
-		{"alice:ka,bob:ka", "duplicate API key"},
-		{"local:ka", "reserved"},
-		{"alice:ka:2000", "weight"},
-		{"alice:ka:1:-1", "rate"},
-	}
-	for _, c := range bad {
-		_, err := Tenants(c.csv)
-		if err == nil {
-			t.Errorf("Tenants(%q) accepted, want error", c.csv)
-			continue
-		}
-		if !strings.Contains(err.Error(), c.wantSub) {
-			t.Errorf("Tenants(%q) error %q, want mention of %q", c.csv, err, c.wantSub)
-		}
-	}
-}
-
 // TestRate: 0 = unlimited; positive finite rates pass; negatives, NaN,
 // and absurd magnitudes are refused.
 func TestRate(t *testing.T) {
@@ -155,19 +114,6 @@ func TestRate(t *testing.T) {
 		if _, err := Rate(bad); err == nil {
 			t.Errorf("Rate(%v) accepted, want error", bad)
 		}
-	}
-}
-
-// TestStreamMode: empty means wait; poll and sse pass; anything else is
-// an error naming the valid set.
-func TestStreamMode(t *testing.T) {
-	for in, want := range map[string]string{"": "wait", "wait": "wait", "poll": "poll", "sse": "sse"} {
-		if got, err := StreamMode(in); err != nil || got != want {
-			t.Errorf("StreamMode(%q) = %q, %v; want %q", in, got, err, want)
-		}
-	}
-	if _, err := StreamMode("push"); err == nil || !strings.Contains(err.Error(), "sse") {
-		t.Errorf("StreamMode(push) = %v, want error naming the valid modes", err)
 	}
 }
 

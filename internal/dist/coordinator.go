@@ -20,6 +20,7 @@ import (
 // parallel pool, and the coordinator bounds what each worker sees.
 type Coordinator struct {
 	opts    Options
+	client  *http.Client // dispatch and probing, with connection reuse sized to the window
 	workers []*worker
 	rr      atomic.Int64 // round-robin cursor for tie-breaking picks
 
@@ -36,7 +37,10 @@ func New(urls []string, opts Options) (*Coordinator, error) {
 		return nil, errors.New("dist: need at least one worker URL")
 	}
 	opts = opts.withDefaults()
-	c := &Coordinator{opts: opts, stop: make(chan struct{})}
+	c := &Coordinator{opts: opts, stop: make(chan struct{}), client: &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: 2 * opts.Window,
+		IdleConnTimeout:     90 * time.Second,
+	}}}
 	seen := make(map[string]bool, len(urls))
 	for _, raw := range urls {
 		u, err := ParseWorkerURL(raw)
@@ -236,7 +240,7 @@ func (c *Coordinator) post(ctx context.Context, w *worker, path string, body []b
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.opts.Client.Do(req)
+	resp, err := c.client.Do(req)
 	if err != nil {
 		w.noteFailure(c.opts.EvictAfter)
 		return nil, fmt.Errorf("dist: %s%s: %w", w.url, path, err)
@@ -307,7 +311,7 @@ func (c *Coordinator) probe(w *worker) {
 		w.noteFailure(c.opts.EvictAfter)
 		return
 	}
-	resp, err := c.opts.Client.Do(req)
+	resp, err := c.client.Do(req)
 	if err != nil {
 		w.noteFailure(c.opts.EvictAfter)
 		return

@@ -36,7 +36,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"net/http"
 	"net/url"
 	"strings"
 	"sync/atomic"
@@ -81,9 +80,6 @@ type Options struct {
 	// EvictAfter is how many consecutive failures (dispatch or probe)
 	// evict a worker from the rotation.
 	EvictAfter int
-	// Client is the HTTP client used for dispatch and probing; nil means
-	// a dedicated client with sane connection reuse.
-	Client *http.Client
 }
 
 func (o Options) withDefaults() Options {
@@ -107,12 +103,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EvictAfter <= 0 {
 		o.EvictAfter = DefaultEvictAfter
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 2 * o.Window,
-			IdleConnTimeout:     90 * time.Second,
-		}}
 	}
 	return o
 }

@@ -120,7 +120,6 @@ type Config struct {
 	BaseURL  string        // ndaserve base URL, e.g. http://127.0.0.1:8090
 	Loads    []TenantLoad  // at least one
 	Duration time.Duration // measured window
-	Seed     int64         // stream seed (reserved; the mixes are sequence-deterministic)
 	Await    Await         // completion-observation mode; "" = wait
 	Warmup   bool          // replay each warmable mix once, unmeasured, before the clock starts
 	Client   *http.Client  // nil = a fresh client with no global timeout

@@ -52,11 +52,13 @@ func TestParseMixAndAwait(t *testing.T) {
 	if _, err := ParseMix("warmish"); err == nil {
 		t.Error("bad mix accepted")
 	}
-	if a, err := ParseAwait(""); err != nil || a != AwaitWait {
-		t.Errorf("ParseAwait(\"\") = %v, %v", a, err)
+	for in, want := range map[string]Await{"": AwaitWait, "wait": AwaitWait, "poll": AwaitPoll, "sse": AwaitSSE} {
+		if a, err := ParseAwait(in); err != nil || a != want {
+			t.Errorf("ParseAwait(%q) = %v, %v; want %v", in, a, err, want)
+		}
 	}
-	if _, err := ParseAwait("push"); err == nil {
-		t.Error("bad await accepted")
+	if _, err := ParseAwait("push"); err == nil || !strings.Contains(err.Error(), "sse") {
+		t.Errorf("ParseAwait(push) = %v, want an error naming the valid modes", err)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // Mix names a request-shape profile the generator replays. Each mix is a
 // deterministic function of (tenant index, worker index, sequence number),
-// so a seeded run issues the identical request stream every time.
+// so every run issues the identical request stream.
 type Mix string
 
 const (

@@ -102,14 +102,11 @@ type Core struct {
 	// promptly on timeout or job cancellation.
 	Cancel <-chan struct{}
 
-	// TraceCommit, when non-nil, is called for every committed instruction
-	// (including faulting ones) in program order. Used by differential
-	// tests and the ndasim -trace flag.
-	TraceCommit func(pc uint64, inst isa.Inst)
-
 	// TraceRetire, when non-nil, receives a full per-instruction timing
-	// record at retirement; package trace renders these into pipeline
-	// diagrams.
+	// record for every committed instruction in program order, the
+	// faulting ones included (their record has Fault set and retires at
+	// the cycle the fault is delivered). Package trace renders the
+	// records into pipeline diagrams; ndasim -trace prints them.
 	TraceRetire func(ev TraceEvent)
 
 	// TraceChannel, when non-nil, receives every attacker-observable
@@ -598,38 +595,6 @@ func earlierEvent(h, now, v uint64) uint64 {
 		return v
 	}
 	return h
-}
-
-// DebugState renders a one-line pipeline snapshot for diagnostics.
-func (c *Core) DebugState() string {
-	head := "rob-empty"
-	if c.robLen > 0 {
-		e := c.robAt(0)
-		head = fmt.Sprintf("head{seq=%d pc=%#x %v issued=%v comp=%v}", e.Seq, e.PC, e.Inst, e.Issued, e.Node.Completed)
-	}
-	fq := "fq-empty"
-	if c.fqLen > 0 {
-		s := c.fqAt(0)
-		fq = fmt.Sprintf("fq[%d]{pc=%#x %v valid=%v ready@%d}", c.fqLen, s.pc, s.inst, s.valid, s.readyAt)
-	}
-	return fmt.Sprintf("cyc=%d rob=%d iq=%d lq=%d sq=%d fetchPC=%#x wait=%v dead=%v stall>%d validate>%d %s %s",
-		c.cycle, c.robLen, c.iqLen, c.lq.n, c.sq.n, c.fetchPC, c.fetchWait, c.fetchDead, c.fetchStall, c.commitValidate, head, fq)
-}
-
-// DebugROB lists the in-flight entries (diagnostics).
-func (c *Core) DebugROB() string {
-	s := ""
-	for i := 0; i < c.robLen; i++ {
-		e := c.robAt(i)
-		flag := " "
-		if e.Node.Completed {
-			flag = "C"
-		} else if e.Issued {
-			flag = "I"
-		}
-		s += fmt.Sprintf("  [%3d] seq=%d pc=%#x %s %v\n", i, e.Seq, e.PC, flag, e.Inst)
-	}
-	return s
 }
 
 // NewFromState builds a core resuming from an architectural snapshot:

@@ -463,9 +463,8 @@ func (c *Core) commitInsts() (int, error) {
 		// squash, giving a direct dependent of the faulting load one
 		// cycle to issue and fill the cache.
 		if e.Fault != isa.FaultNone {
-			if c.TraceCommit != nil {
-				//ndavet:allow alloclint:call trace hook; nil in measured runs
-				c.TraceCommit(e.PC, e.Inst)
+			if c.TraceRetire != nil {
+				c.traceRetire(e)
 			}
 			c.retired++
 			committed++
@@ -512,21 +511,8 @@ func (c *Core) commitInsts() (int, error) {
 
 // retire commits the head entry's architectural side effects and frees it.
 func (c *Core) retire(e *Entry) error {
-	if c.TraceCommit != nil {
-		//ndavet:allow alloclint:call trace hook; nil in measured runs
-		c.TraceCommit(e.PC, e.Inst)
-	}
 	if c.TraceRetire != nil {
-		ev := TraceEvent{
-			Seq: e.Seq, PC: e.PC, Inst: e.Inst,
-			Fetch: e.FetchedAt, Dispatch: e.DispatchedAt,
-			Issue: e.IssuedAt, Complete: e.CompleteAt, Retire: c.cycle,
-		}
-		if e.DestP != noPReg {
-			ev.Broadcast = e.BcastCycle
-		}
-		//ndavet:allow alloclint:call trace hook; nil in measured runs
-		c.TraceRetire(ev)
+		c.traceRetire(e)
 	}
 	inst := e.Inst
 	switch {
@@ -578,6 +564,22 @@ func (c *Core) retire(e *Entry) error {
 	c.robHead = ringIndex(c.robHead, 1, len(c.rob))
 	c.robLen--
 	return nil
+}
+
+// traceRetire emits the head entry's record to the armed TraceRetire hook:
+// at retirement, or, for a faulting head, at the commit that delivers its
+// fault. Callers check the hook first, so an unarmed core pays no call.
+func (c *Core) traceRetire(e *Entry) {
+	ev := TraceEvent{
+		Seq: e.Seq, PC: e.PC, Inst: e.Inst, Fault: e.Fault,
+		Fetch: e.FetchedAt, Dispatch: e.DispatchedAt,
+		Issue: e.IssuedAt, Complete: e.CompleteAt, Retire: c.cycle,
+	}
+	if e.DestP != noPReg {
+		ev.Broadcast = e.BcastCycle
+	}
+	//ndavet:allow alloclint:call trace hook; nil in measured runs
+	c.TraceRetire(ev)
 }
 
 // deliverFault takes the architectural fault at the head of the ROB:

@@ -42,8 +42,10 @@ func record(c *ooo.Core, maxCycles uint64) *runRecord {
 	}
 	r := &runRecord{}
 	c.TraceChannel = func(ev ooo.ChannelEvent) { r.channel = append(r.channel, ev) }
-	c.TraceRetire = func(ev ooo.TraceEvent) { r.retires = append(r.retires, ev) }
-	c.TraceCommit = func(uint64, isa.Inst) { r.commits++ }
+	c.TraceRetire = func(ev ooo.TraceEvent) {
+		r.retires = append(r.retires, ev)
+		r.commits++
+	}
 	if err := c.Run(maxCycles); err != nil {
 		r.err = err.Error()
 	}
@@ -206,7 +208,7 @@ func TestResetClearsHooksKeepsParams(t *testing.T) {
 	c.Cancel = make(chan struct{})
 	record(c, 0)
 	c.Reset(prog, loaded(prog), core.Strict())
-	if c.Cancel != nil || c.TraceCommit != nil || c.TraceRetire != nil || c.TraceChannel != nil {
+	if c.Cancel != nil || c.TraceRetire != nil || c.TraceChannel != nil {
 		t.Error("Reset left a hook armed")
 	}
 	if c.Cycles() != 0 || c.Retired() != 0 || c.Halted() || *c.Stats() != (stats.Counters{}) {

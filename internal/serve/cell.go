@@ -29,10 +29,10 @@ import (
 // — which is what makes a fleet-merged table byte-identical to a local
 // run: the coordinator assembles the same values into the same slots.
 //
-// The attack kind carries no ooo.Params: workers simulate attack cells
-// under their own configured params, so a fleet must be homogeneous (every
-// worker started with the same build and defaults), exactly as a batch
-// cluster's array jobs assume a uniform image.
+// The attack kind carries no ooo.Params: every node simulates attack cells
+// under ooo.DefaultParams, so a coordinator and its workers agree on the
+// params, and the key, by construction. A fleet must still run one build,
+// exactly as a batch cluster's array jobs assume a uniform image.
 type CellRequest struct {
 	Kind string `json:"kind"` // "sweep", "attack", or "gadget"
 
@@ -143,11 +143,12 @@ func seriesID(spec workload.Spec, cfg harness.Config) string {
 	return Key("series", seriesKey{Workload: spec.Name, Config: cfg})
 }
 
-// attackCell builds an attack-matrix cell simulated under params.
-func attackCell(ac attack.Cell, params ooo.Params) cell {
+// attackCell builds an attack-matrix cell, simulated under
+// ooo.DefaultParams.
+func attackCell(ac attack.Cell) cell {
 	c := cell{
 		kind:   attackKind,
-		key:    Key("attack-cell", attackCellKey{Attack: ac.Attack, InOrder: ac.InOrder, Policy: ac.Pol, Params: params}),
+		key:    Key("attack-cell", attackCellKey{Attack: ac.Attack, InOrder: ac.InOrder, Policy: ac.Pol, Params: ooo.DefaultParams()}),
 		req:    CellRequest{Kind: "attack", Attack: string(ac.Attack), InOrder: ac.InOrder},
 		attack: ac,
 	}
@@ -169,7 +170,7 @@ func gadgetCell(in gadget.Input) cell {
 
 // cell validates the request and builds its cell with the constructor a
 // job would use, so a worker resolves it under the coordinator's key.
-func (r CellRequest) cell(params ooo.Params) (cell, error) {
+func (r CellRequest) cell() (cell, error) {
 	switch r.Kind {
 	case "sweep":
 		spec, err := workload.ByName(r.Workload)
@@ -198,7 +199,7 @@ func (r CellRequest) cell(params ooo.Params) (cell, error) {
 				return cell{}, err
 			}
 		}
-		return attackCell(ac, params), nil
+		return attackCell(ac), nil
 	case "gadget":
 		in, err := builtin(r.Program)
 		if err != nil {
@@ -254,7 +255,7 @@ func (m *Manager) measure(ctx context.Context, c *cell) (any, error) {
 
 // runAttack computes an attack-matrix cell.
 func (m *Manager) runAttack(ctx context.Context, c *cell) (any, error) {
-	out, err := c.attack.Run(ctx, m.cfg.Params)
+	out, err := c.attack.Run(ctx, ooo.DefaultParams())
 	if err != nil {
 		return nil, err
 	}

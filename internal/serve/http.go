@@ -56,6 +56,9 @@ func NewHandler(m *Manager) http.Handler {
 	// this worker's cache, bypassing the job queue (coordinators bound
 	// their own dispatch with per-worker windows).
 	mux.HandleFunc("POST /v1/cell", func(w http.ResponseWriter, r *http.Request) {
+		if _, ok := authTenant(m, w, r); !ok {
+			return
+		}
 		var req CellRequest
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		dec.DisallowUnknownFields()
@@ -63,7 +66,7 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 			return
 		}
-		c, err := req.cell(m.cfg.Params)
+		c, err := req.cell()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return

@@ -289,7 +289,7 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("POST %s %s = %d, want 400", c.path, c.body, resp.StatusCode)
 		}
 	}
-	if n := len(m.Jobs()); n != 0 {
+	if n := len(m.JobsFor("")); n != 0 {
 		t.Errorf("%d jobs created by invalid requests", n)
 	}
 }

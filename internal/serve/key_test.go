@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"testing"
-
-	"nda/internal/ooo"
-)
+import "testing"
 
 // TestKeyGolden pins the exact key strings produced for fixed payloads.
 // The key preimage folds in store.FormatVersion, so these literals break —
@@ -66,7 +62,6 @@ func TestKeyDistinguishes(t *testing.T) {
 // plan and from the CellRequest a coordinator would send for it — and both
 // must land on the pinned key.
 func TestCellKeyGolden(t *testing.T) {
-	params := ooo.DefaultParams()
 	planned := func(p *plan, err error) []cell {
 		t.Helper()
 		if err != nil {
@@ -77,7 +72,7 @@ func TestCellKeyGolden(t *testing.T) {
 	sweep := planned(SweepRequest{Workloads: []string{"gcc"}, Policies: []string{"OoO", "Strict+BR"}}.plan())
 	ckpt := SamplingSpec{Quick: true, Checkpoints: true}
 	quick := planned(SweepRequest{Workloads: []string{"mcf"}, Policies: []string{"Permissive+BR"}, NoInOrder: true, Sampling: ckpt}.plan())
-	atk := planned(AttackRequest{Attacks: []string{"meltdown", "ssb"}, Policies: []string{"Permissive"}}.plan(params))
+	atk := planned(AttackRequest{Attacks: []string{"meltdown", "ssb"}, Policies: []string{"Permissive"}}.plan())
 	gad := planned(GadgetsRequest{Programs: []string{"meltdown", "mcf"}}.plan())
 
 	cases := []struct {
@@ -98,7 +93,7 @@ func TestCellKeyGolden(t *testing.T) {
 		if tc.c.key != tc.want {
 			t.Errorf("%s: planned key\n  got  %s\n  want %s", tc.name, tc.c.key, tc.want)
 		}
-		remote, err := tc.c.req.cell(params)
+		remote, err := tc.c.req.cell()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -7,7 +7,6 @@ import (
 	"nda/internal/core"
 	"nda/internal/gadget"
 	"nda/internal/harness"
-	"nda/internal/ooo"
 	"nda/internal/workload"
 )
 
@@ -87,9 +86,6 @@ func (r SweepRequest) plan() (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(specs) == 0 || (len(pols) == 0 && r.NoInOrder) {
-		return nil, fmt.Errorf("serve: empty sweep (no workloads or no configurations)")
-	}
 	cfg := r.Sampling.resolve()
 	hcells, sw := harness.Grid(specs, pols, !r.NoInOrder)
 	cells := make([]cell, len(hcells))
@@ -149,9 +145,8 @@ type AttackRequest struct {
 	NoInOrder bool     `json:"no_in_order,omitempty"`
 }
 
-// plan validates the request and lays its cells out with attack.Grid,
-// simulated under params.
-func (r AttackRequest) plan(params ooo.Params) (*plan, error) {
+// plan validates the request and lays its cells out with attack.Grid.
+func (r AttackRequest) plan() (*plan, error) {
 	if err := distinct("attack", r.Attacks); err != nil {
 		return nil, err
 	}
@@ -170,13 +165,10 @@ func (r AttackRequest) plan(params ooo.Params) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(pols) == 0 && r.NoInOrder {
-		return nil, fmt.Errorf("serve: empty attack matrix (no configurations)")
-	}
 	acells := attack.Grid(kinds, pols, !r.NoInOrder)
 	cells := make([]cell, len(acells))
 	for i, ac := range acells {
-		cells[i] = attackCell(ac, params)
+		cells[i] = attackCell(ac)
 	}
 	return &plan{cells: cells, assemble: func(vals []any) any {
 		resp := &AttackResponse{Cells: acells}

@@ -3,27 +3,20 @@ package serve
 import (
 	"strings"
 	"testing"
-
-	"nda/internal/ooo"
 )
 
 // TestPlanRejectsRepeatedNames: every request kind refuses a list that
 // names the same workload, policy, attack or program twice, instead of
 // planning one cell per repeat.
 func TestPlanRejectsRepeatedNames(t *testing.T) {
-	params := ooo.DefaultParams()
 	cases := []struct {
 		name string
 		plan func() (*plan, error)
 	}{
 		{"workload", SweepRequest{Workloads: []string{"gcc", "mcf", "gcc"}}.plan},
 		{"sweep policy", SweepRequest{Workloads: []string{"gcc"}, Policies: []string{"OoO", "Strict", "OoO"}}.plan},
-		{"attack", func() (*plan, error) {
-			return AttackRequest{Attacks: []string{"meltdown", "meltdown"}}.plan(params)
-		}},
-		{"attack policy", func() (*plan, error) {
-			return AttackRequest{Attacks: []string{"meltdown"}, Policies: []string{"Strict", "Strict"}}.plan(params)
-		}},
+		{"attack", AttackRequest{Attacks: []string{"meltdown", "meltdown"}}.plan},
+		{"attack policy", AttackRequest{Attacks: []string{"meltdown"}, Policies: []string{"Strict", "Strict"}}.plan},
 		{"program", GadgetsRequest{Programs: []string{"mcf", "meltdown", "mcf"}}.plan},
 	}
 	for _, c := range cases {

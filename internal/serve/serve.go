@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"nda/internal/dist"
-	"nda/internal/ooo"
 	"nda/internal/par"
 	"nda/internal/store"
 	"nda/internal/tenant"
@@ -307,10 +306,6 @@ type Config struct {
 	// SimWorkers bounds the goroutines each job fans its cells out over
 	// (via internal/par). 0 means one per available CPU.
 	SimWorkers int
-	// Params is the micro-architecture the attack matrix runs on; the zero
-	// value means ooo.DefaultParams (sweeps carry their own Params inside
-	// the sampling config).
-	Params ooo.Params
 	// CacheMaxEntries caps the result cache (LRU eviction beyond it);
 	// 0 means DefaultCacheMaxEntries.
 	CacheMaxEntries int
@@ -335,18 +330,16 @@ type Config struct {
 	// Tenants declares the service's API-key tenants. Empty means
 	// single-tenant: every submission runs as the implicit local tenant
 	// and the fair-share scheduler degenerates to FIFO. An invalid list
-	// panics in NewManager — CLI input is validated by cliutil first.
+	// panics in NewManager — CLI input is validated by tenant.ParseList
+	// first.
 	Tenants []tenant.Tenant
-	// StreamHeartbeat is the SSE keep-alive interval on
-	// GET /v1/jobs/{id}?stream=1. 0 means 15s.
-	StreamHeartbeat time.Duration
-	// AdmissionBypass bounds how many store-served jobs may run
-	// concurrently outside the worker pool when the queue is saturated
-	// (store-aware admission). 0 means 2; negative disables the bypass.
-	// Bypass jobs still count toward their tenant's rate quota and
-	// MaxInFlight cap — the cap is a hard concurrency bound either way.
-	AdmissionBypass int
 }
+
+// admissionBypass bounds how many store-served jobs may run concurrently
+// outside the worker pool when the queue is saturated (store-aware
+// admission). Bypass jobs still count toward their tenant's rate quota and
+// MaxInFlight cap — the cap is a hard concurrency bound either way.
+const admissionBypass = 2
 
 // Manager owns the queue, the workers, and the result cache.
 type Manager struct {
@@ -380,12 +373,6 @@ func NewManager(cfg Config) *Manager {
 	}
 	if cfg.JobWorkers <= 0 {
 		cfg.JobWorkers = 2
-	}
-	if cfg.Params == (ooo.Params{}) {
-		cfg.Params = ooo.DefaultParams()
-	}
-	if cfg.AdmissionBypass == 0 {
-		cfg.AdmissionBypass = 2
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
@@ -452,9 +439,6 @@ func (m *Manager) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns snapshots of every job in submission order.
-func (m *Manager) Jobs() []Status { return m.JobsFor("") }
-
 // JobsFor returns snapshots of the named tenant's jobs in submission
 // order; the empty name (untenanted deployments) returns every job.
 func (m *Manager) JobsFor(tenantName string) []Status {
@@ -503,7 +487,7 @@ func (m *Manager) SubmitSweep(req SweepRequest, opts ...SubmitOpts) (*Job, error
 
 // SubmitAttack validates and enqueues an attack-matrix job.
 func (m *Manager) SubmitAttack(req AttackRequest, opts ...SubmitOpts) (*Job, error) {
-	p, err := req.plan(m.cfg.Params)
+	p, err := req.plan()
 	return m.submit("attack", opts, p, err)
 }
 
@@ -580,7 +564,7 @@ func (m *Manager) enqueueAs(kind string, o SubmitOpts, cells []cell, run func(co
 	bypass := m.sched.Full()
 	var err error
 	switch {
-	case bypass && (m.bypassing >= m.cfg.AdmissionBypass || !m.storeResolvable(cells)):
+	case bypass && (m.bypassing >= admissionBypass || !m.storeResolvable(cells)):
 		err = tenant.ErrQueueFull
 	case bypass:
 		err = m.sched.Bypass(o.Tenant, now)
@@ -626,7 +610,7 @@ func (m *Manager) enqueueAs(kind string, o SubmitOpts, cells []cell, run func(co
 // without simulating or dispatching. Called with m.mu held; false when
 // cells are unknown (warm jobs) or empty.
 func (m *Manager) storeResolvable(cells []cell) bool {
-	if len(cells) == 0 || m.cfg.AdmissionBypass < 0 {
+	if len(cells) == 0 {
 		return false
 	}
 	for i := range cells {

@@ -19,9 +19,9 @@ import (
 // status version, so a dropped connection resumes with Last-Event-ID and
 // receives only what changed since.
 
-// DefaultStreamHeartbeat is the keep-alive comment interval when
-// Config.StreamHeartbeat is unset: frequent enough to hold typical proxy
-// idle timeouts open across long simulation gaps.
+// DefaultStreamHeartbeat is the keep-alive comment interval: frequent
+// enough to hold typical proxy idle timeouts open across long simulation
+// gaps.
 const DefaultStreamHeartbeat = 15 * time.Second
 
 // serveStream writes the job's status event stream until the job reaches
@@ -40,11 +40,6 @@ func (m *Manager) serveStream(w http.ResponseWriter, r *http.Request, j *Job) {
 			lastSent = n
 		}
 	}
-	hb := m.cfg.StreamHeartbeat
-	if hb <= 0 {
-		hb = DefaultStreamHeartbeat
-	}
-
 	ch := j.subscribe()
 	defer j.unsubscribe(ch)
 
@@ -72,7 +67,7 @@ func (m *Manager) serveStream(w http.ResponseWriter, r *http.Request, j *Job) {
 		return
 	}
 
-	tick := time.NewTicker(hb)
+	tick := time.NewTicker(DefaultStreamHeartbeat)
 	defer tick.Stop()
 	for {
 		select {

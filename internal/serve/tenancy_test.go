@@ -173,6 +173,18 @@ func TestTenantAuthOverHTTP(t *testing.T) {
 		t.Fatalf("unknown key = %d: %s", resp.StatusCode, body)
 	}
 
+	// The fleet's work unit simulates too, so it is keyed like the job
+	// endpoints; with a key it answers the cell.
+	cellReq := CellRequest{Kind: "gadget", Program: "meltdown"}
+	resp, body = postKey(t, srv.URL+"/v1/cell", "", cellReq)
+	if resp.StatusCode != http.StatusUnauthorized {
+		t.Fatalf("keyless cell = %d: %s", resp.StatusCode, body)
+	}
+	resp, body = postKey(t, srv.URL+"/v1/cell", "key-a", cellReq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("keyed cell = %d: %s", resp.StatusCode, body)
+	}
+
 	resp, body = postKey(t, srv.URL+"/v1/gadgets", "key-a", req)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("X-API-Key submit = %d: %s", resp.StatusCode, body)

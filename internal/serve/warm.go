@@ -70,7 +70,7 @@ func (m *Manager) SubmitWarm(req WarmRequest, opts ...SubmitOpts) (*Job, error) 
 		}
 	}
 	for _, r := range req.Attacks {
-		if err := add(r.plan(m.cfg.Params)); err != nil {
+		if err := add(r.plan()); err != nil {
 			return nil, err
 		}
 	}

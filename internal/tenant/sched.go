@@ -78,8 +78,8 @@ type Scheduler struct {
 // NewScheduler builds a scheduler over the given tenants plus the implicit
 // local tenant. depth bounds the total queued (not yet dispatched) jobs
 // across all tenants; depth <= 0 panics, as does an invalid tenant list —
-// CLI input is validated by cliutil before it reaches here, so a bad list
-// is a programming error.
+// CLI input is validated by ParseList before it reaches here, so a bad
+// list is a programming error.
 func NewScheduler(tenants []Tenant, depth int) *Scheduler {
 	if depth <= 0 {
 		panic(fmt.Sprintf("tenant: scheduler depth %d invalid", depth))

@@ -41,9 +41,10 @@ func TestParseListEmptyFieldsKeepDefaults(t *testing.T) {
 }
 
 func TestParseListEmptyStringIsNoTenants(t *testing.T) {
-	ts, err := ParseList("  ")
-	if err != nil || ts != nil {
-		t.Fatalf("got %v, %v; want nil, nil", ts, err)
+	for _, in := range []string{"", "  "} {
+		if ts, err := ParseList(in); err != nil || ts != nil {
+			t.Fatalf("ParseList(%q) = %v, %v; want nil, nil", in, ts, err)
+		}
 	}
 }
 

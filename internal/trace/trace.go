@@ -20,10 +20,11 @@ type Collector struct {
 }
 
 // Attach installs the collector on a core. Records accumulate from the next
-// retirement on.
+// retirement on; a faulting instruction's record (Fault set) is skipped,
+// since the fault squashes the instruction instead of retiring it.
 func (t *Collector) Attach(c *ooo.Core) {
 	c.TraceRetire = func(ev ooo.TraceEvent) {
-		if t.Limit > 0 && len(t.Records) >= t.Limit {
+		if ev.Fault != 0 || (t.Limit > 0 && len(t.Records) >= t.Limit) {
 			return
 		}
 		t.Records = append(t.Records, ev)

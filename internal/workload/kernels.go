@@ -98,15 +98,6 @@ func (k *kern) chase(hops int) {
 	}
 }
 
-// streamData zero-fills the stream array region (zero is fine: memory
-// defaults to zero; nothing to emit) — kept for symmetry and to reserve the
-// region size for documentation.
-func (k *kern) streamData(bytes int) {
-	// Sparse memory reads as zero; only the size matters for cache
-	// behaviour, so no initialization is required.
-	_ = bytes
-}
-
 // stream emits unroll independent loads (and optionally stores) with a
 // 64-byte stride, then advances and wraps the cursor: the
 // bwaves/lbm/fotonik3d pattern. High MLP: the loads are independent.

@@ -6,7 +6,8 @@
 #   1. byte identity across schedulers: the same sweep answered by an
 #      untenanted (FIFO) server and a tenanted (fair-share) server is
 #      byte-for-byte identical — scheduling decides when, never what,
-#   2. authentication: the tenanted server 401s keyless submissions,
+#   2. authentication: the tenanted server 401s keyless submissions and
+#      keyless /v1/cell requests,
 #   3. warm-path SLO: a greedy + light tenant mix against the warm cache
 #      holds p99 under the SLO and the light tenant completes work
 #      (ndaload exit 1 on violation gates this),
@@ -74,6 +75,9 @@ echo "load-smoke: FIFO and fair-share results byte-identical"
 CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -d "$REQ" "$BASE_FAIR/v1/sweep")
 [ "$CODE" = "401" ] || fail "keyless submission answered $CODE, want 401"
 echo "load-smoke: keyless submission refused (401)"
+CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -d '{"kind":"gadget","program":"meltdown"}' "$BASE_FAIR/v1/cell")
+[ "$CODE" = "401" ] || fail "keyless /v1/cell answered $CODE, want 401"
+echo "load-smoke: keyless cell refused (401)"
 
 # 3. Warm-path SLO under multi-tenant contention: the sweep above warmed
 # the hot mix's baseline cells; ndaload re-warms the rest, then a greedy
