@@ -81,7 +81,8 @@ load-smoke:
 
 ## fuzz-smoke: differential soundness fuzzing on a pinned seed range — the
 ## gadget analyzer's SAFE verdicts cross-checked against dynamic simulation
-## on generated programs; any static-SAFE/dynamic-leak disagreement fails
+## on generated programs; any static-SAFE/dynamic-leak disagreement fails;
+## then 10 s of the store's native FuzzOpen target
 fuzz-smoke:
 	sh scripts/fuzz_smoke.sh
 

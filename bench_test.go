@@ -236,12 +236,12 @@ func BenchmarkStoreWarmRestart(b *testing.B) {
 	}
 	const cells = 12 // 4 workloads x (2 policies + in-order)
 
-	restart := func() (*serve.Manager, *store.Store) {
+	restart := func() *serve.Manager {
 		st, err := store.Open(dir, store.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return serve.NewManager(serve.Config{QueueDepth: 4, JobWorkers: 1, Store: st}), st
+		return serve.NewManager(serve.Config{QueueDepth: 4, JobWorkers: 1, Store: st})
 	}
 	sweep := func(m *serve.Manager) serve.Status {
 		j, err := m.SubmitSweep(req)
@@ -253,30 +253,27 @@ func BenchmarkStoreWarmRestart(b *testing.B) {
 		}
 		return j.Status()
 	}
-	stop := func(m *serve.Manager, st *store.Store) {
+	stop := func(m *serve.Manager) {
 		if err := m.Shutdown(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		if err := st.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}
 
 	// Populate the store once, outside the timed window (the "cold" boot).
-	m, st := restart()
+	m := restart()
 	if got := sweep(m); got.Tiers.Computed != cells {
 		b.Fatalf("cold populate tiers = %+v, want %d computed", got.Tiers, cells)
 	}
-	stop(m, st)
+	stop(m)
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, st := restart()
+		m := restart()
 		if got := sweep(m); got.Tiers.Disk != cells || got.Tiers.Computed != 0 {
 			b.Fatalf("warm replay tiers = %+v, want %d disk", got.Tiers, cells)
 		}
 		b.StopTimer()
-		stop(m, st)
+		stop(m)
 		b.StartTimer()
 	}
 	b.ReportMetric(cells, "cells-replayed")

@@ -99,6 +99,9 @@ func main() {
 	if *cacheMax < 1 {
 		fatal(fmt.Errorf("-cache-max-entries %d invalid: want a positive capacity", *cacheMax))
 	}
+	if *storeMaxBytes < 1 {
+		fatal(fmt.Errorf("-store-max-bytes %d invalid: want a positive budget", *storeMaxBytes))
+	}
 	urls, err := cliutil.WorkerURLs(*workers)
 	fatal(err)
 	tenants, err := tenant.ParseList(*tenantsFlag)
@@ -110,12 +113,8 @@ func main() {
 	// store must never be opened twice in one process).
 	var diskStore *store.Store
 	if *storeDir != "" {
-		if *storeMaxBytes < 1 {
-			fatal(fmt.Errorf("-store-max-bytes %d invalid: want a positive budget", *storeMaxBytes))
-		}
 		diskStore, err = store.Open(*storeDir, store.Options{MaxBytes: *storeMaxBytes})
 		fatal(err)
-		defer diskStore.Close()
 		c := diskStore.Counters()
 		fmt.Fprintf(os.Stderr, "ndaserve: store %s: %d entries, %d bytes (budget %d)\n", *storeDir, c.Entries, c.Bytes, c.MaxBytes)
 		if c.DroppedOnOpen > 0 {
@@ -132,7 +131,6 @@ func main() {
 	default:
 		sharedStore, err = store.Open(*sharedDir, store.Options{MaxBytes: *storeMaxBytes})
 		fatal(err)
-		defer sharedStore.Close()
 	}
 
 	var fleet *dist.Coordinator

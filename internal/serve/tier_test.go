@@ -30,7 +30,6 @@ func newStoreManager(t *testing.T, dir string, abandon bool) *Manager {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			_ = m.Shutdown(ctx)
-			_ = st.Close()
 		})
 	}
 	return m
@@ -314,7 +313,6 @@ func TestSharedStoreAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = st.Close() })
 	req := SweepRequest{Workloads: []string{"exchange2"}, Policies: []string{"OoO"}, Sampling: tinySampling()}
 
 	// A local manager computes the cells into what becomes the shared store.

@@ -14,8 +14,7 @@ import (
 // entries are untouched.
 
 // seedStore fills dir with n entries and returns their keys and values.
-// The store is deliberately never closed — a crashed process would not
-// have closed it either.
+// The store is simply abandoned, as a crashed process would leave it.
 func seedStore(t *testing.T, dir string, n int) (keys []string, vals [][]byte) {
 	t.Helper()
 	s, err := Open(dir, Options{})
@@ -52,7 +51,6 @@ func TestTruncatedEntryRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if c := s.Counters(); c.DroppedOnOpen != 1 || c.Entries != 4 {
 		t.Fatalf("recovery counters = %+v, want 1 dropped / 4 live", c)
 	}
@@ -93,7 +91,6 @@ func TestCorruptedValueRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if _, ok := s.Get(keys[0]); ok {
 		t.Fatal("checksum-failing entry was served")
 	}
@@ -107,7 +104,7 @@ func TestCorruptedValueRecovered(t *testing.T) {
 func TestDanglingTempFilesSwept(t *testing.T) {
 	dir := t.TempDir()
 	keys, _ := seedStore(t, dir, 2)
-	for _, name := range []string{tmpPrefix + "123456", tmpPrefix + "crashed", logTmpName} {
+	for _, name := range []string{tmpPrefix + "123456", tmpPrefix + "crashed"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("half-written garbage"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -116,42 +113,16 @@ func TestDanglingTempFilesSwept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if s.Len() != 2 {
-		t.Fatalf("store holds %d entries, want the 2 real ones", s.Len())
+	if n := s.Counters().Entries; n != 2 {
+		t.Fatalf("store holds %d entries, want the 2 real ones", n)
 	}
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, de := range des {
-		if de.Name() != logName && de.Name() != entryName(keys[0]) && de.Name() != entryName(keys[1]) {
+		if de.Name() != entryName(keys[0]) && de.Name() != entryName(keys[1]) {
 			t.Errorf("unexpected file survived recovery: %s", de.Name())
-		}
-	}
-}
-
-// TestTornAccessLogTolerated: a log whose final line was cut mid-write
-// still replays its intact prefix; the store opens and serves everything.
-func TestTornAccessLogTolerated(t *testing.T) {
-	dir := t.TempDir()
-	keys, _ := seedStore(t, dir, 3)
-	logPath := filepath.Join(dir, logName)
-	b, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(logPath, b[:len(b)-3], 0o644); err != nil { // cut into the last line
-		t.Fatal(err)
-	}
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for _, k := range keys {
-		if _, ok := s.Get(k); !ok {
-			t.Fatalf("entry %q lost to a torn access log", k)
 		}
 	}
 }
@@ -169,9 +140,8 @@ func TestGarbageEntryFileDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if s.Len() != 1 {
-		t.Fatalf("alien file indexed: %d entries", s.Len())
+	if n := s.Counters().Entries; n != 1 {
+		t.Fatalf("alien file indexed: %d entries", n)
 	}
 	if _, err := os.Stat(alien); !os.IsNotExist(err) {
 		t.Fatal("alien entry file not removed")

@@ -23,10 +23,17 @@
 //
 // Eviction is sized in bytes, not entries: Options.MaxBytes budgets the
 // sum of entry file sizes, and Put evicts least-recently-used entries
-// until the budget holds. Recency survives restarts through an
-// append-only access log of entry touches, replayed (and compacted) on
-// Open; the log is advisory — losing its tail to a crash costs eviction
-// precision, never correctness.
+// until the budget holds. Recency survives restarts in each entry file's
+// mtime, which Put and every hit stamp with the store's logical clock
+// (never a wall-clock read); Open orders entries by (mtime, file name)
+// and seeds the clock from the newest stamp. The stamps are advisory —
+// losing one costs eviction precision, never correctness.
+//
+// Concurrency. Entries never change once written, so the mutex covers
+// only the in-memory index. Get reads the file after releasing it (a
+// vanished or bad file is a miss); Put writes, fsyncs and renames before
+// taking it and then publishes; eviction picks victims under it and
+// unlinks them after.
 package store
 
 import (
@@ -37,10 +44,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // FormatVersion is the on-disk entry format's version. serve.Key folds it
@@ -68,8 +75,6 @@ type Options struct {
 const (
 	entrySuffix = ".cell"
 	tmpPrefix   = "tmp-"
-	logName     = "access.log"
-	logTmpName  = "access.log.tmp"
 
 	// headerLen is magic(4) + version(4) + keyLen(4) + valLen(4) + crc(4).
 	headerLen = 20
@@ -85,13 +90,12 @@ type Store struct {
 	dir string
 	max int64
 
+	// mu guards the index below and every entry's gen. No file I/O runs
+	// while it is held.
 	mu      sync.Mutex
 	entries map[string]*entry // by key
-	byName  map[string]*entry // by entry file base name
-	gen     uint64            // logical clock: bumped per touch, highest = most recent
+	clock   int64             // logical clock: bumped per touch, highest = most recent
 	bytes   int64             // sum of entry file sizes
-	log     *os.File          // append-only touch log
-	logLen  int               // touch lines since the last compaction
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -102,12 +106,13 @@ type Store struct {
 	droppedOnOpen atomic.Int64
 }
 
+// entry is one indexed file. Only gen changes after creation, and only
+// under Store.mu.
 type entry struct {
 	key  string
-	name string // file base name
-	line string // precomputed access-log line (name + newline)
+	path string // entry file path
 	size int64  // full entry file size
-	gen  uint64
+	gen  int64  // last touch on the logical clock, stamped as the file's mtime
 }
 
 // Counters is a point-in-time snapshot of the store's accounting, sized
@@ -136,8 +141,9 @@ func entryName(key string) string {
 
 // Open loads (or creates) the store at dir: it sweeps temp files from
 // interrupted writes, validates every entry file (deleting torn or
-// version-mismatched ones), replays the access log to restore recency
-// order, rewrites the log compacted, and enforces the byte budget.
+// version-mismatched ones), restores recency from the entry mtimes, and
+// enforces the byte budget. Any other file, such as the access log older
+// stores kept, is ignored.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = DefaultMaxBytes
@@ -149,44 +155,39 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:     dir,
 		max:     opts.MaxBytes,
 		entries: make(map[string]*entry),
-		byName:  make(map[string]*entry),
 	}
-	names, err := os.ReadDir(dir)
+	des, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	// ReadDir sorts by name, so initial generations (before the access
-	// log refines them) are deterministic across opens.
-	for _, de := range names {
+	for _, de := range des {
 		name := de.Name()
 		switch {
 		case de.IsDir():
 			continue
-		case strings.HasPrefix(name, tmpPrefix) || name == logTmpName:
+		case strings.HasPrefix(name, tmpPrefix):
 			// A temp file is an interrupted write: its entry was never
 			// visible, so removing it loses nothing.
 			_ = os.Remove(filepath.Join(dir, name))
 		case strings.HasSuffix(name, entrySuffix):
-			s.loadEntry(name)
+			s.loadEntry(de)
 		}
 	}
-	s.replayLog()
-	if err := s.compactLog(); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	//ndavet:allow locklint:transitive Open-time eviction runs before the store is shared; no contenders exist yet
-	s.evictOverLocked("")
-	s.mu.Unlock()
+	// Nothing else can reach s yet, so Open-time eviction takes no lock.
+	unlink(s.evictOver("")...)
 	return s, nil
 }
 
-// loadEntry validates one entry file during Open, indexing it if sound
-// and deleting it otherwise. Called before the store is shared, but takes
-// the lock anyway to keep evictOverLocked's invariants in one place.
-func (s *Store) loadEntry(name string) {
-	path := filepath.Join(s.dir, name)
+// loadEntry validates one entry file during Open, indexing it under its
+// mtime if sound and deleting it otherwise. Open calls it before the
+// store is shared, so it takes no lock.
+func (s *Store) loadEntry(de os.DirEntry) {
+	path := filepath.Join(s.dir, de.Name())
 	key, _, size, err := readEntry(path)
+	var fi os.FileInfo
+	if err == nil {
+		fi, err = de.Info()
+	}
 	if err != nil {
 		_ = os.Remove(path)
 		s.droppedOnOpen.Add(1)
@@ -199,10 +200,9 @@ func (s *Store) loadEntry(name string) {
 		s.droppedOnOpen.Add(1)
 		return
 	}
-	s.gen++
-	e := &entry{key: key, name: name, line: name + "\n", size: size, gen: s.gen}
-	s.entries[key] = e
-	s.byName[name] = e
+	gen := fi.ModTime().Unix()
+	s.clock = max(s.clock, gen)
+	s.entries[key] = &entry{key: key, path: path, size: size, gen: gen}
 	s.bytes += size
 }
 
@@ -248,98 +248,26 @@ func encodeEntry(key string, val []byte) []byte {
 	return b
 }
 
-// replayLog re-applies the access log's touch order on top of the
-// directory-scan order: each line is an entry file name, oldest touch
-// first. Unknown names (evicted entries) and a torn final line are
-// skipped — the log is advisory.
-func (s *Store) replayLog() {
-	b, err := os.ReadFile(filepath.Join(s.dir, logName))
-	if err != nil {
-		return
-	}
-	lines := strings.Split(string(b), "\n")
-	if len(lines) > 0 && lines[len(lines)-1] != "" {
-		lines = lines[:len(lines)-1] // torn tail: the write died mid-line
-	}
-	for _, name := range lines {
-		if e, ok := s.byName[name]; ok {
-			s.gen++
-			e.gen = s.gen
-		}
-	}
-}
-
-// compactLog atomically rewrites the access log as one line per live
-// entry in recency order and reopens it for appending.
-func (s *Store) compactLog() error {
-	if s.log != nil {
-		_ = s.log.Close()
-		s.log = nil
-	}
-	live := make([]*entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		live = append(live, e)
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].gen < live[j].gen })
-	var b strings.Builder
-	for _, e := range live {
-		b.WriteString(e.name)
-		b.WriteByte('\n')
-	}
-	tmp := filepath.Join(s.dir, logTmpName)
-	if err := os.WriteFile(tmp, []byte(b.String()), 0o644); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, logName)); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	f, err := os.OpenFile(filepath.Join(s.dir, logName), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.log = f
-	s.logLen = 0
-	return nil
-}
-
-// touchLocked bumps an entry to most-recent and appends the touch to the
-// log, compacting when the log has grown well past the live set.
-func (s *Store) touchLocked(e *entry) {
-	s.gen++
-	e.gen = s.gen
-	if s.log != nil {
-		if _, err := s.log.WriteString(e.line); err == nil {
-			s.logLen++
-		}
-	}
-	if s.logLen > 8*len(s.entries)+64 {
-		_ = s.compactLog()
-	}
-}
-
-// Get returns the stored value for key. A missing, unreadable, or
-// corrupted entry is a miss (and a corrupted one is deleted); the caller
-// recomputes and Puts.
+// Get returns the stored value for key. A missing, vanished, unreadable,
+// or corrupted entry is a miss (and a corrupted one is deleted); the
+// caller recomputes and Puts.
 func (s *Store) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
+	e, gen := s.touch(key)
+	if e == nil {
 		s.misses.Add(1)
 		return nil, false
 	}
-	//ndavet:allow locklint:transitive the store is single-writer by design (PR 8): reads serialize with eviction under one mutex so index and files stay atomic
-	gotKey, val, _, err := readEntry(filepath.Join(s.dir, e.name))
+	gotKey, val, _, err := readEntry(e.path)
 	if err != nil || gotKey != key {
 		// The file went bad underneath us (or a hash-prefix collision):
 		// drop it so the slot recomputes cleanly.
-		//ndavet:allow locklint:transitive corrupt-entry removal must stay atomic with the index update that hides it
-		s.removeLocked(e, false)
+		if s.drop(e) {
+			unlink(e)
+		}
 		s.misses.Add(1)
 		return nil, false
 	}
-	//ndavet:allow locklint:transitive the LRU touch appends to the access log under the same mutex that orders it
-	s.touchLocked(e)
+	stamp(e.path, gen)
 	s.hits.Add(1)
 	return val, true
 }
@@ -362,40 +290,25 @@ func (s *Store) Has(key string) bool {
 // content-addressed, so rewriting could change nothing), and best-effort:
 // an I/O failure counts on PutErrors and the value simply stays uncached.
 func (s *Store) Put(key string, val []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[key]; ok {
-		//ndavet:allow locklint:transitive the LRU touch appends to the access log under the same mutex that orders it
-		s.touchLocked(e)
+	if e, gen := s.touch(key); e != nil {
+		stamp(e.path, gen)
 		return
 	}
-	name := entryName(key)
+	path := filepath.Join(s.dir, entryName(key))
 	b := encodeEntry(key, val)
-	//ndavet:allow locklint:transitive writeAtomic must complete before the index entry becomes visible; the mutex is what makes Put atomic
-	if err := s.writeAtomic(name, b); err != nil {
+	if err := s.writeAtomic(path, b); err != nil {
 		s.putErrors.Add(1)
 		return
 	}
-	s.gen++
-	e := &entry{key: key, name: name, line: name + "\n", size: int64(len(b)), gen: s.gen}
-	s.entries[key] = e
-	s.byName[name] = e
-	s.bytes += e.size
-	if s.log != nil {
-		//ndavet:allow locklint:lexical the log append must be ordered with the index insert it records
-		if _, err := s.log.WriteString(e.line); err == nil {
-			s.logLen++
-		}
-	}
-	s.puts.Add(1)
-	//ndavet:allow locklint:transitive eviction must be atomic with the insert that pushed the store over budget
-	s.evictOverLocked(key)
+	gen, victims := s.publish(&entry{key: key, path: path, size: int64(len(b))})
+	stamp(path, gen)
+	unlink(victims...)
 }
 
-// writeAtomic lands b at name via temp file, fsync, rename, and a
+// writeAtomic lands b at path via temp file, fsync, rename, and a
 // best-effort directory sync, so a crash at any point leaves either the
 // whole entry or a temp file Open will sweep.
-func (s *Store) writeAtomic(name string, b []byte) error {
+func (s *Store) writeAtomic(path string, b []byte) error {
 	f, err := os.CreateTemp(s.dir, tmpPrefix)
 	if err != nil {
 		return err
@@ -415,7 +328,7 @@ func (s *Store) writeAtomic(name string, b []byte) error {
 		_ = os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, name)); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		_ = os.Remove(tmp)
 		return err
 	}
@@ -426,56 +339,93 @@ func (s *Store) writeAtomic(name string, b []byte) error {
 	return nil
 }
 
-// evictOverLocked deletes least-recently-used entries until the byte
-// budget holds. keep, when non-empty, shields the entry just written —
-// unless it alone exceeds the whole budget, in which case it goes too
-// (a value bigger than the store must not wedge it permanently over).
-func (s *Store) evictOverLocked(keep string) {
+// touch looks key up and, if present, makes it the most recent entry,
+// returning it with its new stamp.
+func (s *Store) touch(key string) (*entry, int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.entries[key]
+	if e == nil {
+		return nil, 0
+	}
+	s.clock++
+	e.gen = s.clock
+	return e, s.clock
+}
+
+// publish indexes a freshly written entry as the most recent one and
+// returns its stamp with the victims its bytes push over budget. If a
+// concurrent Put of the same key published first, that entry wins and is
+// only touched: both wrote the same content-addressed file.
+func (s *Store) publish(e *entry) (int64, []*entry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.clock++
+	if won := s.entries[e.key]; won != nil {
+		won.gen = s.clock
+		return s.clock, nil
+	}
+	e.gen = s.clock
+	s.entries[e.key] = e
+	s.bytes += e.size
+	s.puts.Add(1)
+	return s.clock, s.evictOver(e.key)
+}
+
+// drop unindexes e, whose file failed to read, unless a concurrent
+// eviction or Put has already replaced it; it reports whether it did.
+func (s *Store) drop(e *entry) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.entries[e.key] != e {
+		return false
+	}
+	delete(s.entries, e.key)
+	s.bytes -= e.size
+	return true
+}
+
+// evictOver unindexes least-recently-used entries, oldest (gen, file
+// name) first, until the byte budget holds, and returns them for the
+// caller to unlink once it no longer holds the lock. keep, when
+// non-empty, shields the entry just written — unless it alone exceeds the
+// whole budget, in which case it goes too (a value bigger than the store
+// must not wedge it permanently over). The caller holds s.mu, or owns s
+// outright.
+func (s *Store) evictOver(keep string) []*entry {
+	var victims []*entry
 	for s.bytes > s.max && len(s.entries) > 0 {
 		var victim *entry
 		for _, e := range s.entries {
 			if e.key == keep && len(s.entries) > 1 {
 				continue
 			}
-			if victim == nil || e.gen < victim.gen {
+			if victim == nil || e.gen < victim.gen || e.gen == victim.gen && e.path < victim.path {
 				victim = e
 			}
 		}
-		if victim == nil {
-			return
-		}
-		s.removeLocked(victim, true)
-	}
-}
-
-// removeLocked deletes one entry's file and index state.
-func (s *Store) removeLocked(e *entry, evicted bool) {
-	_ = os.Remove(filepath.Join(s.dir, e.name))
-	delete(s.entries, e.key)
-	delete(s.byName, e.name)
-	s.bytes -= e.size
-	if evicted {
+		delete(s.entries, victim.key)
+		s.bytes -= victim.size
 		s.evictions.Add(1)
-		s.evictedBytes.Add(e.size)
+		s.evictedBytes.Add(victim.size)
+		victims = append(victims, victim)
+	}
+	return victims
+}
+
+// unlink deletes the files of entries already removed from the index.
+func unlink(victims ...*entry) {
+	for _, e := range victims {
+		_ = os.Remove(e.path)
 	}
 }
 
-// Len returns the number of live entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
+// stamp records a touch as the entry file's mtime so recency survives a
+// restart. It is advisory: a lost or reordered stamp only blurs eviction
+// order after the next Open.
+func stamp(path string, gen int64) {
+	_ = os.Chtimes(path, time.Time{}, time.Unix(gen, 0))
 }
-
-// Bytes returns the total size of live entry files.
-func (s *Store) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Counters snapshots the store's accounting.
 func (s *Store) Counters() Counters {
@@ -494,18 +444,4 @@ func (s *Store) Counters() Counters {
 		EvictedBytes:  s.evictedBytes.Load(),
 		DroppedOnOpen: s.droppedOnOpen.Load(),
 	}
-}
-
-// Close releases the access log handle. Durability never depends on
-// Close: every Put is already synced and renamed into place, which is
-// what makes kill -9 survivable.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log == nil {
-		return nil
-	}
-	err := s.log.Close()
-	s.log = nil
-	return err
 }

@@ -14,7 +14,6 @@ func open(t *testing.T, dir string, max int64) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
 	return s
 }
 
@@ -41,18 +40,18 @@ func TestPutGetRoundtrip(t *testing.T) {
 }
 
 // TestPersistsAcrossOpen: the point of the package — a second Open over
-// the same directory serves everything the first one stored, without the
-// first having been closed (kill -9 never calls Close).
+// the same directory serves everything the first one stored, with the
+// first simply abandoned, as kill -9 would leave it.
 func TestPersistsAcrossOpen(t *testing.T) {
 	dir := t.TempDir()
 	s1 := open(t, dir, 0)
 	for i := 0; i < 10; i++ {
 		s1.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("value-%d", i)))
 	}
-	// No Close: simulate an abrupt death after the Puts landed.
+	// No shutdown of any kind: simulate an abrupt death after the Puts landed.
 	s2 := open(t, dir, 0)
-	if s2.Len() != 10 {
-		t.Fatalf("reopened store holds %d entries, want 10", s2.Len())
+	if n := s2.Counters().Entries; n != 10 {
+		t.Fatalf("reopened store holds %d entries, want 10", n)
 	}
 	for i := 0; i < 10; i++ {
 		got, ok := s2.Get(fmt.Sprintf("k%d", i))
@@ -120,7 +119,7 @@ func TestOversizedValueNotWedged(t *testing.T) {
 	}
 }
 
-// TestRecencySurvivesReopen: the access log carries LRU order across a
+// TestRecencySurvivesReopen: the entry mtimes carry LRU order across a
 // restart — after reopening, budget pressure still evicts the entry that
 // was least recently used before the restart.
 func TestRecencySurvivesReopen(t *testing.T) {
@@ -167,7 +166,6 @@ func TestVersionMismatchDropped(t *testing.T) {
 	dir := t.TempDir()
 	s1 := open(t, dir, 0)
 	s1.Put("k", []byte("old-format-value"))
-	s1.Close()
 
 	// Rewrite the entry with a bumped version field; everything else,
 	// checksum included, stays valid.
@@ -200,7 +198,6 @@ func TestKeyPrefixCollision(t *testing.T) {
 	dir := t.TempDir()
 	s1 := open(t, dir, 0)
 	s1.Put("honest", []byte("v"))
-	s1.Close()
 	// Rename the entry file to the address of a different key.
 	if err := os.Rename(filepath.Join(dir, entryName("honest")), filepath.Join(dir, entryName("impostor"))); err != nil {
 		t.Fatal(err)
@@ -211,8 +208,9 @@ func TestKeyPrefixCollision(t *testing.T) {
 	}
 }
 
-// TestLogCompaction: heavy touching keeps the access log bounded.
-func TestLogCompaction(t *testing.T) {
+// TestHeavyTouchRecency: thousands of touches across two entries still
+// leave the right one least recent after a reopen.
+func TestHeavyTouchRecency(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, 0)
 	s.Put("a", []byte("v"))
@@ -221,18 +219,10 @@ func TestLogCompaction(t *testing.T) {
 		s.Get("a")
 		s.Get("b")
 	}
-	info, err := os.Stat(filepath.Join(dir, logName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size() > 16<<10 {
-		t.Fatalf("access log grew to %d bytes over 4000 touches; compaction broken", info.Size())
-	}
-	// Order is still correct after compaction cycles.
 	s.Get("a")
 	s2 := open(t, dir, int64(2*(headerLen+1+1))+1)
 	s2.Put("c", []byte("v"))
 	if _, ok := s2.Get("b"); ok {
-		t.Fatal("compacted log lost recency order")
+		t.Fatal("heavy touching lost recency order across a reopen")
 	}
 }
