@@ -82,7 +82,8 @@ load-smoke:
 ## fuzz-smoke: differential soundness fuzzing on a pinned seed range — the
 ## gadget analyzer's SAFE verdicts cross-checked against dynamic simulation
 ## on generated programs; any static-SAFE/dynamic-leak disagreement fails;
-## then 10 s of the store's native FuzzOpen target
+## then 10 s of each native fuzz target (store FuzzOpen, serve
+## FuzzCellRequest)
 fuzz-smoke:
 	sh scripts/fuzz_smoke.sh
 

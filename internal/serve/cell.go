@@ -186,7 +186,10 @@ func (r CellRequest) cell() (cell, error) {
 				return cell{}, err
 			}
 		}
-		cfg := r.Sampling.resolve()
+		cfg, err := r.Sampling.resolve()
+		if err != nil {
+			return cell{}, err
+		}
 		return sweepCell(hc, &cfg, r.Sampling), nil
 	case "attack":
 		kind, err := attack.ByName(r.Attack)

@@ -142,3 +142,32 @@ func TestCacheEvictionMetric(t *testing.T) {
 		t.Error("/metrics does not report nda_cache_evictions_total 1")
 	}
 }
+
+// crashBodies are small bodies whose sampling spec asks for 2^40
+// intervals. Before the interval ceiling existed, the fold pre-sized its
+// sample buffer from that count and the process died out of memory.
+var crashBodies = map[string]string{
+	"/v1/sweep": `{"workloads":["gcc"],"policies":["OoO"],"no_in_order":true,"sampling":{"quick":true,"intervals":1099511627776}}`,
+	"/v1/cell":  `{"kind":"sweep","workload":"gcc","policy":"OoO","sampling":{"quick":true,"intervals":1099511627776}}`,
+}
+
+// TestOversizedIntervalsRejected: a sampling spec above the interval
+// ceiling is a 400 on the job and cell paths alike, and the server keeps
+// serving afterwards.
+func TestOversizedIntervalsRejected(t *testing.T) {
+	_, srv := newTestServer(t)
+	for path, body := range crashBodies {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := readAll(resp)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), "intervals") {
+			t.Errorf("%s: code = %d (%s), want 400 naming the intervals limit", path, resp.StatusCode, out)
+		}
+	}
+	resp, body := post(t, srv.URL+"/v1/cell", CellRequest{Kind: "sweep", Workload: "gcc", Policy: "OoO", Sampling: tinySampling()})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cell after the rejected bodies = %d: %s", resp.StatusCode, body)
+	}
+}

@@ -101,13 +101,7 @@ func NewHandler(m *Manager) http.Handler {
 			m.serveStream(w, r, j)
 			return
 		}
-		// Polls between cell completions share one cached snapshot
-		// instead of re-marshalling the status on every request.
-		b := j.StatusJSON()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(b)
-		_, _ = w.Write([]byte("\n"))
+		writeJSON(w, http.StatusOK, j.Status())
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 		j, ok := jobForRequest(m, w, r)
@@ -121,7 +115,7 @@ func NewHandler(m *Manager) http.Handler {
 		if !ok {
 			return
 		}
-		// The job is registered forever, so a found job always cancels.
+		// A job the registry forgot since the lookup had finished: nothing to stop.
 		m.Cancel(j.ID())
 		writeJSON(w, http.StatusOK, map[string]string{"status": "cancelling"})
 	})

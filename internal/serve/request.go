@@ -28,8 +28,19 @@ type SamplingSpec struct {
 	MaxCycles        uint64 `json:"max_cycles,omitempty"`
 }
 
-// resolve maps the spec onto a concrete harness.Config.
-func (s SamplingSpec) resolve() harness.Config {
+// maxIntervals bounds SamplingSpec.Intervals. The fold sizes its sample
+// buffer by the interval count before measuring anything, so an unbounded
+// count in a small request body could exhaust memory; the standard
+// methodology uses 8.
+const maxIntervals = 1024
+
+// resolve maps the spec onto a concrete harness.Config, rejecting an
+// interval count above maxIntervals. Long but cancellable work — a huge
+// warm-up or window — stays allowed.
+func (s SamplingSpec) resolve() (harness.Config, error) {
+	if s.Intervals > maxIntervals {
+		return harness.Config{}, fmt.Errorf("serve: sampling intervals %d exceeds the limit of %d", s.Intervals, maxIntervals)
+	}
 	cfg := harness.DefaultConfig()
 	if s.Quick {
 		cfg = harness.Quick()
@@ -53,7 +64,7 @@ func (s SamplingSpec) resolve() harness.Config {
 	if s.MaxCycles > 0 {
 		cfg.MaxCycles = s.MaxCycles
 	}
-	return cfg
+	return cfg, nil
 }
 
 // SweepRequest asks for the paper's performance sweep: every listed
@@ -86,7 +97,10 @@ func (r SweepRequest) plan() (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := r.Sampling.resolve()
+	cfg, err := r.Sampling.resolve()
+	if err != nil {
+		return nil, err
+	}
 	hcells, sw := harness.Grid(specs, pols, !r.NoInOrder)
 	cells := make([]cell, len(hcells))
 	for i, hc := range hcells {

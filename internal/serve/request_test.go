@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"nda/internal/core"
+	"nda/internal/workload"
 )
 
 // TestPlanRejectsRepeatedNames: every request kind refuses a list that
@@ -32,4 +37,41 @@ func TestPlanRejectsRepeatedNames(t *testing.T) {
 	if _, err := (SweepRequest{Workloads: []string{"gcc", "mcf"}, Policies: []string{"OoO", "Strict"}}).plan(); err != nil {
 		t.Errorf("distinct sweep rejected: %v", err)
 	}
+}
+
+// FuzzCellRequest: arbitrary bytes at the request boundary, decoded the
+// way the handlers decode them, never panic, and a body that validates
+// asks only for bounded work — a cell's interval count stays under the
+// ceiling, and a sweep plans at most every workload under every
+// configuration plus the in-order bound. The seed corpus, crashBodies
+// included, is in testdata/fuzz/FuzzCellRequest.
+func FuzzCellRequest(f *testing.F) {
+	maxCells := len(workload.SPEC()) * (len(core.All()) + 1)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req CellRequest
+		if decode(body, &req) == nil {
+			if c, err := req.cell(); err == nil && c.cfg != nil && c.cfg.Intervals > maxIntervals {
+				t.Fatalf("cell resolved %d intervals, above the %d ceiling", c.cfg.Intervals, maxIntervals)
+			}
+		}
+		var sweep SweepRequest
+		if decode(body, &sweep) == nil {
+			if p, err := sweep.plan(); err == nil {
+				if len(p.cells) > maxCells {
+					t.Fatalf("sweep planned %d cells, above the %d grid", len(p.cells), maxCells)
+				}
+				if n := p.cells[0].cfg.Intervals; n > maxIntervals {
+					t.Fatalf("sweep resolved %d intervals, above the %d ceiling", n, maxIntervals)
+				}
+			}
+		}
+	})
+}
+
+// decode unmarshals body the way the HTTP handlers do: unknown fields are
+// an error.
+func decode(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"nda/internal/dist"
 	"nda/internal/par"
 )
 
@@ -32,10 +33,12 @@ type plan struct {
 
 // run resolves every cell of p and assembles the response.
 func (m *Manager) run(ctx context.Context, j *Job, p *plan) (any, error) {
-	// Add, not Store: a warm job runs several plans and accumulates one
+	// Add, not set: a warm job runs several plans and accumulates one
 	// combined progress total.
-	j.total.Add(int64(len(p.cells)))
-	j.bump()
+	j.update(func() bool {
+		j.total += int64(len(p.cells))
+		return true
+	})
 	vals := make([]any, len(p.cells))
 	err := par.RunCtx(ctx, len(p.cells), m.simWorkers(), func(i int) error {
 		v, err := m.resolve(ctx, j, &p.cells[i])
@@ -43,8 +46,6 @@ func (m *Manager) run(ctx context.Context, j *Job, p *plan) (any, error) {
 			return err
 		}
 		vals[i] = v
-		j.done.Add(1)
-		j.bump()
 		return nil
 	})
 	if err != nil {
@@ -55,9 +56,11 @@ func (m *Manager) run(ctx context.Context, j *Job, p *plan) (any, error) {
 
 // resolve serves one cell from the first tier that holds it, or computes
 // it — locally, or by dispatching it to the fleet — and writes it back
-// into every tier. j may be nil: the worker-side /v1/cell path serves
-// cells with no job behind them.
+// into every tier, then folds the resolution into the job's progress and
+// the service's counters. j may be nil: the worker-side /v1/cell path
+// serves cells with no job behind them.
 func (m *Manager) resolve(ctx context.Context, j *Job, c *cell) (any, error) {
+	var stat dist.Stat
 	v, tier, err := m.cache.DoTiered(ctx, c.key, m.tiers, c.kind.decode, func() (any, error) {
 		if m.cfg.Fleet == nil {
 			return c.kind.compute(m, ctx, c)
@@ -66,8 +69,8 @@ func (m *Manager) resolve(ctx context.Context, j *Job, c *cell) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		raw, stat, err := m.cfg.Fleet.Do(ctx, "/v1/cell", body)
-		j.noteDispatch(stat)
+		raw, s, err := m.cfg.Fleet.Do(ctx, "/v1/cell", body)
+		stat = s
 		if err != nil {
 			return nil, err
 		}
@@ -80,15 +83,8 @@ func (m *Manager) resolve(ctx context.Context, j *Job, c *cell) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.noteTier(j, tier)
-	return v, nil
-}
-
-// noteTier folds one cell's resolution tier into the job's and the
-// service's counters. j may be nil (the /v1/cell path).
-func (m *Manager) noteTier(j *Job, tier HitTier) {
 	if j != nil {
-		j.tiers[tier].Add(1)
+		j.cellDone(tier, stat.Attempts)
 	}
 	switch tier {
 	case HitRAM, HitDisk:
@@ -99,4 +95,5 @@ func (m *Manager) noteTier(j *Job, tier HitTier) {
 	if tier == HitDisk {
 		m.metrics.CacheDiskHits.Add(1)
 	}
+	return v, nil
 }

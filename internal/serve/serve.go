@@ -21,7 +21,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,41 +53,35 @@ const (
 	JobCancelled JobState = "cancelled"
 )
 
-// Job is one queued or running unit of API work. All fields are private
-// and accessed through snapshot methods so HTTP handlers can read a job
-// the workers are still mutating.
+// Job is one queued or running unit of API work. Every mutable field sits
+// under mu, and every observable change goes through update, the one
+// publisher: it applies the change under the lock, moves version and wakes
+// whoever watches. HTTP handlers read a consistent snapshot with Status or
+// watch while the workers are still mutating the job.
 type Job struct {
 	id     string
 	kind   string
 	tenant string       // accounting owner; tenant.LocalName when untenanted
 	class  tenant.Class // scheduling class the job was submitted under
+	run    func(ctx context.Context, j *Job) (any, error)
+	doneCh chan struct{} // closed by finish when the job reaches a terminal state
 
-	// Progress counters, written by cell simulations as they finish. The
-	// tier counters split every resolved cell by the level that served it,
-	// indexed by HitTier; the legacy hits/misses pair in Status is derived
-	// from them.
-	total, done atomic.Int64
-	tiers       [HitShared + 1]atomic.Int64
-
-	// version increments on every observable status change (cell done,
-	// state transition, worker attempt). It invalidates the cached status
-	// snapshot and numbers SSE events for Last-Event-ID resume.
-	version    atomic.Int64
-	snapBuilds atomic.Int64 // snapshots actually marshalled (test observability)
-
-	mu        sync.Mutex
-	state     JobState
-	errMsg    string
-	result    []byte // canonical JSON, set once on success
-	cancel    context.CancelFunc
-	perWorker map[string]*WorkerCells // distributed jobs: per-worker cell counts
-	snap      []byte                  // cached marshalled Status, valid while snapVer == version
-	snapVer   int64
-	subs      map[chan struct{}]struct{} // SSE subscribers, notified (latest-wins) per bump
-
-	doneCh chan struct{} // closed when the job reaches a terminal state
-
-	run func(ctx context.Context, j *Job) (any, error)
+	mu     sync.Mutex
+	state  JobState
+	errMsg string
+	result []byte // canonical JSON, set once on success
+	cancel context.CancelFunc
+	// Progress: total and resolved cells, the resolved cells split by the
+	// level that served each one (indexed by HitTier), and a distributed
+	// job's per-worker attempts, sorted by worker URL.
+	total, done int64
+	tiers       [HitShared + 1]int64
+	workers     []WorkerCells
+	// version moves on every update; it numbers SSE events for
+	// Last-Event-ID resume. changed is closed by the next update once a
+	// watcher has taken it, and is nil until one does.
+	version int64
+	changed chan struct{}
 }
 
 // WorkerCells is one worker's share of a distributed job: how many cell
@@ -100,77 +95,62 @@ type WorkerCells struct {
 	Hedged     int64  `json:"hedged"`
 }
 
-// noteDispatch folds one distributed cell's dispatch record into the job's
-// per-worker counts. Safe on a nil job (the /v1/cell worker path has no
-// job behind it).
-func (j *Job) noteDispatch(stat dist.Stat) {
-	if j == nil || len(stat.Attempts) == 0 {
-		return
-	}
+// update applies f under the job's lock and, when f reports a change,
+// publishes it: the version moves and the current watchers wake. Only a
+// channel some watcher took is closed and dropped, so an unwatched job
+// allocates nothing per change. Reports f's result.
+func (j *Job) update(f func() bool) bool {
 	j.mu.Lock()
-	if j.perWorker == nil {
-		j.perWorker = make(map[string]*WorkerCells)
+	defer j.mu.Unlock()
+	if !f() {
+		return false
 	}
-	for _, a := range stat.Attempts {
-		wc := j.perWorker[a.Worker]
-		if wc == nil {
-			wc = &WorkerCells{Worker: a.Worker}
-			j.perWorker[a.Worker] = wc
-		}
-		wc.Dispatched++
-		if a.OK {
-			wc.Done++
-		}
-		if a.Retry {
-			wc.Retried++
-		}
-		if a.Hedge {
-			wc.Hedged++
-		}
+	j.version++
+	if j.changed != nil {
+		close(j.changed)
+		j.changed = nil
 	}
-	j.mu.Unlock()
-	j.bump()
+	return true
 }
 
-// bump marks the job's status changed: the next StatusJSON rebuilds its
-// snapshot, and every SSE subscriber is poked (non-blocking, latest-wins —
-// a slow consumer coalesces updates instead of backing up the fold path).
-func (j *Job) bump() {
-	j.version.Add(1)
+// watch returns the job's status, its version, and a channel the next
+// change closes, all read under one lock.
+func (j *Job) watch() (Status, int64, <-chan struct{}) {
 	j.mu.Lock()
-	j.notifyLocked()
-	j.mu.Unlock()
+	defer j.mu.Unlock()
+	if j.changed == nil {
+		j.changed = make(chan struct{})
+	}
+	return j.statusLocked(), j.version, j.changed
 }
 
-// notifyLocked pokes every subscriber without blocking. Called with j.mu
-// held. Each subscriber channel has capacity 1: a pending poke already
-// says "re-read the snapshot", so dropping further pokes loses nothing.
-func (j *Job) notifyLocked() {
-	for ch := range j.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
+// cellDone folds one resolved cell into the job: the tier that served it
+// and, for a fleet dispatch, the worker attempts behind it.
+func (j *Job) cellDone(tier HitTier, attempts []dist.Attempt) {
+	j.update(func() bool {
+		j.done++
+		j.tiers[tier]++
+		for _, a := range attempts {
+			i, found := slices.BinarySearchFunc(j.workers, a.Worker, func(wc WorkerCells, w string) int {
+				return strings.Compare(wc.Worker, w)
+			})
+			if !found {
+				j.workers = slices.Insert(j.workers, i, WorkerCells{Worker: a.Worker})
+			}
+			wc := &j.workers[i]
+			wc.Dispatched++
+			if a.OK {
+				wc.Done++
+			}
+			if a.Retry {
+				wc.Retried++
+			}
+			if a.Hedge {
+				wc.Hedged++
+			}
 		}
-	}
-}
-
-// subscribe registers an SSE consumer's wake-up channel.
-func (j *Job) subscribe() chan struct{} {
-	ch := make(chan struct{}, 1)
-	j.mu.Lock()
-	if j.subs == nil {
-		j.subs = make(map[chan struct{}]struct{})
-	}
-	j.subs[ch] = struct{}{}
-	j.mu.Unlock()
-	return ch
-}
-
-// unsubscribe removes a consumer registered with subscribe.
-func (j *Job) unsubscribe(ch chan struct{}) {
-	j.mu.Lock()
-	delete(j.subs, ch)
-	j.mu.Unlock()
+		return true
+	})
 }
 
 // ID returns the job's identifier.
@@ -220,59 +200,30 @@ func (j *Job) Status() Status {
 	return j.statusLocked()
 }
 
-// StatusJSON returns the job's status marshalled once per version: polls
-// and SSE events between cell completions share the same cached bytes
-// instead of re-marshalling the full per-worker/tier breakdown each time.
-// The returned slice must not be modified.
-func (j *Job) StatusJSON() []byte {
-	ver := j.version.Load()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.snap != nil && j.snapVer == ver {
-		return j.snap
-	}
-	// Counters may advance between the version load and this marshal; the
-	// snapshot is then newer than ver and simply rebuilt again on the next
-	// poll after the matching bump — never stale.
-	b, err := json.Marshal(j.statusLocked())
-	if err != nil { // Status has no unmarshalable fields
-		return []byte("{}")
-	}
-	j.snap, j.snapVer = b, ver
-	j.snapBuilds.Add(1)
-	return b
-}
-
-// Version returns the job's status version (SSE event IDs).
-func (j *Job) Version() int64 { return j.version.Load() }
-
 // statusLocked builds the snapshot. Called with j.mu held.
 func (j *Job) statusLocked() Status {
 	tiers := TierCounts{
-		RAM:         j.tiers[HitRAM].Load(),
-		Disk:        j.tiers[HitDisk].Load(),
-		FleetShared: j.tiers[HitShared].Load(),
-		Computed:    j.tiers[Computed].Load(),
+		RAM:         j.tiers[HitRAM],
+		Disk:        j.tiers[HitDisk],
+		FleetShared: j.tiers[HitShared],
+		Computed:    j.tiers[Computed],
 	}
 	st := Status{
 		ID:          j.id,
 		Kind:        j.kind,
 		State:       j.state,
-		DoneCells:   j.done.Load(),
-		TotalCells:  j.total.Load(),
+		DoneCells:   j.done,
+		TotalCells:  j.total,
 		CacheHits:   tiers.RAM + tiers.Disk,
 		CacheMisses: tiers.FleetShared + tiers.Computed,
 		Tiers:       tiers,
 		Error:       j.errMsg,
+		Workers:     slices.Clone(j.workers),
 	}
 	if j.tenant != "" && j.tenant != tenant.LocalName {
 		st.Tenant = j.tenant
 		st.Class = j.class
 	}
-	for _, wc := range j.perWorker {
-		st.Workers = append(st.Workers, *wc)
-	}
-	sort.Slice(st.Workers, func(a, b int) bool { return st.Workers[a].Worker < st.Workers[b].Worker })
 	return st
 }
 
@@ -282,9 +233,6 @@ func (j *Job) Result() ([]byte, bool) {
 	defer j.mu.Unlock()
 	return j.result, j.state == JobDone
 }
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.doneCh }
 
 // Wait blocks until the job finishes or ctx ends.
 func (j *Job) Wait(ctx context.Context) error {
@@ -341,7 +289,15 @@ type Config struct {
 // MaxInFlight cap — the cap is a hard concurrency bound either way.
 const admissionBypass = 2
 
-// Manager owns the queue, the workers, and the result cache.
+// maxFinishedJobs is how many finished jobs the registry is guaranteed to
+// keep for status and result polls. Once twice as many are held, the
+// oldest finished ones are forgotten down to it; their results still come
+// back from the cache tiers for a repeated request.
+const maxFinishedJobs = 1024
+
+// Manager owns the queue, the workers, the job registry, and the result
+// cache. The registry is bounded: queued and running jobs are always held,
+// finished ones only up to the maxFinishedJobs window.
 type Manager struct {
 	cfg     Config
 	cache   *Cache
@@ -351,15 +307,18 @@ type Manager struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	// mu guards the scheduler, the job registry, and draining; cond wakes
-	// workers when a job is enqueued or an in-flight slot frees up. Lock
-	// order is always m.mu before j.mu.
+	// mu guards the scheduler's queue and accounting, the job registry,
+	// and draining; cond wakes workers when a job is enqueued or an
+	// in-flight slot frees up. Lock order is always m.mu before j.mu. The
+	// scheduler's API-key table is fixed in NewScheduler, so the auth path
+	// reads it without mu.
 	mu        sync.Mutex
 	cond      *sync.Cond
 	draining  bool
 	bypassing int // store-admission jobs currently running outside the pool
 	jobs      map[string]*Job
-	order     []string // job IDs in submission order
+	order     []string // held job IDs in submission order
+	finished  []string // held finished job IDs, oldest first
 
 	sched  *tenant.Scheduler
 	wg     sync.WaitGroup
@@ -509,31 +468,17 @@ func (m *Manager) submit(kind string, opts []SubmitOpts, p *plan, err error) (*J
 }
 
 // TenantForKey resolves an API key to its tenant (the HTTP auth path).
-func (m *Manager) TenantForKey(key string) (string, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sched.TenantForKey(key)
-}
+func (m *Manager) TenantForKey(key string) (string, bool) { return m.sched.TenantForKey(key) }
 
 // Tenanted reports whether the manager runs with configured tenants (and
 // therefore requires API keys on submissions).
-func (m *Manager) Tenanted() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sched.Tenanted()
-}
+func (m *Manager) Tenanted() bool { return m.sched.Tenanted() }
 
 // TenantStats snapshots the per-tenant scheduler accounting for /metrics.
 func (m *Manager) TenantStats() []tenant.Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.sched.TenantStats()
-}
-
-// enqueue is the untenanted path: local tenant, batch class, no cells to
-// probe for admission (tests and internal submissions).
-func (m *Manager) enqueue(kind string, run func(context.Context, *Job) (any, error)) (*Job, error) {
-	return m.enqueueAs(kind, resolveOpts(nil), nil, run)
 }
 
 // enqueueAs admits a submission against its tenant's quota and offers it
@@ -635,35 +580,31 @@ func (m *Manager) resident(key string) bool {
 }
 
 // Cancel stops a job: a queued job is pulled out of the fair-share queue
-// immediately, a running job has its context cancelled (the cores notice
-// within a few thousand simulated cycles). Returns false for unknown IDs.
+// and finished at once, a running job has its context cancelled (the cores
+// notice within a few thousand simulated cycles) and publishes nothing
+// until it ends. Returns false for unknown IDs.
 func (m *Manager) Cancel(id string) bool {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
-		m.mu.Unlock()
 		return false
 	}
-	j.mu.Lock()
-	switch j.state {
-	case JobQueued:
-		// Best-effort removal: a worker may have dispatched the job
-		// between our locks, in which case runJob sees the cancelled
-		// state and returns without running it.
+	if m.finish(j, JobQueued, nil, context.Canceled) {
+		// Best-effort removal: a worker may already have taken the job
+		// off the queue, in which case runJob finds it finished and skips
+		// it.
 		m.sched.Remove(j.tenant, j.class, j)
-		j.state = JobCancelled
-		j.errMsg = context.Canceled.Error()
-		m.metrics.JobsCancelled.Add(1)
-		j.version.Add(1)
-		j.notifyLocked()
-		close(j.doneCh)
+		m.retireLocked(j)
 		// A drain waiting on QueuedLen()==0 may now be able to finish.
 		m.cond.Broadcast()
-	case JobRunning:
+		return true
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.cancel != nil { // nil only once finished without running
 		j.cancel()
 	}
-	j.mu.Unlock()
-	m.mu.Unlock()
 	return true
 }
 
@@ -693,20 +634,20 @@ func (m *Manager) worker() {
 	}
 }
 
+// runJob runs a queued job to its end and retires it; a job cancelled
+// while queued is already finished and retired, and is skipped.
 func (m *Manager) runJob(j *Job) {
-	j.mu.Lock()
-	if j.state != JobQueued { // cancelled while queued
-		j.mu.Unlock()
+	ctx, cancel := context.WithCancel(m.baseCtx)
+	defer cancel()
+	if !j.update(func() bool {
+		if j.state != JobQueued {
+			return false
+		}
+		j.state, j.cancel = JobRunning, cancel
+		return true
+	}) {
 		return
 	}
-	ctx, cancel := context.WithCancel(m.baseCtx)
-	j.state = JobRunning
-	j.cancel = cancel
-	j.version.Add(1)
-	j.notifyLocked()
-	j.mu.Unlock()
-	defer cancel()
-
 	m.metrics.JobsRunning.Add(1)
 	v, err := j.run(ctx, j)
 	m.metrics.JobsRunning.Add(-1)
@@ -715,25 +656,55 @@ func (m *Manager) runJob(j *Job) {
 	if err == nil {
 		result, err = json.Marshal(v)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch {
-	case err == nil:
-		j.state = JobDone
-		j.result = result
-		m.metrics.JobsDone.Add(1)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.state = JobCancelled
-		j.errMsg = err.Error()
-		m.metrics.JobsCancelled.Add(1)
-	default:
-		j.state = JobFailed
-		j.errMsg = err.Error()
-		m.metrics.JobsFailed.Add(1)
+	m.finish(j, JobRunning, result, err)
+	m.mu.Lock()
+	m.retireLocked(j)
+	m.mu.Unlock()
+}
+
+// finish is the one terminal transition: if j is still in state from, it
+// records the outcome (result on success, err otherwise), counts it,
+// publishes the final status and closes doneCh. Reports whether it did.
+func (m *Manager) finish(j *Job, from JobState, result []byte, err error) bool {
+	return j.update(func() bool {
+		if j.state != from {
+			return false
+		}
+		switch {
+		case err == nil:
+			j.state, j.result = JobDone, result
+			m.metrics.JobsDone.Add(1)
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			j.state, j.errMsg = JobCancelled, err.Error()
+			m.metrics.JobsCancelled.Add(1)
+		default:
+			j.state, j.errMsg = JobFailed, err.Error()
+			m.metrics.JobsFailed.Add(1)
+		}
+		close(j.doneCh)
+		return true
+	})
+}
+
+// retireLocked counts j, which the caller's path just finished, among the
+// registry's finished jobs. Once 2×maxFinishedJobs are held it forgets the
+// oldest finished ones down to maxFinishedJobs, an amortized O(1) cost per
+// job; queued and running jobs are never dropped. Called with m.mu held,
+// exactly once per job.
+func (m *Manager) retireLocked(j *Job) {
+	m.finished = append(m.finished, j.id)
+	if len(m.finished) < 2*maxFinishedJobs {
+		return
 	}
-	j.version.Add(1)
-	j.notifyLocked()
-	close(j.doneCh)
+	drop := len(m.finished) - maxFinishedJobs
+	for _, id := range m.finished[:drop] {
+		delete(m.jobs, id)
+	}
+	m.finished = append(m.finished[:0], m.finished[drop:]...)
+	m.order = slices.DeleteFunc(m.order, func(id string) bool {
+		_, held := m.jobs[id]
+		return !held
+	})
 }
 
 // Shutdown drains the service: new submissions are rejected with

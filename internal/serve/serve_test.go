@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,6 +116,12 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	}
 }
 
+// enqueue submits an untenanted job with a caller-supplied body: local
+// tenant, batch class, no cells to probe for admission.
+func (m *Manager) enqueue(kind string, run func(context.Context, *Job) (any, error)) (*Job, error) {
+	return m.enqueueAs(kind, resolveOpts(nil), nil, run)
+}
+
 // blockingJob enqueues a job that parks until release closes (or its
 // context dies), so tests can hold a worker or the queue occupied.
 func blockingJob(t *testing.T, m *Manager, release chan struct{}) *Job {
@@ -135,7 +143,7 @@ func blockingJob(t *testing.T, m *Manager, release chan struct{}) *Job {
 func waitState(t *testing.T, j *Job, want JobState) {
 	t.Helper()
 	select {
-	case <-j.Done():
+	case <-j.doneCh:
 	case <-time.After(10 * time.Second):
 		t.Fatalf("job %s stuck in %s waiting for %s", j.ID(), j.Status().State, want)
 	}
@@ -288,4 +296,89 @@ func TestShutdownDeadlineCancels(t *testing.T) {
 	if got := m.Metrics().JobsCancelled.Load(); got != 1 {
 		t.Errorf("JobsCancelled = %d", got)
 	}
+}
+
+// TestRegistryForgetsFinishedJobs: the job registry holds every queued and
+// running job but only a window of finished ones. Each finished job is
+// counted once whichever path finished it (a worker, the store-served
+// bypass, Cancel while queued); a forgotten ID answers 404 everywhere and
+// leaves the listing, while its result still comes back from the cache.
+func TestRegistryForgetsFinishedJobs(t *testing.T) {
+	m, srv := newTenantServer(t, Config{QueueDepth: 1, JobWorkers: 2, SimWorkers: 1})
+	req := SweepRequest{Workloads: []string{"exchange2"}, Policies: []string{"OoO"}, NoInOrder: true, Sampling: tinySampling()}
+	first, err := m.SubmitSweep(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, first, JobDone)
+	want, _ := first.Result()
+	sims := m.Metrics().Simulations.Load()
+
+	// Hold both workers and the one queue slot: the saturated queue admits
+	// a repeat of req past it, and the queued job is cancelled.
+	hold, release := make(chan struct{}), make(chan struct{})
+	running := blockingJob(t, m, hold)
+	waitRunning(t, running)
+	second := blockingJob(t, m, release)
+	waitRunning(t, second)
+	queued := blockingJob(t, m, release)
+	bypassed, err := m.SubmitSweep(req)
+	if err != nil {
+		t.Fatalf("store-served repeat on a full queue: %v", err)
+	}
+	waitState(t, bypassed, JobDone)
+	m.Cancel(queued.ID())
+	waitState(t, queued, JobCancelled)
+	close(release)
+	waitState(t, second, JobDone)
+
+	forgotten := []string{first.ID(), bypassed.ID(), queued.ID()}
+	for finished := 4; finished <= 2*maxFinishedJobs; finished++ {
+		j, err := m.enqueue("test", func(context.Context, *Job) (any, error) { return "ok", nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, j, JobDone)
+	}
+	// Pruning at 2×maxFinishedJobs left maxFinishedJobs finished jobs, and
+	// one more has finished since; the running job is always held.
+	deadline := time.Now().Add(10 * time.Second)
+	for len(m.JobsFor("")) != maxFinishedJobs+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("registry holds %d jobs, want %d finished + 1 running", len(m.JobsFor("")), maxFinishedJobs+1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := running.Status(); st.State != JobRunning {
+		t.Fatalf("running job is %s", st.State)
+	}
+	if _, ok := m.Get(running.ID()); !ok {
+		t.Fatal("the running job was dropped")
+	}
+
+	_, list := get(t, srv.URL+"/v1/jobs")
+	for _, id := range forgotten {
+		if bytes.Contains(list, []byte(`"`+id+`"`)) {
+			t.Errorf("forgotten job %s still listed", id)
+		}
+		for _, c := range []struct{ method, path string }{
+			{http.MethodGet, "/v1/jobs/" + id},
+			{http.MethodGet, "/v1/jobs/" + id + "/result"},
+			{http.MethodGet, "/v1/jobs/" + id + "?stream=1"},
+			{http.MethodDelete, "/v1/jobs/" + id},
+		} {
+			if resp, body := doKey(t, c.method, srv.URL+c.path, ""); resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s = %d (%s), want 404", c.method, c.path, resp.StatusCode, body)
+			}
+		}
+	}
+
+	resp, got := post(t, srv.URL+"/v1/sweep?wait=1", req)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Errorf("repeat of a forgotten job's request = %d, differs from its result: %s", resp.StatusCode, got)
+	}
+	if n := m.Metrics().Simulations.Load(); n != sims {
+		t.Errorf("repeat simulated %d cells, want 0 (cache hit)", n-sims)
+	}
+	close(hold)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -12,12 +13,12 @@ import (
 // transitions) instead of making clients re-poll the whole status blob.
 //
 // Backpressure contract: the sweep fold path never blocks on a consumer.
-// Cell completions poke a capacity-1 channel per subscriber (bump /
-// notifyLocked in serve.go); a consumer that is slow to drain its poke
-// simply coalesces — the next event it renders carries the latest
-// snapshot, versions in between are skipped. Event ids are the job's
-// status version, so a dropped connection resumes with Last-Event-ID and
-// receives only what changed since.
+// A job change only closes the channel its watchers took (Job.update in
+// serve.go); a consumer that is slow to come back simply coalesces — the
+// next event it renders carries the latest status, versions in between
+// are skipped. Event ids are the job's status version, so a dropped
+// connection resumes with Last-Event-ID and receives only what changed
+// since.
 
 // DefaultStreamHeartbeat is the keep-alive comment interval: frequent
 // enough to hold typical proxy idle timeouts open across long simulation
@@ -40,60 +41,39 @@ func (m *Manager) serveStream(w http.ResponseWriter, r *http.Request, j *Job) {
 			lastSent = n
 		}
 	}
-	ch := j.subscribe()
-	defer j.unsubscribe(ch)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	// send emits one progress event carrying the current snapshot, unless
-	// the client has already seen this version. Returns false once the
-	// client connection is gone.
-	send := func() bool {
-		ver := j.Version()
-		if ver <= lastSent {
-			return true
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: progress\ndata: %s\n\n", ver, j.StatusJSON()); err != nil {
-			return false
-		}
-		fl.Flush()
-		lastSent = ver
-		return true
-	}
-	if !send() {
-		return
-	}
-
 	tick := time.NewTicker(DefaultStreamHeartbeat)
 	defer tick.Stop()
 	for {
-		select {
-		case <-ch:
-			if !send() {
+		st, ver, changed := j.watch()
+		if ver > lastSent {
+			b, _ := json.Marshal(st) // Status has no unmarshalable fields
+			if _, err := fmt.Fprintf(w, "id: %d\nevent: progress\ndata: %s\n\n", ver, b); err != nil {
 				return
 			}
-		case <-j.doneCh:
-			// Final snapshot, then an explicit done event so clients can
-			// stop without inspecting payloads.
-			if !send() {
-				return
-			}
-			st := j.Status()
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: done\ndata: {\"state\":%q}\n\n", j.Version(), st.State); err != nil {
-				return
-			}
+			lastSent = ver
+		}
+		if st.State != JobQueued && st.State != JobRunning {
+			// An explicit done event after the final status, so clients
+			// can stop without inspecting payloads.
+			_, _ = fmt.Fprintf(w, "id: %d\nevent: done\ndata: {\"state\":%q}\n\n", ver, st.State)
 			fl.Flush()
 			return
+		}
+		fl.Flush()
+		select {
+		case <-changed:
 		case <-tick.C:
 			// Comment heartbeat: ignored by EventSource parsers, keeps
 			// idle connections from being reaped mid-simulation.
 			if _, err := fmt.Fprint(w, ": hb\n\n"); err != nil {
 				return
 			}
-			fl.Flush()
 		case <-r.Context().Done():
 			return
 		}

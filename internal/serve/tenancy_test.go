@@ -321,8 +321,9 @@ func TestStoreAwareAdmission(t *testing.T) {
 	}
 }
 
-// TestSlowSubscriberNeverBlocksJob: a subscriber that never drains its
-// channel must not slow the fold path — every bump is a non-blocking poke.
+// TestSlowSubscriberNeverBlocksJob: a watcher that never comes back must
+// not slow the fold path — every update only closes the channel the
+// watcher took, and the watcher finds it closed.
 func TestSlowSubscriberNeverBlocksJob(t *testing.T) {
 	m := NewManager(Config{QueueDepth: 4, JobWorkers: 1})
 	defer m.Shutdown(context.Background())
@@ -331,19 +332,39 @@ func TestSlowSubscriberNeverBlocksJob(t *testing.T) {
 	j, err := m.enqueue("test", func(ctx context.Context, j *Job) (any, error) {
 		<-gate
 		for i := 0; i < 10_000; i++ {
-			j.bump() // a cell completion's status change
+			j.update(func() bool { return true }) // a cell completion's status change
 		}
 		return "ok", nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := j.subscribe() // never drained
-	defer j.unsubscribe(ch)
+	_, _, changed := j.watch() // never drained
 	close(gate)
-	waitState(t, j, JobDone) // would time out if bump ever blocked
-	if len(ch) > 1 {
-		t.Errorf("subscriber channel holds %d pokes, want coalesced <= 1", len(ch))
+	waitState(t, j, JobDone) // would time out if update ever blocked
+	select {
+	case <-changed:
+	default:
+		t.Error("watcher's channel still open after 10,000 updates")
+	}
+}
+
+// TestUnwatchedUpdateAllocatesNothing: with no watcher, publishing a
+// change costs no allocation — the change channel is made only on demand.
+func TestUnwatchedUpdateAllocatesNothing(t *testing.T) {
+	j := &Job{state: JobRunning, doneCh: make(chan struct{})}
+	if n := testing.AllocsPerRun(1000, func() { j.cellDone(HitRAM, nil) }); n != 0 {
+		t.Errorf("update on an unwatched job allocates %.1f times, want 0", n)
+	}
+	_, before, changed := j.watch()
+	j.cellDone(Computed, nil)
+	select {
+	case <-changed:
+	default:
+		t.Fatal("a change after watch left the watcher's channel open")
+	}
+	if st, ver, _ := j.watch(); ver != before+1 || st.DoneCells != 1002 || st.Tiers.Computed != 1 {
+		t.Errorf("after watch and one more cell: version %d (want %d), status %+v", ver, before+1, st)
 	}
 }
 
@@ -459,36 +480,6 @@ func TestSSEStream(t *testing.T) {
 	revents, _ := readSSE(t, rresp)
 	if len(revents) != 1 || revents[0].event != "done" {
 		t.Errorf("resume replayed %+v, want exactly one done event", revents)
-	}
-}
-
-// TestStatusSnapshotCached: polls between status changes share one
-// marshalled snapshot; the build counter does not move with poll volume.
-func TestStatusSnapshotCached(t *testing.T) {
-	m := NewManager(Config{QueueDepth: 4, JobWorkers: 1})
-	defer m.Shutdown(context.Background())
-	j, err := m.enqueue("test", func(ctx context.Context, j *Job) (any, error) { return "ok", nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, j, JobDone)
-
-	first := j.StatusJSON()
-	builds := j.snapBuilds.Load()
-	for i := 0; i < 100; i++ {
-		if b := j.StatusJSON(); !bytes.Equal(b, first) {
-			t.Fatalf("snapshot changed between polls: %s vs %s", first, b)
-		}
-	}
-	if got := j.snapBuilds.Load(); got != builds {
-		t.Errorf("snapshot rebuilt %d times across idle polls, want 0", got-builds)
-	}
-	want, err := json.Marshal(j.Status())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, want) {
-		t.Errorf("cached snapshot %s != fresh marshal %s", first, want)
 	}
 }
 

@@ -10,11 +10,15 @@
 # guards against a hang or a catastrophic slowdown; the full-depth sweep
 # is the diffuzz package test's job.
 #
-# It then runs the store's native fuzz target, FuzzOpen, for a fixed
-# 10 s inside the same budget: arbitrary bytes as an entry file must
-# never panic Open, be served without a valid header and CRC, or cost
-# the valid entry next to them. A crasher lands in
-# internal/store/testdata/fuzz/FuzzOpen/, where `go test` replays it.
+# It then runs the native fuzz targets for a fixed 10 s each inside the
+# same budget:
+#   - store.FuzzOpen: arbitrary bytes as an entry file must never panic
+#     Open, be served without a valid header and CRC, or cost the valid
+#     entry next to them;
+#   - serve.FuzzCellRequest: arbitrary request bodies must never panic
+#     the cell and sweep decoders, nor validate into unbounded work.
+# A crasher lands in the package's testdata/fuzz/<target>/, where
+# `go test` replays it.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -26,6 +30,7 @@ BUDGET=${FUZZ_SMOKE_BUDGET:-300}
 start=$(date +%s)
 go run ./cmd/ndalint -fuzz "$N" -seed "$SEED"
 go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s ./internal/store
+go test -run '^$' -fuzz '^FuzzCellRequest$' -fuzztime 10s ./internal/serve
 elapsed=$(( $(date +%s) - start ))
 echo "fuzz-smoke: ${elapsed}s (budget ${BUDGET}s)"
 [ "$elapsed" -le "$BUDGET" ] || {
