@@ -1,6 +1,10 @@
 package serve
 
-import "testing"
+import (
+	"testing"
+
+	"nda/internal/core"
+)
 
 // TestKeyGolden pins the exact key strings produced for fixed payloads.
 // The key preimage folds in store.FormatVersion, so these literals break —
@@ -99,6 +103,38 @@ func TestCellKeyGolden(t *testing.T) {
 		}
 		if remote.key != tc.want {
 			t.Errorf("%s: CellRequest key\n  got  %s\n  want %s", tc.name, remote.key, tc.want)
+		}
+	}
+
+	// Every policy's sweep and attack cell under its full name. The
+	// preimage embeds the policy itself, so a drift in how a policy is
+	// serialised orphans that policy's stored results alone.
+	perPolicy := map[string][2]string{
+		"OoO":                {"sweep-cell:5d7909a4f47f73b2255a8dc5bb943de9", "attack-cell:b405738c26845d26c7678aa75e7bc87c"},
+		"Permissive":         {"sweep-cell:ea49bc130770e39e398367cae26e76e9", "attack-cell:172d08fcc8d792757d65c086c08c583f"},
+		"Permissive+BR":      {"sweep-cell:09403d374b32a73504e7f08ce802d5a1", "attack-cell:bc1648ae683c6bdf518c653b4a738d24"},
+		"Strict":             {"sweep-cell:d1b0802578d809ec864e8a93b4b729b3", "attack-cell:f9c624c2d7fdb238f426139c1bc5a6e4"},
+		"Strict+BR":          {"sweep-cell:2d71e6d36518855bd2d7a60ebd3a0f29", "attack-cell:7aa01fe7e0bb9eaea87e752f47af6915"},
+		"RestrictedLoads":    {"sweep-cell:b4dac32564c1ff6009a598c9ddef49ae", "attack-cell:6ffefb65163cede82a50b4a5225b4ed1"},
+		"FullProtection":     {"sweep-cell:67760651d9d29207bf6842a2a9b13924", "attack-cell:58930edc690e4df9a3a1081780aeb6b1"},
+		"InvisiSpec-Spectre": {"sweep-cell:9c33102c6ed014a363440816eb04e7d9", "attack-cell:d041e0a0d30484dd422298dc40afe86f"},
+		"InvisiSpec-Future":  {"sweep-cell:02ac57c3965ecea571c0849c76b1e4c9", "attack-cell:11a3358ca34c20d3e17b77a54f5f59b0"},
+	}
+	for _, pol := range core.All() {
+		want, ok := perPolicy[pol.Name]
+		if !ok {
+			t.Errorf("%s: no pinned cell keys", pol.Name)
+			continue
+		}
+		sw := planned(SweepRequest{Workloads: []string{"gcc"}, Policies: []string{pol.Name}, NoInOrder: true}.plan())
+		at := planned(AttackRequest{Attacks: []string{"spectre-v1-cache"}, Policies: []string{pol.Name}, NoInOrder: true}.plan())
+		for i, c := range []cell{sw[0], at[0]} {
+			if c.key != want[i] {
+				t.Errorf("%s: key\n  got  %s\n  want %s", pol.Name, c.key, want[i])
+			}
+			if remote, err := c.req.cell(); err != nil || remote.key != want[i] {
+				t.Errorf("%s: CellRequest key %s (%v), want %s", pol.Name, remote.key, err, want[i])
+			}
 		}
 	}
 
