@@ -79,18 +79,24 @@ JOB=$(curl -fsS -X POST -d "$REQ" "http://$COORD/v1/sweep" \
 status() { curl -fsS "http://$COORD/v1/jobs/$JOB"; }
 field() { python3 -c "import json,sys; print(json.load(sys.stdin).get('$1', 0))"; }
 
-# Let the fleet make some progress, then SIGKILL worker 2 with its share
-# of the sweep still in flight.
+# SIGKILL worker 2 while the coordinator has a cell in flight to it, so the
+# kill strands work that must be retried. A kill keyed to overall progress
+# could land after worker 2's last dispatch and strand nothing.
+inflight() {
+    curl -fsS "http://$COORD/metrics" \
+        | awk -v m="nda_dist_inflight{worker=\"http://$W2\"}" '$1 == m {print $2}'
+}
 i=0
 while :; do
-    DONE=$(status | field done_cells)
-    [ "$DONE" -ge 3 ] && break
+    N=$(inflight)
+    [ "${N:-0}" -gt 0 ] && break
     i=$((i + 1))
-    [ $i -ge 300 ] && fail "sweep never progressed past $DONE cells"
-    sleep 0.1
+    [ $i -ge 600 ] && fail "worker 2 never had a cell in flight"
+    sleep 0.05
 done
 kill -KILL "$W2_PID"
-echo "dist-smoke: killed worker 2 at $DONE/46 cells"
+DONE=$(status | field done_cells)
+echo "dist-smoke: killed worker 2 with $N cell(s) in flight ($DONE/46 cells done right after)"
 
 i=0
 while :; do
