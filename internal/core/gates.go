@@ -1,16 +1,21 @@
 package core
 
+import (
+	"fmt"
+
+	"nda/internal/isa"
+)
+
 // The declarative propagation-gating spec.
 //
 // NDA's mechanism (§5) and both comparison schemes reduce to the same shape:
 // a policy blocks certain dataflow edges of a speculative dependence chain
 // until a resolution event fires. A Gate names one such rule — which edge
 // class it cuts, over which chains it applies, and which pipeline event
-// releases it. Policy.Gates derives the rule set from the policy's knobs, so
-// the static gadget analyzer (internal/gadget) interprets the same spec the
-// simulator enforces instead of carrying a hand-written verdict table per
-// policy. A future policy added to this package gets static verdicts for
-// free: give it knobs (or extend Gates), and the engine derives the rest.
+// releases it. A Policy is its gate list: the static gadget analyzer
+// (internal/gadget) interprets the list over static chains, and the OoO core
+// enforces the Rules that Compile builds from it. A new policy is a new
+// list; a gate with no rule in Compile is refused, not ignored.
 
 // EdgeKind names a class of dataflow edge in an access→transmit chain.
 type EdgeKind uint8
@@ -72,32 +77,109 @@ type Gate struct {
 	Until ReleaseEvent
 }
 
-// Gates derives the policy's edge-gating rules from its knobs. The order is
-// significant only for reporting: the first applicable gate names the reason
-// a chain is blocked, and the order here mirrors the precedence of the
-// paper's prose (propagation restrictions, then bypass, then load
-// restriction, then load visibility).
-func (p Policy) Gates() []Gate {
-	var gs []Gate
-	if p.PropagationRestricted {
-		gs = append(gs, Gate{EdgeLoadUse, ScopeUnderGuard, ReleaseGuardsResolve})
-		if p.RestrictAll {
-			gs = append(gs, Gate{EdgeAnyUse, ScopeUnderGuard, ReleaseGuardsResolve})
+// FillMode is when a speculative load's d-cache fill becomes visible.
+type FillMode uint8
+
+const (
+	// FillVisible installs the line at execute, speculative or not.
+	FillVisible FillMode = iota
+	// FillAtResolve hides the fill while an older guard is unresolved
+	// (InvisiSpec-Spectre).
+	FillAtResolve
+	// FillAtRetire hides the fill until the load retires
+	// (InvisiSpec-Future).
+	FillAtRetire
+)
+
+// Rules is a gate list compiled into the decision table the OoO core reads
+// every cycle in place of the list: per-class block masks for the three
+// conditions that defer a broadcast, and the fill mode. Compile builds it
+// once per core, so the run loop never walks the gates.
+type Rules struct {
+	guarded uint8 // class bits whose broadcast waits while Node.UnderGuard
+	eldest  uint8 // class bits whose broadcast waits until eldest unretired
+	bypass  bool  // broadcast waits while Node.BypassGuards > 0
+
+	// Walk reports whether a gate reads Node.UnderGuard, so the core must
+	// keep the bit current with the resolve-walk of §5.1.
+	Walk bool
+	Fill FillMode
+}
+
+// Compile builds the Rules that enforce gates. It panics on a gate it has
+// no rule for: the analyzer would report such a gate as blocking, so a core
+// that ignored it would fail open.
+func Compile(gates []Gate) Rules {
+	var r Rules
+	for _, g := range gates {
+		var classes uint8 // producer classes a use edge covers
+		switch g.Edge {
+		case EdgeLoadUse:
+			classes = 1 << isa.ClassLoad
+		case EdgeAnyUse:
+			classes = ^uint8(0)
+		}
+		switch {
+		case classes != 0 && g.Scope == ScopeUnderGuard && g.Until == ReleaseGuardsResolve:
+			r.guarded |= classes
+		case classes != 0 && g.Scope == ScopeBypassingLoad && g.Until == ReleaseStoreAddrsResolve:
+			r.bypass = true // only loads bypass stores, so the class adds nothing
+		case classes != 0 && g.Scope == ScopeAlways && g.Until == ReleaseEldest:
+			r.eldest |= classes
+		case g == Gate{EdgeFill, ScopeUnderGuard, ReleaseGuardsResolve}:
+			r.Fill = max(r.Fill, FillAtResolve)
+		case g == Gate{EdgeFill, ScopeAlways, ReleaseRetire}:
+			r.Fill = FillAtRetire
+		default:
+			panic(fmt.Sprintf("core: no rule enforces gate %+v", g))
 		}
 	}
-	if p.BypassRestriction {
-		gs = append(gs, Gate{EdgeLoadUse, ScopeBypassingLoad, ReleaseStoreAddrsResolve})
+	r.Walk = r.guarded != 0 || r.Fill == FillAtResolve
+	return r
+}
+
+// Unsafe reports whether a gate currently blocks the node's broadcast.
+// atHead must be true iff the node's instruction is the eldest unretired
+// instruction.
+func (r Rules) Unsafe(n *Node, atHead bool) bool {
+	bit := uint8(1) << n.Class
+	return n.UnderGuard && r.guarded&bit != 0 ||
+		r.bypass && n.BypassGuards > 0 ||
+		!atHead && r.eldest&bit != 0
+}
+
+// MayBroadcast reports whether the node is eligible to broadcast its tag
+// this cycle: it has completed, has not already broadcast, and no gate
+// blocks it.
+func (r Rules) MayBroadcast(n *Node, atHead bool) bool {
+	return n.Completed && !n.Broadcast && !r.Unsafe(n, atHead)
+}
+
+// WaitsForEldest reports whether class c broadcasts only as the eldest
+// unretired instruction. Such an instruction retires the cycle after that
+// wake-up: the two are sequential commit-stage actions (§5.3).
+func (r Rules) WaitsForEldest(c isa.Class) bool { return r.eldest&(1<<c) != 0 }
+
+// RecomputeGuards performs the resolve-walk of §5.1 over the ROB in age
+// order (eldest first): each node's UnderGuard bit is set iff some older
+// unresolved guard exists. Clearing happens implicitly when the eldest
+// unresolved guard resolves — exactly "mark instructions safe until the
+// next eldest unresolved branch". It does nothing unless r.Walk.
+//
+// The OoO pipeline does not call it every cycle. It clears only the bits
+// between the old and the new eldest unresolved branch, and its tests
+// compare the result with this walk after every cycle.
+func (r Rules) RecomputeGuards(nodes []*Node) {
+	if !r.Walk {
+		return
 	}
-	if p.LoadRestriction {
-		gs = append(gs, Gate{EdgeLoadUse, ScopeAlways, ReleaseEldest})
+	under := false
+	for _, n := range nodes {
+		n.UnderGuard = under
+		if n.Class == isa.ClassBranch && !n.GuardResolved {
+			under = true
+		}
 	}
-	switch p.LoadVisibility {
-	case InvisibleUntilResolved:
-		gs = append(gs, Gate{EdgeFill, ScopeUnderGuard, ReleaseGuardsResolve})
-	case InvisibleUntilRetire:
-		gs = append(gs, Gate{EdgeFill, ScopeAlways, ReleaseRetire})
-	}
-	return gs
 }
 
 func (k EdgeKind) String() string {

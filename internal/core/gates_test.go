@@ -6,7 +6,7 @@ import (
 )
 
 // The gate sets are the policies' semantic contract with the static
-// analyzer; pin them exactly so a knob edit shows up here before it shows up
+// analyzer; pin them exactly so a gate edit shows up here before it shows up
 // as a census drift.
 func TestGatesPerPolicy(t *testing.T) {
 	want := map[string][]Gate{
@@ -41,8 +41,8 @@ func TestGatesPerPolicy(t *testing.T) {
 			t.Errorf("%s: new policy with no pinned gate set — add it here and to the fuzz census", p.Name)
 			continue
 		}
-		if got := p.Gates(); !reflect.DeepEqual(got, w) {
-			t.Errorf("%s: Gates() = %v, want %v", p.Name, got, w)
+		if got := p.Gates; !reflect.DeepEqual(got, w) {
+			t.Errorf("%s: Gates = %v, want %v", p.Name, got, w)
 		}
 	}
 	if len(want) != len(All()) {
@@ -50,12 +50,14 @@ func TestGatesPerPolicy(t *testing.T) {
 	}
 }
 
-// An insecure baseline must gate nothing; every secure policy must gate
-// something. The verdict engine leans on this: no gates ⇒ every chain fires.
+// The core must enforce something exactly for the policies that gate
+// something (Secure): the verdict engine reads an empty gate list as "every
+// chain fires", and a secure list that compiled to no rule would let the
+// core fail open where the analyzer reports a block.
 func TestGatesSecureIffNonEmpty(t *testing.T) {
 	for _, p := range All() {
-		if got := len(p.Gates()) > 0; got != p.Secure() {
-			t.Errorf("%s: len(Gates())>0 = %v, Secure() = %v", p.Name, got, p.Secure())
+		if enforces := Compile(p.Gates) != (Rules{}); enforces != p.Secure() {
+			t.Errorf("%s: compiled rules enforce something = %v, Secure() = %v", p.Name, enforces, p.Secure())
 		}
 	}
 }

@@ -11,8 +11,8 @@
 // breaks the access→transmit dependence chains that every known speculative
 // execution attack requires.
 //
-// A Policy defines (a) which instructions are considered unsafe at dispatch
-// and (b) the event that makes them safe:
+// A Policy's gates (gates.go) define (a) which instructions are considered
+// unsafe at dispatch and (b) the event that makes them safe:
 //
 //   - Steering policies (Permissive/Strict, §5.1–5.2) treat instructions
 //     dispatched after an unresolved branch as unsafe until every older
@@ -37,53 +37,15 @@ import (
 	"nda/internal/isa"
 )
 
-// Visibility selects how speculative loads interact with the cache
-// hierarchy. It models InvisiSpec-style defenses, which leave NDA's
-// propagation path untouched and instead hide the cache side effects of
-// speculative loads.
-type Visibility uint8
-
-const (
-	// VisibleAlways is conventional behaviour: loads install lines
-	// immediately, speculative or not.
-	VisibleAlways Visibility = iota
-	// InvisibleUntilResolved hides a load's fill while any older branch is
-	// unresolved (InvisiSpec-Spectre).
-	InvisibleUntilResolved
-	// InvisibleUntilRetire hides a load's fill until the load retires
-	// (InvisiSpec-Future).
-	InvisibleUntilRetire
-)
-
 // Policy is one point in the NDA design space (a row of Table 2).
 // The zero value is the insecure baseline OoO design.
 type Policy struct {
 	Name string
 
-	// GuardBranches makes unresolved conditional branches and indirect
-	// jumps guards: instructions dispatched after a guard carry
-	// Node.UnderGuard until every older guard resolves.
-	GuardBranches bool
-
-	// PropagationRestricted defers tag broadcast of UnderGuard
-	// instructions (loads only, or all instructions when RestrictAll).
-	PropagationRestricted bool
-
-	// RestrictAll extends the restriction from load-like instructions to
-	// every instruction class (Strict propagation, §5.1). Meaningful only
-	// with PropagationRestricted.
-	RestrictAll bool
-
-	// BypassRestriction marks loads that bypassed stores with unresolved
-	// addresses unsafe until those addresses resolve (§5.2).
-	BypassRestriction bool
-
-	// LoadRestriction defers a load-like instruction's broadcast until it
-	// is the eldest unretired instruction (§5.3).
-	LoadRestriction bool
-
-	// LoadVisibility models InvisiSpec; orthogonal to the NDA fields.
-	LoadVisibility Visibility
+	// Gates is the policy's whole security spec (gates.go). Its order
+	// matters only for reporting: the first gate that cuts a chain names
+	// the reason it is blocked.
+	Gates []Gate
 
 	// ExtraBroadcastDelay adds d cycles between an instruction becoming
 	// safe *after* completion and its tag broadcast, modelling NDA wake-up
@@ -95,63 +57,71 @@ type Policy struct {
 
 // The ten evaluated configurations. Baseline is insecure OoO; the six NDA
 // rows correspond to Table 2 rows 1–6; the InvisiSpec pair are rows 7–8.
+// Each lists its gates in the precedence of the paper's prose: propagation
+// restrictions, then bypass, then load restriction, then load visibility.
 func Baseline() Policy { return Policy{Name: "OoO"} }
 
 // Permissive is Table 2 row 1: loads after an unresolved branch do not wake
 // dependents until all older branches resolve. Protects secrets in memory
 // and special registers against control-steering attacks.
 func Permissive() Policy {
-	return Policy{Name: "Permissive", GuardBranches: true, PropagationRestricted: true}
+	return Policy{Name: "Permissive", Gates: []Gate{{EdgeLoadUse, ScopeUnderGuard, ReleaseGuardsResolve}}}
 }
 
-// PermissiveBR is Table 2 row 2: Permissive plus Bypass Restriction,
+// PermissiveBR is Table 2 row 2: Permissive plus Bypass Restriction (§5.2),
 // additionally defeating Speculative Store Bypass (Spectre v4).
 func PermissiveBR() Policy {
-	p := Permissive()
-	p.Name = "Permissive+BR"
-	p.BypassRestriction = true
-	return p
+	return Policy{Name: "Permissive+BR", Gates: []Gate{
+		{EdgeLoadUse, ScopeUnderGuard, ReleaseGuardsResolve},
+		{EdgeLoadUse, ScopeBypassingLoad, ReleaseStoreAddrsResolve},
+	}}
 }
 
 // Strict is Table 2 row 3: every instruction after an unresolved branch is
 // restricted, additionally hindering exfiltration of GPR-resident secrets.
 func Strict() Policy {
-	return Policy{Name: "Strict", GuardBranches: true, PropagationRestricted: true, RestrictAll: true}
+	return Policy{Name: "Strict", Gates: []Gate{
+		{EdgeLoadUse, ScopeUnderGuard, ReleaseGuardsResolve},
+		{EdgeAnyUse, ScopeUnderGuard, ReleaseGuardsResolve},
+	}}
 }
 
 // StrictBR is Table 2 row 4: Strict plus Bypass Restriction.
 func StrictBR() Policy {
-	p := Strict()
-	p.Name = "Strict+BR"
-	p.BypassRestriction = true
-	return p
+	return Policy{Name: "Strict+BR", Gates: []Gate{
+		{EdgeLoadUse, ScopeUnderGuard, ReleaseGuardsResolve},
+		{EdgeAnyUse, ScopeUnderGuard, ReleaseGuardsResolve},
+		{EdgeLoadUse, ScopeBypassingLoad, ReleaseStoreAddrsResolve},
+	}}
 }
 
 // LoadRestrict is Table 2 row 5: loads wake dependents only at retirement,
 // defeating all chosen-code attacks (Meltdown/Foreshadow/LazyFP/MDS).
 func LoadRestrict() Policy {
-	return Policy{Name: "RestrictedLoads", LoadRestriction: true}
+	return Policy{Name: "RestrictedLoads", Gates: []Gate{{EdgeLoadUse, ScopeAlways, ReleaseEldest}}}
 }
 
 // FullProtection is Table 2 row 6: StrictBR composed with LoadRestrict; the
 // most defensive design point.
 func FullProtection() Policy {
-	p := StrictBR()
-	p.Name = "FullProtection"
-	p.LoadRestriction = true
-	return p
+	return Policy{Name: "FullProtection", Gates: []Gate{
+		{EdgeLoadUse, ScopeUnderGuard, ReleaseGuardsResolve},
+		{EdgeAnyUse, ScopeUnderGuard, ReleaseGuardsResolve},
+		{EdgeLoadUse, ScopeBypassingLoad, ReleaseStoreAddrsResolve},
+		{EdgeLoadUse, ScopeAlways, ReleaseEldest},
+	}}
 }
 
 // InvisiSpecSpectre models InvisiSpec's Spectre threat model: speculative
 // loads are invisible to the cache until all older branches resolve.
 func InvisiSpecSpectre() Policy {
-	return Policy{Name: "InvisiSpec-Spectre", GuardBranches: true, LoadVisibility: InvisibleUntilResolved}
+	return Policy{Name: "InvisiSpec-Spectre", Gates: []Gate{{EdgeFill, ScopeUnderGuard, ReleaseGuardsResolve}}}
 }
 
 // InvisiSpecFuture models InvisiSpec's futuristic threat model: speculative
 // loads are invisible to the cache until they retire.
 func InvisiSpecFuture() Policy {
-	return Policy{Name: "InvisiSpec-Future", GuardBranches: true, LoadVisibility: InvisibleUntilRetire}
+	return Policy{Name: "InvisiSpec-Future", Gates: []Gate{{EdgeFill, ScopeAlways, ReleaseRetire}}}
 }
 
 // All returns the ten evaluated configurations in Fig. 7 order (the
@@ -177,10 +147,7 @@ func ByName(name string) (Policy, error) {
 }
 
 // Secure reports whether the policy restricts speculation at all.
-func (p Policy) Secure() bool {
-	return p.PropagationRestricted || p.BypassRestriction || p.LoadRestriction ||
-		p.LoadVisibility != VisibleAlways
-}
+func (p Policy) Secure() bool { return len(p.Gates) > 0 }
 
 // Node is the per-instruction safety state NDA adds to each ROB entry: the
 // paper's unsafe/exec/bcast bits plus bypass-guard bookkeeping. The pipeline
@@ -194,7 +161,7 @@ type Node struct {
 	GuardResolved bool
 
 	// UnderGuard is the paper's "unsafe" bit for steering policies: the
-	// instruction follows a still-unresolved guard. Policy.RecomputeGuards
+	// instruction follows a still-unresolved guard. Rules.RecomputeGuards
 	// defines it; the OoO pipeline keeps it equal to that walk
 	// incrementally.
 	UnderGuard bool
@@ -210,62 +177,4 @@ type Node struct {
 	// Broadcast is the paper's "bcast" bit: the destination tag has been
 	// broadcast and dependents woken.
 	Broadcast bool
-}
-
-// RecomputeGuards performs the resolve-walk of §5.1 over the ROB in age
-// order (eldest first): each node's UnderGuard bit is set iff some older
-// unresolved guard exists. Clearing happens implicitly when the eldest
-// unresolved guard resolves — exactly "mark instructions safe until the
-// next eldest unresolved branch".
-//
-// The walk also serves policies that only *track* speculation depth without
-// restricting propagation (InvisiSpec), which use UnderGuard to decide when
-// a speculative load's fill may become visible.
-//
-// The OoO pipeline does not call it every cycle. It clears only the bits
-// between the old and the new eldest unresolved branch, and its tests
-// compare the result with this walk after every cycle.
-func (p Policy) RecomputeGuards(nodes []*Node) {
-	if !p.GuardBranches {
-		return
-	}
-	under := false
-	for _, n := range nodes {
-		n.UnderGuard = under
-		if n.Class == isa.ClassBranch && !n.GuardResolved {
-			under = true
-		}
-	}
-}
-
-// steeringUnsafe reports whether the steering restriction currently blocks
-// the node's broadcast.
-func (p Policy) steeringUnsafe(n *Node) bool {
-	if !p.PropagationRestricted || !n.UnderGuard {
-		return false
-	}
-	return p.RestrictAll || n.Class == isa.ClassLoad
-}
-
-// Unsafe reports whether any NDA restriction currently blocks the node's
-// broadcast. atHead must be true iff the node's instruction is the eldest
-// unretired instruction.
-func (p Policy) Unsafe(n *Node, atHead bool) bool {
-	if p.steeringUnsafe(n) {
-		return true
-	}
-	if p.BypassRestriction && n.BypassGuards > 0 {
-		return true
-	}
-	if p.LoadRestriction && n.Class == isa.ClassLoad && !atHead {
-		return true
-	}
-	return false
-}
-
-// MayBroadcast reports whether the node is eligible to broadcast its tag
-// this cycle: it has completed, has not already broadcast, and no NDA
-// restriction applies.
-func (p Policy) MayBroadcast(n *Node, atHead bool) bool {
-	return n.Completed && !n.Broadcast && !p.Unsafe(n, atHead)
 }

@@ -1,35 +1,128 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"nda/internal/isa"
 )
 
+// TestPolicyTable2Matrix pins every policy's compiled decision table, entry
+// by entry, as the knob-based Policy.Unsafe computed it before policies
+// became gate lists. Per policy and isa.Class, a row reads
+//
+//	"bg0 bg1 bg2 | bg0 bg1 bg2 | w"
+//
+// The left half is UnderGuard=false and the right half UnderGuard=true.
+// Each bgN pair is BypassGuards=N, first not at the ROB head and then at
+// it: 'x' means the broadcast is blocked. The last column is 'w' when the
+// class waits to be eldest and so retires a cycle after its head wake-up.
+// The walk column is the one thing not carried over: whether the core keeps
+// UnderGuard current. The knob-based core walked for InvisiSpec-Future too,
+// although no rule of that policy reads the bit.
 func TestPolicyTable2Matrix(t *testing.T) {
-	// Each policy's flags must match its Table 2 row.
-	cases := []struct {
-		p                              Policy
-		prop, restrictAll, br, loadRes bool
-		vis                            Visibility
+	want := []struct {
+		name string
+		fill FillMode
+		walk bool
+		rows [4]string // indexed by isa.Class
 	}{
-		{Baseline(), false, false, false, false, VisibleAlways},
-		{Permissive(), true, false, false, false, VisibleAlways},
-		{PermissiveBR(), true, false, true, false, VisibleAlways},
-		{Strict(), true, true, false, false, VisibleAlways},
-		{StrictBR(), true, true, true, false, VisibleAlways},
-		{LoadRestrict(), false, false, false, true, VisibleAlways},
-		{FullProtection(), true, true, true, true, VisibleAlways},
-		{InvisiSpecSpectre(), false, false, false, false, InvisibleUntilResolved},
-		{InvisiSpecFuture(), false, false, false, false, InvisibleUntilRetire},
+		{"OoO", FillVisible, false, [4]string{
+			".. .. .. | .. .. .. | .",
+			".. .. .. | .. .. .. | .",
+			".. .. .. | .. .. .. | .",
+			".. .. .. | .. .. .. | .",
+		}},
+		{"Permissive", FillVisible, true, [4]string{
+			".. .. .. | .. .. .. | .",
+			".. .. .. | xx xx xx | .",
+			".. .. .. | .. .. .. | .",
+			".. .. .. | .. .. .. | .",
+		}},
+		{"Permissive+BR", FillVisible, true, [4]string{
+			".. xx xx | .. xx xx | .",
+			".. xx xx | xx xx xx | .",
+			".. xx xx | .. xx xx | .",
+			".. xx xx | .. xx xx | .",
+		}},
+		{"Strict", FillVisible, true, [4]string{
+			".. .. .. | xx xx xx | .",
+			".. .. .. | xx xx xx | .",
+			".. .. .. | xx xx xx | .",
+			".. .. .. | xx xx xx | .",
+		}},
+		{"Strict+BR", FillVisible, true, [4]string{
+			".. xx xx | xx xx xx | .",
+			".. xx xx | xx xx xx | .",
+			".. xx xx | xx xx xx | .",
+			".. xx xx | xx xx xx | .",
+		}},
+		{"RestrictedLoads", FillVisible, false, [4]string{
+			".. .. .. | .. .. .. | .",
+			"x. x. x. | x. x. x. | w",
+			".. .. .. | .. .. .. | .",
+			".. .. .. | .. .. .. | .",
+		}},
+		{"FullProtection", FillVisible, true, [4]string{
+			".. xx xx | xx xx xx | .",
+			"x. xx xx | xx xx xx | w",
+			".. xx xx | xx xx xx | .",
+			".. xx xx | xx xx xx | .",
+		}},
+		{"InvisiSpec-Spectre", FillAtResolve, true, [4]string{
+			".. .. .. | .. .. .. | .",
+			".. .. .. | .. .. .. | .",
+			".. .. .. | .. .. .. | .",
+			".. .. .. | .. .. .. | .",
+		}},
+		{"InvisiSpec-Future", FillAtRetire, false, [4]string{
+			".. .. .. | .. .. .. | .",
+			".. .. .. | .. .. .. | .",
+			".. .. .. | .. .. .. | .",
+			".. .. .. | .. .. .. | .",
+		}},
 	}
-	for _, c := range cases {
-		if c.p.PropagationRestricted != c.prop || c.p.RestrictAll != c.restrictAll ||
-			c.p.BypassRestriction != c.br || c.p.LoadRestriction != c.loadRes ||
-			c.p.LoadVisibility != c.vis {
-			t.Errorf("%s flags = %+v", c.p.Name, c.p)
+	if len(want) != len(All()) {
+		t.Fatalf("pinned %d tables for %d policies", len(want), len(All()))
+	}
+	for i, p := range All() {
+		w := want[i]
+		if p.Name != w.name {
+			t.Fatalf("policy %d is %s, pinned %s", i, p.Name, w.name)
+		}
+		r := Compile(p.Gates)
+		if r.Fill != w.fill || r.Walk != w.walk {
+			t.Errorf("%s: fill mode %d, walk %v; want %d, %v", p.Name, r.Fill, r.Walk, w.fill, w.walk)
+		}
+		for c := isa.Class(0); c < isa.Class(len(w.rows)); c++ {
+			var b strings.Builder
+			for _, ug := range []bool{false, true} {
+				if ug {
+					b.WriteString(" | ")
+				}
+				for bg := 0; bg < 3; bg++ {
+					if bg > 0 {
+						b.WriteByte(' ')
+					}
+					for _, head := range []bool{false, true} {
+						b.WriteByte(".x"[b2i(r.Unsafe(&Node{Class: c, UnderGuard: ug, BypassGuards: bg}, head))])
+					}
+				}
+			}
+			b.WriteString(" | ")
+			b.WriteByte(".w"[b2i(r.WaitsForEldest(c))])
+			if got := b.String(); got != w.rows[c] {
+				t.Errorf("%s, class %d:\n  got  %q\n  want %q", p.Name, c, got, w.rows[c])
+			}
 		}
 	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestSecure(t *testing.T) {
@@ -80,7 +173,7 @@ func mkNodes(spec string) []*Node {
 }
 
 func TestRecomputeGuardsWalk(t *testing.T) {
-	p := Strict()
+	p := Compile(Strict().Gates)
 	nodes := mkNodes("aBlbal")
 	p.RecomputeGuards(nodes)
 	want := []bool{false, false, false, false, true, true}
@@ -92,7 +185,7 @@ func TestRecomputeGuardsWalk(t *testing.T) {
 }
 
 func TestRecomputeGuardsResolutionClears(t *testing.T) {
-	p := Permissive()
+	p := Compile(Permissive().Gates)
 	nodes := mkNodes("blal")
 	p.RecomputeGuards(nodes)
 	if !nodes[1].UnderGuard || !nodes[3].UnderGuard {
@@ -109,7 +202,7 @@ func TestRecomputeGuardsResolutionClears(t *testing.T) {
 
 func TestRecomputeGuardsStopsAtNextUnresolved(t *testing.T) {
 	// "mark safe until the NEXT eldest unresolved branch" (§5.1).
-	p := Strict()
+	p := Compile(Strict().Gates)
 	nodes := mkNodes("Bababa")
 	p.RecomputeGuards(nodes)
 	want := []bool{false, false, false, true, true, true}
@@ -121,7 +214,7 @@ func TestRecomputeGuardsStopsAtNextUnresolved(t *testing.T) {
 }
 
 func TestBaselineNeverRestricts(t *testing.T) {
-	p := Baseline()
+	p := Compile(Baseline().Gates)
 	n := &Node{Class: isa.ClassLoad, UnderGuard: true, BypassGuards: 3, Completed: true}
 	if p.Unsafe(n, false) {
 		t.Error("baseline must never mark anything unsafe")
@@ -132,7 +225,7 @@ func TestBaselineNeverRestricts(t *testing.T) {
 }
 
 func TestPermissiveRestrictsOnlyLoads(t *testing.T) {
-	p := Permissive()
+	p := Compile(Permissive().Gates)
 	load := &Node{Class: isa.ClassLoad, UnderGuard: true, Completed: true}
 	alu := &Node{Class: isa.ClassOther, UnderGuard: true, Completed: true}
 	if !p.Unsafe(load, false) {
@@ -148,7 +241,7 @@ func TestPermissiveRestrictsOnlyLoads(t *testing.T) {
 }
 
 func TestStrictRestrictsEverything(t *testing.T) {
-	p := Strict()
+	p := Compile(Strict().Gates)
 	for _, cls := range []isa.Class{isa.ClassLoad, isa.ClassOther, isa.ClassStore, isa.ClassBranch} {
 		n := &Node{Class: cls, UnderGuard: true, Completed: true}
 		if !p.Unsafe(n, false) {
@@ -159,20 +252,20 @@ func TestStrictRestrictsEverything(t *testing.T) {
 
 func TestBypassRestriction(t *testing.T) {
 	n := &Node{Class: isa.ClassLoad, BypassGuards: 1, Completed: true}
-	if !PermissiveBR().Unsafe(n, false) {
+	if !Compile(PermissiveBR().Gates).Unsafe(n, false) {
 		t.Error("BR must restrict a load with outstanding bypass guards")
 	}
-	if Permissive().Unsafe(n, false) {
+	if Compile(Permissive().Gates).Unsafe(n, false) {
 		t.Error("plain permissive must ignore bypass guards (does not block SSB)")
 	}
 	n.BypassGuards = 0
-	if PermissiveBR().Unsafe(n, false) {
+	if Compile(PermissiveBR().Gates).Unsafe(n, false) {
 		t.Error("cleared guards must release the load")
 	}
 }
 
 func TestLoadRestriction(t *testing.T) {
-	p := LoadRestrict()
+	p := Compile(LoadRestrict().Gates)
 	load := &Node{Class: isa.ClassLoad, Completed: true}
 	if !p.Unsafe(load, false) {
 		t.Error("load restriction must hold a non-head load")
@@ -187,7 +280,7 @@ func TestLoadRestriction(t *testing.T) {
 }
 
 func TestFullProtectionComposes(t *testing.T) {
-	p := FullProtection()
+	p := Compile(FullProtection().Gates)
 	load := &Node{Class: isa.ClassLoad, Completed: true}
 	if !p.Unsafe(load, false) {
 		t.Error("full protection must load-restrict")
@@ -203,7 +296,7 @@ func TestFullProtectionComposes(t *testing.T) {
 }
 
 func TestMayBroadcastRequiresCompletion(t *testing.T) {
-	p := Baseline()
+	p := Compile(Baseline().Gates)
 	n := &Node{Class: isa.ClassOther}
 	if p.MayBroadcast(n, false) {
 		t.Error("incomplete instruction must not broadcast")
@@ -218,7 +311,7 @@ func TestMayBroadcastRequiresCompletion(t *testing.T) {
 func TestInvisiSpecDoesNotRestrictPropagation(t *testing.T) {
 	for _, p := range []Policy{InvisiSpecSpectre(), InvisiSpecFuture()} {
 		n := &Node{Class: isa.ClassLoad, UnderGuard: true, Completed: true}
-		if p.Unsafe(n, false) {
+		if Compile(p.Gates).Unsafe(n, false) {
 			t.Errorf("%s must not defer broadcasts (it hides fills instead)", p.Name)
 		}
 	}
@@ -227,7 +320,7 @@ func TestInvisiSpecDoesNotRestrictPropagation(t *testing.T) {
 func TestRdmsrIsLoadClass(t *testing.T) {
 	// §4.3: special-register reads are treated like loads by every policy.
 	n := &Node{Class: isa.ClassOf(isa.Inst{Op: isa.OpRdmsr}), Completed: true}
-	if !LoadRestrict().Unsafe(n, false) {
+	if !Compile(LoadRestrict().Gates).Unsafe(n, false) {
 		t.Error("rdmsr must be load-restricted")
 	}
 }
@@ -239,18 +332,19 @@ func TestBypassRestrictionMultipleStores(t *testing.T) {
 	// early — not even from the ROB head, where Load Restriction alone
 	// would let it go.
 	n := &Node{Class: isa.ClassLoad, Completed: true, BypassGuards: 2}
-	for _, p := range []Policy{PermissiveBR(), StrictBR(), FullProtection()} {
+	for _, pol := range []Policy{PermissiveBR(), StrictBR(), FullProtection()} {
+		p := Compile(pol.Gates)
 		n.BypassGuards = 2
 		if !p.Unsafe(n, false) || !p.Unsafe(n, true) {
-			t.Errorf("%s: two outstanding bypass guards must restrict, head or not", p.Name)
+			t.Errorf("%s: two outstanding bypass guards must restrict, head or not", pol.Name)
 		}
 		n.BypassGuards-- // first store address resolves
 		if !p.Unsafe(n, false) || !p.Unsafe(n, true) {
-			t.Errorf("%s: one remaining bypass guard must still restrict", p.Name)
+			t.Errorf("%s: one remaining bypass guard must still restrict", pol.Name)
 		}
 		n.BypassGuards-- // last store address resolves
 		if p.Unsafe(n, true) {
-			t.Errorf("%s: all bypass guards cleared; eldest load must be releasable", p.Name)
+			t.Errorf("%s: all bypass guards cleared; eldest load must be releasable", pol.Name)
 		}
 	}
 }
@@ -261,7 +355,7 @@ func TestLoadRestrictionStatelessAfterSquash(t *testing.T) {
 	// node that was restricted a cycle earlier must become
 	// broadcast-eligible with no other state change — no latch may
 	// remember the earlier denial.
-	p := LoadRestrict()
+	p := Compile(LoadRestrict().Gates)
 	n := &Node{Class: isa.ClassLoad, Completed: true}
 	if !p.Unsafe(n, false) {
 		t.Fatal("non-head load must be restricted")
@@ -273,7 +367,7 @@ func TestLoadRestrictionStatelessAfterSquash(t *testing.T) {
 	// Under Full Protection the same flip needs the guard bit cleared too:
 	// a recompute over the post-squash ROB (no older unresolved branch
 	// left) must release the head load in one pass.
-	fp := FullProtection()
+	fp := Compile(FullProtection().Gates)
 	nodes := mkNodes("bl")
 	nodes[1].Completed = true
 	fp.RecomputeGuards(nodes)

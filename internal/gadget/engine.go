@@ -83,12 +83,11 @@ func scopeCovers(s core.GateScope, g *Gadget) bool {
 	return false
 }
 
-// verdictFromGates interprets the policy's gate spec over one gadget. gates
-// is passed explicitly (rather than calling pol.Gates() here) so tests can
-// prove the engine consumes the spec: stripping a policy's gates must flip
-// its verdicts.
-func verdictFromGates(pol core.Policy, gates []core.Gate, g *Gadget) Verdict {
-	if !pol.Secure() {
+// verdictFromGates interprets a policy's gate spec over one gadget. Tests
+// pass edited gate lists to prove the engine consumes the spec: stripping a
+// policy's gates must flip its verdicts.
+func verdictFromGates(gates []core.Gate, g *Gadget) Verdict {
+	if len(gates) == 0 {
 		return Verdict{Reason: "baseline OoO: completed results broadcast immediately, so the whole chain runs transiently"}
 	}
 	squash := squashEvent(g.Kind)
@@ -101,8 +100,8 @@ func verdictFromGates(pol core.Policy, gates []core.Gate, g *Gadget) Verdict {
 }
 
 // blockReason renders why the blocking gate cuts this chain. The texts for
-// the knob-derived gates match the analyzer's historical wording so censuses
-// stay readable; a gate outside that set gets a generic rendering.
+// the evaluated policies' gates match the analyzer's historical wording so
+// censuses stay readable; a gate outside that set gets a generic rendering.
 func blockReason(gate core.Gate, g *Gadget) string {
 	switch g.Kind {
 	case KindSteering:
@@ -167,6 +166,6 @@ func openReason(g *Gadget) string {
 func fillVerdicts(g *Gadget) {
 	g.Verdicts = make(map[string]Verdict, 9)
 	for _, pol := range core.All() {
-		g.Verdicts[pol.Name] = verdictFromGates(pol, pol.Gates(), g)
+		g.Verdicts[pol.Name] = verdictFromGates(pol.Gates, g)
 	}
 }

@@ -45,7 +45,7 @@ func TestGateSpecsLoadBearing(t *testing.T) {
 				if g.Advisory || string(g.Channel) != ch {
 					continue
 				}
-				if !verdictFromGates(pol, nil, g).Blocked {
+				if !verdictFromGates(nil, g).Blocked {
 					leaks = true
 				}
 			}

@@ -17,6 +17,7 @@ import (
 type Core struct {
 	p      Params
 	policy core.Policy
+	rules  core.Rules // policy.Gates compiled; what the pipeline reads
 
 	prog *isa.Program
 	mem  *mem.Memory
@@ -153,7 +154,8 @@ type Core struct {
 // New builds a core executing prog on the given memory image (which must
 // already contain the program's data; see emu.Load) under the given policy.
 // It allocates every buffer the core will ever use, then Resets into them,
-// so a fresh core and a reset one are the same by construction.
+// so a fresh core and a reset one are the same by construction. Both panic
+// on a policy gate the core has no rule for (core.Compile).
 func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 	waitWords := (p.ROBSize + 63) / 64
 	c := &Core{
@@ -236,6 +238,7 @@ func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 	*c = Core{
 		p:      c.p,
 		policy: pol,
+		rules:  core.Compile(pol.Gates),
 		prog:   prog,
 		mem:    m,
 		hier:   c.hier,

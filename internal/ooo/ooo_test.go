@@ -384,6 +384,33 @@ main:   li   s0, 0x100000
 	}
 }
 
+// A policy's gate list is public data, so an edited list may name a gate
+// the core has no rule for. New must refuse it rather than run a core that
+// ignores a gate the analyzer reports as blocking.
+func TestNewRefusesUnenforceableGate(t *testing.T) {
+	prog, err := asm.Assemble("main: halt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []core.Gate{
+		{Edge: core.EdgeFill, Scope: core.ScopeBypassingLoad, Until: core.ReleaseStoreAddrsResolve},
+		{Edge: core.EdgeLoadUse, Scope: core.ScopeUnderGuard, Until: core.ReleaseRetire},
+		{Edge: core.EdgeAnyUse, Scope: core.ScopeAlways, Until: core.ReleaseGuardsResolve},
+		{Edge: core.EdgeKind(9), Scope: core.ScopeUnderGuard, Until: core.ReleaseGuardsResolve},
+	} {
+		pol := core.Permissive()
+		pol.Gates = append(pol.Gates, g)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted a policy with gate %+v", g)
+				}
+			}()
+			NewFromProgram(prog, pol, DefaultParams())
+		}()
+	}
+}
+
 func TestFenceSerializes(t *testing.T) {
 	c := runOoO(t, `
 main:   li t0, 1

@@ -247,7 +247,7 @@ const noGuard = ^uint64(0)
 // by the next walk, which runs before that branch can issue, let alone
 // resolve.
 func (c *Core) recomputeSafety() {
-	if !c.policy.GuardBranches {
+	if !c.rules.Walk {
 		return
 	}
 	prev := c.guardSeq
@@ -270,7 +270,7 @@ func (c *Core) recomputeSafety() {
 		c.guardSeq = horizon
 	}
 
-	if c.policy.LoadVisibility != core.InvisibleUntilResolved {
+	if c.rules.Fill != core.FillAtResolve {
 		return
 	}
 	// A load becomes exposable when it completes clear of guards, or when
@@ -320,14 +320,14 @@ func (c *Core) broadcastStage() {
 		if e.DestP == noPReg || e.Node.Broadcast {
 			continue
 		}
-		if c.policy.MayBroadcast(&e.Node, c.atHead(e)) {
+		if c.rules.MayBroadcast(&e.Node, c.atHead(e)) {
 			c.doBroadcast(e)
 			ports--
 		}
 	}
 	for i := 0; i < c.bcq.n && ports > 0; {
 		e := c.entryAt(c.bcq.s[i])
-		if !c.policy.MayBroadcast(&e.Node, c.atHead(e)) {
+		if !c.rules.MayBroadcast(&e.Node, c.atHead(e)) {
 			i++
 			continue
 		}
@@ -475,7 +475,7 @@ func (c *Core) commitInsts() (int, error) {
 		if e.DestP != noPReg && !e.Node.Broadcast {
 			return committed, nil // waiting for a (possibly NDA-deferred) broadcast
 		}
-		if c.policy.LoadRestriction && e.Node.Class == isa.ClassLoad &&
+		if c.rules.WaitsForEldest(e.Node.Class) &&
 			e.DestP != noPReg && e.BcastCycle == c.cycle {
 			// Load restriction: the head-of-ROB wake-up and the retirement
 			// are sequential commit-stage actions — the load retires the
@@ -942,12 +942,12 @@ func (c *Core) executeLoad(e *Entry) bool {
 	} else {
 		var res cache.Result
 		invisible := false
-		switch c.policy.LoadVisibility {
-		case core.InvisibleUntilResolved:
+		switch c.rules.Fill {
+		case core.FillAtResolve:
 			// InvisiSpec-Spectre: a load is speculative iff some OLDER
 			// branch is unresolved; younger branches are irrelevant.
 			invisible = c.olderUnresolvedBranch(e)
-		case core.InvisibleUntilRetire:
+		case core.FillAtRetire:
 			invisible = true
 		}
 		if invisible {

@@ -7,8 +7,9 @@ import "fmt"
 // is unsafe under the active policy must not wake or feed any consumer until
 // the instruction becomes safe and its tag is broadcast. The checks run over
 // architecturally visible simulator state only — they recompute nothing from
-// the policy's internals beyond core.Policy.Unsafe — so a bug in either the
-// pipeline's broadcast plumbing or the policy bookkeeping trips them. They
+// the policy beyond the compiled decision table's Unsafe (core.Rules, built
+// once per core from the policy's gates) — so a bug in either the pipeline's
+// broadcast plumbing or the policy bookkeeping trips them. They
 // read regReady and Node.Broadcast, never the wake-up state (waiter sets,
 // rdyq), so a consumer woken too early shows as issued-before-broadcast.
 //
@@ -101,7 +102,7 @@ func (c *Core) checkInvariants() {
 				e.DestP, e.Inst, e.Node.Completed)
 		}
 		if e.Node.Broadcast && e.BcastCycle == c.cycle &&
-			c.policy.Unsafe(&e.Node, c.atHead(e)) {
+			c.rules.Unsafe(&e.Node, c.atHead(e)) {
 			c.sanViolate("unsafe-broadcast", e.PC, e.Seq,
 				"%v broadcast this cycle while unsafe under %s (underGuard=%v bypassGuards=%d class=%d)",
 				e.Inst, c.policy.Name, e.Node.UnderGuard, e.Node.BypassGuards, e.Node.Class)

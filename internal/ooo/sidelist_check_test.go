@@ -24,8 +24,8 @@ import (
 //   - bcq holds the completed register writers not yet broadcast, in age
 //     order;
 //   - brq holds the unresolved ClassBranch entries, in age order;
-//   - under a policy with GuardBranches, every UnderGuard bit equals a
-//     fresh Policy.RecomputeGuards walk;
+//   - under a policy whose rules walk guards, every UnderGuard bit equals a
+//     fresh Rules.RecomputeGuards walk;
 //   - under InvisiSpec-Spectre, no completed hidden load is left
 //     unexposed once it is clear of guards.
 //
@@ -102,13 +102,13 @@ func (c *Core) CheckSideLists() error {
 		}
 	}
 
-	if c.policy.GuardBranches {
+	if c.rules.Walk {
 		nodes := make([]*core.Node, c.robLen)
 		for i := range nodes {
 			n := c.robAt(i).Node
 			nodes[i] = &n
 		}
-		c.policy.RecomputeGuards(nodes)
+		c.rules.RecomputeGuards(nodes)
 		for i, n := range nodes {
 			if e := c.robAt(i); e.Node.UnderGuard != n.UnderGuard {
 				return fmt.Errorf("cycle %d: seq %d (%v) has UnderGuard=%v, a fresh resolve-walk gives %v",
@@ -116,7 +116,7 @@ func (c *Core) CheckSideLists() error {
 			}
 		}
 	}
-	if c.policy.LoadVisibility == core.InvisibleUntilResolved {
+	if c.rules.Fill == core.FillAtResolve {
 		for i := 0; i < c.robLen; i++ {
 			if e := c.robAt(i); e.Invisible && !e.Exposed && e.Node.Completed && !e.Node.UnderGuard {
 				return fmt.Errorf("cycle %d: seq %d (%v) completed clear of guards but its fill is still hidden",

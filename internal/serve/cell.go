@@ -94,8 +94,47 @@ func decodeJSON[T any](b []byte) (any, error) {
 type sweepCellKey struct {
 	Workload string         `json:"workload"`
 	InOrder  bool           `json:"in_order"`
-	Policy   core.Policy    `json:"policy"`
+	Policy   policyKey      `json:"policy"`
 	Config   harness.Config `json:"config"`
+}
+
+// policyKey is the frozen view of a policy in a cell key: the fields and
+// values core.Policy serialised to when policies were six knobs, so every
+// stored result keeps its address now that a policy is its gate list. Each
+// gate of the evaluated policies sets the knob it came from. Cells name
+// their policy, so no other gate can reach a key.
+type policyKey struct {
+	Name                  string
+	GuardBranches         bool
+	PropagationRestricted bool
+	RestrictAll           bool
+	BypassRestriction     bool
+	LoadRestriction       bool
+	LoadVisibility        uint8
+	ExtraBroadcastDelay   int
+}
+
+func keyOf(p core.Policy) policyKey {
+	k := policyKey{Name: p.Name, ExtraBroadcastDelay: p.ExtraBroadcastDelay}
+	for _, g := range p.Gates {
+		switch g {
+		case core.Gate{Edge: core.EdgeLoadUse, Scope: core.ScopeUnderGuard, Until: core.ReleaseGuardsResolve}:
+			k.GuardBranches, k.PropagationRestricted = true, true
+		case core.Gate{Edge: core.EdgeAnyUse, Scope: core.ScopeUnderGuard, Until: core.ReleaseGuardsResolve}:
+			k.RestrictAll = true
+		case core.Gate{Edge: core.EdgeLoadUse, Scope: core.ScopeBypassingLoad, Until: core.ReleaseStoreAddrsResolve}:
+			k.BypassRestriction = true
+		case core.Gate{Edge: core.EdgeLoadUse, Scope: core.ScopeAlways, Until: core.ReleaseEldest}:
+			k.LoadRestriction = true
+		case core.Gate{Edge: core.EdgeFill, Scope: core.ScopeUnderGuard, Until: core.ReleaseGuardsResolve}:
+			k.GuardBranches, k.LoadVisibility = true, 1
+		case core.Gate{Edge: core.EdgeFill, Scope: core.ScopeAlways, Until: core.ReleaseRetire}:
+			k.GuardBranches, k.LoadVisibility = true, 2
+		default:
+			panic(fmt.Sprintf("serve: gate %+v has no cell-key field", g))
+		}
+	}
+	return k
 }
 
 // seriesKey identifies a workload's checkpoint series: the sampling spec
@@ -109,7 +148,7 @@ type seriesKey struct {
 type attackCellKey struct {
 	Attack  attack.Kind `json:"attack"`
 	InOrder bool        `json:"in_order"`
-	Policy  core.Policy `json:"policy"`
+	Policy  policyKey   `json:"policy"`
 	Params  ooo.Params  `json:"params"`
 }
 
@@ -126,7 +165,7 @@ func sweepCell(hc harness.Cell, cfg *harness.Config, sampling SamplingSpec) cell
 	keyCfg.Workers = 0
 	c := cell{
 		kind:  sweepKind,
-		key:   Key("sweep-cell", sweepCellKey{Workload: hc.Spec.Name, InOrder: hc.InOrder, Policy: hc.Policy, Config: keyCfg}),
+		key:   Key("sweep-cell", sweepCellKey{Workload: hc.Spec.Name, InOrder: hc.InOrder, Policy: keyOf(hc.Policy), Config: keyCfg}),
 		req:   CellRequest{Kind: "sweep", Workload: hc.Spec.Name, InOrder: hc.InOrder, Sampling: sampling},
 		sweep: hc,
 		cfg:   cfg,
@@ -148,7 +187,7 @@ func seriesID(spec workload.Spec, cfg harness.Config) string {
 func attackCell(ac attack.Cell) cell {
 	c := cell{
 		kind:   attackKind,
-		key:    Key("attack-cell", attackCellKey{Attack: ac.Attack, InOrder: ac.InOrder, Policy: ac.Pol, Params: ooo.DefaultParams()}),
+		key:    Key("attack-cell", attackCellKey{Attack: ac.Attack, InOrder: ac.InOrder, Policy: keyOf(ac.Pol), Params: ooo.DefaultParams()}),
 		req:    CellRequest{Kind: "attack", Attack: string(ac.Attack), InOrder: ac.InOrder},
 		attack: ac,
 	}
