@@ -97,6 +97,10 @@ func RunSeed(seed int64) *Result {
 // sanitizer's violation count, and the run's error (with a nil trace).
 type timingFunc func(p *progen.Program, base *mem.Memory, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error)
 
+// policies is core.All built once; each core.All call allocates the gate
+// lists, and every program runs under every policy.
+var policies = core.All()
+
 // runSeed is RunSeed on t's run image, with the timing runs delegated to
 // run. The program's data is loaded once, into a base image every run
 // restores from.
@@ -130,7 +134,7 @@ func (t *timingCore) runSeed(seed int64, run timingFunc) *Result {
 	}
 
 	var trA, trB []ooo.ChannelEvent
-	for _, pol := range core.All() {
+	for _, pol := range policies {
 		var sanA, sanB uint64
 		var errA, errB error
 		trA, sanA, errA = run(p, base, pol, secretA, msrSecretA, trA[:0])

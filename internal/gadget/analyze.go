@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"sort"
 
-	"nda/internal/core"
 	"nda/internal/isa"
 )
 
@@ -52,7 +51,7 @@ func Analyze(p *isa.Program, cfg Config) *Analysis {
 	}
 	sortGadgets(gs)
 	leaks := make(map[string]bool, 9)
-	for _, pol := range core.All() {
+	for _, pol := range policies {
 		leaks[pol.Name] = false
 	}
 	byChannel := map[string]map[string]bool{}
@@ -64,7 +63,7 @@ func Analyze(p *isa.Program, cfg Config) *Analysis {
 		ch := string(gs[i].Channel)
 		if byChannel[ch] == nil {
 			m := make(map[string]bool, 9)
-			for _, pol := range core.All() {
+			for _, pol := range policies {
 				m[pol.Name] = false
 			}
 			byChannel[ch] = m

@@ -161,11 +161,15 @@ func openReason(g *Gadget) string {
 	return "unknown gadget kind"
 }
 
+// policies is core.All built once: the analyzer reads every policy for
+// every gadget it finds, and each core.All call allocates the gate lists.
+var policies = core.All()
+
 // fillVerdicts computes the per-policy verdict map for every configuration
 // in core.All by interpreting each policy's gate spec.
 func fillVerdicts(g *Gadget) {
 	g.Verdicts = make(map[string]Verdict, 9)
-	for _, pol := range core.All() {
+	for _, pol := range policies {
 		g.Verdicts[pol.Name] = verdictFromGates(pol.Gates, g)
 	}
 }
