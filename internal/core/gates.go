@@ -92,9 +92,9 @@ const (
 )
 
 // Rules is a gate list compiled into the decision table the OoO core reads
-// every cycle in place of the list: per-class block masks for the three
-// conditions that defer a broadcast, and the fill mode. Compile builds it
-// once per core, so the run loop never walks the gates.
+// every cycle in place of the list: per-class block masks for the guard and
+// eldest conditions, the bypass bit, the fill mode, and whether to walk.
+// Compile builds it once per core, so the run loop never walks the gates.
 type Rules struct {
 	guarded uint8 // class bits whose broadcast waits while Node.UnderGuard
 	eldest  uint8 // class bits whose broadcast waits until eldest unretired
