@@ -535,84 +535,24 @@ func mentionsTypeParam(sig *types.Signature) bool {
 	return any(types.Type(sig), 0)
 }
 
-// condense runs Tarjan's SCC algorithm over the graph (static edges plus
-// dynamic candidates) and numbers components in reverse topological
-// order: a node's callees are always in the same or a lower-numbered SCC.
+// condense numbers the graph's strongly connected components (static
+// edges plus dynamic candidates) in dependency-first order: a node's
+// callees are always in the same or a lower-numbered SCC.
 func (g *CallGraph) condense() {
-	index := map[*FuncNode]int{}
-	low := map[*FuncNode]int{}
-	onStack := map[*FuncNode]bool{}
-	var stack []*FuncNode
-	next := 0
-
-	type frame struct {
-		n    *FuncNode
-		succ []*FuncNode
-		i    int
-	}
-	succs := func(n *FuncNode) []*FuncNode {
+	callees := func(n *FuncNode) []*FuncNode {
 		var out []*FuncNode
 		for _, cs := range n.Calls {
 			out = append(out, cs.Targets()...)
 		}
 		return out
 	}
-	// Iterative Tarjan: the module has deep call chains and recursion.
-	var visit func(root *FuncNode)
-	visit = func(root *FuncNode) {
-		frames := []frame{{n: root, succ: succs(root)}}
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.i < len(f.succ) {
-				w := f.succ[f.i]
-				f.i++
-				if _, ok := index[w]; !ok {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{n: w, succ: succs(w)})
-				} else if onStack[w] {
-					if index[w] < low[f.n] {
-						low[f.n] = index[w]
-					}
-				}
-				continue
-			}
-			// Pop the frame.
-			n := f.n
-			frames = frames[:len(frames)-1]
-			if low[n] == index[n] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					w.scc = g.sccCount
-					if w == n {
-						break
-					}
-				}
-				g.sccCount++
-			}
-			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[n] < low[p.n] {
-					low[p.n] = low[n]
-				}
-			}
+	comps := sccs(g.Nodes, callees)
+	for i, c := range comps {
+		for _, n := range c {
+			n.scc = i
 		}
 	}
-	for _, n := range g.Nodes {
-		if _, ok := index[n]; !ok {
-			visit(n)
-		}
-	}
+	g.sccCount = len(comps)
 }
 
 // SameSCC reports whether two nodes are mutually recursive (share a

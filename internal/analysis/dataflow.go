@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strconv"
 	"strings"
 )
 
@@ -45,30 +46,7 @@ func (w *xWitness) describe(m *Module) string {
 		return w.desc
 	}
 	file, line, _ := m.Rel(w.pos)
-	return w.desc + " at " + file + ":" + itoa(line) + " (via " + chainString(m, w.via[0], w.via[1:]) + ")"
-}
-
-func itoa(n int) string {
-	// strconv-free tiny helper keeps the import set stable.
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return w.desc + " at " + file + ":" + strconv.Itoa(line) + " (via " + chainString(m, w.via[0], w.via[1:]) + ")"
 }
 
 // summary is the transitive dataflow summary of one function node.

@@ -162,59 +162,28 @@ func contractIndex(contract []Rule) (map[string]*Rule, error) {
 
 // contractCycle looks for a cycle in the declared Allow graph itself — a
 // contract that permits a cycle is wrong even before any code exists to
-// exploit it. It returns the cycle as "a -> b -> a", or "" if acyclic.
+// exploit it. It returns the cycle's members as "a, b", or "" if acyclic.
 func contractCycle(contract []Rule) string {
 	idx, err := contractIndex(contract)
 	if err != nil {
 		return err.Error()
 	}
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[string]int, len(idx))
-	var stack []string
-	var found string
-	var visit func(path string)
-	visit = func(path string) {
-		if found != "" {
-			return
-		}
-		color[path] = gray
-		stack = append(stack, path)
-		r := idx[path]
-		if r != nil {
-			for _, dep := range r.Allow {
-				switch color[dep] {
-				case gray:
-					i := 0
-					for j, p := range stack {
-						if p == dep {
-							i = j
-						}
-					}
-					found = strings.Join(append(stack[i:], dep), " -> ")
-					return
-				case white:
-					visit(dep)
-				}
-			}
-		}
-		stack = stack[:len(stack)-1]
-		color[path] = black
+	roots := make([]string, len(contract))
+	for i := range contract {
+		roots[i] = contract[i].Path
 	}
-	paths := make([]string, 0, len(idx))
-	for p := range idx {
-		paths = append(paths, p)
+	allow := func(path string) []string {
+		if r := idx[path]; r != nil {
+			return r.Allow
+		}
+		return nil
 	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if color[p] == white {
-			visit(p)
+	for _, c := range sccs(roots, allow) {
+		if cyclic(c, allow) {
+			return strings.Join(c, ", ")
 		}
 	}
-	return found
+	return ""
 }
 
 // ContractTable renders the contract as the markdown table embedded in the

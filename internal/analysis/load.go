@@ -198,7 +198,7 @@ func (m *Module) parseAll() error {
 
 // depOrder topologically sorts the packages over their module-internal
 // imports and fills each Pkg's Internal/Std import lists. A cycle is an
-// error naming its members in order.
+// error naming every member.
 func (m *Module) depOrder() ([]*Pkg, error) {
 	for _, p := range m.ByPath {
 		seen := map[string]bool{}
@@ -226,52 +226,20 @@ func (m *Module) depOrder() ([]*Pkg, error) {
 	}
 	sort.Strings(paths)
 
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[string]int, len(paths))
+	imports := func(path string) []string {
+		if p := m.ByPath[path]; p != nil {
+			return p.Internal
+		}
+		return nil // unresolvable import; typecheck will report it
+	}
 	var order []*Pkg
-	var stack []string
-	var cycle []string
-	var visit func(path string)
-	visit = func(path string) {
-		if cycle != nil {
-			return
+	for _, c := range sccs(paths, imports) {
+		if cyclic(c, imports) {
+			return nil, fmt.Errorf("import cycle among module packages: %s", strings.Join(c, ", "))
 		}
-		p := m.ByPath[path]
-		if p == nil {
-			return // unresolvable import; typecheck will report it
+		if p := m.ByPath[c[0]]; p != nil {
+			order = append(order, p)
 		}
-		color[path] = gray
-		stack = append(stack, path)
-		for _, dep := range p.Internal {
-			switch color[dep] {
-			case gray:
-				i := 0
-				for j, s := range stack {
-					if s == dep {
-						i = j
-					}
-				}
-				cycle = append(append([]string{}, stack[i:]...), dep)
-				return
-			case white:
-				visit(dep)
-			}
-		}
-		stack = stack[:len(stack)-1]
-		color[path] = black
-		order = append(order, p)
-	}
-	for _, path := range paths {
-		if color[path] == white {
-			visit(path)
-		}
-	}
-	if cycle != nil {
-		return nil, fmt.Errorf("import cycle among module packages: %s", strings.Join(cycle, " -> "))
 	}
 	return order, nil
 }
