@@ -267,7 +267,8 @@ type Config struct {
 	// SharedStore, when non-nil, is the fleet-shared tier under the disk
 	// tier: a store every coordinator replica can reach. Cells found there
 	// are served without dispatching to any worker, and computed cells are
-	// written back. It may be the same store as Store.
+	// written back. It may be the same store as Store, which then makes
+	// one tier: the disk tier.
 	SharedStore *store.Store
 	// Fleet, when non-nil, turns the manager into a coordinator: cells
 	// that miss every cache tier are dispatched to the fleet's workers
@@ -332,6 +333,9 @@ func NewManager(cfg Config) *Manager {
 	}
 	if cfg.JobWorkers <= 0 {
 		cfg.JobWorkers = 2
+	}
+	if cfg.SharedStore == cfg.Store {
+		cfg.SharedStore = nil // one store is one tier, walked and counted once
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{

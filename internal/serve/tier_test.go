@@ -370,3 +370,30 @@ func TestSharedStoreAdmission(t *testing.T) {
 		t.Error("/metrics missing nda_admission_store_served_total 1")
 	}
 }
+
+// TestSameStoreIsOneTier: a manager whose fleet-shared store is its disk
+// store walks that store once. Resolving one computed cell looks it up
+// once and writes it once, and /metrics has no shared-tier block to
+// double-count it in.
+func TestSameStoreIsOneTier(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Config{QueueDepth: 4, JobWorkers: 1, Store: st, SharedStore: st})
+	t.Cleanup(func() { _ = m.Shutdown(context.Background()) })
+	j, err := m.SubmitGadgets(GadgetsRequest{Programs: []string{"meltdown"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j, JobDone)
+	if c := st.Counters(); c.Misses != 1 || c.Puts != 1 {
+		t.Errorf("store counters = %d misses / %d puts, want 1 / 1", c.Misses, c.Puts)
+	}
+	if tiers := j.Status().Tiers; tiers.Computed != 1 {
+		t.Errorf("tiers = %+v, want 1 computed", tiers)
+	}
+	if strings.Contains(m.RenderMetrics(), "nda_dist_shared_") {
+		t.Error("/metrics renders a fleet-shared block for the disk store")
+	}
+}
