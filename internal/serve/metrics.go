@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nda/internal/dist"
 	"nda/internal/tenant"
 )
 
@@ -63,7 +64,8 @@ func (m *Metrics) CyclesPerSecond() float64 {
 // RenderMetrics composes the full /metrics payload in the Prometheus text
 // exposition format: the counter block, live RAM-tier gauges, the
 // persistent and fleet-shared stores' counters when they are configured,
-// and the fleet block when running as a coordinator.
+// the fleet block (from dist.Coordinator.Stats) when running as a
+// coordinator, and the per-tenant block when tenants are declared.
 func (m *Manager) RenderMetrics() string {
 	var b strings.Builder
 	gauge := func(name, help string, v int64) {
@@ -113,29 +115,42 @@ func (m *Manager) RenderMetrics() string {
 		counter("nda_dist_shared_puts_total", "completed cells written back to the fleet-shared store", mt.SharedPuts.Load())
 	}
 	if f := m.cfg.Fleet; f != nil {
-		b.WriteString(f.RenderMetrics())
+		type ws = dist.WorkerStats
+		series := labelled(&b, "worker", f.Stats(), func(s ws) string { return s.Worker })
+		series("nda_dist_dispatched_total", "cell attempts dispatched to this worker", "counter", func(s ws) int64 { return s.Dispatched })
+		series("nda_dist_succeeded_total", "cell attempts this worker answered successfully", "counter", func(s ws) int64 { return s.Succeeded })
+		series("nda_dist_retried_total", "retry attempts dispatched to this worker", "counter", func(s ws) int64 { return s.Retried })
+		series("nda_dist_hedged_total", "hedge attempts dispatched to this worker", "counter", func(s ws) int64 { return s.Hedged })
+		series("nda_dist_evicted_total", "times this worker was evicted from the rotation", "counter", func(s ws) int64 { return s.Evicted })
+		series("nda_dist_readmitted_total", "times this worker was re-admitted after eviction", "counter", func(s ws) int64 { return s.Readmitted })
+		series("nda_dist_inflight", "cells currently in flight to this worker (queue depth)", "gauge", func(s ws) int64 { return int64(s.InFlight) })
+		series("nda_dist_healthy", "1 if the worker is in the dispatch rotation", "gauge", func(s ws) int64 {
+			if s.Healthy {
+				return 1
+			}
+			return 0
+		})
 	}
 	if stats := m.TenantStats(); len(stats) > 0 {
-		series := func(name, help, typ string, v func(tenant string) int64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-			for _, s := range stats {
-				fmt.Fprintf(&b, "%s{tenant=%q} %d\n", name, s.Name, v(s.Name))
-			}
-		}
-		byName := make(map[string]tenant.Stats, len(stats))
-		for _, s := range stats {
-			byName[s.Name] = s
-		}
-		series("nda_tenant_queued", "jobs waiting in the fair-share queue per tenant", "gauge",
-			func(t string) int64 { return int64(byName[t].Queued) })
-		series("nda_tenant_running", "jobs currently dispatched per tenant", "gauge",
-			func(t string) int64 { return int64(byName[t].Running) })
-		series("nda_tenant_admitted_total", "submissions admitted past the rate quota per tenant", "counter",
-			func(t string) int64 { return int64(byName[t].Admitted) })
-		series("nda_tenant_dispatched_total", "jobs dispatched to workers per tenant", "counter",
-			func(t string) int64 { return int64(byName[t].Dispatched) })
-		series("nda_tenant_dropped_total", "submissions dropped by quota or queue bound per tenant", "counter",
-			func(t string) int64 { return int64(byName[t].Dropped) })
+		type ts = tenant.Stats
+		series := labelled(&b, "tenant", stats, func(s ts) string { return s.Name })
+		series("nda_tenant_queued", "jobs waiting in the fair-share queue per tenant", "gauge", func(s ts) int64 { return int64(s.Queued) })
+		series("nda_tenant_running", "jobs currently dispatched per tenant", "gauge", func(s ts) int64 { return int64(s.Running) })
+		series("nda_tenant_admitted_total", "submissions admitted past the rate quota per tenant", "counter", func(s ts) int64 { return int64(s.Admitted) })
+		series("nda_tenant_dispatched_total", "jobs dispatched to workers per tenant", "counter", func(s ts) int64 { return int64(s.Dispatched) })
+		series("nda_tenant_dropped_total", "submissions dropped by quota or queue bound per tenant", "counter", func(s ts) int64 { return int64(s.Dropped) })
 	}
 	return b.String()
+}
+
+// labelled returns a writer of metric families with one series per row,
+// each labelled label="key(row)": the fleet block has one per worker, the
+// tenant block one per tenant.
+func labelled[R any](b *strings.Builder, label string, rows []R, key func(R) string) func(name, help, typ string, value func(R) int64) {
+	return func(name, help, typ string, value func(R) int64) {
+		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+		for _, r := range rows {
+			fmt.Fprintf(b, "%s{%s=%q} %d\n", name, label, key(r), value(r))
+		}
+	}
 }
