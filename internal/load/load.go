@@ -445,13 +445,7 @@ func (r *runner) awaitSSE(ctx context.Context, id string) outcome {
 
 // do performs one bounded HTTP exchange and returns the drained response.
 func (r *runner) do(ctx context.Context, method, url string, body []byte) (*http.Response, []byte, error) {
-	var rd *bytes.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	} else {
-		rd = bytes.NewReader(nil)
-	}
-	hreq, err := http.NewRequestWithContext(ctx, method, url, rd)
+	hreq, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, nil, err
 	}

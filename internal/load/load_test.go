@@ -116,6 +116,36 @@ func TestMixDeterminism(t *testing.T) {
 	}
 }
 
+// TestWarmupCoversTheStream: every request a warmable mix replays, for
+// any tenant or worker, is in its warm-up set, which holds no duplicates.
+// MixHot warms with exactly its one sweep; long-tail and cancel stay cold.
+func TestWarmupCoversTheStream(t *testing.T) {
+	hot := warmupRequests(MixHot)
+	if len(hot) != 1 || hot[0].path != "/v1/sweep" || string(hot[0].body) != string(mustJSON(hotSweep())) {
+		t.Errorf("hot warm-up = %+v, want one /v1/sweep with the hot sweep", hot)
+	}
+	for _, mix := range []Mix{MixLongtail, MixCancel} {
+		if reqs := warmupRequests(mix); reqs != nil {
+			t.Errorf("mix %s warms %d requests, want none", mix, len(reqs))
+		}
+	}
+	for _, mix := range []Mix{MixHot, MixAttack, MixGadgets} {
+		warm := map[string]bool{}
+		for _, r := range warmupRequests(mix) {
+			if warm[r.path+string(r.body)] {
+				t.Errorf("mix %s warms %s %s twice", mix, r.path, r.body)
+			}
+			warm[r.path+string(r.body)] = true
+		}
+		g := &gen{mix: mix, tenantIdx: 1, workerIdx: 2}
+		for i := 0; i < 10; i++ {
+			if r := g.next(); !warm[r.path+string(r.body)] {
+				t.Errorf("mix %s replays %s %s, which warm-up skips", mix, r.path, r.body)
+			}
+		}
+	}
+}
+
 func TestBenchLineFormat(t *testing.T) {
 	r := &Report{
 		Completed:    10,

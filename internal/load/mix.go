@@ -1,6 +1,7 @@
 package load
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -123,29 +124,20 @@ func (g *gen) next() request {
 	}
 }
 
-// warmupRequests enumerates the distinct request bodies a mix replays, for
-// the unmeasured cache-warming pass. Long-tail and cancel mixes are
-// deliberately unwarmable — their point is fresh work.
+// warmupRequests enumerates the distinct requests a mix replays, for the
+// unmeasured cache-warming pass: one period of a generator's stream, which
+// for the warmable mixes does not depend on the tenant or worker. Long-tail
+// and cancel mixes are deliberately unwarmable — their point is fresh work.
 func warmupRequests(mix Mix) []request {
-	switch mix {
-	case MixHot:
-		return []request{{path: "/v1/sweep", body: mustJSON(hotSweep())}}
-	case MixAttack:
-		var reqs []request
-		for _, a := range attackNames {
-			reqs = append(reqs, request{path: "/v1/attack", body: mustJSON(serve.AttackRequest{
-				Attacks: []string{a}, Policies: []string{"OoO"}, NoInOrder: true,
-			})})
-		}
-		return reqs
-	case MixGadgets:
-		var reqs []request
-		for _, p := range attackNames {
-			reqs = append(reqs, request{path: "/v1/gadgets", body: mustJSON(serve.GadgetsRequest{Programs: []string{p}})})
-		}
-		return reqs
+	if mix == MixLongtail || mix == MixCancel {
+		return nil
 	}
-	return nil
+	g := gen{mix: mix}
+	reqs := []request{g.next()}
+	for r := g.next(); !bytes.Equal(r.body, reqs[0].body); r = g.next() {
+		reqs = append(reqs, r)
+	}
+	return reqs
 }
 
 // mustJSON marshals a request body; the types above cannot fail.
