@@ -470,9 +470,17 @@ func BenchmarkCheckpointedMeasurement(b *testing.B) {
 // load + typecheck, call-graph construction with per-function dataflow
 // summaries, and all eight passes. It rides the BENCH_*.json trajectory
 // so a regression in the analyzer's wall-clock or allocation footprint
-// is as visible as one in the simulator.
+// is as visible as one in the simulator. It measures the warm state only:
+// the first Load in a process also typechecks the standard library from
+// source into a process-wide importer (about 7x the time and 9x the
+// allocations of a later Load), so one untimed Load comes first and every
+// timed run, the first included, sees the same cache.
 func BenchmarkNdavetRepo(b *testing.B) {
+	if _, err := analysis.Load("."); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	var open int
 	for i := 0; i < b.N; i++ {
 		m, err := analysis.Load(".")
