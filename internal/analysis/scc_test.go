@@ -23,9 +23,9 @@ func TestSCCs(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("sccs = %v, want %v", got, want)
 	}
-	for i, c := range got {
-		if wantCycle := i == 0 || i == 2; cyclic(c, succ) != wantCycle {
-			t.Errorf("cyclic(%v) = %v, want %v", c, !wantCycle, wantCycle)
+	for i, wantCycle := range []bool{true, false, true, false} {
+		if cyclic(got[i], succ) != wantCycle {
+			t.Errorf("cyclic(%v) = %v, want %v", got[i], !wantCycle, wantCycle)
 		}
 	}
 }
