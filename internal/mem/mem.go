@@ -12,6 +12,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -28,9 +29,10 @@ const PageSize = 1 << PageBits
 type Memory struct {
 	pages  map[uint64]*[PageSize]byte
 	kernel map[uint64]bool // page number -> kernel-only
-	// dropped holds, by page number, the zeroed buffers of pages CopyFrom
-	// unmapped, for the next first touch of the same page to reuse.
-	dropped map[uint64]*[PageSize]byte
+	// spare holds zeroed page buffers, those CopyFrom unmapped and those
+	// it allocated ahead, for the next pages m maps to reuse, whatever
+	// their numbers.
+	spare []*[PageSize]byte
 }
 
 // New returns an empty memory with every page user-accessible and zero.
@@ -43,7 +45,7 @@ func New() *Memory {
 
 // Clone returns a deep copy of the memory, used to run the same initial
 // image on several cores (e.g. the differential tests and the per-policy
-// attack sweeps).
+// attack sweeps) and to capture checkpoints.
 func (m *Memory) Clone() *Memory {
 	c := New()
 	c.CopyFrom(m)
@@ -51,20 +53,27 @@ func (m *Memory) Clone() *Memory {
 }
 
 // CopyFrom makes m an exact copy of base: every page base maps is copied
-// into m's existing buffer for that page, every page base lacks is dropped,
-// so it reads zero and is unmapped again, and the kernel bits become base's.
-// Dropped buffers are kept for m's later first touches, so restoring one
-// loaded image before each of many runs allocates nothing once m has seen
-// the pages the runs touch.
+// into a buffer of m's, every page base lacks is dropped, so it reads zero
+// and is unmapped again, and the kernel bits become base's. Dropped
+// buffers are kept for m's later pages, and buffers m lacks are allocated
+// in one block, so restoring one loaded image before each of many runs,
+// or images of the same size from different programs, allocates nothing
+// once m has held as many pages as the runs touch.
 func (m *Memory) CopyFrom(base *Memory) {
 	for pn, pg := range m.pages {
 		if base.pages[pn] == nil {
-			if m.dropped == nil {
-				m.dropped = make(map[uint64]*[PageSize]byte)
-			}
 			*pg = [PageSize]byte{}
-			m.dropped[pn] = pg
+			m.spare = append(m.spare, pg)
 			delete(m.pages, pn)
+		}
+	}
+	// Every page m still maps, base maps too; each of base's others takes
+	// a spare buffer.
+	if need := len(base.pages) - len(m.pages) - len(m.spare); need > 0 {
+		m.spare = slices.Grow(m.spare, need)
+		block := make([][PageSize]byte, need)
+		for i := range block {
+			m.spare = append(m.spare, &block[i])
 		}
 	}
 	for pn, pg := range base.pages {
@@ -78,12 +87,24 @@ func (m *Memory) CopyFrom(base *Memory) {
 
 func pageNum(addr uint64) uint64 { return addr >> PageBits }
 
+// pageNumMask keeps a page number within the address space, so stepping
+// past the top page wraps onto page 0.
+const pageNumMask = 1<<(64-PageBits) - 1
+
+// pageSpan returns the first page the size bytes at addr touch and how
+// many pages they touch, wrapping past the top of the address space onto
+// page 0 as Read and Write do. size must be positive.
+func pageSpan(addr, size uint64) (first, n uint64) {
+	first = pageNum(addr)
+	return first, (pageNum(addr+size-1)-first)&pageNumMask + 1
+}
+
 // SetKernel marks every page overlapping [addr, addr+size) as kernel-only.
 func (m *Memory) SetKernel(addr, size uint64) {
 	if size == 0 {
 		return
 	}
-	for pn := pageNum(addr); pn <= pageNum(addr+size-1); pn++ {
+	for pn, n := pageSpan(addr, size); n > 0; pn, n = (pn+1)&pageNumMask, n-1 {
 		m.kernel[pn] = true
 	}
 }
@@ -93,7 +114,7 @@ func (m *Memory) SetUser(addr, size uint64) {
 	if size == 0 {
 		return
 	}
-	for pn := pageNum(addr); pn <= pageNum(addr+size-1); pn++ {
+	for pn, n := pageSpan(addr, size); n > 0; pn, n = (pn+1)&pageNumMask, n-1 {
 		delete(m.kernel, pn)
 	}
 }
@@ -102,12 +123,13 @@ func (m *Memory) SetUser(addr, size uint64) {
 func (m *Memory) KernelOnly(addr uint64) bool { return m.kernel[pageNum(addr)] }
 
 // UserAccessOK reports whether a user-mode access of size bytes at addr is
-// architecturally permitted.
+// architecturally permitted: no page its bytes touch, including those it
+// wraps onto past the top of the address space, is kernel-only.
 func (m *Memory) UserAccessOK(addr uint64, size int) bool {
 	if size <= 0 {
 		return true
 	}
-	for pn := pageNum(addr); pn <= pageNum(addr+uint64(size)-1); pn++ {
+	for pn, n := pageSpan(addr, uint64(size)); n > 0; pn, n = (pn+1)&pageNumMask, n-1 {
 		if m.kernel[pn] {
 			return false
 		}
@@ -119,8 +141,9 @@ func (m *Memory) page(addr uint64, alloc bool) *[PageSize]byte {
 	pn := pageNum(addr)
 	pg := m.pages[pn]
 	if pg == nil && alloc {
-		if pg = m.dropped[pn]; pg != nil {
-			delete(m.dropped, pn)
+		if n := len(m.spare); n > 0 {
+			pg = m.spare[n-1]
+			m.spare = m.spare[:n-1]
 		} else {
 			//ndavet:allow alloclint:op first touch of a page allocates its backing; steady-state stores hit mapped pages
 			pg = new([PageSize]byte)
@@ -146,12 +169,24 @@ func (m *Memory) StoreByte(addr uint64, v byte) {
 }
 
 // Read returns size bytes starting at addr as a little-endian unsigned value.
-// size must be 1, 4, or 8. Accesses may straddle page boundaries.
+// size must be 1, 4, or 8. Accesses may straddle page boundaries, and wrap
+// past the top of the address space onto page 0.
 func (m *Memory) Read(addr uint64, size int) uint64 {
 	switch size {
 	case 1:
 		return uint64(m.LoadByte(addr))
 	case 4, 8:
+		if off := addr & (PageSize - 1); off <= PageSize-uint64(size) {
+			// Within one page: one lookup, not one per byte.
+			pg := m.page(addr, false)
+			if pg == nil {
+				return 0
+			}
+			if size == 4 {
+				return uint64(binary.LittleEndian.Uint32(pg[off:]))
+			}
+			return binary.LittleEndian.Uint64(pg[off:])
+		}
 		var buf [8]byte
 		for i := 0; i < size; i++ {
 			buf[i] = m.LoadByte(addr + uint64(i))
@@ -172,6 +207,15 @@ func (m *Memory) Write(addr uint64, size int, v uint64) {
 	case 1:
 		m.StoreByte(addr, byte(v))
 	case 4, 8:
+		if off := addr & (PageSize - 1); off <= PageSize-uint64(size) {
+			pg := m.page(addr, true)
+			if size == 4 {
+				binary.LittleEndian.PutUint32(pg[off:], uint32(v))
+			} else {
+				binary.LittleEndian.PutUint64(pg[off:], v)
+			}
+			return
+		}
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], v)
 		for i := 0; i < size; i++ {

@@ -55,13 +55,40 @@ func TestWriteTruncation(t *testing.T) {
 	}
 }
 
+// TestRoundTripProperty writes and reads random values at random sizes,
+// checking each Read against a reference assembled from LoadByte. The
+// addresses stress both access paths: page-end offsets (within the page,
+// straddling it), the top of the address space (wrapping onto page 0),
+// pages no write ever mapped, and ordinary low addresses.
 func TestRoundTripProperty(t *testing.T) {
 	m := New()
-	f := func(addr uint64, v uint64, sz uint8) bool {
+	reference := func(addr uint64, size int) uint64 {
+		var v uint64
+		for i := size - 1; i >= 0; i-- {
+			v = v<<8 | uint64(m.LoadByte(addr+uint64(i)))
+		}
+		return v
+	}
+	f := func(a, v uint64, sz, kind uint8) bool {
 		size := []int{1, 4, 8}[sz%3]
-		addr %= 1 << 30
+		page := a >> PageBits & 0xFF
+		var addr uint64
+		switch kind % 4 {
+		case 0: // the last 16 bytes of a page
+			addr = (page+1)<<PageBits - 16 + a%16
+		case 1: // the top of the address space
+			addr = ^uint64(15) + a%16
+		case 2: // an unmapped page, read only
+			addr = 1<<40 | page<<PageBits | a%PageSize
+			return m.Read(addr, size) == 0 && reference(addr, size) == 0
+		default:
+			addr = a % (1 << 30)
+		}
 		m.Write(addr, size, v)
 		got := m.Read(addr, size)
+		if got != reference(addr, size) {
+			return false
+		}
 		switch size {
 		case 1:
 			return got == v&0xFF
@@ -71,8 +98,50 @@ func TestRoundTripProperty(t *testing.T) {
 			return got == v
 		}
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+	if m.Read(0, 8) != reference(0, 8) || m.Read(PageSize-4, 8) != reference(PageSize-4, 8) {
+		t.Error("Read disagrees with LoadByte at page 0")
+	}
+}
+
+// TestWrappingAccessChecksEveryPage: an access whose last bytes wrap past
+// 2^64 onto page 0 touches both the top page and page 0, as Read and Write
+// do, so the protection check and the marking helpers must cover both.
+func TestWrappingAccessChecksEveryPage(t *testing.T) {
+	top := ^uint64(PageSize - 1)
+	m := New()
+	m.SetKernel(top, PageSize)
+	if m.UserAccessOK(top+PageSize-4, 8) {
+		t.Error("an access starting in a kernel top page was allowed")
+	}
+	m = New()
+	m.SetKernel(0, PageSize)
+	if m.UserAccessOK(top+PageSize-4, 8) {
+		t.Error("an access wrapping onto kernel page 0 was allowed")
+	}
+	if !m.UserAccessOK(top+PageSize-8, 8) {
+		t.Error("an access ending at the top of the address space must not touch page 0")
+	}
+
+	m = New()
+	m.SetKernel(top+PageSize-4, 8)
+	if !m.KernelOnly(top) || !m.KernelOnly(0) {
+		t.Errorf("SetKernel over the wrap marked top=%v page0=%v, want both", m.KernelOnly(top), m.KernelOnly(0))
+	}
+	if m.KernelOnly(PageSize) || m.KernelOnly(top-PageSize) {
+		t.Error("SetKernel over the wrap marked a page the range does not touch")
+	}
+	m.SetUser(top+PageSize-4, 8)
+	if m.KernelOnly(top) || m.KernelOnly(0) {
+		t.Error("SetUser over the wrap left a page kernel-only")
+	}
+
+	m = New()
+	m.Write(top+PageSize-4, 8, 0x1122334455667788)
+	if m.Read(0, 4) != 0x11223344 || m.Read(top+PageSize-4, 8) != 0x1122334455667788 {
+		t.Error("a wrapping write must land its high bytes on page 0")
 	}
 }
 
@@ -126,7 +195,8 @@ func TestClone(t *testing.T) {
 // TestCopyFrom restores a dirtied image from a base: a page written after
 // the copy reads back as the base's bytes, a page the base lacks reads zero
 // again, the kernel bits are the base's, and restoring an unchanged base a
-// second time allocates nothing, nor does re-mapping a dropped page.
+// second time allocates nothing, nor does re-mapping a dropped page or
+// alternating with an image of as many pages at other page numbers.
 func TestCopyFrom(t *testing.T) {
 	base := New()
 	base.Write(0x1000, 8, 0x1122334455667788)
@@ -179,6 +249,21 @@ func TestCopyFrom(t *testing.T) {
 	base.Write(0x1000, 8, 7)
 	if m.Read(0x1000, 8) == 7 {
 		t.Error("the copy must not share page buffers with the base")
+	}
+
+	// An image of as many pages at other page numbers, as another
+	// program's, takes the buffers the previous one leaves.
+	other := New()
+	other.Write(0x21000, 8, 3)
+	other.Write(0x23000, 8, 4)
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.CopyFrom(other)
+		if m.Read(0x1000, 8) != 0 || m.Read(0x21000, 8) != 3 || m.Read(0x23000, 8) != 4 {
+			t.Fatal("a copy of another image reads the wrong bytes")
+		}
+		m.CopyFrom(base)
+	}); allocs != 0 {
+		t.Errorf("alternating two images of one size allocates %.0f times, want 0", allocs)
 	}
 }
 
