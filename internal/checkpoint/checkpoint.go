@@ -1,8 +1,8 @@
 // Package checkpoint captures and restores architectural machine state —
 // the role Lapidary's gdb-snapshot-to-gem5-checkpoint pipeline plays in the
 // paper's methodology (§6.1). A checkpoint is taken by fast-forwarding the
-// functional emulator (cheap), and any timing core can be constructed from
-// it, so SMARTS measurement intervals can be distributed across a long
+// functional emulator (cheap), and any timing core can resume from it, so
+// SMARTS measurement intervals can be distributed across a long
 // execution without paying detailed-simulation cost between them.
 //
 // Checkpoints serialize to a compact binary format (magic, architectural
@@ -43,6 +43,14 @@ func Capture(m *emu.Machine) *Checkpoint {
 		Mem:     m.Mem.Clone(),
 	}
 	return c
+}
+
+// Start returns the state a fresh machine begins prog in: the program's
+// data loaded into a new memory, at its entry point, nothing retired.
+func Start(prog *isa.Program) *Checkpoint {
+	m := mem.New()
+	emu.Load(m, prog)
+	return &Checkpoint{PC: prog.Entry, Mem: m}
 }
 
 // Take fast-forwards a fresh functional execution of prog by skipInsts
@@ -232,18 +240,35 @@ func Load(r io.Reader) (*Checkpoint, error) {
 	return c, nil
 }
 
-// OoO builds an out-of-order core resuming from the checkpoint under the
-// given policy (memory cloned; the checkpoint stays reusable).
-func (c *Checkpoint) OoO(prog *isa.Program, pol core.Policy, p ooo.Params) *ooo.Core {
-	return ooo.NewFromState(prog, c.Mem.Clone(), c.Regs, c.MSR, c.PC, pol, p)
+// ResumeOoO returns an out-of-order core resuming from the checkpoint under
+// the given policy and params. A core o built under p is reused: its own
+// memory image becomes a copy of the checkpoint's and it is Reset onto it,
+// which leaves it exactly as a new core would be. Otherwise (o nil, or
+// built under other params) a new core runs on a clone. o's memory must
+// be one this function gave it. The checkpoint stays reusable.
+func (c *Checkpoint) ResumeOoO(o *ooo.Core, prog *isa.Program, pol core.Policy, p ooo.Params) *ooo.Core {
+	if o == nil || o.Params() != p {
+		o = ooo.New(prog, c.Mem.Clone(), pol, p)
+	} else {
+		m := o.Memory()
+		m.CopyFrom(c.Mem)
+		o.Reset(prog, m, pol)
+	}
+	o.Resume(c.Regs, c.MSR, c.PC)
+	return o
 }
 
-// InOrder builds an in-order core resuming from the checkpoint.
-func (c *Checkpoint) InOrder(prog *isa.Program, p inorder.Params) *inorder.Machine {
-	m := inorder.New(prog, c.Mem.Clone(), p)
+// ResumeInOrder is ResumeOoO for the in-order core.
+func (c *Checkpoint) ResumeInOrder(m *inorder.Machine, prog *isa.Program, p inorder.Params) *inorder.Machine {
+	if m == nil || m.Params() != p {
+		m = inorder.New(prog, c.Mem.Clone(), p)
+	} else {
+		run := m.Emu().Mem
+		run.CopyFrom(c.Mem)
+		m.Reset(prog, run)
+	}
 	e := m.Emu()
 	e.PC = c.PC
-	e.Retired = 0
 	e.Regs = c.Regs
 	e.MSR = c.MSR
 	return m

@@ -12,6 +12,7 @@ import (
 	"nda/internal/inorder"
 	"nda/internal/isa"
 	"nda/internal/ooo"
+	"nda/internal/stats"
 	"nda/internal/workload"
 )
 
@@ -190,7 +191,7 @@ func TestOoOFromCheckpointMatchesGolden(t *testing.T) {
 	}
 	for _, pol := range core.All() {
 		t.Run(pol.Name, func(t *testing.T) {
-			c := cp.OoO(prog, pol, ooo.DefaultParams())
+			c := cp.ResumeOoO(nil, prog, pol, ooo.DefaultParams())
 			if err := c.Run(20_000_000); err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +214,7 @@ func TestInOrderFromCheckpointMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := cp.InOrder(prog, inorder.DefaultParams())
+	m := cp.ResumeInOrder(nil, prog, inorder.DefaultParams())
 	if err := m.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestCheckpointReusable(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := cp.Mem.Read(0x100000, 8)
-	c := cp.OoO(prog, core.Baseline(), ooo.DefaultParams())
+	c := cp.ResumeOoO(nil, prog, core.Baseline(), ooo.DefaultParams())
 	if err := c.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestCheckpointReusable(t *testing.T) {
 		t.Error("checkpoint memory mutated by a run")
 	}
 	// A second core from the same checkpoint reaches the same state.
-	c2 := cp.OoO(prog, core.Strict(), ooo.DefaultParams())
+	c2 := cp.ResumeOoO(nil, prog, core.Strict(), ooo.DefaultParams())
 	if err := c2.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -246,6 +247,101 @@ func TestCheckpointReusable(t *testing.T) {
 		if c.Reg(isa.Reg(i)) != c2.Reg(isa.Reg(i)) {
 			t.Fatalf("x%d differs across reuses", i)
 		}
+	}
+	// So does the first core resumed again: the reuse restores its own
+	// image from the checkpoint's and leaves the checkpoint as it was.
+	want := c.Regs()
+	if c3 := cp.ResumeOoO(c, prog, core.Strict(), ooo.DefaultParams()); c3 != c {
+		t.Fatal("the first core was not reused")
+	}
+	if err := c.Run(10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if c.Regs() != want {
+		t.Error("a reused core ended in another state")
+	}
+	if cp.Mem.Read(0x100000, 8) != before {
+		t.Error("checkpoint memory mutated by a reused core's run")
+	}
+}
+
+// TestResumeReusedCoreMatchesFresh: a core resumed from a checkpoint after
+// it ran from another one (another workload, another policy, stopped with
+// work in flight) must run exactly as a core built fresh at that
+// checkpoint, on both cores: the reuse path the harness takes for every
+// sampled cell, against the fresh build that New followed by Resume (the
+// former NewFromState) gives.
+func TestResumeReusedCoreMatchesFresh(t *testing.T) {
+	type run struct {
+		err             string
+		cycles, retired uint64
+		stats           stats.Counters
+		regs            [isa.NumGPR]uint64
+	}
+	runOoO := func(c *ooo.Core) run {
+		r := run{}
+		if err := c.RunInsts(3_000, 10_000_000); err != nil {
+			r.err = err.Error()
+		}
+		r.cycles, r.retired, r.stats, r.regs = c.Cycles(), c.Retired(), *c.Stats(), c.Regs()
+		return r
+	}
+	runIO := func(m *inorder.Machine) run {
+		r := run{}
+		if err := m.RunInsts(3_000); err != nil {
+			r.err = err.Error()
+		}
+		r.cycles, r.retired, r.stats, r.regs = m.Cycles(), m.Retired(), *m.Stats(), m.Emu().Regs
+		return r
+	}
+
+	params, ioParams := ooo.DefaultParams(), inorder.DefaultParams()
+	pols := core.All()
+	var o *ooo.Core
+	var io *inorder.Machine
+	n := 0
+	for _, name := range []string{"mcf", "gcc", "xz"} {
+		s, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := s.Build(1 << 40)
+		cps, err := TakeSeries(context.Background(), prog, 2_000, 5_000, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cp := range append([]*Checkpoint{Start(prog)}, cps...) {
+			pol := pols[n%len(pols)]
+			n++
+			want := runOoO(cp.ResumeOoO(nil, prog, pol, params))
+			prev := o
+			o = cp.ResumeOoO(o, prog, pol, params)
+			if prev != nil && o != prev {
+				t.Fatalf("%s/%d: a core built under the same params was not reused", name, i)
+			}
+			if got := runOoO(o); got != want {
+				t.Errorf("%s/%d under %s: reused OoO core differs from fresh:\n got %+v\nwant %+v", name, i, pol.Name, got, want)
+			}
+
+			want = runIO(cp.ResumeInOrder(nil, prog, ioParams))
+			io = cp.ResumeInOrder(io, prog, ioParams)
+			if got := runIO(io); got != want {
+				t.Errorf("%s/%d: reused in-order machine differs from fresh:\n got %+v\nwant %+v", name, i, got, want)
+			}
+		}
+	}
+
+	// A core built under other params is never reused.
+	prog := workload.Random(7, 50)
+	other := params
+	other.ROBSize = 64
+	if cp := Start(prog); cp.ResumeOoO(o, prog, core.Baseline(), other) == o {
+		t.Error("ResumeOoO reused a core built under other params")
+	}
+	otherIO := ioParams
+	otherIO.MulLatency++
+	if cp := Start(prog); cp.ResumeInOrder(io, prog, otherIO) == io {
+		t.Error("ResumeInOrder reused a machine built under other params")
 	}
 }
 

@@ -108,12 +108,14 @@ const hugeIters = 1 << 40
 // while it runs, so a timeout or job cancellation stops the simulation
 // mid-interval rather than after the cell completes.
 func MeasureOoOCtx(ctx context.Context, spec workload.Spec, pol core.Policy, cfg Config) (*Measurement, error) {
-	return Cell{Spec: spec, Policy: pol}.measure(ctx, cfg, nil)
+	cfg.UseCheckpoints = false
+	return Cell{Spec: spec, Policy: pol}.Measure(ctx, cfg, nil)
 }
 
 // MeasureInOrderCtx is MeasureOoOCtx on the in-order core.
 func MeasureInOrderCtx(ctx context.Context, spec workload.Spec, cfg Config) (*Measurement, error) {
-	return Cell{Spec: spec, InOrder: true}.measure(ctx, cfg, nil)
+	cfg.UseCheckpoints = false
+	return Cell{Spec: spec, InOrder: true}.Measure(ctx, cfg, nil)
 }
 
 // Sweep is the full evaluation grid: every benchmark under every
@@ -235,49 +237,20 @@ func Grid(specs []workload.Spec, policies []core.Policy, inOrder bool) ([]Cell, 
 // completed cell; it is called from at most one goroutine at a time, in
 // completion order.
 //
-// Determinism: every cell simulation derives all of its state from its
-// (policy, workload) tuple — fresh program, memory image, core, and
-// checkpoint series — and results land in index-addressed slots, so the
-// returned Sweep is bit-identical for any worker count.
+// Determinism: a cell's result depends only on its (policy, workload)
+// tuple. Its workload's program and starting states (the loaded image, or
+// the checkpoint series) are built from the workload alone and only read
+// by its cells; every cell runs on a core Reset and resumed from those
+// states, which leaves the core exactly as a fresh one, whatever it ran
+// before; and results land in index-addressed slots. So the returned Sweep
+// is bit-identical for any worker count.
 //
 // Cancellation: once ctx is done, no queued cell starts, in-flight cells
 // and checkpoint fast-forwards stop mid-simulation, no further progress
 // lines are emitted, and the ctx error is returned. Job errors from cells
 // that ran take precedence.
 func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Policy, includeInOrder bool, cfg Config, progress func(string)) (*Sweep, error) {
-	// Grid's cells are workload-major, so a workload's cells are
-	// contiguous: they are handed out in order, cluster in time, and the
-	// workload's checkpoint series can be released as soon as the last one
-	// finishes.
 	cells, sw := Grid(specs, policies, includeInOrder)
-	perWorkload := len(policies)
-	if includeInOrder {
-		perWorkload++
-	}
-
-	// In checkpoint mode the sampling points depend only on the workload,
-	// so each workload's series is captured once (in parallel) and shared
-	// read-only by all of its cells; restoring clones the memory, so the
-	// series itself is never written after this phase.
-	series := make([]*SampleSeries, len(specs))    // nil in continuous mode
-	seriesLeft := make([]atomic.Int64, len(specs)) // cells still to run per workload
-	if cfg.UseCheckpoints {
-		for i := range seriesLeft {
-			seriesLeft[i].Store(int64(perWorkload))
-		}
-		if err := par.RunCtx(ctx, len(specs), cfg.Workers, func(i int) error {
-			ss, err := TakeSamples(ctx, specs[i], cfg)
-			if err != nil {
-				return err
-			}
-			series[i] = ss
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	results := make([]*Measurement, len(cells))
 	var (
 		progressMu sync.Mutex
 		done       int
@@ -299,27 +272,92 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 		done++
 		progress(fmt.Sprintf("[%3d/%3d] %-18s %-14s CPI %s", done, len(cells), m.Config, m.Workload, m.CPI))
 	}
-	err := par.RunCtx(ctx, len(cells), cfg.Workers, func(i int) error {
-		w := i / perWorkload
-		m, err := cells[i].Measure(ctx, cfg, series[w])
+	results, err := measureCells(ctx, cells, cfg, note)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range cells {
+		sw.Set(c.Config(), c.Spec.Name, results[i])
+	}
+	return sw, nil
+}
+
+// measureCells measures every cell under cfg over cfg.Workers goroutines,
+// handing them out in order, and returns the measurements in cell order.
+// done, if non-nil, is called from the cell's goroutine with each
+// measurement as it completes.
+//
+// The cells of one workload (by name) share its series: the first of them
+// to run builds it, and the last to finish drops it, so with the cells of
+// a workload contiguous, as Grid lays them out, only the workloads in
+// flight hold theirs. Each running cell holds one worker's cores, taken
+// from idle and handed back when it finishes; there are as many as
+// workers, so the receive never waits.
+func measureCells(ctx context.Context, cells []Cell, cfg Config, done func(*Measurement)) ([]*Measurement, error) {
+	byName := make(map[string]*sharedSeries)
+	shared := make([]*sharedSeries, len(cells))
+	for i, c := range cells {
+		sh := byName[c.Spec.Name]
+		if sh == nil {
+			sh = new(sharedSeries)
+			byName[c.Spec.Name] = sh
+		}
+		sh.left.Add(1)
+		shared[i] = sh
+	}
+	workers := par.Workers(cfg.Workers)
+	idle := make(chan *cores, workers)
+	for i := 0; i < workers; i++ {
+		idle <- new(cores)
+	}
+
+	results := make([]*Measurement, len(cells))
+	err := par.RunCtx(ctx, len(cells), workers, func(i int) error {
+		sh := shared[i]
+		ss, err := sh.get(ctx, cells[i].Spec, cfg)
 		if err != nil {
 			return err
 		}
-		if cfg.UseCheckpoints && seriesLeft[w].Add(-1) == 0 {
-			// Last cell of this workload: drop the series so its cloned
-			// memory pages can be reclaimed while the sweep continues.
-			series[w] = nil
+		cs := <-idle
+		m, err := cells[i].measure(ctx, cfg, ss, cs)
+		idle <- cs
+		if err != nil {
+			return err
 		}
+		sh.release()
 		results[i] = m
-		note(m)
+		if done != nil {
+			done(m)
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	return results, nil
+}
 
-	for i, c := range cells {
-		sw.Set(c.Config(), c.Spec.Name, results[i])
+// sharedSeries is one workload's series in measureCells: built once by
+// the first of the workload's cells to run, read by all of them, and
+// dropped by the last to finish so its memory can be reclaimed mid-run.
+type sharedSeries struct {
+	once sync.Once
+	ss   *SampleSeries
+	err  error
+	left atomic.Int64 // cells still to finish
+}
+
+// get returns the series, building it on first use.
+func (sh *sharedSeries) get(ctx context.Context, spec workload.Spec, cfg Config) (*SampleSeries, error) {
+	sh.once.Do(func() { sh.ss, sh.err = series(ctx, spec, cfg) })
+	return sh.ss, sh.err
+}
+
+// release records one finished cell and drops the series after the last.
+// Every cell reads the series before its own release, so the last release
+// happens after every read.
+func (sh *sharedSeries) release() {
+	if sh.left.Add(-1) == 0 {
+		sh.ss = nil
 	}
-	return sw, nil
 }

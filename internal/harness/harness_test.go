@@ -200,6 +200,43 @@ func TestRunSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestSweepCellsMatchStandalone: a sweep worker runs cell after cell on
+// one pair of cores, Reset and resumed for each, while a standalone
+// Cell.Measure builds its own. Every cell of a sweep must equal its
+// standalone measurement, in both sampling modes, at one worker (whose
+// cores run every cell, switching workloads and between the OoO and
+// in-order cores) and at three (whose cores each see a different mix).
+func TestSweepCellsMatchStandalone(t *testing.T) {
+	specs := tinySpecs(t, "xz", "gcc")
+	pols := []core.Policy{core.Baseline(), core.StrictBR()}
+	cells, _ := Grid(specs, pols, true)
+	for _, checkpoints := range []bool{false, true} {
+		cfg := tinyConfig()
+		cfg.UseCheckpoints = checkpoints
+		want := make([]*Measurement, len(cells))
+		for i, c := range cells {
+			m, err := c.Measure(context.Background(), cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = m
+		}
+		for _, workers := range []int{1, 3} {
+			cfg.Workers = workers
+			sw, err := RunSweepCtx(context.Background(), specs, pols, true, cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range cells {
+				if got := sw.Get(c.Config(), c.Spec.Name); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("checkpoints=%v workers=%d %s/%s: sweep measured %+v, standalone %+v",
+						checkpoints, workers, c.Spec.Name, c.Config(), got, want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestRunSweepErrorCancels: a measurement failure mid-sweep must stop the
 // pool (no new cells start) and propagate the error to the caller.
 func TestRunSweepErrorCancels(t *testing.T) {

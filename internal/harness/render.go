@@ -9,7 +9,6 @@ import (
 	"nda/internal/cache"
 	"nda/internal/core"
 	"nda/internal/ooo"
-	"nda/internal/par"
 	"nda/internal/stats"
 	"nda/internal/workload"
 )
@@ -186,10 +185,9 @@ type Fig9eResult struct {
 // RunFig9eCtx measures CPI sensitivity to extra NDA wake-up latency (0, 1,
 // and 2 cycles of delayed broadcast for newly-safe instructions) for the
 // given base policy across the benchmark list, with continuous sampling
-// whatever cfg.UseCheckpoints says. The (delay, benchmark) points fan out
-// over cfg.Workers goroutines; each point's CPI lands in a slot indexed by
-// its tuple, so the results are independent of scheduling. Cancellation
-// works as in RunSweepCtx.
+// whatever cfg.UseCheckpoints says. The (delay, benchmark) points run as
+// the cells of one sweep, over cfg.Workers goroutines, so the results are
+// independent of scheduling and cancellation works as in RunSweepCtx.
 func RunFig9eCtx(ctx context.Context, policyName string, delays []int, specNames []string, cfg Config) ([]Fig9eResult, error) {
 	specs := make([]workload.Spec, len(specNames))
 	for i, name := range specNames {
@@ -203,19 +201,22 @@ func RunFig9eCtx(ctx context.Context, policyName string, delays []int, specNames
 	if err != nil {
 		return nil, err
 	}
-	cpis := make([]float64, len(delays)*len(specs))
-	err = par.RunCtx(ctx, len(cpis), cfg.Workers, func(i int) error {
+	cells := make([]Cell, 0, len(delays)*len(specs))
+	for _, d := range delays {
 		pol := basePol
-		pol.ExtraBroadcastDelay = delays[i/len(specs)]
-		m, err := MeasureOoOCtx(ctx, specs[i%len(specs)], pol, cfg)
-		if err != nil {
-			return err
+		pol.ExtraBroadcastDelay = d
+		for _, spec := range specs {
+			cells = append(cells, Cell{Spec: spec, Policy: pol})
 		}
-		cpis[i] = m.CPI.Mean
-		return nil
-	})
+	}
+	cfg.UseCheckpoints = false
+	ms, err := measureCells(ctx, cells, cfg, nil)
 	if err != nil {
 		return nil, err
+	}
+	cpis := make([]float64, len(ms))
+	for i, m := range ms {
+		cpis[i] = m.CPI.Mean
 	}
 	out := make([]Fig9eResult, len(delays))
 	for di, d := range delays {

@@ -13,31 +13,38 @@ import (
 )
 
 // The one sampling path for both cores: an interval loop (warm-up, then
-// measured windows with skips between them) and a fold, run either
-// continuously from the program's start or once per checkpoint.
+// measured windows with skips between them) and a fold, run once from each
+// start of a workload's SampleSeries.
 //
-// Checkpoint-based SMARTS sampling: instead of simulating the whole region
-// between measurement intervals in detail (the continuous mode of
-// Cell.Measure), the functional emulator fast-forwards to sampling points
-// spread CheckpointStride instructions apart, captures an architectural
-// checkpoint at each (the Lapidary role), and the timing core runs only the
-// warm-up + measurement window from every checkpoint. This both cuts
-// detailed-simulation cost and samples more distant program phases, like
-// the paper's methodology.
+// A series starts either at the program's initial state (continuous
+// sampling: the timing core simulates every window and every skip between
+// them) or at checkpoints (SMARTS checkpoint sampling). In checkpoint
+// mode, instead of simulating the whole region between measurement
+// intervals in detail, the functional emulator fast-forwards to sampling
+// points spread CheckpointStride instructions apart, captures an
+// architectural checkpoint at each (the Lapidary role), and the timing
+// core runs only the warm-up + measurement window from every checkpoint.
+// This both cuts detailed-simulation cost and samples more distant program
+// phases, like the paper's methodology.
 //
-// Every sample is an independent simulation seeded entirely by its
-// checkpoint (restoring clones the checkpoint's memory). A cell runs its
-// samples in order; one workload's series is shared read-only by every
-// policy's cell of it — or, via internal/serve's content-addressed cache,
-// by every *request* that ever asks for that (workload, sampling spec)
-// again.
+// Every start is an independent simulation seeded entirely by its state: a
+// worker's core is resumed from it (checkpoint.ResumeOoO/ResumeInOrder)
+// on its own memory image, restored to the state's, and a resumed core
+// equals a freshly built one. So a series is shared read-only by every
+// policy's cell of its workload — or, via internal/serve's
+// content-addressed cache, by every *request* that ever asks for that
+// (workload, sampling spec) again — and a core runs any number of cells.
 
-// SampleSeries is a workload's sampling points: the generated program plus
-// the checkpoints the timing cores restore from. It is immutable once
-// taken, so any number of concurrent measurements may share it.
+// SampleSeries is a workload's starts: the generated program plus the
+// states the timing cores resume from. It is immutable once taken, so any
+// number of concurrent measurements may share it.
 type SampleSeries struct {
 	prog *isa.Program
 	cps  []*checkpoint.Checkpoint
+	// continuous marks the series of continuous sampling: its one start
+	// is the program's initial state, from which a cell measures
+	// cfg.Intervals windows. A sampled series measures one per checkpoint.
+	continuous bool
 }
 
 // TakeSamples builds the workload's program and captures cfg.Intervals
@@ -57,68 +64,66 @@ func TakeSamples(ctx context.Context, spec workload.Spec, cfg Config) (*SampleSe
 	return &SampleSeries{prog: prog, cps: cps}, nil
 }
 
-// Measure runs the cell under cfg. In checkpoint mode (cfg.UseCheckpoints)
-// it samples from ss, the workload's series from TakeSamples, and takes the
-// series itself when ss is nil; otherwise ss is unused and the cell
-// simulates continuously.
-func (c Cell) Measure(ctx context.Context, cfg Config, ss *SampleSeries) (*Measurement, error) {
-	if !cfg.UseCheckpoints {
-		return c.measure(ctx, cfg, nil)
+// series returns the workload's series under cfg: TakeSamples' in
+// checkpoint mode, otherwise the program's initial state alone.
+func series(ctx context.Context, spec workload.Spec, cfg Config) (*SampleSeries, error) {
+	if cfg.UseCheckpoints {
+		return TakeSamples(ctx, spec, cfg)
 	}
-	if ss == nil {
+	prog := spec.Build(hugeIters)
+	return &SampleSeries{prog: prog, cps: []*checkpoint.Checkpoint{checkpoint.Start(prog)}, continuous: true}, nil
+}
+
+// Measure runs the cell under cfg on cores of its own. In checkpoint mode
+// (cfg.UseCheckpoints) it samples from ss, the workload's series from
+// TakeSamples, and takes the series itself when ss is nil; otherwise ss is
+// unused and the cell simulates continuously.
+func (c Cell) Measure(ctx context.Context, cfg Config, ss *SampleSeries) (*Measurement, error) {
+	if ss == nil || !cfg.UseCheckpoints {
 		var err error
-		if ss, err = TakeSamples(ctx, c.Spec, cfg); err != nil {
+		if ss, err = series(ctx, c.Spec, cfg); err != nil {
 			return nil, err
 		}
 	}
-	return c.measure(ctx, cfg, ss)
+	return c.measure(ctx, cfg, ss, new(cores))
 }
 
-// measure is the one sampling path for both cores. With ss nil it runs the
-// interval loop once on a core built from the program's start; otherwise
-// once per checkpoint of ss, in order. Every measured window folds into
-// one Measurement.
-func (c Cell) measure(ctx context.Context, cfg Config, ss *SampleSeries) (*Measurement, error) {
+// measure is the one sampling path for both cores: it runs the interval
+// loop from each start of ss, in order, on the core of cs the cell needs,
+// and folds every measured window into one Measurement.
+func (c Cell) measure(ctx context.Context, cfg Config, ss *SampleSeries, cs *cores) (*Measurement, error) {
 	f := fold{cpis: make([]float64, 0, cfg.Intervals)}
-	var err error
-	if ss == nil {
-		err = c.intervals(ctx, cfg, c.Spec.Build(hugeIters), nil, -1, &f)
-	} else {
-		for i := 0; i < len(ss.cps) && err == nil; i++ {
-			err = c.intervals(ctx, cfg, ss.prog, ss.cps[i], i, &f)
+	for i := range ss.cps {
+		if err := c.intervals(ctx, cfg, ss, i, cs, &f); err != nil {
+			return nil, err
 		}
-	}
-	if err != nil {
-		return nil, err
 	}
 	return f.measurement(c), nil
 }
 
-// intervals is the SMARTS interval loop on one core built over prog,
-// resuming from cp when it is non-nil: a warm-up of cfg.WarmInsts, then
-// measured windows of cfg.MeasureInsts folded into f — cfg.Intervals of
-// them with cfg.SkipInsts skipped between consecutive ones on a core from
-// the program's start, one from a checkpoint. sample is the checkpoint's
-// index, for error messages (-1 without one).
-func (c Cell) intervals(ctx context.Context, cfg Config, prog *isa.Program, cp *checkpoint.Checkpoint, sample int, f *fold) error {
-	tc, run := c.core(ctx, cfg, prog, cp)
-	windows := cfg.Intervals
-	if cp != nil {
-		windows = 1
+// intervals is the SMARTS interval loop from start i of ss: a warm-up of
+// cfg.WarmInsts, then measured windows of cfg.MeasureInsts folded into f —
+// cfg.Intervals of them with cfg.SkipInsts skipped between consecutive
+// ones from the program's start, one from a checkpoint.
+func (c Cell) intervals(ctx context.Context, cfg Config, ss *SampleSeries, i int, cs *cores, f *fold) error {
+	tc, run := cs.resume(ctx, c, cfg, ss.prog, ss.cps[i])
+	windows, sample := 1, i // sample labels errors; -1 without a checkpoint
+	if ss.continuous {
+		windows, sample = cfg.Intervals, -1
 	}
 	if err := run(cfg.WarmInsts); err != nil {
 		return c.fail(ctx, err, sample, "warm-up")
 	}
-	for i := 0; i < windows; i++ {
+	for w := 0; w < windows; w++ {
 		tc.ResetStats()
 		if err := run(cfg.MeasureInsts); err != nil {
-			return c.fail(ctx, err, sample, fmt.Sprintf("interval %d", i))
+			return c.fail(ctx, err, sample, fmt.Sprintf("interval %d", w))
 		}
 		f.add(*tc.Stats())
-		if i < windows-1 && cfg.SkipInsts > 0 {
+		if w < windows-1 && cfg.SkipInsts > 0 {
 			tc.ResetStats()
 			if err := run(cfg.SkipInsts); err != nil {
-				return c.fail(ctx, err, sample, fmt.Sprintf("skip %d", i))
+				return c.fail(ctx, err, sample, fmt.Sprintf("skip %d", w))
 			}
 		}
 	}
@@ -132,26 +137,26 @@ type timingCore interface {
 	Stats() *stats.Counters
 }
 
-// core builds the cell's timing core over prog, resuming from cp when it is
-// non-nil, and returns it with its run step: n more committed instructions,
-// stopped mid-simulation once ctx is done.
-func (c Cell) core(ctx context.Context, cfg Config, prog *isa.Program, cp *checkpoint.Checkpoint) (timingCore, func(n uint64) error) {
+// cores is the simulation state one sweep worker keeps across cells: one
+// core of each kind, each with its own memory image, built by the first
+// cell that needs it and Reset for every later one.
+type cores struct {
+	o  *ooo.Core
+	io *inorder.Machine
+}
+
+// resume brings the cell's core to cp on prog and returns it with its run
+// step: n more committed instructions, stopped mid-simulation once ctx is
+// done. Cancel is set after the resume, whose Reset clears it.
+func (cs *cores) resume(ctx context.Context, c Cell, cfg Config, prog *isa.Program, cp *checkpoint.Checkpoint) (timingCore, func(n uint64) error) {
 	if c.InOrder {
-		var m *inorder.Machine
-		if cp != nil {
-			m = cp.InOrder(prog, cfg.IOParams)
-		} else {
-			m = inorder.NewFromProgram(prog, cfg.IOParams)
-		}
+		m := cp.ResumeInOrder(cs.io, prog, cfg.IOParams)
+		cs.io = m
 		m.Cancel = ctx.Done()
 		return m, m.RunInsts
 	}
-	var o *ooo.Core
-	if cp != nil {
-		o = cp.OoO(prog, c.Policy, cfg.Params)
-	} else {
-		o = ooo.NewFromProgram(prog, c.Policy, cfg.Params)
-	}
+	o := cp.ResumeOoO(cs.o, prog, c.Policy, cfg.Params)
+	cs.o = o
 	o.Cancel = ctx.Done()
 	maxCycles := cfg.MaxCycles
 	return o, func(n uint64) error { return o.RunInsts(n, maxCycles) }

@@ -62,12 +62,23 @@ type Machine struct {
 
 // New builds an in-order machine running prog on the given memory image.
 func New(prog *isa.Program, m *mem.Memory, p Params) *Machine {
-	return &Machine{
-		emu:           emu.NewWithMemory(prog, m),
-		hier:          cache.NewHierarchy(cache.DefaultHierarchyParams()),
-		p:             p,
-		lastFetchLine: ^uint64(0),
+	mc := &Machine{
+		emu:  new(emu.Machine),
+		hier: cache.NewHierarchy(cache.DefaultHierarchyParams()),
+		p:    p,
 	}
+	mc.Reset(prog, m)
+	return mc
+}
+
+// Reset puts the machine back into exactly the state New builds for prog
+// and m, keeping its emulator and its cache hierarchy, which empties in
+// O(1). Params are kept; Cancel and the statistics are cleared. The
+// harness's sweep workers keep one machine each and Reset it per cell.
+func (m *Machine) Reset(prog *isa.Program, mm *mem.Memory) {
+	m.hier.Reset()
+	*m.emu = *emu.NewWithMemory(prog, mm)
+	*m = Machine{emu: m.emu, hier: m.hier, p: m.p, lastFetchLine: ^uint64(0)}
 }
 
 // NewFromProgram builds a machine with a fresh memory initialized from the
@@ -77,6 +88,9 @@ func NewFromProgram(prog *isa.Program, p Params) *Machine {
 	emu.Load(m, prog)
 	return New(prog, m, p)
 }
+
+// Params returns the configuration the machine was built with.
+func (m *Machine) Params() Params { return m.p }
 
 // Emu exposes the underlying architectural machine.
 func (m *Machine) Emu() *emu.Machine { return m.emu }

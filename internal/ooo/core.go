@@ -210,7 +210,8 @@ func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 // The caches and the BTB empty in O(1), by generation bump; beyond them it
 // touches the last run's in-flight entries, the fetch queue, the register
 // file with its waiter sets and the gshare table, not the ~1.2 MB a fresh
-// core allocates.
+// core allocates. The differential fuzzer and the harness's sweep workers
+// each keep one core this way and Reset it for every run.
 func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 	// In-flight entries go back to their reset state; every other ring
 	// slot already is in it (retire and squash reset the entries they
@@ -406,6 +407,9 @@ func (c *Core) MSR(n uint16) uint64 { return c.msr[n] }
 // Meltdown-v3a scenario, where another context left a secret behind).
 func (c *Core) SetMSR(n uint16, v uint64) { c.msr[n] = v }
 
+// Params returns the configuration the core was built with.
+func (c *Core) Params() Params { return c.p }
+
 // Memory returns the memory image the core operates on.
 func (c *Core) Memory() *mem.Memory { return c.mem }
 
@@ -600,17 +604,15 @@ func earlierEvent(h, now, v uint64) uint64 {
 	return h
 }
 
-// NewFromState builds a core resuming from an architectural snapshot:
-// registers, MSRs, and the program counter are installed and execution
-// starts at pc on the given memory image. Retired counts from zero, so
-// instruction-budget runs measure relative progress. Used by the
-// checkpoint-based SMARTS sampling path.
-func NewFromState(prog *isa.Program, m *mem.Memory, regs [isa.NumGPR]uint64, msrs [isa.NumMSR]uint64, pc uint64, pol core.Policy, p Params) *Core {
-	c := New(prog, m, pol, p)
+// Resume installs an architectural snapshot on a core fresh from New or
+// Reset: registers, MSRs, and the program counter, so execution starts at
+// pc on the core's memory image. Retired counts from zero, so
+// instruction-budget runs measure relative progress. Used by
+// checkpoint.ResumeOoO, through which the harness starts every cell.
+func (c *Core) Resume(regs [isa.NumGPR]uint64, msrs [isa.NumMSR]uint64, pc uint64) {
 	for i := 1; i < isa.NumGPR; i++ {
 		c.regVal[c.rat[i]] = regs[i]
 	}
 	c.msr = msrs
 	c.fetchPC = pc
-	return c
 }
