@@ -279,6 +279,56 @@ func BenchmarkStoreWarmRestart(b *testing.B) {
 	b.ReportMetric(cells, "cells-replayed")
 }
 
+// BenchmarkWarmSweepRequest is ndaserve's warm request path without HTTP:
+// the hot load mix's 3-cell quick sweep (exchange2 under OoO and
+// Permissive, plus the in-order bound) goes through Manager.SubmitSweep,
+// Wait and Result once the RAM cache holds its cells. Plan, queue, cache
+// resolve and result marshal all run; no cell simulates. Its allocs/op
+// rides the BENCH_*.json trajectory.
+func BenchmarkWarmSweepRequest(b *testing.B) {
+	b.ReportAllocs()
+	req := serve.SweepRequest{
+		Workloads: []string{"exchange2"},
+		Policies:  []string{"OoO", "Permissive"},
+		Sampling: serve.SamplingSpec{
+			Quick: true, WarmInsts: 2_000, MeasureInsts: 2_000, SkipInsts: 1_000, Intervals: 3,
+		},
+	}
+	const cells = 3
+	m := serve.NewManager(serve.Config{QueueDepth: 4, JobWorkers: 1})
+	defer func() {
+		if err := m.Shutdown(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}()
+	sweep := func() *serve.Job {
+		j, err := m.SubmitSweep(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := j.Wait(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		if _, ok := j.Result(); !ok {
+			b.Fatalf("job ended %s", j.Status().State)
+		}
+		return j
+	}
+	if got := sweep().Status().Tiers; got.Computed != cells {
+		b.Fatalf("cold tiers = %+v, want %d computed", got, cells)
+	}
+	sims := m.Metrics().Simulations.Load()
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+	b.StopTimer()
+	if n := m.Metrics().Simulations.Load() - sims; n != 0 {
+		b.Fatalf("warm requests simulated %d cells, want 0", n)
+	}
+}
+
 // --- differential soundness checker ---
 
 // BenchmarkDiffuzz runs the differential checker over a fixed 100-seed

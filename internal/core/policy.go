@@ -33,6 +33,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"nda/internal/isa"
 )
@@ -124,24 +125,41 @@ func InvisiSpecFuture() Policy {
 	return Policy{Name: "InvisiSpec-Future", Gates: []Gate{{EdgeFill, ScopeAlways, ReleaseRetire}}}
 }
 
-// All returns the ten evaluated configurations in Fig. 7 order (the
+// constructors lists the evaluated configurations in Fig. 7 order (the
 // in-order core is driven separately by the harness).
-func All() []Policy {
-	return []Policy{
-		Baseline(),
-		Permissive(), PermissiveBR(),
-		Strict(), StrictBR(),
-		LoadRestrict(), FullProtection(),
-		InvisiSpecSpectre(), InvisiSpecFuture(),
-	}
+var constructors = []func() Policy{
+	Baseline,
+	Permissive, PermissiveBR,
+	Strict, StrictBR,
+	LoadRestrict, FullProtection,
+	InvisiSpecSpectre, InvisiSpecFuture,
 }
 
-// ByName returns the policy with the given Name.
+// byName maps each policy's Name to its constructor, so a lookup builds
+// only the policy it returns. The first lookup builds the map.
+var byName = sync.OnceValue(func() map[string]func() Policy {
+	m := make(map[string]func() Policy, len(constructors))
+	for _, mk := range constructors {
+		m[mk().Name] = mk
+	}
+	return m
+})
+
+// All returns the evaluated configurations in Fig. 7 order. Each call
+// builds new gate lists, so callers may keep or change theirs.
+func All() []Policy {
+	out := make([]Policy, len(constructors))
+	for i, mk := range constructors {
+		out[i] = mk()
+	}
+	return out
+}
+
+// ByName returns the policy with the given Name, with a gate list of its
+// own.
 func ByName(name string) (Policy, error) {
-	for _, p := range All() {
-		if p.Name == name {
-			return p, nil
-		}
+	if mk, ok := byName()[name]; ok {
+		return mk(), nil
 	}
 	return Policy{}, fmt.Errorf("core: unknown policy %q", name)
 }

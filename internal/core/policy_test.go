@@ -146,6 +146,27 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Error("unknown name must error")
 	}
+	if len(byName()) != len(constructors) {
+		t.Errorf("index holds %d policies, %d constructors: names must be distinct", len(byName()), len(constructors))
+	}
+}
+
+// TestByNameBuildsOnlyTheNamedPolicy: a lookup allocates what the named
+// policy's constructor does and nothing more, and every caller gets a gate
+// list of its own.
+func TestByNameBuildsOnlyTheNamedPolicy(t *testing.T) {
+	for _, mk := range constructors {
+		name := mk().Name
+		own := testing.AllocsPerRun(100, func() { _ = mk() })
+		if got := testing.AllocsPerRun(100, func() { _, _ = ByName(name) }); got != own {
+			t.Errorf("ByName(%q) allocates %v times per call, its constructor %v", name, got, own)
+		}
+	}
+	a, _ := ByName("FullProtection")
+	a.Gates[0] = Gate{EdgeFill, ScopeAlways, ReleaseRetire}
+	if b, _ := ByName("FullProtection"); b.Gates[0] != FullProtection().Gates[0] {
+		t.Error("ByName callers share a gate list")
+	}
 }
 
 // mkNodes builds a ROB view from a class string: b=branch (unresolved),

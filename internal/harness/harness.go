@@ -211,7 +211,8 @@ func (c Cell) Config() string {
 // build their tables from it, so a served sweep has exactly the shape of a
 // local one.
 func Grid(specs []workload.Spec, policies []core.Policy, inOrder bool) ([]Cell, *Sweep) {
-	var workloads, configs []string
+	workloads := make([]string, 0, len(specs))
+	configs := make([]string, 0, len(policies)+1)
 	for _, pol := range policies {
 		configs = append(configs, pol.Name)
 	}

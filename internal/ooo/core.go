@@ -221,7 +221,7 @@ func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 		c.robAt(i).reset()
 	}
 	for i := range c.fetchQ {
-		c.fetchQ[i] = fetchSlot{rasBefore: c.fetchQ[i].rasBefore}
+		c.fetchQ[i].reset()
 	}
 	c.hier.Reset()
 	c.gsh.Reset()
@@ -339,8 +339,7 @@ func (c *Core) fqAt(i int) *fetchSlot {
 func (c *Core) fqPush() *fetchSlot {
 	s := c.fqAt(c.fqLen)
 	c.fqLen++
-	ras := s.rasBefore
-	*s = fetchSlot{rasBefore: ras}
+	s.reset()
 	return s
 }
 

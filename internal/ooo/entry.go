@@ -105,12 +105,16 @@ type TraceEvent struct {
 
 // reset clears an entry for reuse, preserving its backing storage: the
 // bypassed list, the RAS snapshot's array (its contents are stale but
-// HasRASCkpt is cleared), and the fixed ring slot.
+// HasRASCkpt is cleared), and the fixed ring slot. It zeroes the entry in
+// place and then restores what it keeps: building the cleared value first
+// would copy the whole entry once more.
 func (e *Entry) reset() {
 	bypassed := e.bypassed.emptied()
 	ras := e.RASBefore
 	slot := e.Slot
-	*e = Entry{bypassed: bypassed, RASBefore: ras, Slot: slot, DestP: noPReg, PrevP: noPReg, Src1P: noPReg, Src2P: noPReg}
+	*e = Entry{}
+	e.bypassed, e.RASBefore, e.Slot = bypassed, ras, slot
+	e.DestP, e.PrevP, e.Src1P, e.Src2P = noPReg, noPReg, noPReg, noPReg
 }
 
 // isMem reports whether the entry is a data-memory operation.
@@ -142,4 +146,12 @@ type fetchSlot struct {
 	hasGshCkpt bool
 	rasBefore  bpred.RASSnapshot
 	hasRASCkpt bool
+}
+
+// reset clears a fetch slot in place for reuse, keeping its RAS
+// snapshot's backing array.
+func (s *fetchSlot) reset() {
+	ras := s.rasBefore
+	*s = fetchSlot{}
+	s.rasBefore = ras
 }

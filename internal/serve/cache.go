@@ -147,20 +147,26 @@ func (c *Cache) DoTiered(ctx context.Context, key string, tiers []Tier, decode f
 		if e, ok := c.m[key]; ok {
 			c.touch(e)
 			c.mu.Unlock()
+			// A ready entry is served whatever ctx says; only a wait on
+			// an in-flight one is bounded by it.
 			select {
 			case <-e.ready:
-				if e.err == nil {
-					return e.val, HitRAM, nil
+			default:
+				select {
+				case <-e.ready:
+				case <-ctx.Done():
+					return nil, Computed, ctx.Err()
 				}
-				// The owner failed (possibly its own cancellation). The
-				// entry is already gone; retry under our context.
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, Computed, cerr
-				}
-				continue
-			case <-ctx.Done():
-				return nil, Computed, ctx.Err()
 			}
+			if e.err == nil {
+				return e.val, HitRAM, nil
+			}
+			// The owner failed (possibly its own cancellation). The
+			// entry is already gone; retry under our context.
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, Computed, cerr
+			}
+			continue
 		}
 		e := &cacheEntry{key: key, ready: make(chan struct{})}
 		c.m[key] = e

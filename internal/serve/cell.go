@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"nda/internal/attack"
@@ -158,23 +159,67 @@ type gadgetKey struct {
 	Window  int    `json:"window"`
 }
 
-// sweepCell builds a sweep cell. The fleet request carries the sampling
-// spec as written; the worker resolves it to the identical config.
-func sweepCell(hc harness.Cell, cfg *harness.Config, sampling SamplingSpec) cell {
+// sweepCells builds a sweep's cells, all under one sampling config. The
+// fleet request carries the sampling spec as written; the worker resolves
+// it to the identical config. The key view of that config is encoded once
+// for all the cells.
+func sweepCells(hcs []harness.Cell, cfg *harness.Config, sampling SamplingSpec) []cell {
 	keyCfg := *cfg
 	keyCfg.Workers = 0
-	c := cell{
-		kind:  sweepKind,
-		key:   Key("sweep-cell", sweepCellKey{Workload: hc.Spec.Name, InOrder: hc.InOrder, Policy: keyOf(hc.Policy), Config: keyCfg}),
-		req:   CellRequest{Kind: "sweep", Workload: hc.Spec.Name, InOrder: hc.InOrder, Sampling: sampling},
-		sweep: hc,
-		cfg:   cfg,
+	config := mustJSON("sweep-cell", keyCfg)
+	cells := make([]cell, len(hcs))
+	for i, hc := range hcs {
+		cells[i] = cell{
+			kind:  sweepKind,
+			key:   sweepCellID(hc, config),
+			req:   CellRequest{Kind: "sweep", Workload: hc.Spec.Name, InOrder: hc.InOrder, Sampling: sampling},
+			sweep: hc,
+			cfg:   cfg,
+		}
+		if !hc.InOrder {
+			cells[i].req.Policy = hc.Policy.Name
+		}
 	}
-	if !hc.InOrder {
-		c.req.Policy = hc.Policy.Name
-	}
-	return c
+	return cells
 }
+
+// sweepCellID is Key("sweep-cell", sweepCellKey{...}) for hc under the
+// key-view config whose JSON is config.
+func sweepCellID(hc harness.Cell, config []byte) string {
+	var buf [2048]byte
+	return keyID("sweep-cell", sweepCellPreimage(keyHead(buf[:0], "sweep-cell"), hc, config))
+}
+
+// sweepCellPreimage appends the bytes json.Marshal gives for hc's
+// sweepCellKey, spliced from the parts encoded ahead of it: config, and
+// the policy's key view from policyKeyJSON.
+func sweepCellPreimage(b []byte, hc harness.Cell, config []byte) []byte {
+	b = append(b, `{"workload":`...)
+	b = appendJSONString(b, hc.Spec.Name)
+	b = append(b, `,"in_order":`...)
+	b = strconv.AppendBool(b, hc.InOrder)
+	b = append(b, `,"policy":`...)
+	k := keyOf(hc.Policy)
+	if pk, ok := policyKeyJSON()[k]; ok {
+		b = append(b, pk...)
+	} else {
+		b = append(b, mustJSON("sweep-cell", k)...)
+	}
+	b = append(b, `,"config":`...)
+	b = append(b, config...)
+	return append(b, '}')
+}
+
+// policyKeyJSON holds the encoded key view of every evaluated policy and
+// of the zero policy in-order cells carry, built by the first sweep plan.
+var policyKeyJSON = sync.OnceValue(func() map[policyKey][]byte {
+	m := make(map[policyKey][]byte)
+	for _, p := range append(core.All(), core.Policy{}) {
+		k := keyOf(p)
+		m[k] = mustJSON("sweep-cell", k)
+	}
+	return m
+})
 
 // seriesID is the cache key of a workload's checkpoint series.
 func seriesID(spec workload.Spec, cfg harness.Config) string {
@@ -229,7 +274,7 @@ func (r CellRequest) cell() (cell, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		return sweepCell(hc, &cfg, r.Sampling), nil
+		return sweepCells([]harness.Cell{hc}, &cfg, r.Sampling)[0], nil
 	case "attack":
 		kind, err := attack.ByName(r.Attack)
 		if err != nil {

@@ -32,17 +32,47 @@ import (
 // TestKeyGolden pins today's hashes — an accidental bump (or any drift in
 // the preimage layout) shows up there as a golden diff.
 func Key(kind string, payload any) string {
+	b := mustJSON(kind, payload)
+	return keyID(kind, append(keyHead(make([]byte, 0, len(kind)+8+len(b)), kind), b...))
+}
+
+// keyHead appends what every key hashes ahead of its payload's JSON:
+// kind‖0‖FormatVersion‖0.
+func keyHead(b []byte, kind string) []byte {
+	b = append(b, kind...)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, store.FormatVersion, 10)
+	return append(b, 0)
+}
+
+// keyID is the content address of a preimage that starts with keyHead.
+func keyID(kind string, preimage []byte) string {
+	sum := sha256.Sum256(preimage)
+	var buf [64]byte
+	return string(hex.AppendEncode(append(append(buf[:0], kind...), ':'), sum[:16]))
+}
+
+// mustJSON encodes a key payload.
+func mustJSON(kind string, payload any) []byte {
 	b, err := json.Marshal(payload)
 	if err != nil {
 		// Key payloads are internal structs of plain data; failing to
 		// encode one is a programming error, not an input error.
 		panic(fmt.Sprintf("serve: unencodable key payload for %q: %v", kind, err))
 	}
-	h := sha256.New()
-	h.Write([]byte(kind))
-	h.Write([]byte{0})
-	h.Write([]byte(strconv.Itoa(store.FormatVersion)))
-	h.Write([]byte{0})
-	h.Write(b)
-	return kind + ":" + hex.EncodeToString(h.Sum(nil)[:16])
+	return b
+}
+
+// appendJSONString appends s as encoding/json encodes it: printable ASCII
+// that needs no escape goes between quotes as it is, anything else
+// through encoding/json.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return append(b, mustJSON("string", s)...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }

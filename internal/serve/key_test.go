@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"nda/internal/core"
+	"nda/internal/harness"
+	"nda/internal/workload"
 )
 
 // TestKeyGolden pins the exact key strings produced for fixed payloads.
@@ -141,5 +145,63 @@ func TestCellKeyGolden(t *testing.T) {
 	// The checkpoint series a quick checkpointed cell samples from.
 	if got, want := seriesID(quick[0].sweep.Spec, *quick[0].cfg), "series:c71d5f149805c92dc51090e9a8edb662"; got != want {
 		t.Errorf("series mcf key\n  got  %s\n  want %s", got, want)
+	}
+}
+
+// TestSweepCellPreimageMatchesJSON checks the spliced sweep-cell preimage
+// against the json.Marshal of its sweepCellKey, byte for byte, for every
+// workload under every policy and the in-order core, in each sampling
+// mode a request can name. A policy outside the evaluated set (a Fig. 9e
+// delay) takes the encoder path and must agree too.
+func TestSweepCellPreimageMatchesJSON(t *testing.T) {
+	specs := []SamplingSpec{
+		{},            // harness.DefaultConfig
+		{Quick: true}, // harness.Quick
+		{Quick: true, WarmInsts: 2_000, MeasureInsts: 2_000, SkipInsts: 1_000, Intervals: 3}, // the hot load mix
+		{Quick: true, Checkpoints: true, CheckpointStride: 50_000, Intervals: 4},
+	}
+	delayed := core.StrictBR()
+	delayed.ExtraBroadcastDelay = 3
+	pols := append(core.All(), delayed)
+	for _, ss := range specs {
+		cfg, err := ss.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Workers = 5 // stripped from the key view
+		cells, _ := harness.Grid(workload.All(), pols, true)
+		planned := sweepCells(cells, &cfg, ss)
+		keyCfg := cfg
+		keyCfg.Workers = 0
+		config, err := json.Marshal(keyCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, hc := range cells {
+			want, err := json.Marshal(sweepCellKey{Workload: hc.Spec.Name, InOrder: hc.InOrder, Policy: keyOf(hc.Policy), Config: keyCfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sweepCellPreimage(nil, hc, config); !bytes.Equal(got, want) {
+				t.Fatalf("%+v %s/%s: spliced preimage\n  got  %s\n  want %s", ss, hc.Spec.Name, hc.Config(), got, want)
+			}
+			if got, want := planned[i].key, Key("sweep-cell", sweepCellKey{Workload: hc.Spec.Name, InOrder: hc.InOrder, Policy: keyOf(hc.Policy), Config: keyCfg}); got != want {
+				t.Fatalf("%+v %s/%s: key %s, want %s", ss, hc.Spec.Name, hc.Config(), got, want)
+			}
+		}
+	}
+}
+
+// TestAppendJSONString: names that need an escape take encoding/json's
+// spelling.
+func TestAppendJSONString(t *testing.T) {
+	for _, s := range []string{"", "gcc", "Permissive+BR", "a<b>&c", `q"\`, "tab\t", "é", "\u2028", "\x7f", "bad\xff"} {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString([]byte("x"), s); !bytes.Equal(got, append([]byte("x"), want...)) {
+			t.Errorf("appendJSONString(%q) = %s, want x%s", s, got, want)
+		}
 	}
 }

@@ -102,11 +102,7 @@ func (r SweepRequest) plan() (*plan, error) {
 		return nil, err
 	}
 	hcells, sw := harness.Grid(specs, pols, !r.NoInOrder)
-	cells := make([]cell, len(hcells))
-	for i, hc := range hcells {
-		cells[i] = sweepCell(hc, &cfg, r.Sampling)
-	}
-	return &plan{cells: cells, assemble: func(vals []any) any {
+	return &plan{cells: sweepCells(hcells, &cfg, r.Sampling), assemble: func(vals []any) any {
 		for i, hc := range hcells {
 			sw.Set(hc.Config(), hc.Spec.Name, vals[i].(*harness.Measurement))
 		}

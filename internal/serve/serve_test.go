@@ -116,6 +116,25 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	}
 }
 
+// TestCacheReadyEntryIgnoresCancelledContext: a ready entry is a value,
+// not a wait, so it is served even under a context that is already done.
+// A select between the entry and ctx.Done() would pick either at random,
+// so the lookup repeats.
+func TestCacheReadyEntryIgnoresCancelledContext(t *testing.T) {
+	c := NewCache(0, nil)
+	if _, _, err := c.Do(context.Background(), "k", func() (any, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 100; i++ {
+		v, tier, err := c.DoTiered(ctx, "k", nil, nil, nil)
+		if err != nil || tier != HitRAM || v.(int) != 1 {
+			t.Fatalf("lookup %d under a cancelled context = %v, %v, %v; want 1 from RAM", i, v, tier, err)
+		}
+	}
+}
+
 // enqueue submits an untenanted job with a caller-supplied body: local
 // tenant, batch class, no cells to probe for admission.
 func (m *Manager) enqueue(kind string, run func(context.Context, *Job) (any, error)) (*Job, error) {

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"nda/internal/isa"
 )
@@ -199,12 +200,21 @@ func Generic() []Spec {
 // All returns SPEC() followed by Generic().
 func All() []Spec { return append(SPEC(), Generic()...) }
 
+// byName indexes All(), built by the first lookup. A Spec's Build keeps no
+// state between calls, so every caller can share the one value.
+var byName = sync.OnceValue(func() map[string]Spec {
+	all := All()
+	m := make(map[string]Spec, len(all))
+	for _, s := range all {
+		m[s.Name] = s
+	}
+	return m
+})
+
 // ByName finds a spec by name in All().
 func ByName(name string) (Spec, error) {
-	for _, s := range All() {
-		if s.Name == name {
-			return s, nil
-		}
+	if s, ok := byName()[name]; ok {
+		return s, nil
 	}
 	return Spec{}, fmt.Errorf("workload: unknown benchmark %q", name)
 }

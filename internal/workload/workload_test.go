@@ -76,6 +76,21 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("doom"); err == nil {
 		t.Error("unknown benchmark must error")
 	}
+	for _, s := range All() {
+		if got, err := ByName(s.Name); err != nil || got.Name != s.Name || got.Suite != s.Suite {
+			t.Errorf("ByName(%q) = %q, %v", s.Name, got.Name, err)
+		}
+	}
+	if len(byName()) != len(All()) {
+		t.Errorf("index holds %d specs, All() %d: names must be distinct", len(byName()), len(All()))
+	}
+}
+
+// TestByNameAllocs: a lookup reads the index; it builds no spec.
+func TestByNameAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { _, _ = ByName("exchange2") }); n != 0 {
+		t.Errorf("ByName allocates %v times per call, want 0", n)
+	}
 }
 
 func TestSuiteCounts(t *testing.T) {
