@@ -61,16 +61,16 @@ type Cache struct {
 	max     int // > 0; ready entries beyond this are evicted LRU
 	m       map[string]*cacheEntry
 	lru     list.List           // ready entries, front = most recently used
-	bytes   int64               // sum of ready entries' encoded sizes (0 when unknown)
+	bytes   int64               // sum of ready entries' encoding lengths
 	onEvict func(sizeBytes int) // optional eviction hook (metrics)
 }
 
 type cacheEntry struct {
 	key   string
-	ready chan struct{} // closed when val/err are final
+	ready chan struct{} // closed when val/enc/err are final
 	val   any
+	enc   []byte // val's canonical JSON; nil for Do entries, which are never encoded
 	err   error
-	size  int           // encoded-bytes size, 0 when never encoded (untiered entries)
 	elem  *list.Element // nil while in flight
 }
 
@@ -81,10 +81,9 @@ const DefaultCacheMaxEntries = 1 << 16
 
 // NewCache returns an empty cache holding at most max ready entries
 // (max <= 0 means DefaultCacheMaxEntries). onEvict, if non-nil, is called
-// once per evicted entry with the entry's approximate byte size — the
-// encoded (persisted-format) size when known, 0 for entries that were
-// never encoded — so the metrics layer can account the RAM tier in bytes
-// as well as entries, mirroring the disk tier.
+// once per evicted entry with the length of the entry's encoding — 0 for
+// Do entries, which are never encoded — so the metrics layer can account
+// the RAM tier in bytes as well as entries, mirroring the disk tier.
 func NewCache(max int, onEvict func(sizeBytes int)) *Cache {
 	if max <= 0 {
 		max = DefaultCacheMaxEntries
@@ -99,10 +98,9 @@ func (c *Cache) Len() int {
 	return len(c.m)
 }
 
-// Bytes returns the approximate total encoded size of ready entries.
-// Entries resolved through the untiered Do path have unknown (zero) size,
-// so this is a floor, not an exact heap figure; for store-backed managers
-// every cell entry is encoded and counted.
+// Bytes returns the total length of the encodings ready entries keep.
+// Every DoTiered entry (every cell result) keeps one, tiers or not; Do
+// entries (checkpoint series) keep none and count zero.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -125,9 +123,11 @@ func (c *Cache) Contains(key string) bool {
 // value was served without running compute in this call — a warm cache
 // entry or a join on another caller's flight. Waiting is bounded by ctx;
 // compute itself is responsible for observing ctx (the simulation runners
-// pass it down to the cores).
+// pass it down to the cores). The value is never encoded: Do serves
+// in-process intermediates, such as checkpoint series, that no response
+// carries.
 func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error)) (v any, hit bool, err error) {
-	v, tier, err := c.DoTiered(ctx, key, nil, nil, compute)
+	v, _, tier, err := c.do(ctx, key, nil, nil, compute, false)
 	return v, tier == HitRAM, err
 }
 
@@ -137,11 +137,24 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error))
 // back into every level before the one that held it, and reported as
 // HitDisk+i for tiers[i] (the manager passes [disk, fleet-shared]). An
 // entry decode rejects — corrupt or alien bytes — counts as a miss and the
-// walk moves on. When every level misses, compute runs and its result is
-// canonically JSON-encoded once: the same bytes go into every level, and
-// their length into the RAM tier's byte accounting. A nil or empty chain
-// skips the encoding.
-func (c *Cache) DoTiered(ctx context.Context, key string, tiers []Tier, decode func([]byte) (any, error), compute func() (any, error)) (v any, tier HitTier, err error) {
+// walk moves on. When every level misses, compute runs.
+//
+// Every entry DoTiered installs keeps enc, its value's canonical encoding
+// (json.Marshal of the value), and returns it with the value, so a caller
+// can splice a response from cell encodings without encoding again. enc
+// is computed once per entry: a computed value's encoding is the one
+// written into every level, and a value a level held is decoded and
+// encoded again. Bytes from outside the process are never kept or
+// written back verbatim, so a level holding decodable but non-canonical
+// bytes (extra whitespace, a trailing newline) still yields canonical
+// ones. A value that does not encode fails the call, like a failed
+// compute, and is not cached.
+func (c *Cache) DoTiered(ctx context.Context, key string, tiers []Tier, decode func([]byte) (any, error), compute func() (any, error)) (v any, enc []byte, tier HitTier, err error) {
+	return c.do(ctx, key, tiers, decode, compute, true)
+}
+
+// do is Do (encode false) and DoTiered (encode true).
+func (c *Cache) do(ctx context.Context, key string, tiers []Tier, decode func([]byte) (any, error), compute func() (any, error), encode bool) (v any, enc []byte, tier HitTier, err error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.m[key]; ok {
@@ -155,16 +168,16 @@ func (c *Cache) DoTiered(ctx context.Context, key string, tiers []Tier, decode f
 				select {
 				case <-e.ready:
 				case <-ctx.Done():
-					return nil, Computed, ctx.Err()
+					return nil, nil, Computed, ctx.Err()
 				}
 			}
 			if e.err == nil {
-				return e.val, HitRAM, nil
+				return e.val, e.enc, HitRAM, nil
 			}
 			// The owner failed (possibly its own cancellation). The
 			// entry is already gone; retry under our context.
 			if cerr := ctx.Err(); cerr != nil {
-				return nil, Computed, cerr
+				return nil, nil, Computed, cerr
 			}
 			continue
 		}
@@ -185,22 +198,25 @@ func (c *Cache) DoTiered(ctx context.Context, key string, tiers []Tier, decode f
 			if derr != nil {
 				continue
 			}
-			e.val, e.size, tier = dv, len(b), HitDisk+HitTier(i)
+			enc, merr := json.Marshal(dv)
+			if merr != nil {
+				continue
+			}
+			e.val, e.enc, tier = dv, enc, HitDisk+HitTier(i)
 			for _, up := range tiers[:i] {
 				if up != nil {
-					up.Put(key, b)
+					up.Put(key, enc)
 				}
 			}
 			break
 		}
 		if tier == Computed {
 			e.val, e.err = compute()
-			if e.err == nil && len(tiers) > 0 {
-				if b, merr := json.Marshal(e.val); merr == nil {
-					e.size = len(b)
+			if e.err == nil && encode {
+				if e.enc, e.err = json.Marshal(e.val); e.err == nil {
 					for _, t := range tiers {
 						if t != nil {
-							t.Put(key, b)
+							t.Put(key, e.enc)
 						}
 					}
 				}
@@ -212,12 +228,12 @@ func (c *Cache) DoTiered(ctx context.Context, key string, tiers []Tier, decode f
 			delete(c.m, key)
 		} else {
 			e.elem = c.lru.PushFront(e)
-			c.bytes += int64(e.size)
+			c.bytes += int64(len(e.enc))
 			c.evictOver()
 		}
 		c.mu.Unlock()
 		close(e.ready)
-		return e.val, tier, e.err
+		return e.val, e.enc, tier, e.err
 	}
 }
 
@@ -240,9 +256,9 @@ func (c *Cache) evictOver() {
 		e := c.lru.Remove(back).(*cacheEntry)
 		e.elem = nil
 		delete(c.m, e.key)
-		c.bytes -= int64(e.size)
+		c.bytes -= int64(len(e.enc))
 		if c.onEvict != nil {
-			c.onEvict(e.size)
+			c.onEvict(len(e.enc))
 		}
 	}
 }

@@ -71,7 +71,7 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		v, err := m.resolve(r.Context(), nil, &c)
+		res, err := m.resolve(r.Context(), nil, &c)
 		switch {
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			// The coordinator hung up (hedge lost, retry timeout): the
@@ -83,7 +83,7 @@ func NewHandler(m *Manager) http.Handler {
 			return
 		}
 		m.Metrics().CellsServed.Add(1)
-		writeJSON(w, http.StatusOK, v)
+		writeEncoded(w, http.StatusOK, res.enc)
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		caller, ok := authTenant(m, w, r)
@@ -184,16 +184,17 @@ func submit[R any](m *Manager, w http.ResponseWriter, r *http.Request, enqueue f
 	if !ok {
 		return
 	}
-	wait := r.URL.Query().Get("wait")
+	query := r.URL.Query()
+	wait, className := query.Get("wait"), query.Get("class")
 	waiting := wait == "1" || wait == "true"
 	// Scheduling class: explicit ?class= wins; otherwise blocking
 	// submissions default to interactive, fire-and-forget ones to batch.
-	class, err := tenant.ParseClass(r.URL.Query().Get("class"))
+	class, err := tenant.ParseClass(className)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if r.URL.Query().Get("class") == "" && waiting {
+	if className == "" && waiting {
 		class = tenant.Interactive
 	}
 	var req R
@@ -261,6 +262,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	writeEncoded(w, status, buf)
+}
+
+// writeEncoded answers with a value's JSON encoding and a newline.
+func writeEncoded(w http.ResponseWriter, status int, buf []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(buf)

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 
 	"nda/internal/store"
@@ -67,12 +68,66 @@ func mustJSON(kind string, payload any) []byte {
 // that needs no escape goes between quotes as it is, anything else
 // through encoding/json.
 func appendJSONString(b []byte, s string) []byte {
+	if plainJSONString(s) {
+		b = append(b, '"')
+		b = append(b, s...)
+		return append(b, '"')
+	}
+	return append(b, mustJSON("string", s)...)
+}
+
+// plainJSONString reports whether encoding/json writes s between quotes
+// as it is: printable ASCII that needs no escape.
+func plainJSONString(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return append(b, mustJSON("string", s)...)
+			return false
 		}
 	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
+	return true
+}
+
+// jsonStringLen is the length of appendJSONString's output for s.
+func jsonStringLen(s string) int {
+	if plainJSONString(s) {
+		return len(s) + 2
+	}
+	return len(mustJSON("string", s))
+}
+
+// appendJSONStrings appends names as encoding/json encodes a non-nil
+// []string.
+func appendJSONStrings(b []byte, names []string) []byte {
+	b = append(b, '[')
+	for i, s := range names {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, s)
+	}
+	return append(b, ']')
+}
+
+// maxJSONFloatLen bounds the length of appendJSONFloat's output.
+const maxJSONFloatLen = 32
+
+// appendJSONFloat appends f as encoding/json encodes a float64: the
+// shortest representation that reads back as f, in exponent form below
+// 1e-6 and from 1e21 in magnitude. Like encoding/json it fails on NaN and
+// the infinities.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		// e-07 → e-7, as encoding/json writes it.
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
 }

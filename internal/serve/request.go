@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 
 	"nda/internal/attack"
 	"nda/internal/core"
@@ -102,20 +105,9 @@ func (r SweepRequest) plan() (*plan, error) {
 		return nil, err
 	}
 	hcells, sw := harness.Grid(specs, pols, !r.NoInOrder)
-	return &plan{cells: sweepCells(hcells, &cfg, r.Sampling), assemble: func(vals []any) any {
-		for i, hc := range hcells {
-			sw.Set(hc.Config(), hc.Spec.Name, vals[i].(*harness.Measurement))
-		}
-		resp := &SweepResponse{Sweep: sw}
-		if sw.Baseline(sw.Workloads[0]) != nil {
-			resp.Overheads = make(map[string]float64, len(sw.Configs))
-			for _, name := range sw.Configs {
-				if name != core.Baseline().Name {
-					resp.Overheads[name] = sw.Overhead(name)
-				}
-			}
-		}
-		return resp
+	workloads, configs := sw.Workloads, sw.Configs
+	return &plan{cells: sweepCells(hcells, &cfg, r.Sampling), assemble: func(rs []resolved) ([]byte, error) {
+		return sweepResponseJSON(workloads, configs, rs)
 	}}, nil
 }
 
@@ -141,9 +133,111 @@ func policies(names []string) ([]core.Policy, error) {
 // SweepResponse is the sweep result: the full measurement grid plus the
 // headline overhead-vs-OoO percentages (Table 2's overhead column) for
 // every configuration, when the insecure baseline is part of the request.
+// A sweep job writes it with sweepResponseJSON, not encoding/json.
 type SweepResponse struct {
 	Sweep     *harness.Sweep     `json:"sweep"`
 	Overheads map[string]float64 `json:"overheads_pct,omitempty"`
+}
+
+// sweepResponseJSON returns the bytes json.Marshal gives for the
+// SweepResponse of a grid with axes workloads × configs, whose cells rs
+// come in harness.Grid's order (workload-major, configs in order within a
+// workload). Each cell's measurement is spliced in from its canonical
+// encoding; the grid's maps go out with their keys sorted, as
+// encoding/json sorts them, and the overheads follow Sweep.Overhead. Like
+// json.Marshal, it fails on an overhead that is NaN or infinite. The axes
+// are non-empty and distinct: an empty list means every name, request
+// validation rejects repeated names, and no policy is named
+// harness.InOrderName.
+func sweepResponseJSON(workloads, configs []string, rs []resolved) ([]byte, error) {
+	nc := len(configs)
+	meas := func(w, c int) *harness.Measurement { return rs[w*nc+c].val.(*harness.Measurement) }
+	wi, ci := sortedOrder(workloads), sortedOrder(configs)
+	base := slices.Index(configs, core.Baseline().Name)
+
+	// Size the buffer to an upper bound of the response, so it never
+	// regrows and a finished job retains little beyond its answer.
+	n := 64 + len(rs)
+	for _, r := range rs {
+		n += len(r.enc)
+	}
+	for _, w := range workloads {
+		n += (jsonStringLen(w) + 1) * (nc + 1)
+	}
+	for _, c := range configs {
+		n += (jsonStringLen(c)+3)*3 + maxJSONFloatLen
+	}
+
+	b := make([]byte, 0, n)
+	b = append(b, `{"sweep":{"Workloads":`...)
+	b = appendJSONStrings(b, workloads)
+	b = append(b, `,"Configs":`...)
+	b = appendJSONStrings(b, configs)
+	b = append(b, `,"Cells":{`...)
+	for k, c := range ci {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, configs[c])
+		b = append(b, `:{`...)
+		for l, w := range wi {
+			if l > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(b, workloads[w])
+			b = append(b, ':')
+			b = append(b, rs[w*nc+c].enc...)
+		}
+		b = append(b, '}')
+	}
+	b = append(b, `}}`...)
+	if base >= 0 && nc > 1 {
+		b = append(b, `,"overheads_pct":{`...)
+		first := true
+		for _, c := range ci {
+			if c == base {
+				continue
+			}
+			// Sweep.Overhead, operation for operation: stats.Mean of the
+			// positive normalized CPIs, summed in workload order.
+			var sum, mean float64
+			n := 0
+			for w := range workloads {
+				if bm := meas(w, base); bm.CPI.Mean != 0 {
+					if v := meas(w, c).CPI.Mean / bm.CPI.Mean; v > 0 {
+						sum += v
+						n++
+					}
+				}
+			}
+			if n > 0 {
+				mean = sum / float64(n)
+			}
+			if !first {
+				b = append(b, ',')
+			}
+			first = false
+			b = appendJSONString(b, configs[c])
+			b = append(b, ':')
+			var err error
+			if b, err = appendJSONFloat(b, (mean-1)*100); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, '}')
+	}
+	return append(b, '}'), nil
+}
+
+// sortedOrder returns the indices of names in the order encoding/json
+// writes them as map keys: by byte-wise string comparison.
+func sortedOrder(names []string) []int {
+	idx := make([]int, len(names))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int { return strings.Compare(names[a], names[b]) })
+	return idx
 }
 
 // AttackRequest asks for (a subset of) the security matrix: every listed
@@ -180,15 +274,15 @@ func (r AttackRequest) plan() (*plan, error) {
 	for i, ac := range acells {
 		cells[i] = attackCell(ac)
 	}
-	return &plan{cells: cells, assemble: func(vals []any) any {
+	return &plan{cells: cells, assemble: func(rs []resolved) ([]byte, error) {
 		resp := &AttackResponse{Cells: acells}
 		for i := range acells {
-			acells[i].Outcome = vals[i].(*attack.Outcome)
+			acells[i].Outcome = rs[i].val.(*attack.Outcome)
 			if !acells[i].Matches() {
 				resp.Mismatches++
 			}
 		}
-		return resp
+		return json.Marshal(resp)
 	}}, nil
 }
 
@@ -229,12 +323,12 @@ func (r GadgetsRequest) plan() (*plan, error) {
 	for i, in := range ins {
 		cells[i] = gadgetCell(in)
 	}
-	return &plan{cells: cells, assemble: func(vals []any) any {
-		report := &gadget.Report{Window: gadget.DefaultWindow, Programs: make([]gadget.ProgramReport, len(vals))}
-		for i, v := range vals {
-			report.Programs[i] = *v.(*gadget.ProgramReport)
+	return &plan{cells: cells, assemble: func(rs []resolved) ([]byte, error) {
+		report := &gadget.Report{Window: gadget.DefaultWindow, Programs: make([]gadget.ProgramReport, len(rs))}
+		for i, r := range rs {
+			report.Programs[i] = *r.val.(*gadget.ProgramReport)
 		}
-		return report
+		return json.Marshal(report)
 	}}, nil
 }
 

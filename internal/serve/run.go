@@ -11,13 +11,13 @@ import (
 
 // This file is where jobs meet the cache. Every request becomes a plan:
 // its cells in result order (laid out by harness.Grid, attack.Grid, or the
-// census program list) plus a function that assembles their values into
-// the response. run fans the cells out over the par pool and resolves each
-// one through a single tier chain — RAM, the disk store, the fleet-shared
-// store, then compute — under its content-addressed key. A repeated
-// request, or a different request that shares cells with an earlier one (a
-// sweep over a workload subset, say, after a full sweep), is assembled
-// without re-simulation.
+// census program list) plus a function that assembles their values, or
+// their canonical encodings, into the response bytes. run fans the cells
+// out over the par pool and resolves each one through a single tier chain
+// — RAM, the disk store, the fleet-shared store, then compute — under its
+// content-addressed key. A repeated request, or a different request that
+// shares cells with an earlier one (a sweep over a workload subset, say,
+// after a full sweep), is assembled without re-simulation.
 //
 // Compute is local, or with a fleet configured (Config.Fleet) a dispatch
 // of the cell's CellRequest to a remote worker. Everything else — layout,
@@ -25,33 +25,47 @@ import (
 // is why a fleet-merged result is byte-identical to a single-process run.
 
 // plan is a request decomposed for run: the cells to resolve, in result
-// order, and how their resolved values assemble into the response.
+// order, and how their resolved values assemble into the response's
+// bytes.
 type plan struct {
 	cells    []cell
-	assemble func(vals []any) any
+	assemble func(rs []resolved) ([]byte, error)
+}
+
+// resolved is one resolved cell: its value and the value's canonical
+// encoding, which the cache keeps with it.
+type resolved struct {
+	val any
+	enc []byte
 }
 
 // run resolves every cell of p and assembles the response.
-func (m *Manager) run(ctx context.Context, j *Job, p *plan) (any, error) {
+func (m *Manager) run(ctx context.Context, j *Job, p *plan) ([]byte, error) {
+	rs, err := m.resolveAll(ctx, j, p)
+	if err != nil {
+		return nil, err
+	}
+	return p.assemble(rs)
+}
+
+// resolveAll resolves every cell of p, in result order.
+func (m *Manager) resolveAll(ctx context.Context, j *Job, p *plan) ([]resolved, error) {
 	// Add, not set: a warm job runs several plans and accumulates one
 	// combined progress total.
 	j.update(func() bool {
 		j.total += int64(len(p.cells))
 		return true
 	})
-	vals := make([]any, len(p.cells))
+	rs := make([]resolved, len(p.cells))
 	err := par.RunCtx(ctx, len(p.cells), m.simWorkers(), func(i int) error {
-		v, err := m.resolve(ctx, j, &p.cells[i])
-		if err != nil {
-			return err
-		}
-		vals[i] = v
-		return nil
+		r, err := m.resolve(ctx, j, &p.cells[i])
+		rs[i] = r
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return p.assemble(vals), nil
+	return rs, nil
 }
 
 // resolve serves one cell from the first tier that holds it, or computes
@@ -59,9 +73,9 @@ func (m *Manager) run(ctx context.Context, j *Job, p *plan) (any, error) {
 // into every tier, then folds the resolution into the job's progress and
 // the service's counters. j may be nil: the worker-side /v1/cell path
 // serves cells with no job behind them.
-func (m *Manager) resolve(ctx context.Context, j *Job, c *cell) (any, error) {
+func (m *Manager) resolve(ctx context.Context, j *Job, c *cell) (resolved, error) {
 	var stat dist.Stat
-	v, tier, err := m.cache.DoTiered(ctx, c.key, m.tiers, c.kind.decode, func() (any, error) {
+	v, enc, tier, err := m.cache.DoTiered(ctx, c.key, m.tiers, c.kind.decode, func() (any, error) {
 		if m.cfg.Fleet == nil {
 			return c.kind.compute(m, ctx, c)
 		}
@@ -81,7 +95,7 @@ func (m *Manager) resolve(ctx context.Context, j *Job, c *cell) (any, error) {
 		return v, nil
 	})
 	if err != nil {
-		return nil, err
+		return resolved{}, err
 	}
 	if j != nil {
 		j.cellDone(tier, stat.Attempts)
@@ -95,5 +109,5 @@ func (m *Manager) resolve(ctx context.Context, j *Job, c *cell) (any, error) {
 	if tier == HitDisk {
 		m.metrics.CacheDiskHits.Add(1)
 	}
-	return v, nil
+	return resolved{v, enc}, nil
 }

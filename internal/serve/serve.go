@@ -18,7 +18,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -58,18 +57,24 @@ const (
 // publisher: it applies the change under the lock, moves version and wakes
 // whoever watches. HTTP handlers read a consistent snapshot with Status or
 // watch while the workers are still mutating the job.
+//
+// A finished job holds only its status and its result bytes: finish drops
+// run, and with it the request's plan, and cancel, so the registry's
+// window of finished jobs keeps no plan alive.
 type Job struct {
 	id     string
 	kind   string
-	tenant string       // accounting owner; tenant.LocalName when untenanted
-	class  tenant.Class // scheduling class the job was submitted under
-	run    func(ctx context.Context, j *Job) (any, error)
+	tenant string        // accounting owner; tenant.LocalName when untenanted
+	class  tenant.Class  // scheduling class the job was submitted under
 	doneCh chan struct{} // closed by finish when the job reaches a terminal state
 
 	mu     sync.Mutex
 	state  JobState
 	errMsg string
 	result []byte // canonical JSON, set once on success
+	// run computes the result; cancel stops a running run. run is set
+	// until the job finishes, cancel only while it runs.
+	run    func(ctx context.Context, j *Job) ([]byte, error)
 	cancel context.CancelFunc
 	// Progress: total and resolved cells, the resolved cells split by the
 	// level that served each one (indexed by HitTier), and a distributed
@@ -466,7 +471,7 @@ func (m *Manager) submit(kind string, opts []SubmitOpts, p *plan, err error) (*J
 	if err != nil {
 		return nil, err
 	}
-	return m.enqueueAs(kind, resolveOpts(opts), p.cells, func(ctx context.Context, j *Job) (any, error) {
+	return m.enqueueAs(kind, resolveOpts(opts), p.cells, func(ctx context.Context, j *Job) ([]byte, error) {
 		return m.run(ctx, j, p)
 	})
 }
@@ -493,7 +498,7 @@ func (m *Manager) TenantStats() []tenant.Stats {
 // a saturated simulation queue is no reason to refuse work that needs no
 // simulation). The bypass still spends a quota token and one of the
 // tenant's in-flight slots.
-func (m *Manager) enqueueAs(kind string, o SubmitOpts, cells []cell, run func(context.Context, *Job) (any, error)) (*Job, error) {
+func (m *Manager) enqueueAs(kind string, o SubmitOpts, cells []cell, run func(context.Context, *Job) ([]byte, error)) (*Job, error) {
 	j := &Job{
 		id:     fmt.Sprintf("job-%06d", m.nextID.Add(1)),
 		kind:   kind,
@@ -606,7 +611,7 @@ func (m *Manager) Cancel(id string) bool {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.cancel != nil { // nil only once finished without running
+	if j.cancel != nil { // set only while the job runs; finish drops it
 		j.cancel()
 	}
 	return true
@@ -643,23 +648,19 @@ func (m *Manager) worker() {
 func (m *Manager) runJob(j *Job) {
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	defer cancel()
+	var run func(context.Context, *Job) ([]byte, error)
 	if !j.update(func() bool {
 		if j.state != JobQueued {
 			return false
 		}
-		j.state, j.cancel = JobRunning, cancel
+		j.state, j.cancel, run = JobRunning, cancel, j.run
 		return true
 	}) {
 		return
 	}
 	m.metrics.JobsRunning.Add(1)
-	v, err := j.run(ctx, j)
+	result, err := run(ctx, j)
 	m.metrics.JobsRunning.Add(-1)
-
-	var result []byte
-	if err == nil {
-		result, err = json.Marshal(v)
-	}
 	m.finish(j, JobRunning, result, err)
 	m.mu.Lock()
 	m.retireLocked(j)
@@ -668,12 +669,14 @@ func (m *Manager) runJob(j *Job) {
 
 // finish is the one terminal transition: if j is still in state from, it
 // records the outcome (result on success, err otherwise), counts it,
-// publishes the final status and closes doneCh. Reports whether it did.
+// drops run and cancel, publishes the final status and closes doneCh.
+// Reports whether it did.
 func (m *Manager) finish(j *Job, from JobState, result []byte, err error) bool {
 	return j.update(func() bool {
 		if j.state != from {
 			return false
 		}
+		j.run, j.cancel = nil, nil
 		switch {
 		case err == nil:
 			j.state, j.result = JobDone, result

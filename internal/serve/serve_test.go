@@ -3,12 +3,18 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"nda/internal/core"
+	"nda/internal/harness"
+	"nda/internal/workload"
 )
 
 // TestKeyDeterministic: the content hash is a pure function of the kind tag
@@ -128,7 +134,7 @@ func TestCacheReadyEntryIgnoresCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 100; i++ {
-		v, tier, err := c.DoTiered(ctx, "k", nil, nil, nil)
+		v, _, tier, err := c.DoTiered(ctx, "k", nil, nil, nil)
 		if err != nil || tier != HitRAM || v.(int) != 1 {
 			t.Fatalf("lookup %d under a cancelled context = %v, %v, %v; want 1 from RAM", i, v, tier, err)
 		}
@@ -138,7 +144,13 @@ func TestCacheReadyEntryIgnoresCancelledContext(t *testing.T) {
 // enqueue submits an untenanted job with a caller-supplied body: local
 // tenant, batch class, no cells to probe for admission.
 func (m *Manager) enqueue(kind string, run func(context.Context, *Job) (any, error)) (*Job, error) {
-	return m.enqueueAs(kind, resolveOpts(nil), nil, run)
+	return m.enqueueAs(kind, resolveOpts(nil), nil, func(ctx context.Context, j *Job) ([]byte, error) {
+		v, err := run(ctx, j)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(v)
+	})
 }
 
 // blockingJob enqueues a job that parks until release closes (or its
@@ -400,4 +412,139 @@ func TestRegistryForgetsFinishedJobs(t *testing.T) {
 		t.Errorf("repeat simulated %d cells, want 0 (cache hit)", n-sims)
 	}
 	close(hold)
+}
+
+// TestFinishedJobHoldsOnlyItsAnswer: a job that completes, fails or is
+// cancelled while queued drops its run closure, and with it the plan, and
+// its cancel func. Its status, result, SSE stream and cancel still answer
+// as they did.
+func TestFinishedJobHoldsOnlyItsAnswer(t *testing.T) {
+	m, srv := newTenantServer(t, Config{QueueDepth: 4, JobWorkers: 1, SimWorkers: 2})
+	release := make(chan struct{})
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+
+	done, err := m.SubmitSweep(SweepRequest{Workloads: []string{"exchange2"}, Policies: []string{"OoO"}, Sampling: tinySampling()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, done, JobDone)
+	failed, err := m.enqueue("test", func(context.Context, *Job) (any, error) { return nil, errors.New("boom") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, failed, JobFailed)
+	running := blockingJob(t, m, release)
+	waitRunning(t, running)
+	queued := blockingJob(t, m, release)
+	held := func(j *Job) (run, cancel bool) {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.run != nil, j.cancel != nil
+	}
+	if run, cancel := held(queued); !run || cancel {
+		t.Errorf("queued job holds run %v, cancel %v; want run only", run, cancel)
+	}
+	if run, cancel := held(running); !run || !cancel {
+		t.Errorf("running job holds run %v, cancel %v; want both", run, cancel)
+	}
+	if !m.Cancel(queued.ID()) {
+		t.Fatal("Cancel on a queued job = false")
+	}
+	waitState(t, queued, JobCancelled)
+	close(release)
+	waitState(t, running, JobDone)
+
+	for _, j := range []*Job{done, failed, queued, running} {
+		if run, cancel := held(j); run || cancel {
+			t.Errorf("%s (%s) still holds run %v, cancel %v", j.ID(), j.Status().State, run, cancel)
+		}
+		st := j.Status()
+		res, ok := j.Result()
+		if ok != (st.State == JobDone) || ok != (len(res) > 0) {
+			t.Errorf("%s (%s): Result = %d bytes, %v", j.ID(), st.State, len(res), ok)
+		}
+		resp, body := get(t, srv.URL+"/v1/jobs/"+j.ID()+"/result")
+		if ok && (resp.StatusCode != http.StatusOK || !bytes.Equal(body, res)) {
+			t.Errorf("%s: GET result = %d %s, want 200 %s", j.ID(), resp.StatusCode, body, res)
+		}
+		if !ok && resp.StatusCode == http.StatusOK {
+			t.Errorf("%s (%s): GET result = 200", j.ID(), st.State)
+		}
+		if !m.Cancel(j.ID()) {
+			t.Errorf("%s: Cancel on a finished job = false", j.ID())
+		}
+		if after := j.Status(); after.State != st.State || after.Error != st.Error {
+			t.Errorf("%s: Cancel moved a finished job from %+v to %+v", j.ID(), st, after)
+		}
+		sresp, err := http.Get(srv.URL + "/v1/jobs/" + j.ID() + "?stream=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, _ := readSSE(t, sresp)
+		var last Status
+		if len(events) != 2 || events[1].event != "done" || json.Unmarshal([]byte(events[0].data), &last) != nil || last.State != st.State {
+			t.Errorf("%s: stream = %+v, want its final status and done", j.ID(), events)
+		}
+	}
+}
+
+// cannedTier holds one value's bytes under every key.
+type cannedTier []byte
+
+func (c cannedTier) Get(string) ([]byte, bool) { return c, true }
+func (c cannedTier) Put(string, []byte)        {}
+func (c cannedTier) Has(string) bool           { return true }
+
+// TestFinishedSweepJobsRetainOnlyTheirResults: warm full-grid quick
+// sweeps that have finished retain little beyond their result bytes, not
+// their plans' cells, keys, requests and grids. Every cell is one real
+// measurement served from a tier, so the grid fills RAM without
+// simulating.
+func TestFinishedSweepJobsRetainOnlyTheirResults(t *testing.T) {
+	spec, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := tinySampling().resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meas, err := harness.Cell{Spec: spec, Policy: core.Baseline()}.Measure(context.Background(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Config{QueueDepth: 4, JobWorkers: 1, SimWorkers: 2})
+	t.Cleanup(func() { _ = m.Shutdown(context.Background()) })
+	m.tiers = []Tier{cannedTier(mustJSON("test", meas))}
+	req := SweepRequest{Sampling: SamplingSpec{Quick: true}}
+	if j, _ := runSweepJob(t, m, req); j.Status().Tiers.Disk != 230 {
+		t.Fatalf("cold pass tiers = %+v, want 230 from the tier", j.Status().Tiers)
+	}
+
+	const n = 16
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	size := 0
+	for i := 0; i < n; i++ {
+		j, res := runSweepJob(t, m, req)
+		if j.Status().Tiers.RAM != 230 {
+			t.Fatalf("warm pass tiers = %+v, want 230 from RAM", j.Status().Tiers)
+		}
+		size = len(res)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perJob := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	t.Logf("each finished job retains %d bytes for a %d-byte result", perJob, size)
+	if perJob > int64(size)*5/4 {
+		t.Errorf("each finished job retains %d bytes, above 1.25× its %d-byte result", perJob, size)
+	}
+	runtime.KeepAlive(m)
 }

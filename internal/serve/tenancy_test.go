@@ -122,11 +122,11 @@ func TestFairShareDispatchOrder(t *testing.T) {
 	jobs := make([]*Job, 0, 8)
 	submit := func(name string) {
 		j, err := m.enqueueAs("test", SubmitOpts{Tenant: name, Class: tenant.Batch}, nil,
-			func(ctx context.Context, j *Job) (any, error) {
+			func(ctx context.Context, j *Job) ([]byte, error) {
 				mu.Lock()
 				got = append(got, name[:1])
 				mu.Unlock()
-				return "ok", nil
+				return []byte(`"ok"`), nil
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -629,10 +629,10 @@ func TestBypassRespectsInFlightCap(t *testing.T) {
 
 	// The capped tenant's one allowed job occupies the only worker...
 	blocker, err := m.enqueueAs("test", SubmitOpts{Tenant: "capped", Class: tenant.Batch}, nil,
-		func(ctx context.Context, j *Job) (any, error) {
+		func(ctx context.Context, j *Job) ([]byte, error) {
 			select {
 			case <-release:
-				return "ok", nil
+				return []byte(`"ok"`), nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -210,8 +211,11 @@ func startServer(t *testing.T, m *Manager) *httptest.Server {
 	return srv
 }
 
-// fakeTier is an in-memory Tier that counts its writes.
+// fakeTier is an in-memory Tier that counts its writes. A job's cells
+// resolve concurrently, so its methods lock; tests read m and puts once
+// the job has finished.
 type fakeTier struct {
+	mu   sync.Mutex
 	m    map[string][]byte
 	puts int
 }
@@ -224,15 +228,32 @@ func newFakeTier(kv ...string) *fakeTier {
 	return f
 }
 
-func (f *fakeTier) Get(key string) ([]byte, bool) { b, ok := f.m[key]; return b, ok }
-func (f *fakeTier) Put(key string, val []byte)    { f.m[key] = val; f.puts++ }
-func (f *fakeTier) Has(key string) bool           { _, ok := f.m[key]; return ok }
+func (f *fakeTier) Get(key string) ([]byte, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	b, ok := f.m[key]
+	return b, ok
+}
+
+func (f *fakeTier) Put(key string, val []byte) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.m[key] = val
+	f.puts++
+}
+
+func (f *fakeTier) Has(key string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, ok := f.m[key]
+	return ok
+}
 
 // walk resolves "k" once through a fresh cache over tiers, calling
 // compute when every level misses.
 func walk(t *testing.T, tiers []Tier, compute func() (any, error)) (int, HitTier) {
 	t.Helper()
-	v, tier, err := NewCache(0, nil).DoTiered(context.Background(), "k", tiers, decodeJSON[int], compute)
+	v, _, tier, err := NewCache(0, nil).DoTiered(context.Background(), "k", tiers, decodeJSON[int], compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,4 +417,113 @@ func TestSameStoreIsOneTier(t *testing.T) {
 	if strings.Contains(m.RenderMetrics(), "nda_dist_shared_") {
 		t.Error("/metrics renders a fleet-shared block for the disk store")
 	}
+}
+
+// captureTier records every write, and holds nothing to read.
+type captureTier struct {
+	mu sync.Mutex
+	m  map[string][]byte
+}
+
+func (c *captureTier) Get(string) ([]byte, bool) { return nil, false }
+func (c *captureTier) Has(string) bool           { return false }
+func (c *captureTier) Put(key string, val []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[key] = val
+}
+
+// sprawl re-lays canonical JSON out the way no encoder in this repository
+// writes it: indented, with a trailing newline. It still decodes to the
+// same value.
+func sprawl(t *testing.T, b []byte) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if err := json.Indent(&out, b, " ", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	out.WriteString("\n\n")
+	return out.Bytes()
+}
+
+// TestForeignBytesAreReencoded: bytes from outside the process — a tier's
+// entry or a fleet worker's /v1/cell answer — that decode but are not
+// canonical are never spliced or written back as they are. The response
+// served from them is byte-identical to a cold, computed one, and a tier
+// above the one that held them receives the canonical bytes.
+func TestForeignBytesAreReencoded(t *testing.T) {
+	req := SweepRequest{Workloads: []string{"exchange2", "xz"}, Policies: []string{"OoO", "Strict"}, Sampling: tinySampling()}
+	p, err := req.plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := int64(len(p.cells))
+
+	// A cold, computed run, whose canonical cell bytes the capture tier
+	// records.
+	cold := NewManager(Config{QueueDepth: 4, JobWorkers: 1, SimWorkers: 2})
+	t.Cleanup(func() { _ = cold.Shutdown(context.Background()) })
+	capture := &captureTier{m: map[string][]byte{}}
+	cold.tiers = []Tier{capture}
+	_, want := runSweepJob(t, cold, req)
+	if len(capture.m) != int(cells) {
+		t.Fatalf("captured %d cells, want %d", len(capture.m), cells)
+	}
+
+	t.Run("tier", func(t *testing.T) {
+		disk, shared := newFakeTier(), newFakeTier()
+		for k, v := range capture.m {
+			shared.m[k] = sprawl(t, v)
+		}
+		m := NewManager(Config{QueueDepth: 4, JobWorkers: 1, SimWorkers: 2})
+		t.Cleanup(func() { _ = m.Shutdown(context.Background()) })
+		m.tiers = []Tier{disk, shared}
+		j, got := runSweepJob(t, m, req)
+		if !bytes.Equal(got, want) {
+			t.Errorf("response from non-canonical tier bytes differs from the computed one:\ngot:  %s\nwant: %s", got, want)
+		}
+		if tiers := j.Status().Tiers; tiers.FleetShared != cells {
+			t.Errorf("tiers = %+v, want %d fleet_shared", tiers, cells)
+		}
+		for k, v := range capture.m {
+			if !bytes.Equal(disk.m[k], v) {
+				t.Errorf("disk tier got %q written back for %s, want the canonical %q", disk.m[k], k, v)
+			}
+		}
+	})
+
+	t.Run("fleet", func(t *testing.T) {
+		wm := NewManager(Config{QueueDepth: 4, JobWorkers: 1, SimWorkers: 2})
+		t.Cleanup(func() { _ = wm.Shutdown(context.Background()) })
+		wh := NewHandler(wm)
+		// The worker answers every cell as canonical JSON and a newline.
+		direct := startServer(t, wm)
+		for _, c := range p.cells {
+			resp, body := post(t, direct.URL+"/v1/cell", c.req)
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(body, append(capture.m[c.key], '\n')) {
+				t.Fatalf("/v1/cell %+v = %d %s, want the canonical bytes and a newline", c.req, resp.StatusCode, body)
+			}
+		}
+		worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			wh.ServeHTTP(rec, r)
+			w.WriteHeader(rec.Code)
+			_, _ = w.Write(sprawl(t, rec.Body.Bytes()))
+		}))
+		t.Cleanup(worker.Close)
+		fleet, err := dist.New([]string{worker.URL}, dist.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(fleet.Close)
+		m := NewManager(Config{QueueDepth: 4, JobWorkers: 1, Fleet: fleet})
+		t.Cleanup(func() { _ = m.Shutdown(context.Background()) })
+		j, got := runSweepJob(t, m, req)
+		if !bytes.Equal(got, want) {
+			t.Errorf("response from non-canonical worker answers differs from the computed one:\ngot:  %s\nwant: %s", got, want)
+		}
+		if tiers := j.Status().Tiers; tiers.Computed != cells {
+			t.Errorf("tiers = %+v, want %d computed", tiers, cells)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 
 	"nda/internal/tenant"
 )
@@ -81,13 +82,14 @@ func (m *Manager) SubmitWarm(req WarmRequest, opts ...SubmitOpts) (*Job, error) 
 	}
 	o := resolveOpts(opts)
 	o.Class = tenant.Warm
-	return m.enqueueAs("warm", o, nil, func(ctx context.Context, j *Job) (any, error) {
+	return m.enqueueAs("warm", o, nil, func(ctx context.Context, j *Job) ([]byte, error) {
+		// Warming only resolves: no sub-request's response is assembled.
 		for _, p := range plans {
-			if _, err := m.run(ctx, j, p); err != nil {
+			if _, err := m.resolveAll(ctx, j, p); err != nil {
 				return nil, err
 			}
 		}
 		st := j.Status()
-		return &WarmResponse{Cells: st.DoneCells, Tiers: st.Tiers}, nil
+		return json.Marshal(&WarmResponse{Cells: st.DoneCells, Tiers: st.Tiers})
 	})
 }
