@@ -163,29 +163,67 @@ func (s *Sweep) Baseline(workload string) *Measurement {
 
 // NormalizedCPI returns config CPI / baseline-OoO CPI for a workload.
 func (s *Sweep) NormalizedCPI(config, workload string) float64 {
-	base := s.Baseline(workload)
-	m := s.Get(config, workload)
-	if base == nil || m == nil || base.CPI.Mean == 0 {
-		return 0
-	}
-	return m.CPI.Mean / base.CPI.Mean
+	return normalized(s.cpi(config, workload))
 }
 
 // MeanNormalizedCPI averages NormalizedCPI over all workloads (the
 // rightmost bars of Fig. 7 and the overhead column of Table 2).
 func (s *Sweep) MeanNormalizedCPI(config string) float64 {
-	var xs []float64
-	for _, w := range s.Workloads {
-		if v := s.NormalizedCPI(config, w); v > 0 {
-			xs = append(xs, v)
-		}
-	}
-	return stats.Mean(xs)
+	return meanNormalized(len(s.Workloads), s.cpis(config))
 }
 
 // Overhead returns the average slowdown vs insecure OoO in percent.
 func (s *Sweep) Overhead(config string) float64 {
-	return (s.MeanNormalizedCPI(config) - 1) * 100
+	return OverheadOf(len(s.Workloads), s.cpis(config))
+}
+
+// cpi returns config's and the baseline's CPI on workload, (0, 0) when
+// either cell is missing.
+func (s *Sweep) cpi(config, workload string) (cfg, base float64) {
+	b, m := s.Baseline(workload), s.Get(config, workload)
+	if b == nil || m == nil {
+		return 0, 0
+	}
+	return m.CPI.Mean, b.CPI.Mean
+}
+
+// cpis is cpi over the sweep's workloads, by index.
+func (s *Sweep) cpis(config string) func(w int) (cfg, base float64) {
+	return func(w int) (cfg, base float64) { return s.cpi(config, s.Workloads[w]) }
+}
+
+// OverheadOf is Table 2's overhead: the average slowdown vs insecure OoO,
+// in percent, of a configuration over n workloads. cpi(w) gives the
+// configuration's and the baseline's CPI on the w-th workload; workloads
+// without a positive normalized CPI are left out of the average. Sweep
+// and the service's response writer both compute it here.
+func OverheadOf(n int, cpi func(w int) (cfg, base float64)) float64 {
+	return (meanNormalized(n, cpi) - 1) * 100
+}
+
+// meanNormalized is stats.Mean of the positive normalized CPIs, summed in
+// workload order.
+func meanNormalized(n int, cpi func(w int) (cfg, base float64)) float64 {
+	var sum float64
+	k := 0
+	for w := range n {
+		if v := normalized(cpi(w)); v > 0 {
+			sum += v
+			k++
+		}
+	}
+	if k == 0 {
+		return 0
+	}
+	return sum / float64(k)
+}
+
+// normalized is config CPI / baseline CPI, 0 without a baseline CPI.
+func normalized(cfg, base float64) float64 {
+	if base == 0 {
+		return 0
+	}
+	return cfg / base
 }
 
 // Cell is one (workload, configuration) cell of the sweep grid: the

@@ -69,7 +69,8 @@ type cacheEntry struct {
 	key   string
 	ready chan struct{} // closed when val/enc/err are final
 	val   any
-	enc   []byte // val's canonical JSON; nil for Do entries, which are never encoded
+	enc   []byte // val's canonical JSON, when DoTiered was asked to keep it
+	size  int    // len of val's canonical JSON; 0 for Do entries, which are never encoded
 	err   error
 	elem  *list.Element // nil while in flight
 }
@@ -98,9 +99,10 @@ func (c *Cache) Len() int {
 	return len(c.m)
 }
 
-// Bytes returns the total length of the encodings ready entries keep.
-// Every DoTiered entry (every cell result) keeps one, tiers or not; Do
-// entries (checkpoint series) keep none and count zero.
+// Bytes returns the total length of ready entries' canonical encodings.
+// Every DoTiered entry (every cell result) is encoded once, tiers or not,
+// and counts its encoding's length whether it keeps the bytes or not; Do
+// entries (checkpoint series) are never encoded and count zero.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -127,7 +129,7 @@ func (c *Cache) Contains(key string) bool {
 // in-process intermediates, such as checkpoint series, that no response
 // carries.
 func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error)) (v any, hit bool, err error) {
-	v, _, tier, err := c.do(ctx, key, nil, nil, compute, false)
+	v, _, tier, err := c.do(ctx, key, nil, nil, compute, false, false)
 	return v, tier == HitRAM, err
 }
 
@@ -139,22 +141,23 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error))
 // entry decode rejects — corrupt or alien bytes — counts as a miss and the
 // walk moves on. When every level misses, compute runs.
 //
-// Every entry DoTiered installs keeps enc, its value's canonical encoding
-// (json.Marshal of the value), and returns it with the value, so a caller
-// can splice a response from cell encodings without encoding again. enc
-// is computed once per entry: a computed value's encoding is the one
+// Every entry DoTiered installs is encoded once, canonically
+// (json.Marshal of the value): a computed value's encoding is the one
 // written into every level, and a value a level held is decoded and
 // encoded again. Bytes from outside the process are never kept or
 // written back verbatim, so a level holding decodable but non-canonical
 // bytes (extra whitespace, a trailing newline) still yields canonical
 // ones. A value that does not encode fails the call, like a failed
-// compute, and is not cached.
-func (c *Cache) DoTiered(ctx context.Context, key string, tiers []Tier, decode func([]byte) (any, error), compute func() (any, error)) (v any, enc []byte, tier HitTier, err error) {
-	return c.do(ctx, key, tiers, decode, compute, true)
+// compute, and is not cached. With keep, the entry keeps the encoding
+// and every call returns it as enc, so a caller can splice a response
+// from cell encodings without encoding again; without keep, enc is nil
+// and the entry holds only the value.
+func (c *Cache) DoTiered(ctx context.Context, key string, tiers []Tier, decode func([]byte) (any, error), compute func() (any, error), keep bool) (v any, enc []byte, tier HitTier, err error) {
+	return c.do(ctx, key, tiers, decode, compute, true, keep)
 }
 
-// do is Do (encode false) and DoTiered (encode true).
-func (c *Cache) do(ctx context.Context, key string, tiers []Tier, decode func([]byte) (any, error), compute func() (any, error), encode bool) (v any, enc []byte, tier HitTier, err error) {
+// do is Do (encode and keep false) and DoTiered (encode true).
+func (c *Cache) do(ctx context.Context, key string, tiers []Tier, decode func([]byte) (any, error), compute func() (any, error), encode, keep bool) (v any, enc []byte, tier HitTier, err error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.m[key]; ok {
@@ -202,7 +205,10 @@ func (c *Cache) do(ctx context.Context, key string, tiers []Tier, decode func([]
 			if merr != nil {
 				continue
 			}
-			e.val, e.enc, tier = dv, enc, HitDisk+HitTier(i)
+			e.val, e.size, tier = dv, len(enc), HitDisk+HitTier(i)
+			if keep {
+				e.enc = enc
+			}
 			for _, up := range tiers[:i] {
 				if up != nil {
 					up.Put(key, enc)
@@ -213,10 +219,15 @@ func (c *Cache) do(ctx context.Context, key string, tiers []Tier, decode func([]
 		if tier == Computed {
 			e.val, e.err = compute()
 			if e.err == nil && encode {
-				if e.enc, e.err = json.Marshal(e.val); e.err == nil {
+				var enc []byte
+				if enc, e.err = json.Marshal(e.val); e.err == nil {
+					e.size = len(enc)
+					if keep {
+						e.enc = enc
+					}
 					for _, t := range tiers {
 						if t != nil {
-							t.Put(key, e.enc)
+							t.Put(key, enc)
 						}
 					}
 				}
@@ -228,7 +239,7 @@ func (c *Cache) do(ctx context.Context, key string, tiers []Tier, decode func([]
 			delete(c.m, key)
 		} else {
 			e.elem = c.lru.PushFront(e)
-			c.bytes += int64(len(e.enc))
+			c.bytes += int64(e.size)
 			c.evictOver()
 		}
 		c.mu.Unlock()
@@ -256,9 +267,9 @@ func (c *Cache) evictOver() {
 		e := c.lru.Remove(back).(*cacheEntry)
 		e.elem = nil
 		delete(c.m, e.key)
-		c.bytes -= int64(len(e.enc))
+		c.bytes -= int64(e.size)
 		if c.onEvict != nil {
-			c.onEvict(len(e.enc))
+			c.onEvict(e.size)
 		}
 	}
 }

@@ -53,14 +53,17 @@ type CellRequest struct {
 }
 
 // cellKind is one result kind's table entry: how its value is computed in
-// this process and decoded from a tier's or a worker's bytes.
+// this process and decoded from a tier's or a worker's bytes, and whether
+// its RAM entries keep their encodings (only the sweep kind's response is
+// spliced from them; the others encode their response whole).
 type cellKind struct {
 	compute func(m *Manager, ctx context.Context, c *cell) (any, error)
 	decode  func(b []byte) (any, error)
+	spliced bool
 }
 
 var (
-	sweepKind  = &cellKind{compute: (*Manager).measure, decode: decodeJSON[harness.Measurement]}
+	sweepKind  = &cellKind{compute: (*Manager).measure, decode: decodeJSON[harness.Measurement], spliced: true}
 	attackKind = &cellKind{compute: (*Manager).runAttack, decode: decodeJSON[attack.Outcome]}
 	gadgetKind = &cellKind{compute: (*Manager).census, decode: decodeJSON[gadget.ProgramReport]}
 )

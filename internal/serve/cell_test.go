@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -47,6 +48,52 @@ func TestCellEndpoint(t *testing.T) {
 		if resp, body := post(t, srv.URL+"/v1/cell", c); resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s cell = %d: %s", c.Kind, resp.StatusCode, body)
 		}
+	}
+}
+
+// TestOnlySplicedKindsKeepEncodings: a RAM entry keeps its value's
+// encoding only for the sweep kind, whose response is spliced from it.
+// Attack and gadget entries hold just their value, still count their
+// encoding's length in Cache.Bytes, and /v1/cell answers them, cold and
+// warm, with the canonical bytes.
+func TestOnlySplicedKindsKeepEncodings(t *testing.T) {
+	m, srv := newTestServer(t)
+	var want int64
+	for _, req := range []CellRequest{
+		{Kind: "sweep", Workload: "exchange2", Policy: "OoO", Sampling: tinySampling()},
+		{Kind: "gadget", Program: "meltdown"},
+		{Kind: "attack", Attack: "spectre-v1-cache", Policy: "OoO"},
+	} {
+		c, err := req.cell()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cold []byte
+		for _, pass := range []string{"cold", "warm"} {
+			resp, body := post(t, srv.URL+"/v1/cell", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s cell = %d: %s", pass, req.Kind, resp.StatusCode, body)
+			}
+			if cold == nil {
+				cold = body
+			} else if !bytes.Equal(body, cold) {
+				t.Errorf("warm %s cell %s differs from cold %s", req.Kind, body, cold)
+			}
+		}
+		m.cache.mu.Lock()
+		e := m.cache.m[c.key]
+		m.cache.mu.Unlock()
+		canon := mustJSON("test", e.val)
+		if !bytes.Equal(cold, append(canon, '\n')) {
+			t.Errorf("%s cell answered %s, want its canonical bytes %s and a newline", req.Kind, cold, canon)
+		}
+		if kept := e.enc != nil; kept != (req.Kind == "sweep") || (kept && !bytes.Equal(e.enc, canon)) {
+			t.Errorf("%s entry keeps encoding %q, want it kept only for the sweep kind", req.Kind, e.enc)
+		}
+		want += int64(len(canon))
+	}
+	if got := m.cache.Bytes(); got != want {
+		t.Errorf("Cache.Bytes = %d, want %d: every entry's encoding length", got, want)
 	}
 }
 

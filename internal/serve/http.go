@@ -83,6 +83,10 @@ func NewHandler(m *Manager) http.Handler {
 			return
 		}
 		m.Metrics().CellsServed.Add(1)
+		if res.enc == nil {
+			writeJSON(w, http.StatusOK, res.val)
+			return
+		}
 		writeEncoded(w, http.StatusOK, res.enc)
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {

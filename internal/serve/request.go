@@ -143,15 +143,16 @@ type SweepResponse struct {
 // SweepResponse of a grid with axes workloads × configs, whose cells rs
 // come in harness.Grid's order (workload-major, configs in order within a
 // workload). Each cell's measurement is spliced in from its canonical
-// encoding; the grid's maps go out with their keys sorted, as
-// encoding/json sorts them, and the overheads follow Sweep.Overhead. Like
-// json.Marshal, it fails on an overhead that is NaN or infinite. The axes
-// are non-empty and distinct: an empty list means every name, request
+// encoding, and the grid's maps go out with their keys sorted, as
+// encoding/json sorts them. The overheads are harness.OverheadOf, the
+// function Sweep.Overhead calls, in encoding/json's float format; like
+// json.Marshal, it fails on one that is NaN or infinite. The axes are
+// non-empty and distinct: an empty list means every name, request
 // validation rejects repeated names, and no policy is named
 // harness.InOrderName.
 func sweepResponseJSON(workloads, configs []string, rs []resolved) ([]byte, error) {
 	nc := len(configs)
-	meas := func(w, c int) *harness.Measurement { return rs[w*nc+c].val.(*harness.Measurement) }
+	cpi := func(w, c int) float64 { return rs[w*nc+c].val.(*harness.Measurement).CPI.Mean }
 	wi, ci := sortedOrder(workloads), sortedOrder(configs)
 	base := slices.Index(configs, core.Baseline().Name)
 
@@ -198,29 +199,15 @@ func sweepResponseJSON(workloads, configs []string, rs []resolved) ([]byte, erro
 			if c == base {
 				continue
 			}
-			// Sweep.Overhead, operation for operation: stats.Mean of the
-			// positive normalized CPIs, summed in workload order.
-			var sum, mean float64
-			n := 0
-			for w := range workloads {
-				if bm := meas(w, base); bm.CPI.Mean != 0 {
-					if v := meas(w, c).CPI.Mean / bm.CPI.Mean; v > 0 {
-						sum += v
-						n++
-					}
-				}
-			}
-			if n > 0 {
-				mean = sum / float64(n)
-			}
 			if !first {
 				b = append(b, ',')
 			}
 			first = false
 			b = appendJSONString(b, configs[c])
 			b = append(b, ':')
+			pct := harness.OverheadOf(len(workloads), func(w int) (float64, float64) { return cpi(w, c), cpi(w, base) })
 			var err error
-			if b, err = appendJSONFloat(b, (mean-1)*100); err != nil {
+			if b, err = appendJSONFloat(b, pct); err != nil {
 				return nil, err
 			}
 		}

@@ -32,8 +32,9 @@ type plan struct {
 	assemble func(rs []resolved) ([]byte, error)
 }
 
-// resolved is one resolved cell: its value and the value's canonical
-// encoding, which the cache keeps with it.
+// resolved is one resolved cell: its value and, for a kind whose
+// response is spliced, the value's canonical encoding, which the cache
+// keeps with it.
 type resolved struct {
 	val any
 	enc []byte
@@ -93,7 +94,7 @@ func (m *Manager) resolve(ctx context.Context, j *Job, c *cell) (resolved, error
 			return nil, fmt.Errorf("serve: undecodable cell response from %s: %w", stat.Worker, err)
 		}
 		return v, nil
-	})
+	}, c.kind.spliced)
 	if err != nil {
 		return resolved{}, err
 	}

@@ -134,7 +134,7 @@ func TestCacheReadyEntryIgnoresCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 100; i++ {
-		v, _, tier, err := c.DoTiered(ctx, "k", nil, nil, nil)
+		v, _, tier, err := c.DoTiered(ctx, "k", nil, nil, nil, false)
 		if err != nil || tier != HitRAM || v.(int) != 1 {
 			t.Fatalf("lookup %d under a cancelled context = %v, %v, %v; want 1 from RAM", i, v, tier, err)
 		}

@@ -253,7 +253,7 @@ func (f *fakeTier) Has(key string) bool {
 // compute when every level misses.
 func walk(t *testing.T, tiers []Tier, compute func() (any, error)) (int, HitTier) {
 	t.Helper()
-	v, _, tier, err := NewCache(0, nil).DoTiered(context.Background(), "k", tiers, decodeJSON[int], compute)
+	v, _, tier, err := NewCache(0, nil).DoTiered(context.Background(), "k", tiers, decodeJSON[int], compute, true)
 	if err != nil {
 		t.Fatal(err)
 	}
