@@ -49,9 +49,9 @@ bench-json:
 bench-trajectory:
 	sh scripts/bench_trajectory.sh
 
-## golden-identity: regenerate the quick sweep (continuous and checkpointed)
-## and the attack matrix at two worker counts and byte-diff each against
-## testdata/golden/
+## golden-identity: regenerate the quick sweep (continuous and checkpointed),
+## the attack matrix and the fuzz census at two worker counts and byte-diff
+## each against testdata/golden/
 golden-identity:
 	sh scripts/golden_identity.sh
 

@@ -258,6 +258,19 @@ func (r *RAS) SnapshotInto(dst *RASSnapshot) {
 	copy(dst.entries, r.entries)
 }
 
+// Snapshots returns n empty snapshots sized for this stack, all over one
+// backing array, for a caller that keeps a checkpoint per slot:
+// SnapshotInto and CopyInto then fill them without allocating.
+func (r *RAS) Snapshots(n int) []RASSnapshot {
+	d := len(r.entries)
+	buf := make([]uint64, n*d)
+	out := make([]RASSnapshot, n)
+	for i := range out {
+		out[i].entries = buf[i*d : (i+1)*d : (i+1)*d]
+	}
+	return out
+}
+
 // CopyInto copies the snapshot into dst, reusing dst's backing array when it
 // is already the right size. dst shares no storage with s afterwards.
 func (s RASSnapshot) CopyInto(dst *RASSnapshot) {

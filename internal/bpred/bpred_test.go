@@ -165,6 +165,29 @@ func TestRASSnapshotRestore(t *testing.T) {
 	}
 }
 
+// Snapshots share one backing array, so each must stay within its own
+// stretch of it, and filling one must not allocate.
+func TestRASSnapshotsAreDisjoint(t *testing.T) {
+	r := NewRAS(4)
+	snaps := r.Snapshots(3)
+	for i := range snaps {
+		r.Push(uint64(0x10 * (i + 1)))
+		if n := testing.AllocsPerRun(10, func() { r.SnapshotInto(&snaps[i]) }); n != 0 {
+			t.Errorf("SnapshotInto snapshot %d: %v allocs", i, n)
+		}
+	}
+	for i, s := range snaps {
+		r2 := NewRAS(4)
+		r2.Restore(s)
+		if r2.Depth() != i+1 {
+			t.Fatalf("snapshot %d: depth %d, want %d", i, r2.Depth(), i+1)
+		}
+		if a, _ := r2.Pop(); a != uint64(0x10*(i+1)) {
+			t.Errorf("snapshot %d: top %#x, want %#x", i, a, 0x10*(i+1))
+		}
+	}
+}
+
 func TestRASSnapshotProperty(t *testing.T) {
 	f := func(ops []uint8, addrs []uint64) bool {
 		r := NewRAS(16)

@@ -121,8 +121,9 @@ func (t *timingCore) runSeed(seed int64, run timingFunc) *Result {
 	// identical instruction/address stream and reach the same final state
 	// under both secret vectors. This validates the generator discipline
 	// the soundness argument rests on.
-	archA, errA := runArch(p, t.restore(base), secretA, msrSecretA)
-	archB, errB := runArch(p, t.restore(base), secretB, msrSecretB)
+	archA, archB := &t.archA, &t.archB
+	errA := archA.run(p, t.restore(base), secretA, msrSecretA)
+	errB := archB.run(p, t.restore(base), secretB, msrSecretB)
 	if errA != nil || errB != nil {
 		r.Failure = fmt.Sprintf("%s: architectural run failed: %v / %v", p.Name, errA, errB)
 		return r
@@ -133,12 +134,11 @@ func (t *timingCore) runSeed(seed int64, run timingFunc) *Result {
 		return r
 	}
 
-	var trA, trB []ooo.ChannelEvent
 	for _, pol := range policies {
 		var sanA, sanB uint64
 		var errA, errB error
-		trA, sanA, errA = run(p, base, pol, secretA, msrSecretA, trA[:0])
-		trB, sanB, errB = run(p, base, pol, secretB, msrSecretB, trB[:0])
+		t.trA, sanA, errA = run(p, base, pol, secretA, msrSecretA, t.trA[:0])
+		t.trB, sanB, errB = run(p, base, pol, secretB, msrSecretB, t.trB[:0])
 		r.SanViolations += sanA + sanB
 		if errA != nil || errB != nil {
 			r.Failure = fmt.Sprintf("%s under %s: timing run failed: %v / %v", p.Name, pol.Name, errA, errB)
@@ -146,7 +146,7 @@ func (t *timingCore) runSeed(seed int64, run timingFunc) *Result {
 		}
 		pr := PolicyResult{
 			StaticSafe:  !an.Leaks[pol.Name],
-			DynamicLeak: !tracesEqual(trA, trB),
+			DynamicLeak: !tracesEqual(t.trA, t.trB),
 		}
 		r.PerPolicy[pol.Name] = pr
 		if sanA+sanB > 0 {
@@ -156,7 +156,7 @@ func (t *timingCore) runSeed(seed int64, run timingFunc) *Result {
 		}
 		if pr.StaticSafe && pr.DynamicLeak {
 			r.Failure = fmt.Sprintf("SOUNDNESS: %s (%s) certified safe under %s but channel traces differ (%d vs %d events): %s",
-				p.Name, strings.Join(p.Frags, "+"), pol.Name, len(trA), len(trB), traceDiff(trA, trB))
+				p.Name, strings.Join(p.Frags, "+"), pol.Name, len(t.trA), len(t.trB), traceDiff(t.trA, t.trB))
 			return r
 		}
 	}
@@ -187,19 +187,19 @@ func (a *archRun) diff(b *archRun) string {
 	return ""
 }
 
-// runArch runs p on the reference emulator over img, which holds p's
-// loaded data image.
-func runArch(p *progen.Program, img *mem.Memory, secret byte, msrSecret uint64) (*archRun, error) {
+// run records p's run on the reference emulator over img, which holds p's
+// loaded data image, into r, reusing r's step log.
+func (r *archRun) run(p *progen.Program, img *mem.Memory, secret byte, msrSecret uint64) error {
 	m := emu.NewWithMemory(p.Prog, img)
 	plant(m.Mem, secret)
 	m.MSR[isa.MSRSecretKey] = msrSecret
-	r := &archRun{}
+	*r = archRun{steps: r.steps[:0]}
 	for !m.Halted {
 		if r.retired >= instCap {
-			return nil, fmt.Errorf("exceeded %d instructions", instCap)
+			return fmt.Errorf("exceeded %d instructions", instCap)
 		}
 		if err := m.Step(); err != nil {
-			return nil, err
+			return err
 		}
 		// Values never enter the record: only the instruction/address
 		// stream and the final state must be secret-independent.
@@ -210,16 +210,23 @@ func runArch(p *progen.Program, img *mem.Memory, secret byte, msrSecret uint64) 
 	}
 	r.regs = m.Regs
 	r.faults = m.Faults
-	return r, nil
+	return nil
 }
 
 // timingCore is one fuzz worker's simulation state, kept across programs:
-// a core, built on the first timing run and reset for every later one, and
-// a memory image every run (timing or architectural) restores from the
-// program's base image.
+// a core, built on the first timing run and reset for every later one; a
+// memory image every run (timing or architectural) restores from the
+// program's base image; the buffers of a program's two channel traces and
+// two architectural step logs; and the recorder that appends each channel
+// event to evs, the trace of the run in progress. The recorder is bound
+// once, so arming a run's trace hook allocates nothing.
 type timingCore struct {
-	c *ooo.Core
-	m *mem.Memory
+	c            *ooo.Core
+	m            *mem.Memory
+	trA, trB     []ooo.ChannelEvent
+	archA, archB archRun
+	evs          []ooo.ChannelEvent
+	record       func(ooo.ChannelEvent)
 }
 
 // restore returns t's run image holding exactly base's contents.
@@ -238,7 +245,7 @@ func (t *timingCore) run(p *progen.Program, base *mem.Memory, pol core.Policy, s
 	} else {
 		t.c.Reset(p.Prog, m, pol)
 	}
-	return runTiming(t.c, secret, msrSecret, evs)
+	return t.timing(secret, msrSecret, evs)
 }
 
 // timingParams is the core configuration of every timing run: the paper's
@@ -249,9 +256,10 @@ func timingParams() ooo.Params {
 	return params
 }
 
-// runTiming plants the secrets in a core that is ready to run (fresh or
+// timing plants the secrets in t's core, which is ready to run (fresh or
 // just reset), runs it, and returns its channel trace appended to evs.
-func runTiming(c *ooo.Core, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
+func (t *timingCore) timing(secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
+	c := t.c
 	plant(c.Memory(), secret)
 	c.SetMSR(isa.MSRSecretKey, msrSecret)
 	// Warm the secret lines so wrong-path dependence chains outrun their
@@ -260,8 +268,14 @@ func runTiming(c *ooo.Core, secret byte, msrSecret uint64, evs []ooo.ChannelEven
 	c.Hierarchy().Data(progen.SecretBase)
 	c.Hierarchy().Data(progen.StaleBase)
 	c.Hierarchy().Data(progen.KSecretBase)
-	c.TraceChannel = func(ev ooo.ChannelEvent) { evs = append(evs, ev) }
-	if err := c.Run(cycleCap); err != nil {
+	if t.record == nil {
+		t.record = func(ev ooo.ChannelEvent) { t.evs = append(t.evs, ev) }
+	}
+	t.evs = evs
+	c.TraceChannel = t.record
+	err := c.Run(cycleCap)
+	evs, t.evs = t.evs, nil
+	if err != nil {
 		return nil, c.SanitizerViolations(), err
 	}
 	return evs, c.SanitizerViolations(), nil

@@ -30,10 +30,12 @@ type Core struct {
 	nextSeq uint64
 
 	// Physical register file. freeList[:freeN] is the free list, a stack
-	// over a backing array of PhysRegs entries.
+	// over a backing array of PhysRegs entries; Reset copies it from
+	// freeInit, the registers past the first NumGPR.
 	regVal   []uint64
 	regReady []bool
 	freeList []int
+	freeInit []int
 	freeN    int
 	rat      [isa.NumGPR]int
 
@@ -50,6 +52,17 @@ type Core struct {
 	rob     []Entry
 	robHead int
 	robLen  int
+
+	// What keeps Entry and fetchSlot pointer-free, allocated in New:
+	// robRAS[slot] is the RAS checkpoint of the entry in ROB slot slot (set
+	// while its HasRASCkpt is), fqRAS[i] that of the fetch-queue slot at
+	// ring index i, and bypassed[slot*SQSize:][:Node.BypassGuards] the ROB
+	// slots of the unresolved older stores the load in slot bypassed. A
+	// store leaves the list when its address resolves; it is older than the
+	// load, so a squash that frees its slot frees the load's too.
+	robRAS   []bpred.RASSnapshot
+	fqRAS    []bpred.RASSnapshot
+	bypassed []int32
 
 	// Schedulers, in age order: ROB ring slots (Entry.Slot). Capacity is
 	// fixed at construction, so dispatch and squash never allocate. The
@@ -70,10 +83,13 @@ type Core struct {
 	//   - bcq: completed register writers awaiting their tag broadcast (age
 	//     order), the deferred-broadcast candidates.
 	//   - doneq: scratch for the entries completing this cycle (age order).
-	execq slotQueue
-	brq   slotQueue
-	bcq   slotQueue
-	doneq slotQueue
+	//   - fenceq: uncompleted FENCEs (age order). Its head is the eldest,
+	//     the one olderFencePending reads.
+	execq  slotQueue
+	brq    slotQueue
+	bcq    slotQueue
+	doneq  slotQueue
+	fenceq slotQueue
 	// guardSeq is the guard horizon the last resolve-walk left: the Seq of
 	// the eldest unresolved branch then, or noGuard if there was none.
 	guardSeq uint64
@@ -130,9 +146,6 @@ type Core struct {
 	// time-gated events, so Run/RunInsts jump c.cycle to the next event
 	// horizon (nextEventCycle) instead of stepping through dead cycles.
 	progress bool
-	// fencesInFlight counts un-completed FENCEs in the ROB, the early-out
-	// for olderFencePending's per-issue-candidate scan.
-	fencesInFlight int
 	// lastCancelPoll is the cycle of the most recent Cancel-channel poll;
 	// polls trigger on elapsed distance so event jumps cannot starve them.
 	lastCancelPoll uint64
@@ -142,11 +155,13 @@ type Core struct {
 	commitValidate uint64
 
 	// Propagation-sanitizer state (sanitizer.go); inert unless p.Sanitize.
+	// sanIssued holds the entries its ROB walk saw issue this cycle.
 	sanCount       uint64
 	sanLog         []Violation
 	sanWriterMark  []uint64
 	sanWriterSeq   []uint64
 	sanWriterBcast []bool
+	sanIssued      slotQueue
 
 	stats stats.Counters
 }
@@ -158,19 +173,25 @@ type Core struct {
 // on a policy gate the core has no rule for (core.Compile).
 func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 	waitWords := (p.ROBSize + 63) / 64
+	ras := bpred.NewRAS(p.RASEntries)
+	ckpts := ras.Snapshots(p.ROBSize + p.FetchQSize)
 	c := &Core{
 		p:    p,
 		hier: cache.NewHierarchy(cache.DefaultHierarchyParams()),
 		gsh:  bpred.NewGshare(p.GshareBits),
 		btb:  bpred.NewBTB(p.BTBEntries, p.BTBWays),
-		ras:  bpred.NewRAS(p.RASEntries),
+		ras:  ras,
 
 		regVal:    make([]uint64, p.PhysRegs),
 		regReady:  make([]bool, p.PhysRegs),
 		freeList:  make([]int, p.PhysRegs),
+		freeInit:  make([]int, p.PhysRegs-isa.NumGPR),
 		waiters:   make([]uint64, p.PhysRegs*waitWords),
 		waitWords: waitWords,
 		rob:       make([]Entry, p.ROBSize),
+		robRAS:    ckpts[:p.ROBSize],
+		fqRAS:     ckpts[p.ROBSize:],
+		bypassed:  make([]int32, p.ROBSize*p.SQSize),
 		rdyq:      newSlotQueue(p.IQSize),
 		lq:        newSlotQueue(p.LQSize),
 		sq:        newSlotQueue(p.SQSize),
@@ -178,51 +199,45 @@ func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 		brq:       newSlotQueue(p.ROBSize),
 		bcq:       newSlotQueue(p.ROBSize),
 		doneq:     newSlotQueue(p.ROBSize),
+		fenceq:    newSlotQueue(p.ROBSize),
 		fetchQ:    make([]fetchSlot, p.FetchQSize),
 	}
 	for i := range c.rob {
-		e := &c.rob[i]
-		e.Slot = int32(i)
-		// Pre-size the per-entry backing stores so the hot path never
-		// allocates: a load can bypass at most SQSize stores, and the RAS
-		// snapshot array matches the stack's entry count.
-		e.bypassed = newSlotQueue(p.SQSize)
-		c.ras.SnapshotInto(&e.RASBefore)
-		e.reset()
+		c.rob[i].Slot = int32(i)
+		c.rob[i].reset()
 	}
-	for i := range c.fetchQ {
-		c.ras.SnapshotInto(&c.fetchQ[i].rasBefore)
+	for i := range c.freeInit {
+		c.freeInit[i] = isa.NumGPR + i
 	}
 	if p.Sanitize {
 		c.sanWriterMark = make([]uint64, p.PhysRegs)
 		c.sanWriterSeq = make([]uint64, p.PhysRegs)
 		c.sanWriterBcast = make([]bool, p.PhysRegs)
+		c.sanIssued = newSlotQueue(p.IssueWidth)
 	}
 	c.Reset(prog, m, pol)
 	return c
 }
 
 // Reset puts the core back into exactly the state New builds for prog, m
-// and pol, keeping every backing array: ROB ring, scheduler queues,
-// physical registers, fetch queue, RAS snapshots, predictors and cache
-// hierarchy. Params are kept. The Cancel and Trace* hooks are cleared, as
-// are the statistics and the sanitizer's count, log and writer marks.
-// The caches and the BTB empty in O(1), by generation bump; beyond them it
-// touches the last run's in-flight entries, the fetch queue, the register
-// file with its waiter sets and the gshare table, not the ~1.2 MB a fresh
-// core allocates. The differential fuzzer and the harness's sweep workers
-// each keep one core this way and Reset it for every run.
+// and pol, keeping every backing array: ROB ring, scheduler queues, RAS
+// checkpoints, bypass lists, physical registers, fetch queue, predictors
+// and cache hierarchy. Params are kept. The Cancel and Trace* hooks are
+// cleared, as are the statistics and the sanitizer's count, log and writer
+// marks. The caches and the BTB empty in O(1), by generation bump; beyond
+// them it touches the last run's in-flight entries, the fetch queue, the
+// register file with its waiter sets and the gshare table, not the ~1.2 MB
+// a fresh core allocates. The differential fuzzer and the harness's sweep
+// workers each keep one core this way and Reset it for every run.
 func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 	// In-flight entries go back to their reset state; every other ring
 	// slot already is in it (retire and squash reset the entries they
-	// free). Fetch-queue slots are zeroed whole, keeping their snapshot
-	// arrays.
+	// free). The stale RAS checkpoints and bypass lists stay: nothing reads
+	// them until a flag or count set later says they are filled.
 	for i := 0; i < c.robLen; i++ {
 		c.robAt(i).reset()
 	}
-	for i := range c.fetchQ {
-		c.fetchQ[i].reset()
-	}
+	clear(c.fetchQ)
 	c.hier.Reset()
 	c.gsh.Reset()
 	c.btb.Reset()
@@ -250,9 +265,14 @@ func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 		regVal:        c.regVal,
 		regReady:      c.regReady,
 		freeList:      c.freeList,
+		freeInit:      c.freeInit,
+		freeN:         copy(c.freeList, c.freeInit),
 		waiters:       c.waiters,
 		waitWords:     c.waitWords,
 		rob:           c.rob,
+		robRAS:        c.robRAS,
+		fqRAS:         c.fqRAS,
+		bypassed:      c.bypassed,
 		rdyq:          c.rdyq.emptied(),
 		lq:            c.lq.emptied(),
 		sq:            c.sq.emptied(),
@@ -260,6 +280,7 @@ func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 		brq:           c.brq.emptied(),
 		bcq:           c.bcq.emptied(),
 		doneq:         c.doneq.emptied(),
+		fenceq:        c.fenceq.emptied(),
 		guardSeq:      noGuard,
 		fetchQ:        c.fetchQ,
 		fetchPC:       prog.Entry,
@@ -270,16 +291,13 @@ func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 		sanWriterMark:  c.sanWriterMark,
 		sanWriterSeq:   c.sanWriterSeq,
 		sanWriterBcast: c.sanWriterBcast,
+		sanIssued:      c.sanIssued.emptied(),
 	}
 	// Map arch registers to the first NumGPR physical registers; the rest
 	// form the free list.
 	for i := 0; i < isa.NumGPR; i++ {
 		c.rat[i] = i
 		c.regReady[i] = true
-	}
-	for i := isa.NumGPR; i < c.p.PhysRegs; i++ {
-		c.freeList[c.freeN] = i
-		c.freeN++
 	}
 }
 
@@ -334,13 +352,13 @@ func (c *Core) fqAt(i int) *fetchSlot {
 	return &c.fetchQ[ringIndex(c.fqHead, i, len(c.fetchQ))]
 }
 
-// fqPush appends a fresh slot at the fetch queue's tail, preserving the
-// slot's RAS-snapshot backing array across reuse.
-func (c *Core) fqPush() *fetchSlot {
-	s := c.fqAt(c.fqLen)
+// fqPush appends a cleared slot at the fetch queue's tail and returns it
+// with its RAS checkpoint.
+func (c *Core) fqPush() (*fetchSlot, *bpred.RASSnapshot) {
+	i := ringIndex(c.fqHead, c.fqLen, len(c.fetchQ))
 	c.fqLen++
-	s.reset()
-	return s
+	c.fetchQ[i] = fetchSlot{}
+	return &c.fetchQ[i], &c.fqRAS[i]
 }
 
 // fqPop drops the fetch queue's head slot.

@@ -1,7 +1,6 @@
 package ooo
 
 import (
-	"nda/internal/bpred"
 	"nda/internal/core"
 	"nda/internal/isa"
 )
@@ -13,7 +12,10 @@ const noPReg = -1
 // in-flight state. Entries live in a fixed ring; the schedulers and the
 // per-stage side lists refer to them by ring slot (Entry.Slot), which is
 // stable for an entry's whole lifetime, so every queue is a fixed-capacity
-// slotQueue with no per-dispatch allocation.
+// slotQueue with no per-dispatch allocation. An Entry holds no pointers:
+// its RAS checkpoint and a load's bypassed-store list live in core-owned
+// arrays indexed by Slot (Core.robRAS, Core.bypassed), so clearing an
+// entry is a plain memory clear.
 type Entry struct {
 	Seq  uint64 // global age; assigned at fetch, monotonically increasing
 	PC   uint64
@@ -45,8 +47,7 @@ type Entry struct {
 	PredTarget uint64
 	GshCkpt    uint64 // gshare history before this branch's own update
 	HasGshCkpt bool
-	RASBefore  bpred.RASSnapshot // RAS state before this instruction's own push/pop
-	HasRASCkpt bool
+	HasRASCkpt bool // Core.robRAS[Slot] holds the RAS state before this instruction's own push/pop
 	Taken      bool
 	Target     uint64
 
@@ -55,14 +56,8 @@ type Entry struct {
 	AddrKnown bool
 	// ForwardSeq is the store this load forwarded from (0 = none).
 	ForwardSeq uint64
-	// bypassed holds the ROB slots of older stores whose addresses were
-	// unknown when this load executed; used for Bypass Restriction and
-	// violation tracking. A bypassed store is always older than the load,
-	// so a squash that frees the store's slot frees the load's too. Its
-	// backing array holds SQSize slots, the most a load can bypass.
-	bypassed slotQueue
-	OffChip  bool // load serviced by DRAM (counts toward MLP while in flight)
-	Inflight bool // load access outstanding (between issue and completion)
+	OffChip    bool // load serviced by DRAM (counts toward MLP while in flight)
+	Inflight   bool // load access outstanding (between issue and completion)
 
 	// InvisiSpec state.
 	Invisible  bool // fill hidden at access time
@@ -103,17 +98,13 @@ type TraceEvent struct {
 	Retire    uint64
 }
 
-// reset clears an entry for reuse, preserving its backing storage: the
-// bypassed list, the RAS snapshot's array (its contents are stale but
-// HasRASCkpt is cleared), and the fixed ring slot. It zeroes the entry in
-// place and then restores what it keeps: building the cleared value first
-// would copy the whole entry once more.
+// reset clears an entry for reuse, keeping its fixed ring slot. It zeroes
+// the entry in place and then sets what is not zero: building the cleared
+// value first would copy the whole entry once more.
 func (e *Entry) reset() {
-	bypassed := e.bypassed.emptied()
-	ras := e.RASBefore
 	slot := e.Slot
 	*e = Entry{}
-	e.bypassed, e.RASBefore, e.Slot = bypassed, ras, slot
+	e.Slot = slot
 	e.DestP, e.PrevP, e.Src1P, e.Src2P = noPReg, noPReg, noPReg, noPReg
 }
 
@@ -132,6 +123,8 @@ func covers(sa uint64, ss int, la uint64, ls int) bool {
 }
 
 // fetchSlot is one decoded instruction travelling from fetch to dispatch.
+// Like Entry it holds no pointers: its RAS checkpoint is Core.fqRAS at the
+// slot's ring index.
 type fetchSlot struct {
 	seq     uint64
 	pc      uint64
@@ -144,14 +137,5 @@ type fetchSlot struct {
 	predTarget uint64
 	gshCkpt    uint64
 	hasGshCkpt bool
-	rasBefore  bpred.RASSnapshot
 	hasRASCkpt bool
-}
-
-// reset clears a fetch slot in place for reuse, keeping its RAS
-// snapshot's backing array.
-func (s *fetchSlot) reset() {
-	ras := s.rasBefore
-	*s = fetchSlot{}
-	s.rasBefore = ras
 }

@@ -94,7 +94,7 @@ func TestNextEventCommitValidate(t *testing.T) {
 
 func TestNextEventFetchQueueReadiness(t *testing.T) {
 	c := quiesce(t)
-	s := c.fqPush()
+	s, _ := c.fqPush()
 	s.seq = 1
 	s.readyAt = 108
 	if h := c.nextEventCycle(); h != 108 {
@@ -125,7 +125,7 @@ func TestNextEventMinAcrossSources(t *testing.T) {
 	e.Issued = true
 	e.CompleteAt = 410
 	c.execq.push(e.Slot)
-	s := c.fqPush()
+	s, _ := c.fqPush()
 	s.seq = 2
 	s.readyAt = 430
 	if h := c.nextEventCycle(); h != 410 {

@@ -39,10 +39,9 @@ func (c *Core) dispatchStage() {
 		e.GshCkpt = s.gshCkpt
 		e.HasGshCkpt = s.hasGshCkpt
 		if s.hasRASCkpt {
-			// Copy (not alias) the snapshot: the ring slot's backing array
-			// is reused as soon as the slot is, while the entry's
-			// checkpoint must survive until retirement or squash.
-			s.rasBefore.CopyInto(&e.RASBefore)
+			// Copy the checkpoint: the fetch slot is reused as soon as it
+			// is popped, while the entry's must last until it leaves.
+			c.fqRAS[c.fqHead].CopyInto(&c.robRAS[e.Slot])
 		}
 		e.HasRASCkpt = s.hasRASCkpt
 
@@ -88,7 +87,7 @@ func (c *Core) dispatchStage() {
 			c.sq.push(e.Slot)
 		}
 		if inst.Op == isa.OpFence {
-			c.fencesInFlight++
+			c.fenceq.push(e.Slot)
 		}
 		c.fqPop()
 		c.progress = true
@@ -121,7 +120,7 @@ func (c *Core) fetchStage() {
 		}
 
 		inst, ok := c.prog.At(pc)
-		s := c.fqPush()
+		s, ras := c.fqPush()
 		s.seq = c.nextSeq
 		s.pc = pc
 		s.inst = inst
@@ -161,7 +160,7 @@ func (c *Core) fetchStage() {
 
 		case inst.Op == isa.OpJal:
 			if inst.IsCall() {
-				c.ras.SnapshotInto(&s.rasBefore)
+				c.ras.SnapshotInto(ras)
 				s.hasRASCkpt = true
 				c.ras.Push(next)
 			}
@@ -171,7 +170,7 @@ func (c *Core) fetchStage() {
 			next = s.predTarget
 
 		case inst.Op == isa.OpJalr:
-			c.ras.SnapshotInto(&s.rasBefore)
+			c.ras.SnapshotInto(ras)
 			s.hasRASCkpt = true
 			switch {
 			case c.noSpec:

@@ -118,7 +118,7 @@ func (c *Core) completeExecution() {
 			e.Node.Broadcast = true
 		}
 		if e.Inst.Op == isa.OpFence {
-			c.fencesInFlight--
+			c.fenceq.remove(s)
 		}
 		if e.Inflight {
 			e.Inflight = false
@@ -219,10 +219,17 @@ func (c *Core) resolveStore(e *Entry) {
 	}
 	// Clear the bypass guards this store held on surviving loads. This must
 	// happen even on the violation path: the store resolves exactly once,
-	// and loads older than the squash point live on.
+	// and loads older than the squash point live on. A list is a set, so
+	// the last slot fills the hole.
 	for _, li := range c.lq.slots() {
-		if ld := c.entryAt(li); ld.bypassed.remove(e.Slot) {
-			ld.Node.BypassGuards--
+		ld := c.entryAt(li)
+		byp := c.bypassed[int(li)*c.p.SQSize:][:ld.Node.BypassGuards]
+		for i, s := range byp {
+			if s == e.Slot {
+				byp[i] = byp[len(byp)-1]
+				ld.Node.BypassGuards--
+				break
+			}
 		}
 	}
 }
@@ -621,7 +628,8 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 	// fetch queue's seq range with entries to keep). Slot seqs ascend with
 	// queue position, so dropping is a tail truncation of the ring.
 	for i := c.fqLen - 1; i >= 0; i-- {
-		s := c.fqAt(i)
+		j := ringIndex(c.fqHead, i, len(c.fetchQ))
+		s := &c.fetchQ[j]
 		if s.seq < seq {
 			continue
 		}
@@ -629,7 +637,7 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 			c.gsh.SetHistory(s.gshCkpt)
 		}
 		if s.hasRASCkpt {
-			c.ras.Restore(s.rasBefore)
+			c.ras.Restore(c.fqRAS[j])
 		}
 	}
 	for c.fqLen > 0 && c.fqAt(c.fqLen-1).seq >= seq {
@@ -660,14 +668,11 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 				c.unwait(e, b)
 			}
 		}
-		if e.Inst.Op == isa.OpFence && !e.Node.Completed {
-			c.fencesInFlight--
-		}
 		if e.HasGshCkpt {
 			c.gsh.SetHistory(e.GshCkpt)
 		}
 		if e.HasRASCkpt {
-			c.ras.Restore(e.RASBefore)
+			c.ras.Restore(c.robRAS[e.Slot])
 		}
 		if e.Inflight && e.OffChip {
 			c.offChipLoads--
@@ -699,6 +704,7 @@ func (c *Core) filterQueues(seq uint64) {
 	c.execq.filter(c.rob, seq)
 	c.brq.filter(c.rob, seq)
 	c.bcq.filter(c.rob, seq)
+	c.fenceq.filter(c.rob, seq)
 }
 
 // ---- issue & execute ----
@@ -787,23 +793,10 @@ func (c *Core) oldersCompleted(e *Entry) bool {
 	return true
 }
 
+// olderFencePending reports whether an uncompleted FENCE older than e is in
+// flight: whether fenceq's head, the eldest, is older than e.
 func (c *Core) olderFencePending(e *Entry) bool {
-	if c.fencesInFlight == 0 {
-		// No un-completed FENCE anywhere in the ROB — the common case, and
-		// the reason this check is a counter test instead of a scan per
-		// issue candidate per cycle.
-		return false
-	}
-	for i := 0; i < c.robLen; i++ {
-		o := c.robAt(i)
-		if o.Seq >= e.Seq {
-			return false
-		}
-		if o.Inst.Op == isa.OpFence && !o.Node.Completed {
-			return true
-		}
-	}
-	return false
+	return c.fenceq.n > 0 && c.rob[c.fenceq.head()].Seq < e.Seq
 }
 
 // execute begins execution of e this cycle: operands are read, the result
@@ -898,14 +891,16 @@ func (c *Core) executeLoad(e *Entry) bool {
 	// replays until the store drains. Address-unknown older stores are
 	// speculatively bypassed and recorded.
 	var fwd *Entry
-	e.bypassed.n = 0
+	byp := c.bypassed[int(e.Slot)*c.p.SQSize:]
+	n := 0
 	for i := c.sq.n - 1; i >= 0; i-- {
 		s := c.entryAt(c.sq.s[i])
 		if s.Seq > e.Seq {
 			continue
 		}
 		if !s.Issued || !s.AddrKnown {
-			e.bypassed.push(s.Slot)
+			byp[n] = s.Slot
+			n++
 			continue
 		}
 		ssize := s.Inst.MemBytes()
@@ -916,7 +911,6 @@ func (c *Core) executeLoad(e *Entry) bool {
 			fwd = s
 		} else {
 			// Partial overlap or data not yet propagatable: replay.
-			e.bypassed.n = 0
 			e.RetryAt = c.cycle + 2
 			c.stats.LoadReplays++
 			return false
@@ -924,8 +918,8 @@ func (c *Core) executeLoad(e *Entry) bool {
 		break
 	}
 
-	e.Node.BypassGuards = e.bypassed.n
-	if e.bypassed.n > 0 {
+	e.Node.BypassGuards = n
+	if n > 0 {
 		c.stats.BypassedLoads++
 	}
 

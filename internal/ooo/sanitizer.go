@@ -13,15 +13,18 @@ import "fmt"
 // read regReady and Node.Broadcast, never the wake-up state (waiter sets,
 // rdyq), so a consumer woken too early shows as issued-before-broadcast.
 //
-// Enabled by Params.Sanitize; off by default because the checks cost a ROB
-// scan per stepped cycle. The differential checker (internal/diffuzz),
-// cmd/ndalint's cross-validation tests and the workload sanity tests run
-// with it on. It does not force per-cycle stepping: Run and RunInsts still
-// jump over dead cycles, where none of the checks below could find anything
-// new (see Core.deadStep), and step every cycle after one that logged a
-// finding, so counts and log match per-cycle stepping exactly.
+// Enabled by Params.Sanitize; off by default because the checks cost one
+// age-ordered ROB walk per stepped cycle. The differential checker
+// (internal/diffuzz), cmd/ndalint's cross-validation tests and the workload
+// sanity tests run with it on. It does not force per-cycle stepping: Run
+// and RunInsts still jump over dead cycles, where none of the checks below
+// could find anything new (see Core.deadStep), and step every cycle after
+// one that logged a finding, so counts and log match per-cycle stepping.
 //
-// Checks, at the end of every stepped cycle:
+// Checks, at the end of every stepped cycle. The walk runs checks 1–2 on
+// each in-flight producer as it indexes the writer of every destination
+// register, and notes the (at most IssueWidth) entries that issued this
+// cycle; checks 3–4 then run on those, in age order, against the index:
 //
 //  1. ready-without-broadcast: no in-flight producer's destination physical
 //     register is marked ready before the producer's tag broadcast. The
@@ -85,11 +88,15 @@ func (c *Core) checkInvariants() {
 		return
 	}
 
-	// Pass 1: per-producer checks, and index the in-flight writer of every
-	// destination physical register (unique: the free list hands each preg
-	// to at most one in-flight instruction).
+	// The walk: per-producer checks, and index the in-flight writer of
+	// every destination physical register (unique: the free list hands
+	// each preg to at most one in-flight instruction).
+	c.sanIssued.n = 0
 	for i := 0; i < c.robLen; i++ {
 		e := c.robAt(i)
+		if e.Issued && e.IssuedAt == c.cycle {
+			c.sanIssued.push(e.Slot)
+		}
 		if e.DestP == noPReg {
 			continue
 		}
@@ -109,12 +116,9 @@ func (c *Core) checkInvariants() {
 		}
 	}
 
-	// Pass 2: consumers that entered execution this cycle.
-	for i := 0; i < c.robLen; i++ {
-		e := c.robAt(i)
-		if !e.Issued || e.IssuedAt != c.cycle {
-			continue
-		}
+	// Consumers that entered execution this cycle.
+	for _, s := range c.sanIssued.slots() {
+		e := c.entryAt(s)
 		c.sanCheckSource(e, e.Src1P)
 		if !e.Inst.IsStore() {
 			c.sanCheckSource(e, e.Src2P)

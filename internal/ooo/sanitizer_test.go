@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"slices"
 	"testing"
 
 	"nda/internal/asm"
@@ -150,5 +151,80 @@ main:   li   t1, 7
 		for _, v := range c.SanitizerLog() {
 			t.Log(v)
 		}
+	}
+}
+
+// TestSanitizerLogPinned pins the sanitizer's findings, their count and
+// their order, on a forced leak that trips checks 1, 3 and 4. At the end of
+// every cycle in which something issued, it clears the broadcast bit of
+// every in-flight producer that has broadcast and reruns the checks: each
+// such producer's ready register is then check 1's finding, a consumer that
+// issued this cycle reading one is check 3's, and a load that forwarded
+// this cycle from a store whose data came from one is check 4's. Cycle 169
+// logs checks 1 and 3 together, so the test also fixes their order: every
+// check-1/2 finding of a cycle precedes its check-3/4 findings. The
+// expected log was recorded when the checks made two ROB walks per cycle.
+func TestSanitizerLogPinned(t *testing.T) {
+	prog, err := asm.Assemble(`
+        .data
+        .org 0x10000
+slot:   .word64 0
+        .org 0x40000
+far:    .word64 0
+        .text
+main:   la   s0, slot
+        la   s1, far
+        ld   t3, (s1)        # cold miss holds the ROB head
+        li   t0, 7
+        sd   t0, (s0)
+        ld   t1, (s0)        # forwards from the store
+        add  t2, t1, t0
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := DefaultParams()
+	params.Sanitize = true
+	c := NewFromProgram(prog, core.Baseline(), params)
+	for !c.halted {
+		if err := c.Step(); err != nil {
+			t.Fatal(err)
+		}
+		issued := false
+		for i := 0; i < c.robLen; i++ {
+			if e := c.robAt(i); e.Issued && e.IssuedAt == c.cycle {
+				issued = true
+			}
+		}
+		if !issued {
+			continue
+		}
+		var cleared []*Entry
+		for i := 0; i < c.robLen; i++ {
+			if e := c.robAt(i); e.DestP != noPReg && e.Node.Broadcast {
+				e.Node.Broadcast = false // the injected plumbing bug
+				cleared = append(cleared, e)
+			}
+		}
+		c.checkInvariants()
+		for _, e := range cleared {
+			e.Node.Broadcast = true
+		}
+	}
+	want := []Violation{
+		{Cycle: 151, Check: "ready-without-broadcast", PC: 0x100c, Seq: 4, Detail: "p252 is ready but li x5, 7 has not broadcast (completed=true)"},
+		{Cycle: 165, Check: "ready-without-broadcast", PC: 0x100c, Seq: 4, Detail: "p252 is ready but li x5, 7 has not broadcast (completed=true)"},
+		{Cycle: 165, Check: "forward-before-broadcast", PC: 0x1014, Seq: 9, Detail: "ld x6, 0(x8) forwarded from store seq 5 whose data producer (seq 4, p252) has not broadcast"},
+		{Cycle: 169, Check: "ready-without-broadcast", PC: 0x100c, Seq: 4, Detail: "p252 is ready but li x5, 7 has not broadcast (completed=true)"},
+		{Cycle: 169, Check: "ready-without-broadcast", PC: 0x1014, Seq: 9, Detail: "p251 is ready but ld x6, 0(x8) has not broadcast (completed=true)"},
+		{Cycle: 169, Check: "issued-before-broadcast", PC: 0x1018, Seq: 10, Detail: "add x7, x6, x5 issued reading p251 before its producer (seq 9) broadcast"},
+		{Cycle: 169, Check: "issued-before-broadcast", PC: 0x1018, Seq: 10, Detail: "add x7, x6, x5 issued reading p252 before its producer (seq 4) broadcast"},
+	}
+	if n := c.SanitizerViolations(); n != uint64(len(want)) {
+		t.Errorf("SanitizerViolations = %d, want %d", n, len(want))
+	}
+	if got := c.SanitizerLog(); !slices.Equal(got, want) {
+		t.Errorf("sanitizer log:\n%v\nwant:\n%v", got, want)
 	}
 }

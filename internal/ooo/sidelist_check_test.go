@@ -24,6 +24,12 @@ import (
 //   - bcq holds the completed register writers not yet broadcast, in age
 //     order;
 //   - brq holds the unresolved ClassBranch entries, in age order;
+//   - fenceq holds the uncompleted FENCEs, in age order;
+//   - each issued load's bypass list holds exactly Node.BypassGuards
+//     slots, as a set those of the older stores whose addresses are still
+//     unresolved and that its store-queue scan reached (the ones younger
+//     than the store it forwarded from, if any); every other entry has
+//     BypassGuards 0;
 //   - under a policy whose rules walk guards, every UnderGuard bit equals a
 //     fresh Rules.RecomputeGuards walk;
 //   - under InvisiSpec-Spectre, no completed hidden load is left
@@ -32,7 +38,7 @@ import (
 // It lives in a test file so only tests can call it; the external tests
 // drive it over programs whose packages import this one.
 func (c *Core) CheckSideLists() error {
-	var rdy, lq, sq, exec, bc, br []int32
+	var rdy, lq, sq, exec, bc, br, fence []int32
 	unissued := 0
 	waiters := make([]uint64, len(c.waiters))
 	for i := 0; i < c.robLen; i++ {
@@ -73,6 +79,12 @@ func (c *Core) CheckSideLists() error {
 		if e.Node.Class == isa.ClassBranch && !e.Node.GuardResolved {
 			br = append(br, e.Slot)
 		}
+		if e.Inst.Op == isa.OpFence && !e.Node.Completed {
+			fence = append(fence, e.Slot)
+		}
+		if err := c.checkBypassList(i); err != nil {
+			return err
+		}
 	}
 	execq := slices.Clone(c.execq.slots())
 	slices.Sort(execq)
@@ -87,6 +99,7 @@ func (c *Core) CheckSideLists() error {
 		{"execq (as a set)", execq, exec},
 		{"bcq", c.bcq.slots(), bc},
 		{"brq", c.brq.slots(), br},
+		{"fenceq", c.fenceq.slots(), fence},
 	} {
 		if !slices.Equal(l.got, l.want) {
 			return fmt.Errorf("cycle %d: %s = %v, a ROB walk gives %v", c.cycle, l.name, l.got, l.want)
@@ -123,6 +136,33 @@ func (c *Core) CheckSideLists() error {
 					c.cycle, e.Seq, e.Inst)
 			}
 		}
+	}
+	return nil
+}
+
+// checkBypassList holds the bypass list of the entry at ROB position i to
+// a walk over the older entries (see CheckSideLists).
+func (c *Core) checkBypassList(i int) error {
+	e := c.robAt(i)
+	if !e.Inst.IsLoad() || !e.Issued {
+		if e.Node.BypassGuards != 0 {
+			return fmt.Errorf("cycle %d: seq %d (%v) is not an issued load but has BypassGuards=%d",
+				c.cycle, e.Seq, e.Inst, e.Node.BypassGuards)
+		}
+		return nil
+	}
+	var want []int32
+	for j := 0; j < i; j++ {
+		if o := c.robAt(j); o.Inst.IsStore() && !o.AddrKnown && o.Seq > e.ForwardSeq {
+			want = append(want, o.Slot)
+		}
+	}
+	got := slices.Clone(c.bypassed[int(e.Slot)*c.p.SQSize:][:e.Node.BypassGuards])
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("cycle %d: seq %d (%v) has bypass list %v (BypassGuards=%d), a ROB walk gives %v",
+			c.cycle, e.Seq, e.Inst, got, e.Node.BypassGuards, want)
 	}
 	return nil
 }
