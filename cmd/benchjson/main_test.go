@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -46,5 +49,39 @@ func TestMedian(t *testing.T) {
 		if got := median(c.in); got != c.want {
 			t.Errorf("median(%v) = %v, want %v", c.in, got, c.want)
 		}
+	}
+}
+
+// The gate fails on an allocation regression in a gated benchmark and
+// only reports one in an informational benchmark.
+func TestCompareGatesAllButInformational(t *testing.T) {
+	write := func(name string, f File) string {
+		buf, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write("base.json", File{Index: 1, Benchmarks: []Benchmark{
+		{Name: "BenchmarkNdavetRepo", AllocsPerOp: 1000, BytesPerOp: 1000},
+		{Name: "BenchmarkNdavetCorpus", AllocsPerOp: 1000, BytesPerOp: 1000},
+	}})
+	live := write("live.json", File{Index: 2, Benchmarks: []Benchmark{
+		{Name: "BenchmarkNdavetRepo", AllocsPerOp: 2000, BytesPerOp: 2000},
+		{Name: "BenchmarkNdavetCorpus", AllocsPerOp: 1000, BytesPerOp: 1000},
+	}})
+	if err := compareFiles(base, live); err != nil {
+		t.Errorf("a regression in the informational live-tree run failed the gate: %v", err)
+	}
+	frozen := write("frozen.json", File{Index: 2, Benchmarks: []Benchmark{
+		{Name: "BenchmarkNdavetRepo", AllocsPerOp: 1000, BytesPerOp: 1000},
+		{Name: "BenchmarkNdavetCorpus", AllocsPerOp: 1010, BytesPerOp: 1000},
+	}})
+	if err := compareFiles(base, frozen); err == nil || !strings.Contains(err.Error(), "BenchmarkNdavetCorpus: allocs/op regressed") {
+		t.Errorf("a regression in the gated corpus run: err = %v", err)
 	}
 }

@@ -88,8 +88,8 @@ var DefaultContract = []Rule{
 	{Path: "nda/internal/progen", Class: Deterministic, Allow: []string{
 		"nda/internal/asm", "nda/internal/isa"}},
 	{Path: "nda/internal/attack", Class: Deterministic, Allow: []string{
-		"nda/internal/asm", "nda/internal/core", "nda/internal/inorder", "nda/internal/isa",
-		"nda/internal/ooo", "nda/internal/par"}},
+		"nda/internal/asm", "nda/internal/checkpoint", "nda/internal/core", "nda/internal/inorder",
+		"nda/internal/isa", "nda/internal/ooo", "nda/internal/par"}},
 	{Path: "nda/internal/gadget", Class: Deterministic, Allow: []string{
 		"nda/internal/analysis", "nda/internal/attack", "nda/internal/core", "nda/internal/isa",
 		"nda/internal/par", "nda/internal/workload"}},

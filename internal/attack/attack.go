@@ -17,20 +17,23 @@
 //
 // Every PoC plants the secret byte 42, runs the three phases
 // (access/transmit/recover) on a simulated core, and returns the per-guess
-// timing series the paper plots in Fig. 4 / Fig. 8 plus a leak verdict. The
-// expected leak/block outcome for every (attack, policy) pair — Table 2's
-// security columns — is encoded in Expected and verified by the integration
-// tests.
+// timing series the paper plots in Fig. 4 / Fig. 8 plus a leak verdict.
+// Each PoC is assembled once per process, together with the checkpoint its
+// runs start from; a run resumes a worker's checkpoint.Cores from it, as
+// sweep cells resume theirs from a workload's series. The expected
+// leak/block outcome for every (attack, policy) pair — Table 2's security
+// columns — is encoded in Expected and verified by the integration tests.
 package attack
 
 import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"nda/internal/asm"
+	"nda/internal/checkpoint"
 	"nda/internal/core"
-	"nda/internal/inorder"
 	"nda/internal/isa"
 	"nda/internal/ooo"
 )
@@ -100,17 +103,49 @@ func (k Kind) Channel() string {
 	return "d-cache"
 }
 
-// spec is a built PoC: the program plus the addresses the runner needs.
-type spec struct {
-	prog        *isa.Program
-	resultsAddr uint64
+// poc is a built PoC: its program, the state every run of it starts from
+// (its data loaded and, for LazyFP, the planted MSR secret), and the
+// channel threshold analyze judges its series by.
+type poc struct {
+	prog  *isa.Program
+	start *checkpoint.Checkpoint
 	// threshold is the minimum timing margin (cycles) that counts as a
 	// leak for this attack's channel.
 	threshold float64
-	// setup runs before simulation (e.g. planting the MSR secret).
-	setup func(c *ooo.Core)
-	// setupInOrder mirrors setup for the in-order core.
-	setupInOrder func(m *inorder.Machine)
+	// warm, if set, prepares the OoO core's microarchitectural state after
+	// the resume (Meltdown's warm kernel line). The in-order core has no
+	// speculation for it to matter to.
+	warm func(c *ooo.Core)
+}
+
+// newPoC assembles a PoC's source, panicking on generator bugs, and takes
+// its start state: the program's data loaded, at its entry point.
+func newPoC(src string, threshold float64) *poc {
+	prog := asm.MustAssemble(src)
+	return &poc{prog: prog, start: checkpoint.Start(prog), threshold: threshold}
+}
+
+// pocs builds each PoC on its first use and keeps it for the process.
+// Runs only read a PoC: each resumes its own core from the shared start
+// state.
+var pocs = map[Kind]func() *poc{
+	SpectreV1Cache:     sync.OnceValue(specSpectreV1Cache),
+	SpectreV1BTB:       sync.OnceValue(specSpectreV1BTB),
+	SpectreV2:          sync.OnceValue(specSpectreV2),
+	Ret2spec:           sync.OnceValue(specRet2spec),
+	Meltdown:           sync.OnceValue(specMeltdown),
+	SSB:                sync.OnceValue(specSSB),
+	LazyFP:             sync.OnceValue(specLazyFP),
+	GPRSteering:        sync.OnceValue(specGPRSteering),
+	GPRSteeringSpecOff: sync.OnceValue(specGPRSteeringSpecOff),
+}
+
+// lookup returns kind's PoC.
+func lookup(kind Kind) (*poc, error) {
+	if build := pocs[kind]; build != nil {
+		return build(), nil
+	}
+	return nil, fmt.Errorf("attack: unknown kind %q", kind)
 }
 
 // Outcome is the result of one attack run.
@@ -151,30 +186,6 @@ func (o *Outcome) String() string {
 		string(o.Attack), o.Policy, verdict, o.BestGuess, o.Secret, o.Margin)
 }
 
-func build(kind Kind) (*spec, error) {
-	switch kind {
-	case SpectreV1Cache:
-		return specSpectreV1Cache()
-	case SpectreV1BTB:
-		return specSpectreV1BTB()
-	case SpectreV2:
-		return specSpectreV2()
-	case Ret2spec:
-		return specRet2spec()
-	case Meltdown:
-		return specMeltdown()
-	case SSB:
-		return specSSB()
-	case LazyFP:
-		return specLazyFP()
-	case GPRSteering:
-		return specGPRSteering()
-	case GPRSteeringSpecOff:
-		return specGPRSteeringSpecOff()
-	}
-	return nil, fmt.Errorf("attack: unknown kind %q", kind)
-}
-
 // RunCtx executes the PoC on an OoO core under the given policy and
 // analyzes the timing series. Params usually come from ooo.DefaultParams
 // (with MeltdownVulnerable true, the paper's baseline hardware). The core
@@ -185,13 +196,14 @@ func RunCtx(ctx context.Context, kind Kind, pol core.Policy, params ooo.Params) 
 }
 
 // Program returns the PoC program for static analysis (internal/gadget and
-// cmd/ndalint run the analyzer over every snippet).
+// cmd/ndalint run the analyzer over every snippet). It is the program
+// every run of the PoC executes, so callers only read it.
 func Program(kind Kind) (*isa.Program, error) {
-	s, err := build(kind)
+	p, err := lookup(kind)
 	if err != nil {
 		return nil, err
 	}
-	return s.prog, nil
+	return p.prog, nil
 }
 
 // SecretRegs returns the registers the PoC plants a secret in
@@ -208,12 +220,12 @@ func SecretRegs(kind Kind) []isa.Reg {
 // analyze reads the per-guess timing array the PoC left in memory and
 // decides whether the secret leaked: the fastest guess must equal the
 // planted secret and beat the median by the channel threshold.
-func analyze(kind Kind, policy string, s *spec, read func(addr uint64, size int) uint64) *Outcome {
+func analyze(kind Kind, policy string, threshold float64, read func(addr uint64, size int) uint64) *Outcome {
 	out := &Outcome{Attack: kind, Policy: policy, Secret: SecretByte}
 	vals := make([]float64, NumGuesses)
 	best := 0
 	for g := 0; g < NumGuesses; g++ {
-		v := float64(read(s.resultsAddr+uint64(g)*8, 8))
+		v := float64(read(resultsAddr+uint64(g)*8, 8))
 		out.Series[g] = v
 		vals[g] = v
 		if v < out.Series[best] {
@@ -224,9 +236,6 @@ func analyze(kind Kind, policy string, s *spec, read func(addr uint64, size int)
 	median := vals[NumGuesses/2]
 	out.BestGuess = best
 	out.Margin = median - out.Series[SecretByte]
-	out.Leaked = out.Margin >= s.threshold
+	out.Leaked = out.Margin >= threshold
 	return out
 }
-
-// mustBuild assembles PoC source, panicking on generator bugs.
-func mustBuild(src string) *isa.Program { return asm.MustAssemble(src) }

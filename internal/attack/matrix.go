@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"nda/internal/checkpoint"
 	"nda/internal/core"
 	"nda/internal/inorder"
 	"nda/internal/ooo"
@@ -97,13 +98,20 @@ type Cell struct {
 // Matches reports whether the measured verdict equals the paper's.
 func (c Cell) Matches() bool { return c.Outcome.Leaked == c.Expected }
 
-// Run simulates the cell and analyzes its timing series: the attack
-// under Pol on the OoO core, configured by params, or on the in-order
-// core, which is trivially immune (there is no wrong path at all). The
-// outcome is labelled Pol.Name or In-Order, not Policy, which cells built
-// from a worker request leave empty.
+// Run simulates the cell on cores of its own and analyzes its timing
+// series: the attack under Pol on the OoO core, configured by params, or
+// on the in-order core, which is trivially immune (there is no wrong path
+// at all). The outcome is labelled Pol.Name or In-Order, not Policy, which
+// cells built from a worker request leave empty.
 func (c Cell) Run(ctx context.Context, params ooo.Params) (*Outcome, error) {
-	s, err := build(c.Attack)
+	return c.run(ctx, params, new(checkpoint.Cores))
+}
+
+// run is Run on a worker's cores: the cell's core of cs resumes from the
+// PoC's start state, which leaves it exactly as a new core would be,
+// whatever it ran before.
+func (c Cell) run(ctx context.Context, params ooo.Params, cs *checkpoint.Cores) (*Outcome, error) {
+	p, err := lookup(c.Attack)
 	if err != nil {
 		return nil, err
 	}
@@ -113,18 +121,15 @@ func (c Cell) Run(ctx context.Context, params ooo.Params) (*Outcome, error) {
 		cycles, violations uint64
 	)
 	if c.InOrder {
-		m := inorder.NewFromProgram(s.prog, inorder.DefaultParams())
+		m := cs.ResumeInOrder(p.start, p.prog, inorder.DefaultParams())
 		m.Cancel = ctx.Done()
-		if s.setupInOrder != nil {
-			s.setupInOrder(m)
-		}
 		err = m.Run(100_000_000)
 		label, read, cycles = inOrderName, m.Emu().Mem.Read, m.Cycles()
 	} else {
-		o := ooo.NewFromProgram(s.prog, c.Pol, params)
+		o := cs.ResumeOoO(p.start, p.prog, c.Pol, params)
 		o.Cancel = ctx.Done()
-		if s.setup != nil {
-			s.setup(o)
+		if p.warm != nil {
+			p.warm(o)
 		}
 		err = o.Run(30_000_000)
 		read, cycles, violations = o.Memory().Read, o.Cycles(), o.SanitizerViolations()
@@ -135,7 +140,7 @@ func (c Cell) Run(ctx context.Context, params ooo.Params) (*Outcome, error) {
 		}
 		return nil, fmt.Errorf("attack %s under %s: %w", c.Attack, label, err)
 	}
-	out := analyze(c.Attack, label, s, read)
+	out := analyze(c.Attack, label, p.threshold, read)
 	out.Cycles, out.SanitizerViolations = cycles, violations
 	return out, nil
 }
@@ -161,16 +166,18 @@ func Grid(kinds []Kind, pols []core.Policy, inOrder bool) []Cell {
 // MatrixCtx runs every attack under every policy (plus the in-order core)
 // and returns the full grid — the dynamic reproduction of Table 2's
 // security columns and Table 1's "demonstrated" checkmarks — over up to
-// workers goroutines (0 = one per CPU). Every (attack, policy) PoC builds
-// its own program, memory image, and core, and each verdict lands in the
-// slot its tuple indexes, so the returned grid is identical — in content
-// and order — for any worker count. Once ctx is done, no queued cell starts
-// and in-flight PoCs stop mid-simulation; the ctx error is returned unless
-// a cell failed first.
+// workers goroutines (0 = one per CPU). Each pool worker keeps one
+// checkpoint.Cores and runs its cells on it, resumed from the PoCs' shared
+// start states as sweep cells are from their series; each verdict lands
+// in the slot its tuple indexes, so the returned grid is identical — in
+// content and order — for any worker count. Once ctx is done, no queued
+// cell starts and in-flight PoCs stop mid-simulation; the ctx error is
+// returned unless a cell failed first.
 func MatrixCtx(ctx context.Context, params ooo.Params, workers int) ([]Cell, error) {
 	cells := Grid(All(), core.All(), true)
-	err := par.RunCtx(ctx, len(cells), workers, func(i int) error {
-		out, err := cells[i].Run(ctx, params)
+	cores := make([]checkpoint.Cores, par.Workers(workers))
+	err := par.RunCtx(ctx, len(cells), len(cores), func(w, i int) error {
+		out, err := cells[i].run(ctx, params, &cores[w])
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr

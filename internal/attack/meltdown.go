@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"nda/internal/inorder"
 	"nda/internal/isa"
 	"nda/internal/ooo"
 )
@@ -12,7 +11,7 @@ import (
 // the dependents transmit it through the D-cache. A cold load ahead of the
 // faulting load keeps it away from the ROB head long enough for the
 // transmit to land (the standard Meltdown retirement-delay trick).
-func specMeltdown() (*spec, error) {
+func specMeltdown() *poc {
 	src := `
         .data
         .org 0x100000
@@ -40,22 +39,19 @@ handler:
 ` + recoverCache + `
         halt
 `
-	return &spec{
-		prog:        mustBuild(src),
-		resultsAddr: 0x240000,
-		threshold:   40,
-		setup: func(c *ooo.Core) {
-			// The kernel recently touched its own secret: the line is warm
-			// (Meltdown reads leak from the cache, not from DRAM).
-			c.Hierarchy().Data(0x102000)
-		},
-	}, nil
+	p := newPoC(src, 40)
+	p.warm = func(c *ooo.Core) {
+		// The kernel recently touched its own secret: the line is warm
+		// (Meltdown reads leak from the cache, not from DRAM).
+		c.Hierarchy().Data(0x102000)
+	}
+	return p
 }
 
 // specLazyFP builds the LazyFP / Meltdown-v3a analogue: a privileged RDMSR
 // whose value flows to wrong-path dependents before the privilege fault is
 // taken. NDA treats RDMSR like a load (§4.3), so load restriction blocks it.
-func specLazyFP() (*spec, error) {
+func specLazyFP() *poc {
 	src := `
         .data
         .org 0x100000
@@ -80,24 +76,16 @@ handler:
 ` + recoverCache + `
         halt
 `
-	return &spec{
-		prog:        mustBuild(src),
-		resultsAddr: 0x240000,
-		threshold:   40,
-		setup: func(c *ooo.Core) {
-			c.SetMSR(isa.MSRSecretKey, SecretByte)
-		},
-		setupInOrder: func(m *inorder.Machine) {
-			m.Emu().MSR[isa.MSRSecretKey] = SecretByte
-		},
-	}, nil
+	p := newPoC(src, 40)
+	p.start.MSR[isa.MSRSecretKey] = SecretByte // the privileged register RDMSR reads
+	return p
 }
 
 // specSSB builds the Speculative Store Bypass (Spectre v4) PoC: a
 // sanitizing store's address resolves slowly, a younger load to the same
 // location speculatively bypasses it and reads the stale secret, and the
 // dependents transmit it before the memory-order violation squashes them.
-func specSSB() (*spec, error) {
+func specSSB() *poc {
 	src := `
         .data
         .org 0x100000
@@ -128,9 +116,5 @@ main:   la   s4, slot
 ` + recoverCache + `
         halt
 `
-	return &spec{
-		prog:        mustBuild(src),
-		resultsAddr: 0x240000,
-		threshold:   40,
-	}, nil
+	return newPoC(src, 40)
 }

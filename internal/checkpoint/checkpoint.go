@@ -240,36 +240,45 @@ func Load(r io.Reader) (*Checkpoint, error) {
 	return c, nil
 }
 
-// ResumeOoO returns an out-of-order core resuming from the checkpoint under
-// the given policy and params. A core o built under p is reused: its own
-// memory image becomes a copy of the checkpoint's and it is Reset onto it,
-// which leaves it exactly as a new core would be. Otherwise (o nil, or
-// built under other params) a new core runs on a clone. o's memory must
-// be one this function gave it. The checkpoint stays reusable.
-func (c *Checkpoint) ResumeOoO(o *ooo.Core, prog *isa.Program, pol core.Policy, p ooo.Params) *ooo.Core {
-	if o == nil || o.Params() != p {
-		o = ooo.New(prog, c.Mem.Clone(), pol, p)
-	} else {
-		m := o.Memory()
-		m.CopyFrom(c.Mem)
-		o.Reset(prog, m, pol)
-	}
-	o.Resume(c.Regs, c.MSR, c.PC)
-	return o
+// Cores is one worker's timing state: one out-of-order core and one
+// in-order machine, each with its own memory image, built by the first
+// resume that needs it and Reset for every later one. Its methods are the
+// one way to bring a timing core to a checkpoint. A Cores is not safe for
+// concurrent use; the zero value is ready.
+type Cores struct {
+	o  *ooo.Core
+	io *inorder.Machine
 }
 
-// ResumeInOrder is ResumeOoO for the in-order core.
-func (c *Checkpoint) ResumeInOrder(m *inorder.Machine, prog *isa.Program, p inorder.Params) *inorder.Machine {
-	if m == nil || m.Params() != p {
-		m = inorder.New(prog, c.Mem.Clone(), p)
+// ResumeOoO returns the out-of-order core resuming from cp on prog under
+// the given policy and params. The core cs holds is reused when it was
+// built under p: its memory image becomes a copy of cp's and it is Reset
+// onto it, which leaves it exactly as a new core would be. Otherwise a new
+// core on a clone of cp's memory takes its place. cp stays reusable.
+func (cs *Cores) ResumeOoO(cp *Checkpoint, prog *isa.Program, pol core.Policy, p ooo.Params) *ooo.Core {
+	if cs.o == nil || cs.o.Params() != p {
+		cs.o = ooo.New(prog, cp.Mem.Clone(), pol, p)
 	} else {
-		run := m.Emu().Mem
-		run.CopyFrom(c.Mem)
-		m.Reset(prog, run)
+		m := cs.o.Memory()
+		m.CopyFrom(cp.Mem)
+		cs.o.Reset(prog, m, pol)
 	}
-	e := m.Emu()
-	e.PC = c.PC
-	e.Regs = c.Regs
-	e.MSR = c.MSR
-	return m
+	cs.o.Resume(cp.Regs, cp.MSR, cp.PC)
+	return cs.o
+}
+
+// ResumeInOrder is ResumeOoO for the in-order machine.
+func (cs *Cores) ResumeInOrder(cp *Checkpoint, prog *isa.Program, p inorder.Params) *inorder.Machine {
+	if cs.io == nil || cs.io.Params() != p {
+		cs.io = inorder.New(prog, cp.Mem.Clone(), p)
+	} else {
+		run := cs.io.Emu().Mem
+		run.CopyFrom(cp.Mem)
+		cs.io.Reset(prog, run)
+	}
+	e := cs.io.Emu()
+	e.PC = cp.PC
+	e.Regs = cp.Regs
+	e.MSR = cp.MSR
+	return cs.io
 }

@@ -191,7 +191,7 @@ func TestOoOFromCheckpointMatchesGolden(t *testing.T) {
 	}
 	for _, pol := range core.All() {
 		t.Run(pol.Name, func(t *testing.T) {
-			c := cp.ResumeOoO(nil, prog, pol, ooo.DefaultParams())
+			c := new(Cores).ResumeOoO(cp, prog, pol, ooo.DefaultParams())
 			if err := c.Run(20_000_000); err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +214,7 @@ func TestInOrderFromCheckpointMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := cp.ResumeInOrder(nil, prog, inorder.DefaultParams())
+	m := new(Cores).ResumeInOrder(cp, prog, inorder.DefaultParams())
 	if err := m.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,8 @@ func TestCheckpointReusable(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := cp.Mem.Read(0x100000, 8)
-	c := cp.ResumeOoO(nil, prog, core.Baseline(), ooo.DefaultParams())
+	var cs Cores
+	c := cs.ResumeOoO(cp, prog, core.Baseline(), ooo.DefaultParams())
 	if err := c.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestCheckpointReusable(t *testing.T) {
 		t.Error("checkpoint memory mutated by a run")
 	}
 	// A second core from the same checkpoint reaches the same state.
-	c2 := cp.ResumeOoO(nil, prog, core.Strict(), ooo.DefaultParams())
+	c2 := new(Cores).ResumeOoO(cp, prog, core.Strict(), ooo.DefaultParams())
 	if err := c2.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestCheckpointReusable(t *testing.T) {
 	// So does the first core resumed again: the reuse restores its own
 	// image from the checkpoint's and leaves the checkpoint as it was.
 	want := c.Regs()
-	if c3 := cp.ResumeOoO(c, prog, core.Strict(), ooo.DefaultParams()); c3 != c {
+	if c3 := cs.ResumeOoO(cp, prog, core.Strict(), ooo.DefaultParams()); c3 != c {
 		t.Fatal("the first core was not reused")
 	}
 	if err := c.Run(10_000_000); err != nil {
@@ -297,6 +298,7 @@ func TestResumeReusedCoreMatchesFresh(t *testing.T) {
 
 	params, ioParams := ooo.DefaultParams(), inorder.DefaultParams()
 	pols := core.All()
+	var cs Cores
 	var o *ooo.Core
 	var io *inorder.Machine
 	n := 0
@@ -313,9 +315,9 @@ func TestResumeReusedCoreMatchesFresh(t *testing.T) {
 		for i, cp := range append([]*Checkpoint{Start(prog)}, cps...) {
 			pol := pols[n%len(pols)]
 			n++
-			want := runOoO(cp.ResumeOoO(nil, prog, pol, params))
+			want := runOoO(new(Cores).ResumeOoO(cp, prog, pol, params))
 			prev := o
-			o = cp.ResumeOoO(o, prog, pol, params)
+			o = cs.ResumeOoO(cp, prog, pol, params)
 			if prev != nil && o != prev {
 				t.Fatalf("%s/%d: a core built under the same params was not reused", name, i)
 			}
@@ -323,8 +325,8 @@ func TestResumeReusedCoreMatchesFresh(t *testing.T) {
 				t.Errorf("%s/%d under %s: reused OoO core differs from fresh:\n got %+v\nwant %+v", name, i, pol.Name, got, want)
 			}
 
-			want = runIO(cp.ResumeInOrder(nil, prog, ioParams))
-			io = cp.ResumeInOrder(io, prog, ioParams)
+			want = runIO(new(Cores).ResumeInOrder(cp, prog, ioParams))
+			io = cs.ResumeInOrder(cp, prog, ioParams)
 			if got := runIO(io); got != want {
 				t.Errorf("%s/%d: reused in-order machine differs from fresh:\n got %+v\nwant %+v", name, i, got, want)
 			}
@@ -335,12 +337,12 @@ func TestResumeReusedCoreMatchesFresh(t *testing.T) {
 	prog := workload.Random(7, 50)
 	other := params
 	other.ROBSize = 64
-	if cp := Start(prog); cp.ResumeOoO(o, prog, core.Baseline(), other) == o {
+	if cs.ResumeOoO(Start(prog), prog, core.Baseline(), other) == o {
 		t.Error("ResumeOoO reused a core built under other params")
 	}
 	otherIO := ioParams
 	otherIO.MulLatency++
-	if cp := Start(prog); cp.ResumeInOrder(io, prog, otherIO) == io {
+	if cs.ResumeInOrder(Start(prog), prog, otherIO) == io {
 		t.Error("ResumeInOrder reused a machine built under other params")
 	}
 }

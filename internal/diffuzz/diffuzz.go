@@ -357,23 +357,17 @@ func Seeds(base int64, n int) []int64 {
 // worker count (par.Workers semantics). Results aggregate identically for
 // any worker count.
 //
-// Each worker keeps one timingCore across all the programs it runs: a job
-// takes one from the idle channel and hands it back when done, so at most
-// one job uses a core at a time and the pool builds one core per worker,
+// Each pool worker keeps one timingCore, indexed by its worker index,
+// across all the programs it runs, so the pool builds one core per worker,
 // not one per program.
 func Fuzz(seeds []int64, workers int) *Summary {
 	results := make([]*Result, len(seeds))
-	n := par.Workers(workers)
-	idle := make(chan *timingCore, n)
-	for i := 0; i < n; i++ {
-		idle <- new(timingCore)
-	}
+	tcs := make([]timingCore, par.Workers(workers))
 	// Job errors are recorded per-slot, never returned: one bad seed must
 	// not mask the rest of the sweep.
-	_ = par.RunCtx(context.Background(), len(seeds), n, func(i int) error {
-		t := <-idle
+	_ = par.RunCtx(context.Background(), len(seeds), len(tcs), func(w, i int) error {
+		t := &tcs[w]
 		results[i] = t.runSeed(seeds[i], t.run)
-		idle <- t
 		return nil
 	})
 	return Summarize(results)

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"nda/internal/checkpoint"
 	"nda/internal/core"
 	"nda/internal/inorder"
 	"nda/internal/ooo"
@@ -329,9 +330,8 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 // The cells of one workload (by name) share its series: the first of them
 // to run builds it, and the last to finish drops it, so with the cells of
 // a workload contiguous, as Grid lays them out, only the workloads in
-// flight hold theirs. Each running cell holds one worker's cores, taken
-// from idle and handed back when it finishes; there are as many as
-// workers, so the receive never waits.
+// flight hold theirs. Each cell runs on the checkpoint.Cores of the pool
+// worker running it.
 func measureCells(ctx context.Context, cells []Cell, cfg Config, done func(*Measurement)) ([]*Measurement, error) {
 	byName := make(map[string]*sharedSeries)
 	shared := make([]*sharedSeries, len(cells))
@@ -344,22 +344,16 @@ func measureCells(ctx context.Context, cells []Cell, cfg Config, done func(*Meas
 		sh.left.Add(1)
 		shared[i] = sh
 	}
-	workers := par.Workers(cfg.Workers)
-	idle := make(chan *cores, workers)
-	for i := 0; i < workers; i++ {
-		idle <- new(cores)
-	}
+	cores := make([]checkpoint.Cores, par.Workers(cfg.Workers))
 
 	results := make([]*Measurement, len(cells))
-	err := par.RunCtx(ctx, len(cells), workers, func(i int) error {
+	err := par.RunCtx(ctx, len(cells), len(cores), func(w, i int) error {
 		sh := shared[i]
 		ss, err := sh.get(ctx, cells[i].Spec, cfg)
 		if err != nil {
 			return err
 		}
-		cs := <-idle
-		m, err := cells[i].measure(ctx, cfg, ss, cs)
-		idle <- cs
+		m, err := cells[i].measure(ctx, cfg, ss, &cores[w])
 		if err != nil {
 			return err
 		}

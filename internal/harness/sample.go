@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"nda/internal/checkpoint"
-	"nda/internal/inorder"
 	"nda/internal/isa"
-	"nda/internal/ooo"
 	"nda/internal/stats"
 	"nda/internal/workload"
 )
@@ -28,12 +26,12 @@ import (
 // phases, like the paper's methodology.
 //
 // Every start is an independent simulation seeded entirely by its state: a
-// worker's core is resumed from it (checkpoint.ResumeOoO/ResumeInOrder)
-// on its own memory image, restored to the state's, and a resumed core
-// equals a freshly built one. So a series is shared read-only by every
-// policy's cell of its workload — or, via internal/serve's
-// content-addressed cache, by every *request* that ever asks for that
-// (workload, sampling spec) again — and a core runs any number of cells.
+// worker's checkpoint.Cores resumes the cell's core from it, on the core's
+// own memory image restored to the state's, and a resumed core equals a
+// freshly built one. So a series is shared read-only by every policy's
+// cell of its workload — or, via internal/serve's content-addressed cache,
+// by every *request* that ever asks for that (workload, sampling spec)
+// again — and a worker's cores run any number of cells.
 
 // SampleSeries is a workload's starts: the generated program plus the
 // states the timing cores resume from. It is immutable once taken, so any
@@ -85,13 +83,13 @@ func (c Cell) Measure(ctx context.Context, cfg Config, ss *SampleSeries) (*Measu
 			return nil, err
 		}
 	}
-	return c.measure(ctx, cfg, ss, new(cores))
+	return c.measure(ctx, cfg, ss, new(checkpoint.Cores))
 }
 
 // measure is the one sampling path for both cores: it runs the interval
 // loop from each start of ss, in order, on the core of cs the cell needs,
 // and folds every measured window into one Measurement.
-func (c Cell) measure(ctx context.Context, cfg Config, ss *SampleSeries, cs *cores) (*Measurement, error) {
+func (c Cell) measure(ctx context.Context, cfg Config, ss *SampleSeries, cs *checkpoint.Cores) (*Measurement, error) {
 	f := fold{cpis: make([]float64, 0, cfg.Intervals)}
 	for i := range ss.cps {
 		if err := c.intervals(ctx, cfg, ss, i, cs, &f); err != nil {
@@ -105,8 +103,8 @@ func (c Cell) measure(ctx context.Context, cfg Config, ss *SampleSeries, cs *cor
 // cfg.WarmInsts, then measured windows of cfg.MeasureInsts folded into f —
 // cfg.Intervals of them with cfg.SkipInsts skipped between consecutive
 // ones from the program's start, one from a checkpoint.
-func (c Cell) intervals(ctx context.Context, cfg Config, ss *SampleSeries, i int, cs *cores, f *fold) error {
-	tc, run := cs.resume(ctx, c, cfg, ss.prog, ss.cps[i])
+func (c Cell) intervals(ctx context.Context, cfg Config, ss *SampleSeries, i int, cs *checkpoint.Cores, f *fold) error {
+	tc, run := c.resume(ctx, cfg, cs, ss.prog, ss.cps[i])
 	windows, sample := 1, i // sample labels errors; -1 without a checkpoint
 	if ss.continuous {
 		windows, sample = cfg.Intervals, -1
@@ -137,26 +135,16 @@ type timingCore interface {
 	Stats() *stats.Counters
 }
 
-// cores is the simulation state one sweep worker keeps across cells: one
-// core of each kind, each with its own memory image, built by the first
-// cell that needs it and Reset for every later one.
-type cores struct {
-	o  *ooo.Core
-	io *inorder.Machine
-}
-
-// resume brings the cell's core to cp on prog and returns it with its run
-// step: n more committed instructions, stopped mid-simulation once ctx is
-// done. Cancel is set after the resume, whose Reset clears it.
-func (cs *cores) resume(ctx context.Context, c Cell, cfg Config, prog *isa.Program, cp *checkpoint.Checkpoint) (timingCore, func(n uint64) error) {
+// resume brings the cell's core of cs to cp on prog and returns it with its
+// run step: n more committed instructions, stopped mid-simulation once ctx
+// is done. Cancel is set after the resume, whose Reset clears it.
+func (c Cell) resume(ctx context.Context, cfg Config, cs *checkpoint.Cores, prog *isa.Program, cp *checkpoint.Checkpoint) (timingCore, func(n uint64) error) {
 	if c.InOrder {
-		m := cp.ResumeInOrder(cs.io, prog, cfg.IOParams)
-		cs.io = m
+		m := cs.ResumeInOrder(cp, prog, cfg.IOParams)
 		m.Cancel = ctx.Done()
 		return m, m.RunInsts
 	}
-	o := cp.ResumeOoO(cs.o, prog, c.Policy, cfg.Params)
-	cs.o = o
+	o := cs.ResumeOoO(cp, prog, c.Policy, cfg.Params)
 	o.Cancel = ctx.Done()
 	maxCycles := cfg.MaxCycles
 	return o, func(n uint64) error { return o.RunInsts(n, maxCycles) }

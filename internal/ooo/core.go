@@ -625,7 +625,7 @@ func earlierEvent(h, now, v uint64) uint64 {
 // Reset: registers, MSRs, and the program counter, so execution starts at
 // pc on the core's memory image. Retired counts from zero, so
 // instruction-budget runs measure relative progress. Used by
-// checkpoint.ResumeOoO, through which the harness starts every cell.
+// checkpoint.Cores, through which every sweep and attack cell starts.
 func (c *Core) Resume(regs [isa.NumGPR]uint64, msrs [isa.NumMSR]uint64, pc uint64) {
 	for i := 1; i < isa.NumGPR; i++ {
 		c.regVal[c.rat[i]] = regs[i]

@@ -71,6 +71,16 @@ func (s *Sem) InUse() int { return len(s.ch) }
 // Cap reports the slot count.
 func (s *Sem) Cap() int { return cap(s.ch) }
 
+// Job is a pool job, given the index i of the job it runs. The form
+// func(w, i int) error is also given the index w, in [0, workers), of the
+// pool goroutine running it. No two jobs running at once share a w, so a
+// caller keeps per-worker state (the sweep and matrix engines' cores, the
+// differential checker's) in a slice indexed by it; callers with no such
+// state pass func(i int) error.
+type Job interface {
+	func(i int) error | func(w, i int) error
+}
+
 // RunCtx executes n independent jobs, indexed 0..n-1, on up to workers
 // goroutines (workers <= 0 means Workers(0)). Indices are handed out in
 // ascending order, so with one worker the jobs run strictly sequentially.
@@ -84,7 +94,7 @@ func (s *Sem) Cap() int { return cap(s.ch) }
 // the lowest-indexed job error among the jobs that ran (with a single
 // worker exactly the first error, matching a serial loop), otherwise
 // ctx.Err() if the context ended the run early, otherwise nil.
-func RunCtx(ctx context.Context, n, workers int, job func(i int) error) error {
+func RunCtx[J Job](ctx context.Context, n, workers int, job J) error {
 	if n <= 0 {
 		return nil
 	}
@@ -92,13 +102,19 @@ func RunCtx(ctx context.Context, n, workers int, job func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
-	p := &pool{ctx: ctx, n: n, errs: make([]error, n), job: job}
+	p := &pool{ctx: ctx, n: n, errs: make([]error, n)}
+	switch j := any(job).(type) {
+	case func(w, i int) error:
+		p.job = workerJob(j)
+	case func(i int) error:
+		p.job = indexJob(j)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.drain()
+			p.drain(w)
 		}()
 	}
 	wg.Wait()
@@ -123,16 +139,28 @@ type pool struct {
 	failed    atomic.Bool
 	cancelled atomic.Bool
 	errs      []error
-	job       func(i int) error
+	job       runner
 }
 
-// drain is one worker's slot fold: claim ascending indices off the shared
+// runner runs one job of either Job form. A func value fits in an
+// interface without an allocation, so neither form costs one per run.
+type runner interface{ run(w, i int) error }
+
+type (
+	indexJob  func(i int) error
+	workerJob func(w, i int) error
+)
+
+func (f indexJob) run(_, i int) error  { return f(i) }
+func (f workerJob) run(w, i int) error { return f(w, i) }
+
+// drain is worker w's slot fold: claim ascending indices off the shared
 // counter and run each job into its own slot until the work runs out, a
 // job fails, or the context ends. Every sweep cell and matrix cell in the
 // repo funnels through this loop, so it must stay allocation-free.
 //
 //ndavet:hotpath
-func (p *pool) drain() {
+func (p *pool) drain(w int) {
 	for !p.failed.Load() {
 		//ndavet:allow alloclint:call context.Err on stdlib contexts is allocation-free; the interface dispatch is opaque to the analyzer
 		if p.ctx.Err() != nil {
@@ -143,8 +171,8 @@ func (p *pool) drain() {
 		if i >= p.n {
 			return
 		}
-		//ndavet:allow alloclint:call the job func is the caller's fold; measured hot windows pass allocation-free jobs
-		if err := p.job(i); err != nil {
+		//ndavet:allow alloclint:call the job is the caller's fold; measured hot windows pass allocation-free jobs
+		if err := p.job.run(w, i); err != nil {
 			p.errs[i] = err
 			p.failed.Store(true)
 			return

@@ -168,6 +168,40 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	}
 }
 
+// TestRunWorkerIndex: every job's worker index lies in [0, workers), no
+// two jobs running at once share one, and every job runs once. Run under
+// -race, the per-index counters also show that a job owns its worker's
+// state without a lock.
+func TestRunWorkerIndex(t *testing.T) {
+	for _, workers := range []int{1, 2, 7, 64} {
+		busy := make([]atomic.Bool, workers)
+		owned := make([]int, workers) // written only by the index's owner
+		n := 20 * workers
+		err := RunCtx(context.Background(), n, workers, func(w, i int) error {
+			if w < 0 || w >= workers {
+				return fmt.Errorf("job %d: worker index %d outside [0, %d)", i, w, workers)
+			}
+			if !busy[w].CompareAndSwap(false, true) {
+				return fmt.Errorf("job %d: worker index %d already running a job", i, w)
+			}
+			owned[w]++
+			time.Sleep(100 * time.Microsecond)
+			busy[w].Store(false)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		total := 0
+		for _, k := range owned {
+			total += k
+		}
+		if total != n {
+			t.Fatalf("workers=%d: %d of %d jobs ran", workers, total, n)
+		}
+	}
+}
+
 // TestSemBoundsConcurrency: a Sem with n slots never admits more than n
 // concurrent holders, and Acquire respects a dead context.
 func TestSemBoundsConcurrency(t *testing.T) {

@@ -3,6 +3,9 @@
 # against the newest checked-in BENCH_<n>.json. An allocs/op or B/op
 # regression in any benchmark — or a benchmark that disappeared — fails;
 # ns/op deltas are reported but never gate (CI timing is too noisy).
+# BenchmarkNdavetRepo's allocations are reported only: it analyses the
+# live tree, which grows with every change. BenchmarkNdavetCorpus, the
+# same analysis over a frozen corpus, is gated.
 set -eu
 
 cd "$(dirname "$0")/.."
