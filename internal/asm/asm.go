@@ -29,6 +29,18 @@
 // Immediates may be decimal, hex (0x..), character ('c'), or a symbol,
 // optionally with a +N/-N offset (e.g. "table+8"). Branch and jump targets
 // are resolved to absolute byte addresses.
+//
+// Each opcode's operands are spelled by isa.Op.Operands, the table
+// isa.Inst.String prints by: "add" takes "rd, rs1, rs2", "ld" takes
+// "rd, off(rs1)", "sd" takes "rs2, off(rs1)", "beq" takes "rs1, rs2,
+// target". Its mnemonic is the opcode's name ("li" for isa.OpLui). The
+// pseudo-instructions preset fields of a real instruction: la (li), mv
+// (addi rd, rs1, 0), j and call (jal with x0 or ra), callr and jr (jalr
+// with ra or x0, offset 0) and ret (jalr x0, 0(ra)).
+//
+// The entry point is the "main" label, else "_start", else the start of
+// text. Disassemble prints source that reassembles to the same program,
+// entry included.
 package asm
 
 import (
@@ -69,6 +81,8 @@ type assembler struct {
 	section section
 	pass    int
 	lineNo  int
+
+	ops []string // the current line's operands, reused across lines
 }
 
 // Assemble translates source into a Program. The text section defaults to
@@ -88,8 +102,6 @@ func Assemble(source string) (*isa.Program, error) {
 		a.insts = a.insts[:0]
 		a.segments = nil
 		a.curSeg = nil
-		firstOrg := true
-		_ = firstOrg
 		for i, raw := range lines {
 			a.lineNo = i + 1
 			if err := a.line(raw); err != nil {
@@ -180,8 +192,8 @@ func (a *assembler) line(raw string) error {
 	if err != nil {
 		return err
 	}
-	a.insts = append(a.insts, inst...)
-	a.textPC += uint64(len(inst)) * isa.InstBytes
+	a.insts = append(a.insts, inst)
+	a.textPC += isa.InstBytes
 	return nil
 }
 
@@ -296,7 +308,8 @@ func (a *assembler) emitList(rest string, size int) error {
 	if strings.TrimSpace(rest) == "" {
 		return a.errf("empty value list")
 	}
-	for _, f := range splitOperands(rest) {
+	a.ops = splitOperands(a.ops[:0], rest)
+	for _, f := range a.ops {
 		v, err := a.value(f)
 		if err != nil {
 			return err
@@ -310,8 +323,11 @@ func (a *assembler) emitList(rest string, size int) error {
 	return nil
 }
 
+// emitBytes places b at the data cursor, in pass 2 into the current
+// segment. No bytes open no segment: Disassemble has nothing to print for
+// an empty one, so it would not survive the round trip.
 func (a *assembler) emitBytes(b []byte) {
-	if a.pass == 2 {
+	if a.pass == 2 && len(b) > 0 {
 		if a.curSeg == nil {
 			a.segments = append(a.segments, isa.Segment{Addr: a.dataCursor, Kernel: a.kernel})
 			a.curSeg = &a.segments[len(a.segments)-1]
@@ -430,8 +446,8 @@ func (a *assembler) memOperand(tok string) (off int64, base isa.Reg, err error) 
 	return int64(v), base, nil
 }
 
-func splitOperands(s string) []string {
-	var out []string
+// splitOperands appends the comma-separated operands of s to out.
+func splitOperands(out []string, s string) []string {
 	depth := 0
 	start := 0
 	inStr := false
@@ -456,271 +472,66 @@ func splitOperands(s string) []string {
 
 // ---- instructions ----
 
-var rrrOps = map[string]isa.Op{
-	"add": isa.OpAdd, "sub": isa.OpSub, "and": isa.OpAnd, "or": isa.OpOr, "xor": isa.OpXor,
-	"sll": isa.OpSll, "srl": isa.OpSrl, "sra": isa.OpSra, "slt": isa.OpSlt, "sltu": isa.OpSltu,
-	"mul": isa.OpMul, "div": isa.OpDiv, "rem": isa.OpRem,
+// mnemonic is what one assembler mnemonic stands for: the instruction it
+// presets and the operand spelling (isa.Op.Operands) its operands fill in.
+type mnemonic struct {
+	inst     isa.Inst
+	operands string
 }
 
-var rriOps = map[string]isa.Op{
-	"addi": isa.OpAddi, "andi": isa.OpAndi, "ori": isa.OpOri, "xori": isa.OpXori,
-	"slli": isa.OpSlli, "srli": isa.OpSrli, "srai": isa.OpSrai,
-	"slti": isa.OpSlti, "sltiu": isa.OpSltiu,
-}
+// mnemonics holds every opcode under its own name, spelled as isa prints
+// it, plus the pseudo-instructions, which preset fields of a real one.
+var mnemonics = func() map[string]mnemonic {
+	m := map[string]mnemonic{
+		"la":    {isa.Inst{Op: isa.OpLui}, "di"},
+		"mv":    {isa.Inst{Op: isa.OpAddi}, "ds"},
+		"j":     {isa.Inst{Op: isa.OpJal, Rd: isa.RegZero}, "a"},
+		"call":  {isa.Inst{Op: isa.OpJal, Rd: isa.RegRA}, "a"},
+		"callr": {isa.Inst{Op: isa.OpJalr, Rd: isa.RegRA}, "s"},
+		"jr":    {isa.Inst{Op: isa.OpJalr, Rd: isa.RegZero}, "s"},
+		"ret":   {isa.Inst{Op: isa.OpJalr, Rd: isa.RegZero, Rs1: isa.RegRA}, ""},
+	}
+	for op := isa.OpInvalid + 1; op.Valid(); op++ {
+		m[op.String()] = mnemonic{isa.Inst{Op: op}, op.Operands()}
+	}
+	return m
+}()
 
-var loadOps = map[string]isa.Op{"ld": isa.OpLd, "lw": isa.OpLw, "lbu": isa.OpLbu}
-var storeOps = map[string]isa.Op{"sd": isa.OpSd, "sw": isa.OpSw, "sb": isa.OpSb}
-var branchOps = map[string]isa.Op{
-	"beq": isa.OpBeq, "bne": isa.OpBne, "blt": isa.OpBlt, "bge": isa.OpBge,
-	"bltu": isa.OpBltu, "bgeu": isa.OpBgeu,
-}
-
-// instruction assembles one mnemonic, possibly expanding to multiple µops
-// (none of the current pseudo-ops do, but the signature allows it).
-func (a *assembler) instruction(s string) ([]isa.Inst, error) {
+// instruction assembles one source line's mnemonic and operands.
+func (a *assembler) instruction(s string) (isa.Inst, error) {
 	mn, rest, _ := strings.Cut(s, " ")
 	mn = strings.ToLower(strings.TrimSpace(mn))
-	ops := splitOperands(rest)
-	if rest == "" {
-		ops = nil
+	m, ok := mnemonics[mn]
+	if !ok {
+		return isa.Inst{}, a.errf("unknown mnemonic %q", mn)
 	}
-
-	need := func(n int) error {
-		if len(ops) != n {
-			return a.errf("%s: want %d operands, got %d", mn, n, len(ops))
-		}
-		return nil
+	a.ops = a.ops[:0]
+	if rest != "" {
+		a.ops = splitOperands(a.ops, rest)
 	}
-
-	switch {
-	case rrrOps[mn] != isa.OpInvalid:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := a.reg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		rs2, err := a.reg(ops[2])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: rrrOps[mn], Rd: rd, Rs1: rs1, Rs2: rs2}}, nil
-
-	case rriOps[mn] != isa.OpInvalid:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := a.reg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		imm, err := a.value(ops[2])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: rriOps[mn], Rd: rd, Rs1: rs1, Imm: int64(imm)}}, nil
-
-	case loadOps[mn] != isa.OpInvalid:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		off, base, err := a.memOperand(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: loadOps[mn], Rd: rd, Rs1: base, Imm: off}}, nil
-
-	case storeOps[mn] != isa.OpInvalid:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rs2, err := a.reg(ops[0]) // data
-		if err != nil {
-			return nil, err
-		}
-		off, base, err := a.memOperand(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: storeOps[mn], Rs1: base, Rs2: rs2, Imm: off}}, nil
-
-	case branchOps[mn] != isa.OpInvalid:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rs1, err := a.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rs2, err := a.reg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		tgt, err := a.value(ops[2])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: branchOps[mn], Rs1: rs1, Rs2: rs2, Imm: int64(tgt)}}, nil
+	if len(a.ops) != len(m.operands) {
+		return isa.Inst{}, a.errf("%s: want %d operands, got %d", mn, len(m.operands), len(a.ops))
 	}
-
-	switch mn {
-	case "li", "la":
-		if err := need(2); err != nil {
-			return nil, err
+	inst := m.inst
+	for k, tok := range a.ops {
+		var err error
+		switch m.operands[k] {
+		case 'd':
+			inst.Rd, err = a.reg(tok)
+		case 's':
+			inst.Rs1, err = a.reg(tok)
+		case 't':
+			inst.Rs2, err = a.reg(tok)
+		case 'i', 'a':
+			var v uint64
+			v, err = a.value(tok)
+			inst.Imm = int64(v)
+		case 'm':
+			inst.Imm, inst.Rs1, err = a.memOperand(tok)
 		}
-		rd, err := a.reg(ops[0])
 		if err != nil {
-			return nil, err
+			return isa.Inst{}, err
 		}
-		imm, err := a.value(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpLui, Rd: rd, Imm: int64(imm)}}, nil
-	case "mv":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := a.reg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpAddi, Rd: rd, Rs1: rs1}}, nil
-	case "j":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		tgt, err := a.value(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpJal, Rd: isa.RegZero, Imm: int64(tgt)}}, nil
-	case "jal":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		tgt, err := a.value(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpJal, Rd: rd, Imm: int64(tgt)}}, nil
-	case "call":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		tgt, err := a.value(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpJal, Rd: isa.RegRA, Imm: int64(tgt)}}, nil
-	case "callr":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpJalr, Rd: isa.RegRA, Rs1: rs}}, nil
-	case "jr":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpJalr, Rd: isa.RegZero, Rs1: rs}}, nil
-	case "jalr":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		off, base, err := a.memOperand(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpJalr, Rd: rd, Rs1: base, Imm: off}}, nil
-	case "ret":
-		if err := need(0); err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpJalr, Rd: isa.RegZero, Rs1: isa.RegRA}}, nil
-	case "fence", "specoff", "specon", "nop", "halt":
-		if err := need(0); err != nil {
-			return nil, err
-		}
-		op := map[string]isa.Op{"fence": isa.OpFence, "specoff": isa.OpSpecOff,
-			"specon": isa.OpSpecOn, "nop": isa.OpNop, "halt": isa.OpHalt}[mn]
-		return []isa.Inst{{Op: op}}, nil
-	case "rdcycle":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpRdcycle, Rd: rd}}, nil
-	case "rdmsr":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		msr, err := a.value(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpRdmsr, Rd: rd, Imm: int64(msr)}}, nil
-	case "wrmsr":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		msr, err := a.value(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpWrmsr, Rs1: rs, Imm: int64(msr)}}, nil
-	case "clflush":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		off, base, err := a.memOperand(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpClflush, Rs1: base, Imm: off}}, nil
 	}
-	return nil, a.errf("unknown mnemonic %q", mn)
+	return inst, nil
 }

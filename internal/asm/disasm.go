@@ -10,23 +10,31 @@ import (
 // Disassemble renders a program back into assembler source accepted by
 // Assemble. The round trip Assemble(Disassemble(p)) reproduces p exactly:
 // same text base, instructions, entry point, and data bytes (segment
-// boundaries may be merged). Labels are synthesized only where needed (the
-// entry point); branch and jump targets are emitted as absolute addresses,
-// which the assembler accepts directly.
+// boundaries may be merged). Each instruction is printed by isa.Inst.String,
+// which spells its operands by the same table the assembler parses them
+// by, with branch and jump targets as absolute hex addresses.
+//
+// The one synthesized label is "main:", at the entry point. An entry on an
+// instruction is labelled in .text; any other entry (the end of text, a
+// data address) gets ".org ENTRY" and the label at the end of .data, so
+// the entry survives the round trip wherever it lies.
 func Disassemble(p *isa.Program) string {
 	var b strings.Builder
 
 	b.WriteString("        .text\n")
 	fmt.Fprintf(&b, "        .org 0x%x\n", p.TextBase)
+	entryLabelled := false
 	for i, inst := range p.Insts {
-		pc := p.TextBase + uint64(i)*isa.InstBytes
-		if pc == p.Entry {
+		if p.TextBase+uint64(i)*isa.InstBytes == p.Entry {
 			b.WriteString("main:\n")
+			entryLabelled = true
 		}
-		fmt.Fprintf(&b, "        %s\n", instSyntax(inst))
+		b.WriteString("        ")
+		b.WriteString(inst.String())
+		b.WriteByte('\n')
 	}
 
-	if len(p.Data) > 0 {
+	if len(p.Data) > 0 || !entryLabelled {
 		b.WriteString("\n        .data\n")
 		kernel := false
 		for _, seg := range p.Data {
@@ -54,24 +62,9 @@ func Disassemble(p *isa.Program) string {
 				b.WriteString("\n")
 			}
 		}
+		if !entryLabelled {
+			fmt.Fprintf(&b, "        .org 0x%x\nmain:\n", p.Entry)
+		}
 	}
 	return b.String()
-}
-
-// instSyntax renders one instruction in re-assemblable form. It matches
-// isa.Inst.String except for the few cases where the display form is not
-// valid assembler input.
-func instSyntax(i isa.Inst) string {
-	switch i.Op {
-	case isa.OpJal:
-		// isa.Inst.String prints "jal" for all link registers; the
-		// assembler's "jal rd, target" form covers every case.
-		return fmt.Sprintf("jal %s, 0x%x", i.Rd, uint64(i.Imm))
-	case isa.OpLui:
-		// "li rd, imm" with the immediate printed as signed decimal, which
-		// the assembler parses back into the same 64-bit pattern.
-		return fmt.Sprintf("li %s, %d", i.Rd, i.Imm)
-	default:
-		return i.String()
-	}
 }

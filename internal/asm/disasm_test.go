@@ -141,3 +141,26 @@ func TestDisassembleReadable(t *testing.T) {
 		}
 	}
 }
+
+// TestDisassembleEntryOffInstruction: an entry point no instruction sits
+// on — the end of text, or a data label — survives the round trip.
+func TestDisassembleEntryOffInstruction(t *testing.T) {
+	for _, c := range []struct {
+		src   string
+		entry uint64
+	}{
+		{"nop\nmain:\n", 0x1004},
+		{"nop\n.data\n.org 0x100000\nmain: .byte 1", 0x100000},
+		{"_start:\n.org 0x2000\nhalt", 0x1000},
+	} {
+		p := MustAssemble(c.src)
+		if p.Entry != c.entry {
+			t.Fatalf("%q: entry %#x, want %#x", c.src, p.Entry, c.entry)
+		}
+		q := roundTrip(t, p)
+		assertSameProgram(t, p, q)
+		if again := Disassemble(q); again != Disassemble(p) {
+			t.Errorf("%q: disassembly is not a fixpoint:\n%s\nthen\n%s", c.src, Disassemble(p), again)
+		}
+	}
+}

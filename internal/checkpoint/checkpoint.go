@@ -67,19 +67,41 @@ func Take(prog *isa.Program, skipInsts uint64) (*Checkpoint, error) {
 	return Capture(m), nil
 }
 
+// SeriesBudget bounds the memory images one TakeSeries call may hold, in
+// bytes. Every checkpoint clones the whole image, so a series of n
+// checkpoints of a P-page image holds n×P pages; a request for more fails
+// instead of exhausting the host.
+const SeriesBudget = 1 << 30
+
 // TakeSeries fast-forwards once and captures n checkpoints at the given
 // stride, amortizing the functional execution (the SMARTS sampling points).
 // The fast-forward checks ctx every ffChunk instructions, so a cancelled
 // caller stops it mid-way with ctx's error.
+//
+// The series fails closed against SeriesBudget: before the fast-forward
+// when n copies of the program's loaded image already exceed it, and during
+// capture once the pages captured so far would.
 func TakeSeries(ctx context.Context, prog *isa.Program, first, stride uint64, n int) ([]*Checkpoint, error) {
+	return takeSeries(ctx, prog, first, stride, n, SeriesBudget/mem.PageSize)
+}
+
+// takeSeries is TakeSeries with the budget given in pages.
+func takeSeries(ctx context.Context, prog *isa.Program, first, stride uint64, n, maxPages int) ([]*Checkpoint, error) {
 	m := emu.New(prog)
+	if pages := m.Mem.MappedPages(); pages > 0 && n > maxPages/pages {
+		return nil, fmt.Errorf("checkpoint: %d checkpoints of a %d-page image exceed the series budget of %d pages", n, pages, maxPages)
+	}
 	if err := fastForward(ctx, m, first); err != nil {
 		return nil, fmt.Errorf("checkpoint: fast-forward: %w", err)
 	}
 	var out []*Checkpoint
+	held := 0
 	for i := 0; i < n; i++ {
 		if m.Halted {
 			return nil, fmt.Errorf("checkpoint: program halted after %d instructions (wanted %d samples)", m.Retired, n)
+		}
+		if held += m.Mem.MappedPages(); held > maxPages {
+			return nil, fmt.Errorf("checkpoint: checkpoint %d of %d brings the series to %d pages, above its budget of %d", i+1, n, held, maxPages)
 		}
 		out = append(out, Capture(m))
 		if i < n-1 {

@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"nda/internal/asm"
 	"nda/internal/core"
 	"nda/internal/emu"
 	"nda/internal/inorder"
@@ -176,6 +178,29 @@ func TestTakeSeriesChunkedFastForward(t *testing.T) {
 	cancel()
 	if _, err := TakeSeries(ctx, prog, first, stride, 2); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestTakeSeriesBudget: a series fails closed against its page budget,
+// before the fast-forward when n copies of the loaded image already exceed
+// it (the cancelled ctx would otherwise stop the fast-forward), and during
+// capture once the pages the captured checkpoints hold would.
+func TestTakeSeriesBudget(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	data := asm.MustAssemble("main: halt\n.data\n.org 0x100000\n.byte 1\n.org 0x101000\n.byte 1\n.org 0x102000\n.byte 1\n.org 0x103000\n.byte 1")
+	if _, err := takeSeries(cancelled, data, 10, 10, 3, 11); err == nil || errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "3 checkpoints of a 4-page image") {
+		t.Errorf("12 pages against 11: err = %v, want the budget error before the fast-forward", err)
+	}
+
+	// Every loop iteration (3 instructions) stores to a page of its own.
+	grow := asm.MustAssemble("main: li t0, 0x100000\nloop: sd t0, 0(t0)\naddi t0, t0, 4096\nj loop")
+	if _, err := takeSeries(context.Background(), grow, 31, 30, 2, 30); err != nil {
+		t.Errorf("10+20 pages against 30: %v", err)
+	}
+	_, err := takeSeries(context.Background(), grow, 31, 30, 2, 29)
+	if err == nil || !strings.Contains(err.Error(), "checkpoint 2 of 2 brings the series to 30 pages") {
+		t.Errorf("10+20 pages against 29: err = %v, want the budget error at the second checkpoint", err)
 	}
 }
 

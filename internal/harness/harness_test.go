@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"nda/internal/checkpoint"
 	"nda/internal/core"
+	"nda/internal/mem"
 	"nda/internal/ooo"
 	"nda/internal/workload"
 )
@@ -427,5 +429,30 @@ func TestTakeSamplesCancelled(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Errorf("cancelled fast-forward returned after %v", d)
+	}
+}
+
+// TestSeriesWithinBudget: the standard and quick checkpoint series of
+// every workload fit checkpoint.SeriesBudget (the largest, mcf's standard
+// series, holds 17,408 pages of the budget's 262,144), so the budget
+// refuses only requests far beyond the methodology's own.
+func TestSeriesWithinBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("takes every workload's standard series")
+	}
+	for _, cfg := range []Config{DefaultConfig(), Quick()} {
+		for _, spec := range workload.All() {
+			ss, err := TakeSamples(context.Background(), spec, cfg)
+			if err != nil {
+				t.Fatalf("%s, %d intervals: %v", spec.Name, cfg.Intervals, err)
+			}
+			pages := 0
+			for _, cp := range ss.cps {
+				pages += cp.Mem.MappedPages()
+			}
+			if bytes := pages * mem.PageSize; bytes > checkpoint.SeriesBudget {
+				t.Errorf("%s, %d intervals: series holds %d bytes, above the %d-byte budget", spec.Name, cfg.Intervals, bytes, checkpoint.SeriesBudget)
+			}
+		}
 	}
 }

@@ -19,7 +19,10 @@
 // simulator is a micro-architecture model, not a binary-compatible CPU.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Reg names a general-purpose register x0..x31. x0 is hardwired to zero:
 // reads return 0 and writes are discarded, as in RISC-V.
@@ -170,12 +173,47 @@ var opNames = [numOps]string{
 	OpNop: "nop", OpHalt: "halt",
 }
 
+// opOperands spells each opcode's operands in assembler text, one letter
+// per comma-separated operand:
+//
+//	d  Rd
+//	s  Rs1
+//	t  Rs2
+//	i  Imm, in decimal
+//	a  Imm, as a hex address
+//	m  Imm(Rs1), a memory operand with Imm in decimal
+//
+// Inst.String prints by it and the assembler parses by it, so the two
+// directions cannot drift apart.
+var opOperands = [numOps]string{
+	OpAdd: "dst", OpSub: "dst", OpAnd: "dst", OpOr: "dst", OpXor: "dst",
+	OpSll: "dst", OpSrl: "dst", OpSra: "dst", OpSlt: "dst", OpSltu: "dst",
+	OpMul: "dst", OpDiv: "dst", OpRem: "dst",
+	OpAddi: "dsi", OpAndi: "dsi", OpOri: "dsi", OpXori: "dsi",
+	OpSlli: "dsi", OpSrli: "dsi", OpSrai: "dsi", OpSlti: "dsi", OpSltiu: "dsi",
+	OpLui: "di",
+	OpLd:  "dm", OpLw: "dm", OpLbu: "dm", OpSd: "tm", OpSw: "tm", OpSb: "tm",
+	OpBeq: "sta", OpBne: "sta", OpBlt: "sta", OpBge: "sta", OpBltu: "sta", OpBgeu: "sta",
+	OpJal: "da", OpJalr: "dm",
+	OpRdcycle: "d", OpRdmsr: "da", OpWrmsr: "as",
+	OpClflush: "m",
+}
+
 // String returns the assembler mnemonic of the opcode.
 func (o Op) String() string {
 	if int(o) < len(opNames) && opNames[o] != "" {
 		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
+}
+
+// Operands returns the opcode's operand spelling (see opOperands): "" for
+// an opcode that takes none or lies outside the table.
+func (o Op) Operands() string {
+	if int(o) < len(opOperands) {
+		return opOperands[o]
+	}
+	return ""
 }
 
 // Valid reports whether o is a defined opcode other than OpInvalid.
@@ -304,34 +342,38 @@ func (i Inst) HasSideEffects() bool {
 		i.Op == OpHalt || i.Op == OpSpecOff || i.Op == OpSpecOn
 }
 
-// String renders the instruction in assembler syntax.
+// String renders the instruction in assembler syntax, operands spelled as
+// Op.Operands says. The assembler reads every such line back to the same
+// instruction.
 func (i Inst) String() string {
-	switch i.Op {
-	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpSll, OpSrl, OpSra, OpSlt, OpSltu, OpMul, OpDiv, OpRem:
-		return fmt.Sprintf("%s %s, %s, %s", i.Op, i.Rd, i.Rs1, i.Rs2)
-	case OpAddi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpSrai, OpSlti, OpSltiu:
-		return fmt.Sprintf("%s %s, %s, %d", i.Op, i.Rd, i.Rs1, i.Imm)
-	case OpLui:
-		return fmt.Sprintf("li %s, %d", i.Rd, i.Imm)
-	case OpLd, OpLw, OpLbu:
-		return fmt.Sprintf("%s %s, %d(%s)", i.Op, i.Rd, i.Imm, i.Rs1)
-	case OpSd, OpSw, OpSb:
-		return fmt.Sprintf("%s %s, %d(%s)", i.Op, i.Rs2, i.Imm, i.Rs1)
-	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
-		return fmt.Sprintf("%s %s, %s, 0x%x", i.Op, i.Rs1, i.Rs2, uint64(i.Imm))
-	case OpJal:
-		return fmt.Sprintf("jal %s, 0x%x", i.Rd, uint64(i.Imm))
-	case OpJalr:
-		return fmt.Sprintf("jalr %s, %d(%s)", i.Rd, i.Imm, i.Rs1)
-	case OpRdcycle:
-		return fmt.Sprintf("rdcycle %s", i.Rd)
-	case OpRdmsr:
-		return fmt.Sprintf("rdmsr %s, 0x%x", i.Rd, uint64(i.Imm))
-	case OpWrmsr:
-		return fmt.Sprintf("wrmsr 0x%x, %s", uint64(i.Imm), i.Rs1)
-	case OpClflush:
-		return fmt.Sprintf("clflush %d(%s)", i.Imm, i.Rs1)
-	default:
-		return i.Op.String()
+	spelling := i.Op.Operands()
+	b := make([]byte, 0, 32)
+	b = append(b, i.Op.String()...)
+	for k := 0; k < len(spelling); k++ {
+		if k == 0 {
+			b = append(b, ' ')
+		} else {
+			b = append(b, ", "...)
+		}
+		switch spelling[k] {
+		case 'd':
+			b = appendReg(b, i.Rd)
+		case 's':
+			b = appendReg(b, i.Rs1)
+		case 't':
+			b = appendReg(b, i.Rs2)
+		case 'i':
+			b = strconv.AppendInt(b, i.Imm, 10)
+		case 'a':
+			b = strconv.AppendUint(append(b, "0x"...), uint64(i.Imm), 16)
+		case 'm':
+			b = strconv.AppendInt(b, i.Imm, 10)
+			b = append(appendReg(append(b, '('), i.Rs1), ')')
+		}
 	}
+	return string(b)
+}
+
+func appendReg(b []byte, r Reg) []byte {
+	return strconv.AppendUint(append(b, 'x'), uint64(r), 10)
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"slices"
@@ -40,6 +41,27 @@ func TestPlanRejectsRepeatedNames(t *testing.T) {
 	// The same lists without the repeat still plan.
 	if _, err := (SweepRequest{Workloads: []string{"gcc", "mcf"}, Policies: []string{"OoO", "Strict"}}).plan(); err != nil {
 		t.Errorf("distinct sweep rejected: %v", err)
+	}
+}
+
+// TestCheckpointSweepBoundedInBytes: a sweep at the interval ceiling asks
+// for one checkpoint per interval, each a clone of mcf's whole image, far
+// past checkpoint.SeriesBudget. Its series fails before the fast-forward:
+// the cancelled ctx would otherwise stop it with ctx's own error.
+func TestCheckpointSweepBoundedInBytes(t *testing.T) {
+	var req SweepRequest
+	if err := decode([]byte(`{"workloads":["mcf"],"sampling":{"checkpoints":true,"intervals":1024}}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	p, err := req.plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := p.cells[0]
+	if _, err := harness.TakeSamples(ctx, c.sweep.Spec, *c.cfg); err == nil || !strings.Contains(err.Error(), "series budget") {
+		t.Fatalf("err = %v, want the series budget error", err)
 	}
 }
 

@@ -16,7 +16,10 @@
 #     Open, be served without a valid header and CRC, or cost the valid
 #     entry next to them;
 #   - serve.FuzzCellRequest: arbitrary request bodies must never panic
-#     the cell and sweep decoders, nor validate into unbounded work.
+#     the cell and sweep decoders, nor validate into unbounded work;
+#   - asm.FuzzAssemble: arbitrary source must never panic the assembler,
+#     and assemble -> disassemble -> assemble must reproduce the program
+#     and its loaded memory image, disassembling to the same text again.
 # A crasher lands in the package's testdata/fuzz/<target>/, where
 # `go test` replays it.
 set -eu
@@ -31,6 +34,7 @@ start=$(date +%s)
 go run ./cmd/ndalint -fuzz "$N" -seed "$SEED"
 go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s ./internal/store
 go test -run '^$' -fuzz '^FuzzCellRequest$' -fuzztime 10s ./internal/serve
+go test -run '^$' -fuzz '^FuzzAssemble$' -fuzztime 10s ./internal/asm
 elapsed=$(( $(date +%s) - start ))
 echo "fuzz-smoke: ${elapsed}s (budget ${BUDGET}s)"
 [ "$elapsed" -le "$BUDGET" ] || {
