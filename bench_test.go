@@ -19,9 +19,11 @@ import (
 	"nda/internal/core"
 	"nda/internal/diffuzz"
 	"nda/internal/emu"
+	"nda/internal/gadget"
 	"nda/internal/harness"
 	"nda/internal/inorder"
 	"nda/internal/ooo"
+	"nda/internal/progen"
 	"nda/internal/serve"
 	"nda/internal/store"
 	"nda/internal/workload"
@@ -348,6 +350,33 @@ func BenchmarkDiffuzz(b *testing.B) {
 		programs = float64(s.Programs)
 	}
 	b.ReportMetric(programs*float64(b.N)/b.Elapsed().Seconds(), "programs/s")
+}
+
+// BenchmarkGadgetAnalyze runs the static gadget analyzer alone over the
+// programs of seeds 1-100, generated outside the timed window. Its
+// allocs/op rides the BENCH_*.json trajectory: the analyzer's per-program
+// scratch is allocated once per analysis and its sites only for the
+// winning gadgets, so a representation that allocates per state, chain or
+// candidate again fails the bench-trajectory gate.
+func BenchmarkGadgetAnalyze(b *testing.B) {
+	progs := make([]*progen.Program, 100)
+	for i := range progs {
+		p, err := progen.Gen(int64(i + 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs[i] = p
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var gadgets int
+	for i := 0; i < b.N; i++ {
+		gadgets = 0
+		for _, p := range progs {
+			gadgets += len(gadget.Analyze(p.Prog, gadget.Config{}).Gadgets)
+		}
+	}
+	b.ReportMetric(float64(gadgets), "gadgets")
 }
 
 // --- substrate micro-benchmarks ---

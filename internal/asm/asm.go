@@ -83,6 +83,24 @@ type assembler struct {
 	lineNo  int
 
 	ops []string // the current line's operands, reused across lines
+
+	// forward is pass 1's first location directive whose operand names a
+	// symbol not defined yet (forwardSym). If a later line defines it, the
+	// labels after the directive sit where its 0 operand put them, so
+	// Assemble fails; a symbol never defined fails in pass 2 as usual.
+	forward    *Error
+	forwardSym string
+
+	// final holds, per source line, the instruction pass 1 assembled for
+	// good: the line's only content, with every symbol it uses defined
+	// above it. Pass 2 would assemble the same, so it appends that instead.
+	final     []finalInst
+	forwardOK bool // pass 1: no symbol the current line used was undefined
+}
+
+type finalInst struct {
+	inst isa.Inst
+	ok   bool
 }
 
 // Assemble translates source into a Program. The text section defaults to
@@ -91,6 +109,7 @@ type assembler struct {
 func Assemble(source string) (*isa.Program, error) {
 	a := &assembler{symbols: make(map[string]uint64), textBase: isa.DefaultTextBase}
 	lines := strings.Split(source, "\n")
+	a.final = make([]finalInst, len(lines))
 
 	for pass := 1; pass <= 2; pass++ {
 		a.pass = pass
@@ -104,9 +123,17 @@ func Assemble(source string) (*isa.Program, error) {
 		a.curSeg = nil
 		for i, raw := range lines {
 			a.lineNo = i + 1
+			if f := a.final[i]; pass == 2 && f.ok {
+				a.insts = append(a.insts, f.inst)
+				a.textPC += isa.InstBytes
+				continue
+			}
 			if err := a.line(raw); err != nil {
 				return nil, err
 			}
+		}
+		if _, defined := a.symbols[a.forwardSym]; a.forward != nil && defined {
+			return nil, a.forward
 		}
 	}
 
@@ -162,6 +189,7 @@ func (a *assembler) line(raw string) error {
 		return nil
 	}
 	// Labels (possibly several) at line start.
+	labeled := false
 	for {
 		i := strings.Index(s, ":")
 		if i < 0 {
@@ -176,7 +204,10 @@ func (a *assembler) line(raw string) error {
 				return a.errf("duplicate label %q", name)
 			}
 			a.symbols[name] = a.here()
+		} else if at := a.symbols[name]; at != a.here() {
+			return a.errf("label %q moved from %#x in pass 1 to %#x in pass 2", name, at, a.here())
 		}
+		labeled = true
 		s = strings.TrimSpace(s[i+1:])
 		if s == "" {
 			return nil
@@ -188,9 +219,13 @@ func (a *assembler) line(raw string) error {
 	if a.section != secText {
 		return a.errf("instruction %q outside .text", s)
 	}
+	a.forwardOK = true
 	inst, err := a.instruction(s)
 	if err != nil {
 		return err
+	}
+	if a.pass == 1 && a.forwardOK && !labeled {
+		a.final[a.lineNo-1] = finalInst{inst, true}
 	}
 	a.insts = append(a.insts, inst)
 	a.textPC += isa.InstBytes
@@ -229,7 +264,7 @@ func (a *assembler) directive(s string) error {
 		a.curSeg = nil
 		return nil
 	case ".org":
-		v, err := a.value(rest)
+		v, err := a.location(name, rest)
 		if err != nil {
 			return err
 		}
@@ -252,7 +287,7 @@ func (a *assembler) directive(s string) error {
 		a.curSeg = nil
 		return nil
 	case ".align":
-		n, err := a.value(rest)
+		n, err := a.location(name, rest)
 		if err != nil {
 			return err
 		}
@@ -266,7 +301,7 @@ func (a *assembler) directive(s string) error {
 		a.curSeg = nil
 		return nil
 	case ".space":
-		n, err := a.value(rest)
+		n, err := a.location(name, rest)
 		if err != nil {
 			return err
 		}
@@ -341,19 +376,60 @@ func (a *assembler) emitBytes(b []byte) {
 
 // value evaluates an immediate expression: NUMBER | 'c' | SYMBOL | SYMBOL±NUMBER.
 func (a *assembler) value(expr string) (uint64, error) {
+	v, undefined, err := a.eval(expr)
+	if err != nil || undefined == "" {
+		return v, err
+	}
+	return a.undefined(undefined)
+}
+
+// location is value for the operand of the directive name, which moves
+// the location counter: labels after it take their pass-1 addresses from
+// its value, so it cannot refer to a later label (see assembler.forward).
+func (a *assembler) location(name, expr string) (uint64, error) {
+	v, undefined, err := a.eval(expr)
+	if err != nil || undefined == "" {
+		return v, err
+	}
+	if a.pass == 1 && a.forward == nil {
+		a.forward = &Error{Line: a.lineNo, Msg: fmt.Sprintf(
+			"%s: symbol %q is defined after it (a location cannot depend on a later label)", name, undefined)}
+		a.forwardSym = undefined
+	}
+	return a.undefined(undefined)
+}
+
+// undefined is the value of a symbol not defined (yet): 0 in pass 1, where
+// instructions and data have fixed sizes, so a forward reference moves no
+// label; an error in pass 2.
+func (a *assembler) undefined(sym string) (uint64, error) {
+	if a.pass == 1 {
+		a.forwardOK = false
+		return 0, nil // forward reference; resolved in pass 2
+	}
+	return 0, a.errf("undefined symbol %q", sym)
+}
+
+// eval evaluates an immediate expression, or names the symbol it refers
+// to that is not defined (yet).
+func (a *assembler) eval(expr string) (v uint64, undefined string, err error) {
 	expr = strings.TrimSpace(expr)
 	if expr == "" {
-		return 0, a.errf("missing value")
+		return 0, "", a.errf("missing value")
 	}
 	if expr[0] == '\'' {
 		r, err := strconv.Unquote(expr)
 		if err != nil || len(r) != 1 {
-			return 0, a.errf("bad character literal %s", expr)
+			return 0, "", a.errf("bad character literal %s", expr)
 		}
-		return uint64(r[0]), nil
+		return uint64(r[0]), "", nil
 	}
-	if n, err := parseNum(expr); err == nil {
-		return n, nil
+	// Only a leading digit, signed or not, can start a number: skipping
+	// the parse for a symbol saves the error value it would build.
+	if d := strings.TrimPrefix(expr, "-"); d != "" && d[0] >= '0' && d[0] <= '9' {
+		if n, err := parseNum(expr); err == nil {
+			return n, "", nil
+		}
 	}
 	// SYMBOL, SYMBOL+N, SYMBOL-N (split at the last +/- that is not leading)
 	sym, off := expr, int64(0)
@@ -361,7 +437,7 @@ func (a *assembler) value(expr string) (uint64, error) {
 		if expr[i] == '+' || expr[i] == '-' {
 			n, err := parseNum(expr[i+1:])
 			if err != nil {
-				return 0, a.errf("bad offset in %q", expr)
+				return 0, "", a.errf("bad offset in %q", expr)
 			}
 			sym = strings.TrimSpace(expr[:i])
 			off = int64(n)
@@ -372,16 +448,13 @@ func (a *assembler) value(expr string) (uint64, error) {
 		}
 	}
 	if !isIdent(sym) {
-		return 0, a.errf("bad value %q", expr)
+		return 0, "", a.errf("bad value %q", expr)
 	}
 	addr, ok := a.symbols[sym]
 	if !ok {
-		if a.pass == 1 {
-			return 0, nil // forward reference; resolved in pass 2
-		}
-		return 0, a.errf("undefined symbol %q", sym)
+		return 0, sym, nil
 	}
-	return addr + uint64(off), nil
+	return addr + uint64(off), "", nil
 }
 
 func parseNum(s string) (uint64, error) {

@@ -283,6 +283,30 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestLocationForwardReference: a directive that moves the location counter
+// cannot take its value from a later label. Pass 1 would place every label
+// after it at the address a 0 operand gives, pass 2 would emit at the real
+// one: here x would read 0 while its byte lands at 0x3000.
+func TestLocationForwardReference(t *testing.T) {
+	for _, c := range []struct{ src, line string }{
+		{"main: la t0, x\nhalt\n.data\n.org fwd\nx: .byte 7\n.org 0x3000\nfwd: .byte 1", "line 4"},
+		{".data\n.org 0x100\n.space n\ny: .byte 1\nn: .byte 2", "line 3"},
+		{".org start\nstart: halt", "line 1"},
+		{".data\n.org 0x100\n.space n+8\n.org fwd\ny: .byte 1\nn: .byte 2\nfwd: .byte 3", "line 3"},
+	} {
+		_, err := Assemble(c.src)
+		if err == nil || !strings.Contains(err.Error(), c.line+": ") ||
+			!strings.Contains(err.Error(), "cannot depend on a later label") {
+			t.Errorf("Assemble(%q) error = %v, want a forward-reference error at %s", c.src, err, c.line)
+		}
+	}
+	// Backward references still place labels.
+	p := MustAssemble("main: la t0, x\nhalt\n.data\n.org 0x3000\nbase: .byte 1\n.org base+8\nx: .byte 7")
+	if x := p.MustSymbol("x"); x != 0x3008 || p.Insts[0].Imm != 0x3008 {
+		t.Errorf("x = %#x, la loads %#x; want 0x3008", x, p.Insts[0].Imm)
+	}
+}
+
 func TestErrorHasLineNumber(t *testing.T) {
 	_, err := Assemble("nop\nnop\nbogus x")
 	aerr, ok := err.(*Error)

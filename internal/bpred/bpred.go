@@ -13,6 +13,8 @@
 //     wrong-path pollution of the history does not accumulate.
 package bpred
 
+import "math/bits"
+
 // Gshare is a global-history direction predictor with a table of 2-bit
 // saturating counters indexed by PC xor history.
 type Gshare struct {
@@ -20,6 +22,11 @@ type Gshare struct {
 	mask    uint64
 	history uint64
 	bits    uint
+	// trained has bit b set when a counter in the table's b-th 64th (the
+	// block of 1<<blockShift counters) may have left its reset value, so
+	// Reset refills only those blocks.
+	trained    uint64
+	blockShift uint
 	// Stats
 	Lookups    uint64
 	Mispredict uint64
@@ -28,19 +35,36 @@ type Gshare struct {
 // NewGshare builds a predictor with 2^bits counters. Counters start weakly
 // not-taken (01).
 func NewGshare(bits uint) *Gshare {
-	g := &Gshare{pht: make([]uint8, 1<<bits), mask: (1 << bits) - 1, bits: bits}
+	g := &Gshare{
+		pht:        make([]uint8, 1<<bits),
+		mask:       (1 << bits) - 1,
+		bits:       bits,
+		trained:    ^uint64(0),
+		blockShift: max(bits, 6) - 6,
+	}
 	g.Reset()
 	return g
 }
 
 // Reset returns the predictor to the state NewGshare builds: every counter
-// weakly not-taken, empty history, zeroed stats.
+// weakly not-taken, empty history, zeroed stats. It refills only the blocks
+// of the table that Update trained since the last Reset.
 func (g *Gshare) Reset() {
-	// Fill by doubling copies: memmove speed rather than a byte loop.
-	g.pht[0] = 1
-	for n := 1; n < len(g.pht); n *= 2 {
-		copy(g.pht[n:], g.pht[:n])
+	for m := g.trained; m != 0; m &= m - 1 {
+		b := uint(bits.TrailingZeros64(m))
+		lo := min(b<<g.blockShift, uint(len(g.pht)))
+		hi := min((b+1)<<g.blockShift, uint(len(g.pht)))
+		if lo == hi {
+			break // blocks past the end of a table smaller than 64 counters
+		}
+		// Fill by doubling copies: memmove speed rather than a byte loop.
+		blk := g.pht[lo:hi]
+		blk[0] = 1
+		for n := 1; n < len(blk); n *= 2 {
+			copy(blk[n:], blk[:n])
+		}
 	}
+	g.trained = 0
 	g.history = 0
 	g.Lookups, g.Mispredict = 0, 0
 }
@@ -64,10 +88,8 @@ func (g *Gshare) Predict(pc uint64) (taken bool, checkpoint uint64) {
 // histAtPredict must be the checkpoint returned by Predict for this branch,
 // so training indexes the same counter the prediction used.
 func (g *Gshare) Update(pc uint64, taken bool, histAtPredict uint64) {
-	saved := g.history
-	g.history = histAtPredict
-	idx := g.index(pc)
-	g.history = saved
+	idx := ((pc >> 2) ^ histAtPredict) & g.mask
+	g.trained |= 1 << (idx >> g.blockShift)
 	c := g.pht[idx]
 	if taken {
 		if c < 3 {

@@ -304,18 +304,29 @@ func TestResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// Gshare.Reset refills every counter weakly not-taken, for table sizes that
-// are and are not reached by a single doubling step.
+// Gshare.Reset returns every counter to weakly not-taken after a run that
+// trained the whole table (a refill, for table sizes that are and are not
+// reached by a single doubling step) and after one that trained a few
+// counters (each restored alone), in either order on one predictor.
 func TestGshareResetCounters(t *testing.T) {
 	for _, bits := range []uint{0, 1, 5, 14} {
 		g := NewGshare(bits)
-		for i := range g.pht {
-			g.pht[i] = 3
-		}
-		g.Reset()
-		for i, v := range g.pht {
-			if v != 1 {
-				t.Fatalf("bits=%d: counter %d = %d after Reset, want 1", bits, i, v)
+		n := len(g.pht)
+		for round, trained := range []int{n, 1 + n/32, n, 1 + n/32} {
+			for i := 0; i < trained; i++ {
+				g.Update(uint64(i)<<2, true, 0)
+				g.Update(uint64(i)<<2, true, 0)
+			}
+			for i := 0; i < trained; i++ {
+				if g.pht[i] != 3 {
+					t.Fatalf("bits=%d round %d: counter %d = %d after training, want 3", bits, round, i, g.pht[i])
+				}
+			}
+			g.Reset()
+			for i, v := range g.pht {
+				if v != 1 {
+					t.Fatalf("bits=%d round %d: counter %d = %d after Reset, want 1", bits, round, i, v)
+				}
 			}
 		}
 	}

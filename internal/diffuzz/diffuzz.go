@@ -112,8 +112,7 @@ func (t *timingCore) runSeed(seed int64, run timingFunc) *Result {
 		return r
 	}
 	r.Frags = p.Frags
-	base := mem.New()
-	emu.Load(base, p.Prog)
+	base := t.load(p.Prog)
 
 	an := gadget.Analyze(p.Prog, gadget.Config{})
 
@@ -216,17 +215,30 @@ func (r *archRun) run(p *progen.Program, img *mem.Memory, secret byte, msrSecret
 // timingCore is one fuzz worker's simulation state, kept across programs:
 // a core, built on the first timing run and reset for every later one; a
 // memory image every run (timing or architectural) restores from the
-// program's base image; the buffers of a program's two channel traces and
+// program's base image, itself reloaded for every program; the buffers of a program's two channel traces and
 // two architectural step logs; and the recorder that appends each channel
 // event to evs, the trace of the run in progress. The recorder is bound
 // once, so arming a run's trace hook allocates nothing.
 type timingCore struct {
 	c            *ooo.Core
 	m            *mem.Memory
+	base, empty  *mem.Memory
 	trA, trB     []ooo.ChannelEvent
 	archA, archB archRun
 	evs          []ooo.ChannelEvent
 	record       func(ooo.ChannelEvent)
+}
+
+// load returns t's base image holding exactly p's loaded data. The image
+// is emptied by a copy of an empty one, which keeps the previous program's
+// page buffers for p's.
+func (t *timingCore) load(p *isa.Program) *mem.Memory {
+	if t.base == nil {
+		t.base, t.empty = mem.New(), mem.New()
+	}
+	t.base.CopyFrom(t.empty)
+	emu.Load(t.base, p)
+	return t.base
 }
 
 // restore returns t's run image holding exactly base's contents.

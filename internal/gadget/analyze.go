@@ -1,8 +1,10 @@
 package gadget
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
+	"strconv"
 
 	"nda/internal/isa"
 )
@@ -36,7 +38,7 @@ func Analyze(p *isa.Program, cfg Config) *Analysis {
 	a.liveness()
 	guards := 0
 	for i := range a.insts {
-		if isa.ClassOf(a.insts[i]) != isa.ClassBranch || !a.liveOn[i] {
+		if isa.ClassOf(a.insts[i]) != isa.ClassBranch || !a.live[2*i+1] {
 			continue
 		}
 		guards++
@@ -45,10 +47,7 @@ func Analyze(p *isa.Program, cfg Config) *Analysis {
 	a.analyzeChosenCode()
 	a.analyzeBypass()
 
-	gs := make([]Gadget, 0, len(a.found))
-	for _, g := range a.found {
-		gs = append(gs, *g)
-	}
+	gs := a.gadgets()
 	sortGadgets(gs)
 	leaks := make(map[string]bool, 9)
 	for _, pol := range policies {
@@ -91,14 +90,32 @@ type analyzer struct {
 	retSites  []int // indices following call instructions: RAS mis-targets
 	harvested []int // code addresses found in data: BTB mis-targets
 	barrier   []bool
-	loadAddr  map[int]uint64
-	storeAddr map[int]uint64
+	loadAddr  []knownAddr
+	storeAddr []knownAddr
 	slowStore []bool
-	liveOn    []bool // arch-reachable with speculation enabled
-	liveAny   []bool // arch-reachable in either speculation state
+	live      []bool // live[2i+1]: i is arch-reachable with speculation on; live[2i]: off
 	syms      []symEntry
+	symsBuilt bool
+	sites     []Site // rendered per instruction on first use; Asm is never empty
 
-	found map[gadgetKey]*Gadget
+	// Scratch reused by every region and dataflow of the analysis.
+	reg  region
+	in   []regState // incoming taint per instruction, valid for reg's members
+	inWL []bool
+	wl   []int
+	flav []flavors // the flavor sets regStates name; flav[0] is the empty set
+
+	// Gadget candidates, one per (kind, channel, transmitter, flavor);
+	// candAt[i] is 1 + the index of transmitter i's latest candidate, whose
+	// next links the transmitter's earlier ones (0 ends both).
+	cands  []candidate
+	candAt []int32
+}
+
+// knownAddr is a statically resolved load or store address.
+type knownAddr struct {
+	addr uint64
+	ok   bool
 }
 
 type symEntry struct {
@@ -106,42 +123,34 @@ type symEntry struct {
 	name string
 }
 
-type gadgetKey struct {
-	kind     Kind
-	channel  Channel
-	transmit int
-	flavor   flavorKey
-}
-
 func newAnalyzer(p *isa.Program, cfg Config) *analyzer {
 	w := cfg.Window
 	if w <= 0 {
 		w = DefaultWindow
 	}
-	a := &analyzer{
+	n := len(p.Insts)
+	ints := make([]int, 3*n) // a region's entries, order and queue: n each at most
+	return &analyzer{
 		p:         p,
 		cfg:       cfg,
 		insts:     p.Insts,
-		n:         len(p.Insts),
+		n:         n,
 		window:    w,
-		barrier:   make([]bool, len(p.Insts)),
-		loadAddr:  map[int]uint64{},
-		storeAddr: map[int]uint64{},
-		slowStore: make([]bool, len(p.Insts)),
-		found:     map[gadgetKey]*Gadget{},
+		barrier:   make([]bool, n),
+		loadAddr:  make([]knownAddr, n),
+		storeAddr: make([]knownAddr, n),
+		slowStore: make([]bool, n),
+		reg: region{
+			dist:    make([]int32, n),
+			entries: ints[:0:n],
+			order:   ints[n : n : 2*n],
+			queue:   ints[2*n : 2*n : 3*n],
+		},
+		in:     make([]regState, n),
+		inWL:   make([]bool, n),
+		flav:   make([]flavors, 1, 8),
+		candAt: make([]int32, n),
 	}
-	for name, addr := range p.Symbols {
-		if addr >= p.TextBase && addr < p.End() {
-			a.syms = append(a.syms, symEntry{addr, name})
-		}
-	}
-	sort.Slice(a.syms, func(i, j int) bool {
-		if a.syms[i].addr != a.syms[j].addr {
-			return a.syms[i].addr < a.syms[j].addr
-		}
-		return a.syms[i].name < a.syms[j].name
-	})
-	return a
 }
 
 func (a *analyzer) idx(pc uint64) (int, bool) {
@@ -162,7 +171,7 @@ func (a *analyzer) pc(i int) uint64 { return a.p.TextBase + uint64(i)*isa.InstBy
 // to mispredict to (function-pointer tables, vtables). It also records the
 // return sites the RAS can mispredict to.
 func (a *analyzer) harvest() {
-	seen := map[int]bool{}
+	seen := make([]bool, a.n)
 	for _, seg := range a.p.Data {
 		for off := 0; off+8 <= len(seg.Bytes); off++ {
 			if (seg.Addr+uint64(off))%8 != 0 {
@@ -175,7 +184,7 @@ func (a *analyzer) harvest() {
 			}
 		}
 	}
-	sort.Ints(a.harvested)
+	slices.Sort(a.harvested)
 	for i := range a.insts {
 		if a.insts[i].IsCall() && i+1 < a.n {
 			a.retSites = append(a.retSites, i+1)
@@ -205,39 +214,34 @@ func (a *analyzer) constProp() {
 		a.barrier[t] = true
 	}
 
-	consts := map[isa.Reg]uint64{}
-	var der [isa.NumGPR]bool
-	reset := func() {
-		consts = map[isa.Reg]uint64{}
-		der = [isa.NumGPR]bool{}
-	}
+	var consts [isa.NumGPR]uint64
+	var known, der [isa.NumGPR]bool
 	val := func(r isa.Reg) (uint64, bool) {
 		if r == isa.RegZero {
 			return 0, true
 		}
-		v, ok := consts[r]
-		return v, ok
+		return consts[r], known[r]
 	}
 	for i := 0; i < a.n; i++ {
 		if a.barrier[i] {
-			reset()
+			known, der = [isa.NumGPR]bool{}, [isa.NumGPR]bool{}
 		}
 		inst := a.insts[i]
 		if inst.IsLoad() {
 			if base, ok := val(inst.Rs1); ok {
-				a.loadAddr[i] = base + uint64(inst.Imm)
+				a.loadAddr[i] = knownAddr{base + uint64(inst.Imm), true}
 			}
 		}
 		if inst.IsStore() {
 			a.slowStore[i] = inst.Rs1 != isa.RegZero && der[inst.Rs1]
 			if base, ok := val(inst.Rs1); ok {
-				a.storeAddr[i] = base + uint64(inst.Imm)
+				a.storeAddr[i] = knownAddr{base + uint64(inst.Imm), true}
 			}
 		}
 		if rd, writes := inst.WritesReg(); writes {
 			switch {
 			case inst.Op == isa.OpLui:
-				consts[rd] = uint64(inst.Imm)
+				consts[rd], known[rd] = uint64(inst.Imm), true
 				der[rd] = false
 			case isa.IsALU(inst.Op):
 				_, nsrc := inst.SrcRegs()
@@ -248,22 +252,21 @@ func (a *analyzer) constProp() {
 					bv, bok = val(inst.Rs2)
 					d = d || der[inst.Rs2]
 				}
-				if aok && bok {
+				known[rd] = aok && bok
+				if known[rd] {
 					consts[rd] = isa.EvalALU(inst.Op, av, bv)
-				} else {
-					delete(consts, rd)
 				}
 				der[rd] = d
 			case inst.IsLoad() || inst.Op == isa.OpRdmsr:
-				delete(consts, rd)
+				known[rd] = false
 				der[rd] = true
 			default: // jal/jalr link, rdcycle
-				delete(consts, rd)
+				known[rd] = false
 				der[rd] = false
 			}
 		}
 		if inst.IsControl() {
-			reset()
+			known, der = [isa.NumGPR]bool{}, [isa.NumGPR]bool{}
 		}
 	}
 }
@@ -273,9 +276,8 @@ func (a *analyzer) constProp() {
 // reachable inside a specoff/specon bracket can never mis-steer: the front
 // end fetches past unresolved branches only when speculation is enabled.
 func (a *analyzer) liveness() {
-	a.liveOn = make([]bool, a.n)
-	a.liveAny = make([]bool, a.n)
-	seen := make([]bool, a.n*2)
+	a.live = make([]bool, a.n*2)
+	seen := a.live
 	entry, ok := a.idx(a.p.Entry)
 	if !ok {
 		return
@@ -329,90 +331,94 @@ func (a *analyzer) liveness() {
 			push(s.i+1, s.on)
 		}
 	}
-	for i := 0; i < a.n; i++ {
-		a.liveOn[i] = seen[i*2+1]
-		a.liveAny[i] = seen[i*2] || seen[i*2+1]
-	}
 }
+
+// liveAny reports whether instruction i is arch-reachable in either
+// speculation state.
+func (a *analyzer) liveAny(i int) bool { return a.live[2*i] || a.live[2*i+1] }
 
 // ---------------------------------------------------------------------------
 // transient regions: the code a mis-steered front end can fetch
 
 // specSuccs returns the indices fetch can reach right after instruction i on
-// a speculative path. Fetch stops dead at halt/invalid/specoff; it also
-// stops at fence because younger instructions cannot issue before the fence
-// completes, and the fence itself waits for every older instruction —
-// including the unresolved guard, whose resolution squashes the path first.
-func (a *analyzer) specSuccs(i int) []int {
+// a speculative path, in buf or in one of the analyzer's target lists
+// (which the caller must not modify). Fetch stops dead at
+// halt/invalid/specoff; it also stops at fence because younger instructions
+// cannot issue before the fence completes, and the fence itself waits for
+// every older instruction — including the unresolved guard, whose
+// resolution squashes the path first.
+func (a *analyzer) specSuccs(i int, buf *[2]int) []int {
 	inst := a.insts[i]
-	next := func() []int {
-		if i+1 < a.n {
-			return []int{i + 1}
-		}
-		return nil
-	}
+	succs := buf[:0]
 	switch {
 	case inst.Op == isa.OpHalt || inst.Op == isa.OpInvalid ||
 		inst.Op == isa.OpSpecOff || inst.Op == isa.OpFence:
-		return nil
 	case inst.IsCondBranch():
-		succs := next()
+		if i+1 < a.n {
+			succs = append(succs, i+1)
+		}
 		if t, ok := a.idx(uint64(inst.Imm)); ok {
 			succs = append(succs, t)
 		}
-		return succs
 	case inst.Op == isa.OpJal:
 		if t, ok := a.idx(uint64(inst.Imm)); ok {
-			return []int{t}
+			succs = append(succs, t)
 		}
-		return nil
 	case inst.Op == isa.OpJalr:
 		if inst.IsReturn() {
 			return a.retSites
 		}
 		return a.harvested
 	default:
-		return next()
+		if i+1 < a.n {
+			succs = append(succs, i+1)
+		}
 	}
+	return succs
 }
 
 // region is the set of instructions within the transient window of one or
 // more entry points, with each member's minimum fetch distance.
 type region struct {
-	member  map[int]int
-	entries []int
-	order   []int
+	dist    []int32 // per instruction: fetch distance, 0 = not a member
+	entries []int   // ascending
+	order   []int   // every member, ascending
+	queue   []int
 }
 
+// buildRegion rebuilds a.reg over the window of starts (which must not be
+// a.reg's own slices) and returns it.
 func (a *analyzer) buildRegion(starts []int) *region {
-	r := &region{member: map[int]int{}}
-	queue := []int{}
+	r := &a.reg
+	for _, i := range r.order {
+		r.dist[i] = 0
+	}
+	r.entries, r.queue = r.entries[:0], r.queue[:0]
 	for _, s := range starts {
-		if _, ok := r.member[s]; !ok {
-			r.member[s] = 1
+		if r.dist[s] == 0 {
+			r.dist[s] = 1
 			r.entries = append(r.entries, s)
-			queue = append(queue, s)
+			r.queue = append(r.queue, s)
 		}
 	}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		d := r.member[i]
-		if d >= a.window {
+	var buf [2]int
+	for h := 0; h < len(r.queue); h++ {
+		i := r.queue[h]
+		d := r.dist[i]
+		if int(d) >= a.window {
 			continue
 		}
-		for _, s := range a.specSuccs(i) {
-			if _, ok := r.member[s]; !ok {
-				r.member[s] = d + 1
-				queue = append(queue, s)
+		for _, s := range a.specSuccs(i, &buf) {
+			if r.dist[s] == 0 {
+				r.dist[s] = d + 1
+				r.queue = append(r.queue, s)
 			}
 		}
 	}
-	for i := range r.member {
-		r.order = append(r.order, i)
-	}
-	sort.Ints(r.order)
-	sort.Ints(r.entries)
+	// Every member entered the queue exactly once.
+	r.order = append(r.order[:0], r.queue...)
+	slices.Sort(r.order)
+	slices.Sort(r.entries)
 	return r
 }
 
@@ -423,43 +429,46 @@ func (a *analyzer) buildRegion(starts []int) *region {
 // the value derives from and which chain properties the verdict table needs.
 // Keeping one representative chain per flavor (instead of one gadget per
 // source×path) bounds the output without losing any verdict-distinct gadget.
-type flavorKey struct {
-	gpr       bool // derives from a register-resident secret seed
-	loadFree  bool // no load anywhere on the chain
-	directUse bool // no producer at all between seed and consumer
-}
+// Its three bits index a flavors set, so ascending keys run from
+// {register seed, load-free, direct use} all false to all true.
+type flavorKey uint8
 
-var allFlavorKeys = []flavorKey{
-	{false, false, false},
-	{false, false, true},
-	{false, true, false},
-	{false, true, true},
-	{true, false, false},
-	{true, false, true},
-	{true, true, false},
-	{true, true, true},
-}
+const (
+	flavDirectUse flavorKey = 1 << iota // no producer at all between seed and consumer
+	flavLoadFree                        // no load anywhere on the chain
+	flavGPR                             // derives from a register-resident secret seed
+
+	numFlavors = 8
+)
 
 // rep is the representative source and chain for one flavor.
 type rep struct {
-	srcIdx int // instruction index of the access, or -1 for a GPR seed
+	srcIdx int32 // instruction index of the access, or -1 for a GPR seed
 	srcReg isa.Reg
-	chain  []int
+	n      uint8 // chain length
+	chain  [maxChainSites]int32
+}
+
+// sourceRep is the representative of a fresh secret read by instruction i.
+func sourceRep(i int) rep {
+	r := rep{srcIdx: int32(i), n: 1}
+	r.chain[0] = int32(i)
+	return r
 }
 
 // repLess is a total order on representatives; joins keep the minimum, which
 // makes the fixpoint independent of evaluation order.
-func repLess(x, y rep) bool {
+func repLess(x, y *rep) bool {
 	if x.srcIdx != y.srcIdx {
 		return x.srcIdx < y.srcIdx
 	}
 	if x.srcReg != y.srcReg {
 		return x.srcReg < y.srcReg
 	}
-	if len(x.chain) != len(y.chain) {
-		return len(x.chain) < len(y.chain)
+	if x.n != y.n {
+		return x.n < y.n
 	}
-	for i := range x.chain {
+	for i := uint8(0); i < x.n; i++ {
 		if x.chain[i] != y.chain[i] {
 			return x.chain[i] < y.chain[i]
 		}
@@ -467,7 +476,32 @@ func repLess(x, y rep) bool {
 	return false
 }
 
-type flavors map[flavorKey]rep
+func extendChain(r rep, i int) rep {
+	if r.n < maxChainSites {
+		r.chain[r.n] = int32(i)
+		r.n++
+	}
+	return r
+}
+
+// flavors holds at most one representative per flavor: reps[k] is present
+// iff bit k of has is set.
+type flavors struct {
+	has  uint8
+	reps [numFlavors]rep
+}
+
+// add joins r in as flavor k's representative, keeping the minimum.
+// Reports whether f changed.
+func (f *flavors) add(k flavorKey, r rep) bool {
+	bit := uint8(1) << k
+	if f.has&bit != 0 && !repLess(&r, &f.reps[k]) {
+		return false
+	}
+	f.has |= bit
+	f.reps[k] = r
+	return true
+}
 
 // memCell is the pseudo-register modeling memory taint through store-to-load
 // forwarding. One conservative cell stands for all of memory: a store of
@@ -477,44 +511,41 @@ type flavors map[flavorKey]rep
 // feed any later load — which can only add gadgets, never hide one.
 const memCell = isa.Reg(isa.NumGPR)
 
-type regState map[isa.Reg]flavors
+// regState is the taint of every register and the memory cell: the index in
+// a.flav of its flavor set, 0 when untainted. Flavor sets are never changed
+// once added, so states share them freely.
+type regState [isa.NumGPR + 1]int32
 
-func sortedKeys(m flavors) []flavorKey {
-	ks := make([]flavorKey, 0, len(m))
-	for _, k := range allFlavorKeys {
-		if _, ok := m[k]; ok {
-			ks = append(ks, k)
-		}
-	}
-	return ks
+// intern adds f to the flavor sets and returns its index.
+func (a *analyzer) intern(f *flavors) int32 {
+	a.flav = append(a.flav, *f)
+	return int32(len(a.flav) - 1)
 }
 
-func extendChain(r rep, i int) rep {
-	if len(r.chain) >= maxChainSites {
-		return r
-	}
-	nc := make([]int, len(r.chain), len(r.chain)+1)
-	copy(nc, r.chain)
-	r.chain = append(nc, i)
-	return r
-}
-
-// joinInto merges src into dst (owned by the caller), keeping the minimum
-// representative per flavor. Reports whether dst changed.
-func joinInto(dst, src regState) bool {
+// join merges src into dst, keeping the minimum representative per flavor.
+// Reports whether dst changed.
+func (a *analyzer) join(dst, src *regState) bool {
 	changed := false
-	for r, fl := range src {
+	for r, s := range src {
 		d := dst[r]
-		for k, rp := range fl {
-			old, ok := d[k]
-			if ok && !repLess(rp, old) {
-				continue
+		if s == 0 || s == d {
+			continue
+		}
+		if d == 0 {
+			dst[r] = s
+			changed = true
+			continue
+		}
+		m := a.flav[d]
+		grew := false
+		sf := &a.flav[s]
+		for k := flavorKey(0); k < numFlavors; k++ {
+			if sf.has&(1<<k) != 0 && m.add(k, sf.reps[k]) {
+				grew = true
 			}
-			if d == nil {
-				d = flavors{}
-				dst[r] = d
-			}
-			d[k] = rp
+		}
+		if grew {
+			dst[r] = a.intern(&m)
 			changed = true
 		}
 	}
@@ -524,43 +555,44 @@ func joinInto(dst, src regState) bool {
 // transfer applies instruction i to the incoming taint state. In guardMode
 // (steering analysis) every load is additionally a fresh secret source: on a
 // mis-steered path, any reachable load can read an attacker-chosen address.
-func (a *analyzer) transfer(in regState, i int, guardMode bool) regState {
+func (a *analyzer) transfer(in *regState, i int, guardMode bool) regState {
 	inst := a.insts[i]
+	out := *in
 	if inst.IsStore() {
-		fl := in[inst.Rs2]
-		if len(fl) == 0 {
-			return in
+		src := out[inst.Rs2]
+		if src == 0 {
+			return out
 		}
 		// Tainted store data flows into the memory cell. The flavor is
 		// normalized to its seed kind: once laundered through memory the
 		// chain necessarily contains a producer (the store) and, on read-
 		// back, a load.
-		out := make(regState, len(in)+1)
-		for r, f := range in {
-			out[r] = f
-		}
-		d := make(flavors, len(in[memCell])+1)
-		for k, rp := range in[memCell] {
-			d[k] = rp
-		}
-		for _, k := range sortedKeys(fl) {
-			nk := flavorKey{gpr: k.gpr}
-			rp := extendChain(fl[k], i)
-			if old, ok := d[nk]; !ok || repLess(rp, old) {
-				d[nk] = rp
+		m := a.flav[out[memCell]]
+		grew := false
+		fl := &a.flav[src]
+		for k := flavorKey(0); k < numFlavors; k++ {
+			if fl.has&(1<<k) != 0 && m.add(k&flavGPR, extendChain(fl.reps[k], i)) {
+				grew = true
 			}
 		}
-		out[memCell] = d
+		if grew {
+			out[memCell] = a.intern(&m)
+		}
 		return out
 	}
 	rd, writes := inst.WritesReg()
 	if !writes {
-		return in
+		return out
 	}
-	derived := flavors{}
-	add := func(k flavorKey, r rep) {
-		if old, ok := derived[k]; !ok || repLess(r, old) {
-			derived[k] = r
+	var derived flavors
+	// from joins every flavor of the set named by s into derived, mapped by
+	// keep (the key bits that survive) and the chain extended by i.
+	from := func(s int32, keep flavorKey) {
+		fl := &a.flav[s]
+		for k := flavorKey(0); k < numFlavors; k++ {
+			if fl.has&(1<<k) != 0 {
+				derived.add(k&keep, extendChain(fl.reps[k], i))
+			}
 		}
 	}
 	switch {
@@ -569,115 +601,100 @@ func (a *analyzer) transfer(in regState, i int, guardMode bool) regState {
 	case isa.IsALU(inst.Op):
 		srcs, nsrc := inst.SrcRegs()
 		for s := 0; s < nsrc; s++ {
-			fl := in[srcs[s]]
-			for _, k := range sortedKeys(fl) {
-				nk := k
-				nk.directUse = false
-				add(nk, extendChain(fl[k], i))
-			}
+			from(out[srcs[s]], ^flavDirectUse)
 		}
 	case inst.IsLoad():
-		fl := in[inst.Rs1]
-		for _, k := range sortedKeys(fl) {
-			add(flavorKey{gpr: k.gpr}, extendChain(fl[k], i))
-		}
+		from(out[inst.Rs1], flavGPR)
 		// Store-to-load forwarding: the load may read back any tainted
 		// value a prior in-region store put in memory.
-		mfl := in[memCell]
-		for _, k := range sortedKeys(mfl) {
-			add(flavorKey{gpr: k.gpr}, extendChain(mfl[k], i))
-		}
+		from(out[memCell], flavGPR)
 		if guardMode {
-			add(flavorKey{}, rep{srcIdx: i, chain: []int{i}})
+			derived.add(0, sourceRep(i))
 		}
 	case inst.Op == isa.OpRdmsr:
 		if guardMode {
-			add(flavorKey{}, rep{srcIdx: i, chain: []int{i}})
+			derived.add(0, sourceRep(i))
 		}
 		// rdcycle, jal/jalr link writes: untainted
 	}
-	out := make(regState, len(in)+1)
-	for r, fl := range in {
-		if r != rd {
-			out[r] = fl
-		}
-	}
-	if len(derived) > 0 {
-		out[rd] = derived
+	out[rd] = 0
+	if derived.has != 0 {
+		out[rd] = a.intern(&derived)
 	}
 	return out
 }
 
-// dataflow runs the taint worklist to fixpoint over the region and returns
-// each member's incoming state.
-func (a *analyzer) dataflow(reg *region, seed regState, guardMode bool) map[int]regState {
-	in := make(map[int]regState, len(reg.member))
+// newFlow starts a dataflow: it drops the previous dataflow's flavor sets,
+// which no state of the new one names.
+func (a *analyzer) newFlow() { a.flav = a.flav[:1] }
+
+// taint returns the index of a new flavor set holding r as flavor k.
+func (a *analyzer) taint(k flavorKey, r rep) int32 {
+	var f flavors
+	f.add(k, r)
+	return a.intern(&f)
+}
+
+// dataflow runs the taint worklist to fixpoint over the region, leaving
+// each member's incoming state in a.in.
+func (a *analyzer) dataflow(reg *region, seed *regState, guardMode bool) {
+	for _, i := range reg.order {
+		a.in[i] = regState{}
+	}
 	for _, e := range reg.entries {
-		if in[e] == nil {
-			in[e] = regState{}
-		}
-		joinInto(in[e], seed)
+		a.join(&a.in[e], seed)
 	}
 	// Every member enters the worklist once: taint is GENERATED inside the
 	// region (guard-mode load sources), not only injected at the entries.
-	wl := append([]int{}, reg.order...)
-	inWL := map[int]bool{}
-	for _, e := range wl {
-		inWL[e] = true
+	wl := append(a.wl[:0], reg.order...)
+	for _, i := range wl {
+		a.inWL[i] = true
 	}
-	for _, i := range reg.order {
-		if in[i] == nil {
-			in[i] = regState{}
-		}
-	}
-	for len(wl) > 0 {
-		i := wl[0]
-		wl = wl[1:]
-		inWL[i] = false
-		out := a.transfer(in[i], i, guardMode)
-		for _, s := range a.specSuccs(i) {
-			if _, ok := reg.member[s]; !ok {
+	var buf [2]int
+	for h := 0; h < len(wl); h++ {
+		i := wl[h]
+		a.inWL[i] = false
+		out := a.transfer(&a.in[i], i, guardMode)
+		for _, s := range a.specSuccs(i, &buf) {
+			if reg.dist[s] == 0 {
 				continue
 			}
-			if in[s] == nil {
-				in[s] = regState{}
-			}
-			if joinInto(in[s], out) && !inWL[s] {
+			if a.join(&a.in[s], &out) && !a.inWL[s] {
 				wl = append(wl, s)
-				inWL[s] = true
+				a.inWL[s] = true
 			}
 		}
 	}
-	return in
+	a.wl = wl
 }
 
 // ---------------------------------------------------------------------------
 // the three gadget analyses
 
 func (a *analyzer) analyzeSteering(guard int) {
-	reg := a.buildRegion(a.specSuccs(guard))
-	seed := regState{}
+	var buf [2]int
+	reg := a.buildRegion(a.specSuccs(guard, &buf))
+	a.newFlow()
+	var seed regState
 	for _, r := range a.cfg.SecretRegs {
-		if r == isa.RegZero {
-			continue
-		}
-		seed[r] = flavors{
-			{gpr: true, loadFree: true, directUse: true}: {srcIdx: -1, srcReg: r},
+		if r != isa.RegZero {
+			seed[r] = a.taint(flavGPR|flavLoadFree|flavDirectUse, rep{srcIdx: -1, srcReg: r})
 		}
 	}
-	in := a.dataflow(reg, seed, true)
-	a.emit(reg, in, KindSteering, guard)
+	a.dataflow(reg, &seed, true)
+	a.emit(reg, KindSteering, guard)
 }
 
 func (a *analyzer) analyzeChosenCode() {
+	var buf [2]int
 	for i := range a.insts {
-		if !a.liveAny[i] {
+		if !a.liveAny(i) {
 			continue
 		}
 		inst := a.insts[i]
 		source := false
 		if inst.IsLoad() {
-			if addr, ok := a.loadAddr[i]; ok && a.inKernel(addr) {
+			if la := a.loadAddr[i]; la.ok && a.inKernel(la.addr) {
 				source = true
 			}
 		}
@@ -691,16 +708,19 @@ func (a *analyzer) analyzeChosenCode() {
 		if !writes {
 			continue
 		}
-		reg := a.buildRegion(a.specSuccs(i))
-		seed := regState{rd: flavors{{}: {srcIdx: i, chain: []int{i}}}}
-		in := a.dataflow(reg, seed, false)
-		a.emit(reg, in, KindChosenCode, -1)
+		reg := a.buildRegion(a.specSuccs(i, &buf))
+		a.newFlow()
+		var seed regState
+		seed[rd] = a.taint(0, sourceRep(i))
+		a.dataflow(reg, &seed, false)
+		a.emit(reg, KindChosenCode, -1)
 	}
 }
 
 func (a *analyzer) analyzeBypass() {
+	var buf [2]int
 	for s := range a.insts {
-		if !a.slowStore[s] || !a.liveAny[s] {
+		if !a.slowStore[s] || !a.liveAny(s) {
 			continue
 		}
 		for j := s + 1; j < a.n && j <= s+maxBypassScan; j++ {
@@ -716,10 +736,14 @@ func (a *analyzer) analyzeBypass() {
 			if !writes {
 				continue
 			}
-			reg := a.buildRegion(a.specSuccs(j))
-			seed := regState{rd: flavors{{}: {srcIdx: j, chain: []int{s, j}}}}
-			in := a.dataflow(reg, seed, false)
-			a.emit(reg, in, KindBypass, -1)
+			reg := a.buildRegion(a.specSuccs(j, &buf))
+			src := rep{srcIdx: int32(j), n: 2}
+			src.chain[0], src.chain[1] = int32(s), int32(j)
+			a.newFlow()
+			var seed regState
+			seed[rd] = a.taint(0, src)
+			a.dataflow(reg, &seed, false)
+			a.emit(reg, KindBypass, -1)
 		}
 	}
 }
@@ -737,124 +761,163 @@ func (a *analyzer) inKernel(addr uint64) bool {
 // Unknown addresses are conservatively assumed to alias — that is exactly
 // the situation that lets the load bypass the store in the first place.
 func (a *analyzer) mayAlias(s, j int) bool {
-	sa, sok := a.storeAddr[s]
-	la, lok := a.loadAddr[j]
-	if !sok || !lok {
+	sa, la := a.storeAddr[s], a.loadAddr[j]
+	if !sa.ok || !la.ok {
 		return true
 	}
 	sw := uint64(a.insts[s].MemBytes())
 	lw := uint64(a.insts[j].MemBytes())
-	return sa < la+lw && la < sa+sw
+	return sa.addr < la.addr+lw && la.addr < sa.addr+sw
 }
 
 // ---------------------------------------------------------------------------
 // gadget emission
 
+// candidate is the winning chain so far for one (kind, channel,
+// transmitter, flavor), in instruction indices; gadgets renders the final
+// winners.
+type candidate struct {
+	kind     Kind
+	channel  Channel
+	flavor   flavorKey
+	transmit int
+	guard    int // -1 when no guard is mis-steered
+	depth    int // fetch distance of the transmitter
+	rp       rep
+	next     int32
+}
+
 // emit scans the region's fixpoint states for transmitters and records one
-// gadget per (kind, channel, transmitter, flavor), keeping the shortest
+// candidate per (kind, channel, transmitter, flavor), keeping the shortest
 // fetch distance.
-func (a *analyzer) emit(reg *region, in map[int]regState, kind Kind, guard int) {
+func (a *analyzer) emit(reg *region, kind Kind, guard int) {
 	for _, i := range reg.order {
-		st := in[i]
-		if st == nil {
-			continue
-		}
+		st := &a.in[i]
+		depth := int(reg.dist[i])
 		inst := a.insts[i]
 		switch {
 		case inst.IsLoad():
-			fl := st[inst.Rs1]
-			for _, k := range sortedKeys(fl) {
-				a.record(kind, ChannelDCache, false, guard, k, fl[k], i, reg.member[i])
-			}
+			a.recordAll(kind, ChannelDCache, guard, st[inst.Rs1], i, depth)
 		case inst.Op == isa.OpJalr:
-			fl := st[inst.Rs1]
-			for _, k := range sortedKeys(fl) {
-				a.record(kind, ChannelBTB, false, guard, k, fl[k], i, reg.member[i])
-			}
+			a.recordAll(kind, ChannelBTB, guard, st[inst.Rs1], i, depth)
 		case inst.IsCondBranch():
 			srcs, nsrc := inst.SrcRegs()
 			for s := 0; s < nsrc; s++ {
-				fl := st[srcs[s]]
-				for _, k := range sortedKeys(fl) {
-					a.record(kind, ChannelBranch, true, guard, k, fl[k], i, reg.member[i])
-				}
+				a.recordAll(kind, ChannelBranch, guard, st[srcs[s]], i, depth)
 			}
 		}
 	}
 }
 
-func (a *analyzer) record(kind Kind, ch Channel, advisory bool, guard int, k flavorKey, rp rep, transmit, depth int) {
-	key := gadgetKey{kind, ch, transmit, k}
-	if old, ok := a.found[key]; ok && !a.candidateLess(depth, guard, rp, old) {
-		return
-	}
-	g := &Gadget{
-		Kind:      kind,
-		Channel:   ch,
-		Advisory:  advisory,
-		Transmit:  a.site(transmit),
-		LoadFree:  k.loadFree,
-		DirectUse: k.directUse,
-		depth:     depth,
-	}
-	if guard >= 0 {
-		s := a.site(guard)
-		g.Guard = &s
-	}
-	if rp.srcIdx >= 0 {
-		s := a.site(rp.srcIdx)
-		g.Source = &s
-	} else {
-		g.SourceReg = rp.srcReg.String()
-	}
-	for _, ci := range rp.chain {
-		g.Chain = append(g.Chain, a.site(ci))
-	}
-	if len(g.Chain) == 0 || g.Chain[len(g.Chain)-1].PC != a.pc(transmit) {
-		if len(g.Chain) < maxChainSites {
-			g.Chain = append(g.Chain, a.site(transmit))
+// recordAll records every flavor of the set a.flav[set] reaching transmit.
+func (a *analyzer) recordAll(kind Kind, ch Channel, guard int, set int32, transmit, depth int) {
+	fl := &a.flav[set]
+	for k := flavorKey(0); k < numFlavors; k++ {
+		if fl.has&(1<<k) != 0 {
+			a.record(kind, ch, guard, k, &fl.reps[k], transmit, depth)
 		}
 	}
-	a.found[key] = g
+}
+
+func (a *analyzer) record(kind Kind, ch Channel, guard int, k flavorKey, rp *rep, transmit, depth int) {
+	for c := a.candAt[transmit]; c != 0; c = a.cands[c-1].next {
+		old := &a.cands[c-1]
+		if old.kind == kind && old.channel == ch && old.flavor == k {
+			if candidateLess(depth, guard, rp, old) {
+				old.guard, old.depth, old.rp = guard, depth, *rp
+			}
+			return
+		}
+	}
+	a.cands = append(a.cands, candidate{
+		kind: kind, channel: ch, flavor: k, transmit: transmit,
+		guard: guard, depth: depth, rp: *rp, next: a.candAt[transmit],
+	})
+	a.candAt[transmit] = int32(len(a.cands))
 }
 
 // candidateLess prefers the shallowest fetch distance, then the lowest guard
 // address, then the lowest source address/register — a total order on
 // everything that distinguishes candidates within one dedup key, so the
-// winner is independent of analysis order.
-func (a *analyzer) candidateLess(depth, guard int, rp rep, old *Gadget) bool {
+// winner is independent of analysis order. Addresses grow with instruction
+// indices, and no guard or a register source (-1) sorts first.
+func candidateLess(depth, guard int, rp *rep, old *candidate) bool {
 	if depth != old.depth {
 		return depth < old.depth
 	}
-	ng, og := int64(-1), int64(-1)
-	if guard >= 0 {
-		ng = int64(a.pc(guard))
+	if guard != old.guard {
+		return guard < old.guard
 	}
-	if old.Guard != nil {
-		og = int64(old.Guard.PC)
+	if rp.srcIdx != old.rp.srcIdx {
+		return rp.srcIdx < old.rp.srcIdx
 	}
-	if ng != og {
-		return ng < og
+	return rp.srcIdx < 0 && rp.srcReg.String() < old.rp.srcReg.String()
+}
+
+// gadgets renders the winning candidates, in no particular order.
+func (a *analyzer) gadgets() []Gadget {
+	gs := make([]Gadget, len(a.cands))
+	for j := range a.cands {
+		c := &a.cands[j]
+		g := &gs[j]
+		*g = Gadget{
+			Kind:      c.kind,
+			Channel:   c.channel,
+			Advisory:  c.channel == ChannelBranch,
+			Transmit:  a.site(c.transmit),
+			LoadFree:  c.flavor&flavLoadFree != 0,
+			DirectUse: c.flavor&flavDirectUse != 0,
+		}
+		if c.guard >= 0 {
+			s := a.site(c.guard)
+			g.Guard = &s
+		}
+		if c.rp.srcIdx >= 0 {
+			s := a.site(int(c.rp.srcIdx))
+			g.Source = &s
+		} else {
+			g.SourceReg = c.rp.srcReg.String()
+		}
+		chain := c.rp.chain[:c.rp.n]
+		g.Chain = make([]Site, 0, len(chain)+1)
+		for _, ci := range chain {
+			g.Chain = append(g.Chain, a.site(int(ci)))
+		}
+		if len(chain) == 0 || int(chain[len(chain)-1]) != c.transmit {
+			if len(chain) < maxChainSites {
+				g.Chain = append(g.Chain, g.Transmit)
+			}
+		}
 	}
-	ns, os := int64(-1), int64(-1)
-	if rp.srcIdx >= 0 {
-		ns = int64(a.pc(rp.srcIdx))
-	}
-	if old.Source != nil {
-		os = int64(old.Source.PC)
-	}
-	if ns != os {
-		return ns < os
-	}
-	return rp.srcIdx < 0 && rp.srcReg.String() < old.SourceReg
+	return gs
 }
 
 func (a *analyzer) site(i int) Site {
-	pc := a.pc(i)
-	return Site{PC: pc, Asm: a.insts[i].String(), Sym: a.symFor(pc)}
+	if a.sites == nil {
+		a.sites = make([]Site, a.n)
+	}
+	if a.sites[i].Asm == "" {
+		pc := a.pc(i)
+		a.sites[i] = Site{PC: pc, Asm: a.insts[i].String(), Sym: a.symFor(pc)}
+	}
+	return a.sites[i]
 }
 
 func (a *analyzer) symFor(pc uint64) string {
+	if !a.symsBuilt {
+		a.symsBuilt = true
+		for name, addr := range a.p.Symbols {
+			if addr >= a.p.TextBase && addr < a.p.End() {
+				a.syms = append(a.syms, symEntry{addr, name})
+			}
+		}
+		slices.SortFunc(a.syms, func(x, y symEntry) int {
+			if c := cmp.Compare(x.addr, y.addr); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.name, y.name)
+		})
+	}
 	lo, hi := 0, len(a.syms)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -871,20 +934,7 @@ func (a *analyzer) symFor(pc uint64) string {
 	if s.addr == pc {
 		return s.name
 	}
-	return s.name + "+" + hexOff(pc-s.addr)
-}
-
-func hexOff(v uint64) string {
-	const digits = "0123456789abcdef"
-	if v == 0 {
-		return "0x0"
-	}
-	var buf [16]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = digits[v&0xf]
-		v >>= 4
-	}
-	return "0x" + string(buf[i:])
+	var buf [64]byte
+	b := append(append(buf[:0], s.name...), "+0x"...)
+	return string(strconv.AppendUint(b, pc-s.addr, 16))
 }

@@ -114,8 +114,6 @@ type Gadget struct {
 
 	// Verdicts maps policy name → static verdict.
 	Verdicts map[string]Verdict `json:"verdicts"`
-
-	depth int // fetch distance from the steering point; dedup preference
 }
 
 // Analysis is the result of analyzing one program.

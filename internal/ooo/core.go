@@ -3,6 +3,7 @@ package ooo
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"nda/internal/bpred"
 	"nda/internal/cache"
@@ -251,10 +252,14 @@ func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 	clear(c.sanWriterSeq)
 	clear(c.sanWriterBcast)
 
+	rules := c.rules
+	if !slices.Equal(pol.Gates, c.policy.Gates) {
+		rules = core.Compile(pol.Gates)
+	}
 	*c = Core{
 		p:      c.p,
 		policy: pol,
-		rules:  core.Compile(pol.Gates),
+		rules:  rules,
 		prog:   prog,
 		mem:    m,
 		hier:   c.hier,

@@ -37,7 +37,7 @@ package progen
 import (
 	"fmt"
 	"math/rand"
-	"strings"
+	"strconv"
 
 	"nda/internal/asm"
 	"nda/internal/isa"
@@ -137,7 +137,8 @@ type Program struct {
 // bug, never an input problem.
 func Gen(seed int64) (*Program, error) {
 	rng := rand.New(rand.NewSource(seed))
-	e := &emitter{rng: rng}
+	// Whole programs stay under 2 KB, so the sections rarely grow.
+	e := &emitter{rng: rng, text: make(src, 0, 2048), data: make(src, 0, 512), tail: make(src, 0, 256)}
 
 	n := 1 + rng.Intn(4)
 	kinds := make([]string, 0, n)
@@ -169,7 +170,7 @@ func Gen(seed int64) (*Program, error) {
 		return nil, fmt.Errorf("progen: seed %d assembles badly: %w\n%s", seed, err, src)
 	}
 	return &Program{
-		Name:     fmt.Sprintf("progen/%d", seed),
+		Name:     "progen/" + strconv.FormatInt(seed, 10),
 		Seed:     seed,
 		Source:   src,
 		Prog:     prog,
@@ -182,19 +183,48 @@ func Gen(seed int64) (*Program, error) {
 // emitter accumulates the text and data sections of one program.
 type emitter struct {
 	rng     *rand.Rand
-	text    strings.Builder
-	data    strings.Builder
-	tail    strings.Builder // stubs and the trap handler, after halt
+	text    src
+	data    src
+	tail    src // stubs and the trap handler, after halt
 	usesMSR bool
 }
 
-func (e *emitter) code(format string, args ...any) {
-	fmt.Fprintf(&e.text, "        "+format+"\n", args...)
+// src is assembly source under construction. Its methods append and
+// return it, so a line reads as a chain of its parts.
+type src []byte
+
+func (s *src) str(parts ...string) *src {
+	for _, p := range parts {
+		*s = append(*s, p...)
+	}
+	return s
 }
 
-func (e *emitter) label(l string) {
-	fmt.Fprintf(&e.text, "%s:\n", l)
+// num appends v in decimal.
+func (s *src) num(v int) *src {
+	*s = strconv.AppendInt(*s, int64(v), 10)
+	return s
 }
+
+// hex appends v as 0x-prefixed lowercase hex.
+func (s *src) hex(v int) *src {
+	*s = strconv.AppendInt(append(*s, "0x"...), int64(v), 16)
+	return s
+}
+
+const indent = "        "
+
+// code emits one instruction line.
+func (e *emitter) code(inst string) { e.text.str(indent, inst, "\n") }
+
+// codeNum emits an instruction line ending in v, in decimal.
+func (e *emitter) codeNum(inst string, v int) { e.text.str(indent, inst).num(v).str("\n") }
+
+// codeHex emits an instruction line ending in v, in hex.
+func (e *emitter) codeHex(inst string, v int) { e.text.str(indent, inst).hex(v).str("\n") }
+
+// label emits the label prefix followed by fragment number f.
+func (e *emitter) label(prefix string, f int) { e.text.str(prefix).num(f).str(":\n") }
 
 func (e *emitter) program(kinds []string) string {
 	// Prologue: install the trap handler before any fragment can fault,
@@ -202,11 +232,11 @@ func (e *emitter) program(kinds []string) string {
 	// are fixed stub addresses, so the warming load is secret-independent).
 	for f, k := range kinds {
 		if faulting(k) {
-			e.code("la   t0, handler%d", f)
+			e.codeNum("la   t0, handler", f)
 			e.code("wrmsr 0x0, t0")
 		}
 		if k == FragSteerBTB {
-			e.code("li   t6, %#x", e.aux(f))
+			e.codeHex("li   t6, ", e.aux(f))
 			e.code("ld   t6, 0(t6)")
 		}
 	}
@@ -215,20 +245,21 @@ func (e *emitter) program(kinds []string) string {
 	}
 	e.code("halt")
 
-	var b strings.Builder
-	b.WriteString("        .data\n")
-	b.WriteString(e.data.String())
+	b := make(src, 0, 128+len(e.data)+len(e.text)+len(e.tail))
+	b.str(indent, ".data\n")
+	b = append(b, e.data...)
 	// The kernel secret region is always emitted: chosen-code detection
 	// keys on loads whose resolved address falls inside a kernel segment,
 	// and the page protection is what makes the architectural read fault.
 	// .word64 rather than .space: the kernel region must be a real data
 	// segment (".space" only advances the cursor), both so the loader
 	// protects the page and so the analyzer's kernel-address check sees it.
-	b.WriteString(fmt.Sprintf("        .org %#x\n        .kernel\nksecret: .word64 0, 0, 0, 0, 0, 0, 0, 0\n", KSecretBase))
-	b.WriteString("        .text\nmain:\n")
-	b.WriteString(e.text.String())
-	b.WriteString(e.tail.String())
-	return b.String()
+	b.str(indent, ".org ").hex(KSecretBase).str("\n",
+		indent, ".kernel\nksecret: .word64 0, 0, 0, 0, 0, 0, 0, 0\n",
+		indent, ".text\nmain:\n")
+	b = append(b, e.text...)
+	b = append(b, e.tail...)
+	return string(b)
 }
 
 // Per-fragment cell addresses.
@@ -241,14 +272,14 @@ func (e *emitter) probe(f int) int { return ProbeBase + f*probeStride }
 // an always-taken branch that the cold predictor resolves not-taken. The
 // body emitted after it is the wrong path; guardTail closes the fragment.
 func (e *emitter) guardHead(f int) {
-	fmt.Fprintf(&e.data, "        .org %#x\nflag%d:  .word64 1\n", e.flag(f), f)
-	e.code("li   t0, %#x", e.flag(f))
+	e.data.str(indent, ".org ").hex(e.flag(f)).str("\nflag").num(f).str(":  .word64 1\n")
+	e.codeHex("li   t0, ", e.flag(f))
 	e.code("ld   t1, 0(t0)")
-	e.code("bne  t1, zero, skip%d", f)
+	e.codeNum("bne  t1, zero, skip", f)
 }
 
 func (e *emitter) guardTail(f int) {
-	e.label(fmt.Sprintf("skip%d", f))
+	e.label("skip", f)
 	e.code("fence")
 }
 
@@ -273,9 +304,9 @@ func (e *emitter) chain(min int) {
 // touch the fragment's probe sub-range at that slot.
 func (e *emitter) transmit(f int) {
 	mask := []int{1, 3, 7}[e.rng.Intn(3)]
-	e.code("andi t3, t3, %d", mask)
-	e.code("slli t3, t3, %d", lineShift)
-	e.code("li   t4, %#x", e.probe(f))
+	e.codeNum("andi t3, t3, ", mask)
+	e.codeNum("slli t3, t3, ", lineShift)
+	e.codeHex("li   t4, ", e.probe(f))
 	e.code("add  t4, t4, t3")
 	e.code("lbu  t5, 0(t4)")
 }
@@ -285,7 +316,7 @@ func (e *emitter) transmit(f int) {
 // by store-to-load forwarding; statically this is the edge only the memory
 // taint cell tracks.
 func (e *emitter) launder(f int) {
-	e.code("li   t6, %#x", e.aux(f))
+	e.codeHex("li   t6, ", e.aux(f))
 	e.code("sd   t3, 0(t6)")
 	e.code("ld   t3, 0(t6)")
 }
@@ -294,18 +325,18 @@ func (e *emitter) launder(f int) {
 // at the ROB head for a DRAM round trip, keeping the transient dependents
 // of the faulting instruction alive long enough to transmit.
 func (e *emitter) coldDelay(f int) {
-	e.code("li   t0, %#x", e.cold(f))
+	e.codeHex("li   t0, ", e.cold(f))
 	e.code("ld   t1, 0(t0)")
 }
 
 func (e *emitter) secretOff() int { return e.rng.Intn(SecretBytes) }
 
 func (e *emitter) fragment(f int, kind string) {
-	fmt.Fprintf(&e.text, "# frag %d: %s\n", f, kind)
+	e.text.str("# frag ").num(f).str(": ", kind, "\n")
 	switch kind {
 	case FragSteerDCache:
 		e.guardHead(f)
-		e.code("li   t2, %#x", SecretBase+e.secretOff())
+		e.codeHex("li   t2, ", SecretBase+e.secretOff())
 		e.code("lbu  t3, 0(t2)")
 		e.chain(0)
 		e.transmit(f)
@@ -313,7 +344,7 @@ func (e *emitter) fragment(f int, kind string) {
 
 	case FragSteerMemory:
 		e.guardHead(f)
-		e.code("li   t2, %#x", SecretBase+e.secretOff())
+		e.codeHex("li   t2, ", SecretBase+e.secretOff())
 		e.code("lbu  t3, 0(t2)")
 		e.launder(f)
 		e.transmit(f)
@@ -322,15 +353,16 @@ func (e *emitter) fragment(f int, kind string) {
 	case FragSteerBTB:
 		// Secret-indexed indirect jump through a two-entry table of dead
 		// stubs: the BTB install at the jump's resolution is the channel.
-		fmt.Fprintf(&e.data, "        .org %#x\njt%d:    .word64 stub%d_0, stub%d_1\n",
-			e.aux(f), f, f, f)
-		fmt.Fprintf(&e.tail, "stub%d_0: j stub%d_0\nstub%d_1: j stub%d_1\n", f, f, f, f)
+		e.data.str(indent, ".org ").hex(e.aux(f)).str("\njt").num(f).
+			str(":    .word64 stub").num(f).str("_0, stub").num(f).str("_1\n")
+		e.tail.str("stub").num(f).str("_0: j stub").num(f).str("_0\n")
+		e.tail.str("stub").num(f).str("_1: j stub").num(f).str("_1\n")
 		e.guardHead(f)
-		e.code("li   t2, %#x", SecretBase+e.secretOff())
+		e.codeHex("li   t2, ", SecretBase+e.secretOff())
 		e.code("lbu  t3, 0(t2)")
 		e.code("andi t3, t3, 1")
 		e.code("slli t3, t3, 3")
-		e.code("li   t4, %#x", e.aux(f))
+		e.codeHex("li   t4, ", e.aux(f))
 		e.code("add  t4, t4, t3")
 		e.code("ld   t5, 0(t4)")
 		e.code("jr   t5")
@@ -338,7 +370,7 @@ func (e *emitter) fragment(f int, kind string) {
 
 	case FragChosenDirect, FragChosenChain, FragChosenMemory:
 		e.coldDelay(f)
-		e.code("li   t2, %#x", KSecretBase+e.secretOff())
+		e.codeHex("li   t2, ", KSecretBase+e.secretOff())
 		e.code("lbu  t3, 0(t2)")
 		switch kind {
 		case FragChosenChain:
@@ -355,7 +387,7 @@ func (e *emitter) fragment(f int, kind string) {
 		// transmit — no probe arithmetic at all.
 		e.usesMSR = true
 		e.coldDelay(f)
-		e.code("rdmsr t2, %#x", int(isa.MSRSecretKey))
+		e.codeHex("rdmsr t2, ", int(isa.MSRSecretKey))
 		e.code("lbu  t3, 0(t2)")
 		e.fragEpilogue(f)
 
@@ -366,12 +398,12 @@ func (e *emitter) fragment(f int, kind string) {
 		// stale secret. Architecturally the store lands first, so the
 		// read byte is zero under every secret vector.
 		off := e.secretOff()
-		fmt.Fprintf(&e.data, "        .org %#x\nptr%d:   .word64 %#x\n",
-			e.aux(f), f, StaleBase+off)
-		e.code("li   t0, %#x", e.aux(f))
+		e.data.str(indent, ".org ").hex(e.aux(f)).str("\nptr").num(f).
+			str(":   .word64 ").hex(StaleBase + off).str("\n")
+		e.codeHex("li   t0, ", e.aux(f))
 		e.code("ld   t1, 0(t0)")
 		e.code("sd   zero, 0(t1)")
-		e.code("li   t2, %#x", StaleBase+off)
+		e.codeHex("li   t2, ", StaleBase+off)
 		e.code("lbu  t3, 0(t2)")
 		e.chain(0)
 		e.transmit(f)
@@ -383,7 +415,7 @@ func (e *emitter) fragment(f int, kind string) {
 		// both statically (region cut) and dynamically.
 		e.guardHead(f)
 		e.code("fence")
-		e.code("li   t2, %#x", SecretBase+e.secretOff())
+		e.codeHex("li   t2, ", SecretBase+e.secretOff())
 		e.code("lbu  t3, 0(t2)")
 		e.transmit(f)
 		e.guardTail(f)
@@ -392,9 +424,9 @@ func (e *emitter) fragment(f int, kind string) {
 		// The secret is loaded on the wrong path but overwritten by an
 		// immediate before any use: the transmit address is a constant.
 		e.guardHead(f)
-		e.code("li   t2, %#x", SecretBase+e.secretOff())
+		e.codeHex("li   t2, ", SecretBase+e.secretOff())
 		e.code("lbu  t3, 0(t2)")
-		e.code("li   t3, %d", e.rng.Intn(8))
+		e.codeNum("li   t3, ", e.rng.Intn(8))
 		e.transmit(f)
 		e.guardTail(f)
 
@@ -403,10 +435,10 @@ func (e *emitter) fragment(f int, kind string) {
 		// the guard there is no wrong path to steer.
 		e.code("specoff")
 		e.guardHead(f)
-		e.code("li   t2, %#x", SecretBase+e.secretOff())
+		e.codeHex("li   t2, ", SecretBase+e.secretOff())
 		e.code("lbu  t3, 0(t2)")
 		e.transmit(f)
-		e.label(fmt.Sprintf("skip%d", f))
+		e.label("skip", f)
 		e.code("specon")
 		e.code("fence")
 
@@ -416,12 +448,13 @@ func (e *emitter) fragment(f int, kind string) {
 		// reports a steering gadget, but every address is a fixed
 		// program-local pointer — deliberate false-positive fodder for
 		// the precision census.
-		fmt.Fprintf(&e.data, "        .org %#x\nchase%d: .word64 %#x\n        .org %#x\n        .word64 0\n",
-			e.aux(f), f, dataBase+f*fragStride+offChaseEnd, dataBase+f*fragStride+offChaseEnd)
-		e.code("li   t1, %#x", e.aux(f))
-		e.label(fmt.Sprintf("loop%d", f))
+		end := dataBase + f*fragStride + offChaseEnd
+		e.data.str(indent, ".org ").hex(e.aux(f)).str("\nchase").num(f).str(": .word64 ").hex(end).
+			str("\n", indent, ".org ").hex(end).str("\n", indent, ".word64 0\n")
+		e.codeHex("li   t1, ", e.aux(f))
+		e.label("loop", f)
 		e.code("ld   t1, 0(t1)")
-		e.code("bne  t1, zero, loop%d", f)
+		e.codeNum("bne  t1, zero, loop", f)
 		e.code("fence")
 
 	default:
@@ -432,7 +465,7 @@ func (e *emitter) fragment(f int, kind string) {
 // fragEpilogue closes a faulting fragment: the trap handler (installed in
 // the prologue) lands on resumeN, skipping the transient dependents.
 func (e *emitter) fragEpilogue(f int) {
-	e.label(fmt.Sprintf("resume%d", f))
+	e.label("resume", f)
 	e.code("fence")
-	fmt.Fprintf(&e.tail, "handler%d: j resume%d\n", f, f)
+	e.tail.str("handler").num(f).str(": j resume").num(f).str("\n")
 }
