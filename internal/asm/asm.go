@@ -90,17 +90,6 @@ type assembler struct {
 	// Assemble fails; a symbol never defined fails in pass 2 as usual.
 	forward    *Error
 	forwardSym string
-
-	// final holds, per source line, the instruction pass 1 assembled for
-	// good: the line's only content, with every symbol it uses defined
-	// above it. Pass 2 would assemble the same, so it appends that instead.
-	final     []finalInst
-	forwardOK bool // pass 1: no symbol the current line used was undefined
-}
-
-type finalInst struct {
-	inst isa.Inst
-	ok   bool
 }
 
 // Assemble translates source into a Program. The text section defaults to
@@ -109,7 +98,6 @@ type finalInst struct {
 func Assemble(source string) (*isa.Program, error) {
 	a := &assembler{symbols: make(map[string]uint64), textBase: isa.DefaultTextBase}
 	lines := strings.Split(source, "\n")
-	a.final = make([]finalInst, len(lines))
 
 	for pass := 1; pass <= 2; pass++ {
 		a.pass = pass
@@ -123,11 +111,6 @@ func Assemble(source string) (*isa.Program, error) {
 		a.curSeg = nil
 		for i, raw := range lines {
 			a.lineNo = i + 1
-			if f := a.final[i]; pass == 2 && f.ok {
-				a.insts = append(a.insts, f.inst)
-				a.textPC += isa.InstBytes
-				continue
-			}
 			if err := a.line(raw); err != nil {
 				return nil, err
 			}
@@ -189,7 +172,6 @@ func (a *assembler) line(raw string) error {
 		return nil
 	}
 	// Labels (possibly several) at line start.
-	labeled := false
 	for {
 		i := strings.Index(s, ":")
 		if i < 0 {
@@ -207,7 +189,6 @@ func (a *assembler) line(raw string) error {
 		} else if at := a.symbols[name]; at != a.here() {
 			return a.errf("label %q moved from %#x in pass 1 to %#x in pass 2", name, at, a.here())
 		}
-		labeled = true
 		s = strings.TrimSpace(s[i+1:])
 		if s == "" {
 			return nil
@@ -219,13 +200,9 @@ func (a *assembler) line(raw string) error {
 	if a.section != secText {
 		return a.errf("instruction %q outside .text", s)
 	}
-	a.forwardOK = true
 	inst, err := a.instruction(s)
 	if err != nil {
 		return err
-	}
-	if a.pass == 1 && a.forwardOK && !labeled {
-		a.final[a.lineNo-1] = finalInst{inst, true}
 	}
 	a.insts = append(a.insts, inst)
 	a.textPC += isa.InstBytes
@@ -404,7 +381,6 @@ func (a *assembler) location(name, expr string) (uint64, error) {
 // label; an error in pass 2.
 func (a *assembler) undefined(sym string) (uint64, error) {
 	if a.pass == 1 {
-		a.forwardOK = false
 		return 0, nil // forward reference; resolved in pass 2
 	}
 	return 0, a.errf("undefined symbol %q", sym)

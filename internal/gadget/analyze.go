@@ -277,7 +277,6 @@ func (a *analyzer) constProp() {
 // end fetches past unresolved branches only when speculation is enabled.
 func (a *analyzer) liveness() {
 	a.live = make([]bool, a.n*2)
-	seen := a.live
 	entry, ok := a.idx(a.p.Entry)
 	if !ok {
 		return
@@ -292,12 +291,12 @@ func (a *analyzer) liveness() {
 		if !on {
 			k = i * 2
 		}
-		if i < a.n && !seen[k] {
-			seen[k] = true
+		if i < a.n && !a.live[k] {
+			a.live[k] = true
 			stack = append(stack, st{i, on})
 		}
 	}
-	seen[entry*2+1] = true
+	a.live[entry*2+1] = true
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
