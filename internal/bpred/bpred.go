@@ -89,7 +89,9 @@ func (g *Gshare) Predict(pc uint64) (taken bool, checkpoint uint64) {
 // so training indexes the same counter the prediction used.
 func (g *Gshare) Update(pc uint64, taken bool, histAtPredict uint64) {
 	idx := ((pc >> 2) ^ histAtPredict) & g.mask
-	g.trained |= 1 << (idx >> g.blockShift)
+	// The masks change no value (the block number is below 64); they
+	// spare the checks Go adds to shifts that might reach 64.
+	g.trained |= 1 << (idx >> (g.blockShift & 63) & 63)
 	c := g.pht[idx]
 	if taken {
 		if c < 3 {
