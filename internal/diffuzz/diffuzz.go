@@ -25,6 +25,7 @@ package diffuzz
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 
@@ -106,7 +107,10 @@ var policies = core.All()
 // restores from.
 func (t *timingCore) runSeed(seed int64, run timingFunc) *Result {
 	r := &Result{Seed: seed, PerPolicy: map[string]PolicyResult{}}
-	p, err := progen.Gen(seed)
+	if t.rng == nil {
+		t.rng = rand.New(rand.NewSource(seed))
+	}
+	p, err := progen.GenWith(t.rng, seed)
 	if err != nil {
 		r.Failure = err.Error()
 		return r
@@ -212,14 +216,16 @@ func (r *archRun) run(p *progen.Program, img *mem.Memory, secret byte, msrSecret
 	return nil
 }
 
-// timingCore is one fuzz worker's simulation state, kept across programs:
-// a core, built on the first timing run and reset for every later one; a
+// timingCore is one fuzz worker's state, kept across programs: the
+// generator's random source, reseeded for every program; a core, built on
+// the first timing run and reset for every later one; a
 // memory image every run (timing or architectural) restores from the
 // program's base image, itself reloaded for every program; the buffers of a program's two channel traces and
 // two architectural step logs; and the recorder that appends each channel
 // event to evs, the trace of the run in progress. The recorder is bound
 // once, so arming a run's trace hook allocates nothing.
 type timingCore struct {
+	rng          *rand.Rand // progen's source, reseeded for every program
 	c            *ooo.Core
 	m            *mem.Memory
 	base, empty  *mem.Memory

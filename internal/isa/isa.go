@@ -199,6 +199,65 @@ var opOperands = [numOps]string{
 	OpClflush: "m",
 }
 
+// opProps holds the properties the instruction predicates (ClassOf,
+// IsLoad, IsStore, IsCondBranch, MemBytes, WritesReg, SrcRegs) read, one
+// row per byte value, so that each predicate is one indexed load with no
+// bounds check. Rows past numOps, and OpInvalid's, are zero: class other, no
+// sources, no flags.
+var opProps = [256]opProp{
+	OpAdd: rrProp, OpSub: rrProp, OpAnd: rrProp, OpOr: rrProp, OpXor: rrProp,
+	OpSll: rrProp, OpSrl: rrProp, OpSra: rrProp, OpSlt: rrProp, OpSltu: rrProp,
+	OpMul: rrProp, OpDiv: rrProp, OpRem: rrProp,
+	OpAddi: riProp, OpAndi: riProp, OpOri: riProp, OpXori: riProp,
+	OpSlli: riProp, OpSrli: riProp, OpSrai: riProp, OpSlti: riProp, OpSltiu: riProp,
+	OpLui: {flags: propWritesRd},
+	OpLd:  ld(8), OpLw: ld(4), OpLbu: ld(1),
+	OpSd: st(8), OpSw: st(4), OpSb: st(1),
+	OpBeq: brProp, OpBne: brProp, OpBlt: brProp,
+	OpBge: brProp, OpBltu: brProp, OpBgeu: brProp,
+	OpJal:     {flags: propWritesRd},
+	OpJalr:    {class: ClassBranch, srcs: 1, srcMask: [2]Reg{0xFF, 0}, flags: propWritesRd},
+	OpRdcycle: {flags: propWritesRd},
+	OpRdmsr:   {class: ClassLoad, flags: propWritesRd},
+	OpWrmsr:   {srcs: 1, srcMask: [2]Reg{0xFF, 0}},
+	OpClflush: {srcs: 1, srcMask: [2]Reg{0xFF, 0}},
+}
+
+// opProp is one opcode's row of opProps.
+type opProp struct {
+	class Class
+	srcs  uint8 // registers read: 0, 1 (Rs1) or 2 (Rs1 and Rs2)
+	// srcMask keeps the register fields SrcRegs reports (0xFF) and zeroes
+	// the ones the opcode does not read.
+	srcMask  [2]Reg
+	flags    uint8
+	memBytes uint8 // a load's or store's access width
+}
+
+// opProp flags.
+const (
+	propLoad       = 1 << iota // reads data memory (not RDMSR)
+	propStore                  // writes data memory
+	propCondBranch             // conditional branch
+	propWritesRd               // writes Rd (unless Rd is x0)
+)
+
+// ld and st are the rows of a load and a store of the given width.
+func ld(bytes uint8) opProp {
+	return opProp{class: ClassLoad, srcs: 1, srcMask: [2]Reg{0xFF, 0}, flags: propLoad | propWritesRd, memBytes: bytes}
+}
+
+func st(bytes uint8) opProp {
+	return opProp{class: ClassStore, srcs: 2, srcMask: [2]Reg{0xFF, 0xFF}, flags: propStore, memBytes: bytes}
+}
+
+// The other common rows of opProps.
+var (
+	rrProp = opProp{srcs: 2, srcMask: [2]Reg{0xFF, 0xFF}, flags: propWritesRd}
+	riProp = opProp{srcs: 1, srcMask: [2]Reg{0xFF, 0}, flags: propWritesRd}
+	brProp = opProp{class: ClassBranch, srcs: 2, srcMask: [2]Reg{0xFF, 0xFF}, flags: propCondBranch}
+)
+
 // String returns the assembler mnemonic of the opcode.
 func (o Op) String() string {
 	if int(o) < len(opNames) && opNames[o] != "" {
@@ -246,46 +305,38 @@ const (
 // decode, so they are never unresolved and cannot be mis-steered. JALR is a
 // branch (indirect target predicted via BTB/RAS). RDMSR is load-like per
 // §4.3 of the paper.
-func ClassOf(i Inst) Class {
-	switch i.Op {
-	case OpLd, OpLw, OpLbu, OpRdmsr:
-		return ClassLoad
-	case OpSd, OpSw, OpSb:
-		return ClassStore
-	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu, OpJalr:
-		return ClassBranch
-	default:
-		return ClassOther
-	}
-}
+func ClassOf(i Inst) Class { return i.Op.Class() }
 
 // IsLoad reports whether the instruction reads data memory.
-func (i Inst) IsLoad() bool { return i.Op == OpLd || i.Op == OpLw || i.Op == OpLbu }
+func (i Inst) IsLoad() bool { return i.Op.IsLoad() }
 
 // IsStore reports whether the instruction writes data memory.
-func (i Inst) IsStore() bool { return i.Op == OpSd || i.Op == OpSw || i.Op == OpSb }
+func (i Inst) IsStore() bool { return i.Op.IsStore() }
 
 // MemBytes returns the access width of a load or store, or 0.
-func (i Inst) MemBytes() int {
-	switch i.Op {
-	case OpLd, OpSd:
-		return 8
-	case OpLw, OpSw:
-		return 4
-	case OpLbu, OpSb:
-		return 1
-	}
-	return 0
-}
+func (i Inst) MemBytes() int { return i.Op.MemBytes() }
 
 // IsCondBranch reports whether the instruction is a conditional branch.
-func (i Inst) IsCondBranch() bool {
-	switch i.Op {
-	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
-		return true
-	}
-	return false
-}
+func (i Inst) IsCondBranch() bool { return i.Op.IsCondBranch() }
+
+// The opcode properties behind the Inst predicates above, for a caller
+// that holds the instruction in place: reading its Op does not copy the
+// whole Inst, as a call on an Inst value does.
+
+// Class returns the opcode's NDA class (see ClassOf).
+func (o Op) Class() Class { return opProps[o].class }
+
+// IsLoad reports whether the opcode reads data memory.
+func (o Op) IsLoad() bool { return opProps[o].flags&propLoad != 0 }
+
+// IsStore reports whether the opcode writes data memory.
+func (o Op) IsStore() bool { return opProps[o].flags&propStore != 0 }
+
+// IsCondBranch reports whether the opcode is a conditional branch.
+func (o Op) IsCondBranch() bool { return opProps[o].flags&propCondBranch != 0 }
+
+// MemBytes returns the access width of a load or store opcode, or 0.
+func (o Op) MemBytes() int { return int(opProps[o].memBytes) }
 
 // IsIndirect reports whether the instruction's target comes from a register.
 func (i Inst) IsIndirect() bool { return i.Op == OpJalr }
@@ -303,36 +354,26 @@ func (i Inst) IsControl() bool { return i.IsCondBranch() || i.Op == OpJal || i.O
 // WritesReg reports whether the instruction produces a GPR result, and which.
 // Writes to x0 are reported as no-writes.
 func (i Inst) WritesReg() (Reg, bool) {
-	switch i.Op {
-	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpSll, OpSrl, OpSra, OpSlt, OpSltu,
-		OpMul, OpDiv, OpRem,
-		OpAddi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpSrai, OpSlti, OpSltiu, OpLui,
-		OpLd, OpLw, OpLbu, OpJal, OpJalr, OpRdcycle, OpRdmsr:
-		if i.Rd != RegZero {
-			return i.Rd, true
-		}
+	if opProps[i.Op].flags&propWritesRd != 0 && i.Rd != RegZero {
+		return i.Rd, true
 	}
 	return 0, false
 }
 
-// SrcRegs returns the source registers the instruction reads. Reads of x0
-// are included (they are always ready and read as zero).
+// SrcRegs returns the source registers the instruction reads, Rs1 first:
+// for a store the address base, then the data. Reads of x0 are included
+// (they are always ready and read as zero); an unread slot is x0.
 func (i Inst) SrcRegs() (srcs [2]Reg, n int) {
-	switch i.Op {
-	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpSll, OpSrl, OpSra, OpSlt, OpSltu,
-		OpMul, OpDiv, OpRem,
-		OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
-		srcs[0], srcs[1] = i.Rs1, i.Rs2
-		return srcs, 2
-	case OpAddi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpSrai, OpSlti, OpSltiu,
-		OpLd, OpLw, OpLbu, OpJalr, OpWrmsr, OpClflush:
-		srcs[0] = i.Rs1
-		return srcs, 1
-	case OpSd, OpSw, OpSb:
-		srcs[0], srcs[1] = i.Rs1, i.Rs2 // address base, data
-		return srcs, 2
-	}
-	return srcs, 0
+	srcs[0], srcs[1] = i.ReadRegs()
+	return srcs, int(opProps[i.Op].srcs)
+}
+
+// ReadRegs is SrcRegs as two registers and no count, for a caller to whom
+// x0 is no source: Rs1 and Rs2, each replaced by x0 if the instruction
+// does not read it. Unlike SrcRegs's array, the pair stays in registers.
+func (i Inst) ReadRegs() (rs1, rs2 Reg) {
+	m := opProps[i.Op].srcMask
+	return i.Rs1 & m[0], i.Rs2 & m[1]
 }
 
 // HasSideEffects reports whether the op touches state beyond its destination

@@ -77,8 +77,9 @@ type Core struct {
 
 	// Side lists of the entries each per-cycle stage acts on, so no stage
 	// walks the whole ROB (see README "Performance"):
-	//   - execq: issued, not yet completed (issue order). completeExecution
-	//     and nextEventCycle read it.
+	//   - execq: issued, not yet completed, filed by the cycle they
+	//     complete. completeExecution takes the cycle's entries and
+	//     nextEventCycle the next cycle that has any.
 	//   - brq: unresolved ClassBranch entries (age order). Its head is the
 	//     eldest unresolved branch, the guard horizon of the resolve-walk.
 	//   - bcq: completed register writers awaiting their tag broadcast (age
@@ -86,7 +87,7 @@ type Core struct {
 	//   - doneq: scratch for the entries completing this cycle (age order).
 	//   - fenceq: uncompleted FENCEs (age order). Its head is the eldest,
 	//     the one olderFencePending reads.
-	execq  slotQueue
+	execq  dueWheel
 	brq    slotQueue
 	bcq    slotQueue
 	doneq  slotQueue
@@ -196,7 +197,7 @@ func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 		rdyq:      newSlotQueue(p.IQSize),
 		lq:        newSlotQueue(p.LQSize),
 		sq:        newSlotQueue(p.SQSize),
-		execq:     newSlotQueue(p.ROBSize),
+		execq:     newDueWheel(maxLatency(&p), waitWords),
 		brq:       newSlotQueue(p.ROBSize),
 		bcq:       newSlotQueue(p.ROBSize),
 		doneq:     newSlotQueue(p.ROBSize),
@@ -246,6 +247,7 @@ func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 	clear(c.regVal)
 	clear(c.regReady)
 	clear(c.waiters)
+	c.execq.reset()
 	// Stale writer marks would match the new run's cycle numbers, which
 	// restart from zero.
 	clear(c.sanWriterMark)
@@ -281,7 +283,7 @@ func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 		rdyq:          c.rdyq.emptied(),
 		lq:            c.lq.emptied(),
 		sq:            c.sq.emptied(),
-		execq:         c.execq.emptied(),
+		execq:         c.execq,
 		brq:           c.brq.emptied(),
 		bcq:           c.bcq.emptied(),
 		doneq:         c.doneq.emptied(),
@@ -589,8 +591,8 @@ func (c *Core) skipTo(h uint64) {
 func (c *Core) nextEventCycle() uint64 {
 	const never = ^uint64(0)
 	h := never
-	for _, s := range c.execq.slots() {
-		h = earlierEvent(h, c.cycle, c.rob[s].CompleteAt)
+	if at, ok := c.execq.next(c.cycle); ok {
+		h = at
 	}
 	for _, s := range c.rdyq.slots() {
 		h = earlierEvent(h, c.cycle, c.rob[s].RetryAt)

@@ -11,8 +11,9 @@ const noPReg = -1
 // Entry is one reorder-buffer entry: a dispatched micro-op and all of its
 // in-flight state. Entries live in a fixed ring; the schedulers and the
 // per-stage side lists refer to them by ring slot (Entry.Slot), which is
-// stable for an entry's whole lifetime, so every queue is a fixed-capacity
-// slotQueue with no per-dispatch allocation. An Entry holds no pointers:
+// stable for an entry's whole lifetime, so every queue (a slotQueue, or the
+// completion wheel's slot bitmasks) has a fixed capacity and no
+// per-dispatch allocation. An Entry holds no pointers:
 // its RAS checkpoint and a load's bypassed-store list live in core-owned
 // arrays indexed by Slot (Core.robRAS, Core.bypassed), so clearing an
 // entry is a plain memory clear.
@@ -109,7 +110,7 @@ func (e *Entry) reset() {
 }
 
 // isMem reports whether the entry is a data-memory operation.
-func (e *Entry) isMem() bool { return e.Inst.IsLoad() || e.Inst.IsStore() }
+func (e *Entry) isMem() bool { return e.Inst.Op.IsLoad() || e.Inst.Op.IsStore() }
 
 // overlaps reports whether two byte ranges [a,a+as) and [b,b+bs) intersect.
 func overlaps(a uint64, as int, b uint64, bs int) bool {

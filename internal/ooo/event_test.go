@@ -3,6 +3,7 @@ package ooo
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nda/internal/asm"
@@ -29,7 +30,7 @@ import (
 // quiesce builds a core whose pipeline is empty and whose front end is
 // parked, so nextEventCycle sees only the events a test plants. A test
 // plants an entry's event by allocating it and listing its slot where the
-// pipeline would: execq, rdyq or bcq.
+// pipeline would: execq (by CompleteAt), rdyq or bcq.
 func quiesce(t *testing.T) *Core {
 	t.Helper()
 	p, err := asm.Assemble("main: halt\n")
@@ -44,15 +45,17 @@ func quiesce(t *testing.T) *Core {
 
 func TestNextEventCompletionIsMinimum(t *testing.T) {
 	c := quiesce(t)
-	for i, at := range []uint64{900, 350, 4000} {
+	// Within the completion wheel's window of the current cycle (100),
+	// two of them in buckets below the current cycle's.
+	for i, at := range []uint64{300, 135, 350} {
 		e := c.robAlloc()
 		e.Seq = uint64(i + 1)
 		e.Issued = true
 		e.CompleteAt = at
-		c.execq.push(e.Slot)
+		c.execq.add(e.CompleteAt, c.cycle, e.Slot)
 	}
-	if h := c.nextEventCycle(); h != 350 {
-		t.Errorf("horizon = %d, want 350 (earliest CompleteAt)", h)
+	if h := c.nextEventCycle(); h != 135 {
+		t.Errorf("horizon = %d, want 135 (earliest CompleteAt)", h)
 	}
 }
 
@@ -123,13 +126,13 @@ func TestNextEventMinAcrossSources(t *testing.T) {
 	e := c.robAlloc()
 	e.Seq = 1
 	e.Issued = true
-	e.CompleteAt = 410
-	c.execq.push(e.Slot)
+	e.CompleteAt = 210
+	c.execq.add(e.CompleteAt, c.cycle, e.Slot)
 	s, _ := c.fqPush()
 	s.seq = 2
-	s.readyAt = 430
-	if h := c.nextEventCycle(); h != 410 {
-		t.Errorf("horizon = %d, want 410 (min across sources)", h)
+	s.readyAt = 230
+	if h := c.nextEventCycle(); h != 210 {
+		t.Errorf("horizon = %d, want 210 (min across sources)", h)
 	}
 }
 
@@ -387,4 +390,31 @@ main:   li   t0, 4096
 		t.Fatalf("first finding %v, want ready-without-broadcast", stepped.log[0])
 	}
 	compareRuns(t, "forced leak", &jumped, &stepped)
+}
+
+// TestSquashClearsDueRange: a squash takes every executing entry it frees
+// out of the completion wheel, the youngest included, also when the freed
+// slots run across the ring's wrap point into slot 0.
+func TestSquashClearsDueRange(t *testing.T) {
+	for _, head := range []int{0, 100, DefaultParams().ROBSize - 3} {
+		c := quiesce(t)
+		c.robHead = head
+		for i := 0; i < 6; i++ {
+			e := c.robAlloc()
+			e.Seq = uint64(i + 1)
+			e.Issued = true
+			e.CompleteAt = c.cycle + 10 + uint64(i%3)
+			c.execq.add(e.CompleteAt, c.cycle, e.Slot)
+		}
+		c.squashFrom(3, 0x1000) // frees seqs 3–6
+		got, err := c.dueSlots()
+		if err != nil {
+			t.Fatalf("head %d: %v", head, err)
+		}
+		want := []int32{int32(head), int32(ringIndex(head, 1, len(c.rob)))}
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("head %d: execq holds slots %v after the squash, want %v", head, got, want)
+		}
+	}
 }

@@ -21,8 +21,8 @@ func (c *Core) dispatchStage() {
 		}
 		inst := s.inst
 		if c.robLen == len(c.rob) || c.iqLen >= c.p.IQSize ||
-			(inst.IsLoad() && c.lq.n >= c.p.LQSize) ||
-			(inst.IsStore() && c.sq.n >= c.p.SQSize) ||
+			(inst.Op.IsLoad() && c.lq.n >= c.p.LQSize) ||
+			(inst.Op.IsStore() && c.sq.n >= c.p.SQSize) ||
 			c.freeN == 0 {
 			return
 		}
@@ -47,12 +47,12 @@ func (c *Core) dispatchStage() {
 
 		// Rename sources before the destination so "add x1, x1, x1" reads
 		// the old mapping.
-		srcs, n := inst.SrcRegs()
-		if n >= 1 && srcs[0] != isa.RegZero {
-			e.Src1P = c.rat[srcs[0]]
+		rs1, rs2 := inst.ReadRegs()
+		if rs1 != isa.RegZero {
+			e.Src1P = c.rat[rs1]
 		}
-		if n >= 2 && srcs[1] != isa.RegZero {
-			e.Src2P = c.rat[srcs[1]]
+		if rs2 != isa.RegZero {
+			e.Src2P = c.rat[rs2]
 		}
 		if rd, ok := inst.WritesReg(); ok {
 			c.freeN--
@@ -65,7 +65,7 @@ func (c *Core) dispatchStage() {
 
 		// Every in-flight entry is older than e, so e is under a guard iff
 		// any unresolved branch is in flight.
-		e.Node.Class = isa.ClassOf(inst)
+		e.Node.Class = inst.Op.Class()
 		e.Node.UnderGuard = c.brq.n > 0
 		if e.Node.Class == isa.ClassBranch {
 			c.brq.push(e.Slot)
@@ -80,10 +80,10 @@ func (c *Core) dispatchStage() {
 		if e.waiting == 0 {
 			c.rdyq.push(e.Slot)
 		}
-		if inst.IsLoad() {
+		if inst.Op.IsLoad() {
 			c.lq.push(e.Slot)
 		}
-		if inst.IsStore() {
+		if inst.Op.IsStore() {
 			c.sq.push(e.Slot)
 		}
 		if inst.Op == isa.OpFence {
@@ -141,7 +141,7 @@ func (c *Core) fetchStage() {
 		next := pc + isa.InstBytes
 		wait := false
 		switch {
-		case inst.IsCondBranch():
+		case inst.Op.IsCondBranch():
 			if c.noSpec {
 				wait = true
 			} else {

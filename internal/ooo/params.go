@@ -13,7 +13,10 @@
 // wake-up.
 package ooo
 
-import "nda/internal/isa"
+import (
+	"nda/internal/cache"
+	"nda/internal/isa"
+)
 
 // Params configures the core. DefaultParams reproduces Table 3 of the
 // paper: an 8-issue Haswell-like machine with a 192-entry ROB, 32-entry
@@ -122,6 +125,15 @@ func DefaultParams() Params {
 
 		DeadlockCycles: 200_000,
 	}
+}
+
+// maxLatency bounds every execution latency the core schedules (execute,
+// executeLoad): a load pays AGULatency plus a forward or a cache round
+// trip, at most an L2 miss to DRAM.
+func maxLatency(p *Params) int {
+	h := cache.DefaultHierarchyParams()
+	return max(p.ALULatency, p.MulLatency, p.DivLatency, p.BranchLatency, p.MSRLatency, p.FlushLatency,
+		p.AGULatency+max(p.ForwardLatency, h.L1D.HitLatency, h.L2.HitLatency, h.L2.HitLatency+h.DRAMLatency))
 }
 
 // execLatency returns the fixed execution latency for non-load ops.

@@ -75,34 +75,28 @@ func (c *Core) pReady(p int) bool {
 // elapsed this cycle: results are written to the physical register file
 // (without marking it ready — that is the broadcast's job), branches
 // resolve (possibly squashing), and store addresses resolve (possibly
-// detecting memory-order violations). It scans only execq, and leaves the
-// entries it completed in doneq, in age order, for the safety pass and
-// broadcast arbitration.
+// detecting memory-order violations). It reads only execq's bucket for
+// this cycle, and leaves the entries it completed in doneq, in age order,
+// for the safety pass and broadcast arbitration.
 func (c *Core) completeExecution() {
 	c.doneq.n = 0
-	if c.execq.n == 0 {
+	due := c.execq.take(c.cycle)
+	if due == nil {
 		return
 	}
-	// Move the entries due this cycle from execq into doneq, sorting that
-	// handful by age.
-	k := 0
-	for _, s := range c.execq.slots() {
-		if c.rob[s].CompleteAt <= c.cycle {
-			c.doneq.insert(c.rob, s)
-		} else {
-			c.execq.s[k] = s
-			k++
+	// Move the entries due this cycle into doneq, sorting that handful by
+	// age.
+	for w, word := range due {
+		for ; word != 0; word &= word - 1 {
+			c.doneq.insert(c.rob, int32(w<<6+bits.TrailingZeros64(word)))
 		}
-	}
-	c.execq.n = k
-	if c.doneq.n == 0 {
-		return
+		due[w] = 0
 	}
 
 	// Process them eldest first, as an age-ordered ROB walk would. A
 	// branch that squashes resets every younger entry, including younger
 	// ones due this cycle: those are skipped, and dropped from doneq.
-	k = 0
+	k := 0
 	for _, s := range c.doneq.slots() {
 		e := c.entryAt(s)
 		if !e.Issued {
@@ -111,7 +105,6 @@ func (c *Core) completeExecution() {
 		e.Node.Completed = true
 		if e.DestP != noPReg {
 			c.regVal[e.DestP] = e.Result
-			c.bcq.insert(c.rob, s)
 		} else {
 			// Nothing to propagate: destination-less micro-ops are
 			// trivially "broadcast".
@@ -128,12 +121,12 @@ func (c *Core) completeExecution() {
 		}
 
 		switch {
-		case e.Inst.IsCondBranch() || e.Inst.Op == isa.OpJalr:
+		case e.Node.Class == isa.ClassBranch:
 			c.resolveBranch(e)
 		case e.Inst.Op == isa.OpJal:
 			// Direct jump: fetch already followed it; nothing to resolve.
 			e.Node.GuardResolved = true
-		case e.Inst.IsStore():
+		case e.Inst.Op.IsStore():
 			c.resolveStore(e)
 		}
 		c.doneq.s[k] = s
@@ -152,7 +145,7 @@ func (c *Core) resolveBranch(e *Entry) {
 	c.brq.remove(e.Slot)
 	c.stats.BranchesResolved++
 
-	if e.Inst.IsCondBranch() && e.HasGshCkpt {
+	if e.Inst.Op.IsCondBranch() && e.HasGshCkpt {
 		c.gsh.Update(e.PC, e.Taken, e.GshCkpt)
 	}
 	if e.Inst.Op == isa.OpJalr && c.p.SpeculativeBTBUpdate {
@@ -184,7 +177,7 @@ func (c *Core) resolveBranch(e *Entry) {
 		next = e.PC + isa.InstBytes
 	}
 	c.squashFrom(e.Seq+1, next)
-	if e.Inst.IsCondBranch() && e.HasGshCkpt {
+	if e.Inst.Op.IsCondBranch() && e.HasGshCkpt {
 		// The squash rewound history to just after this branch's
 		// (wrong) predicted bit; replace it with the actual outcome.
 		c.gsh.Restore(e.GshCkpt, e.Taken)
@@ -201,13 +194,13 @@ func (c *Core) resolveStore(e *Entry) {
 	// Violation scan: the eldest younger load that read overlapping data
 	// from anywhere older than this store observed a stale value.
 	var victim *Entry
-	size := e.Inst.MemBytes()
+	size := e.Inst.Op.MemBytes()
 	for _, li := range c.lq.slots() {
 		ld := c.entryAt(li)
 		if ld.Seq <= e.Seq || !ld.Issued || !ld.AddrKnown {
 			continue
 		}
-		if overlaps(e.Addr, size, ld.Addr, ld.Inst.MemBytes()) && ld.ForwardSeq < e.Seq {
+		if overlaps(e.Addr, size, ld.Addr, ld.Inst.Op.MemBytes()) && ld.ForwardSeq < e.Seq {
 			if victim == nil || ld.Seq < victim.Seq {
 				victim = ld
 			}
@@ -312,9 +305,13 @@ func (c *Core) exposeIfSafe(e *Entry) {
 // broadcastStage arbitrates the tag broadcast ports: instructions completing
 // this cycle have priority; deferred (completed earlier, newly safe)
 // instructions compete for the remaining ports in age order (§5.1). The
-// deferred candidates are exactly bcq, already in age order.
+// deferred candidates are exactly bcq, in age order.
+//
+// A register writer completing this cycle that does not broadcast joins
+// bcq once arbitration is over. Among the deferred candidates it would be
+// a no-op this cycle: it is not broadcast-eligible, or no port is left.
 func (c *Core) broadcastStage() {
-	if c.bcq.n == 0 {
+	if c.bcq.n == 0 && c.doneq.n == 0 {
 		return
 	}
 	ports := c.p.BroadcastPorts
@@ -324,10 +321,7 @@ func (c *Core) broadcastStage() {
 			break
 		}
 		e := c.entryAt(s)
-		if e.DestP == noPReg || e.Node.Broadcast {
-			continue
-		}
-		if c.rules.MayBroadcast(&e.Node, c.atHead(e)) {
+		if e.DestP != noPReg && c.rules.MayBroadcast(&e.Node, c.atHead(e)) {
 			c.doBroadcast(e)
 			ports--
 		}
@@ -347,8 +341,14 @@ func (c *Core) broadcastStage() {
 			i++
 			continue
 		}
-		c.doBroadcast(e) // removes bcq[i]
+		c.doBroadcast(e)
+		c.bcq.removeAt(i)
 		ports--
+	}
+	for _, s := range c.doneq.slots() {
+		if e := c.entryAt(s); e.DestP != noPReg && !e.Node.Broadcast {
+			c.bcq.insert(c.rob, s)
+		}
 	}
 }
 
@@ -357,7 +357,6 @@ func (c *Core) doBroadcast(e *Entry) {
 	c.wake(e.DestP)
 	e.Node.Broadcast = true
 	e.BcastCycle = c.cycle
-	c.bcq.remove(e.Slot)
 	c.progress = true
 	if c.cycle > e.CompleteAt {
 		c.stats.DeferredBroadcasts++
@@ -372,7 +371,7 @@ func (c *Core) doBroadcast(e *Entry) {
 // only for its address base (its data register is read at forwarding time
 // and at commit), and a register named twice is returned once.
 func (e *Entry) wakeSrcs() (int, int) {
-	if e.Inst.IsStore() || e.Src2P == e.Src1P {
+	if e.Inst.Op.IsStore() || e.Src2P == e.Src1P {
 		return e.Src1P, noPReg
 	}
 	return e.Src1P, e.Src2P
@@ -523,14 +522,14 @@ func (c *Core) retire(e *Entry) error {
 	}
 	inst := e.Inst
 	switch {
-	case inst.IsStore():
-		c.mem.Write(e.Addr, inst.MemBytes(), c.readP(e.Src2P))
+	case inst.Op.IsStore():
+		c.mem.Write(e.Addr, inst.Op.MemBytes(), c.readP(e.Src2P))
 		c.hier.Data(e.Addr) // timing side effect of the store's fill
 		c.traceChannel(ChanDCacheFill, e.Addr, 0)
 		if c.sq.n > 0 && c.sq.head() == e.Slot {
 			c.sq.removeAt(0)
 		}
-	case inst.IsLoad():
+	case inst.Op.IsLoad():
 		if c.lq.n > 0 && c.lq.head() == e.Slot {
 			c.lq.removeAt(0)
 		}
@@ -648,6 +647,7 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 	// ROB walk resets them (reset zeroes Seq, which the filter keys on).
 	c.filterQueues(seq)
 
+	n := c.robLen
 	for c.robLen > 0 {
 		e := c.robAt(c.robLen - 1)
 		if e.Seq < seq {
@@ -681,6 +681,14 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 		e.reset()
 		c.robLen--
 	}
+	// The squashed entries held ROB positions robLen..n-1: a ring range of
+	// slots, in two pieces where it wraps.
+	if lo, k := ringIndex(c.robHead, c.robLen, len(c.rob)), n-c.robLen; lo+k <= len(c.rob) {
+		c.execq.drop(lo, lo+k)
+	} else {
+		c.execq.drop(lo, len(c.rob))
+		c.execq.drop(0, lo+k-len(c.rob))
+	}
 
 	if c.fetchWait && c.fetchWaitSq >= seq {
 		c.fetchWait = false
@@ -694,14 +702,14 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 }
 
 // filterQueues drops the squashed slots from every scheduler and side list
-// but doneq. A squash during completion happens while completeExecution
-// iterates doneq, and it skips the squashed entries itself; a squash at
-// commit comes after the last stage that reads doneq this cycle.
+// but execq, which squashFrom clears by ring position, and doneq. A squash
+// during completion happens while completeExecution iterates doneq, and it
+// skips the squashed entries itself; a squash at commit comes after the
+// last stage that reads doneq this cycle.
 func (c *Core) filterQueues(seq uint64) {
 	c.rdyq.filter(c.rob, seq)
 	c.lq.filter(c.rob, seq)
 	c.sq.filter(c.rob, seq)
-	c.execq.filter(c.rob, seq)
 	c.brq.filter(c.rob, seq)
 	c.bcq.filter(c.rob, seq)
 	c.fenceq.filter(c.rob, seq)
@@ -725,7 +733,7 @@ func (c *Core) issueStage() {
 			if c.execute(e) {
 				e.Issued = true
 				e.IssuedAt = c.cycle
-				c.execq.push(s)
+				c.execq.add(e.CompleteAt, c.cycle, s)
 				c.iqLen--
 				budget--
 				issued++
@@ -816,7 +824,7 @@ func (c *Core) execute(e *Entry) bool {
 		}
 		e.Result = isa.EvalALU(inst.Op, a, isa.ALUOperandB(inst, c.readP(e.Src2P)))
 
-	case inst.IsCondBranch():
+	case inst.Op.IsCondBranch():
 		e.Taken = isa.EvalBranch(inst.Op, c.readP(e.Src1P), c.readP(e.Src2P))
 		if e.Taken {
 			e.Target = uint64(inst.Imm)
@@ -834,12 +842,12 @@ func (c *Core) execute(e *Entry) bool {
 		e.Taken = true
 		e.Target = (c.readP(e.Src1P) + uint64(inst.Imm)) &^ 1
 
-	case inst.IsLoad():
+	case inst.Op.IsLoad():
 		return c.executeLoad(e)
 
-	case inst.IsStore():
+	case inst.Op.IsStore():
 		e.Addr = c.readP(e.Src1P) + uint64(inst.Imm)
-		if c.userMode && !c.mem.UserAccessOK(e.Addr, inst.MemBytes()) {
+		if c.userMode && !c.mem.UserAccessOK(e.Addr, inst.Op.MemBytes()) {
 			e.Fault = isa.FaultKernelStore
 		}
 
@@ -884,7 +892,7 @@ func (c *Core) executeLoad(e *Entry) bool {
 	inst := e.Inst
 	e.Addr = c.readP(e.Src1P) + uint64(inst.Imm)
 	e.AddrKnown = true
-	size := inst.MemBytes()
+	size := inst.Op.MemBytes()
 
 	// Scan older stores youngest-first. The first address-known overlap
 	// decides: full coverage with ready data forwards; anything else
@@ -903,7 +911,7 @@ func (c *Core) executeLoad(e *Entry) bool {
 			n++
 			continue
 		}
-		ssize := s.Inst.MemBytes()
+		ssize := s.Inst.Op.MemBytes()
 		if !overlaps(s.Addr, ssize, e.Addr, size) {
 			continue
 		}

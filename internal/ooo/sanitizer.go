@@ -120,10 +120,10 @@ func (c *Core) checkInvariants() {
 	for _, s := range c.sanIssued.slots() {
 		e := c.entryAt(s)
 		c.sanCheckSource(e, e.Src1P)
-		if !e.Inst.IsStore() {
+		if !e.Inst.Op.IsStore() {
 			c.sanCheckSource(e, e.Src2P)
 		}
-		if e.Inst.IsLoad() && e.ForwardSeq != 0 {
+		if e.Inst.Op.IsLoad() && e.ForwardSeq != 0 {
 			c.sanCheckForward(e)
 		}
 	}

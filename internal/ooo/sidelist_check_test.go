@@ -2,6 +2,7 @@ package ooo
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"nda/internal/core"
@@ -20,7 +21,9 @@ import (
 //     distinct unready sources, and the waiter sets hold exactly the
 //     (waiting entry, unready source) pairs;
 //   - lq and sq hold the loads and the stores, in age order;
-//   - execq holds the issued, not yet completed entries, in any order;
+//   - execq holds the issued, not yet completed entries, each once, in
+//     the bucket of its CompleteAt, and marks exactly its nonempty
+//     buckets full;
 //   - bcq holds the completed register writers not yet broadcast, in age
 //     order;
 //   - brq holds the unresolved ClassBranch entries, in age order;
@@ -86,8 +89,10 @@ func (c *Core) CheckSideLists() error {
 			return err
 		}
 	}
-	execq := slices.Clone(c.execq.slots())
-	slices.Sort(execq)
+	execq, err := c.dueSlots()
+	if err != nil {
+		return err
+	}
 	slices.Sort(exec)
 	for _, l := range []struct {
 		name      string
@@ -140,6 +145,35 @@ func (c *Core) CheckSideLists() error {
 	return nil
 }
 
+// dueSlots lists the slots in execq's buckets, in slot order, and checks
+// that each is filed under the cycle it completes and that the wheel marks
+// exactly its nonempty buckets.
+func (c *Core) dueSlots() ([]int32, error) {
+	var out []int32
+	d := &c.execq
+	for b := 0; b <= int(d.mask); b++ {
+		q := d.bucket(b)
+		if full := d.full[b>>6]&(1<<(b&63)) != 0; full == isEmpty(q) {
+			return nil, fmt.Errorf("cycle %d: execq bucket %d is marked full=%v, holds %v", c.cycle, b, full, q)
+		}
+		for w, word := range q {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 + bits.TrailingZeros64(word)
+				if i >= len(c.rob) {
+					return nil, fmt.Errorf("cycle %d: execq bucket %d holds slot %d past the ROB", c.cycle, b, i)
+				}
+				if at := max(c.rob[i].CompleteAt, c.cycle+1); int(at&d.mask) != b || at-c.cycle > d.mask {
+					return nil, fmt.Errorf("cycle %d: execq files slot %d (CompleteAt %d) in bucket %d",
+						c.cycle, i, c.rob[i].CompleteAt, b)
+				}
+				out = append(out, int32(i))
+			}
+		}
+	}
+	slices.Sort(out)
+	return out, nil
+}
+
 // checkBypassList holds the bypass list of the entry at ROB position i to
 // a walk over the older entries (see CheckSideLists).
 func (c *Core) checkBypassList(i int) error {
@@ -175,4 +209,17 @@ func (c *Core) operandsReady(e *Entry) bool {
 		return c.pReady(e.Src1P)
 	}
 	return c.pReady(e.Src1P) && c.pReady(e.Src2P)
+}
+
+// RingState reports the ROB ring's head slot, its occupancy and its size.
+func (c *Core) RingState() (head, n, size int) { return c.robHead, c.robLen, len(c.rob) }
+
+// RotateRing moves an empty ROB's head to ring slot head. Where the ring
+// starts is invisible to a run, so a test may start one anywhere, such as
+// just short of the wrap point.
+func (c *Core) RotateRing(head int) {
+	if c.robLen != 0 {
+		panic("RotateRing on a ROB with entries in flight")
+	}
+	c.robHead = head
 }

@@ -136,7 +136,19 @@ type Program struct {
 // always yields byte-identical source. An assembly error is a generator
 // bug, never an input problem.
 func Gen(seed int64) (*Program, error) {
-	rng := rand.New(rand.NewSource(seed))
+	return gen(rand.New(rand.NewSource(seed)), seed)
+}
+
+// GenWith is Gen drawing from rng, reseeded with seed, instead of a new
+// source: the same program, without the source's allocation. A caller that
+// generates many programs keeps one rng for all of them.
+func GenWith(rng *rand.Rand, seed int64) (*Program, error) {
+	rng.Seed(seed)
+	return gen(rng, seed)
+}
+
+// gen expands seed into a program, drawing from rng, seeded with seed.
+func gen(rng *rand.Rand, seed int64) (*Program, error) {
 	// Whole programs stay under 2 KB, so the sections rarely grow.
 	e := &emitter{rng: rng, text: make(src, 0, 2048), data: make(src, 0, 512), tail: make(src, 0, 256)}
 

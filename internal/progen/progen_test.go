@@ -1,6 +1,10 @@
 package progen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -86,5 +90,28 @@ func TestKernelSegment(t *testing.T) {
 		if !found {
 			t.Fatalf("seed %d: no %d-byte kernel segment at %#x", seed, SecretBytes, uint64(KSecretBase))
 		}
+	}
+}
+
+// TestGenWithMatchesGen holds the programs of seeds 0–19,999, generated
+// the way a fuzz worker does (one source, reseeded per program by
+// GenWith), to a digest of their names, sources, flags and fragments
+// recorded with Gen before GenWith existed.
+func TestGenWithMatchesGen(t *testing.T) {
+	const want = "4f7305cacb90ad1def5beb743e4d46ef9c35cf81d11b7bd7f1917601b34f376c"
+	if testing.Short() {
+		t.Skip("generates 20,000 programs")
+	}
+	rng := rand.New(rand.NewSource(0))
+	h := sha256.New()
+	for seed := int64(0); seed < 20_000; seed++ {
+		p, err := GenWith(rng, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s\n%s\n%v %v %q\n", p.Name, p.Source, p.Faulting, p.UsesMSR, p.Frags)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("digest of seeds 0–19,999 = %s, want %s", got, want)
 	}
 }

@@ -8,8 +8,9 @@
 #   BENCH_NOTE="post-refactor" ...          # stamp a note
 #
 # The bench set is the root package's Fig/Table benchmarks plus the
-# simulator micro-benchmarks (bench_test.go). Each runs -benchtime=1x
-# three times (-count=3); benchjson records allocs/op and B/op as the
+# simulator micro-benchmarks (bench_test.go), and internal/ooo's
+# BenchmarkRunInsts, the run loop alone, whose 0 allocs/op the gate holds.
+# Each runs -benchtime=1x three times (-count=3); benchjson records allocs/op and B/op as the
 # maximum over the three and ns/op as the median. Allocation counts of the
 # parallel and pooled benchmarks move by a few between runs (with the
 # number of GC cycles that empty sync.Pools), so one low single-shot
@@ -46,6 +47,7 @@ TMP=$(mktemp)
 trap 'rm -f "$TMP"' EXIT
 
 go test -run='^$' -bench=. -benchmem -benchtime=1x -count=3 . >"$TMP"
+go test -run='^$' -bench=RunInsts -benchmem -benchtime=1x -count=3 ./internal/ooo >>"$TMP"
 
 LOAD_DUR=${BENCH_LOAD_DURATION:-2s}
 go run ./cmd/ndaload -inproc -duration "$LOAD_DUR" -load 'local::2:hot' \
