@@ -13,6 +13,13 @@
 // sync.Pools, and a single low reading recorded as the baseline would
 // fail the next honest run.
 //
+// go test names a benchmark run at -cpu 1 plainly and one run at -cpu N,
+// N > 1, with a -N suffix. A plain name is the gated pass; a suffixed one
+// is kept apart, with N in Procs, and is information only (see
+// scripts/bench_json.sh: each gated benchmark runs alone in a process at
+// -cpu 1, so its allocation count depends on neither the parallel
+// schedule nor what the process ran before).
+//
 // The trajectory convention: BENCH_0.json is the pre-event-loop baseline,
 // every later index is one PR's measured state. The bench-trajectory CI
 // job regenerates the current numbers and compares them against the
@@ -37,7 +44,10 @@ import (
 
 // Benchmark is one benchmark's measured numbers.
 type Benchmark struct {
-	Name        string  `json:"name"`           // without the -GOMAXPROCS suffix
+	Name string `json:"name"` // without the -GOMAXPROCS suffix
+	// Procs is the GOMAXPROCS of an informational pass, from the -N suffix
+	// of its lines; 0 for the gated pass (no suffix: -cpu 1).
+	Procs       int     `json:"procs,omitempty"`
 	Runs        int     `json:"runs,omitempty"` // result lines folded in (-count)
 	Iterations  int64   `json:"iterations"`     // b.N, the most over the runs
 	NsPerOp     float64 `json:"ns_per_op"`      // wall time per iteration, median over the runs
@@ -96,8 +106,8 @@ func main() {
 // Lines of the same benchmark are folded into one record (see fold).
 func parse(r io.Reader, index int, note string) (*File, error) {
 	f := &File{Index: index, Note: note}
-	runs := map[string][]Benchmark{}
-	var order []string
+	runs := map[benchKey][]Benchmark{}
+	var order []benchKey
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -109,17 +119,17 @@ func parse(r io.Reader, index int, note string) (*File, error) {
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		name := fields[0]
+		name, procs := fields[0], 0
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i] // strip the -GOMAXPROCS suffix
+			if n, err := strconv.Atoi(name[i+1:]); err == nil && n > 1 {
+				name, procs = name[:i], n // strip the -GOMAXPROCS suffix
 			}
 		}
 		iters, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
 			continue // not a result line (e.g. a benchmark's log output)
 		}
-		b := Benchmark{Name: name, Iterations: iters, Metrics: map[string]float64{}}
+		b := Benchmark{Name: name, Procs: procs, Iterations: iters, Metrics: map[string]float64{}}
 		for i := 2; i+1 < len(fields); i += 2 {
 			val, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -136,25 +146,45 @@ func parse(r io.Reader, index int, note string) (*File, error) {
 				b.Metrics[unit] = val
 			}
 		}
-		if _, ok := runs[name]; !ok {
-			order = append(order, name)
+		k := b.key()
+		if _, ok := runs[k]; !ok {
+			order = append(order, k)
 		}
-		runs[name] = append(runs[name], b)
+		runs[k] = append(runs[k], b)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	for _, name := range order {
-		f.Benchmarks = append(f.Benchmarks, fold(runs[name]))
+	for _, k := range order {
+		f.Benchmarks = append(f.Benchmarks, fold(runs[k]))
 	}
-	sort.Slice(f.Benchmarks, func(i, j int) bool { return f.Benchmarks[i].Name < f.Benchmarks[j].Name })
+	sort.Slice(f.Benchmarks, func(i, j int) bool {
+		a, b := f.Benchmarks[i], f.Benchmarks[j]
+		return a.Name < b.Name || a.Name == b.Name && a.Procs < b.Procs
+	})
 	return f, nil
+}
+
+// benchKey identifies one benchmark of one pass.
+type benchKey struct {
+	name  string
+	procs int
+}
+
+func (b Benchmark) key() benchKey { return benchKey{b.Name, b.Procs} }
+
+// label names b as go test printed it.
+func (b Benchmark) label() string {
+	if b.Procs == 0 {
+		return b.Name
+	}
+	return fmt.Sprintf("%s-%d", b.Name, b.Procs)
 }
 
 // fold merges the runs of one benchmark: the maximum of allocs/op, B/op
 // and the iteration count, the median of ns/op and of every custom metric.
 func fold(runs []Benchmark) Benchmark {
-	b := Benchmark{Name: runs[0].Name, Runs: len(runs)}
+	b := Benchmark{Name: runs[0].Name, Procs: runs[0].Procs, Runs: len(runs)}
 	var ns []float64
 	var units []string
 	for _, r := range runs {
@@ -233,15 +263,15 @@ func limit(old, floor float64) float64 {
 }
 
 // informational names the benchmarks whose allocation columns are
-// printed but not gated. BenchmarkNdavetRepo analyses the live repository,
-// so its allocations grow with every line added anywhere in it;
-// BenchmarkNdavetCorpus, the same run over a frozen input, is the gated
-// one.
+// printed but not gated, in every pass. BenchmarkNdavetRepo analyses the
+// live repository, so its allocations grow with every line added anywhere
+// in it; BenchmarkNdavetCorpus, the same run over a frozen input, is the
+// gated one. The -cpu N passes (Procs > 0) are information only too.
 var informational = map[string]bool{"BenchmarkNdavetRepo": true}
 
 // compareFiles enforces the trajectory gate: every benchmark present in
 // both files must not regress in allocs/op or bytes/op beyond the slack
-// above, and no benchmark from the baseline may disappear. Timing deltas,
+// above, and no benchmark of the baseline's gated pass may disappear. Timing deltas,
 // and the allocation deltas of the informational benchmarks, are printed
 // for the log but never fail the comparison.
 func compareFiles(basePath, candPath string) error {
@@ -253,26 +283,31 @@ func compareFiles(basePath, candPath string) error {
 	if err != nil {
 		return err
 	}
-	candidates := map[string]Benchmark{}
+	candidates := map[benchKey]Benchmark{}
 	for _, b := range cand.Benchmarks {
-		candidates[b.Name] = b
+		candidates[b.key()] = b
 	}
 	var failures []string
 	for _, old := range base.Benchmarks {
-		now, ok := candidates[old.Name]
+		name := old.label()
+		now, ok := candidates[old.key()]
 		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: present in %s but missing from candidate", old.Name, basePath))
+			if old.Procs == 0 {
+				failures = append(failures, fmt.Sprintf("%s: present in %s but missing from candidate", name, basePath))
+			} else {
+				fmt.Printf("%-40s missing from candidate (informational)\n", name)
+			}
 			continue
 		}
 		gated := "gated"
-		if informational[old.Name] {
+		if informational[old.Name] || old.Procs > 0 {
 			gated = "informational"
 		} else {
 			if lim := limit(old.AllocsPerOp, allocsFloor); now.AllocsPerOp > lim {
-				failures = append(failures, fmt.Sprintf("%s: allocs/op regressed %v -> %v (limit %.0f)", old.Name, old.AllocsPerOp, now.AllocsPerOp, lim))
+				failures = append(failures, fmt.Sprintf("%s: allocs/op regressed %v -> %v (limit %.0f)", name, old.AllocsPerOp, now.AllocsPerOp, lim))
 			}
 			if lim := limit(old.BytesPerOp, bytesFloor); now.BytesPerOp > lim {
-				failures = append(failures, fmt.Sprintf("%s: B/op regressed %v -> %v (limit %.0f)", old.Name, old.BytesPerOp, now.BytesPerOp, lim))
+				failures = append(failures, fmt.Sprintf("%s: B/op regressed %v -> %v (limit %.0f)", name, old.BytesPerOp, now.BytesPerOp, lim))
 			}
 		}
 		delta := "n/a"
@@ -280,7 +315,7 @@ func compareFiles(basePath, candPath string) error {
 			delta = fmt.Sprintf("%+.1f%%", (now.NsPerOp/old.NsPerOp-1)*100)
 		}
 		fmt.Printf("%-40s ns/op %12.0f -> %12.0f  (%s, informational)  allocs/op %v -> %v (%s)\n",
-			old.Name, old.NsPerOp, now.NsPerOp, delta, old.AllocsPerOp, now.AllocsPerOp, gated)
+			name, old.NsPerOp, now.NsPerOp, delta, old.AllocsPerOp, now.AllocsPerOp, gated)
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("allocation regression vs %s (index %d):\n  %s",

@@ -1,12 +1,20 @@
 // Package diffuzz differentially fuzzes the static gadget analyzer against
 // the out-of-order timing core. For every generated program (internal/progen)
 // it computes the analyzer's per-policy verdict and then measures the ground
-// truth dynamically: the program runs twice per policy with different planted
-// secrets, and an attacker-observable channel trace (d-cache fills, flushes,
-// InvisiSpec exposures, BTB updates — ooo.ChannelEvent) is recorded for each
-// run. Because generated programs are architecturally secret-independent by
-// construction (verified here against the reference emulator), any trace
-// difference is a transient leak.
+// truth dynamically: under every policy the program has two timing runs with
+// different planted secrets, and an attacker-observable channel trace
+// (d-cache fills, flushes, InvisiSpec exposures, BTB updates —
+// ooo.ChannelEvent) is recorded for each run. Because generated programs are
+// architecturally secret-independent by construction (verified here against
+// the reference emulator), any trace difference is a transient leak.
+//
+// Each distinct timing run is simulated once. The policies run in order,
+// the baseline first, and each run shadows the rules of every later policy
+// (ooo.Core.SetShadows): a later policy that made the run's decision at
+// every point would have run it cycle for cycle, and takes its result. A
+// secret-B run whose secret-A twin read no planted byte and not the planted
+// MSR (ooo.Core.WatchSecrets) is that twin cycle for cycle, and takes its
+// result too. A run that errored is never taken over.
 //
 // The soundness contract is one-sided: if the analyzer certifies a program
 // SAFE under a policy (no unblocked d-cache or BTB gadget) the traces must
@@ -60,6 +68,26 @@ const (
 	maxFailures = 10
 )
 
+// secrets is one planted secret vector: the fill byte of every planted
+// region and the value of the privileged MSR.
+type secrets struct {
+	fill byte
+	msr  uint64
+}
+
+var (
+	secretsA = secrets{secretA, msrSecretA}
+	secretsB = secrets{secretB, msrSecretB}
+)
+
+// secretSpans are the planted regions, which a run reading none of them
+// (nor the planted MSR) computes nothing from.
+var secretSpans = []ooo.Span{
+	{Lo: progen.SecretBase, Hi: progen.SecretBase + progen.SecretBytes},
+	{Lo: progen.StaleBase, Hi: progen.StaleBase + progen.SecretBytes},
+	{Lo: progen.KSecretBase, Hi: progen.KSecretBase + progen.SecretBytes},
+}
+
 // PolicyResult is the static/dynamic comparison for one program, one policy.
 type PolicyResult struct {
 	// StaticSafe is the analyzer's certificate: no unblocked gadget on a
@@ -85,22 +113,76 @@ type Result struct {
 	Failure string
 }
 
-// RunSeed generates and differentially tests one seed. Its 18 timing runs
-// share one core, reset between runs.
+// RunSeed generates and differentially tests one seed. Of its timing runs,
+// two per policy, it simulates each distinct one once, all on one core
+// reset between runs.
 func RunSeed(seed int64) *Result {
 	t := new(timingCore)
 	return t.runSeed(seed, t.run)
 }
 
+// timingRun is one timing run's outcome.
+type timingRun struct {
+	trace []ooo.ChannelEvent // nil if err is set
+	san   uint64             // sanitizer violations
+	err   error
+	// cycles and retired are the simulated cycles and the committed
+	// instructions.
+	cycles, retired uint64
+	// diverged has bit j set if policies[j] was shadowed in the run and
+	// decided a point of it differently from the running policy
+	// (ooo.Core.Diverged).
+	diverged uint64
+	// secret is whether the run read a planted byte or the planted MSR.
+	secret bool
+}
+
 // timingFunc performs one timing run of p, whose loaded data image is base,
-// under pol with the given secrets, appending the channel trace to evs, an
-// empty buffer passed in for its capacity. It returns the trace, the
-// sanitizer's violation count, and the run's error (with a nil trace).
-type timingFunc func(p *progen.Program, base *mem.Memory, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error)
+// under pol with shadows armed and sec planted, appending the channel trace
+// to evs, an empty buffer passed in for its capacity. The run's diverged
+// bits stand for shadows, in order.
+type timingFunc func(p *progen.Program, base *mem.Memory, pol core.Policy, shadows []core.Rules, sec secrets, evs []ooo.ChannelEvent) timingRun
 
 // policies is core.All built once; each core.All call allocates the gate
-// lists, and every program runs under every policy.
-var policies = core.All()
+// lists, and every program runs under every policy, the baseline first.
+// rules holds their compiled rules, which the runs of each policy shadow
+// for the policies after it.
+var (
+	policies = core.All()
+	rules    = compileRules(policies)
+)
+
+func compileRules(pols []core.Policy) []core.Rules {
+	out := make([]core.Rules, len(pols))
+	for i, pol := range pols {
+		if pol.ExtraBroadcastDelay != policies[0].ExtraBroadcastDelay {
+			panic("diffuzz: " + pol.Name + " cannot be shadowed: its broadcast delay differs")
+		}
+		out[i] = core.Compile(pol.Gates)
+	}
+	return out
+}
+
+// The two kinds of timing run runSeed takes over instead of simulating.
+const (
+	policyRepeat = iota // a policy's run that repeats an earlier policy's
+	secretRepeat        // a secret-B run that repeats its secret-A twin
+)
+
+// repeated returns the run made before that the run of policies[i] with
+// secret vector s provably repeats, and its kind, or nil if there is none.
+// An erroring run is never repeated.
+func (t *timingCore) repeated(i, s int) (*timingRun, int) {
+	for j := 0; j < i; j++ {
+		if r := &t.runs[j][s]; r.err == nil && r.diverged&(1<<i) == 0 {
+			return r, policyRepeat
+		}
+	}
+	if r := &t.runs[i][0]; s == 1 && r.err == nil && !r.secret {
+		return r, secretRepeat
+	}
+	return nil, 0
+}
 
 // runSeed is RunSeed on t's run image, with the timing runs delegated to
 // run. The program's data is loaded once, into a base image every run
@@ -125,8 +207,8 @@ func (t *timingCore) runSeed(seed int64, run timingFunc) *Result {
 	// under both secret vectors. This validates the generator discipline
 	// the soundness argument rests on.
 	archA, archB := &t.archA, &t.archB
-	errA := archA.run(p, t.restore(base), secretA, msrSecretA)
-	errB := archB.run(p, t.restore(base), secretB, msrSecretB)
+	errA := archA.run(p, t.restore(base), secretsA)
+	errB := archB.run(p, t.restore(base), secretsB)
 	if errA != nil || errB != nil {
 		r.Failure = fmt.Sprintf("%s: architectural run failed: %v / %v", p.Name, errA, errB)
 		return r
@@ -137,29 +219,44 @@ func (t *timingCore) runSeed(seed int64, run timingFunc) *Result {
 		return r
 	}
 
-	for _, pol := range policies {
-		var sanA, sanB uint64
-		var errA, errB error
-		t.trA, sanA, errA = run(p, base, pol, secretA, msrSecretA, t.trA[:0])
-		t.trB, sanB, errB = run(p, base, pol, secretB, msrSecretB, t.trB[:0])
-		r.SanViolations += sanA + sanB
-		if errA != nil || errB != nil {
-			r.Failure = fmt.Sprintf("%s under %s: timing run failed: %v / %v", p.Name, pol.Name, errA, errB)
+	// The runs stay in t.runs, their traces in t.bufs, until the program
+	// is done: a later policy's run may repeat any of them.
+	if t.runs == nil {
+		t.runs = make([][2]timingRun, len(policies))
+		t.bufs = make([][2][]ooo.ChannelEvent, len(policies))
+	}
+	for i, pol := range policies {
+		runs := &t.runs[i]
+		for s, sec := range [2]secrets{secretsA, secretsB} {
+			if same, kind := t.repeated(i, s); same != nil {
+				// The trace stays in the buffer of the run repeated.
+				runs[s] = *same
+				t.elided[kind]++
+				continue
+			}
+			runs[s] = run(p, base, pol, rules[i+1:], sec, t.bufs[i][s][:0])
+			t.bufs[i][s] = runs[s].trace
+			runs[s].diverged <<= i + 1 // bit j: policies[j]
+		}
+		a, b := runs[0], runs[1]
+		r.SanViolations += a.san + b.san
+		if a.err != nil || b.err != nil {
+			r.Failure = fmt.Sprintf("%s under %s: timing run failed: %v / %v", p.Name, pol.Name, a.err, b.err)
 			return r
 		}
 		pr := PolicyResult{
 			StaticSafe:  !an.Leaks[pol.Name],
-			DynamicLeak: !tracesEqual(t.trA, t.trB),
+			DynamicLeak: !tracesEqual(a.trace, b.trace),
 		}
 		r.PerPolicy[pol.Name] = pr
-		if sanA+sanB > 0 {
+		if a.san+b.san > 0 {
 			r.Failure = fmt.Sprintf("%s under %s: %d propagation-sanitizer violations",
-				p.Name, pol.Name, sanA+sanB)
+				p.Name, pol.Name, a.san+b.san)
 			return r
 		}
 		if pr.StaticSafe && pr.DynamicLeak {
 			r.Failure = fmt.Sprintf("SOUNDNESS: %s (%s) certified safe under %s but channel traces differ (%d vs %d events): %s",
-				p.Name, strings.Join(p.Frags, "+"), pol.Name, len(t.trA), len(t.trB), traceDiff(t.trA, t.trB))
+				p.Name, strings.Join(p.Frags, "+"), pol.Name, len(a.trace), len(b.trace), traceDiff(a.trace, b.trace))
 			return r
 		}
 	}
@@ -191,11 +288,11 @@ func (a *archRun) diff(b *archRun) string {
 }
 
 // run records p's run on the reference emulator over img, which holds p's
-// loaded data image, into r, reusing r's step log.
-func (r *archRun) run(p *progen.Program, img *mem.Memory, secret byte, msrSecret uint64) error {
+// loaded data image, with sec planted, into r, reusing r's step log.
+func (r *archRun) run(p *progen.Program, img *mem.Memory, sec secrets) error {
 	m := emu.NewWithMemory(p.Prog, img)
-	plant(m.Mem, secret)
-	m.MSR[isa.MSRSecretKey] = msrSecret
+	plant(m.Mem, sec.fill)
+	m.MSR[isa.MSRSecretKey] = sec.msr
 	*r = archRun{steps: r.steps[:0]}
 	for !m.Halted {
 		if r.retired >= instCap {
@@ -218,21 +315,25 @@ func (r *archRun) run(p *progen.Program, img *mem.Memory, secret byte, msrSecret
 
 // timingCore is one fuzz worker's state, kept across programs: the
 // generator's random source, reseeded for every program; a core, built on
-// the first timing run and reset for every later one; a
-// memory image every run (timing or architectural) restores from the
-// program's base image, itself reloaded for every program; the buffers of a program's two channel traces and
-// two architectural step logs; and the recorder that appends each channel
-// event to evs, the trace of the run in progress. The recorder is bound
-// once, so arming a run's trace hook allocates nothing.
+// the first timing run and reset for every later one; a memory image every
+// run (timing or architectural) restores from the program's base image,
+// itself reloaded for every program; a program's timing runs, two per
+// policy, with their trace buffers, and its two architectural step logs;
+// the recorder that appends each channel event to evs, the trace of the
+// run in progress; and how many runs of each kind (policyRepeat,
+// secretRepeat) were taken over. The recorder is bound once, so arming a
+// run's trace hook allocates nothing.
 type timingCore struct {
 	rng          *rand.Rand // progen's source, reseeded for every program
 	c            *ooo.Core
 	m            *mem.Memory
 	base, empty  *mem.Memory
-	trA, trB     []ooo.ChannelEvent
+	runs         [][2]timingRun          // by policy, then secret A, B
+	bufs         [][2][]ooo.ChannelEvent // likewise
 	archA, archB archRun
 	evs          []ooo.ChannelEvent
 	record       func(ooo.ChannelEvent)
+	elided       [2]int
 }
 
 // load returns t's base image holding exactly p's loaded data. The image
@@ -256,14 +357,15 @@ func (t *timingCore) restore(base *mem.Memory) *mem.Memory {
 	return t.m
 }
 
-func (t *timingCore) run(p *progen.Program, base *mem.Memory, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
+// run is the timingFunc of a fuzz worker: it simulates on t's core.
+func (t *timingCore) run(p *progen.Program, base *mem.Memory, pol core.Policy, shadows []core.Rules, sec secrets, evs []ooo.ChannelEvent) timingRun {
 	m := t.restore(base)
 	if t.c == nil {
 		t.c = ooo.New(p.Prog, m, pol, timingParams())
 	} else {
 		t.c.Reset(p.Prog, m, pol)
 	}
-	return t.timing(secret, msrSecret, evs)
+	return t.timing(shadows, sec, evs)
 }
 
 // timingParams is the core configuration of every timing run: the paper's
@@ -275,11 +377,14 @@ func timingParams() ooo.Params {
 }
 
 // timing plants the secrets in t's core, which is ready to run (fresh or
-// just reset), runs it, and returns its channel trace appended to evs.
-func (t *timingCore) timing(secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
+// just reset), arms the shadows and the secret watch, runs it, and returns
+// the run with its channel trace appended to evs.
+func (t *timingCore) timing(shadows []core.Rules, sec secrets, evs []ooo.ChannelEvent) timingRun {
 	c := t.c
-	plant(c.Memory(), secret)
-	c.SetMSR(isa.MSRSecretKey, msrSecret)
+	plant(c.Memory(), sec.fill)
+	c.SetMSR(isa.MSRSecretKey, sec.msr)
+	c.SetShadows(shadows)
+	c.WatchSecrets(secretSpans, isa.MSRSecretKey)
 	// Warm the secret lines so wrong-path dependence chains outrun their
 	// guard's DRAM miss; each region is a single cache line. The warming
 	// accesses go straight to the hierarchy, before tracing starts.
@@ -294,9 +399,13 @@ func (t *timingCore) timing(secret byte, msrSecret uint64, evs []ooo.ChannelEven
 	err := c.Run(cycleCap)
 	evs, t.evs = t.evs, nil
 	if err != nil {
-		return nil, c.SanitizerViolations(), err
+		evs = nil
 	}
-	return evs, c.SanitizerViolations(), nil
+	return timingRun{
+		trace: evs, san: c.SanitizerViolations(), err: err,
+		cycles: c.Cycles(), retired: c.Retired(),
+		diverged: c.Diverged(), secret: c.ReadSecret(),
+	}
 }
 
 // plant writes the secret fill byte over every planted region. The stale

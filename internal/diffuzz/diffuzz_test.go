@@ -121,8 +121,8 @@ func TestFuzzWorkerCountInvariant(t *testing.T) {
 
 // freshTiming is the timing path before cores and memory images were
 // reused: a new core, with p's data loaded into a new memory, for every run.
-func freshTiming(p *progen.Program, _ *mem.Memory, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
-	return runTiming(ooo.NewFromProgram(p.Prog, pol, timingParams()), secret, msrSecret, evs)
+func freshTiming(p *progen.Program, _ *mem.Memory, pol core.Policy, shadows []core.Rules, sec secrets, evs []ooo.ChannelEvent) timingRun {
+	return runTiming(ooo.NewFromProgram(p.Prog, pol, timingParams()), shadows, sec, evs)
 }
 
 // The reused path must be indistinguishable from a fresh core and a fresh
@@ -140,15 +140,18 @@ func TestReusedCoreMatchesFresh(t *testing.T) {
 	runs := 0
 	tm := new(timingCore)
 	for i, seed := range seeds {
-		check := func(p *progen.Program, base *mem.Memory, pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
-			got, gotSan, gotErr := tm.run(p, base, pol, secret, msrSecret, evs)
-			want, wantSan, wantErr := freshTiming(p, base, pol, secret, msrSecret, nil)
+		check := func(p *progen.Program, base *mem.Memory, pol core.Policy, shadows []core.Rules, sec secrets, evs []ooo.ChannelEvent) timingRun {
+			r := tm.run(p, base, pol, shadows, sec, evs)
+			got, gotSan, gotErr := r.trace, r.san, r.err
+			w := freshTiming(p, base, pol, shadows, sec, nil)
+			want, wantSan, wantErr := w.trace, w.san, w.err
+			secret := sec.fill
 			runs++
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || gotSan != wantSan || !tracesEqual(got, want) {
 				t.Errorf("seed %d under %s, secret %#x: reused core gave %d events, %d violations, err %v; fresh gave %d, %d, %v (%s)",
 					seed, pol.Name, secret, len(got), gotSan, gotErr, len(want), wantSan, wantErr, traceDiff(got, want))
 			}
-			return got, gotSan, gotErr
+			return r
 		}
 		reused[i] = tm.runSeed(seed, check)
 		fresh[i] = new(timingCore).runSeed(seed, freshTiming)

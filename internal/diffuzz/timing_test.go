@@ -12,13 +12,13 @@ import (
 
 // runTiming is one timing run on a core no timingCore keeps, ready to run
 // (fresh or just reset): the fresh side of TestReusedCoreMatchesFresh.
-func runTiming(c *ooo.Core, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) ([]ooo.ChannelEvent, uint64, error) {
-	return (&timingCore{c: c}).timing(secret, msrSecret, evs)
+func runTiming(c *ooo.Core, shadows []core.Rules, sec secrets, evs []ooo.ChannelEvent) timingRun {
+	return (&timingCore{c: c}).timing(shadows, sec, evs)
 }
 
 // BenchmarkTimingRuns times one program's 18 sanitized timing runs, every
 // policy with both planted secrets, on one reused core, as a Fuzz worker
-// runs them. A warm-up pass builds the core and grows the run image and
+// would run them if it took no run over. A warm-up pass builds the core and grows the run image and
 // trace buffers first, so allocs/op covers the steady state, where a timing
 // run should allocate nothing.
 func BenchmarkTimingRuns(b *testing.B) {
@@ -29,17 +29,18 @@ func BenchmarkTimingRuns(b *testing.B) {
 	base := mem.New()
 	emu.Load(base, p.Prog)
 	t := new(timingCore)
-	run := func(pol core.Policy, secret byte, msrSecret uint64, evs []ooo.ChannelEvent) []ooo.ChannelEvent {
-		evs, san, err := t.run(p, base, pol, secret, msrSecret, evs[:0])
-		if err != nil || san != 0 {
-			b.Fatalf("%s under %s: %d sanitizer violations, err %v", p.Name, pol.Name, san, err)
+	run := func(pol core.Policy, sec secrets, evs []ooo.ChannelEvent) []ooo.ChannelEvent {
+		r := t.run(p, base, pol, nil, sec, evs[:0])
+		if r.err != nil || r.san != 0 {
+			b.Fatalf("%s under %s: %d sanitizer violations, err %v", p.Name, pol.Name, r.san, r.err)
 		}
-		return evs
+		return r.trace
 	}
+	var trA, trB []ooo.ChannelEvent
 	runs := func() {
 		for _, pol := range policies {
-			t.trA = run(pol, secretA, msrSecretA, t.trA)
-			t.trB = run(pol, secretB, msrSecretB, t.trB)
+			trA = run(pol, secretsA, trA)
+			trB = run(pol, secretsB, trB)
 		}
 	}
 	runs()

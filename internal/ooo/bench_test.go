@@ -12,10 +12,11 @@ import (
 // BenchmarkRunInsts times the simulator's run loop alone, the layer that
 // dominates every sweep cell: a compute-bound kernel (exchange2) and a
 // memory-bound one (mcf), each under the baseline, the lightest and the
-// heaviest NDA policy, and InvisiSpec. Core construction happens with the
-// timer stopped, so the reported Mcycles/s is simulated cycles per second
-// of RunInsts, and allocs/op covers the run loop only. That loop must not
-// allocate: the benchmark fails unless allocs/op is 0.
+// heaviest NDA policy, and InvisiSpec. Core construction and the
+// bookkeeping after the loop happen with the timer stopped, so the reported
+// Mcycles/s is simulated cycles per second of RunInsts, and allocs/op
+// covers the run loop only. That loop must not allocate: the benchmark
+// fails unless allocs/op is 0.
 func BenchmarkRunInsts(b *testing.B) {
 	kernels := []struct {
 		name  string
@@ -51,6 +52,9 @@ func BenchmarkRunInsts(b *testing.B) {
 					cycles += c.Cycles()
 					b.StartTimer()
 				}
+				// Nothing after the last RunInsts is the op's: testing
+				// charges the timed region's time and allocations to it.
+				b.StopTimer()
 				// The count is process-wide, so a runtime allocation on
 				// another goroutine can land in a window now and then; an
 				// allocating run loop allocates on every run.

@@ -19,6 +19,9 @@ type Core struct {
 	p      Params
 	policy core.Policy
 	rules  core.Rules // policy.Gates compiled; what the pipeline reads
+	// walk is whether the resolve-walk keeps Node.UnderGuard current:
+	// rules.Walk, or an armed shadow's.
+	walk bool
 
 	prog *isa.Program
 	mem  *mem.Memory
@@ -157,13 +160,24 @@ type Core struct {
 	commitValidate uint64
 
 	// Propagation-sanitizer state (sanitizer.go); inert unless p.Sanitize.
-	// sanIssued holds the entries its ROB walk saw issue this cycle.
-	sanCount       uint64
-	sanLog         []Violation
-	sanWriterMark  []uint64
-	sanWriterSeq   []uint64
-	sanWriterBcast []bool
-	sanIssued      slotQueue
+	// sanWriter[p] is the ROB slot of the entry rename last gave physical
+	// register p; that entry is p's in-flight writer while its DestP is
+	// still p. sanIssued holds the entries the ROB walk saw issue this
+	// cycle.
+	sanCount  uint64
+	sanLog    []Violation
+	sanWriter []int32
+	sanIssued slotQueue
+
+	// The per-run inputs of shadow.go, which Reset disarms: the shadow
+	// rule tables with the bitmask of those that have not diverged, and
+	// the watched secret spans and MSR with whether the run read them.
+	shadows     []core.Rules
+	shadowLive  uint64
+	secretSpans []Span
+	secretMSR   uint16
+	watchMSR    bool
+	readSecret  bool
 
 	stats stats.Counters
 }
@@ -212,9 +226,7 @@ func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 		c.freeInit[i] = isa.NumGPR + i
 	}
 	if p.Sanitize {
-		c.sanWriterMark = make([]uint64, p.PhysRegs)
-		c.sanWriterSeq = make([]uint64, p.PhysRegs)
-		c.sanWriterBcast = make([]bool, p.PhysRegs)
+		c.sanWriter = make([]int32, p.PhysRegs)
 		c.sanIssued = newSlotQueue(p.IssueWidth)
 	}
 	c.Reset(prog, m, pol)
@@ -225,9 +237,11 @@ func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 // and pol, keeping every backing array: ROB ring, scheduler queues, RAS
 // checkpoints, bypass lists, physical registers, fetch queue, predictors
 // and cache hierarchy. Params are kept. The Cancel and Trace* hooks are
-// cleared, as are the statistics and the sanitizer's count, log and writer
-// marks. The caches and the BTB empty in O(1), by generation bump; beyond
-// them it touches the last run's in-flight entries, the fetch queue, the
+// cleared, as are the statistics, the sanitizer's count and log, and the
+// shadows and secret watch (SetShadows, WatchSecrets). The sanitizer's
+// writer slots stay: each is checked against the live entry it names. The
+// caches and the BTB empty in O(1), by generation bump; beyond them it
+// touches the last run's in-flight entries, the fetch queue, the
 // register file with its waiter sets and the gshare table, not the ~1.2 MB
 // a fresh core allocates. The differential fuzzer and the harness's sweep
 // workers each keep one core this way and Reset it for every run.
@@ -248,11 +262,6 @@ func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 	clear(c.regReady)
 	clear(c.waiters)
 	c.execq.reset()
-	// Stale writer marks would match the new run's cycle numbers, which
-	// restart from zero.
-	clear(c.sanWriterMark)
-	clear(c.sanWriterSeq)
-	clear(c.sanWriterBcast)
 
 	rules := c.rules
 	if !slices.Equal(pol.Gates, c.policy.Gates) {
@@ -262,6 +271,7 @@ func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 		p:      c.p,
 		policy: pol,
 		rules:  rules,
+		walk:   rules.Walk,
 		prog:   prog,
 		mem:    m,
 		hier:   c.hier,
@@ -295,10 +305,8 @@ func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 		userMode:      true,
 		nextSeq:       1,
 
-		sanWriterMark:  c.sanWriterMark,
-		sanWriterSeq:   c.sanWriterSeq,
-		sanWriterBcast: c.sanWriterBcast,
-		sanIssued:      c.sanIssued.emptied(),
+		sanWriter: c.sanWriter,
+		sanIssued: c.sanIssued.emptied(),
 	}
 	// Map arch registers to the first NumGPR physical registers; the rest
 	// form the free list.

@@ -61,6 +61,9 @@ func (c *Core) dispatchStage() {
 			c.rat[rd] = p
 			e.DestP = p
 			c.regReady[p] = false
+			if c.sanWriter != nil {
+				c.sanWriter[p] = e.Slot
+			}
 		}
 
 		// Every in-flight entry is older than e, so e is under a guard iff

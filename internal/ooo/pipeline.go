@@ -247,7 +247,7 @@ const noGuard = ^uint64(0)
 // by the next walk, which runs before that branch can issue, let alone
 // resolve.
 func (c *Core) recomputeSafety() {
-	if !c.rules.Walk {
+	if !c.walk {
 		return
 	}
 	prev := c.guardSeq
@@ -310,6 +310,9 @@ func (c *Core) exposeIfSafe(e *Entry) {
 // A register writer completing this cycle that does not broadcast joins
 // bcq once arbitration is over. Among the deferred candidates it would be
 // a no-op this cycle: it is not broadcast-eligible, or no port is left.
+//
+// Every eligibility verdict the loops ask of the running rules is asked of
+// each live shadow too (shadow.go).
 func (c *Core) broadcastStage() {
 	if c.bcq.n == 0 && c.doneq.n == 0 {
 		return
@@ -321,14 +324,27 @@ func (c *Core) broadcastStage() {
 			break
 		}
 		e := c.entryAt(s)
-		if e.DestP != noPReg && c.rules.MayBroadcast(&e.Node, c.atHead(e)) {
+		if e.DestP == noPReg {
+			continue
+		}
+		atHead := c.atHead(e)
+		may := c.rules.MayBroadcast(&e.Node, atHead)
+		if c.shadowLive != 0 {
+			c.shadowBroadcast(&e.Node, atHead, may)
+		}
+		if may {
 			c.doBroadcast(e)
 			ports--
 		}
 	}
 	for i := 0; i < c.bcq.n && ports > 0; {
 		e := c.entryAt(c.bcq.s[i])
-		if !c.rules.MayBroadcast(&e.Node, c.atHead(e)) {
+		atHead := c.atHead(e)
+		may := c.rules.MayBroadcast(&e.Node, atHead)
+		if c.shadowLive != 0 {
+			c.shadowBroadcast(&e.Node, atHead, may)
+		}
+		if !may {
 			i++
 			continue
 		}
@@ -481,12 +497,17 @@ func (c *Core) commitInsts() (int, error) {
 		if e.DestP != noPReg && !e.Node.Broadcast {
 			return committed, nil // waiting for a (possibly NDA-deferred) broadcast
 		}
-		if c.rules.WaitsForEldest(e.Node.Class) &&
+		if wait := c.rules.WaitsForEldest(e.Node.Class); (wait || c.shadowLive != 0) &&
 			e.DestP != noPReg && e.BcastCycle == c.cycle {
 			// Load restriction: the head-of-ROB wake-up and the retirement
 			// are sequential commit-stage actions — the load retires the
 			// cycle after it wakes its dependents (§5.3).
-			return committed, nil
+			if c.shadowLive != 0 {
+				c.shadowEldest(e.Node.Class, wait)
+			}
+			if wait {
+				return committed, nil
+			}
 		}
 
 		// InvisiSpec exposure/validation at the retirement safe point.
@@ -859,10 +880,10 @@ func (c *Core) execute(e *Entry) bool {
 		if msr >= isa.NumMSR || (c.userMode && isa.PrivilegedMSR(msr)) {
 			e.Fault = isa.FaultPrivilegeMSR
 			if c.p.MeltdownVulnerable && msr < isa.NumMSR {
-				e.Result = c.msr[msr] // the LazyFP/v3a flaw: data flows anyway
+				e.Result = c.readMSR(msr) // the LazyFP/v3a flaw: data flows anyway
 			}
 		} else {
-			e.Result = c.msr[msr]
+			e.Result = c.readMSR(msr)
 		}
 
 	case inst.Op == isa.OpWrmsr:
@@ -943,14 +964,9 @@ func (c *Core) executeLoad(e *Entry) bool {
 		e.CompleteAt = c.cycle + uint64(c.p.AGULatency+c.p.ForwardLatency)
 	} else {
 		var res cache.Result
-		invisible := false
-		switch c.rules.Fill {
-		case core.FillAtResolve:
-			// InvisiSpec-Spectre: a load is speculative iff some OLDER
-			// branch is unresolved; younger branches are irrelevant.
-			invisible = c.olderUnresolvedBranch(e)
-		case core.FillAtRetire:
-			invisible = true
+		invisible := c.fillInvisible(c.rules.Fill, e)
+		if c.shadowLive != 0 {
+			c.shadowFill(e, invisible)
 		}
 		if invisible {
 			res = c.hier.DataNoInstall(e.Addr)
@@ -962,6 +978,9 @@ func (c *Core) executeLoad(e *Entry) bool {
 			c.traceChannel(ChanDCacheFill, e.Addr, 0)
 		}
 		e.Result = truncate(c.mem.Read(e.Addr, size), size)
+		if c.secretSpans != nil {
+			c.noteLoad(e.Addr, size)
+		}
 		e.CompleteAt = c.cycle + uint64(c.p.AGULatency+res.Latency)
 		if res.OffChip() {
 			e.OffChip = true

@@ -22,9 +22,12 @@ import "fmt"
 // one that logged a finding, so counts and log match per-cycle stepping.
 //
 // Checks, at the end of every stepped cycle. The walk runs checks 1–2 on
-// each in-flight producer as it indexes the writer of every destination
-// register, and notes the (at most IssueWidth) entries that issued this
-// cycle; checks 3–4 then run on those, in age order, against the index:
+// each in-flight producer and notes the (at most IssueWidth) entries that
+// issued this cycle; checks 3–4 then run on those, in age order. They find
+// a source register's in-flight writer through the ROB slot rename
+// recorded for it (Core.sanWriter), which is that writer only while the
+// entry in the slot still has the register as its destination: a writer
+// that retired or was squashed left the slot reset or to a later entry.
 //
 //  1. ready-without-broadcast: no in-flight producer's destination physical
 //     register is marked ready before the producer's tag broadcast. The
@@ -34,7 +37,12 @@ import "fmt"
 //     cycle is still unsafe under the policy at end of cycle. Guards only
 //     resolve (never un-resolve) and bypass guards only drop within a
 //     cycle, so an end-of-cycle unsafe verdict proves the broadcast-time
-//     one.
+//     one. It reads the rules; checks 1, 3 and 4 read none. A shadow rule
+//     table that never diverged (shadow.go) still gets this check's count:
+//     a broadcast happens only where the arbitration loops asked the rules
+//     and they allowed it, and the shadow, asked at the same point, allowed
+//     it too. By the same monotonicity, both tables find it safe at end of
+//     cycle, so the check counts nothing under either.
 //  3. issued-before-broadcast: no instruction that entered execution this
 //     cycle has an in-flight older producer (for any of its source
 //     operands; store data is read at forwarding/commit time, not issue)
@@ -88,9 +96,7 @@ func (c *Core) checkInvariants() {
 		return
 	}
 
-	// The walk: per-producer checks, and index the in-flight writer of
-	// every destination physical register (unique: the free list hands
-	// each preg to at most one in-flight instruction).
+	// The walk: per-producer checks.
 	c.sanIssued.n = 0
 	for i := 0; i < c.robLen; i++ {
 		e := c.robAt(i)
@@ -100,9 +106,6 @@ func (c *Core) checkInvariants() {
 		if e.DestP == noPReg {
 			continue
 		}
-		c.sanWriterMark[e.DestP] = c.cycle
-		c.sanWriterSeq[e.DestP] = e.Seq
-		c.sanWriterBcast[e.DestP] = e.Node.Broadcast
 		if !e.Node.Broadcast && c.regReady[e.DestP] {
 			c.sanViolate("ready-without-broadcast", e.PC, e.Seq,
 				"p%d is ready but %v has not broadcast (completed=%v)",
@@ -129,6 +132,16 @@ func (c *Core) checkInvariants() {
 	}
 }
 
+// writerOf returns the in-flight writer of physical register p, or nil
+// if p's writer has left the ROB (p holds a committed value). The free
+// list hands each register to at most one in-flight instruction.
+func (c *Core) writerOf(p int) *Entry {
+	if w := c.entryAt(c.sanWriter[p]); w.DestP == p {
+		return w
+	}
+	return nil
+}
+
 // sanCheckForward applies check 4: the load e took its value from the store
 // with sequence number e.ForwardSeq this cycle; the store's data operand
 // must trace to a broadcast (or retired) producer.
@@ -138,11 +151,12 @@ func (c *Core) sanCheckForward(e *Entry) {
 		if s.Seq != e.ForwardSeq {
 			continue
 		}
-		if src := s.Src2P; src != noPReg && c.sanWriterMark[src] == c.cycle &&
-			c.sanWriterSeq[src] < s.Seq && !c.sanWriterBcast[src] {
-			c.sanViolate("forward-before-broadcast", e.PC, e.Seq,
-				"%v forwarded from store seq %d whose data producer (seq %d, p%d) has not broadcast",
-				e.Inst, s.Seq, c.sanWriterSeq[src], src)
+		if src := s.Src2P; src != noPReg {
+			if w := c.writerOf(src); w != nil && w.Seq < s.Seq && !w.Node.Broadcast {
+				c.sanViolate("forward-before-broadcast", e.PC, e.Seq,
+					"%v forwarded from store seq %d whose data producer (seq %d, p%d) has not broadcast",
+					e.Inst, s.Seq, w.Seq, src)
+			}
 		}
 		return
 	}
@@ -152,12 +166,9 @@ func (c *Core) sanCheckSource(e *Entry, src int) {
 	if src == noPReg {
 		return
 	}
-	if c.sanWriterMark[src] != c.cycle {
-		return // producer already retired: broadcast long done
-	}
-	if c.sanWriterSeq[src] < e.Seq && !c.sanWriterBcast[src] {
+	if w := c.writerOf(src); w != nil && w.Seq < e.Seq && !w.Node.Broadcast {
 		c.sanViolate("issued-before-broadcast", e.PC, e.Seq,
 			"%v issued reading p%d before its producer (seq %d) broadcast",
-			e.Inst, src, c.sanWriterSeq[src])
+			e.Inst, src, w.Seq)
 	}
 }

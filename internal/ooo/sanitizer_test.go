@@ -84,21 +84,73 @@ main:   li   t0, 1
 	t.Fatal("never observed an in-flight producer awaiting broadcast")
 }
 
+// TestSanitizerCatchesUnsafeBroadcast is check 2's negative oracle: under
+// Strict, a load still under an unresolved branch that broadcasts anyway
+// is a propagation leak. The test marks such a load broadcast this cycle
+// by hand and requires exactly that one finding from the end-of-cycle
+// checks.
+func TestSanitizerCatchesUnsafeBroadcast(t *testing.T) {
+	prog, err := asm.Assemble(`
+        .data
+        .org 0x40000
+word:   .word64 7
+        .text
+main:   la   s0, word
+        li   t0, 1
+        div  t1, t0, t0
+        beq  t1, zero, done
+        ld   t2, (s0)
+        addi t3, t2, 1
+done:   halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := DefaultParams()
+	params.Sanitize = true
+	c := NewFromProgram(prog, core.Strict(), params)
+	for cycles := 0; cycles < 1000 && !c.halted; cycles++ {
+		if err := c.Step(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < c.robLen; i++ {
+			e := c.robAt(i)
+			if !e.Inst.Op.IsLoad() || e.DestP == noPReg || !e.Node.UnderGuard || e.Node.Broadcast {
+				continue
+			}
+			before, logged := c.sanCount, len(c.sanLog)
+			e.Node.Broadcast, e.BcastCycle = true, c.cycle // the injected plumbing bug
+			c.checkInvariants()
+			e.Node.Broadcast, e.BcastCycle = false, 0
+			if c.sanCount != before+1 || len(c.sanLog) != logged+1 {
+				t.Fatalf("forced unsafe broadcast of seq %d: %d findings, want 1: %v", e.Seq, c.sanCount-before, c.sanLog[logged:])
+			}
+			if v := c.sanLog[logged]; v.Check != "unsafe-broadcast" || v.Seq != e.Seq || v.Cycle != c.cycle {
+				t.Fatalf("logged %v, want unsafe-broadcast at seq %d, cycle %d", v, e.Seq, c.cycle)
+			}
+			return
+		}
+	}
+	t.Fatal("never observed a guarded load awaiting broadcast")
+}
+
 // TestResetClearsSanitizerMarks is the regression test for stale writer
-// marks. Cycle numbers restart at zero after Reset, so a mark a previous run
-// left on physical register p at cycle k would, at cycle k of the next run,
-// make a consumer of p look like it read an in-flight, unbroadcast producer.
-// The test finds a consumer issuing at cycle k from a register no
-// instruction has written yet (so nothing in the new run overwrites the
-// mark first), plants that mark on a dirtied core, and requires the reset
-// run to stay clean.
+// state. Reset keeps the sanitizer's writer slots, so a slot a previous run
+// left for physical register p names whatever entry the new run puts in
+// that ROB slot. If checks 3–4 trusted it, a consumer of p issuing while
+// that entry is in flight and unbroadcast would look like it read an
+// unbroadcast producer. The test finds a consumer issuing at cycle k from
+// a register no instruction has written yet (so nothing in the new run
+// records a writer for it first) while an older entry is in flight
+// unbroadcast, plants that entry's slot as p's writer on a dirtied core,
+// and requires the reset run to stay clean.
 func TestResetClearsSanitizerMarks(t *testing.T) {
 	params := DefaultParams()
 	params.Sanitize = true
 	prog, err := asm.Assemble(`
 main:   li   t1, 7
-        mul  t2, t1, t1
-        add  t3, t2, t0
+        div  t2, t1, t1
+        add  t3, t0, t0
         halt
 `)
 	if err != nil {
@@ -107,6 +159,7 @@ main:   li   t1, 7
 
 	var k uint64
 	p := noPReg
+	var slot int32
 	written := make([]bool, params.PhysRegs)
 	ref := NewFromProgram(prog, core.FullProtection(), params)
 	for !ref.halted && p == noPReg {
@@ -117,8 +170,14 @@ main:   li   t1, 7
 			e := ref.robAt(i)
 			if e.Issued && e.IssuedAt == ref.cycle {
 				for _, src := range []int{e.Src1P, e.Src2P} {
-					if src != noPReg && !written[src] && p == noPReg {
-						k, p = ref.cycle, src
+					if src == noPReg || written[src] || p != noPReg {
+						continue
+					}
+					for j := 0; j < i; j++ {
+						if w := ref.robAt(j); w.DestP != noPReg && !w.Node.Broadcast {
+							k, p, slot = ref.cycle, src, w.Slot
+							break
+						}
 					}
 				}
 			}
@@ -128,7 +187,7 @@ main:   li   t1, 7
 		}
 	}
 	if p == noPReg {
-		t.Fatal("no consumer of an unwritten register found")
+		t.Fatal("no consumer of an unwritten register issued past an unbroadcast producer")
 	}
 
 	s, err := workload.ByName("mcf")
@@ -139,7 +198,7 @@ main:   li   t1, 7
 	if err := c.Run(maxCycles); err != nil {
 		t.Fatal(err)
 	}
-	c.sanWriterMark[p], c.sanWriterSeq[p], c.sanWriterBcast[p] = k, 0, false
+	c.sanWriter[p] = slot
 	m := mem.New()
 	emu.Load(m, prog)
 	c.Reset(prog, m, core.FullProtection())
@@ -147,7 +206,7 @@ main:   li   t1, 7
 		t.Fatal(err)
 	}
 	if n := c.SanitizerViolations(); n != 0 {
-		t.Errorf("%d violations after Reset from a stale mark on p%d at cycle %d", n, p, k)
+		t.Errorf("%d violations after Reset from a stale writer slot %d on p%d (consumer at cycle %d)", n, slot, p, k)
 		for _, v := range c.SanitizerLog() {
 			t.Log(v)
 		}
