@@ -83,7 +83,7 @@ load-smoke:
 ## gadget analyzer's SAFE verdicts cross-checked against dynamic simulation
 ## on generated programs; any static-SAFE/dynamic-leak disagreement fails;
 ## then 10 s of each native fuzz target (store FuzzOpen, serve
-## FuzzCellRequest, asm FuzzAssemble)
+## FuzzCellRequest, asm FuzzAssemble, checkpoint FuzzLoad)
 fuzz-smoke:
 	sh scripts/fuzz_smoke.sh
 

@@ -334,10 +334,12 @@ func BenchmarkWarmSweepRequest(b *testing.B) {
 // --- differential soundness checker ---
 
 // BenchmarkDiffuzz runs the differential checker over a fixed 100-seed
-// range: per program, generation, static analysis, two reference-emulator
-// runs and 18 sanitized timing runs on one reset core. Its allocs/op rides
-// the BENCH_*.json trajectory, so building a core per timing run again —
-// about 1.2 MB each — fails the bench-trajectory gate.
+// range: per program, generation, static analysis, two start images (one
+// per planted secret vector), two reference-emulator runs and the distinct
+// ones of 18 sanitized timing runs, each resumed on one core from its
+// start. Its allocs/op rides the BENCH_*.json trajectory, so building a
+// core per timing run again — about 1.2 MB each — fails the
+// bench-trajectory gate.
 func BenchmarkDiffuzz(b *testing.B) {
 	b.ReportAllocs()
 	seeds := diffuzz.Seeds(1, 100)

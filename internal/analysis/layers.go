@@ -94,7 +94,7 @@ var DefaultContract = []Rule{
 		"nda/internal/analysis", "nda/internal/attack", "nda/internal/core", "nda/internal/isa",
 		"nda/internal/par", "nda/internal/workload"}},
 	{Path: "nda/internal/diffuzz", Class: Deterministic, Allow: []string{
-		"nda/internal/core", "nda/internal/emu", "nda/internal/gadget", "nda/internal/isa",
+		"nda/internal/checkpoint", "nda/internal/core", "nda/internal/emu", "nda/internal/gadget", "nda/internal/isa",
 		"nda/internal/mem", "nda/internal/ooo", "nda/internal/par", "nda/internal/progen"}},
 	{Path: "nda/internal/harness", Class: Deterministic, Allow: []string{
 		"nda/internal/asm", "nda/internal/cache", "nda/internal/checkpoint", "nda/internal/core",

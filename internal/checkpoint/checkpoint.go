@@ -158,6 +158,9 @@ func (c *Checkpoint) Clone() *Checkpoint {
 
 var magic = [8]byte{'N', 'D', 'A', 'C', 'K', 'P', 'T', '1'}
 
+// maxPageNum is the number of the top page of the 64-bit address space.
+const maxPageNum = 1<<(64-mem.PageBits) - 1
+
 // Save writes the checkpoint to w.
 func (c *Checkpoint) Save(w io.Writer) error {
 	if _, err := w.Write(magic[:]); err != nil {
@@ -202,7 +205,8 @@ func (c *Checkpoint) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a checkpoint written by Save.
+// Load reads a checkpoint written by Save. It rejects a bad magic, a short
+// read, and a page number outside the address space.
 func Load(r io.Reader) (*Checkpoint, error) {
 	var m [8]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
@@ -216,6 +220,17 @@ func Load(r io.Reader) (*Checkpoint, error) {
 			if err := binary.Read(r, binary.LittleEndian, v); err != nil {
 				return err
 			}
+		}
+		return nil
+	}
+	// A page number past the address space would name a page no address
+	// reaches, or wrap onto a low page when shifted into an address.
+	readPageNum := func(pn *uint64) error {
+		if err := read(pn); err != nil {
+			return err
+		}
+		if *pn > maxPageNum {
+			return fmt.Errorf("checkpoint: page number %#x is outside the address space", *pn)
 		}
 		return nil
 	}
@@ -239,7 +254,7 @@ func Load(r io.Reader) (*Checkpoint, error) {
 	}
 	for i := uint64(0); i < nk; i++ {
 		var pn uint64
-		if err := read(&pn); err != nil {
+		if err := readPageNum(&pn); err != nil {
 			return nil, err
 		}
 		c.Mem.SetKernel(pn<<mem.PageBits, mem.PageSize)
@@ -251,7 +266,7 @@ func Load(r io.Reader) (*Checkpoint, error) {
 	buf := make([]byte, mem.PageSize)
 	for i := uint64(0); i < np; i++ {
 		var pn uint64
-		if err := read(&pn); err != nil {
+		if err := readPageNum(&pn); err != nil {
 			return nil, err
 		}
 		if _, err := io.ReadFull(r, buf); err != nil {

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"nda/internal/emu"
 	"nda/internal/inorder"
 	"nda/internal/isa"
+	"nda/internal/mem"
 	"nda/internal/ooo"
 	"nda/internal/stats"
 	"nda/internal/workload"
@@ -115,6 +117,41 @@ func TestLoadRejectsBadMagic(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input must be rejected")
+	}
+}
+
+// A page number past the 52-bit page space is rejected, as a data page
+// (no address reaches it) and as a kernel page (shifted into an address it
+// wraps, here onto page 0); the top page itself loads.
+func TestLoadRejectsPagesOutsideAddressSpace(t *testing.T) {
+	encode := func(kernel, data uint64) []byte {
+		var buf bytes.Buffer
+		buf.Write(magic[:])
+		words := make([]uint64, 2+isa.NumGPR+isa.NumMSR)
+		words = append(words, 1, kernel, 1, data)
+		binary.Write(&buf, binary.LittleEndian, words)
+		buf.Write(make([]byte, mem.PageSize))
+		return buf.Bytes()
+	}
+	cp, err := Load(bytes.NewReader(encode(maxPageNum, maxPageNum)))
+	if err != nil {
+		t.Fatalf("top page rejected: %v", err)
+	}
+	if !cp.Mem.KernelOnly(maxPageNum<<mem.PageBits) || cp.Mem.KernelOnly(0) {
+		t.Error("top page's kernel bit not where it was saved")
+	}
+	for _, c := range []struct {
+		name         string
+		kernel, data uint64
+	}{
+		{"kernel page", maxPageNum + 1, 0},
+		{"data page", 0, maxPageNum + 1},
+		{"kernel page wrapping onto page 5", 1<<52 + 5, 0},
+		{"data page", 0, ^uint64(0)},
+	} {
+		if _, err := Load(bytes.NewReader(encode(c.kernel, c.data))); err == nil {
+			t.Errorf("%s: kernel page %#x, data page %#x loaded", c.name, c.kernel, c.data)
+		}
 	}
 }
 

@@ -16,6 +16,12 @@
 // MSR (ooo.Core.WatchSecrets) is that twin cycle for cycle, and takes its
 // result too. A run that errored is never taken over.
 //
+// A secret vector is part of a program's start state: its loaded data
+// image with the vector's bytes planted, at its entry, with the planted
+// MSR set. Each worker takes that start once per vector, and every timing
+// run resumes the worker's checkpoint.Cores from it, as sweep and attack
+// cells do, so no run plants or sets anything.
+//
 // The soundness contract is one-sided: if the analyzer certifies a program
 // SAFE under a policy (no unblocked d-cache or BTB gadget) the traces must
 // be identical under that policy. A disagreement is a hard failure — either
@@ -34,9 +40,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
+	"nda/internal/checkpoint"
 	"nda/internal/core"
 	"nda/internal/emu"
 	"nda/internal/gadget"
@@ -115,7 +123,7 @@ type Result struct {
 
 // RunSeed generates and differentially tests one seed. Of its timing runs,
 // two per policy, it simulates each distinct one once, all on one core
-// reset between runs.
+// resumed from the program's start state with the run's secret vector.
 func RunSeed(seed int64) *Result {
 	t := new(timingCore)
 	return t.runSeed(seed, t.run)
@@ -137,11 +145,11 @@ type timingRun struct {
 	secret bool
 }
 
-// timingFunc performs one timing run of p, whose loaded data image is base,
-// under pol with shadows armed and sec planted, appending the channel trace
-// to evs, an empty buffer passed in for its capacity. The run's diverged
-// bits stand for shadows, in order.
-type timingFunc func(p *progen.Program, base *mem.Memory, pol core.Policy, shadows []core.Rules, sec secrets, evs []ooo.ChannelEvent) timingRun
+// timingFunc performs one timing run of p resumed from start, p's start
+// state with one secret vector planted, under pol with shadows armed,
+// appending the channel trace to evs, an empty buffer passed in for its
+// capacity. The run's diverged bits stand for shadows, in order.
+type timingFunc func(p *progen.Program, start *checkpoint.Checkpoint, pol core.Policy, shadows []core.Rules, evs []ooo.ChannelEvent) timingRun
 
 // policies is core.All built once; each core.All call allocates the gate
 // lists, and every program runs under every policy, the baseline first.
@@ -184,9 +192,11 @@ func (t *timingCore) repeated(i, s int) (*timingRun, int) {
 	return nil, 0
 }
 
-// runSeed is RunSeed on t's run image, with the timing runs delegated to
-// run. The program's data is loaded once, into a base image every run
-// restores from.
+// runSeed is RunSeed on t's start image, with the timing runs delegated to
+// run. It takes the start once per secret vector, A then B: every policy's
+// timing run resumes from it, then the emulator run runs on it and uses it
+// up. The results then fold in a fixed order, the architectural check
+// first, then each policy's runs in policy order.
 func (t *timingCore) runSeed(seed int64, run timingFunc) *Result {
 	r := &Result{Seed: seed, PerPolicy: map[string]PolicyResult{}}
 	if t.rng == nil {
@@ -198,47 +208,48 @@ func (t *timingCore) runSeed(seed int64, run timingFunc) *Result {
 		return r
 	}
 	r.Frags = p.Frags
-	base := t.load(p.Prog)
-
 	an := gadget.Analyze(p.Prog, gadget.Config{})
+
+	// The runs stay in t.runs, their traces in t.bufs, until the program
+	// is done: a later run may repeat any of them.
+	if t.runs == nil {
+		t.runs = make([][2]timingRun, len(policies))
+		t.bufs = make([][2][]ooo.ChannelEvent, len(policies))
+	}
+	var archErr [2]error
+	for s, sec := range [2]secrets{secretsA, secretsB} {
+		start := t.take(p, sec)
+		for i, pol := range policies {
+			tr := &t.runs[i][s]
+			if same, kind := t.repeated(i, s); same != nil {
+				// The trace stays in the buffer of the run repeated.
+				*tr = *same
+				t.elided[kind]++
+				continue
+			}
+			*tr = run(p, start, pol, rules[i+1:], t.bufs[i][s][:0])
+			t.bufs[i][s] = tr.trace
+			tr.diverged <<= i + 1 // bit j: policies[j]
+		}
+		archErr[s] = t.arch[s].run(p, start)
+	}
 
 	// Architectural independence: the reference emulator must execute the
 	// identical instruction/address stream and reach the same final state
 	// under both secret vectors. This validates the generator discipline
 	// the soundness argument rests on.
-	archA, archB := &t.archA, &t.archB
-	errA := archA.run(p, t.restore(base), secretsA)
-	errB := archB.run(p, t.restore(base), secretsB)
-	if errA != nil || errB != nil {
-		r.Failure = fmt.Sprintf("%s: architectural run failed: %v / %v", p.Name, errA, errB)
+	if archErr[0] != nil || archErr[1] != nil {
+		r.Failure = fmt.Sprintf("%s: architectural run failed: %v / %v", p.Name, archErr[0], archErr[1])
 		return r
 	}
-	if d := archA.diff(archB); d != "" {
+	if d := t.arch[0].diff(&t.arch[1]); d != "" {
 		r.Failure = fmt.Sprintf("%s (%s): architecturally secret-dependent: %s",
 			p.Name, strings.Join(p.Frags, "+"), d)
 		return r
 	}
 
-	// The runs stay in t.runs, their traces in t.bufs, until the program
-	// is done: a later policy's run may repeat any of them.
-	if t.runs == nil {
-		t.runs = make([][2]timingRun, len(policies))
-		t.bufs = make([][2][]ooo.ChannelEvent, len(policies))
-	}
 	for i, pol := range policies {
-		runs := &t.runs[i]
-		for s, sec := range [2]secrets{secretsA, secretsB} {
-			if same, kind := t.repeated(i, s); same != nil {
-				// The trace stays in the buffer of the run repeated.
-				runs[s] = *same
-				t.elided[kind]++
-				continue
-			}
-			runs[s] = run(p, base, pol, rules[i+1:], sec, t.bufs[i][s][:0])
-			t.bufs[i][s] = runs[s].trace
-			runs[s].diverged <<= i + 1 // bit j: policies[j]
-		}
-		a, b := runs[0], runs[1]
+		a, b := t.runs[i][0], t.runs[i][1]
 		r.SanViolations += a.san + b.san
 		if a.err != nil || b.err != nil {
 			r.Failure = fmt.Sprintf("%s under %s: timing run failed: %v / %v", p.Name, pol.Name, a.err, b.err)
@@ -246,7 +257,7 @@ func (t *timingCore) runSeed(seed int64, run timingFunc) *Result {
 		}
 		pr := PolicyResult{
 			StaticSafe:  !an.Leaks[pol.Name],
-			DynamicLeak: !tracesEqual(a.trace, b.trace),
+			DynamicLeak: !slices.Equal(a.trace, b.trace),
 		}
 		r.PerPolicy[pol.Name] = pr
 		if a.san+b.san > 0 {
@@ -287,12 +298,11 @@ func (a *archRun) diff(b *archRun) string {
 	return ""
 }
 
-// run records p's run on the reference emulator over img, which holds p's
-// loaded data image, with sec planted, into r, reusing r's step log.
-func (r *archRun) run(p *progen.Program, img *mem.Memory, sec secrets) error {
-	m := emu.NewWithMemory(p.Prog, img)
-	plant(m.Mem, sec.fill)
-	m.MSR[isa.MSRSecretKey] = sec.msr
+// run records p's run on the reference emulator from start into r, reusing
+// r's step log. The run writes to start's memory image, which it uses up.
+func (r *archRun) run(p *progen.Program, start *checkpoint.Checkpoint) error {
+	m := emu.NewWithMemory(p.Prog, start.Mem)
+	m.PC, m.Regs, m.MSR = start.PC, start.Regs, start.MSR
 	*r = archRun{steps: r.steps[:0]}
 	for !m.Halted {
 		if r.retired >= instCap {
@@ -314,58 +324,49 @@ func (r *archRun) run(p *progen.Program, img *mem.Memory, sec secrets) error {
 }
 
 // timingCore is one fuzz worker's state, kept across programs: the
-// generator's random source, reseeded for every program; a core, built on
-// the first timing run and reset for every later one; a memory image every
-// run (timing or architectural) restores from the program's base image,
-// itself reloaded for every program; a program's timing runs, two per
-// policy, with their trace buffers, and its two architectural step logs;
-// the recorder that appends each channel event to evs, the trace of the
-// run in progress; and how many runs of each kind (policyRepeat,
-// secretRepeat) were taken over. The recorder is bound once, so arming a
-// run's trace hook allocates nothing.
+// generator's random source, reseeded for every program; the cores every
+// timing run resumes; the start image, taken for every program and secret
+// vector; a program's timing runs, two per policy, with their trace
+// buffers, and its two architectural step logs; the recorder that appends
+// each channel event to evs, the trace of the run in progress; and how many
+// runs of each kind (policyRepeat, secretRepeat) were taken over. The
+// recorder is bound once, so arming a run's trace hook allocates nothing.
 type timingCore struct {
-	rng          *rand.Rand // progen's source, reseeded for every program
-	c            *ooo.Core
-	m            *mem.Memory
-	base, empty  *mem.Memory
-	runs         [][2]timingRun          // by policy, then secret A, B
-	bufs         [][2][]ooo.ChannelEvent // likewise
-	archA, archB archRun
-	evs          []ooo.ChannelEvent
-	record       func(ooo.ChannelEvent)
-	elided       [2]int
+	rng    *rand.Rand // progen's source, reseeded for every program
+	cores  checkpoint.Cores
+	start  checkpoint.Checkpoint
+	runs   [][2]timingRun          // by policy, then secret A, B
+	bufs   [][2][]ooo.ChannelEvent // likewise
+	arch   [2]archRun              // by secret
+	evs    []ooo.ChannelEvent
+	record func(ooo.ChannelEvent)
+	elided [2]int
 }
 
-// load returns t's base image holding exactly p's loaded data. The image
-// is emptied by a copy of an empty one, which keeps the previous program's
-// page buffers for p's.
-func (t *timingCore) load(p *isa.Program) *mem.Memory {
-	if t.base == nil {
-		t.base, t.empty = mem.New(), mem.New()
+// emptyImage is the image every start image is emptied by a copy of. No
+// worker writes it, so all of them share it.
+var emptyImage = mem.New()
+
+// take returns t's start image for p with sec planted: p's loaded data
+// with every planted region filled with sec.fill, at p's entry, with the
+// privileged MSR holding sec.msr. Emptying the image by a copy of an empty
+// one keeps the previous program's page buffers for p's, and the planted
+// pages stay mapped in every core that resumes from it.
+func (t *timingCore) take(p *progen.Program, sec secrets) *checkpoint.Checkpoint {
+	if t.start.Mem == nil {
+		t.start.Mem = mem.New()
 	}
-	t.base.CopyFrom(t.empty)
-	emu.Load(t.base, p)
-	return t.base
+	t.start.Mem.CopyFrom(emptyImage)
+	emu.Load(t.start.Mem, p.Prog)
+	plant(t.start.Mem, sec.fill)
+	t.start.PC = p.Prog.Entry
+	t.start.MSR[isa.MSRSecretKey] = sec.msr
+	return &t.start
 }
 
-// restore returns t's run image holding exactly base's contents.
-func (t *timingCore) restore(base *mem.Memory) *mem.Memory {
-	if t.m == nil {
-		t.m = mem.New()
-	}
-	t.m.CopyFrom(base)
-	return t.m
-}
-
-// run is the timingFunc of a fuzz worker: it simulates on t's core.
-func (t *timingCore) run(p *progen.Program, base *mem.Memory, pol core.Policy, shadows []core.Rules, sec secrets, evs []ooo.ChannelEvent) timingRun {
-	m := t.restore(base)
-	if t.c == nil {
-		t.c = ooo.New(p.Prog, m, pol, timingParams())
-	} else {
-		t.c.Reset(p.Prog, m, pol)
-	}
-	return t.timing(shadows, sec, evs)
+// run is the timingFunc of a fuzz worker: it resumes t's core from start.
+func (t *timingCore) run(p *progen.Program, start *checkpoint.Checkpoint, pol core.Policy, shadows []core.Rules, evs []ooo.ChannelEvent) timingRun {
+	return t.timing(t.cores.ResumeOoO(start, p.Prog, pol, timingParams()), shadows, evs)
 }
 
 // timingParams is the core configuration of every timing run: the paper's
@@ -376,13 +377,10 @@ func timingParams() ooo.Params {
 	return params
 }
 
-// timing plants the secrets in t's core, which is ready to run (fresh or
-// just reset), arms the shadows and the secret watch, runs it, and returns
-// the run with its channel trace appended to evs.
-func (t *timingCore) timing(shadows []core.Rules, sec secrets, evs []ooo.ChannelEvent) timingRun {
-	c := t.c
-	plant(c.Memory(), sec.fill)
-	c.SetMSR(isa.MSRSecretKey, sec.msr)
+// timing arms the shadows and the secret watch of c, a core resumed from
+// a start, runs it, and returns the run with its channel trace appended to
+// evs.
+func (t *timingCore) timing(c *ooo.Core, shadows []core.Rules, evs []ooo.ChannelEvent) timingRun {
 	c.SetShadows(shadows)
 	c.WatchSecrets(secretSpans, isa.MSRSecretKey)
 	// Warm the secret lines so wrong-path dependence chains outrun their
@@ -419,18 +417,6 @@ func plant(m *mem.Memory, secret byte) {
 	m.StoreBytes(progen.SecretBase, fill[:])
 	m.StoreBytes(progen.StaleBase, fill[:])
 	m.StoreBytes(progen.KSecretBase, fill[:])
-}
-
-func tracesEqual(a, b []ooo.ChannelEvent) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // traceDiff renders the first divergent event pair for failure reports.
@@ -507,10 +493,9 @@ func Summarize(results []*Result) *Summary {
 		KindTotal:   map[string]int{},
 		KindLeakOoO: map[string]int{},
 	}
-	all := core.All()
-	s.Policies = make([]PolicyCensus, len(all))
+	s.Policies = make([]PolicyCensus, len(policies))
 	byPolicy := map[string]*PolicyCensus{}
-	for i, pol := range all {
+	for i, pol := range policies {
 		s.Policies[i] = PolicyCensus{Policy: pol.Name}
 		byPolicy[pol.Name] = &s.Policies[i]
 	}

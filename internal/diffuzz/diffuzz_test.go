@@ -3,10 +3,12 @@ package diffuzz
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"nda/internal/checkpoint"
 	"nda/internal/core"
-	"nda/internal/mem"
+	"nda/internal/isa"
 	"nda/internal/ooo"
 	"nda/internal/progen"
 )
@@ -120,9 +122,31 @@ func TestFuzzWorkerCountInvariant(t *testing.T) {
 }
 
 // freshTiming is the timing path before cores and memory images were
-// reused: a new core, with p's data loaded into a new memory, for every run.
-func freshTiming(p *progen.Program, _ *mem.Memory, pol core.Policy, shadows []core.Rules, sec secrets, evs []ooo.ChannelEvent) timingRun {
-	return runTiming(ooo.NewFromProgram(p.Prog, pol, timingParams()), shadows, sec, evs)
+// reused: a new core, with p's data loaded into a new memory, sec planted by
+// hand and the MSR set through Resume, for every run.
+func freshTiming(p *progen.Program, pol core.Policy, shadows []core.Rules, sec secrets, evs []ooo.ChannelEvent) timingRun {
+	c := ooo.NewFromProgram(p.Prog, pol, timingParams())
+	plant(c.Memory(), sec.fill)
+	var msr [isa.NumMSR]uint64
+	msr[isa.MSRSecretKey] = sec.msr
+	c.Resume([isa.NumGPR]uint64{}, msr, p.Prog.Entry)
+	return new(timingCore).timing(c, shadows, evs)
+}
+
+// startSecrets names the secret vector a start holds, by its MSR value.
+func startSecrets(start *checkpoint.Checkpoint) secrets {
+	for _, sec := range [2]secrets{secretsA, secretsB} {
+		if start.MSR[isa.MSRSecretKey] == sec.msr {
+			return sec
+		}
+	}
+	panic(fmt.Sprintf("start holds no known secret vector: MSR %#x", start.MSR[isa.MSRSecretKey]))
+}
+
+// freshRun is freshTiming as a timingFunc: it reads only which secret
+// vector start holds.
+func freshRun(p *progen.Program, start *checkpoint.Checkpoint, pol core.Policy, shadows []core.Rules, evs []ooo.ChannelEvent) timingRun {
+	return freshTiming(p, pol, shadows, startSecrets(start), evs)
 }
 
 // The reused path must be indistinguishable from a fresh core and a fresh
@@ -140,21 +164,21 @@ func TestReusedCoreMatchesFresh(t *testing.T) {
 	runs := 0
 	tm := new(timingCore)
 	for i, seed := range seeds {
-		check := func(p *progen.Program, base *mem.Memory, pol core.Policy, shadows []core.Rules, sec secrets, evs []ooo.ChannelEvent) timingRun {
-			r := tm.run(p, base, pol, shadows, sec, evs)
+		check := func(p *progen.Program, start *checkpoint.Checkpoint, pol core.Policy, shadows []core.Rules, evs []ooo.ChannelEvent) timingRun {
+			r := tm.run(p, start, pol, shadows, evs)
 			got, gotSan, gotErr := r.trace, r.san, r.err
-			w := freshTiming(p, base, pol, shadows, sec, nil)
+			w := freshRun(p, start, pol, shadows, nil)
 			want, wantSan, wantErr := w.trace, w.san, w.err
-			secret := sec.fill
+			secret := startSecrets(start).fill
 			runs++
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || gotSan != wantSan || !tracesEqual(got, want) {
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || gotSan != wantSan || !slices.Equal(got, want) {
 				t.Errorf("seed %d under %s, secret %#x: reused core gave %d events, %d violations, err %v; fresh gave %d, %d, %v (%s)",
 					seed, pol.Name, secret, len(got), gotSan, gotErr, len(want), wantSan, wantErr, traceDiff(got, want))
 			}
 			return r
 		}
 		reused[i] = tm.runSeed(seed, check)
-		fresh[i] = new(timingCore).runSeed(seed, freshTiming)
+		fresh[i] = new(timingCore).runSeed(seed, freshRun)
 		if !reflect.DeepEqual(reused[i], fresh[i]) {
 			t.Errorf("seed %d: result %+v, fresh cores %+v", seed, reused[i], fresh[i])
 		}

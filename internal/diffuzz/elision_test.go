@@ -3,10 +3,11 @@ package diffuzz
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
+	"nda/internal/checkpoint"
 	"nda/internal/core"
-	"nda/internal/mem"
 	"nda/internal/ooo"
 	"nda/internal/progen"
 )
@@ -23,9 +24,9 @@ func TestElisionExact(t *testing.T) {
 	compared := 0
 	for _, seed := range seeds {
 		simulated := map[string]bool{}
-		record := func(p *progen.Program, base *mem.Memory, pol core.Policy, shadows []core.Rules, sec secrets, evs []ooo.ChannelEvent) timingRun {
-			simulated[fmt.Sprint(pol.Name, sec)] = true
-			return tm.run(p, base, pol, shadows, sec, evs)
+		record := func(p *progen.Program, start *checkpoint.Checkpoint, pol core.Policy, shadows []core.Rules, evs []ooo.ChannelEvent) timingRun {
+			simulated[fmt.Sprint(pol.Name, startSecrets(start))] = true
+			return tm.run(p, start, pol, shadows, evs)
 		}
 		if r := tm.runSeed(seed, record); r.Failure != "" {
 			t.Fatalf("seed %d: %s", seed, r.Failure)
@@ -40,7 +41,7 @@ func TestElisionExact(t *testing.T) {
 					continue
 				}
 				compared++
-				got, same := freshTiming(p, nil, pol, nil, sec, nil), tm.runs[i][s]
+				got, same := freshTiming(p, pol, nil, sec, nil), tm.runs[i][s]
 				switch {
 				case fmt.Sprint(got.err) != fmt.Sprint(same.err):
 					t.Errorf("seed %d under %s, secret %#x: err %v, taken over from a run with err %v", seed, pol.Name, sec.fill, got.err, same.err)
@@ -49,7 +50,7 @@ func TestElisionExact(t *testing.T) {
 				case got.cycles != same.cycles || got.retired != same.retired:
 					t.Errorf("seed %d under %s, secret %#x: %d cycles, %d committed; taken over from a run with %d, %d",
 						seed, pol.Name, sec.fill, got.cycles, got.retired, same.cycles, same.retired)
-				case !tracesEqual(got.trace, same.trace):
+				case !slices.Equal(got.trace, same.trace):
 					t.Errorf("seed %d under %s, secret %#x: trace differs from the run taken over: %s",
 						seed, pol.Name, sec.fill, traceDiff(got.trace, same.trace))
 				}

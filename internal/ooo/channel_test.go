@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"slices"
 	"testing"
 
 	"nda/internal/asm"
@@ -17,23 +18,13 @@ func collectTrace(t *testing.T, src string, pol core.Policy, secret uint64) []Ch
 	c := NewFromProgram(p, pol, DefaultParams())
 	var evs []ChannelEvent
 	c.TraceChannel = func(ev ChannelEvent) { evs = append(evs, ev) }
-	c.SetMSR(isa.MSRSecretKey, secret)
+	var msr [isa.NumMSR]uint64
+	msr[isa.MSRSecretKey] = secret
+	c.Resume([isa.NumGPR]uint64{}, msr, p.Entry)
 	if err := c.Run(maxCycles); err != nil {
 		t.Fatal(err)
 	}
 	return evs
-}
-
-func tracesEqual(a, b []ChannelEvent) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // A transmitter that consumes the faulting value DIRECTLY — no intermediate
@@ -69,7 +60,7 @@ func TestFaultDeliversBeforeBroadcast(t *testing.T) {
 	for _, pol := range core.All() {
 		a := collectTrace(t, faultDirectSrc, pol, 0x200100)
 		b := collectTrace(t, faultDirectSrc, pol, 0x204180)
-		if eq := tracesEqual(a, b); eq != !leak[pol.Name] {
+		if eq := slices.Equal(a, b); eq != !leak[pol.Name] {
 			t.Errorf("%s: channel traces equal=%v, want leak=%v (%d/%d events)",
 				pol.Name, eq, leak[pol.Name], len(a), len(b))
 		}

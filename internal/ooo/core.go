@@ -243,8 +243,9 @@ func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 // caches and the BTB empty in O(1), by generation bump; beyond them it
 // touches the last run's in-flight entries, the fetch queue, the
 // register file with its waiter sets and the gshare table, not the ~1.2 MB
-// a fresh core allocates. The differential fuzzer and the harness's sweep
-// workers each keep one core this way and Reset it for every run.
+// a fresh core allocates. Every worker's checkpoint.Cores, in the sweep,
+// the attack matrix and the differential fuzzer, keeps one core this way
+// and Resets it for every run.
 func (c *Core) Reset(prog *isa.Program, m *mem.Memory, pol core.Policy) {
 	// In-flight entries go back to their reset state; every other ring
 	// slot already is in it (retire and squash reset the entries they
@@ -433,11 +434,6 @@ func (c *Core) Regs() [isa.NumGPR]uint64 {
 
 // MSR returns a model-specific register's committed value.
 func (c *Core) MSR(n uint16) uint64 { return c.msr[n] }
-
-// SetMSR plants a value in a model-specific register before the program
-// runs; attack PoCs use it to install the privileged secret (the LazyFP /
-// Meltdown-v3a scenario, where another context left a secret behind).
-func (c *Core) SetMSR(n uint16, v uint64) { c.msr[n] = v }
 
 // Params returns the configuration the core was built with.
 func (c *Core) Params() Params { return c.p }
@@ -640,7 +636,9 @@ func earlierEvent(h, now, v uint64) uint64 {
 // Reset: registers, MSRs, and the program counter, so execution starts at
 // pc on the core's memory image. Retired counts from zero, so
 // instruction-budget runs measure relative progress. Used by
-// checkpoint.Cores, through which every sweep and attack cell starts.
+// checkpoint.Cores, through which every sweep and attack cell and every
+// differential-fuzz timing run starts; an MSR secret is part of the
+// snapshot it installs.
 func (c *Core) Resume(regs [isa.NumGPR]uint64, msrs [isa.NumMSR]uint64, pc uint64) {
 	for i := 1; i < isa.NumGPR; i++ {
 		c.regVal[c.rat[i]] = regs[i]

@@ -215,7 +215,7 @@ func TestRunMatchesPerCycleStepping(t *testing.T) {
 				run := func(step bool) *runRecord {
 					r := &runRecord{}
 					c := NewFromProgram(prog, pol, params)
-					plantSecrets(c)
+					plantSecrets(c, prog)
 					c.TraceChannel = func(ev ChannelEvent) { r.events = append(r.events, ev) }
 					if step {
 						stepReference(t, c, maxCycles)
@@ -311,10 +311,11 @@ func compareRuns(t *testing.T, name string, jumped, stepped *runRecord) {
 	}
 }
 
-// plantSecrets prepares c the way the differential fuzzer does: secret
-// bytes in every planted region, the privileged MSR set, and the secret
-// lines warmed so wrong-path chains outrun their guard's miss.
-func plantSecrets(c *Core) {
+// plantSecrets prepares c, fresh on prog, the way the differential fuzzer's
+// start does: secret bytes in every planted region, the privileged MSR set
+// through Resume, and the secret lines warmed so wrong-path chains outrun
+// their guard's miss.
+func plantSecrets(c *Core, prog *isa.Program) {
 	var fill [progen.SecretBytes]byte
 	for i := range fill {
 		fill[i] = 0xA5
@@ -323,7 +324,9 @@ func plantSecrets(c *Core) {
 		c.Memory().StoreBytes(base, fill[:])
 		c.Hierarchy().Data(base)
 	}
-	c.SetMSR(isa.MSRSecretKey, 0x200100)
+	var msr [isa.NumMSR]uint64
+	msr[isa.MSRSecretKey] = 0x200100
+	c.Resume([isa.NumGPR]uint64{}, msr, prog.Entry)
 }
 
 // gadgetPrograms returns the first n generated programs that carry at least
