@@ -555,10 +555,6 @@ func (g *CallGraph) condense() {
 	g.sccCount = len(comps)
 }
 
-// SameSCC reports whether two nodes are mutually recursive (share a
-// strongly connected component).
-func (g *CallGraph) SameSCC(a, b *FuncNode) bool { return a != nil && b != nil && a.scc == b.scc }
-
 // chainString renders a call chain for a finding message. Module paths
 // are shortened by the module-path prefix to keep messages readable.
 func chainString(mod *Module, root string, chain []string) string {

@@ -47,7 +47,7 @@ func TestCallGraphMutualRecursion(t *testing.T) {
 	g := loadShapes(t)
 	even := node(t, g, "shapes/s.Even")
 	odd := node(t, g, "shapes/s.Odd")
-	if !g.SameSCC(even, odd) {
+	if even.scc != odd.scc {
 		t.Error("Even and Odd are mutually recursive but landed in different SCCs")
 	}
 	if !calls(even, odd) || !calls(odd, even) {

@@ -18,7 +18,23 @@ import (
 // byte-identically from the shared store without dispatching a single
 // cell. The store is deliberately never closed between the two
 // (coordinator replicas crash; the tier must not care).
+//
+// The "reopened" replica opens its store after the first coordinator has
+// finished, so it finds every cell in its Open-time scan. The "live"
+// replica opens its store before the first coordinator sweeps, as replicas
+// running side by side do, so it finds every cell only by reading the
+// entry files its peer wrote since.
 func TestFleetSharedStoreTier(t *testing.T) {
+	for _, live := range []bool{false, true} {
+		name := "reopened"
+		if live {
+			name = "live"
+		}
+		t.Run(name, func(t *testing.T) { testFleetSharedStoreTier(t, live) })
+	}
+}
+
+func testFleetSharedStoreTier(t *testing.T, live bool) {
 	want := goldenSweep(t)
 	dir := t.TempDir()
 
@@ -26,7 +42,13 @@ func TestFleetSharedStoreTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord1, _, mgr1 := startCoordinatorWith(t, serve.Config{SharedStore: shared1}, fleetOpts(), startWorker(t), startWorker(t))
+	var shared2 *store.Store
+	if live {
+		if shared2, err = store.Open(dir, store.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coord1, _, _ := startCoordinatorWith(t, serve.Config{SharedStore: shared1}, fleetOpts(), startWorker(t), startWorker(t))
 
 	code, body := post(t, coord1+"/v1/sweep", sweep92())
 	if code != http.StatusAccepted {
@@ -40,8 +62,8 @@ func TestFleetSharedStoreTier(t *testing.T) {
 	if st.Tiers.Computed != 92 || st.Tiers.FleetShared != 0 {
 		t.Fatalf("cold fleet pass tiers = %+v, want 92 computed", st.Tiers)
 	}
-	if hits, puts := mgr1.Metrics().SharedHits.Load(), mgr1.Metrics().SharedPuts.Load(); hits != 0 || puts != 92 {
-		t.Fatalf("cold pass shared stats: hits=%d puts=%d, want 0/92", hits, puts)
+	if c := shared1.Counters(); c.Hits != 0 || c.Puts != 92 {
+		t.Fatalf("cold pass shared stats: hits=%d puts=%d, want 0/92", c.Hits, c.Puts)
 	}
 	code, got := get(t, coord1+"/v1/jobs/"+st.ID+"/result")
 	if code != http.StatusOK || !bytes.Equal(got, want) {
@@ -50,11 +72,12 @@ func TestFleetSharedStoreTier(t *testing.T) {
 
 	// A second coordinator replica over the same store directory. shared1
 	// was never closed — every Put is already durable on its own.
-	shared2, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
+	if !live {
+		if shared2, err = store.Open(dir, store.Options{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	coord2, fleet2, mgr2 := startCoordinatorWith(t, serve.Config{SharedStore: shared2}, fleetOpts(), startWorker(t))
+	coord2, fleet2, _ := startCoordinatorWith(t, serve.Config{SharedStore: shared2}, fleetOpts(), startWorker(t))
 
 	code, body = post(t, coord2+"/v1/sweep", sweep92())
 	if code != http.StatusAccepted {
@@ -73,8 +96,8 @@ func TestFleetSharedStoreTier(t *testing.T) {
 			t.Errorf("fleet-shared hit dispatched to %s anyway (%d attempts)", ws.Worker, ws.Dispatched)
 		}
 	}
-	if hits, misses := mgr2.Metrics().SharedHits.Load(), mgr2.Metrics().SharedMisses.Load(); hits != 92 || misses != 0 {
-		t.Errorf("replica shared stats: hits=%d misses=%d, want 92/0", hits, misses)
+	if c := shared2.Counters(); c.Hits != 92 || c.Misses != 0 || c.Puts != 0 {
+		t.Errorf("replica shared stats: hits=%d misses=%d puts=%d, want 92/0/0", c.Hits, c.Misses, c.Puts)
 	}
 	code, got = get(t, coord2+"/v1/jobs/"+st.ID+"/result")
 	if code != http.StatusOK {

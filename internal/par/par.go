@@ -52,24 +52,11 @@ func (s *Sem) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire takes a slot only if one is free right now.
-func (s *Sem) TryAcquire() bool {
-	select {
-	case s.ch <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release frees a slot taken by Acquire or TryAcquire.
+// Release frees a slot taken by Acquire.
 func (s *Sem) Release() { <-s.ch }
 
 // InUse reports how many slots are currently held (a queue-depth gauge).
 func (s *Sem) InUse() int { return len(s.ch) }
-
-// Cap reports the slot count.
-func (s *Sem) Cap() int { return cap(s.ch) }
 
 // Job is a pool job, given the index i of the job it runs. The form
 // func(w, i int) error is also given the index w, in [0, workers), of the

@@ -206,9 +206,6 @@ func TestRunWorkerIndex(t *testing.T) {
 // concurrent holders, and Acquire respects a dead context.
 func TestSemBoundsConcurrency(t *testing.T) {
 	s := NewSem(3)
-	if s.Cap() != 3 {
-		t.Fatalf("Cap = %d, want 3", s.Cap())
-	}
 	var cur, peak atomic.Int64
 	if err := RunCtx(context.Background(), 64, 16, func(int) error {
 		if err := s.Acquire(context.Background()); err != nil {
@@ -234,14 +231,15 @@ func TestSemBoundsConcurrency(t *testing.T) {
 		t.Errorf("InUse = %d after all releases", s.InUse())
 	}
 
-	// Full semaphore: TryAcquire refuses, Acquire honors cancellation.
+	// Full semaphore: three slots fill it, and Acquire honors
+	// cancellation.
 	for i := 0; i < 3; i++ {
-		if !s.TryAcquire() {
-			t.Fatal("TryAcquire failed on free slot")
+		if err := s.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if s.TryAcquire() {
-		t.Fatal("TryAcquire succeeded on full semaphore")
+	if s.InUse() != 3 {
+		t.Fatalf("InUse = %d, want 3", s.InUse())
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -253,7 +251,12 @@ func TestSemBoundsConcurrency(t *testing.T) {
 // TestSemMinimumOneSlot: a non-positive size still admits one holder.
 func TestSemMinimumOneSlot(t *testing.T) {
 	s := NewSem(0)
-	if s.Cap() != 1 {
-		t.Fatalf("Cap = %d, want 1", s.Cap())
+	if err := s.Acquire(context.Background()); err != nil || s.InUse() != 1 {
+		t.Fatalf("Acquire = %v with %d in use, want one slot taken", err, s.InUse())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.Acquire(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("second Acquire = %v, want context.Canceled on the one full slot", err)
 	}
 }

@@ -327,8 +327,9 @@ func builtin(name string) (gadget.Input, error) {
 func (m *Manager) measure(ctx context.Context, c *cell) (any, error) {
 	var ss *harness.SampleSeries
 	if c.cfg.UseCheckpoints {
-		v, _, err := m.cache.Do(ctx, seriesID(c.sweep.Spec, *c.cfg), func() (any, error) {
-			return harness.TakeSamples(ctx, c.sweep.Spec, *c.cfg)
+		v, _, _, err := m.cache.Do(ctx, seriesID(c.sweep.Spec, *c.cfg), func() (any, []byte, int, error) {
+			ss, err := harness.TakeSamples(ctx, c.sweep.Spec, *c.cfg)
+			return ss, nil, 0, err
 		})
 		if err != nil {
 			return nil, err

@@ -132,8 +132,8 @@ func TestCellEndpointRejects(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	var evictions int
 	c := NewCache(2, func(int) { evictions++ })
-	compute := func(v int) func() (any, error) {
-		return func() (any, error) { return v, nil }
+	compute := func(v int) func() (any, []byte, int, error) {
+		return fill(func() (any, error) { return v, nil })
 	}
 	ctx := context.Background()
 	c.Do(ctx, "a", compute(1))
@@ -146,10 +146,10 @@ func TestCacheLRUEviction(t *testing.T) {
 	if evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", evictions)
 	}
-	if _, hit, _ := c.Do(ctx, "a", compute(10)); !hit {
+	if _, _, hit, _ := c.Do(ctx, "a", compute(10)); !hit {
 		t.Error("recently-touched entry was evicted instead of the LRU one")
 	}
-	v, hit, _ := c.Do(ctx, "b", compute(20))
+	v, _, hit, _ := c.Do(ctx, "b", compute(20))
 	if hit || v.(int) != 20 {
 		t.Errorf("evicted key: v=%v hit=%v, want recompute to 20", v, hit)
 	}

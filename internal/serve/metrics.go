@@ -34,10 +34,6 @@ type Metrics struct {
 	CacheEvictions    atomic.Int64 // ready entries dropped by the LRU cap
 	CacheEvictedBytes atomic.Int64 // approximate encoded bytes those evictions released
 
-	// The fleet-shared tier's traffic (Config.SharedStore): lookups it
-	// served, lookups it did not hold, and computed cells written to it.
-	SharedHits, SharedMisses, SharedPuts atomic.Int64
-
 	CellsServed atomic.Int64 // worker-side /v1/cell requests completed
 
 	Simulations     atomic.Int64 // detailed simulations actually run
@@ -109,10 +105,11 @@ func (m *Manager) RenderMetrics() string {
 		counter("nda_store_evicted_bytes_total", "bytes released by those evictions", c.EvictedBytes)
 		counter("nda_store_dropped_on_open_total", "invalid entries dropped during open-time recovery", c.DroppedOnOpen)
 	}
-	if m.cfg.SharedStore != nil {
-		counter("nda_dist_shared_hits_total", "cells served from the fleet-shared store without dispatching", mt.SharedHits.Load())
-		counter("nda_dist_shared_misses_total", "cells the fleet-shared store did not hold", mt.SharedMisses.Load())
-		counter("nda_dist_shared_puts_total", "completed cells written back to the fleet-shared store", mt.SharedPuts.Load())
+	if s := m.cfg.SharedStore; s != nil {
+		c := s.Counters()
+		counter("nda_dist_shared_hits_total", "cells served from the fleet-shared store without dispatching", c.Hits)
+		counter("nda_dist_shared_misses_total", "cells the fleet-shared store did not hold", c.Misses)
+		counter("nda_dist_shared_puts_total", "completed cells written back to the fleet-shared store", c.Puts)
 	}
 	if f := m.cfg.Fleet; f != nil {
 		type ws = dist.WorkerStats

@@ -270,10 +270,12 @@ type Config struct {
 	// persisted — only client-visible cell results are.
 	Store *store.Store
 	// SharedStore, when non-nil, is the fleet-shared tier under the disk
-	// tier: a store every coordinator replica can reach. Cells found there
-	// are served without dispatching to any worker, and computed cells are
-	// written back. It may be the same store as Store, which then makes
-	// one tier: the disk tier.
+	// tier: a store directory every coordinator replica opens. Cells found
+	// there, including those a live replica wrote after this one opened
+	// it, are served without dispatching to any worker, and computed cells
+	// are written back. The store's own counters are the
+	// nda_dist_shared_* block of /metrics. It may be the same store as
+	// Store, which then makes one tier: the disk tier.
 	SharedStore *store.Store
 	// Fleet, when non-nil, turns the manager into a coordinator: cells
 	// that miss every cache tier are dispatched to the fleet's workers
@@ -360,7 +362,7 @@ func NewManager(cfg Config) *Manager {
 			m.tiers[0] = cfg.Store
 		}
 		if cfg.SharedStore != nil {
-			m.tiers[1] = countedTier{cfg.SharedStore, m.metrics}
+			m.tiers[1] = cfg.SharedStore
 		}
 	}
 	m.cache = NewCache(cfg.CacheMaxEntries, func(sizeBytes int) {
@@ -376,28 +378,6 @@ func NewManager(cfg Config) *Manager {
 
 // Metrics exposes the counter block.
 func (m *Manager) Metrics() *Metrics { return m.metrics }
-
-// countedTier is the fleet-shared level: the store itself, with its
-// lookups and writes counted for /metrics.
-type countedTier struct {
-	*store.Store
-	metrics *Metrics
-}
-
-func (t countedTier) Get(key string) ([]byte, bool) {
-	b, ok := t.Store.Get(key)
-	if ok {
-		t.metrics.SharedHits.Add(1)
-	} else {
-		t.metrics.SharedMisses.Add(1)
-	}
-	return b, ok
-}
-
-func (t countedTier) Put(key string, val []byte) {
-	t.Store.Put(key, val)
-	t.metrics.SharedPuts.Add(1)
-}
 
 // Get returns a job by ID.
 func (m *Manager) Get(id string) (*Job, bool) {
@@ -575,7 +555,9 @@ func (m *Manager) storeResolvable(cells []cell) bool {
 	return true
 }
 
-// resident reports whether key is ready in RAM or held by any tier.
+// resident reports whether key is ready in RAM or held by any tier. A
+// store answers from its own index without I/O, so a cell a live replica
+// wrote into the shared store counts only once a lookup here has found it.
 func (m *Manager) resident(key string) bool {
 	if m.cache.Contains(key) {
 		return true

@@ -37,6 +37,15 @@ func TestKeyDeterministic(t *testing.T) {
 	}
 }
 
+// fill adapts a value-only computation to Cache.Do's fill: the entry
+// keeps no encoding and counts zero bytes.
+func fill(compute func() (any, error)) func() (any, []byte, int, error) {
+	return func() (any, []byte, int, error) {
+		v, err := compute()
+		return v, nil, 0, err
+	}
+}
+
 // TestCacheSingleflight: concurrent callers for one key run the computation
 // exactly once; everyone shares the result and all but the owner report a
 // hit.
@@ -50,11 +59,11 @@ func TestCacheSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-gate
-			v, hit, err := c.Do(context.Background(), "k", func() (any, error) {
+			v, _, hit, err := c.Do(context.Background(), "k", fill(func() (any, error) {
 				computes.Add(1)
 				time.Sleep(10 * time.Millisecond) // let the others pile up
 				return 42, nil
-			})
+			}))
 			if err != nil || v.(int) != 42 {
 				t.Errorf("Do = %v, %v", v, err)
 			}
@@ -81,13 +90,13 @@ func TestCacheSingleflight(t *testing.T) {
 func TestCacheErrorNotCached(t *testing.T) {
 	c := NewCache(0, nil)
 	boom := errors.New("boom")
-	if _, _, err := c.Do(context.Background(), "k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, _, err := c.Do(context.Background(), "k", fill(func() (any, error) { return nil, boom })); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if c.Len() != 0 {
 		t.Fatal("failed entry left in the cache")
 	}
-	v, hit, err := c.Do(context.Background(), "k", func() (any, error) { return "fresh", nil })
+	v, _, hit, err := c.Do(context.Background(), "k", fill(func() (any, error) { return "fresh", nil }))
 	if err != nil || hit || v.(string) != "fresh" {
 		t.Fatalf("retry = %v hit=%v err=%v", v, hit, err)
 	}
@@ -102,21 +111,21 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.Do(context.Background(), "k", func() (any, error) {
+		c.Do(context.Background(), "k", fill(func() (any, error) {
 			close(started)
 			<-release
 			return 1, nil
-		})
+		}))
 	}()
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.Do(ctx, "k", func() (any, error) { return 2, nil }); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := c.Do(ctx, "k", fill(func() (any, error) { return 2, nil })); !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiter err = %v, want context.Canceled", err)
 	}
 	close(release)
 	<-done
-	v, hit, err := c.Do(context.Background(), "k", nil)
+	v, _, hit, err := c.Do(context.Background(), "k", nil)
 	if err != nil || !hit || v.(int) != 1 {
 		t.Fatalf("owner's result lost: %v hit=%v err=%v", v, hit, err)
 	}
@@ -128,15 +137,15 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 // so the lookup repeats.
 func TestCacheReadyEntryIgnoresCancelledContext(t *testing.T) {
 	c := NewCache(0, nil)
-	if _, _, err := c.Do(context.Background(), "k", func() (any, error) { return 1, nil }); err != nil {
+	if _, _, _, err := c.Do(context.Background(), "k", fill(func() (any, error) { return 1, nil })); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 100; i++ {
-		v, _, tier, err := c.DoTiered(ctx, "k", nil, nil, nil, false)
-		if err != nil || tier != HitRAM || v.(int) != 1 {
-			t.Fatalf("lookup %d under a cancelled context = %v, %v, %v; want 1 from RAM", i, v, tier, err)
+		v, _, hit, err := c.Do(ctx, "k", nil)
+		if err != nil || !hit || v.(int) != 1 {
+			t.Fatalf("lookup %d under a cancelled context = %v, hit=%v, %v; want 1 from RAM", i, v, hit, err)
 		}
 	}
 }

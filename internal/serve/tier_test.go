@@ -249,11 +249,17 @@ func (f *fakeTier) Has(key string) bool {
 	return ok
 }
 
-// walk resolves "k" once through a fresh cache over tiers, calling
-// compute when every level misses.
+// walk looks "k" up once through a manager's tier chain over tiers —
+// walkTiers, and on a miss compute and write-back — calling compute when
+// every level misses.
 func walk(t *testing.T, tiers []Tier, compute func() (any, error)) (int, HitTier) {
 	t.Helper()
-	v, _, tier, err := NewCache(0, nil).DoTiered(context.Background(), "k", tiers, decodeJSON[int], compute, true)
+	kind := &cellKind{
+		compute: func(*Manager, context.Context, *cell) (any, error) { return compute() },
+		decode:  decodeJSON[int],
+	}
+	m := &Manager{tiers: tiers}
+	v, _, tier, err := m.lookup(context.Background(), &cell{kind: kind, key: "k"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +280,7 @@ func mustNotCompute(t *testing.T) func() (any, error) {
 	}
 }
 
-// TestTierWalk: the cache walks its levels in order — a fleet-shared hit
+// TestTierWalk: the resolver walks its levels in order — a fleet-shared hit
 // reports HitShared and writes the bytes back into the disk tier, an
 // undecodable entry falls through to the next level, a compute writes
 // every level, and nil levels are skipped.

@@ -34,6 +34,19 @@
 // vanished or bad file is a miss); Put writes, fsyncs and renames before
 // taking it and then publishes; eviction picks victims under it and
 // unlinks them after.
+//
+// Sharing. Live processes may open one directory at once, as coordinator
+// replicas over a fleet-shared store do. Each keeps its own index: the
+// entries its Open found, its own Puts, and every entry file a peer wrote
+// since that its Get has found. On an index miss Get reads the key's
+// content-addressed file and, if it is sound, indexes it and counts a hit
+// (not a put). Has stays index-only and does no I/O, so a saturated
+// coordinator admits past its queue only the cells its own index holds.
+// Open sweeps every temp file, including a live peer's in-flight one;
+// that peer's Put then fails onto PutErrors, and the value it was storing
+// is still served, only not persisted. Each process budgets bytes against
+// its own index, so one may evict a file another indexes; the other's
+// next Get of it misses and drops it.
 package store
 
 import (
@@ -248,14 +261,14 @@ func encodeEntry(key string, val []byte) []byte {
 	return b
 }
 
-// Get returns the stored value for key. A missing, vanished, unreadable,
-// or corrupted entry is a miss (and a corrupted one is deleted); the
-// caller recomputes and Puts.
+// Get returns the stored value for key, from the index or, on an index
+// miss, from an entry file a process sharing the directory wrote. A
+// missing, vanished, unreadable, or corrupted entry is a miss (and an
+// indexed corrupted one is deleted); the caller recomputes and Puts.
 func (s *Store) Get(key string) ([]byte, bool) {
 	e, gen := s.touch(key)
 	if e == nil {
-		s.misses.Add(1)
-		return nil, false
+		return s.adopt(key)
 	}
 	gotKey, val, _, err := readEntry(e.path)
 	if err != nil || gotKey != key {
@@ -272,10 +285,30 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return val, true
 }
 
-// Has reports whether key is present without reading the entry, touching
-// recency, or counting a hit or miss — an admission probe, not a lookup.
-// A later Get can still miss (the file may have gone bad underneath), so
-// callers treating Has as a promise must tolerate a recompute.
+// adopt serves an index miss from key's entry file, which a live process
+// sharing the directory may have written since Open, and indexes it as a
+// hit. A missing or unsound file is a miss; an unsound one is left for
+// the caller's Put to replace.
+func (s *Store) adopt(key string) ([]byte, bool) {
+	path := filepath.Join(s.dir, entryName(key))
+	gotKey, val, size, err := readEntry(path)
+	if err != nil || gotKey != key {
+		s.misses.Add(1)
+		return nil, false
+	}
+	gen, victims, _ := s.publish(&entry{key: key, path: path, size: size})
+	stamp(path, gen)
+	unlink(victims...)
+	s.hits.Add(1)
+	return val, true
+}
+
+// Has reports whether key is in this store's index, without reading the
+// entry, touching recency, or counting a hit or miss — an admission probe,
+// not a lookup. It does no I/O, so an entry a live peer wrote reads false
+// until a Get indexes it, and a later Get can still miss (the file may
+// have gone bad underneath): callers treating Has as a promise must
+// tolerate a recompute.
 //
 //ndavet:hotpath
 func (s *Store) Has(key string) bool {
@@ -300,7 +333,10 @@ func (s *Store) Put(key string, val []byte) {
 		s.putErrors.Add(1)
 		return
 	}
-	gen, victims := s.publish(&entry{key: key, path: path, size: int64(len(b))})
+	gen, victims, added := s.publish(&entry{key: key, path: path, size: int64(len(b))})
+	if added {
+		s.puts.Add(1)
+	}
 	stamp(path, gen)
 	unlink(victims...)
 }
@@ -353,23 +389,23 @@ func (s *Store) touch(key string) (*entry, int64) {
 	return e, s.clock
 }
 
-// publish indexes a freshly written entry as the most recent one and
-// returns its stamp with the victims its bytes push over budget. If a
-// concurrent Put of the same key published first, that entry wins and is
-// only touched: both wrote the same content-addressed file.
-func (s *Store) publish(e *entry) (int64, []*entry) {
+// publish indexes a freshly written or adopted entry as the most recent
+// one and returns its stamp with the victims its bytes push over budget,
+// and whether it indexed e. If a concurrent Put or adopt of the same key
+// published first, that entry wins and is only touched: both name the
+// same content-addressed file.
+func (s *Store) publish(e *entry) (gen int64, victims []*entry, added bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.clock++
 	if won := s.entries[e.key]; won != nil {
 		won.gen = s.clock
-		return s.clock, nil
+		return s.clock, nil, false
 	}
 	e.gen = s.clock
 	s.entries[e.key] = e
 	s.bytes += e.size
-	s.puts.Add(1)
-	return s.clock, s.evictOver(e.key)
+	return s.clock, s.evictOver(e.key), true
 }
 
 // drop unindexes e, whose file failed to read, unless a concurrent

@@ -61,6 +61,32 @@ func TestPersistsAcrossOpen(t *testing.T) {
 	}
 }
 
+// TestLiveStoresShareEntries: two stores open on one directory at once,
+// as coordinator replicas keep them, share entries without reopening. B
+// serves what A put after both opened, counting a hit and no put; Has,
+// which does no I/O, sees the entry only once B's Get has indexed it.
+func TestLiveStoresShareEntries(t *testing.T) {
+	dir := t.TempDir()
+	a, b := open(t, dir, 0), open(t, dir, 0)
+	a.Put("k", []byte("v"))
+	if b.Has("k") {
+		t.Error("Has found a peer's entry without a Get")
+	}
+	got, ok := b.Get("k")
+	if !ok || string(got) != "v" {
+		t.Fatalf("B.Get after A.Put = %q, %v; want the peer's entry", got, ok)
+	}
+	if !b.Has("k") {
+		t.Error("Has does not see the entry Get indexed")
+	}
+	if c := b.Counters(); c.Entries != 1 || c.Hits != 1 || c.Misses != 0 || c.Puts != 0 {
+		t.Errorf("B's counters = %+v, want 1 entry, 1 hit, 0 misses, 0 puts", c)
+	}
+	if _, ok := b.Get("absent"); ok {
+		t.Error("a key no store wrote reported a hit")
+	}
+}
+
 // TestPutIdempotent: re-putting an existing key only touches recency; the
 // byte accounting and file set do not change.
 func TestPutIdempotent(t *testing.T) {

@@ -21,9 +21,9 @@
 # would fail the next honest run of the gate. A second pass runs every
 # benchmark once at -cpu 2, in one process per binary; its lines carry the
 # -2 suffix, and benchjson records them as information only. A failure in
-# that pass drops its lines and is reported, not fatal: at -cpu 2 a
-# runtime allocation on another goroutine now and then lands inside
-# BenchmarkRunInsts's own process-wide malloc window, which fails it.
+# that pass drops its lines and is reported, not fatal. (BenchmarkRunInsts
+# no longer fails on an allocation; TestRunInstsAllocatesNothing in tier-1
+# holds the run loop at zero.)
 #
 # Two serving-path points ride along via ndaload against an in-process
 # server: the warm hot mix with a saturation search (BenchmarkLoadHot +
