@@ -7,8 +7,11 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -280,10 +283,13 @@ func Grid(specs []workload.Spec, policies []core.Policy, inOrder bool) ([]Cell, 
 // Determinism: a cell's result depends only on its (policy, workload)
 // tuple. Its workload's program and starting states (the loaded image, or
 // the checkpoint series) are built from the workload alone and only read
-// by its cells; every cell runs on a core Reset and resumed from those
-// states, which leaves the core exactly as a fresh one, whatever it ran
-// before; and results land in index-addressed slots. So the returned Sweep
-// is bit-identical for any worker count.
+// by its cells; every simulated cell runs on a core Reset and resumed from
+// those states, which leaves the core exactly as a fresh one, whatever it
+// ran before; a cell that is not simulated takes the measurement of a
+// cell whose run it provably repeats cycle for cycle (see measureCells);
+// and results land in index-addressed slots. So the returned Sweep is
+// bit-identical for any worker count, and each of its cells equals the
+// cell's standalone Cell.Measure.
 //
 // Cancellation: once ctx is done, no queued cell starts, in-flight cells
 // and checkpoint fast-forwards stop mid-simulation, no further progress
@@ -312,7 +318,7 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 		done++
 		progress(fmt.Sprintf("[%3d/%3d] %-18s %-14s CPI %s", done, len(cells), m.Config, m.Workload, m.CPI))
 	}
-	results, err := measureCells(ctx, cells, cfg, note)
+	results, _, err := measureCells(ctx, cells, cfg, note)
 	if err != nil {
 		return nil, err
 	}
@@ -322,62 +328,177 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 	return sw, nil
 }
 
-// measureCells measures every cell under cfg over cfg.Workers goroutines,
-// handing them out in order, and returns the measurements in cell order.
-// done, if non-nil, is called from the cell's goroutine with each
-// measurement as it completes.
+// measureCells measures every cell under cfg over cfg.Workers goroutines
+// and returns the measurements in cell order, with the number of cells it
+// simulated. done, if non-nil, is called from the cell's goroutine with
+// each measurement as it completes.
 //
-// The cells of one workload (by name) share its series: the first of them
+// The unit of work is a chain: one workload's OoO cells that share an
+// ExtraBroadcastDelay, in cell order, at most maxChain of them (more such
+// cells split into several chains). An in-order cell is a unit of its
+// own. The units go out in order to the pool workers, and a unit's cells
+// run one after another on the checkpoint.Cores of the worker running it.
+// Each simulated cell of a chain shadows the rules of the cells after it
+// (ooo.Core.SetShadows). A later cell whose shadow never diverged in an
+// earlier simulated cell's run, at any start, would have run that run
+// cycle for cycle: it is not simulated, and takes a copy of that
+// Measurement under its own Config.
+//
+// The units of one workload (by name) share its series: the first of them
 // to run builds it, and the last to finish drops it, so with the cells of
 // a workload contiguous, as Grid lays them out, only the workloads in
-// flight hold theirs. Each cell runs on the checkpoint.Cores of the pool
-// worker running it.
-func measureCells(ctx context.Context, cells []Cell, cfg Config, done func(*Measurement)) ([]*Measurement, error) {
-	byName := make(map[string]*sharedSeries)
-	shared := make([]*sharedSeries, len(cells))
-	for i, c := range cells {
-		sh := byName[c.Spec.Name]
-		if sh == nil {
-			sh = new(sharedSeries)
-			byName[c.Spec.Name] = sh
-		}
-		sh.left.Add(1)
-		shared[i] = sh
-	}
+// flight hold theirs.
+func measureCells(ctx context.Context, cells []Cell, cfg Config, done func(*Measurement)) ([]*Measurement, int, error) {
+	p := layOut(cells)
 	cores := make([]checkpoint.Cores, par.Workers(cfg.Workers))
 
 	results := make([]*Measurement, len(cells))
-	err := par.RunCtx(ctx, len(cells), len(cores), func(w, i int) error {
-		sh := shared[i]
-		ss, err := sh.get(ctx, cells[i].Spec, cfg)
+	err := par.RunCtx(ctx, len(p.units), len(cores), func(w, u int) error {
+		un := &p.units[u]
+		chain, shadows := p.slots[un.lo:un.hi], p.rules[un.lo:un.hi]
+		sh := chain[0].sh
+		ss, err := sh.get(ctx, cells[chain[0].cell].Spec, cfg)
 		if err != nil {
 			return err
 		}
-		m, err := cells[i].measure(ctx, cfg, ss, &cores[w])
-		if err != nil {
-			return err
+		for k := range chain {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			s, c := &chain[k], cells[chain[k].cell]
+			var m *Measurement
+			if from := repeated(chain[:k]); from >= 0 {
+				cp := *results[chain[from].cell]
+				cp.Config = c.Config()
+				// A repeat shadowed nothing, so it stands for no later cell.
+				m, s.diverged = &cp, ^uint64(0)
+			} else {
+				if m, s.diverged, err = c.measure(ctx, cfg, ss, &cores[w], shadows[k+1:]); err != nil {
+					return err
+				}
+				un.simulated++
+			}
+			results[s.cell] = m
+			if done != nil {
+				done(m)
+			}
 		}
 		sh.release()
-		results[i] = m
-		if done != nil {
-			done(m)
-		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return results, nil
+	simulated := 0
+	for _, un := range p.units {
+		simulated += un.simulated
+	}
+	return results, simulated, nil
+}
+
+// repeated returns the index in earlier, a chain's slots before the next
+// one, of the first cell whose run the next one repeats, or -1. Bit j of
+// a slot's diverged mask stands for the j-th cell after it.
+func repeated(earlier []slot) int {
+	for j, s := range earlier {
+		if s.diverged&(1<<(len(earlier)-1-j)) == 0 {
+			return j
+		}
+	}
+	return -1
+}
+
+// maxChain is the most cells a chain holds: its first cell shadows all
+// the others.
+const maxChain = 1 + ooo.MaxShadows
+
+// plan is measureCells' layout of its cells into units of work.
+type plan struct {
+	slots []slot       // one per cell, each unit's contiguous
+	units []unit       // each a range of slots
+	rules []core.Rules // an OoO cell's compiled rules, by slot
+}
+
+// slot is one cell's place in a plan.
+type slot struct {
+	cell     int           // index of the cell
+	sh       *sharedSeries // its workload's series
+	diverged uint64        // once measured: the later cells of its chain whose shadows diverged
+}
+
+// unit is one unit of work: the cells of slots[lo:hi].
+type unit struct {
+	lo, hi    int
+	simulated int // how many of its cells ran
+}
+
+// layOut lays cells out into units. The slots group them by workload, in
+// the order the workloads first appear; within a workload the OoO cells
+// come by broadcast delay, then the in-order cells, each group in cell
+// order. Each distinct gate list is compiled once.
+func layOut(cells []Cell) plan {
+	p := plan{
+		slots: make([]slot, len(cells)),
+		units: make([]unit, 0, len(cells)),
+		rules: make([]core.Rules, len(cells)),
+	}
+	byName := make(map[string]*sharedSeries)
+	for i, c := range cells {
+		sh := byName[c.Spec.Name]
+		if sh == nil {
+			sh = &sharedSeries{rank: len(byName)}
+			byName[c.Spec.Name] = sh
+		}
+		p.slots[i] = slot{cell: i, sh: sh}
+	}
+	// group orders a workload's cells: the OoO ones by broadcast delay,
+	// then the in-order ones.
+	group := func(s slot) int {
+		if cells[s.cell].InOrder {
+			return math.MaxInt
+		}
+		return cells[s.cell].Policy.ExtraBroadcastDelay
+	}
+	slices.SortStableFunc(p.slots, func(a, b slot) int {
+		return cmp.Or(cmp.Compare(a.sh.rank, b.sh.rank), cmp.Compare(group(a), group(b)))
+	})
+
+	var first [16]int // slots of each distinct gate list's first cell
+	distinct := first[:0]
+	for k, s := range p.slots {
+		c := &cells[s.cell]
+		if n := len(p.units) - 1; n >= 0 && !c.InOrder && k-p.units[n].lo < maxChain &&
+			p.slots[p.units[n].lo].sh == s.sh && group(p.slots[p.units[n].lo]) == group(s) {
+			p.units[n].hi++
+		} else {
+			p.units = append(p.units, unit{lo: k, hi: k + 1})
+			s.sh.left.Add(1)
+		}
+		if c.InOrder {
+			continue
+		}
+		f := slices.IndexFunc(distinct, func(f int) bool {
+			return slices.Equal(cells[p.slots[f].cell].Policy.Gates, c.Policy.Gates)
+		})
+		if f < 0 {
+			p.rules[k] = core.Compile(c.Policy.Gates)
+			distinct = append(distinct, k)
+		} else {
+			p.rules[k] = p.rules[distinct[f]]
+		}
+	}
+	return p
 }
 
 // sharedSeries is one workload's series in measureCells: built once by
-// the first of the workload's cells to run, read by all of them, and
+// the first of the workload's units to run, read by all of them, and
 // dropped by the last to finish so its memory can be reclaimed mid-run.
 type sharedSeries struct {
+	rank int // the workload's place in first-appearance order
 	once sync.Once
 	ss   *SampleSeries
 	err  error
-	left atomic.Int64 // cells still to finish
+	left atomic.Int64 // units still to finish
 }
 
 // get returns the series, building it on first use.
@@ -386,8 +507,8 @@ func (sh *sharedSeries) get(ctx context.Context, spec workload.Spec, cfg Config)
 	return sh.ss, sh.err
 }
 
-// release records one finished cell and drops the series after the last.
-// Every cell reads the series before its own release, so the last release
+// release records one finished unit and drops the series after the last.
+// Every unit reads the series before its own release, so the last release
 // happens after every read.
 func (sh *sharedSeries) release() {
 	if sh.left.Add(-1) == 0 {

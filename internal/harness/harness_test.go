@@ -203,14 +203,19 @@ func TestRunSweepDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestSweepCellsMatchStandalone: a sweep worker runs cell after cell on
-// one pair of cores, Reset and resumed for each, while a standalone
-// Cell.Measure builds its own. Every cell of a sweep must equal its
-// standalone measurement, in both sampling modes, at one worker (whose
-// cores run every cell, switching workloads and between the OoO and
-// in-order cores) and at three (whose cores each see a different mix).
+// one pair of cores, Reset and resumed for each, and takes a later cell's
+// measurement from an earlier one when the later cell's shadow never
+// diverged, while a standalone Cell.Measure builds its own cores and arms
+// no shadows. Every cell of a sweep must equal its standalone measurement,
+// in both sampling modes, at one worker (whose cores run every cell,
+// switching workloads and between the OoO and in-order cores) and at three
+// (whose cores each see a different mix). The workloads cover the three
+// outcomes of elision: every OoO cell after the baseline a repeat
+// (exchange2), some (deepsjeng, xz), none (gcc).
 func TestSweepCellsMatchStandalone(t *testing.T) {
-	specs := tinySpecs(t, "xz", "gcc")
-	pols := []core.Policy{core.Baseline(), core.StrictBR()}
+	specs := tinySpecs(t, "xz", "gcc", "exchange2", "deepsjeng")
+	simulated := map[string]int{"xz": 7, "gcc": 9, "exchange2": 1, "deepsjeng": 7} // of 9 OoO cells
+	pols := core.All()
 	cells, _ := Grid(specs, pols, true)
 	for _, checkpoints := range []bool{false, true} {
 		cfg := tinyConfig()
@@ -222,6 +227,13 @@ func TestSweepCellsMatchStandalone(t *testing.T) {
 				t.Fatal(err)
 			}
 			want[i] = m
+		}
+		for _, spec := range specs {
+			own, _ := Grid([]workload.Spec{spec}, pols, false)
+			if _, n, err := measureCells(context.Background(), own, cfg, nil); err != nil || n != simulated[spec.Name] {
+				t.Errorf("checkpoints=%v %s: simulated %d of %d OoO cells (err %v), want %d",
+					checkpoints, spec.Name, n, len(own), err, simulated[spec.Name])
+			}
 		}
 		for _, workers := range []int{1, 3} {
 			cfg.Workers = workers
@@ -235,6 +247,137 @@ func TestSweepCellsMatchStandalone(t *testing.T) {
 						checkpoints, workers, c.Spec.Name, c.Config(), got, want[i])
 				}
 			}
+		}
+	}
+}
+
+// TestSweepSimulatesDistinctRuns pins how many OoO cells of the quick
+// grid (every workload under every policy) the engine simulates in
+// continuous mode: 123 of 207. TestSweepCellsMatchStandalone pins smaller
+// grids in both modes. A change that loses the elision, or proves fewer
+// runs identical, fails here.
+func TestSweepSimulatesDistinctRuns(t *testing.T) {
+	cells, _ := Grid(workload.SPEC(), core.All(), false)
+	_, n, err := measureCells(context.Background(), cells, Quick(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 123 || len(cells) != 207 {
+		t.Errorf("simulated %d of %d cells, want 123 of 207", n, len(cells))
+	}
+}
+
+// TestShadowsEveryStart: in checkpoint mode a cell's diverged mask is the
+// OR over its starts, so a later cell repeats it only if it repeats the
+// run from every checkpoint. With these windows some of nab's policies
+// decide like the baseline from every checkpoint but the second.
+func TestShadowsEveryStart(t *testing.T) {
+	spec := tinySpecs(t, "nab")[0]
+	cfg := tinyConfig()
+	cfg.UseCheckpoints = true
+	cfg.WarmInsts, cfg.MeasureInsts, cfg.Intervals = 500, 500, 4
+	ss, err := TakeSamples(context.Background(), spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pols := core.All()
+	shadows := make([]core.Rules, len(pols)-1)
+	for i, pol := range pols[1:] {
+		shadows[i] = core.Compile(pol.Gates)
+	}
+	base := Cell{Spec: spec, Policy: pols[0]}
+	var or, last uint64
+	for i := range ss.cps {
+		one := &SampleSeries{prog: ss.prog, cps: ss.cps[i : i+1]}
+		_, d, err := base.measure(context.Background(), cfg, one, new(checkpoint.Cores), shadows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		or, last = or|d, d
+	}
+	if or == last {
+		t.Fatalf("every shadow that diverged did so from the last checkpoint (%b); the input no longer tests the OR", or)
+	}
+	if _, d, err := base.measure(context.Background(), cfg, ss, new(checkpoint.Cores), shadows); err != nil || d != or {
+		t.Errorf("diverged %b (err %v), want %b, the OR over the starts", d, err, or)
+	}
+}
+
+// TestChains: a chain holds one workload's OoO cells at one broadcast
+// delay, at most 65 of them. exchange2's OoO cells all repeat the
+// baseline's run at any one delay, so each case simulates exactly one
+// cell per chain, and every cell still equals its standalone measurement.
+func TestChains(t *testing.T) {
+	specs := tinySpecs(t, "exchange2", "gcc")
+	at := func(pol core.Policy, d int) Cell {
+		pol.ExtraBroadcastDelay = d
+		return Cell{Spec: specs[0], Policy: pol}
+	}
+	copies := make([]Cell, 70)
+	for i := range copies {
+		copies[i] = at(core.Permissive(), 0)
+	}
+	for _, tc := range []struct {
+		name      string
+		cells     []Cell
+		simulated int
+	}{
+		// Fig. 9e runs one policy at several delays: every cell runs.
+		{"fig9e", fig9eCells(core.Permissive(), []int{0, 1, 2}, specs), 6},
+		// A result is never taken across delays: one chain per delay.
+		{"mixed delays", []Cell{
+			at(core.Baseline(), 0), at(core.Permissive(), 1), at(core.Strict(), 0),
+			at(core.Strict(), 1), at(core.FullProtection(), 2), at(core.Permissive(), 0),
+		}, 3},
+		// More cells than one core can shadow split into two chains.
+		{"70 copies", copies, 2},
+	} {
+		cfg := tinyConfig()
+		got, n, err := measureCells(context.Background(), tc.cells, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != tc.simulated {
+			t.Errorf("%s: simulated %d of %d cells, want %d", tc.name, n, len(tc.cells), tc.simulated)
+		}
+		for i, c := range tc.cells {
+			want, err := c.Measure(context.Background(), cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Errorf("%s: cell %d (%s/%s, delay %d): engine measured %+v, standalone %+v",
+					tc.name, i, c.Spec.Name, c.Config(), c.Policy.ExtraBroadcastDelay, got[i], want)
+			}
+		}
+	}
+}
+
+// TestCancelMidChain: cancelling from the first completion of exchange2's
+// chain, whose later cells are all repeats, hands no later cell to done
+// and prints no progress line after the cancellation.
+func TestCancelMidChain(t *testing.T) {
+	specs := tinySpecs(t, "exchange2")
+	cells, _ := Grid(specs, core.All(), false)
+	for _, sweep := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls int
+		note := func() {
+			calls++
+			cancel()
+		}
+		var err error
+		if sweep {
+			_, err = RunSweepCtx(ctx, specs, core.All(), false, tinyConfig(), func(string) { note() })
+		} else {
+			_, _, err = measureCells(ctx, cells, tinyConfig(), func(*Measurement) { note() })
+		}
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("sweep=%v: err = %v, want context.Canceled", sweep, err)
+		}
+		if calls != 1 {
+			t.Errorf("sweep=%v: %d cells reported, want only the one that cancelled", sweep, calls)
 		}
 	}
 }

@@ -201,16 +201,8 @@ func RunFig9eCtx(ctx context.Context, policyName string, delays []int, specNames
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]Cell, 0, len(delays)*len(specs))
-	for _, d := range delays {
-		pol := basePol
-		pol.ExtraBroadcastDelay = d
-		for _, spec := range specs {
-			cells = append(cells, Cell{Spec: spec, Policy: pol})
-		}
-	}
 	cfg.UseCheckpoints = false
-	ms, err := measureCells(ctx, cells, cfg, nil)
+	ms, _, err := measureCells(ctx, fig9eCells(basePol, delays, specs), cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -227,6 +219,20 @@ func RunFig9eCtx(ctx context.Context, policyName string, delays []int, specNames
 		}
 	}
 	return out, nil
+}
+
+// fig9eCells lays out Fig. 9e's points delay-major: pol at each delay, on
+// every workload. No two of them share a workload and a delay, so each is
+// a unit of its own and is simulated.
+func fig9eCells(pol core.Policy, delays []int, specs []workload.Spec) []Cell {
+	cells := make([]Cell, 0, len(delays)*len(specs))
+	for _, d := range delays {
+		pol.ExtraBroadcastDelay = d
+		for _, spec := range specs {
+			cells = append(cells, Cell{Spec: spec, Policy: pol})
+		}
+	}
+	return cells
 }
 
 // RenderFig9e renders the sensitivity results.

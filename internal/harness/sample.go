@@ -5,7 +5,10 @@ import (
 	"fmt"
 
 	"nda/internal/checkpoint"
+	"nda/internal/core"
+	"nda/internal/inorder"
 	"nda/internal/isa"
+	"nda/internal/ooo"
 	"nda/internal/stats"
 	"nda/internal/workload"
 )
@@ -32,6 +35,14 @@ import (
 // cell of its workload — or, via internal/serve's content-addressed cache,
 // by every *request* that ever asks for that (workload, sampling spec)
 // again — and a worker's cores run any number of cells.
+//
+// An OoO cell's loop may carry shadows: the compiled rules of other
+// policies with its broadcast delay, armed on the core at every start
+// (ooo.Core.SetShadows). The loop ORs the shadows that decided some point
+// differently (ooo.Core.Diverged) over the starts; a shadow left clear
+// would have run every start of this cell cycle for cycle, so its cell's
+// Measurement is this one under its own Config. The sweep engine arms
+// them; a standalone Cell.Measure arms none.
 
 // SampleSeries is a workload's starts: the generated program plus the
 // states the timing cores resume from. It is immutable once taken, so any
@@ -83,71 +94,91 @@ func (c Cell) Measure(ctx context.Context, cfg Config, ss *SampleSeries) (*Measu
 			return nil, err
 		}
 	}
-	return c.measure(ctx, cfg, ss, new(checkpoint.Cores))
+	m, _, err := c.measure(ctx, cfg, ss, new(checkpoint.Cores), nil)
+	return m, err
 }
 
 // measure is the one sampling path for both cores: it runs the interval
 // loop from each start of ss, in order, on the core of cs the cell needs,
-// and folds every measured window into one Measurement.
-func (c Cell) measure(ctx context.Context, cfg Config, ss *SampleSeries, cs *checkpoint.Cores) (*Measurement, error) {
+// with shadows armed on an OoO core, and folds every measured window into
+// one Measurement. It also returns the shadows that diverged at some start:
+// bit j stands for shadows[j].
+func (c Cell) measure(ctx context.Context, cfg Config, ss *SampleSeries, cs *checkpoint.Cores, shadows []core.Rules) (*Measurement, uint64, error) {
 	f := fold{cpis: make([]float64, 0, cfg.Intervals)}
 	for i := range ss.cps {
-		if err := c.intervals(ctx, cfg, ss, i, cs, &f); err != nil {
-			return nil, err
+		if err := c.intervals(ctx, cfg, ss, i, cs, shadows, &f); err != nil {
+			return nil, 0, err
 		}
 	}
-	return f.measurement(c), nil
+	return f.measurement(c), f.diverged, nil
 }
 
 // intervals is the SMARTS interval loop from start i of ss: a warm-up of
 // cfg.WarmInsts, then measured windows of cfg.MeasureInsts folded into f —
 // cfg.Intervals of them with cfg.SkipInsts skipped between consecutive
-// ones from the program's start, one from a checkpoint.
-func (c Cell) intervals(ctx context.Context, cfg Config, ss *SampleSeries, i int, cs *checkpoint.Cores, f *fold) error {
-	tc, run := c.resume(ctx, cfg, cs, ss.prog, ss.cps[i])
+// ones from the program's start, one from a checkpoint. The shadows that
+// diverged in the run are ORed into f.
+func (c Cell) intervals(ctx context.Context, cfg Config, ss *SampleSeries, i int, cs *checkpoint.Cores, shadows []core.Rules, f *fold) error {
+	tc := c.resume(ctx, cfg, cs, ss.prog, ss.cps[i], shadows)
 	windows, sample := 1, i // sample labels errors; -1 without a checkpoint
 	if ss.continuous {
 		windows, sample = cfg.Intervals, -1
 	}
-	if err := run(cfg.WarmInsts); err != nil {
+	if err := tc.run(cfg.WarmInsts, cfg.MaxCycles); err != nil {
 		return c.fail(ctx, err, sample, "warm-up")
 	}
 	for w := 0; w < windows; w++ {
 		tc.ResetStats()
-		if err := run(cfg.MeasureInsts); err != nil {
+		if err := tc.run(cfg.MeasureInsts, cfg.MaxCycles); err != nil {
 			return c.fail(ctx, err, sample, fmt.Sprintf("interval %d", w))
 		}
 		f.add(*tc.Stats())
 		if w < windows-1 && cfg.SkipInsts > 0 {
 			tc.ResetStats()
-			if err := run(cfg.SkipInsts); err != nil {
+			if err := tc.run(cfg.SkipInsts, cfg.MaxCycles); err != nil {
 				return c.fail(ctx, err, sample, fmt.Sprintf("skip %d", w))
 			}
 		}
 	}
+	if o, ok := tc.(oooTiming); ok {
+		f.diverged |= o.Diverged()
+	}
 	return nil
 }
 
-// timingCore is what the interval loop reads of either core: both keep the
-// same counter block.
+// timingCore is what the interval loop drives of either core: both keep
+// the same counter block, and run commits n more instructions, the OoO
+// core within maxCycles.
 type timingCore interface {
 	ResetStats()
 	Stats() *stats.Counters
+	run(n, maxCycles uint64) error
 }
 
-// resume brings the cell's core of cs to cp on prog and returns it with its
-// run step: n more committed instructions, stopped mid-simulation once ctx
-// is done. Cancel is set after the resume, whose Reset clears it.
-func (c Cell) resume(ctx context.Context, cfg Config, cs *checkpoint.Cores, prog *isa.Program, cp *checkpoint.Checkpoint) (timingCore, func(n uint64) error) {
+// oooTiming and inOrderTiming are the two cores as timingCores. Each holds
+// one pointer, so it converts to the interface without allocating.
+type (
+	oooTiming     struct{ *ooo.Core }
+	inOrderTiming struct{ *inorder.Machine }
+)
+
+func (t oooTiming) run(n, maxCycles uint64) error { return t.RunInsts(n, maxCycles) }
+func (t inOrderTiming) run(n, _ uint64) error     { return t.RunInsts(n) }
+
+// resume brings the cell's core of cs to cp on prog, with shadows armed on
+// an OoO core, and returns it; its runs stop mid-simulation once ctx is
+// done. Cancel and the shadows are set after the resume, whose Reset
+// clears them.
+func (c Cell) resume(ctx context.Context, cfg Config, cs *checkpoint.Cores, prog *isa.Program, cp *checkpoint.Checkpoint, shadows []core.Rules) timingCore {
 	if c.InOrder {
 		m := cs.ResumeInOrder(cp, prog, cfg.IOParams)
 		m.Cancel = ctx.Done()
-		return m, m.RunInsts
+		return inOrderTiming{m}
 	}
 	o := cs.ResumeOoO(cp, prog, c.Policy, cfg.Params)
 	o.Cancel = ctx.Done()
-	maxCycles := cfg.MaxCycles
-	return o, func(n uint64) error { return o.RunInsts(n, maxCycles) }
+	o.SetShadows(shadows)
+	return oooTiming{o}
 }
 
 // fail labels a core's error with the cell and the loop phase (callers
@@ -165,10 +196,12 @@ func (c Cell) fail(ctx context.Context, err error, sample int, phase string) err
 }
 
 // fold accumulates a cell's measured windows in order: each window's CPI
-// for the confidence interval, and the summed counters for the rest.
+// for the confidence interval, and the summed counters for the rest. It
+// also gathers the shadows that diverged at any start.
 type fold struct {
-	cpis []float64
-	agg  stats.Counters
+	cpis     []float64
+	agg      stats.Counters
+	diverged uint64
 }
 
 // add folds one window. s is a value snapshot, never a pointer into a live

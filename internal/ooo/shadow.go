@@ -27,9 +27,9 @@ import (
 // MSR computes nothing from their contents, so a run differing from it
 // only in those contents is this run too.
 
-// maxShadows is the number of shadow rule tables a core can carry: one
+// MaxShadows is the number of shadow rule tables a core can carry: one
 // bit each of the diverged mask.
-const maxShadows = 64
+const MaxShadows = 64
 
 // Span is the byte range [Lo, Hi) of data memory.
 type Span struct{ Lo, Hi uint64 }
@@ -42,7 +42,7 @@ type Span struct{ Lo, Hi uint64 }
 // shadow. The core keeps shadows, which the caller must not change during
 // the run. It panics on more than 64.
 func (c *Core) SetShadows(shadows []core.Rules) {
-	if len(shadows) > maxShadows {
+	if len(shadows) > MaxShadows {
 		panic("ooo: more than 64 shadow rule tables")
 	}
 	c.shadows = shadows
