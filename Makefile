@@ -83,7 +83,7 @@ load-smoke:
 ## gadget analyzer's SAFE verdicts cross-checked against dynamic simulation
 ## on generated programs; any static-SAFE/dynamic-leak disagreement fails;
 ## then 10 s of each native fuzz target (store FuzzOpen, serve
-## FuzzCellRequest, asm FuzzAssemble, checkpoint FuzzLoad)
+## FuzzCellRequest, asm FuzzAssemble)
 fuzz-smoke:
 	sh scripts/fuzz_smoke.sh
 
@@ -92,10 +92,10 @@ vet:
 	$(GO) vet ./...
 
 ## ndavet: the determinism/layering analyzer over the repo's own source —
-## all eight passes — alloclint, ctxlint, detlint, errlint, globlint,
-## layerlint, leaklint, locklint (alloclint, ctxlint, leaklint, and
-## locklint are interprocedural, over the call graph); fails on any
-## finding without a reasoned //ndavet:allow annotation
+## all nine passes — alloclint, ctxlint, deadlint, detlint, errlint,
+## globlint, layerlint, leaklint, locklint (alloclint, ctxlint, deadlint,
+## leaklint, and locklint are interprocedural, over the call graph); fails
+## on any finding without a reasoned //ndavet:allow annotation
 ndavet:
 	$(GO) run ./cmd/ndavet
 

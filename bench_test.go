@@ -527,7 +527,7 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 	prog := spec.Build(1 << 40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := checkpoint.Take(prog, 10_000); err != nil {
+		if _, err := checkpoint.TakeSeries(context.Background(), prog, 10_000, 0, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -549,7 +549,7 @@ func BenchmarkCheckpointedMeasurement(b *testing.B) {
 
 // BenchmarkNdavetRepo measures one full ndavet run over this repository:
 // load + typecheck, call-graph construction with per-function dataflow
-// summaries, and all eight passes. Its input is the live tree, so its
+// summaries, and all nine passes. Its input is the live tree, so its
 // allocations grow with every line added anywhere; benchjson reports it
 // but gates BenchmarkNdavetCorpus, the same run over a frozen input.
 func BenchmarkNdavetRepo(b *testing.B) { benchNdavet(b, ".") }

@@ -1,7 +1,7 @@
-// Command ndavet runs the repo's source-level static analyzer: eight
+// Command ndavet runs the repo's source-level static analyzer: nine
 // passes over the whole module proving the determinism, layering,
 // allocation, and cancellation invariants the golden sweep tests check
-// at runtime.
+// at runtime, and that no code is dead.
 //
 //	ndavet               # run all passes; exit 1 on any unallowed finding
 //	ndavet -json         # full machine-readable report (allowed findings included)
@@ -11,8 +11,9 @@
 //	ndavet -C dir        # analyze the module containing dir (default ".")
 //
 // Run ndavet -list-passes for the pass roster; the interprocedural
-// passes (alloclint, ctxlint, leaklint, and locklint's transitive
-// events) share one call graph with bottom-up dataflow summaries.
+// passes (alloclint, ctxlint, deadlint, leaklint, and locklint's
+// transitive events) share one call graph with bottom-up dataflow
+// summaries.
 // Sanctioned exceptions carry //ndavet:allow <pass>[:<kind>] <reason>
 // annotations.
 //
@@ -40,8 +41,8 @@ func main() {
 	flag.Parse()
 
 	if *listPasses {
-		for _, name := range analysis.PassNames {
-			fmt.Printf("%-10s %s\n", name, analysis.PassDocs[name])
+		for _, p := range analysis.Passes {
+			fmt.Printf("%-10s %s\n", p.Name, p.Doc)
 		}
 		return
 	}
@@ -51,7 +52,7 @@ func main() {
 	}
 
 	cfg := analysis.Config{}
-	sel, err := cliutil.Passes(*passes, analysis.PassNames)
+	sel, err := cliutil.Passes(*passes, analysis.PassNames())
 	toolErr(err)
 	cfg.Passes = sel
 

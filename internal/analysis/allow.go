@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"go/ast"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -13,7 +13,7 @@ import (
 //
 // placed on the flagged line or on its own line immediately above it. The
 // pass name must be one of the registered passes, the optional kind one of
-// that pass's finding kinds (see PassKinds), and the reason is mandatory —
+// that pass's finding kinds (see Pass.Kinds), and the reason is mandatory —
 // every sanctioned exception documents itself in-source. An annotation
 // that grants nothing is itself a finding ("allow" pass), so stale
 // exceptions cannot linger after the code they excused is fixed; a
@@ -33,7 +33,7 @@ type allowEntry struct {
 
 // collectAllows parses every annotation in the module. Malformed ones are
 // returned as findings immediately.
-func collectAllows(m *Module, passNames map[string]bool) (entries []*allowEntry, malformed []Finding) {
+func collectAllows(m *Module) (entries []*allowEntry, malformed []Finding) {
 	for _, p := range m.Pkgs {
 		for _, f := range p.Files {
 			for _, cg := range f.Comments {
@@ -50,18 +50,19 @@ func collectAllows(m *Module, passNames map[string]bool) (entries []*allowEntry,
 					spec, reason, _ := strings.Cut(rest, " ")
 					reason = strings.TrimSpace(reason)
 					pass, kind, _ := strings.Cut(spec, ":")
+					ps := passByName(pass)
 					switch {
-					case !passNames[pass]:
+					case ps == nil:
 						malformed = append(malformed, Finding{
 							File: file, Line: line, Col: col, Tool: "ndavet", Pass: "allow",
 							Message: "malformed annotation: want //ndavet:allow <pass>[:<kind>] <reason> with pass one of " +
-								passList(passNames) + ", got pass " + quoteOr(pass),
+								strings.Join(PassNames(), "|") + ", got pass " + quoteOr(pass),
 						})
-					case kind != "" && !validKind(pass, kind):
+					case kind != "" && !slices.Contains(ps.Kinds, kind):
 						malformed = append(malformed, Finding{
 							File: file, Line: line, Col: col, Tool: "ndavet", Pass: "allow",
 							Message: "malformed annotation: pass " + pass + " has no finding kind \"" + kind +
-								"\" (have " + strings.Join(PassKinds[pass], "|") + ")",
+								"\" (have " + strings.Join(ps.Kinds, "|") + ")",
 						})
 					case reason == "":
 						malformed = append(malformed, Finding{
@@ -83,15 +84,6 @@ func quoteOr(s string) string {
 		return "nothing"
 	}
 	return "\"" + s + "\""
-}
-
-func passList(passNames map[string]bool) string {
-	names := make([]string, 0, len(passNames))
-	for n := range passNames {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, "|")
 }
 
 // applyAllows marks findings granted by an annotation on the same line or
@@ -138,26 +130,8 @@ func applyAllows(findings []Finding, entries []*allowEntry) []Finding {
 	return findings
 }
 
-// validKind reports whether kind is registered for pass in PassKinds.
-func validKind(pass, kind string) bool {
-	for _, k := range PassKinds[pass] {
-		if k == kind {
-			return true
-		}
-	}
-	return false
-}
-
-// nodeLine is a convenience for passes placing findings at a node.
-func (m *Module) finding(pass string, node ast.Node, msg string) Finding {
-	file, line, col := m.Rel(node.Pos())
-	return Finding{File: file, Line: line, Col: col, Tool: "ndavet", Pass: pass, Message: msg}
-}
-
-// kfinding is the kind-carrying variant every pass uses; finding (above)
-// remains for the corpus-less "allow" pass plumbing.
+// kfinding places a finding of the given pass and kind at node.
 func (m *Module) kfinding(pass, kind string, node ast.Node, msg string) Finding {
-	f := m.finding(pass, node, msg)
-	f.Kind = kind
-	return f
+	file, line, col := m.Rel(node.Pos())
+	return Finding{File: file, Line: line, Col: col, Tool: "ndavet", Pass: pass, Kind: kind, Message: msg}
 }

@@ -4,38 +4,77 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
+	"strings"
 )
 
-// PassNames lists the eight ndavet passes in census order.
-var PassNames = []string{
-	"alloclint", "ctxlint", "detlint", "errlint",
-	"globlint", "layerlint", "leaklint", "locklint",
+// Pass is one ndavet pass: a row of the pass table.
+type Pass struct {
+	Name  string
+	Doc   string   // the one-line description ndavet -list-passes prints
+	Kinds []string // the finding kinds an //ndavet:allow may pin (<pass>:<kind>)
+
+	graph bool // walks the shared call graph
+	run   func(in *passInput) []Finding
 }
 
-// PassDocs gives each pass its one-line description (ndavet -list-passes).
-var PassDocs = map[string]string{
-	"alloclint": "//ndavet:hotpath functions must not reach an allocating operation (interprocedural)",
-	"ctxlint":   "blocking work reachable from a handler entry point must see a cancellation signal (interprocedural)",
-	"detlint":   "no wall-clock reads, global randomness, or map-iteration-ordered output",
-	"errlint":   "no silently dropped error returns in the service layer",
-	"globlint":  "no mutable package-level state in deterministic packages",
-	"layerlint": "imports must follow the declared layer contract",
-	"leaklint":  "every go statement needs a visible termination path (interprocedural)",
-	"locklint":  "no blocking operations — lexical or transitive — under a held mutex",
+// passInput is what RunAll hands every pass.
+type passInput struct {
+	m        *Module
+	contract []Rule
+	idx      map[string]*Rule
+	g        *CallGraph // nil unless a selected pass walks it
+	roster   []string
 }
 
-// PassKinds registers each pass's finding kinds. //ndavet:allow
-// annotations may pin themselves to one (<pass>:<kind>); an annotation
-// naming an unregistered kind is malformed.
-var PassKinds = map[string][]string{
-	"alloclint": {"call", "op", "roster"},
-	"ctxlint":   {"noctx"},
-	"detlint":   {"maporder", "rand", "wallclock"},
-	"errlint":   {"drop"},
-	"globlint":  {"addr", "write"},
-	"layerlint": {"contract", "import"},
-	"leaklint":  {"dynamic", "leak"},
-	"locklint":  {"lexical", "transitive"},
+// Passes is the pass table, in census order.
+var Passes = []Pass{
+	{Name: "alloclint", Doc: "//ndavet:hotpath functions must not reach an allocating operation (interprocedural)",
+		Kinds: []string{"call", "op", "roster"}, graph: true,
+		run: func(in *passInput) []Finding { return runAlloclint(in.m, in.g, in.roster) }},
+	{Name: "ctxlint", Doc: "blocking work reachable from a handler entry point must see a cancellation signal (interprocedural)",
+		Kinds: []string{"noctx"}, graph: true,
+		run: func(in *passInput) []Finding { return runCtxlint(in.m, in.idx, in.g) }},
+	{Name: "deadlint", Doc: "every function must be reached from a main, init, var initializer, exported API or caller module (interprocedural)",
+		Kinds: []string{"unreached"}, graph: true,
+		run: func(in *passInput) []Finding { return runDeadlint(in.m, in.g) }},
+	{Name: "detlint", Doc: "no wall-clock reads, global randomness, or map-iteration-ordered output",
+		Kinds: []string{"maporder", "rand", "wallclock"},
+		run:   func(in *passInput) []Finding { return runDetlint(in.m) }},
+	{Name: "errlint", Doc: "no silently dropped error returns in the service layer",
+		Kinds: []string{"drop"},
+		run:   func(in *passInput) []Finding { return runErrlint(in.m, in.idx) }},
+	{Name: "globlint", Doc: "no mutable package-level state in deterministic packages",
+		Kinds: []string{"addr", "write"},
+		run:   func(in *passInput) []Finding { return runGloblint(in.m, in.idx) }},
+	{Name: "layerlint", Doc: "imports must follow the declared layer contract",
+		Kinds: []string{"contract", "import"},
+		run:   func(in *passInput) []Finding { return runLayerlint(in.m, in.contract, in.idx) }},
+	{Name: "leaklint", Doc: "every go statement needs a visible termination path (interprocedural)",
+		Kinds: []string{"dynamic", "leak"}, graph: true,
+		run: func(in *passInput) []Finding { return runLeaklint(in.m, in.idx, in.g) }},
+	{Name: "locklint", Doc: "no blocking operations — lexical or transitive — under a held mutex",
+		Kinds: []string{"lexical", "transitive"}, graph: true,
+		run: func(in *passInput) []Finding { return runLocklint(in.m, in.idx, in.g) }},
+}
+
+// PassNames returns the pass names in census order.
+func PassNames() []string {
+	names := make([]string, len(Passes))
+	for i, p := range Passes {
+		names[i] = p.Name
+	}
+	return names
+}
+
+// passByName returns the named pass, or nil.
+func passByName(name string) *Pass {
+	for i := range Passes {
+		if Passes[i].Name == name {
+			return &Passes[i]
+		}
+	}
+	return nil
 }
 
 // Config selects what a run checks.
@@ -64,67 +103,34 @@ func RunAll(m *Module, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	all := map[string]bool{}
-	for _, n := range PassNames {
-		all[n] = true
-	}
-	selected := map[string]bool{}
-	if cfg.Passes == nil {
-		selected = all
-	} else {
-		for _, n := range cfg.Passes {
-			if !all[n] {
-				return nil, fmt.Errorf("unknown pass %q (have %s)", n, passList(all))
-			}
-			selected[n] = true
+	for _, n := range cfg.Passes {
+		if passByName(n) == nil {
+			return nil, fmt.Errorf("unknown pass %q (have %s)", n, strings.Join(PassNames(), "|"))
 		}
 	}
+	run := func(pass string) bool { return cfg.Passes == nil || slices.Contains(cfg.Passes, pass) }
 
 	// The interprocedural passes share one call graph (and its dataflow
-	// summaries); build it only when one of them is selected.
-	var g *CallGraph
-	if selected["alloclint"] || selected["ctxlint"] || selected["leaklint"] || selected["locklint"] {
-		g = BuildCallGraph(m)
-	}
-
+	// summaries), built by the first of them to run.
+	in := &passInput{m: m, contract: contract, idx: idx, roster: cfg.HotPathRoster}
 	var findings []Finding
-	if selected["alloclint"] {
-		findings = append(findings, runAlloclint(m, g, cfg.HotPathRoster)...)
-	}
-	if selected["ctxlint"] {
-		findings = append(findings, runCtxlint(m, idx, g)...)
-	}
-	if selected["detlint"] {
-		findings = append(findings, runDetlint(m)...)
-	}
-	if selected["errlint"] {
-		findings = append(findings, runErrlint(m, idx)...)
-	}
-	if selected["globlint"] {
-		findings = append(findings, runGloblint(m, idx)...)
-	}
-	if selected["layerlint"] {
-		findings = append(findings, runLayerlint(m, contract, idx)...)
-	}
-	if selected["leaklint"] {
-		findings = append(findings, runLeaklint(m, idx, g)...)
-	}
-	if selected["locklint"] {
-		findings = append(findings, runLocklint(m, idx, g)...)
+	for _, p := range Passes {
+		if !run(p.Name) {
+			continue
+		}
+		if p.graph && in.g == nil {
+			in.g = BuildCallGraph(m)
+		}
+		findings = append(findings, p.run(in)...)
 	}
 
-	entries, malformed := collectAllows(m, all)
+	entries, malformed := collectAllows(m)
 	findings = append(findings, malformed...)
 	// Annotations for passes not selected this run are neither applied nor
 	// reported unused — a -pass subset must not invent complaints about
 	// the other passes' exceptions.
-	kept := entries[:0]
-	for _, e := range entries {
-		if selected[e.pass] {
-			kept = append(kept, e)
-		}
-	}
-	findings = applyAllows(findings, kept)
+	entries = slices.DeleteFunc(entries, func(e *allowEntry) bool { return !run(e.pass) })
+	findings = applyAllows(findings, entries)
 	return NewReport("ndavet", findings), nil
 }
 

@@ -97,6 +97,8 @@ type CallGraph struct {
 	// taken lists address-taken functions (referenced outside call
 	// position) — the candidate set for func-value dispatch.
 	taken []*FuncNode
+	// impls memoizes implementers per interface method.
+	impls map[*types.Func][]*FuncNode
 
 	sccCount int
 }
@@ -140,6 +142,7 @@ func BuildCallGraph(m *Module) *CallGraph {
 		byObj:  map[*types.Func]*FuncNode{},
 		byLit:  map[*ast.FuncLit]*FuncNode{},
 		byName: map[string]*FuncNode{},
+		impls:  map[*types.Func][]*FuncNode{},
 	}
 	g.createNodes()
 	g.resolveEdges()
@@ -377,7 +380,8 @@ func (g *CallGraph) resolveCall(p *Pkg, call *ast.CallExpr) *CallSite {
 		fn := o.Origin()
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 			if _, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
-				return g.resolveInterfaceCall(p, call, fn)
+				return &CallSite{Call: call, Unknown: true, External: fn,
+					Desc: "interface call " + externalName(fn), Candidates: g.implementers(fn)}
 			}
 		}
 		if n := g.byObj[fn]; n != nil {
@@ -402,16 +406,19 @@ func externalName(fn *types.Func) string {
 	return fn.Pkg().Path() + "." + fn.Name()
 }
 
-// resolveInterfaceCall enumerates the module types implementing the
-// called interface method — class-hierarchy analysis — and marks the site
-// Unknown, since external implementers are always possible.
-func (g *CallGraph) resolveInterfaceCall(p *Pkg, call *ast.CallExpr, m *types.Func) *CallSite {
-	cs := &CallSite{Call: call, Unknown: true, External: m,
-		Desc: "interface call " + externalName(m)}
+// implementers returns the module methods an interface method m may
+// dispatch to — class-hierarchy analysis: m's counterpart on every module
+// type implementing its interface, sorted by name. An interface call site
+// is Unknown as well, since external implementers are always possible.
+func (g *CallGraph) implementers(m *types.Func) []*FuncNode {
+	if out, ok := g.impls[m]; ok {
+		return out
+	}
 	iface, _ := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
 	if iface == nil {
-		return cs
+		return nil
 	}
+	var out []*FuncNode
 	seen := map[*FuncNode]bool{}
 	for _, pkg := range g.Mod.Pkgs {
 		scope := pkg.Types.Scope()
@@ -435,14 +442,15 @@ func (g *CallGraph) resolveInterfaceCall(p *Pkg, call *ast.CallExpr, m *types.Fu
 				if fn, ok := impl.(*types.Func); ok {
 					if n := g.byObj[fn.Origin()]; n != nil && !seen[n] {
 						seen[n] = true
-						cs.Candidates = append(cs.Candidates, n)
+						out = append(out, n)
 					}
 				}
 			}
 		}
 	}
-	sort.Slice(cs.Candidates, func(i, j int) bool { return cs.Candidates[i].Name < cs.Candidates[j].Name })
-	return cs
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	g.impls[m] = out
+	return out
 }
 
 // resolveFuncValueCall matches a call through a func value against the

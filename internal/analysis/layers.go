@@ -103,9 +103,9 @@ var DefaultContract = []Rule{
 
 	// Public facade.
 	{Path: "nda", Class: Deterministic, Allow: []string{
-		"nda/internal/asm", "nda/internal/attack", "nda/internal/checkpoint", "nda/internal/core",
-		"nda/internal/harness", "nda/internal/inorder", "nda/internal/isa", "nda/internal/ooo",
-		"nda/internal/trace", "nda/internal/workload"}},
+		"nda/internal/asm", "nda/internal/attack", "nda/internal/core", "nda/internal/harness",
+		"nda/internal/inorder", "nda/internal/isa", "nda/internal/ooo", "nda/internal/trace",
+		"nda/internal/workload"}},
 
 	// Service shell.
 	{Path: "nda/internal/store", Class: Service},

@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,6 +26,8 @@ type Pkg struct {
 	// Internal lists the module-internal imports, sorted; Std the rest.
 	Internal []string
 	Std      []string
+
+	caller bool // in a module nested in this one's tree
 }
 
 // Module is a loaded, fully typechecked module: every non-test package,
@@ -35,6 +38,10 @@ type Module struct {
 	Fset   *token.FileSet
 	Pkgs   []*Pkg
 	ByPath map[string]*Pkg
+	// Callers are the packages of the modules nested in this one's tree
+	// (bench/), typechecked against it under their directories' import
+	// paths. No pass analyzes them; deadlint counts what they use.
+	Callers []*Pkg
 }
 
 // Rel renders a token position with the file path relative to the module
@@ -104,8 +111,12 @@ func Load(dir string) (*Module, error) {
 		if err := m.typecheck(p, mi); err != nil {
 			return nil, err
 		}
+		if p.caller {
+			m.Callers = append(m.Callers, p)
+		} else {
+			m.Pkgs = append(m.Pkgs, p)
+		}
 	}
-	m.Pkgs = order
 	return m, nil
 }
 
@@ -151,9 +162,11 @@ func moduleLine(gomod string) string {
 }
 
 // parseAll walks the module tree and parses every non-test .go file,
-// grouping files into packages by directory. testdata, hidden, and nested-
-// module directories are skipped, matching the go tool's conventions.
+// grouping files into packages by directory. testdata and hidden
+// directories are skipped, matching the go tool's conventions; packages
+// in nested modules are marked as callers.
 func (m *Module) parseAll() error {
+	var nested []string
 	return filepath.WalkDir(m.Root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -165,7 +178,7 @@ func (m *Module) parseAll() error {
 					return filepath.SkipDir
 				}
 				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-					return filepath.SkipDir // nested module
+					nested = append(nested, path+string(filepath.Separator))
 				}
 			}
 			return nil
@@ -188,7 +201,9 @@ func (m *Module) parseAll() error {
 		}
 		p := m.ByPath[ipath]
 		if p == nil {
-			p = &Pkg{Path: ipath, Dir: dir}
+			p = &Pkg{Path: ipath, Dir: dir, caller: slices.ContainsFunc(nested, func(root string) bool {
+				return strings.HasPrefix(dir+string(filepath.Separator), root)
+			})}
 			m.ByPath[ipath] = p
 		}
 		p.Files = append(p.Files, file)

@@ -3,7 +3,7 @@
 // and ndavet (the determinism/layering analyzer over the Go source
 // itself). It provides the common finding/report plumbing both tools emit
 // through, plus ndavet's module loader, source importer, layer contract,
-// and the four ndavet passes.
+// and the table of ndavet passes (analysis.go).
 //
 // The module has no external dependencies, so everything here is built on
 // the standard library's go/parser, go/ast, and go/types.
@@ -30,7 +30,7 @@ type Finding struct {
 	Col  int    `json:"col,omitempty"`
 	Tool string `json:"tool"`
 	Pass string `json:"pass"`
-	// Kind subdivides a pass's findings (see PassKinds). An
+	// Kind subdivides a pass's findings (see Pass.Kinds). An
 	// //ndavet:allow annotation may pin itself to a kind with
 	// <pass>:<kind>, so a refactor that swaps one finding kind for
 	// another on the same line cannot silently reuse the old exemption.

@@ -109,9 +109,6 @@ func (g *Gshare) Restore(checkpoint uint64, actualTaken bool) {
 	g.history = (checkpoint << 1) | b2u(actualTaken)
 }
 
-// History returns the current global history register (for tests).
-func (g *Gshare) History() uint64 { return g.history }
-
 // SetHistory rewinds the global history register to a previously captured
 // checkpoint; used when squashing wrong-path fetches.
 func (g *Gshare) SetHistory(h uint64) { g.history = h }
@@ -209,17 +206,6 @@ func (b *BTB) Update(pc, target uint64) {
 	set[victim] = btbEntry{tag: tag, target: target, stamp: b.clock, gen: b.gen}
 }
 
-// Peek returns the target for pc without touching LRU state or stats.
-func (b *BTB) Peek(pc uint64) (uint64, bool) {
-	set, tag := b.set(pc)
-	for i := range set {
-		if e := &set[i]; e.gen == b.gen && e.tag == tag {
-			return e.target, true
-		}
-	}
-	return 0, false
-}
-
 // RAS is a circular return address stack. Overflow silently wraps (oldest
 // entries are overwritten); underflow returns ok=false.
 type RAS struct {
@@ -262,17 +248,9 @@ func (r *RAS) Pop() (addr uint64, ok bool) {
 	return addr, true
 }
 
-// Snapshot captures the full RAS state; branches checkpoint it so a squash
-// can restore the stack exactly.
-func (r *RAS) Snapshot() RASSnapshot {
-	s := RASSnapshot{top: r.top, depth: r.depth, entries: make([]uint64, len(r.entries))}
-	copy(s.entries, r.entries)
-	return s
-}
-
 // SnapshotInto captures the RAS state into dst, reusing dst's backing array
-// when it is already the right size. The allocation-free equivalent of
-// Snapshot for callers that checkpoint on every call/return.
+// when it is already the right size; branches checkpoint it so a squash can
+// restore the stack exactly, without allocating on every call/return.
 func (r *RAS) SnapshotInto(dst *RASSnapshot) {
 	if len(dst.entries) != len(r.entries) {
 		//ndavet:allow alloclint:op resizes the checkpoint buffer only when the configured RAS depth changed; steady-state snapshots reuse it (bench-gated 0 B/op)
@@ -311,9 +289,6 @@ func (r *RAS) Restore(s RASSnapshot) {
 	r.top, r.depth = s.top, s.depth
 	copy(r.entries, s.entries)
 }
-
-// Depth returns the number of live entries.
-func (r *RAS) Depth() int { return r.depth }
 
 // RASSnapshot is an immutable copy of RAS state.
 type RASSnapshot struct {

@@ -51,7 +51,7 @@ func TestGshareLearnsAlternatingWithHistory(t *testing.T) {
 
 func TestGshareCheckpointRestore(t *testing.T) {
 	g := NewGshare(10)
-	h0 := g.History()
+	h0 := g.history
 	_, ck := g.Predict(0x1000)
 	if ck != h0 {
 		t.Error("checkpoint must capture pre-prediction history")
@@ -59,11 +59,11 @@ func TestGshareCheckpointRestore(t *testing.T) {
 	g.Predict(0x1004)
 	g.Predict(0x1008)
 	g.Restore(ck, true)
-	if g.History() != (h0<<1)|1 {
-		t.Errorf("Restore must re-apply the actual outcome: %b", g.History())
+	if g.history != (h0<<1)|1 {
+		t.Errorf("Restore must re-apply the actual outcome: %b", g.history)
 	}
 	g.SetHistory(h0)
-	if g.History() != h0 {
+	if g.history != h0 {
 		t.Error("SetHistory must rewind exactly")
 	}
 }
@@ -152,13 +152,13 @@ func TestRASSnapshotRestore(t *testing.T) {
 	r := NewRAS(8)
 	r.Push(0xA)
 	r.Push(0xB)
-	snap := r.Snapshot()
+	snap := snapshot(r)
 	r.Pop()
 	r.Push(0xC)
 	r.Push(0xD)
 	r.Restore(snap)
-	if r.Depth() != 2 {
-		t.Fatalf("depth = %d", r.Depth())
+	if r.depth != 2 {
+		t.Fatalf("depth = %d", r.depth)
 	}
 	if a, _ := r.Pop(); a != 0xB {
 		t.Errorf("post-restore pop = %#x, want 0xB", a)
@@ -179,8 +179,8 @@ func TestRASSnapshotsAreDisjoint(t *testing.T) {
 	for i, s := range snaps {
 		r2 := NewRAS(4)
 		r2.Restore(s)
-		if r2.Depth() != i+1 {
-			t.Fatalf("snapshot %d: depth %d, want %d", i, r2.Depth(), i+1)
+		if r2.depth != i+1 {
+			t.Fatalf("snapshot %d: depth %d, want %d", i, r2.depth, i+1)
 		}
 		if a, _ := r2.Pop(); a != uint64(0x10*(i+1)) {
 			t.Errorf("snapshot %d: top %#x, want %#x", i, a, 0x10*(i+1))
@@ -198,20 +198,20 @@ func TestRASSnapshotProperty(t *testing.T) {
 				r.Pop()
 			}
 		}
-		snap := r.Snapshot()
-		depth := r.Depth()
+		snap := snapshot(r)
+		depth := r.depth
 		// Arbitrary mutation...
 		r.Push(0xFFFF)
 		r.Pop()
 		r.Pop()
 		// ...must be fully undone by Restore.
 		r.Restore(snap)
-		if r.Depth() != depth {
+		if r.depth != depth {
 			return false
 		}
 		r2 := NewRAS(16)
 		r2.Restore(snap)
-		for r.Depth() > 0 {
+		for r.depth > 0 {
 			a1, _ := r.Pop()
 			a2, _ := r2.Pop()
 			if a1 != a2 {
@@ -263,7 +263,7 @@ func exercise(g *Gshare, b *BTB, r *RAS, seed int64) []uint64 {
 			out = append(out, a, b2u(ok))
 		}
 	}
-	return append(out, g.History(), g.Lookups, b.Lookups, b.Hits, uint64(r.Depth()))
+	return append(out, g.history, g.Lookups, b.Lookups, b.Hits, uint64(r.depth))
 }
 
 // Reset returns each structure to exactly its constructor's state: after
@@ -275,7 +275,7 @@ func TestResetMatchesFresh(t *testing.T) {
 	g.Reset()
 	b.Reset()
 	r.Reset()
-	if g.Lookups != 0 || g.History() != 0 || b.Lookups != 0 || b.Hits != 0 || r.Depth() != 0 {
+	if g.Lookups != 0 || g.history != 0 || b.Lookups != 0 || b.Hits != 0 || r.depth != 0 {
 		t.Fatal("Reset left counters, history or depth behind")
 	}
 	if _, ok := b.Peek(0); ok {
@@ -293,7 +293,7 @@ func TestResetMatchesFresh(t *testing.T) {
 	}
 	// The snapshot of a reset RAS equals a fresh one's, contents included.
 	r.Reset()
-	s, f := r.Snapshot(), NewRAS(4).Snapshot()
+	s, f := snapshot(r), snapshot(NewRAS(4))
 	if s.top != f.top || s.depth != f.depth || len(s.entries) != len(f.entries) {
 		t.Fatalf("snapshot %+v vs fresh %+v", s, f)
 	}
@@ -330,4 +330,23 @@ func TestGshareResetCounters(t *testing.T) {
 			}
 		}
 	}
+}
+
+// snapshot captures r into a new snapshot.
+func snapshot(r *RAS) RASSnapshot {
+	var s RASSnapshot
+	r.SnapshotInto(&s)
+	return s
+}
+
+// Peek returns the target for pc without touching LRU state or stats, so
+// the tests can inspect the BTB without disturbing it.
+func (b *BTB) Peek(pc uint64) (uint64, bool) {
+	set, tag := b.set(pc)
+	for i := range set {
+		if e := &set[i]; e.gen == b.gen && e.tag == tag {
+			return e.target, true
+		}
+	}
+	return 0, false
 }

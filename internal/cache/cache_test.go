@@ -177,7 +177,7 @@ func TestHierarchyNoInstall(t *testing.T) {
 	if r.Level != LevelDRAM {
 		t.Errorf("cold no-install = %+v", r)
 	}
-	if h.DataPresent(addr) {
+	if dataPresent(h, addr) {
 		t.Error("no-install access must leave the line absent")
 	}
 	r = h.DataNoInstall(addr)
@@ -185,7 +185,7 @@ func TestHierarchyNoInstall(t *testing.T) {
 		t.Error("repeated no-install access must still miss (no speculative reuse)")
 	}
 	h.InstallData(addr)
-	if !h.DataPresent(addr) {
+	if !dataPresent(h, addr) {
 		t.Error("InstallData must expose the line")
 	}
 	if r := h.Data(addr); r.Level != LevelL1 {
@@ -199,7 +199,7 @@ func TestHierarchyFlush(t *testing.T) {
 	h.Data(addr)
 	h.Inst(addr)
 	h.Flush(addr)
-	if h.DataPresent(addr) || h.L1I.Present(addr) {
+	if dataPresent(h, addr) || h.L1I.Present(addr) {
 		t.Error("Flush must remove the line from every level")
 	}
 }
@@ -428,7 +428,7 @@ func TestHierarchyReset(t *testing.T) {
 	h.Data(0x1000)
 	h.Inst(0x2000)
 	h.Reset()
-	if h.DataPresent(0x1000) || h.L1I.Present(0x2000) || h.L2.Present(0x2000) {
+	if dataPresent(h, 0x1000) || h.L1I.Present(0x2000) || h.L2.Present(0x2000) {
 		t.Error("Reset must empty every level")
 	}
 	for _, c := range []*Cache{h.L1I, h.L1D, h.L2} {
@@ -439,4 +439,9 @@ func TestHierarchyReset(t *testing.T) {
 	if r := h.Data(0x1000); r.Level != LevelDRAM {
 		t.Errorf("access after Reset = %+v, want a DRAM miss", r)
 	}
+}
+
+// dataPresent reports whether addr is in L1D or L2, without side effects.
+func dataPresent(h *Hierarchy, addr uint64) bool {
+	return h.L1D.Present(addr) || h.L2.Present(addr)
 }

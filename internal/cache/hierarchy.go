@@ -98,11 +98,6 @@ func (h *Hierarchy) InstallData(addr uint64) {
 	h.L1D.Install(addr)
 }
 
-// DataPresent reports whether addr is in L1D or L2, without side effects.
-func (h *Hierarchy) DataPresent(addr uint64) bool {
-	return h.L1D.Present(addr) || h.L2.Present(addr)
-}
-
 // Flush removes addr's line from every level (CLFLUSH semantics).
 func (h *Hierarchy) Flush(addr uint64) {
 	h.L1I.Flush(addr)

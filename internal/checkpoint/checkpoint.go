@@ -5,16 +5,13 @@
 // SMARTS measurement intervals can be distributed across a long
 // execution without paying detailed-simulation cost between them.
 //
-// Checkpoints serialize to a compact binary format (magic, architectural
-// registers, MSRs, then the populated memory pages), so sampled program
-// phases can be stored and re-simulated later.
+// Checkpoints live in memory only: a sweep takes each workload's series
+// once and resumes every cell from it, so none is ever written to disk.
 package checkpoint
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"nda/internal/core"
 	"nda/internal/emu"
@@ -51,20 +48,6 @@ func Start(prog *isa.Program) *Checkpoint {
 	m := mem.New()
 	emu.Load(m, prog)
 	return &Checkpoint{PC: prog.Entry, Mem: m}
-}
-
-// Take fast-forwards a fresh functional execution of prog by skipInsts
-// instructions and captures the state there. It fails if the program halts
-// or errors before the target.
-func Take(prog *isa.Program, skipInsts uint64) (*Checkpoint, error) {
-	m := emu.New(prog)
-	if err := m.RunN(skipInsts); err != nil {
-		return nil, fmt.Errorf("checkpoint: fast-forward: %w", err)
-	}
-	if m.Halted {
-		return nil, fmt.Errorf("checkpoint: program halted after %d instructions, before the %d-instruction target", m.Retired, skipInsts)
-	}
-	return Capture(m), nil
 }
 
 // SeriesBudget bounds the memory images one TakeSeries call may hold, in
@@ -128,153 +111,6 @@ func fastForward(ctx context.Context, m *emu.Machine, n uint64) error {
 		}
 	}
 	return nil
-}
-
-// Emu builds a functional machine resuming from the checkpoint. The
-// checkpoint's memory is cloned, so the checkpoint stays reusable.
-func (c *Checkpoint) Emu(prog *isa.Program) *emu.Machine {
-	m := emu.NewWithMemory(prog, c.Mem.Clone())
-	m.PC = c.PC
-	m.Retired = c.Retired
-	m.Regs = c.Regs
-	m.MSR = c.MSR
-	return m
-}
-
-// Clone deep-copies the checkpoint.
-func (c *Checkpoint) Clone() *Checkpoint {
-	out := *c
-	out.Mem = c.Mem.Clone()
-	return &out
-}
-
-// Serialization format:
-//
-//	magic "NDACKPT1"
-//	u64 pc, u64 retired
-//	32 x u64 regs, NumMSR x u64 msrs
-//	u64 nKernelPages, then page numbers
-//	u64 nPages, then (u64 pageNum, PageSize bytes) each
-
-var magic = [8]byte{'N', 'D', 'A', 'C', 'K', 'P', 'T', '1'}
-
-// maxPageNum is the number of the top page of the 64-bit address space.
-const maxPageNum = 1<<(64-mem.PageBits) - 1
-
-// Save writes the checkpoint to w.
-func (c *Checkpoint) Save(w io.Writer) error {
-	if _, err := w.Write(magic[:]); err != nil {
-		return err
-	}
-	write := func(vs ...uint64) error {
-		for _, v := range vs {
-			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := write(c.PC, c.Retired); err != nil {
-		return err
-	}
-	if err := write(c.Regs[:]...); err != nil {
-		return err
-	}
-	if err := write(c.MSR[:]...); err != nil {
-		return err
-	}
-	kp := c.Mem.KernelPages()
-	if err := write(uint64(len(kp))); err != nil {
-		return err
-	}
-	if err := write(kp...); err != nil {
-		return err
-	}
-	pages := c.Mem.PageNums()
-	if err := write(uint64(len(pages))); err != nil {
-		return err
-	}
-	for _, pn := range pages {
-		if err := write(pn); err != nil {
-			return err
-		}
-		if _, err := w.Write(c.Mem.PageData(pn)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Load reads a checkpoint written by Save. It rejects a bad magic, a short
-// read, and a page number outside the address space.
-func Load(r io.Reader) (*Checkpoint, error) {
-	var m [8]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return nil, err
-	}
-	if m != magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %q", m[:])
-	}
-	read := func(vs ...*uint64) error {
-		for _, v := range vs {
-			if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// A page number past the address space would name a page no address
-	// reaches, or wrap onto a low page when shifted into an address.
-	readPageNum := func(pn *uint64) error {
-		if err := read(pn); err != nil {
-			return err
-		}
-		if *pn > maxPageNum {
-			return fmt.Errorf("checkpoint: page number %#x is outside the address space", *pn)
-		}
-		return nil
-	}
-	c := &Checkpoint{Mem: mem.New()}
-	if err := read(&c.PC, &c.Retired); err != nil {
-		return nil, err
-	}
-	for i := range c.Regs {
-		if err := read(&c.Regs[i]); err != nil {
-			return nil, err
-		}
-	}
-	for i := range c.MSR {
-		if err := read(&c.MSR[i]); err != nil {
-			return nil, err
-		}
-	}
-	var nk uint64
-	if err := read(&nk); err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nk; i++ {
-		var pn uint64
-		if err := readPageNum(&pn); err != nil {
-			return nil, err
-		}
-		c.Mem.SetKernel(pn<<mem.PageBits, mem.PageSize)
-	}
-	var np uint64
-	if err := read(&np); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, mem.PageSize)
-	for i := uint64(0); i < np; i++ {
-		var pn uint64
-		if err := readPageNum(&pn); err != nil {
-			return nil, err
-		}
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		c.Mem.SetPageData(pn, buf)
-	}
-	return c, nil
 }
 
 // Cores is one worker's timing state: one out-of-order core and one

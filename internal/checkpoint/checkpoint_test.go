@@ -1,11 +1,10 @@
 package checkpoint
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,7 +13,6 @@ import (
 	"nda/internal/emu"
 	"nda/internal/inorder"
 	"nda/internal/isa"
-	"nda/internal/mem"
 	"nda/internal/ooo"
 	"nda/internal/stats"
 	"nda/internal/workload"
@@ -29,6 +27,24 @@ func runToHalt(t *testing.T, m *emu.Machine) *emu.Machine {
 	return m
 }
 
+// take captures the one checkpoint skipInsts instructions into prog.
+func take(t *testing.T, prog *isa.Program, skipInsts uint64) *Checkpoint {
+	t.Helper()
+	cps, err := TakeSeries(context.Background(), prog, skipInsts, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cps[0]
+}
+
+// resume builds a functional machine resuming from cp on a clone of its
+// memory, so cp stays reusable.
+func resume(cp *Checkpoint, prog *isa.Program) *emu.Machine {
+	m := emu.NewWithMemory(prog, cp.Mem.Clone())
+	m.PC, m.Retired, m.Regs, m.MSR = cp.PC, cp.Retired, cp.Regs, cp.MSR
+	return m
+}
+
 func TestCaptureResumeEquivalence(t *testing.T) {
 	// Uninterrupted execution and checkpoint-then-resume must reach
 	// identical final state.
@@ -36,11 +52,7 @@ func TestCaptureResumeEquivalence(t *testing.T) {
 		prog := workload.Random(seed, 200)
 		full := runToHalt(t, emu.New(prog))
 
-		cp, err := Take(prog, full.Retired/2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumed := runToHalt(t, cp.Emu(prog))
+		resumed := runToHalt(t, resume(take(t, prog, full.Retired/2), prog))
 
 		if resumed.Retired != full.Retired {
 			t.Errorf("seed %d: retired %d, want %d", seed, resumed.Retired, full.Retired)
@@ -48,109 +60,9 @@ func TestCaptureResumeEquivalence(t *testing.T) {
 		if resumed.Regs != full.Regs {
 			t.Errorf("seed %d: register state diverged", seed)
 		}
-		for _, pn := range full.Mem.PageNums() {
-			want := full.Mem.PageData(pn)
-			got := resumed.Mem.PageData(pn)
-			if !bytes.Equal(want, got) {
-				t.Errorf("seed %d: page %#x diverged", seed, pn)
-				break
-			}
-		}
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	prog := workload.Random(77, 150)
-	cp, err := Take(prog, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := cp.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cp2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp2.PC != cp.PC || cp2.Retired != cp.Retired || cp2.Regs != cp.Regs || cp2.MSR != cp.MSR {
-		t.Error("scalar state lost in round trip")
-	}
-	for _, pn := range cp.Mem.PageNums() {
-		if !bytes.Equal(cp.Mem.PageData(pn), cp2.Mem.PageData(pn)) {
-			t.Fatalf("page %#x lost in round trip", pn)
-		}
-	}
-	// Both resume to the same final state.
-	a := runToHalt(t, cp.Emu(prog))
-	b := runToHalt(t, cp2.Emu(prog))
-	if a.Regs != b.Regs || a.Retired != b.Retired {
-		t.Error("loaded checkpoint resumes differently")
-	}
-}
-
-func TestSaveLoadKernelPages(t *testing.T) {
-	prog := workload.Random(3, 50)
-	m := emu.New(prog)
-	m.Mem.SetKernel(0x77000, 16)
-	m.Mem.Write(0x77000, 8, 42)
-	cp := Capture(m)
-	var buf bytes.Buffer
-	if err := cp.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cp2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cp2.Mem.KernelOnly(0x77000) {
-		t.Error("kernel protection lost")
-	}
-	if cp2.Mem.Read(0x77000, 8) != 42 {
-		t.Error("kernel data lost")
-	}
-}
-
-func TestLoadRejectsBadMagic(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("NOTACKPT-----"))); err == nil {
-		t.Error("bad magic must be rejected")
-	}
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input must be rejected")
-	}
-}
-
-// A page number past the 52-bit page space is rejected, as a data page
-// (no address reaches it) and as a kernel page (shifted into an address it
-// wraps, here onto page 0); the top page itself loads.
-func TestLoadRejectsPagesOutsideAddressSpace(t *testing.T) {
-	encode := func(kernel, data uint64) []byte {
-		var buf bytes.Buffer
-		buf.Write(magic[:])
-		words := make([]uint64, 2+isa.NumGPR+isa.NumMSR)
-		words = append(words, 1, kernel, 1, data)
-		binary.Write(&buf, binary.LittleEndian, words)
-		buf.Write(make([]byte, mem.PageSize))
-		return buf.Bytes()
-	}
-	cp, err := Load(bytes.NewReader(encode(maxPageNum, maxPageNum)))
-	if err != nil {
-		t.Fatalf("top page rejected: %v", err)
-	}
-	if !cp.Mem.KernelOnly(maxPageNum<<mem.PageBits) || cp.Mem.KernelOnly(0) {
-		t.Error("top page's kernel bit not where it was saved")
-	}
-	for _, c := range []struct {
-		name         string
-		kernel, data uint64
-	}{
-		{"kernel page", maxPageNum + 1, 0},
-		{"data page", 0, maxPageNum + 1},
-		{"kernel page wrapping onto page 5", 1<<52 + 5, 0},
-		{"data page", 0, ^uint64(0)},
-	} {
-		if _, err := Load(bytes.NewReader(encode(c.kernel, c.data))); err == nil {
-			t.Errorf("%s: kernel page %#x, data page %#x loaded", c.name, c.kernel, c.data)
+		// Clones of equal images are laid out alike, so they compare equal.
+		if !reflect.DeepEqual(resumed.Mem.Clone(), full.Mem.Clone()) {
+			t.Errorf("seed %d: memory image diverged", seed)
 		}
 	}
 }
@@ -158,7 +70,7 @@ func TestLoadRejectsPagesOutsideAddressSpace(t *testing.T) {
 func TestTakeRejectsHaltingPrograms(t *testing.T) {
 	prog := workload.Random(5, 10)
 	full := runToHalt(t, emu.New(prog))
-	if _, err := Take(prog, full.Retired+100); err == nil {
+	if _, err := TakeSeries(context.Background(), prog, full.Retired+100, 0, 1); err == nil {
 		t.Error("fast-forward past the program's end must fail")
 	}
 }
@@ -180,7 +92,7 @@ func TestTakeSeries(t *testing.T) {
 	// Each point must independently resume to the same final state.
 	want := runToHalt(t, emu.New(prog)).Regs
 	for i, cp := range cps {
-		got := runToHalt(t, cp.Emu(prog)).Regs
+		got := runToHalt(t, resume(cp, prog)).Regs
 		if got != want {
 			t.Errorf("checkpoint %d resumes to different state", i)
 		}
@@ -202,8 +114,8 @@ func TestTakeSeriesChunkedFastForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, cp := range cps {
-		want, err := Take(prog, first+uint64(i)*stride)
-		if err != nil {
+		want := emu.New(prog)
+		if err := want.RunN(first + uint64(i)*stride); err != nil {
 			t.Fatal(err)
 		}
 		if cp.Retired != want.Retired || cp.PC != want.PC || cp.Regs != want.Regs {
@@ -247,10 +159,7 @@ func TestOoOFromCheckpointMatchesGolden(t *testing.T) {
 	// functional run.
 	prog := workload.Random(21, 250)
 	full := runToHalt(t, emu.New(prog))
-	cp, err := Take(prog, full.Retired/2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := take(t, prog, full.Retired/2)
 	for _, pol := range core.All() {
 		t.Run(pol.Name, func(t *testing.T) {
 			c := new(Cores).ResumeOoO(cp, prog, pol, ooo.DefaultParams())
@@ -272,10 +181,7 @@ func TestOoOFromCheckpointMatchesGolden(t *testing.T) {
 func TestInOrderFromCheckpointMatchesGolden(t *testing.T) {
 	prog := workload.Random(22, 250)
 	full := runToHalt(t, emu.New(prog))
-	cp, err := Take(prog, full.Retired/3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := take(t, prog, full.Retired/3)
 	m := new(Cores).ResumeInOrder(cp, prog, inorder.DefaultParams())
 	if err := m.Run(10_000_000); err != nil {
 		t.Fatal(err)
@@ -288,10 +194,7 @@ func TestInOrderFromCheckpointMatchesGolden(t *testing.T) {
 func TestCheckpointReusable(t *testing.T) {
 	// Building a core from a checkpoint must not mutate it.
 	prog := workload.Random(33, 200)
-	cp, err := Take(prog, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := take(t, prog, 300)
 	before := cp.Mem.Read(0x100000, 8)
 	var cs Cores
 	c := cs.ResumeOoO(cp, prog, core.Baseline(), ooo.DefaultParams())
@@ -409,22 +312,25 @@ func TestResumeReusedCoreMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestCloneIndependence: every checkpoint of a series holds its own clone
+// of the memory image, shared neither with the others nor with the
+// emulator that kept running after it was captured.
 func TestCloneIndependence(t *testing.T) {
 	prog := workload.Random(44, 100)
-	cp, err := Take(prog, 100)
+	cps, err := TakeSeries(context.Background(), prog, 100, 50, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := cp.Clone()
-	cl.Mem.Write(0x100000, 8, 999)
-	if cp.Mem.Read(0x100000, 8) == 999 {
-		t.Error("clone shares memory with the original")
+	before := cps[1].Mem.Read(0x100000, 8)
+	cps[0].Mem.Write(0x100000, 8, before+999)
+	if cps[1].Mem.Read(0x100000, 8) != before {
+		t.Error("two checkpoints of a series share memory")
 	}
 }
 
-func ExampleTake() {
+func ExampleTakeSeries() {
 	prog := workload.Random(1, 100)
-	cp, _ := Take(prog, 200)
-	fmt.Println(cp.Retired)
-	// Output: 200
+	cps, _ := TakeSeries(context.Background(), prog, 200, 50, 2)
+	fmt.Println(cps[0].Retired, cps[1].Retired)
+	// Output: 200 250
 }

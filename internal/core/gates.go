@@ -169,6 +169,8 @@ func (r Rules) WaitsForEldest(c isa.Class) bool { return r.eldest&(1<<c) != 0 }
 // The OoO pipeline does not call it every cycle. It clears only the bits
 // between the old and the new eldest unresolved branch, and its tests
 // compare the result with this walk after every cycle.
+//
+//ndavet:allow deadlint the reference walk that tests check the pipeline's incremental guard clearing against
 func (r Rules) RecomputeGuards(nodes []*Node) {
 	if !r.Walk {
 		return

@@ -210,6 +210,8 @@ func (m *Machine) Step() error {
 // Run executes until HALT or maxInsts instructions, whichever comes first.
 // It returns an error for fatal simulation errors; exceeding maxInsts
 // without halting is reported as an error so runaway programs are caught.
+//
+//ndavet:allow deadlint the run-to-halt oracle that tests compare every timing core's final state against
 func (m *Machine) Run(maxInsts uint64) error {
 	for !m.Halted {
 		if m.Retired >= maxInsts {

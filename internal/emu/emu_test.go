@@ -312,7 +312,7 @@ main:   halt
 `)
 	m0 := mem.New()
 	Load(m0, p)
-	if !m0.KernelOnly(0x20000) {
+	if m0.UserAccessOK(0x20000, 1) {
 		t.Error("Load must apply kernel protection")
 	}
 	if m0.Read(0x20000, 8) != 5 {

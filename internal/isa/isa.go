@@ -67,9 +67,6 @@ const (
 	RegT6   Reg = 31
 )
 
-// Valid reports whether r names an architectural register.
-func (r Reg) Valid() bool { return r < NumGPR }
-
 // String returns the canonical xN name of the register.
 func (r Reg) String() string { return fmt.Sprintf("x%d", uint8(r)) }
 

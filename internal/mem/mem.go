@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // PageBits is log2 of the page size.
@@ -108,19 +107,6 @@ func (m *Memory) SetKernel(addr, size uint64) {
 		m.kernel[pn] = true
 	}
 }
-
-// SetUser marks every page overlapping [addr, addr+size) as user-accessible.
-func (m *Memory) SetUser(addr, size uint64) {
-	if size == 0 {
-		return
-	}
-	for pn, n := pageSpan(addr, size); n > 0; pn, n = (pn+1)&pageNumMask, n-1 {
-		delete(m.kernel, pn)
-	}
-}
-
-// KernelOnly reports whether the page containing addr is kernel-only.
-func (m *Memory) KernelOnly(addr uint64) bool { return m.kernel[pageNum(addr)] }
 
 // UserAccessOK reports whether a user-mode access of size bytes at addr is
 // architecturally permitted: no page its bytes touch, including those it
@@ -235,55 +221,5 @@ func (m *Memory) StoreBytes(addr uint64, b []byte) {
 	}
 }
 
-// LoadBytes copies n bytes starting at addr into a fresh slice.
-func (m *Memory) LoadBytes(addr uint64, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = m.LoadByte(addr + uint64(i))
-	}
-	return out
-}
-
 // MappedPages returns the number of pages that have been allocated.
 func (m *Memory) MappedPages() int { return len(m.pages) }
-
-// PageNums returns the numbers of all allocated pages in ascending order;
-// used by checkpoint serialization.
-func (m *Memory) PageNums() []uint64 {
-	out := make([]uint64, 0, len(m.pages))
-	for pn := range m.pages {
-		out = append(out, pn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// PageData returns a copy of the page's contents (nil if unmapped).
-func (m *Memory) PageData(pn uint64) []byte {
-	pg := m.pages[pn]
-	if pg == nil {
-		return nil
-	}
-	out := make([]byte, PageSize)
-	copy(out, pg[:])
-	return out
-}
-
-// SetPageData installs a full page of data at the given page number.
-func (m *Memory) SetPageData(pn uint64, data []byte) {
-	pg := new([PageSize]byte)
-	copy(pg[:], data)
-	m.pages[pn] = pg
-}
-
-// KernelPages returns the numbers of kernel-only pages in ascending order.
-func (m *Memory) KernelPages() []uint64 {
-	out := make([]uint64, 0, len(m.kernel))
-	for pn, k := range m.kernel {
-		if k {
-			out = append(out, pn)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -127,15 +127,11 @@ func TestWrappingAccessChecksEveryPage(t *testing.T) {
 
 	m = New()
 	m.SetKernel(top+PageSize-4, 8)
-	if !m.KernelOnly(top) || !m.KernelOnly(0) {
-		t.Errorf("SetKernel over the wrap marked top=%v page0=%v, want both", m.KernelOnly(top), m.KernelOnly(0))
+	if !m.kernel[pageNum(top)] || !m.kernel[pageNum(0)] {
+		t.Errorf("SetKernel over the wrap marked top=%v page0=%v, want both", m.kernel[pageNum(top)], m.kernel[pageNum(0)])
 	}
-	if m.KernelOnly(PageSize) || m.KernelOnly(top-PageSize) {
+	if m.kernel[pageNum(PageSize)] || m.kernel[pageNum(top-PageSize)] {
 		t.Error("SetKernel over the wrap marked a page the range does not touch")
-	}
-	m.SetUser(top+PageSize-4, 8)
-	if m.KernelOnly(top) || m.KernelOnly(0) {
-		t.Error("SetUser over the wrap left a page kernel-only")
 	}
 
 	m = New()
@@ -157,19 +153,15 @@ func TestPermissions(t *testing.T) {
 	if !m.UserAccessOK(0x2FF8, 8) {
 		t.Error("access fully below the kernel page must be allowed")
 	}
-	if !m.KernelOnly(0x3FFF) || m.KernelOnly(0x4000) {
+	if !m.kernel[pageNum(0x3FFF)] || m.kernel[pageNum(0x4000)] {
 		t.Error("kernel range must cover exactly its pages")
-	}
-	m.SetUser(0x3000, 0x1000)
-	if !m.UserAccessOK(0x3000, 8) {
-		t.Error("SetUser must restore access")
 	}
 }
 
 func TestSetKernelZeroSize(t *testing.T) {
 	m := New()
 	m.SetKernel(0x5000, 0)
-	if m.KernelOnly(0x5000) {
+	if m.kernel[pageNum(0x5000)] {
 		t.Error("zero-size SetKernel must mark nothing")
 	}
 }
@@ -179,7 +171,7 @@ func TestClone(t *testing.T) {
 	m.Write(0x100, 8, 42)
 	m.SetKernel(0x9000, 16)
 	c := m.Clone()
-	if c.Read(0x100, 8) != 42 || !c.KernelOnly(0x9000) {
+	if c.Read(0x100, 8) != 42 || !c.kernel[pageNum(0x9000)] {
 		t.Error("clone must copy contents and permissions")
 	}
 	c.Write(0x100, 8, 7)
@@ -212,7 +204,7 @@ func TestCopyFrom(t *testing.T) {
 	m.Write(0x1000, 8, 0xFFFF)     // written after the copy
 	m.Write(0x5000, 8, 0xDEADBEEF) // mapped after the copy, absent in base
 	m.SetKernel(0x9000, 8)
-	m.SetUser(0x3000, 8)
+	delete(m.kernel, pageNum(0x3000)) // a page the base keeps kernel-only turns user
 	m.CopyFrom(base)
 
 	if got := m.Read(0x1000, 8); got != 0x1122334455667788 {
@@ -229,7 +221,7 @@ func TestCopyFrom(t *testing.T) {
 	if m.MappedPages() != base.MappedPages() {
 		t.Errorf("%d mapped pages, base has %d", m.MappedPages(), base.MappedPages())
 	}
-	if got, want := fmt.Sprint(m.KernelPages()), fmt.Sprint(base.KernelPages()); got != want {
+	if got, want := fmt.Sprint(m.kernel), fmt.Sprint(base.kernel); got != want {
 		t.Errorf("kernel pages %s, want the base's %s", got, want)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { m.CopyFrom(base) }); allocs != 0 {
@@ -270,10 +262,9 @@ func TestCopyFrom(t *testing.T) {
 func TestBytesHelpers(t *testing.T) {
 	m := New()
 	m.StoreBytes(0x40, []byte{1, 2, 3, 4})
-	got := m.LoadBytes(0x40, 4)
 	for i, b := range []byte{1, 2, 3, 4} {
-		if got[i] != b {
-			t.Fatalf("LoadBytes[%d] = %d, want %d", i, got[i], b)
+		if got := m.LoadByte(0x40 + uint64(i)); got != b {
+			t.Fatalf("LoadByte(%#x) = %d, want %d", 0x40+i, got, b)
 		}
 	}
 }

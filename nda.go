@@ -38,11 +38,9 @@ package nda
 
 import (
 	"context"
-	"io"
 
 	"nda/internal/asm"
 	"nda/internal/attack"
-	"nda/internal/checkpoint"
 	"nda/internal/core"
 	"nda/internal/harness"
 	"nda/internal/inorder"
@@ -210,19 +208,6 @@ type PipelineTrace = trace.Collector
 
 // TraceEvent is one instruction's milestone record.
 type TraceEvent = ooo.TraceEvent
-
-// Checkpoint is an architectural snapshot (the Lapidary analogue); take one
-// by fast-forwarding the functional emulator and build any core from it.
-type Checkpoint = checkpoint.Checkpoint
-
-// TakeCheckpoint fast-forwards prog functionally by skipInsts and captures
-// the architectural state there.
-func TakeCheckpoint(prog *Program, skipInsts uint64) (*Checkpoint, error) {
-	return checkpoint.Take(prog, skipInsts)
-}
-
-// LoadCheckpoint deserializes a checkpoint written with Checkpoint.Save.
-func LoadCheckpoint(r io.Reader) (*Checkpoint, error) { return checkpoint.Load(r) }
 
 // Fig5Result is the BTB misprediction-overhead micro-measurement.
 type Fig5Result = harness.Fig5Result

@@ -20,9 +20,6 @@
 #   - asm.FuzzAssemble: arbitrary source must never panic the assembler,
 #     and assemble -> disassemble -> assemble must reproduce the program
 #     and its loaded memory image, disassembling to the same text again.
-#   - checkpoint.FuzzLoad: arbitrary bytes must never panic the checkpoint
-#     decoder; a checkpoint it accepts keeps every page within the address
-#     space, and save -> load -> save reproduces the saved bytes.
 # A crasher lands in the package's testdata/fuzz/<target>/, where
 # `go test` replays it.
 set -eu
@@ -38,7 +35,6 @@ go run ./cmd/ndalint -fuzz "$N" -seed "$SEED"
 go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s ./internal/store
 go test -run '^$' -fuzz '^FuzzCellRequest$' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz '^FuzzAssemble$' -fuzztime 10s ./internal/asm
-go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/checkpoint
 elapsed=$(( $(date +%s) - start ))
 echo "fuzz-smoke: ${elapsed}s (budget ${BUDGET}s)"
 [ "$elapsed" -le "$BUDGET" ] || {
